@@ -594,18 +594,31 @@ BUILTIN_TABLE_NAMES = ("S3", "A4", "S4", "A5", "Q8")
 
 # -- rendering and serialization ------------------------------------------
 
-def render_table(table):
+def format_value(v, numeric=False):
+    """A table entry as exact text, or as a float (real, or real+imag i)."""
+    if numeric:
+        z = v.numeric()
+        if abs(z.imag) < 1e-12:
+            return f"{z.real:.10g}"
+        return f"{z.real:.10g}{z.imag:+.10g}i"
+    return str(v)
+
+
+def render_grid(grid):
+    """Rows of cells in left-aligned columns two spaces apart."""
+    widths = [max(len(r[j]) for r in grid) for j in range(len(grid[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in grid)
+
+
+def render_table(table, numeric=False):
     """Plain-text rendering in the classical layout: representatives row,
     class sizes row, then one row per character."""
     head = [table.name or "G"] + list(table.class_labels)
     sizes = ["#"] + [str(table.group.classes[c].size) for c in table.display_classes]
-    body = []
-    for row in table.rows:
-        body.append([row.name] + [str(row.function.values[c]) for c in table.display_classes])
-    grid = [head, sizes] + body
-    widths = [max(len(r[j]) for r in grid) for j in range(len(head))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in grid]
-    return "\n".join(lines)
+    body = [[row.name] + [format_value(row.function.values[c], numeric)
+                          for c in table.display_classes] for row in table.rows]
+    return render_grid([head, sizes] + body)
 
 
 def table_to_json(table, group_name=None):

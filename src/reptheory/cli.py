@@ -15,15 +15,6 @@ from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
 from .exact import Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json
 
 
-def _fmt_value(v, numeric=False):
-    if numeric:
-        z = v.numeric()
-        if abs(z.imag) < 1e-12:
-            return f"{z.real:.10g}"
-        return f"{z.real:.10g}{z.imag:+.10g}i"
-    return str(v)
-
-
 def _parse_partition(s):
     s = s.strip()
     if not s:
@@ -69,17 +60,8 @@ def cmd_chartab_show(args):
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
     if args.json:
         _print_json(chartab.table_to_json(table, group_name=args.name if not args.file else None))
-    elif args.numeric:
-        head = [table.name or "G"] + list(table.class_labels)
-        sizes = ["#"] + [str(table.group.classes[c].size) for c in table.display_classes]
-        body = [[row.name] + [_fmt_value(row.function.values[c], numeric=True)
-                              for c in table.display_classes] for row in table.rows]
-        grid = [head, sizes] + body
-        widths = [max(len(r[j]) for r in grid) for j in range(len(head))]
-        for r in grid:
-            print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
     else:
-        print(chartab.render_table(table))
+        print(chartab.render_table(table, numeric=args.numeric))
     return 0
 
 
@@ -347,12 +329,9 @@ def cmd_gl2_table(args):
                   for c in table.classes]
         head = [f"GL2(F_{args.q})"] + labels
         sizes = ["#"] + [str(c.size) for c in table.classes]
-        body = [[r.name] + [_fmt_value(v, numeric=args.numeric) for v in r.values]
+        body = [[r.name] + [chartab.format_value(v, args.numeric) for v in r.values]
                 for r in table.rows]
-        grid = [head, sizes] + body
-        widths = [max(len(row[j]) for row in grid) for j in range(len(head))]
-        for row in grid:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        print(chartab.render_grid([head, sizes] + body))
     return 0
 
 
@@ -385,14 +364,18 @@ def cmd_semidirect_table(args):
 
 # -- roundtrip -----------------------------------------------------------------
 
+def _table_rows(table):
+    return [(row.name, row.degree, [row.function.values[c] for c in table.display_classes])
+            for row in table.rows]
+
+
 def cmd_roundtrip(args):
     obj = _load_json(args.file)
     if "rows" in obj and "classes" in obj and "q" not in obj:
         table = chartab.table_from_json(obj)
         again = chartab.table_to_json(table, group_name=obj.get("group")
                                       if isinstance(obj.get("group"), str) else None)
-        ok = chartab.table_from_json(again).rows[0].function.values == table.rows[0].function.values
-        ok = ok and len(again["rows"]) == len(obj["rows"])
+        ok = _table_rows(chartab.table_from_json(again)) == _table_rows(table)
     elif "quiver" in obj:
         rep = quiverrep.rep_from_json(obj)
         ok = quiverrep.rep_from_json(quiverrep.rep_to_json(rep)).maps == rep.maps

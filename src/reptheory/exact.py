@@ -32,7 +32,8 @@ def _divisors(n):
 
 @lru_cache(maxsize=None)
 def euler_phi(n):
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be positive, got {n}")
     result = n
     m, p = n, 2
     while p * p <= m:

@@ -15,7 +15,8 @@ class Matrix:
 
     def __init__(self, rows, cols, entries):
         entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        assert len(entries) == rows and all(len(r) == cols for r in entries)
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError(f"entries do not form a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -95,10 +96,6 @@ class Matrix:
         return Matrix(self.rows, self.cols + other.cols,
                       [ra + rb for ra, rb in zip(self.entries, other.entries)])
 
-    def vstack(self, other):
-        assert self.cols == other.cols
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
 
@@ -157,24 +154,27 @@ def kernel_basis(m):
     return Matrix.from_columns(cols, rows=m.cols)
 
 
-def image_and_complement(m):
-    """Deterministic splitting of the target space of m.
+def cokernel_projection(m):
+    """Projection of the target space of m onto a complement of its image.
 
-    Returns (image basis, complement basis) as column matrices whose
-    concatenation is a basis of the full target space. The image basis is
-    the echelonized column space; the complement consists of the standard
-    basis vectors at the non-pivot coordinate positions.
+    The complement is spanned by the standard vectors at the coordinates
+    that are not pivots of the echelonized image, the rref of m^T with rows
+    img_i and pivots p_i. Its row for such a coordinate j is
+    e_j - sum_i img_i[j] e_{p_i}: it kills the image and is the identity on
+    the complement. Shape (m.rows - rank m) x m.rows.
     """
     echelon, pivots = rref(m.transpose())
-    img_cols = [echelon.entries[i] for i in range(len(pivots))]
-    comp_cols = []
+    image = echelon.entries[:len(pivots)]
+    out = []
     for j in range(m.rows):
-        if j not in pivots:
-            v = [Fraction(0)] * m.rows
-            v[j] = Fraction(1)
-            comp_cols.append(v)
-    return (Matrix.from_columns(img_cols, rows=m.rows),
-            Matrix.from_columns(comp_cols, rows=m.rows))
+        if j in pivots:
+            continue
+        row = [Fraction(0)] * m.rows
+        row[j] = Fraction(1)
+        for p, img in zip(pivots, image):
+            row[p] = -img[j]
+        out.append(row)
+    return Matrix(len(out), m.rows, out)
 
 
 def solve(m, rhs):
@@ -219,7 +219,7 @@ def det(m):
 def inverse(m):
     assert m.rows == m.cols
     x = solve(m, Matrix.identity(m.rows))
-    if x is None or len(rref(m)[1]) < m.rows:
+    if x is None:
         raise ValueError("matrix is singular")
     return x
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix
-from .rootsys import Graph, bilinear, cartan_matrix, classify, enumerate_roots, reflect
+from .rootsys import Graph, cartan_matrix, classify, enumerate_roots, reflect
 
 
 class QuiverError(ValueError):
@@ -154,13 +154,9 @@ def _stack_into(v, i):
     """The combined map from the direct sum of the spaces at arrow sources
     into V_i, blocks in arrow order; returns (matrix, arrow indices)."""
     idx = v.quiver.arrows_into(i)
-    blocks = [v.maps[k] for k in idx]
-    total_cols = sum(b.cols for b in blocks)
-    m = Matrix.zeros(v.dims[i], 0)
-    for b in blocks:
-        m = m.hstack(b)
-    assert m.cols == total_cols
-    return m, idx
+    cols = sum(v.maps[k].cols for k in idx)
+    rows = [[x for k in idx for x in v.maps[k].entries[r]] for r in range(v.dims[i])]
+    return Matrix(v.dims[i], cols, rows), idx
 
 
 def reflect_sink(v, i):
@@ -183,44 +179,33 @@ def reflect_sink(v, i):
     maps = list(v.maps)
     offset = 0
     for k in arrow_idx:
-        src = q.arrows[k][0]
-        block = Matrix(v.dims[src], new_dim,
-                       [kernel.entries[offset + r] for r in range(v.dims[src])])
-        maps[k] = block
-        offset += v.dims[src]
+        height = v.dims[q.arrows[k][0]]
+        maps[k] = Matrix(height, new_dim, kernel.entries[offset:offset + height])
+        offset += height
     return QuiverRep(new_q, dims, maps)
 
 
 def reflect_source(v, i):
     """Reflection at a source: the space at i becomes the cokernel of the
-    combined outgoing map, realized on the deterministic complement basis,
-    so repeated runs are bit-identical."""
+    combined outgoing map psi, realized on the standard vectors at the
+    non-pivot coordinates of psi's echelonized image, so repeated runs are
+    bit-identical. The new map from each target is the block of columns of
+    the cokernel projection that belongs to it."""
     q = v.quiver
     if not q.is_source(i):
         raise QuiverError(f"vertex {i} is not a source")
     arrow_idx = q.arrows_out_of(i)
-    blocks = [v.maps[k] for k in arrow_idx]
-    psi = Matrix.zeros(0, v.dims[i])
-    for b in blocks:
-        psi = psi.vstack(b)
-    image, complement = linalg.image_and_complement(psi)
-    new_dim = complement.cols
-    basis = image.hstack(complement)  # invertible square in the sum space
-    coords = linalg.inverse(basis) if basis.cols else Matrix.zeros(0, 0)
-    proj = Matrix(new_dim, psi.rows,
-                  [coords.entries[image.cols + r] for r in range(new_dim)])
+    rows = [r for k in arrow_idx for r in v.maps[k].entries]
+    proj = linalg.cokernel_projection(Matrix(len(rows), v.dims[i], rows))
+    new_dim = proj.rows
     new_q = q.reversed_at(i)
     dims = tuple(new_dim if x == i else d for x, d in enumerate(v.dims))
     maps = list(v.maps)
     offset = 0
-    for k, b in zip(arrow_idx, blocks):
-        tgt = q.arrows[k][1]
-        inclusion = Matrix(psi.rows, v.dims[tgt],
-                           [[Fraction(1) if (r - offset) == c and offset <= r < offset + v.dims[tgt]
-                             else Fraction(0) for c in range(v.dims[tgt])]
-                            for r in range(psi.rows)])
-        maps[k] = proj * inclusion
-        offset += v.dims[tgt]
+    for k in arrow_idx:
+        width = v.dims[q.arrows[k][1]]
+        maps[k] = Matrix(new_dim, width, [r[offset:offset + width] for r in proj.entries])
+        offset += width
     return QuiverRep(new_q, dims, maps)
 
 
@@ -260,21 +245,24 @@ def require_dynkin(q):
 
 def indecomposable_for_root(q, alpha):
     """The unique indecomposable representation with dimension vector the
-    given positive root: walk the reflection word down to a simple root,
-    then pull the simple representation back through the reverse chain of
-    source reflections."""
+    given positive root."""
     a = require_dynkin(q)
     positive, _ = enumerate_roots(a)
     alpha = tuple(alpha)
     if alpha not in positive:
         raise QuiverError(f"{alpha} is not a positive root of the underlying diagram")
-    seq = _sink_sequence(q)
+    return _indecomposable(q, a, _sink_sequence(q), len(positive), alpha)
+
+
+def _indecomposable(q, a, seq, n_positive, alpha):
+    """Walk the reflection word of the positive root alpha down to a simple
+    root, then pull the simple representation back through the reverse
+    chain of source reflections."""
     beta = alpha
     applied = []
     cur_q = q
-    pos = 0
     while True:
-        j = seq[pos % len(seq)]
+        j = seq[len(applied) % len(seq)]
         nxt = reflect(a, j, beta)
         if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
             assert beta == tuple(1 if v == j else 0 for v in range(q.n))
@@ -283,8 +271,7 @@ def indecomposable_for_root(q, alpha):
         beta = nxt
         applied.append(j)
         cur_q = cur_q.reversed_at(j)
-        pos += 1
-        if pos > 4 * len(positive) * len(seq):
+        if len(applied) > 4 * n_positive * len(seq):
             raise AssertionError("reflection walk failed to terminate")
     rep = simple_rep(cur_q, stop_vertex)
     for j in reversed(applied):
@@ -297,36 +284,37 @@ def enumerate_indecomposables(q):
     """One indecomposable representation per positive root (Gabriel)."""
     a = require_dynkin(q)
     positive, _ = enumerate_roots(a)
-    return [(alpha, indecomposable_for_root(q, alpha)) for alpha in positive]
+    seq = _sink_sequence(q)
+    return [(alpha, _indecomposable(q, a, seq, len(positive), alpha)) for alpha in positive]
 
 
 def decompose(v):
     """Multiset of indecomposable summands of v, as a sorted list of
-    (positive root, multiplicity) pairs with sum mult * root = dims."""
+    (positive root, multiplicity) pairs with sum mult * root = dims.
+
+    The cokernel at sink j has dimension dims[j] - rank(phi), that is
+    dims[j] - (source dims) + the kernel dimension reflect_sink returns.
+    """
     q = v.quiver
-    require_dynkin(q)
-    a = cartan_matrix(q.underlying_graph())
+    a = require_dynkin(q)
     seq = _sink_sequence(q)
     counts = {}
     rep = v
     applied = []
-    pos = 0
-    budget = 0
     while not rep.is_zero():
-        j = seq[pos % len(seq)]
-        phi, _ = _stack_into(rep, j)
-        coker_mult = rep.dims[j] - len(linalg.rref(phi)[1])
+        j = seq[len(applied) % len(seq)]
+        source_dims = sum(rep.dims[s] for s, t in rep.quiver.arrows if t == j)
+        nxt = reflect_sink(rep, j)
+        coker_mult = rep.dims[j] - source_dims + nxt.dims[j]
         if coker_mult:
             root = tuple(1 if x == j else 0 for x in range(q.n))
             for k in reversed(applied):
                 root = reflect(a, k, root)
             assert all(c >= 0 for c in root)
             counts[root] = counts.get(root, 0) + coker_mult
-        rep = reflect_sink(rep, j)
+        rep = nxt
         applied.append(j)
-        pos += 1
-        budget += 1
-        if budget > 1000 * (q.n + v.total_dim()):
+        if len(applied) > 1000 * (q.n + v.total_dim()):
             raise AssertionError("decomposition did not terminate")
     check = [0] * q.n
     for root, mult in counts.items():

@@ -26,7 +26,8 @@ class Graph:
 
     def __init__(self, n, adjacency):
         adjacency = tuple(tuple(int(x) for x in row) for row in adjacency)
-        assert len(adjacency) == n and all(len(r) == n for r in adjacency)
+        if len(adjacency) != n or any(len(r) != n for r in adjacency):
+            raise GraphError(f"adjacency matrix must be {n}x{n}")
         for i in range(n):
             if adjacency[i][i]:
                 raise GraphError("self-loops are not allowed")
@@ -42,6 +43,8 @@ class Graph:
         for e in edges:
             i, j = e[0], e[1]
             m = e[2] if len(e) > 2 else 1
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
             if i == j:
                 raise GraphError("self-loops are not allowed")
             adj[i][j] += m

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reptheory
+from reptheory import chartab
 from reptheory.cli import main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.quiverrep import indecomposable_for_root, Quiver, rep_to_json
@@ -22,6 +28,37 @@ def test_chartab_show_s3_golden(capsys):
         "C+  1   1     1\n"
         "C-  1   -1    1\n"
         "C2  2   0     -1\n"
+    )
+
+
+def test_gl2_table_golden(capsys):
+    code, out, _ = run_cli(capsys, "gl2", "table", "--q", "3")
+    assert code == 0
+    assert out == (
+        "GL2(F_3)  scal(1)  scal(2)  para(1)  para(2)  hype(1,2)  elli(0,1)  elli(1,1)  elli(2,1)\n"
+        "#         1        1        8        8        12         6          6          6\n"
+        "xi[0]     1        1        1        1        1          1          1          1\n"
+        "xi[1]     1        1        1        1        -1         1          -1         -1\n"
+        "V[0,1]    4        -4       1        -1       0          0          0          0\n"
+        "W[0]      3        3        0        0        1          -1         -1         -1\n"
+        "W[1]      3        3        0        0        -1         -1         1          1\n"
+        "X[1]      2        -2       -1       1        0          0          -z8-z8^3   z8+z8^3\n"
+        "X[2]      2        2        -1       -1       0          2          0          0\n"
+        "X[5]      2        -2       -1       1        0          0          z8+z8^3    -z8-z8^3\n"
+    )
+    code, out, _ = run_cli(capsys, "gl2", "table", "--q", "3", "--numeric")
+    assert code == 0
+    assert out == (
+        "GL2(F_3)  scal(1)  scal(2)  para(1)  para(2)  hype(1,2)  elli(0,1)  elli(1,1)                      elli(2,1)\n"
+        "#         1        1        8        8        12         6          6                              6\n"
+        "xi[0]     1        1        1        1        1          1          1                              1\n"
+        "xi[1]     1        1        1        1        -1         1          -1                             -1\n"
+        "V[0,1]    4        -4       1        -1       0          0          0                              0\n"
+        "W[0]      3        3        0        0        1          -1         -1                             -1\n"
+        "W[1]      3        3        0        0        -1         -1         1                              1\n"
+        "X[1]      2        -2       -1       1        0          0          -2.220446049e-16-1.414213562i  2.220446049e-16+1.414213562i\n"
+        "X[2]      2        2        -1       -1       0          2          0                              0\n"
+        "X[5]      2        -2       -1       1        0          0          2.220446049e-16+1.414213562i   -2.220446049e-16-1.414213562i\n"
     )
 
 
@@ -179,6 +216,42 @@ def test_roundtrip_rep(tmp_path, capsys):
     path.write_text(json.dumps(rep_to_json(rep)))
     code, out, _ = run_cli(capsys, "roundtrip", str(path))
     assert code == 0 and out.strip() == "roundtrip ok"
+
+
+def test_roundtrip_compares_every_row(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps(table_to_json(builtin_table("A5"), group_name="A5")))
+    code, out, _ = run_cli(capsys, "roundtrip", str(path))
+    assert code == 0 and out.strip() == "roundtrip ok"
+
+    def lossy(table, group_name=None):
+        blob = table_to_json(table, group_name)
+        blob["rows"][-1]["values"][-1] = blob["rows"][-1]["values"][0]
+        return blob
+
+    monkeypatch.setattr(chartab, "table_to_json", lossy)
+    code, out, _ = run_cli(capsys, "roundtrip", str(path))
+    assert code == 1 and out.strip() == "roundtrip FAILED"
+
+
+BAD_ARTIFACTS = {
+    "cyclotomic of order 0": {"order": 0, "coeffs": []},
+    "ragged matrix": {"rows": 2, "cols": 2, "entries": [["1", "2"], ["3"]]},
+    "edge past the last vertex": {"vertices": 3, "edges": [[0, 5]]},
+    "negative edge endpoint": {"vertices": 3, "edges": [[0, -1]]},
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("kind", sorted(BAD_ARTIFACTS))
+def test_bad_artifact_is_a_typed_error(tmp_path, kind, optimize):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_ARTIFACTS[kind]))
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", "roundtrip", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_roundtrip_truncated_file(tmp_path, capsys):

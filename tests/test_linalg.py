@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptheory.linalg import (Matrix, block_diag, det, image_and_complement,
+from reptheory.linalg import (Matrix, block_diag, cokernel_projection, det,
                               inverse, kernel_basis, matrix_from_json,
                               matrix_to_json, rank, rref, solve)
 
@@ -40,13 +40,13 @@ def test_kernel_examples():
     assert kernel_basis(Matrix.from_rows([[1, 1]])).cols == 1
 
 
-def test_image_and_complement_examples():
-    img, comp = image_and_complement(Matrix.from_rows([[1], [0]]))
-    assert img.column(0) == (1, 0) and comp.column(0) == (0, 1)
-    img, comp = image_and_complement(Matrix.identity(2))
-    assert comp.cols == 0
-    img, comp = image_and_complement(Matrix.from_rows([[1, 1], [1, 1]]))
-    assert img.cols == 1 and comp.cols == 1
+def test_cokernel_projection_examples():
+    assert cokernel_projection(Matrix.from_rows([[1], [0]])) == Matrix.from_rows([[0, 1]])
+    assert cokernel_projection(Matrix.identity(2)).rows == 0
+    m = Matrix.from_rows([[1, 1], [1, 1]])
+    p = cokernel_projection(m)
+    assert p == Matrix.from_rows([[-1, 1]]) and (p * m).is_zero()
+    assert cokernel_projection(Matrix.zeros(2, 0)) == Matrix.identity(2)
 
 
 def test_solve_examples():
@@ -74,12 +74,14 @@ def test_rank_nullity(m):
 
 @given(matrices())
 @settings(max_examples=80, deadline=None)
-def test_image_complement_spans_target(m):
-    img, comp = image_and_complement(m)
-    combined = img.hstack(comp)
-    assert combined.cols == m.rows
-    assert rank(combined) == m.rows
-    assert img.cols == rank(m)
+def test_cokernel_projection_splits_target(m):
+    p = cokernel_projection(m)
+    assert p.rows == m.rows - rank(m) and p.cols == m.rows
+    assert (p * m).is_zero()
+    pivots = rref(m.transpose())[1]
+    free = [j for j in range(m.rows) if j not in pivots]
+    on_free = Matrix(p.rows, len(free), [[p[r, j] for j in free] for r in range(p.rows)])
+    assert on_free == Matrix.identity(len(free))
 
 
 @given(matrices())

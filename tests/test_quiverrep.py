@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from reptheory import linalg
+from reptheory import linalg, quiverrep
 from reptheory.linalg import Matrix
 from reptheory.quiverrep import (Quiver, QuiverError, QuiverRep,
                                  admissible_labels, decompose, direct_sum,
@@ -13,7 +13,8 @@ from reptheory.quiverrep import (Quiver, QuiverError, QuiverRep,
                                  indecomposable_for_root, reflect_sink,
                                  reflect_source, rep_from_json, rep_to_json,
                                  simple_rep, zero_rep)
-from reptheory.rootsys import bilinear, cartan_matrix, enumerate_roots, reflect
+from reptheory.rootsys import (bilinear, cartan_matrix, dynkin_graph, enumerate_roots,
+                               reflect)
 
 A2 = Quiver(2, [(0, 1)])
 A3_LINE = Quiver(3, [(0, 1), (1, 2)])
@@ -212,6 +213,14 @@ def _random_invertible(n, rng):
             return m
 
 
+def _base_changed(v, rng):
+    """v conjugated by a random invertible matrix at every vertex."""
+    ps = [_random_invertible(d, rng) for d in v.dims]
+    inv = [linalg.inverse(p) if p.rows else p for p in ps]
+    maps = [ps[t] * m * inv[s] for (s, t), m in zip(v.quiver.arrows, v.maps)]
+    return QuiverRep(v.quiver, v.dims, maps)
+
+
 def test_decompose_round_trip_under_base_change():
     rng = random.Random(9)
     for q in (A2, A3_IN, D4):
@@ -222,12 +231,7 @@ def test_decompose_round_trip_under_base_change():
             for root, _ in chosen:
                 expected[root] = expected.get(root, 0) + 1
             total = reduce(direct_sum, [rep for _, rep in chosen])
-            ps = [_random_invertible(d, rng) for d in total.dims]
-            inv = [linalg.inverse(p) if p.rows else p for p in ps]
-            maps = [ps[t] * m * inv[s]
-                    for (s, t), m in zip(total.quiver.arrows, total.maps)]
-            mixed = QuiverRep(total.quiver, total.dims, maps)
-            assert decompose(mixed) == sorted(expected.items())
+            assert decompose(_base_changed(total, rng)) == sorted(expected.items())
 
 
 def test_round_trip_on_larger_quivers():
@@ -244,12 +248,93 @@ def test_round_trip_on_larger_quivers():
             for root, _ in chosen:
                 expected[root] = expected.get(root, 0) + 1
             total = reduce(direct_sum, [rep for _, rep in chosen])
-            ps = [_random_invertible(d, rng) for d in total.dims]
-            inv = [linalg.inverse(p) if p.rows else p for p in ps]
-            maps = [ps[t] * m * inv[s]
-                    for (s, t), m in zip(total.quiver.arrows, total.maps)]
-            assert decompose(QuiverRep(total.quiver, total.dims, maps)) == \
-                sorted(expected.items())
+            assert decompose(_base_changed(total, rng)) == sorted(expected.items())
+
+
+# -- references for the echelon-form reflection steps -------------------------
+
+def reference_reflect_source(v, i):
+    """Source reflection by basis inversion: invert an image|complement basis
+    of the sum space and compose with the 0/1 inclusion of each target."""
+    q = v.quiver
+    arrow_idx = q.arrows_out_of(i)
+    rows = [r for k in arrow_idx for r in v.maps[k].entries]
+    psi = Matrix(len(rows), v.dims[i], rows)
+    echelon, pivots = linalg.rref(psi.transpose())
+    image = [echelon.row(r) for r in range(len(pivots))]
+    complement = [[int(r == j) for r in range(psi.rows)]
+                  for j in range(psi.rows) if j not in pivots]
+    basis = Matrix.from_columns(image + complement, rows=psi.rows)
+    coords = linalg.inverse(basis) if basis.cols else Matrix.zeros(0, 0)
+    proj = Matrix(len(complement), psi.rows, coords.entries[len(image):])
+    maps = list(v.maps)
+    offset = 0
+    for k in arrow_idx:
+        width = v.dims[q.arrows[k][1]]
+        inclusion = Matrix(psi.rows, width, [[int(r - offset == c) for c in range(width)]
+                                             for r in range(psi.rows)])
+        maps[k] = proj * inclusion
+        offset += width
+    dims = tuple(len(complement) if x == i else d for x, d in enumerate(v.dims))
+    return QuiverRep(q.reversed_at(i), dims, maps)
+
+
+def reference_decompose(v):
+    """The decomposition walk with the cokernel multiplicity at each sink
+    taken from the rank of the stacked incoming map."""
+    q = v.quiver
+    a = cartan_matrix(q.underlying_graph())
+    labels = admissible_labels(q)
+    seq = sorted(range(q.n), key=lambda x: -labels[x])
+    counts = {}
+    rep, applied = v, []
+    while not rep.is_zero():
+        j = seq[len(applied) % len(seq)]
+        blocks = [rep.maps[k] for k in rep.quiver.arrows_into(j)]
+        phi = Matrix(rep.dims[j], sum(b.cols for b in blocks),
+                     [[x for b in blocks for x in b.row(r)] for r in range(rep.dims[j])])
+        mult = rep.dims[j] - linalg.rank(phi)
+        if mult:
+            root = tuple(int(x == j) for x in range(q.n))
+            for k in reversed(applied):
+                root = reflect(a, k, root)
+            counts[root] = counts.get(root, 0) + mult
+        rep = reflect_sink(rep, j)
+        applied.append(j)
+    return sorted(counts.items())
+
+
+def _two_orientations(name):
+    """The diagram with every edge i -> j (i < j), and with every other
+    edge reversed."""
+    g = dynkin_graph(name)
+    edges = [(i, j) for i, j, _ in g.edges()]
+    mixed = [(j, i) if k % 2 else (i, j) for k, (i, j) in enumerate(edges)]
+    return Quiver(g.n, edges), Quiver(g.n, mixed)
+
+
+@pytest.mark.parametrize("name", ["A5", "D4", "D5", "D6", "E6"])
+def test_indecomposables_match_reference_reflection(name, monkeypatch):
+    for q in _two_orientations(name):
+        got = enumerate_indecomposables(q)
+        with monkeypatch.context() as patch:
+            patch.setattr(quiverrep, "reflect_source", reference_reflect_source)
+            want = enumerate_indecomposables(q)
+        assert [root for root, _ in got] == [root for root, _ in want]
+        for (root, rep), (_, ref) in zip(got, want):
+            assert rep.quiver == ref.quiver and rep.dims == ref.dims == root
+            assert rep.maps == ref.maps, (q, root)
+
+
+def test_decompose_matches_rank_count():
+    rng = random.Random(21)
+    for name in ("A5", "D5", "E6"):
+        for q in _two_orientations(name):
+            objs = enumerate_indecomposables(q)
+            for _ in range(4):
+                chosen = [rng.choice(objs)[1] for _ in range(rng.randint(2, 4))]
+                mixed = _base_changed(reduce(direct_sum, chosen), rng)
+                assert decompose(mixed) == reference_decompose(mixed)
 
 
 def test_rep_serialization():
