@@ -520,6 +520,8 @@ def rational_to_str(f):
 
 
 def rational_from_str(s):
+    if not isinstance(s, str):
+        raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
     if "/" in s:
         p, q = s.split("/")
         return Fraction(int(p), int(q))
@@ -533,6 +535,8 @@ def cyclotomic_to_json(a):
 
 def cyclotomic_from_json(obj):
     order = int(obj["order"])
+    if not isinstance(obj["coeffs"], list):
+        raise ValueError("coeffs must be a list")
     vec = [rational_from_str(s) for s in obj["coeffs"]]
     if len(vec) != euler_phi(order):
         raise ValueError("coefficient list has wrong length for the given order")

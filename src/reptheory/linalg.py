@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact import rational_from_str
+
 
 class Matrix:
     __slots__ = ("rows", "cols", "entries")
@@ -233,6 +235,6 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = [[Fraction(*(int(p) for p in s.split("/"))) if "/" in s else Fraction(int(s))
-                for s in row] for row in obj["entries"]]
-    return Matrix(rows, cols, entries)
+    if not (isinstance(obj["entries"], list) and all(isinstance(row, list) for row in obj["entries"])):
+        raise ValueError("entries must be a list of rows")
+    return Matrix(rows, cols, [[rational_from_str(s) for s in row] for row in obj["entries"]])

@@ -1,15 +1,18 @@
 """Finite groups as permutation groups, with full class data.
 
-Groups in scope are small (largest routine case is S_7), so the whole
+Groups in scope are small (largest routine case is S_8), so the whole
 element set is enumerated breadth-first and conjugacy classes are
 computed as conjugation orbits; no stabilizer-chain machinery.
 
-A permutation on m points is a plain tuple of 0-based images.
+A permutation on m points is a plain tuple of 0-based images. The
+enumeration loops compose through `operator.itemgetter`, so each product
+is one C-level call instead of a Python generator over the points.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
 
 class EnumerationBound(ValueError):
@@ -25,6 +28,13 @@ def p_identity(degree):
 def p_mul(p, q):
     """Composition: apply q first, then p."""
     return tuple(p[x] for x in q)
+
+
+def _right_mul(q):
+    """The map p -> p_mul(p, q), as one C-level call."""
+    if len(q) < 2:  # itemgetter needs an index and returns a scalar for one
+        return lambda p: p_mul(p, q)
+    return itemgetter(*q)
 
 
 def p_inv(p):
@@ -124,12 +134,13 @@ class PermGroup:
         index = {ident: 0}
         parent = [None]  # (parent element index, generator index)
         frontier = [ident]
+        times = [_right_mul(g) for g in self.generators]
         while frontier:
             nxt = []
             for x in frontier:
                 xi = index[x]
-                for gi, g in enumerate(self.generators):
-                    y = p_mul(x, g)
+                for gi, times_g in enumerate(times):
+                    y = times_g(x)
                     if y not in index:
                         index[y] = len(elements)
                         elements.append(y)
@@ -154,6 +165,8 @@ class PermGroup:
         n = len(self.elements)
         assigned = [-1] * n
         raw_classes = []
+        # g x g^-1 = p_mul(p_mul(g, x), p_inv(g)): x applied to g, then g^-1
+        pairs = [(g, _right_mul(p_inv(g))) for g in self.generators]
         for start in range(n):
             if assigned[start] != -1:
                 continue
@@ -161,9 +174,9 @@ class PermGroup:
             assigned[start] = len(raw_classes)
             queue = [self.elements[start]]
             while queue:
-                x = queue.pop()
-                for g in self.generators:
-                    y = p_mul(p_mul(g, x), p_inv(g))
+                times_x = _right_mul(queue.pop())
+                for g, times_g_inv in pairs:
+                    y = times_g_inv(times_x(g))
                     yi = self.index[y]
                     if assigned[yi] == -1:
                         assigned[yi] = len(raw_classes)

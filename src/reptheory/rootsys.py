@@ -41,6 +41,9 @@ class Graph:
     def from_edges(n, edges):
         adj = [[0] * n for _ in range(n)]
         for e in edges:
+            if not (isinstance(e, (list, tuple)) and len(e) in (2, 3)
+                    and all(isinstance(x, int) for x in e)):
+                raise GraphError(f"edge {e!r} is not two endpoints and an optional multiplicity")
             i, j = e[0], e[1]
             m = e[2] if len(e) > 2 else 1
             if not (0 <= i < n and 0 <= j < n):
@@ -391,4 +394,6 @@ def graph_to_json(graph):
 
 
 def graph_from_json(obj):
-    return Graph.from_edges(int(obj["vertices"]), [tuple(e) for e in obj["edges"]])
+    if not isinstance(obj["edges"], list):
+        raise GraphError("edges must be a list")
+    return Graph.from_edges(int(obj["vertices"]), obj["edges"])

@@ -2,7 +2,8 @@
 
 Each criterion function raises AssertionError (with a message) on
 failure and returns a short success detail. Shared by the pytest
-acceptance module and the `reptheory selftest` CLI subcommand.
+acceptance module and the `reptheory selftest` CLI subcommand. The checks
+go through `_require`, not `assert`, so that `python -O` runs them too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .rootsys import (bilinear, cartan_matrix, classify, coxeter_element,
 from .symgrp import (frobenius_character, hook_dim, kostka, partitions_of,
                      power_sum_value, schur_eval, schur_special,
                      sn_table, specht_dim_determinant, u_character)
+
+
+def _require(cond, detail=""):
+    """Raise AssertionError(detail) unless cond holds, also under -O."""
+    if not cond:
+        raise AssertionError(detail)
 
 
 class Result:
@@ -73,16 +80,16 @@ def criterion_01(rng):
     for name in ("S3", "A4", "S4", "A5", "Q8"):
         table = builtin_table(name)
         golden = _golden(name)
-        assert [r.name for r in table.rows] == [g[0] for g in golden], name
+        _require([r.name for r in table.rows] == [g[0] for g in golden], name)
         for row, (gname, gvals) in zip(table.rows, golden):
             shown = [row.function.values[c] for c in table.display_classes]
-            assert shown == [cyc(v) for v in gvals], f"{name} row {gname}"
+            _require(shown == [cyc(v) for v in gvals], f"{name} row {gname}")
         report = verify_table(table)
-        assert report.ok, f"{name}: {report.failures()[:2]}"
+        _require(report.ok, f"{name}: {report.failures()[:2]}")
         rendered = render_table(table)
-        assert rendered == render_table(builtin_table(name)), "rendering is not stable"
+        _require(rendered == render_table(builtin_table(name)), "rendering is not stable")
     elapsed = time.time() - t0
-    assert elapsed < 1.0, f"took {elapsed:.2f}s (limit 1s)"
+    _require(elapsed < 1.0, f"took {elapsed:.2f}s (limit 1s)")
     return "5 tables, exact zero residuals"
 
 
@@ -125,10 +132,10 @@ def criterion_02(rng):
         for (r1, r2), want in expected.items():
             mults = tensor_multiplicities(table, table.row_index(r1), table.row_index(r2))
             got = {table.rows[k].name: m for k, m in enumerate(mults) if m}
-            assert got == want, f"{name}: {r1} x {r2}: {got} != {want}"
+            _require(got == want, f"{name}: {r1} x {r2}: {got} != {want}")
             count += 1
     elapsed = time.time() - t0
-    assert elapsed < 1.0, f"took {elapsed:.2f}s (limit 1s)"
+    _require(elapsed < 1.0, f"took {elapsed:.2f}s (limit 1s)")
     return f"{count} products checked"
 
 
@@ -142,7 +149,7 @@ def _transfer_rows(src_table, target_group):
             key = (cl.element_order, cl.size)
             matches = [i for i, c in enumerate(src_table.group.classes)
                        if (c.element_order, c.size) == key]
-            assert len(matches) == 1
+            _require(len(matches) == 1)
             vals[ci] = row.function.values[matches[0]]
         rows.append(chartab.TableRow(row.name, row.degree,
                                      chartab.ClassFunction(target_group, vals)))
@@ -169,17 +176,17 @@ def criterion_03(rng):
         mults = integer_multiplicities(decompose(f, table))
         return {table.rows[k].name: m for k, m in enumerate(mults) if m}
 
-    assert names_of(s3t, induce(z2, z2t.rows[0].function)) == {"C+": 1, "C2": 1}
-    assert names_of(s3t, induce(z2, z2t.rows[1].function)) == {"C-": 1, "C2": 1}
-    assert names_of(s3t, induce(z3, z3t.rows[0].function)) == {"C+": 1, "C-": 1}
-    assert names_of(s3t, induce(z3, z3t.rows[1].function)) == {"C2": 1}
-    assert names_of(s3t, induce(z3, z3t.rows[2].function)) == {"C2": 1}
-    assert names_of(s4t, induce(s3sub, s3subt.row_by_name("C+").function)) == \
-        {"C+": 1, "C3-": 1}
-    assert names_of(s4t, induce(s3sub, s3subt.row_by_name("C-").function)) == \
-        {"C-": 1, "C3+": 1}
-    assert names_of(s4t, induce(s3sub, s3subt.row_by_name("C2").function)) == \
-        {"C2": 1, "C3-": 1, "C3+": 1}
+    _require(names_of(s3t, induce(z2, z2t.rows[0].function)) == {"C+": 1, "C2": 1})
+    _require(names_of(s3t, induce(z2, z2t.rows[1].function)) == {"C-": 1, "C2": 1})
+    _require(names_of(s3t, induce(z3, z3t.rows[0].function)) == {"C+": 1, "C-": 1})
+    _require(names_of(s3t, induce(z3, z3t.rows[1].function)) == {"C2": 1})
+    _require(names_of(s3t, induce(z3, z3t.rows[2].function)) == {"C2": 1})
+    _require(names_of(s4t, induce(s3sub, s3subt.row_by_name("C+").function)) ==
+             {"C+": 1, "C3-": 1})
+    _require(names_of(s4t, induce(s3sub, s3subt.row_by_name("C-").function)) ==
+             {"C-": 1, "C3+": 1})
+    _require(names_of(s4t, induce(s3sub, s3subt.row_by_name("C2").function)) ==
+             {"C2": 1, "C3-": 1, "C3+": 1})
 
     checked = 0
     for gtable, sub, htable in pairs:
@@ -188,7 +195,7 @@ def criterion_03(rng):
             for grow in gtable.rows:
                 lhs = inner_product(ind, grow.function)
                 rhs = inner_product(hrow.function, restrict(sub, grow.function))
-                assert lhs == rhs, (hrow.name, grow.name)
+                _require(lhs == rhs, (hrow.name, grow.name))
                 checked += 1
     return f"3 worked examples, reciprocity on {checked} pairs"
 
@@ -198,21 +205,21 @@ def criterion_04(rng):
     for name in ("S3", "S4", "A5"):
         table = builtin_table(name)
         for row in table.rows:
-            assert frobenius_schur(row.function) == 1, (name, row.name)
+            _require(frobenius_schur(row.function) == 1, (name, row.name))
     q8t = builtin_table("Q8")
-    assert frobenius_schur(q8t.row_by_name("C2").function) == -1
+    _require(frobenius_schur(q8t.row_by_name("C2").function) == -1)
     z3t = chartab.abelian_dual_table(cyclic_group(3))
-    assert frobenius_schur(z3t.rows[0].function) == 1
-    assert frobenius_schur(z3t.rows[1].function) == 0
-    assert frobenius_schur(z3t.rows[2].function) == 0
+    _require(frobenius_schur(z3t.rows[0].function) == 1)
+    _require(frobenius_schur(z3t.rows[1].function) == 0)
+    _require(frobenius_schur(z3t.rows[2].function) == 0)
     for name, inv in (("S3", 4), ("S4", 10), ("A5", 16), ("Q8", 2)):
         table = builtin_table(name)
         total = zero()
         for row in table.rows:
             total = total + row.degree * frobenius_schur(row.function)
         enumerated = table.group.involution_count()
-        assert enumerated == inv, (name, enumerated)
-        assert total == inv, (name, str(total))
+        _require(enumerated == inv, (name, enumerated))
+        _require(total == inv, (name, str(total)))
     return "indicators and counts match (4, 10, 16, 2)"
 
 
@@ -222,22 +229,22 @@ def criterion_05(rng):
     for n in range(1, 8):
         table = sn_table(n)
         report = verify_table(table)
-        assert report.ok, (n, report.failures()[:2])
-        assert sum(r.degree ** 2 for r in table.rows) == table.group.order
+        _require(report.ok, (n, report.failures()[:2]))
+        _require(sum(r.degree ** 2 for r in table.rows) == table.group.order)
         for lam in partitions_of(n):
             a = hook_dim(lam)
             b = frobenius_character(lam, (1,) * n)
             c = specht_dim_determinant(lam)
-            assert a == b == c, (lam, a, b, c)
+            _require(a == b == c, (lam, a, b, c))
     for n, name in ((3, "S3"), (4, "S4")):
         table = sn_table(n)
         ref = builtin_table(name)
         ref_on_sn = _transfer_rows(ref, table.group)
         got = {tuple(r.function.values) for r in table.rows}
         want = {tuple(r.function.values) for r in ref_on_sn.rows}
-        assert got == want, f"S{n} rows differ from the builtin table"
+        _require(got == want, f"S{n} rows differ from the builtin table")
     elapsed = time.time() - t0
-    assert elapsed < 60, f"took {elapsed:.1f}s (limit 60s)"
+    _require(elapsed < 60, f"took {elapsed:.1f}s (limit 60s)")
     return f"n<=7 verified in {elapsed:.1f}s"
 
 
@@ -246,16 +253,16 @@ def criterion_06(rng):
     for n in range(1, 7):
         parts = partitions_of(n)
         for lam in parts:
-            assert kostka(lam, lam) == 1, lam
+            _require(kostka(lam, lam) == 1, lam)
             for mu in parts:
                 k = kostka(mu, lam)
-                assert k >= 0
+                _require(k >= 0)
                 if mu < lam:  # reverse-lex tuples compare like the dominance test needed here
-                    assert k == 0, (mu, lam)
+                    _require(k == 0, (mu, lam))
         for lam in parts:
             for t in parts:
                 total = sum(kostka(mu, lam) * frobenius_character(mu, t) for mu in parts)
-                assert total == u_character(lam, t), (lam, t)
+                _require(total == u_character(lam, t), (lam, t))
     return "n<=6, exact"
 
 
@@ -273,7 +280,7 @@ def criterion_07(rng):
                 for lam in partitions_of(n):
                     if len(lam) <= nvars:
                         rhs = rhs + frobenius_character(lam, t) * schur_eval(lam, pts)
-                assert lhs == rhs, (t, pts)
+                _require(lhs == rhs, (t, pts))
     # geometric specialization vs alternant, and all-ones vs the expansion
     for n in range(1, 5):
         for lam in partitions_of(n):
@@ -283,13 +290,13 @@ def criterion_07(rng):
                 z = Fraction(rng.randint(2, 7), rng.randint(1, 3))
             geo = schur_special(lam, nvars, z=z)
             pts = [z ** k for k in range(nvars)]
-            assert geo == schur_eval(lam, pts).as_fraction(), (lam, z)
+            _require(geo == schur_eval(lam, pts).as_fraction(), (lam, z))
     for n in range(1, 5):
         for nvars in range(1, 5):
             for t in partitions_of(n):
                 total = sum(frobenius_character(lam, t) * schur_special(lam, nvars)
                             for lam in partitions_of(n) if len(lam) <= nvars)
-                assert total == nvars ** len(t), (t, nvars)
+                _require(total == nvars ** len(t), (t, nvars))
     return "20 point sets, n<=5, N<=4, exact"
 
 
@@ -302,7 +309,7 @@ def _short_vectors_ldl(a, norm=2):
     coef = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         diag[i] = d[i][i]
-        assert diag[i] > 0
+        _require(diag[i] > 0)
         for j in range(i + 1, n):
             coef[i][j] = d[i][j] / diag[i]
         for r in range(i + 1, n):
@@ -341,30 +348,30 @@ def criterion_08(rng):
     for n in range(1, 9):
         a = cartan_matrix(dynkin_graph(f"A{n}"))
         pos, neg = enumerate_roots(a)
-        assert len(pos) == n * (n + 1) // 2, n
+        _require(len(pos) == n * (n + 1) // 2, n)
     for n in range(4, 9):
         a = cartan_matrix(dynkin_graph(f"D{n}"))
-        assert len(enumerate_roots(a)[0]) == n * (n - 1), n
+        _require(len(enumerate_roots(a)[0]) == n * (n - 1), n)
     for name, count in (("E6", 36), ("E7", 63), ("E8", 120)):
         te = time.time()
         a = cartan_matrix(dynkin_graph(name))
         pos, neg = enumerate_roots(a)
-        assert len(pos) == count and len(neg) == count
+        _require(len(pos) == count and len(neg) == count)
         if name == "E8":
-            assert time.time() - te < 5, "E8 enumeration over 5s"
+            _require(time.time() - te < 5, "E8 enumeration over 5s")
     for name in ("A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"):
         a = cartan_matrix(dynkin_graph(name))
         pos, neg = enumerate_roots(a)
-        assert _short_vectors_ldl(a) == set(pos) | set(neg), name
+        _require(_short_vectors_ldl(a) == set(pos) | set(neg), name)
     for n in range(1, 9):
         cls = classify(path_graph(n))
-        assert cls.kind == "dynkin" and cls.determinant == n + 1, n
+        _require(cls.kind == "dynkin" and cls.determinant == n + 1, n)
     for n in range(3, 9):
         cls = classify(cycle_graph(n))
-        assert cls.kind == "affine" and cls.determinant == 0, n
+        _require(cls.kind == "affine" and cls.determinant == 0, n)
     for name in ("A~1", "D~4", "D~5", "D~6", "E~6", "E~7", "E~8"):
         cls = classify(affine_graph(name))
-        assert cls.kind == "affine" and cls.determinant == 0, name
+        _require(cls.kind == "affine" and cls.determinant == 0, name)
     return f"counts, oracle equality and affine dets in {time.time() - t0:.1f}s"
 
 
@@ -375,11 +382,11 @@ def criterion_09(rng):
     for name in names:
         a = cartan_matrix(dynkin_graph(name))
         c, order, d = coxeter_element(a)
-        assert d != 0, name
+        _require(d != 0, name)
     for name, want in (("A2", 3), ("A3", 4), ("D4", 6)):
         a = cartan_matrix(dynkin_graph(name))
         c, order, d = coxeter_element(a)
-        assert order == want, (name, order)
+        _require(order == want, (name, order))
     return "all ADE ranks <= 8"
 
 
@@ -400,15 +407,15 @@ def criterion_10(rng):
         q = CENSUS_QUIVERS[key]
         a = cartan_matrix(q.underlying_graph())
         objs = enumerate_indecomposables(q)
-        assert len(objs) == want, (key, len(objs))
+        _require(len(objs) == want, (key, len(objs)))
         pos, _ = enumerate_roots(a)
-        assert {root for root, _ in objs} == set(pos), key
+        _require({root for root, _ in objs} == set(pos), key)
         for root, rep in objs:
-            assert rep.dims == root
-            assert hom_dim(rep, rep) == 1, (key, root)
-            assert bilinear(a, root, root) == 2
+            _require(rep.dims == root)
+            _require(hom_dim(rep, rep) == 1, (key, root))
+            _require(bilinear(a, root, root) == 2)
     elapsed = time.time() - t0
-    assert elapsed < 5, f"took {elapsed:.1f}s (limit 5s)"
+    _require(elapsed < 5, f"took {elapsed:.1f}s (limit 5s)")
     return f"1+3+6+6+12 objects in {elapsed:.1f}s"
 
 
@@ -442,9 +449,9 @@ def criterion_11(rng):
             expected[root] = expected.get(root, 0) + 1
         total = reduce(direct_sum, [rep for _, rep in chosen])
         mixed = _conjugated(total, rng)
-        assert qdecompose(mixed) == sorted(expected.items()), trial
+        _require(qdecompose(mixed) == sorted(expected.items()), trial)
     elapsed = time.time() - t0
-    assert elapsed < 60, f"took {elapsed:.1f}s (limit 60s)"
+    _require(elapsed < 60, f"took {elapsed:.1f}s (limit 60s)")
     return f"200 round-trips in {elapsed:.1f}s"
 
 
@@ -456,7 +463,7 @@ def criterion_12(rng):
     attempts = 0
     while count < 200:
         attempts += 1
-        assert attempts < 20000, "could not generate enough surjective instances"
+        _require(attempts < 20000, "could not generate enough surjective instances")
         q = rng.choice(quivers)
         sinks = [v for v in range(q.n) if q.is_sink(v) and q.arrows_into(v)]
         i = rng.choice(sinks)
@@ -472,11 +479,11 @@ def criterion_12(rng):
             continue
         a = cartan_matrix(q.underlying_graph())
         w = reflect_sink(v, i)
-        assert w.dims == reflect(a, i, v.dims), (v.dims, w.dims)
+        _require(w.dims == reflect(a, i, v.dims), (v.dims, w.dims))
         back = reflect_source(w, i)
-        assert back.dims == v.dims
-        assert qdecompose(back) == qdecompose(v)
-        assert hom_dim(back, v) == hom_dim(v, v)
+        _require(back.dims == v.dims)
+        _require(qdecompose(back) == qdecompose(v))
+        _require(hom_dim(back, v) == hom_dim(v, v))
         count += 1
     return f"200 instances ({attempts} sampled)"
 
@@ -487,18 +494,18 @@ def criterion_13(rng):
         t0 = time.time()
         table = gl2fq.gl2_table(q)
         order = (q * q - 1) * (q * q - q)
-        assert len(table.classes) == q * q - 1
-        assert len(table.rows) == q * q - 1
-        assert sum(r.degree ** 2 for r in table.rows) == order
+        _require(len(table.classes) == q * q - 1)
+        _require(len(table.rows) == q * q - 1)
+        _require(sum(r.degree ** 2 for r in table.rows) == order)
         report = gl2fq.gl2_verify(table)
-        assert report.ok, (q, report.failures()[:2])
+        _require(report.ok, (q, report.failures()[:2]))
         for t in gl2fq._complementary_parameters(q):
             vals = gl2fq.complementary_virtual_values(q, t, table.data, table.classes)
-            assert table.inner_product(vals, vals) == 1, (q, t)
-            assert vals[0] == q - 1
+            _require(table.inner_product(vals, vals) == 1, (q, t))
+            _require(vals[0] == q - 1)
         elapsed = time.time() - t0
         if q == 7:
-            assert elapsed < 120, f"q=7 took {elapsed:.1f}s (limit 120s)"
+            _require(elapsed < 120, f"q=7 took {elapsed:.1f}s (limit 120s)")
     return "q=3,5,7 verified with exact arithmetic"
 
 
@@ -506,31 +513,31 @@ def criterion_14(rng):
     """semidirect tables: S3 match, D_N for N <= 8, Heisenberg"""
     s3t = builtin_table("S3")
     t3 = semidirect_table(dihedral_semidirect(3))
-    assert verify_table(t3).ok
+    _require(verify_table(t3).ok)
 
     def keyed_rows(table):
         keys = sorted((c.element_order, c.size) for c in table.group.classes)
-        assert len(set(keys)) == len(keys), "class key collision"
+        _require(len(set(keys)) == len(keys), "class key collision")
         order = sorted(range(len(table.group.classes)),
                        key=lambda ci: (table.group.classes[ci].element_order,
                                        table.group.classes[ci].size))
         return sorted((tuple(r.function.values[c] for c in order) for r in table.rows),
                       key=lambda tup: [v.key() for v in tup])
 
-    assert keyed_rows(t3) == keyed_rows(s3t), "Z2 x| Z3 table differs from S3"
+    _require(keyed_rows(t3) == keyed_rows(s3t), "Z2 x| Z3 table differs from S3")
     for n in range(2, 9):
         table = semidirect_table(dihedral_semidirect(n))
-        assert table.group.order == 2 * n
+        _require(table.group.order == 2 * n)
         report = verify_table(table)
-        assert report.ok, (n, report.failures()[:2])
+        _require(report.ok, (n, report.failures()[:2]))
         degs = sorted(r.degree for r in table.rows)
         ones = 2 if n % 2 else 4
-        assert degs == [1] * ones + [2] * ((2 * n - ones) // 4), (n, degs)
-        assert sum(d * d for d in degs) == 2 * n
+        _require(degs == [1] * ones + [2] * ((2 * n - ones) // 4), (n, degs))
+        _require(sum(d * d for d in degs) == 2 * n)
     th = semidirect_table(heisenberg_semidirect())
-    assert th.group.order == 27
-    assert verify_table(th).ok
-    assert sorted(r.degree for r in th.rows) == [1] * 9 + [3, 3]
+    _require(th.group.order == 27)
+    _require(verify_table(th).ok)
+    _require(sorted(r.degree for r in th.rows) == [1] * 9 + [3, 3])
     return "S3 reproduced; D_2..D_8 and Heisenberg(27) verified"
 
 

@@ -1,18 +1,21 @@
 """Partitions, Young diagram combinatorics, and the character theory of
 the symmetric groups.
 
-Character values are computed by coefficient extraction: chi_{V_lambda}
-at the class of cycle type i is the coefficient of x^(lambda+rho) in
-Delta(x) * prod_m H_m(x)^(i_m) (Frobenius), and the permutation character
-of the Young module U_lambda drops the Vandermonde factor. Sparse
-polynomials are kept small by discarding every monomial that exceeds the
-target exponent componentwise.
+Character values chi_{V_lambda}(t) come from the Murnaghan-Nakayama
+rule (Sagan, The Symmetric Group, 4.10): strip rim hooks of the lengths
+in t off lambda, each with the sign (-1)^(height), worked on beta-sets.
+Frobenius' formula, which the paper proves (chi_lambda(t) is the
+coefficient of x^(lambda+rho) in Delta(x) * prod_m H_m(x)^(i_m)), is kept
+in the test suite as the independent oracle. The permutation character
+of the Young module U_lambda is a coefficient extraction: the
+coefficient of x^lambda in prod_m H_m(x)^(i_m), with sparse polynomials
+kept small by discarding every monomial that exceeds x^lambda
+componentwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .chartab import CharacterTable, ClassFunction, TableRow
@@ -120,45 +123,6 @@ def _mul_power_sum(poly, m, nvars, cap):
     return out
 
 
-def _capped_vandermonde(nvars, cap):
-    """prod_{i<j} (x_i - x_j) expanded, keeping exponents <= cap."""
-    poly = {(0,) * nvars: 1}
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            out = {}
-            for expo, coef in poly.items():
-                if expo[i] + 1 <= cap[i]:
-                    new = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
-                    out[new] = out.get(new, 0) + coef
-                if expo[j] + 1 <= cap[j]:
-                    new = expo[:j] + (expo[j] + 1,) + expo[j + 1:]
-                    out[new] = out.get(new, 0) - coef
-            poly = out
-    return poly
-
-
-def _coefficient_of(poly_factors_types, nvars, cap, with_vandermonde):
-    if with_vandermonde:
-        poly = _capped_vandermonde(nvars, cap)
-    else:
-        poly = {(0,) * nvars: 1}
-    for m in sorted(poly_factors_types, reverse=True):
-        poly = _mul_power_sum(poly, m, nvars, cap)
-    return poly.get(cap, 0)
-
-
-def frobenius_character(lam, t):
-    """Character value chi_{V_lambda} at the class of cycle type t: the
-    coefficient of x^(lambda+rho) in Delta(x) prod_m H_m^(i_m), computed
-    with N = number of parts variables."""
-    lam, t = _check_partition(lam), _check_partition(t)
-    if sum(lam) != sum(t):
-        raise ValueError("partition and cycle type have different sizes")
-    nvars = max(len(lam), 1)
-    target = tuple(lam[j] + nvars - 1 - j for j in range(nvars))
-    return _coefficient_of(t, nvars, target, with_vandermonde=True)
-
-
 def u_character(lam, t):
     """Character of the Young permutation module U_lambda (induction of
     the trivial character from the row subgroup): coefficient of
@@ -166,8 +130,45 @@ def u_character(lam, t):
     lam, t = _check_partition(lam), _check_partition(t)
     if sum(lam) != sum(t):
         raise ValueError("partition and cycle type have different sizes")
-    nvars = max(len(lam), 1)
-    return _coefficient_of(t, nvars, tuple(lam), with_vandermonde=False)
+    poly = {(0,) * len(lam): 1}
+    for m in t:
+        poly = _mul_power_sum(poly, m, len(lam), lam)
+    return poly.get(lam, 0)
+
+
+# -- Murnaghan-Nakayama ----------------------------------------------------
+
+def frobenius_character(lam, t):
+    """Character value chi_{V_lambda} at the class of cycle type t (the
+    coefficient of x^(lambda+rho) in Delta(x) prod_m H_m^(i_m)), by the
+    Murnaghan-Nakayama rule on beta-sets.
+
+    The beta-set of lambda holds the first-column hook lengths
+    lambda_i + N - 1 - i. Removing a rim hook of length r moves a bead
+    from b to a free b - r >= 0, with sign (-1)^(number of beads strictly
+    between). The hooks t[0], t[1], ... are removed one layer at a time,
+    and each layer merges equal beta-sets, so every (beta-set, position in
+    t) is expanded once."""
+    lam, t = _check_partition(lam), _check_partition(t)
+    if sum(lam) != sum(t):
+        raise ValueError("partition and cycle type have different sizes")
+    layer = {tuple(p + len(lam) - 1 - i for i, p in enumerate(lam)): 1}
+    for r in t:
+        nxt = {}
+        for beads, coef in layer.items():
+            for i, b in enumerate(beads):
+                c = b - r
+                if c < 0:
+                    break
+                if c in beads:
+                    continue
+                j = i + 1
+                while j < len(beads) and beads[j] > c:
+                    j += 1
+                moved = beads[:i] + beads[i + 1:j] + (c,) + beads[j:]
+                nxt[moved] = nxt.get(moved, 0) + (-coef if (j - i - 1) % 2 else coef)
+        layer = nxt
+    return sum(layer.values())
 
 
 def kostka(mu, lam):

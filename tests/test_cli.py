@@ -239,6 +239,11 @@ BAD_ARTIFACTS = {
     "ragged matrix": {"rows": 2, "cols": 2, "entries": [["1", "2"], ["3"]]},
     "edge past the last vertex": {"vertices": 3, "edges": [[0, 5]]},
     "negative edge endpoint": {"vertices": 3, "edges": [[0, -1]]},
+    "matrix with integer entries": {"rows": 1, "cols": 1, "entries": [[1]]},
+    "cyclotomic with integer coeffs": {"order": 3, "coeffs": [1, 0]},
+    "edge with a string endpoint": {"vertices": 3, "edges": [[0, "a"]]},
+    "one-element edge": {"vertices": 3, "edges": [[0]]},
+    "edges not a list": {"vertices": 3, "edges": 5},
 }
 
 
@@ -293,3 +298,21 @@ def test_selftest_single_criterion(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--criterion", "1")
     assert code == 0
     assert out.startswith("[PASS] criterion  1")
+
+
+# hook_dim returning -1 must fail criterion 5; `assert` would let -O pass it
+SABOTAGED_SELFTEST = """
+import sys
+from reptheory import cli, selftest
+selftest.hook_dim = lambda lam: -1
+sys.exit(cli.main(["selftest", "--criterion", "5"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_selftest_fails_a_sabotaged_criterion(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", SABOTAGED_SELFTEST],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("[FAIL] criterion  5")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptheory.chartab import dihedral_semidirect, heisenberg_semidirect
 from reptheory.permgroup import (EnumerationBound, PermGroup, alternating_group,
                                  builtin_group, cycle_lengths, cycle_notation,
                                  cyclic_group, dihedral_group, from_cycles,
@@ -142,3 +143,64 @@ def test_group_serialization():
     h = group_from_json(json.loads(blob))
     assert h.elements == g.elements
     assert group_from_json("S4").order == 24
+
+
+def reference_enumeration(group):
+    """The p_mul-based enumeration and class building that PermGroup used
+    before its itemgetter kernels: BFS by y = x*g, classes as orbits of
+    x -> g x g^-1, both on the group's own generators."""
+    ident = tuple(range(group.degree))
+    elements, index, parent, frontier = [ident], {ident: 0}, [None], [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(group.generators):
+                y = p_mul(x, g)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    parent.append((index[x], gi))
+                    nxt.append(y)
+        frontier = nxt
+    inverse_index = tuple(index[p_inv(x)] for x in elements)
+    assigned = [False] * len(elements)
+    classes = []
+    for start in range(len(elements)):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit, queue = [start], [elements[start]]
+        while queue:
+            x = queue.pop()
+            for g in group.generators:
+                yi = index[p_mul(p_mul(g, x), p_inv(g))]
+                if not assigned[yi]:
+                    assigned[yi] = True
+                    orbit.append(yi)
+                    queue.append(elements[yi])
+        members = tuple(sorted(orbit))
+        classes.append((min(elements[i] for i in members), members, len(members)))
+    classes.sort(key=lambda c: (p_order(c[0]), c[2], c[0]))
+    return tuple(elements), parent, inverse_index, classes
+
+
+GOLDEN_GROUPS = {
+    **{f"S{n}": (lambda n=n: symmetric_group(n)) for n in range(1, 8)},
+    **{f"A{n}": (lambda n=n: alternating_group(n)) for n in range(3, 8)},
+    "Q8": quaternion_group,
+    **{f"Z{n}": (lambda n=n: cyclic_group(n)) for n in (1, 2, 7)},
+    **{f"D{n}": (lambda n=n: dihedral_group(n)) for n in range(1, 7)},
+    "D8 semidirect": lambda: dihedral_semidirect(8).group,
+    "Heisenberg semidirect": lambda: heisenberg_semidirect().group,
+    "degree 0": lambda: PermGroup(0, []),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GROUPS))
+def test_enumeration_matches_reference(name):
+    g = GOLDEN_GROUPS[name]()
+    elements, parent, inverse_index, classes = reference_enumeration(g)
+    assert g.elements == elements
+    assert g._parent == parent
+    assert g.inverse_index == inverse_index
+    assert [(c.representative, c.members, c.size) for c in g.classes] == classes

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptheory.chartab import builtin_table, verify_table
+from reptheory.cli import main
 from reptheory.exact import cyc
 from reptheory.permgroup import symmetric_group
 from reptheory.symgrp import (centralizer_order, class_size, conjugate_partition,
@@ -58,6 +60,67 @@ def test_frobenius_character_values():
         frobenius_character((2, 1), (2, 2))
 
 
+def _capped_vandermonde(nvars, cap):
+    """prod_{i<j} (x_i - x_j) expanded, keeping exponents <= cap."""
+    poly = {(0,) * nvars: 1}
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            out = {}
+            for expo, coef in poly.items():
+                for k, sign in ((i, 1), (j, -1)):
+                    if expo[k] < cap[k]:
+                        new = expo[:k] + (expo[k] + 1,) + expo[k + 1:]
+                        out[new] = out.get(new, 0) + sign * coef
+            poly = out
+    return poly
+
+
+def _capped_power_sums(t, nvars, cap):
+    """prod_m H_m^(i_m) with H_m = sum_i x_i^m, keeping exponents <= cap."""
+    poly = {(0,) * nvars: 1}
+    for m in t:
+        out = {}
+        for expo, coef in poly.items():
+            for k in range(nvars):
+                if expo[k] + m <= cap[k]:
+                    new = expo[:k] + (expo[k] + m,) + expo[k + 1:]
+                    out[new] = out.get(new, 0) + coef
+        poly = out
+    return poly
+
+
+def frobenius_reference(lam, types):
+    """Frobenius' formula as the paper states it: chi_lambda(t) is the
+    coefficient of x^(lambda+rho) in Delta(x) prod_m H_m^(i_m). The capped
+    Vandermonde V is built once per lambda; each value is then
+    sum_v V[v] * P[cap - v] against the capped power-sum product P."""
+    nvars = len(lam)
+    cap = tuple(p + nvars - 1 - j for j, p in enumerate(lam))
+    vandermonde = _capped_vandermonde(nvars, cap)
+    values = {}
+    for t in types:
+        power_sums = _capped_power_sums(t, nvars, cap)
+        values[t] = sum(coef * power_sums.get(tuple(c - v for c, v in zip(cap, expo)), 0)
+                        for expo, coef in vandermonde.items())
+    return values
+
+
+def test_rim_hooks_match_frobenius_formula():
+    assert frobenius_character((), ()) == 1
+    for n in range(1, 9):
+        parts = partitions_of(n)
+        for lam in parts:
+            want = frobenius_reference(lam, parts)
+            assert {t: frobenius_character(lam, t) for t in parts} == want, lam
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_sn_table_cli_golden(n, capsys):
+    assert main(["sn", "table", str(n)]) == 0
+    golden = Path(__file__).parent / "golden" / f"sn_table_{n}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_u_character_values():
     assert u_character((1, 1, 1), (1, 1, 1)) == 6
     assert all(u_character((1, 1, 1), t) == 0
@@ -65,6 +128,7 @@ def test_u_character_values():
     for t in partitions_of(4):
         assert u_character((4,), t) == 1
     assert u_character((2, 1), (1, 1, 1)) == 3
+    assert u_character((), ()) == kostka((), ()) == 1
     for lam in partitions_of(5):
         for t in partitions_of(5):
             assert u_character(lam, t) >= 0
