@@ -371,6 +371,8 @@ def _table_rows(table):
 
 def cmd_roundtrip(args):
     obj = _load_json(args.file)
+    if not isinstance(obj, dict):
+        raise ValueError("an artifact is a JSON object")
     if "rows" in obj and "classes" in obj and "q" not in obj:
         table = chartab.table_from_json(obj)
         again = chartab.table_to_json(table, group_name=obj.get("group")

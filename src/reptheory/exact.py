@@ -6,6 +6,13 @@ Elements are stored in the power basis 1, z, ..., z^(phi(n)-1) after
 reduction modulo the n-th cyclotomic polynomial Phi_n; internally the
 phi(n) rational coordinates share one positive denominator so that the
 hot arithmetic paths stay in machine integers.
+
+Reduction to the smallest subfield Q(zeta_m), m | n, stays in those
+integers too: for each (n, m) an integer left inverse of the embedding
+Q(zeta_m) -> Q(zeta_n) is computed once and cached, and a candidate is
+accepted only when its re-embedding reproduces the value exactly.
+Printing and JSON conversion read the numerators and the shared
+denominator directly; Fractions remain only where inversion needs them.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 Rational = Fraction
 
@@ -96,39 +104,45 @@ def _power_table(n):
     return table
 
 
-def _solve_int_system(columns, rhs_num, rhs_den):
-    """Solve sum_j y_j * columns[j] = rhs (vectors over Q); return list of
-    Fractions or None. Small dense Gaussian elimination."""
-    rows = len(rhs_num)
-    ncols = len(columns)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs_num[i], rhs_den)]
-        for i in range(rows)
-    ]
-    piv_cols = []
-    r = 0
+def _eliminate(work, ncols):
+    """Gauss-Jordan in place on the first ncols columns of `work`, a list of
+    Fraction rows of full column rank; returns the pivot row of each column.
+    A row is only ever changed by adding multiples of pivot rows."""
+    pivots = []
     for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
-    return sol
+        r = next(i for i, row in enumerate(work) if row[c] and i not in pivots)
+        p = work[r][c]
+        pr = work[r] = [x / p for x in work[r]]
+        nonzero = [j for j, x in enumerate(pr) if x]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                for j in nonzero:
+                    row[j] -= f * pr[j]
+        pivots.append(r)
+    return pivots
+
+
+@lru_cache(maxsize=None)
+def _subfield_projection(n, m):
+    """Q(zeta_m) inside Q(zeta_n), m | n, as integer data for reduced().
+
+    z_m^i embeds as z_n^(i*n/m), so the embedding is the phi(n) x phi(m)
+    integer matrix E whose columns are rows of _power_table(n); it has full
+    column rank. Returns (pivots, inverse, d, rows): the rows `pivots` of E
+    form an invertible block B, `inverse` is the integer matrix d * B^-1 with
+    d > 0, and `rows` are the rows of E.
+    """
+    table = _power_table(n)
+    k = euler_phi(m)
+    rows = tuple(zip(*(table[i * (n // m)] for i in range(k))))
+    pivots = _eliminate([[Fraction(x) for x in row] for row in rows], k)
+    block = [[Fraction(x) for x in rows[p]] + [Fraction(int(i == j)) for j in range(k)]
+             for i, p in enumerate(pivots)]
+    inverse = [block[r][k:] for r in _eliminate(block, k)]
+    d = lcm(*(x.denominator for row in inverse for x in row))
+    return (tuple(pivots), tuple(tuple(int(x * d) for x in row) for row in inverse),
+            d, rows)
 
 
 class Cyclotomic:
@@ -152,8 +166,10 @@ class Cyclotomic:
     @staticmethod
     def _normalize(order, num, den):
         num = list(num)
-        phi = euler_phi(order)
-        assert len(num) == phi, "coefficient vector has wrong length"
+        if len(num) != euler_phi(order):
+            raise ValueError(f"Q(zeta_{order}) needs {euler_phi(order)} coefficients, got {len(num)}")
+        if den == 0:
+            raise ValueError("cyclotomic denominator must be nonzero")
         if den < 0:
             den = -den
             num = [-c for c in num]
@@ -378,21 +394,24 @@ class Cyclotomic:
         return (r.order, r.num, r.den)
 
     def reduced(self):
-        """The same value at the smallest order m | order containing it."""
+        """The same value at the smallest order m | order containing it.
+
+        For each divisor m in ascending order, the candidate coordinates
+        y = inverse * num[pivots] of _subfield_projection are accepted only
+        if E * y == d * num exactly, so the result is a proof of membership.
+        """
         if self.order == 1:
             return self
         if self._red is not None:
             return self._red
+        n, num = self.order, self.num
         result = self
-        for m in _divisors(self.order)[:-1]:
-            if euler_phi(m) > euler_phi(self.order):
-                continue
-            step = self.order // m
-            table = _power_table(self.order)
-            cols = [table[(i * step) % self.order] for i in range(euler_phi(m))]
-            sol = _solve_int_system(cols, self.num, self.den)
-            if sol is not None:
-                result = _from_fraction_vector(m, sol)
+        for m in _divisors(n)[:-1]:
+            pivots, inverse, d, rows = _subfield_projection(n, m)
+            x = [num[p] for p in pivots]
+            y = [sum(map(mul, row, x)) for row in inverse]
+            if all(sum(map(mul, row, y)) == d * c for row, c in zip(rows, num)):
+                result = Cyclotomic(m, y, d * self.den)
                 break
         self._red = result
         return result
@@ -409,22 +428,23 @@ class Cyclotomic:
 
     def __str__(self):
         r = self.reduced()
+        den = r.den
         if r.order == 1:
-            return _fmt_rat(Fraction(r.num[0], r.den))
+            return _fmt_ratio(r.num[0], den)
         parts = []
-        for i, c in enumerate(r.coeffs):
+        for i, c in enumerate(r.num):
             if c == 0:
                 continue
             if i == 0:
-                term = _fmt_rat(c)
+                term = _fmt_ratio(c, den)
             else:
                 mon = f"z{r.order}" if i == 1 else f"z{r.order}^{i}"
-                if c == 1:
+                if c == den:
                     term = mon
-                elif c == -1:
+                elif c == -den:
                     term = "-" + mon
                 else:
-                    term = _fmt_rat(c) + "*" + mon
+                    term = _fmt_ratio(c, den) + "*" + mon
             if parts and not term.startswith("-"):
                 parts.append("+" + term)
             else:
@@ -435,8 +455,10 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
 
-def _fmt_rat(f):
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _fmt_ratio(p, q):
+    """p/q in lowest terms (q > 0), without a denominator of 1."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def _poly_divmod_frac(num, den):
@@ -519,25 +541,40 @@ def rational_to_str(f):
     return f"{f.numerator}/{f.denominator}"
 
 
-def rational_from_str(s):
+def _parse_ratio(s):
+    """Integers (p, q), q > 0, with p/q the value of "p/q" or "p"."""
     if not isinstance(s, str):
         raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
-    if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    if "/" not in s:
+        return int(s), 1
+    p, q = s.split("/")
+    p, q = int(p), int(q)
+    if q == 0:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return (p, q) if q > 0 else (-p, -q)
+
+
+def rational_from_str(s):
+    return Fraction(*_parse_ratio(s))
 
 
 def cyclotomic_to_json(a):
     a = Cyclotomic.coerce(a)
-    return {"order": a.order, "coeffs": [rational_to_str(c) for c in a.coeffs]}
+    den = a.den
+    return {"order": a.order,
+            "coeffs": [f"{c // g}/{den // g}" for c in a.num for g in (gcd(c, den),)]}
 
 
 def cyclotomic_from_json(obj):
-    order = int(obj["order"])
+    if not isinstance(obj, dict):
+        raise ValueError(f'a cyclotomic is {{"order": n, "coeffs": [...]}}, got {type(obj).__name__}')
+    order = obj["order"]
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise ValueError(f"order must be an integer, not {order!r}")
     if not isinstance(obj["coeffs"], list):
         raise ValueError("coeffs must be a list")
-    vec = [rational_from_str(s) for s in obj["coeffs"]]
-    if len(vec) != euler_phi(order):
+    ratios = [_parse_ratio(s) for s in obj["coeffs"]]
+    if len(ratios) != euler_phi(order):
         raise ValueError("coefficient list has wrong length for the given order")
-    return _from_fraction_vector(order, vec)
+    den = lcm(*(q for _, q in ratios))
+    return Cyclotomic(order, [p * (den // q) for p, q in ratios], den)

@@ -234,7 +234,10 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(obj):
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    if not (isinstance(obj, dict) and isinstance(obj.get("rows"), int)
+            and isinstance(obj.get("cols"), int)):
+        raise ValueError('a matrix is {"rows": r, "cols": c, "entries": [[...], ...]}')
+    rows, cols = obj["rows"], obj["cols"]
     if not (isinstance(obj["entries"], list) and all(isinstance(row, list) for row in obj["entries"])):
         raise ValueError("entries must be a list of rows")
     return Matrix(rows, cols, [[rational_from_str(s) for s in row] for row in obj["entries"]])

@@ -92,7 +92,7 @@ def from_cycles(degree, cycle_list):
 
 
 def is_bijection(p):
-    return sorted(p) == list(range(len(p)))
+    return all(isinstance(x, int) for x in p) and sorted(p) == list(range(len(p)))
 
 
 # -- groups ------------------------------------------------------------
@@ -386,4 +386,8 @@ def group_to_json(g):
 def group_from_json(obj):
     if isinstance(obj, str):
         return builtin_group(obj)
-    return PermGroup(int(obj["degree"]), [tuple(p) for p in obj["generators"]])
+    if not (isinstance(obj, dict) and isinstance(obj.get("degree"), int)
+            and isinstance(obj.get("generators"), list)
+            and all(isinstance(p, list) for p in obj["generators"])):
+        raise ValueError('a group is a name or {"degree": n, "generators": [[images], ...]}')
+    return PermGroup(obj["degree"], [tuple(p) for p in obj["generators"]])

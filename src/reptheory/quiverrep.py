@@ -330,7 +330,12 @@ def quiver_to_json(q):
 
 
 def quiver_from_json(obj):
-    return Quiver(int(obj["vertices"]), [tuple(x) for x in obj["arrows"]])
+    if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), int)
+            and isinstance(obj.get("arrows"), list)
+            and all(isinstance(x, list) and len(x) == 2 and all(isinstance(v, int) for v in x)
+                    for x in obj["arrows"])):
+        raise QuiverError('a quiver is {"vertices": n, "arrows": [[source, target], ...]}')
+    return Quiver(obj["vertices"], [tuple(x) for x in obj["arrows"]])
 
 
 def rep_to_json(v):
@@ -340,6 +345,9 @@ def rep_to_json(v):
 
 def rep_from_json(obj):
     q = quiver_from_json(obj["quiver"])
-    dims = [int(d) for d in obj["dims"]]
+    if not (isinstance(obj["dims"], list) and all(isinstance(d, int) for d in obj["dims"])
+            and isinstance(obj["maps"], list)):
+        raise QuiverError("dims must be a list of integers and maps a list of matrices")
+    dims = obj["dims"]
     maps = [linalg.matrix_from_json(m) for m in obj["maps"]]
     return QuiverRep(q, dims, maps)

@@ -244,6 +244,14 @@ BAD_ARTIFACTS = {
     "edge with a string endpoint": {"vertices": 3, "edges": [[0, "a"]]},
     "one-element edge": {"vertices": 3, "edges": [[0]]},
     "edges not a list": {"vertices": 3, "edges": 5},
+    "generators not a list": {"degree": 3, "generators": 5},
+    "generator with a string image": {"degree": 3, "generators": [["a", 1, 2]]},
+    "quiver not an object": {"quiver": 5, "dims": [], "maps": []},
+    "cyclotomic of non-integral order": {"order": 3.5, "coeffs": ["1/1", "0/1"]},
+    "artifact not an object": 5,
+    "matrix with a null row count": {"rows": None, "cols": 1, "entries": [["1"]]},
+    "quiver map not an object": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                                 "dims": [1, 1], "maps": [5]},
 }
 
 

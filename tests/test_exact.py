@@ -1,14 +1,22 @@
 import cmath
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptheory.exact import (Cyclotomic, cyc, conjugate, cyclotomic_from_json,
-                             cyclotomic_to_json, cyclotomic_polynomial,
+import reptheory
+from reptheory.exact import (Cyclotomic, _divisors, _power_table, cyc, conjugate,
+                             cyclotomic_from_json, cyclotomic_to_json, cyclotomic_polynomial,
                              euler_phi, rational_from_str, rational_to_str, zeta)
+from reptheory.gl2fq import gl2_table
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -160,3 +168,167 @@ def test_str_forms():
     assert str(zeta(5)) == "z5"
     assert str(-(zeta(5, 2) + zeta(5, 3))) == "-z5^2-z5^3"
     assert str(cyc(0)) == "0"
+
+
+# -- reference implementations: the Fraction-based reduction and conversion --
+
+def reference_solve(columns, rhs):
+    """Solve sum_j y_j * columns[j] = rhs over Q by dense Gaussian
+    elimination; the list of Fractions y, or None if there is none."""
+    rows, ncols = len(rhs), len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [rhs[i]] for i in range(rows)]
+    piv_cols, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, rows)):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(piv_cols):
+        sol[c] = aug[i][ncols]
+    return sol
+
+
+def reference_from_fractions(order, vec):
+    den = 1
+    for v in vec:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return Cyclotomic(order, [int(v * den) for v in vec], den)
+
+
+def reference_reduced(a):
+    """Scan the divisors m of the order in ascending order and solve for
+    the coordinates in Q(zeta_m) from scratch each time."""
+    n = a.order
+    rhs = [Fraction(c, a.den) for c in a.num]
+    for m in _divisors(n)[:-1]:
+        cols = [_power_table(n)[(i * (n // m)) % n] for i in range(euler_phi(m))]
+        sol = reference_solve(cols, rhs)
+        if sol is not None:
+            return reference_from_fractions(m, sol)
+    return a
+
+
+def reference_rational_from_str(s):
+    if "/" in s:
+        p, q = s.split("/")
+        return Fraction(int(p), int(q))
+    return Fraction(int(s))
+
+
+def reference_to_json(a):
+    return {"order": a.order,
+            "coeffs": [f"{c.numerator}/{c.denominator}" for c in a.coeffs]}
+
+
+def reference_from_json(obj):
+    vec = [reference_rational_from_str(s) for s in obj["coeffs"]]
+    assert len(vec) == euler_phi(obj["order"])
+    return reference_from_fractions(obj["order"], vec)
+
+
+def reference_str(a):
+    r = reference_reduced(a)
+
+    def fmt(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if r.order == 1:
+        return fmt(Fraction(r.num[0], r.den))
+    parts = []
+    for i, c in enumerate(r.coeffs):
+        if c == 0:
+            continue
+        mon = f"z{r.order}" if i == 1 else f"z{r.order}^{i}"
+        term = fmt(c) if i == 0 else mon if c == 1 else "-" + mon if c == -1 \
+            else fmt(c) + "*" + mon
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts)
+
+
+def fields(a):
+    return (a.order, a.num, a.den)
+
+
+def assert_matches_reference(a):
+    assert fields(a.reduced()) == fields(reference_reduced(a))
+    assert str(a) == reference_str(a)
+    blob = json.dumps(cyclotomic_to_json(a))
+    assert blob == json.dumps(reference_to_json(a))
+    assert fields(cyclotomic_from_json(json.loads(blob))) == \
+        fields(reference_from_json(json.loads(blob)))
+
+
+SUBFIELD_ORDERS = list(range(2, 41)) + [42, 45, 48, 56, 60, 63, 72, 80, 84, 90, 105, 120, 168]
+
+
+@pytest.mark.parametrize("n", SUBFIELD_ORDERS)
+def test_reduction_matches_reference_in_every_subfield(n):
+    rng = random.Random(n)
+    for m in _divisors(n):
+        for _ in range(2):
+            phi = euler_phi(m)
+            num = [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(phi)]
+            v = Cyclotomic(m, num, rng.randint(1, 12))
+            a = Cyclotomic(n, v._embed(n), v.den)
+            assert a == v
+            assert_matches_reference(a)
+
+
+def test_gl2_13_values_match_reference():
+    table = gl2_table(13)
+    distinct = {fields(v): v for row in table.rows for v in row.values}
+    assert len(distinct) > 100
+    for v in distinct.values():
+        assert_matches_reference(v)
+
+
+@pytest.mark.parametrize("coeffs", [["2/4", "1/-2"], [" 3", "+1/6"], ["-0/5", "6/-4"],
+                                    ["1_0/3", " -7 "], ["0", "0/-9"]])
+def test_odd_coefficient_strings_parse_as_reference(coeffs):
+    obj = {"order": 4, "coeffs": coeffs}
+    assert fields(cyclotomic_from_json(obj)) == fields(reference_from_json(obj))
+    for s in coeffs:
+        assert rational_from_str(s) == reference_rational_from_str(s)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1/2/3", "a", "", "1.5", "/2"])
+def test_bad_coefficient_strings_raise_as_reference(bad):
+    obj = {"order": 4, "coeffs": ["0/1", bad]}
+    with pytest.raises((ValueError, ZeroDivisionError)) as ref:
+        reference_from_json(obj)
+    with pytest.raises(ref.type):
+        cyclotomic_from_json(obj)
+
+
+BAD_CONSTRUCTIONS = {
+    "wrong coefficient count": "Cyclotomic(5, [1, 2], 1)",
+    "zero denominator": "Cyclotomic(3, [1, 0], 0)",
+    "non-integral order": "cyclotomic_from_json({'order': 3.5, 'coeffs': ['1/1', '0/1']})",
+    "boolean order": "cyclotomic_from_json({'order': True, 'coeffs': ['1/1']})",
+    "value not an object": "cyclotomic_from_json(5)",
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_bad_construction_is_a_value_error(case, optimize):
+    code = ("from reptheory.exact import Cyclotomic, cyclotomic_from_json\n"
+            f"try:\n    {BAD_CONSTRUCTIONS[case]}\n"
+            "except ValueError:\n    pass\n"
+            "else:\n    raise SystemExit('accepted')\n")
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
