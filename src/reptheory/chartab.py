@@ -637,6 +637,17 @@ def table_to_json(table, group_name=None):
 
 
 def table_from_json(obj):
+    if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
+            and all(isinstance(c, dict) and isinstance(c.get("size"), int)
+                    and isinstance(c.get("rep"), list) and all(isinstance(x, int) for x in c["rep"])
+                    for c in obj["classes"])
+            and isinstance(obj.get("rows"), list)
+            and all(isinstance(r, dict) and isinstance(r.get("name"), str)
+                    and isinstance(r.get("degree"), int)
+                    and isinstance(r.get("values"), list) and len(r["values"]) == len(obj["classes"])
+                    for r in obj["rows"])):
+        raise ValueError('a table is {"group": ..., "classes": [{"rep": [...], "size": s}, ...], '
+                         '"rows": [{"name": ..., "degree": d, "values": [one per class]}, ...]}')
     group = group_from_json(obj["group"])
     display = []
     for c in obj["classes"]:
@@ -651,5 +662,5 @@ def table_from_json(obj):
         canonical = [None] * len(group.classes)
         for ci, v in zip(display, vals):
             canonical[ci] = v
-        rows.append(TableRow(r["name"], int(r["degree"]), ClassFunction(group, canonical)))
+        rows.append(TableRow(r["name"], r["degree"], ClassFunction(group, canonical)))
     return CharacterTable(group, rows, display_classes=display)

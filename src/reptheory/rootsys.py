@@ -2,9 +2,11 @@
 Coxeter elements.
 
 Everything is integer arithmetic on tuples. Classification is decided by
-exact principal minors (Sylvester), root sets by reflection closure of
-the simple roots, Weyl groups by breadth-first closure of the simple
-reflections as integer matrices.
+fraction-free symmetric elimination of the form 2*Id - R (Bareiss), which
+tells definite, semidefinite and indefinite apart in O(n^3). Root sets are
+the reflection closure of the simple roots. Weyl groups are counted by
+orbits of fundamental weights along the parabolic chain W_1 < ... < W_n,
+and enumerated as the orbit of rho, whose stabilizer is trivial.
 """
 
 from __future__ import annotations
@@ -96,9 +98,32 @@ def reflect(a, i, v):
     return tuple(v[j] - (b if j == i else 0) for j in range(len(v)))
 
 
-def _principal_minor(a, subset):
-    sub = [[Fraction(a[i][j]) for j in subset] for i in subset]
-    return det(Matrix(len(subset), len(subset), sub))
+def _form_sign(a):
+    """1, 0 or -1 as the symmetric integer form a is positive definite,
+    positive semidefinite but singular, or indefinite. Fraction-free
+    symmetric elimination (Bareiss 1968) on positive diagonal pivots: a
+    negative pivot, or a zero pivot whose row is not zero, is indefinite;
+    a zero pivot with a zero row is dropped and makes the form singular."""
+    n = len(a)
+    s = [list(row) for row in a]
+    prev, sign = 1, 1
+    for k in range(n):
+        p = s[k][k]
+        if p < 0 or (p == 0 and any(s[k][k + 1:])):
+            return -1
+        if p == 0:
+            sign = 0
+            continue
+        for i in range(k + 1, n):
+            f = s[i][k]
+            s[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(s[i][k + 1:], s[k][k + 1:])]
+        prev = p
+    return sign
+
+
+def _require_definite(a):
+    if _form_sign(a) <= 0:
+        raise GraphError("the form 2*Id - R is not positive definite: not a Dynkin diagram")
 
 
 class Classification:
@@ -114,23 +139,19 @@ class Classification:
 
 
 def classify(graph):
-    """Decide by exact minors whether the form 2*Id - R is positive
-    definite (simply laced Dynkin: one of A_n, D_n, E6, E7, E8),
+    """Decide by exact symmetric elimination whether the form 2*Id - R is
+    positive definite (simply laced Dynkin: one of A_n, D_n, E6, E7, E8),
     positive semidefinite (affine) or indefinite."""
     if not graph.is_connected():
         raise GraphError("classification requires a connected graph")
     a = cartan_matrix(graph)
     n = graph.n
-    full_det = _principal_minor(a, list(range(n)))
-    leading_ok = all(_principal_minor(a, list(range(k + 1))) > 0 for k in range(n))
-    if leading_ok:
-        name = _match_dynkin(graph)
-        return Classification("dynkin", name, full_det)
-    # semidefinite iff every principal minor is >= 0
-    for mask in range(1, 1 << n):
-        subset = [i for i in range(n) if mask >> i & 1]
-        if _principal_minor(a, subset) < 0:
-            return Classification("indefinite", "indefinite", full_det)
+    full_det = det(Matrix(n, n, [[Fraction(x) for x in row] for row in a]))
+    sign = _form_sign(a)
+    if sign > 0:
+        return Classification("dynkin", _match_dynkin(graph), full_det)
+    if sign < 0:
+        return Classification("indefinite", "indefinite", full_det)
     return Classification("affine", _match_affine(graph), full_det)
 
 
@@ -272,7 +293,9 @@ def affine_graph(name):
 def enumerate_roots(a):
     """All roots (B(x,x) = 2) of a positive definite simply laced Cartan
     matrix, as the reflection closure of the simple roots. Returns
-    (positive, negative) lists, each sorted by (height, coordinates)."""
+    (positive, negative) lists, each sorted by (height, coordinates).
+    Any other form has infinitely many roots and raises GraphError."""
+    _require_definite(a)
     n = len(a)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen = set(simple)
@@ -339,7 +362,9 @@ def _mat_identity(n):
 def coxeter_element(a, labeling=None):
     """The product s_1 s_2 ... s_r in the simple root basis, its
     multiplicative order, and det(c - Id) (nonzero on Dynkin types: 1 is
-    never an eigenvalue of a Coxeter element)."""
+    never an eigenvalue of a Coxeter element). Only Dynkin types have a
+    Coxeter element of finite order; any other form raises GraphError."""
+    _require_definite(a)
     n = len(a)
     order_of_vertices = list(labeling) if labeling is not None else list(range(n))
     c = _mat_identity(n)
@@ -358,33 +383,93 @@ def coxeter_element(a, labeling=None):
     return c, order, det(cmi)
 
 
+def _orbit(a, weight, limit):
+    """The orbit of a dominant integer weight (fundamental-weight
+    coordinates) under the group generated by the simple reflections,
+    s_i(l)_j = l_j - l_i*a_ij. Breadth first from the weight, stepping
+    down by s_i wherever l_i > 0, which reaches the whole orbit. Returns the
+    BFS tree as a list of (parent index, i), the weight's own entry
+    (None, None), with point k = s_i(point parent); None as soon as the
+    orbit has more than limit points."""
+    n = len(a)
+    steps = [[(j, a[i][j]) for j in range(n) if a[i][j]] for i in range(n)]
+    points = [tuple(weight)]
+    tree = [(None, None)]
+    seen = {points[0]}
+    for k, lam in enumerate(points):
+        for i in range(n):
+            c = lam[i]
+            if c > 0:
+                mu = list(lam)
+                for j, aij in steps[i]:
+                    mu[j] -= c * aij
+                mu = tuple(mu)
+                if mu not in seen:
+                    if len(points) >= limit:
+                        return None
+                    seen.add(mu)
+                    points.append(mu)
+                    tree.append((k, i))
+    return tree
+
+
+def _reflect_rows(a, i, m):
+    """s_i * m: reflecting every column of m changes its row i alone."""
+    row = m[i]
+    for k, aik in enumerate(a[i]):
+        if aik:
+            row = tuple(x - aik * y for x, y in zip(row, m[k]))
+    return m[:i] + (row,) + m[i + 1:]
+
+
 def weyl_elements(a, max_elements=300000):
     """All elements of the group generated by the simple reflections, as
-    integer matrices in the simple-root basis (BFS closure); None if the
-    bound is hit (reported, not fatal: the count is then unavailable)."""
-    n = len(a)
-    gens = [_reflection_matrix(a, i) for i in range(n)]
-    ident = _mat_identity(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                w = _mat_mul(m, g)
-                if w not in seen:
-                    seen.add(w)
-                    if len(seen) > max_elements:
-                        return None
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    integer matrices in the simple-root basis; None if there are more than
+    max_elements. The stabilizer of rho (all ones in the fundamental-weight
+    basis) is trivial, so the points of its orbit are the group elements,
+    and each matrix is its BFS parent's times one simple reflection."""
+    tree = _orbit(a, (1,) * len(a), max_elements)
+    if tree is None:
+        return None
+    matrices = [_mat_identity(len(a))]
+    for parent, i in tree[1:]:
+        matrices.append(_reflect_rows(a, i, matrices[parent]))
+    return set(matrices)
+
+
+def _chain_order(a):
+    """The vertices breadth first, component by component, so that each
+    leading block of the reordered matrix adds a vertex next to those
+    before it: the orbits along the chain then stay small whatever the
+    labeling (at most 17280 points for E8)."""
+    order = []
+    for root in range(len(a)):
+        if root not in order:
+            k = len(order)
+            order.append(root)
+            while k < len(order):
+                v = order[k]
+                order += [w for w in range(len(a)) if a[v][w] and w not in order]
+                k += 1
+    return order
 
 
 def weyl_count(a, max_elements=300000):
-    """Order of the Weyl group, or None if the bound is hit."""
-    elements = weyl_elements(a, max_elements)
-    return None if elements is None else len(elements)
+    """Order of the Weyl group, or None if it exceeds max_elements. Along
+    the parabolic chain W_1 < ... < W_n of the leading k x k blocks (in the
+    order of _chain_order), W_k acts on the orbit of its fundamental weight
+    omega_k with stabilizer W_(k-1), so |W_k| = |W_k omega_k| * |W_(k-1)|;
+    the product stops as soon as it passes the bound, which also ends
+    infinite groups."""
+    order = _chain_order(a)
+    a = [[a[i][j] for j in order] for i in order]
+    count = 1
+    for k in range(1, len(a) + 1):
+        tree = _orbit([row[:k] for row in a[:k]], (0,) * (k - 1) + (1,), max_elements // count)
+        if tree is None:
+            return None
+        count *= len(tree)
+    return count
 
 
 # -- serialization ----------------------------------------------------------
@@ -394,6 +479,7 @@ def graph_to_json(graph):
 
 
 def graph_from_json(obj):
-    if not isinstance(obj["edges"], list):
-        raise GraphError("edges must be a list")
-    return Graph.from_edges(int(obj["vertices"]), obj["edges"])
+    if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), int)
+            and isinstance(obj.get("edges"), list)):
+        raise GraphError('a graph is {"vertices": n, "edges": [[i, j], [i, j, m], ...]}')
+    return Graph.from_edges(obj["vertices"], obj["edges"])

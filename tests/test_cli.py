@@ -252,6 +252,13 @@ BAD_ARTIFACTS = {
     "matrix with a null row count": {"rows": None, "cols": 1, "entries": [["1"]]},
     "quiver map not an object": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
                                  "dims": [1, 1], "maps": [5]},
+    "table classes not a list": {"group": "S3", "classes": 5, "rows": []},
+    "table row with a null degree": {"group": "S3", "classes": [{"rep": [0, 1, 2], "size": 1}],
+                                     "rows": [{"name": "C+", "degree": None,
+                                               "values": [{"order": 1, "coeffs": ["1/1"]}]}]},
+    "graph with null vertices": {"vertices": None, "edges": []},
+    "graph with a string vertex count": {"vertices": "3", "edges": [[0, 1]]},
+    "graph with a float vertex count": {"vertices": 3.0, "edges": [[0, 1]]},
 }
 
 
@@ -265,6 +272,21 @@ def test_bad_artifact_is_a_typed_error(tmp_path, kind, optimize):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("command", ["roots", "coxeter"])
+def test_non_dynkin_graph_is_a_typed_error(tmp_path, command, optimize):
+    # the 3-cycle (affine A~2) has infinitely many roots and a Coxeter
+    # element of infinite order
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", "quiver", command,
+                           "--graph", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and "not positive definite" in proc.stderr
 
 
 def test_roundtrip_truncated_file(tmp_path, capsys):

@@ -1,17 +1,63 @@
 import json
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptheory.linalg import Matrix, det
 from reptheory.rootsys import (Graph, GraphError, affine_graph, bilinear,
                                cartan_matrix, classify, coxeter_element,
                                cycle_graph, dynkin_graph, enumerate_roots,
                                graph_from_json, graph_to_json, path_graph,
                                reflect, roots_by_box_search, weyl_count,
                                weyl_elements)
+
+
+def reference_weyl_elements(a, max_elements=300000):
+    """Breadth-first closure of the simple reflections as integer
+    matrices, multiplying every element by every generator; None once
+    there are more than max_elements."""
+    n = len(a)
+    gens = [tuple(tuple((1 if r == c else 0) - (a[i][c] if r == i else 0) for c in range(n))
+                  for r in range(n)) for i in range(n)]
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                w = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*g)) for row in m)
+                if w not in seen:
+                    seen.add(w)
+                    if len(seen) > max_elements:
+                        return None
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def reference_classify(graph):
+    """(kind, determinant) by Sylvester: definite iff every leading
+    principal minor is positive, semidefinite iff every one of the 2^n
+    principal minors is nonnegative."""
+    a = cartan_matrix(graph)
+    n = graph.n
+
+    def minor(subset):
+        return det(Matrix(len(subset), len(subset), [[Fraction(a[i][j]) for j in subset] for i in subset]))
+
+    full = minor(list(range(n)))
+    if all(minor(list(range(k + 1))) > 0 for k in range(n)):
+        return "dynkin", full
+    for mask in range(1, 1 << n):
+        if minor([i for i in range(n) if mask >> i & 1]) < 0:
+            return "indefinite", full
+    return "affine", full
 
 
 def test_paths_classify_as_a_n():
@@ -170,7 +216,118 @@ def test_weyl_e6():
     assert weyl_count(cartan_matrix(dynkin_graph("E6")), max_elements=60000) == 51840
 
 
+DOUBLE_EDGE = Graph.from_edges(3, [(0, 1, 2), (1, 2)])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "double edge"])
+def test_weyl_matches_matrix_closure(name):
+    graph = DOUBLE_EDGE if name == "double edge" else dynkin_graph(name)
+    a = cartan_matrix(graph)
+    # |W(D5)| = 1920; a double edge is affine A~1 (m = infinity), so that
+    # group is infinite
+    assert (reference_weyl_elements(a, 2000) is None) == (name == "double edge")
+    for bound in (2000, 100):
+        want = reference_weyl_elements(a, bound)
+        assert weyl_elements(a, bound) == want
+        assert weyl_count(a, bound) == (None if want is None else len(want))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "E6"])
+def test_weyl_bound_is_exact(name):
+    a = cartan_matrix(dynkin_graph(name))
+    order = weyl_count(a)
+    assert weyl_count(a, max_elements=order) == order
+    assert weyl_count(a, max_elements=order - 1) is None
+    assert len(weyl_elements(a, max_elements=order)) == order
+    assert weyl_elements(a, max_elements=order - 1) is None
+
+
+@pytest.mark.parametrize("name", ["A~2", "D~4"])
+def test_affine_weyl_groups_pass_every_bound(name):
+    a = cartan_matrix(affine_graph(name))
+    for bound in (1, 10, 1000, 50000):
+        assert weyl_count(a, bound) is None
+        assert weyl_elements(a, bound) is None
+        assert reference_weyl_elements(a, min(bound, 1000)) is None
+
+
+@pytest.mark.parametrize("name,order", [("E6", 51840), ("E7", 2903040), ("E8", 696729600)])
+def test_e_series_orders_are_invariant_degree_products(name, order):
+    degrees = {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+               "E8": (2, 8, 12, 14, 18, 20, 24, 30)}[name]
+    assert math.prod(degrees) == order
+    start = time.perf_counter()
+    assert weyl_count(cartan_matrix(dynkin_graph(name)), max_elements=order) == order
+    assert time.perf_counter() - start < 1.0
+
+
+def test_weyl_count_ignores_the_labeling():
+    # a chain of leading blocks in label order can pass through small
+    # disconnected subgroups (A2 x A1 x A4 leaves an orbit of 483840 in E8)
+    graph = dynkin_graph("E8")
+    rng = random.Random(8)
+    start = time.perf_counter()
+    for _ in range(10):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        relabeled = Graph.from_edges(8, [(perm[i], perm[j]) for i, j, _ in graph.edges()])
+        assert weyl_count(cartan_matrix(relabeled), max_elements=10 ** 9) == 696729600
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_connected_graph(rng, n):
+    """A random tree (each vertex joined to one of the two before it, so
+    long arms are common) plus up to two more edges, relabeled; edge
+    multiplicities 1-3 on half of the graphs and 1 on the rest."""
+    mults = (1, 1, 2, 3) if rng.random() < 0.5 else (1,)
+    edges = [(rng.randrange(max(0, v - 2), v), v, rng.choice(mults)) for v in range(1, n)]
+    for _ in range(rng.choice((0, 0, 1, 2)) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        edges.append((i, j, rng.choice(mults)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[i], perm[j], m) for i, j, m in edges])
+
+
+def test_classify_matches_principal_minors():
+    rng = random.Random(5)
+    named = [affine_graph(x) for x in ("A~1", "A~2", "A~6", "D~4", "D~5", "D~6", "E~6")]
+    kinds = set()
+    for graph in named + [_random_connected_graph(rng, rng.randint(1, 7)) for _ in range(400)]:
+        c = classify(graph)
+        want = reference_classify(graph)
+        assert (c.kind, c.determinant) == want, graph.adjacency
+        kinds.add(c.kind)
+    assert kinds == {"dynkin", "affine", "indefinite"}
+
+
+def test_large_classification_is_fast():
+    star = Graph.from_edges(30, [(0, i) for i in range(1, 30)])
+    start = time.perf_counter()
+    assert classify(cycle_graph(40)).name == "affine (A~39)"
+    assert classify(affine_graph("D~30")).name == "affine (D~30)"
+    assert classify(star).kind == "indefinite"
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(3), affine_graph("D~4"), Graph.from_edges(2, [(0, 1, 3)])],
+                         ids=["A~2", "D~4", "triple edge"])
+def test_non_dynkin_roots_and_coxeter_are_graph_errors(graph):
+    a = cartan_matrix(graph)
+    with pytest.raises(GraphError):
+        enumerate_roots(a)
+    with pytest.raises(GraphError):
+        coxeter_element(a)
+
+
 def test_graph_serialization():
     g = dynkin_graph("D5")
     blob = json.dumps(graph_to_json(g))
     assert graph_from_json(json.loads(blob)).adjacency == g.adjacency
+
+
+@pytest.mark.parametrize("obj", [{"vertices": None, "edges": []}, {"vertices": "3", "edges": []},
+                                 {"vertices": 3.0, "edges": []}, {"vertices": 3}, [3]])
+def test_graph_from_json_rejects_wrong_types(obj):
+    with pytest.raises(GraphError):
+        graph_from_json(obj)
