@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Build and fully verify the GL2(F_q) character tables for a range of
-odd primes, reporting degree profiles and timings."""
+odd primes (by default q = 3 to 13), reporting degree profiles and
+timings:
+
+    PYTHONPATH=src python scripts/gl2_scan.py [q ...]
+"""
 
 import sys
 import time
@@ -8,7 +12,10 @@ import time
 from reptheory.gl2fq import gl2_table, gl2_verify
 
 
-def main(primes=(3, 5, 7, 11)):
+DEFAULT_PRIMES = (3, 5, 7, 11, 13)
+
+
+def main(primes=DEFAULT_PRIMES):
     for q in primes:
         t0 = time.time()
         table = gl2_table(q)
@@ -26,5 +33,5 @@ def main(primes=(3, 5, 7, 11)):
 
 
 if __name__ == "__main__":
-    primes = tuple(int(x) for x in sys.argv[1:]) or (3, 5, 7, 11)
+    primes = tuple(int(x) for x in sys.argv[1:]) or DEFAULT_PRIMES
     main(primes)

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import (Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json,
-                    one, zero, zeta)
+                    hermitian_gram, one, zero, zeta)
 from .permgroup import (PermGroup, SubgroupView, builtin_group, cycle_notation,
                         from_cycles, group_from_json, group_to_json, p_identity,
                         p_inv, p_mul, q8_point_name, quaternion_group)
@@ -138,10 +138,12 @@ def inner_product(f1, f2):
     """(f1, f2) = |G|^-1 sum_g f1(g) conj(f2(g)), summed classwise."""
     f1._same_group(f2)
     g = f1.group
-    total = zero()
-    for cl, a, b in zip(g.classes, f1.values, f2.values):
-        total = total + cl.size * (a * b.conjugate())
-    return total / g.order
+    return hermitian_gram([f1.values], [f2.values], [(0, 0)], class_sizes(g), g.order)[0]
+
+
+def class_sizes(group):
+    """The class sizes, in the group's class order: the weights of (f1, f2)."""
+    return [cl.size for cl in group.classes]
 
 
 def dual_character(f):
@@ -159,15 +161,23 @@ def is_irreducible_virtual(f):
 
 
 def decompose(f, table):
-    """Multiplicities (f, chi_i) against every row; the reconstruction
-    sum_i m_i chi_i = f is asserted (the table must be complete)."""
+    """Multiplicities (f, chi_i) against every row of a complete table. The
+    reconstruction sum_i m_i chi_i = f is checked exactly, by the same
+    kernel; a table that fails it is not orthonormal (ValueError)."""
     if not table.complete:
         raise ValueError("cannot decompose against an incomplete table")
-    mults = [inner_product(f, row.function) for row in table.rows]
-    recon = [zero()] * len(f.values)
-    for m, row in zip(mults, table.rows):
-        recon = [r + m * v for r, v in zip(recon, row.function.values)]
-    assert tuple(recon) == f.values, "reconstruction failed: table is not orthonormal"
+    g = f.group
+    if g is not table.group:
+        raise ValueError("class functions live on different groups")
+    rows = [row.function.values for row in table.rows]
+    mults = hermitian_gram([f.values], rows, [(0, i) for i in range(len(rows))],
+                           class_sizes(g), g.order)
+    # sum_i m_i chi_i(c) - f(c), one entry per class c
+    columns = [[*col, v] for col, v in zip(zip(*rows), f.values)]
+    residual = hermitian_gram([mults + [cyc(-1)]], columns,
+                              [(0, c) for c in range(len(columns))], conjugate=False)
+    if not all(r.is_zero for r in residual):
+        raise ValueError("reconstruction failed: table is not orthonormal")
     return mults
 
 
@@ -215,6 +225,17 @@ class VerifyReport:
         return f"VerifyReport({status})"
 
 
+def check_orthonormality(report, label, names, rows, sizes, order):
+    """One report entry per pair i <= j of rows (value sequences): the
+    Hermitian product order^-1 sum_c sizes[c] a_c conj(b_c) must be 1 on
+    the diagonal and 0 off it."""
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
+    for (i, j), got in zip(pairs, hermitian_gram(rows, rows, pairs, sizes, order)):
+        want = one() if i == j else zero()
+        ok = got == want
+        report.add(f"{label} ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
+
+
 def verify_table(table):
     """Full consistency check of a character table.
 
@@ -225,22 +246,16 @@ def verify_table(table):
     rep = VerifyReport()
     g = table.group
     rows = table.rows
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            got = inner_product(rows[i].function, rows[j].function)
-            want = one() if i == j else zero()
-            rep.add(f"row orthonormality ({rows[i].name},{rows[j].name})", got == want,
-                    "" if got == want else f"got {got}")
+    check_orthonormality(rep, "row orthonormality", [row.name for row in rows],
+                         [row.function.values for row in rows], class_sizes(g), g.order)
     k = len(g.classes)
-    for c1 in range(k):
-        for c2 in range(c1, k):
-            total = zero()
-            for row in rows:
-                total = total + row.function.values[c1] * row.function.values[c2].conjugate()
-            want = cyc(g.classes[c1].centralizer_order) if c1 == c2 else zero()
-            ok = total == want
-            rep.add(f"column orthogonality ({g.class_label(c1)},{g.class_label(c2)})", ok,
-                    "" if ok else f"got {total}, want {want}")
+    columns = [[row.function.values[c] for row in rows] for c in range(k)]
+    pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]
+    for (c1, c2), total in zip(pairs, hermitian_gram(columns, columns, pairs)):
+        want = cyc(g.classes[c1].centralizer_order) if c1 == c2 else zero()
+        ok = total == want
+        rep.add(f"column orthogonality ({g.class_label(c1)},{g.class_label(c2)})", ok,
+                "" if ok else f"got {total}, want {want}")
     ssq = sum(row.degree ** 2 for row in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
     for row in rows:

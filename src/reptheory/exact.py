@@ -13,6 +13,10 @@ Q(zeta_m) -> Q(zeta_n) is computed once and cached, and a candidate is
 accepted only when its re-embedding reproduces the value exactly.
 Printing and JSON conversion read the numerators and the shared
 denominator directly; Fractions remain only where inversion needs them.
+
+Sums over classes of products of values, the inner products and Gram
+matrices of character theory, go through hermitian_gram: it accumulates
+integer sums of roots of unity and reduces once per entry.
 """
 
 from __future__ import annotations
@@ -532,6 +536,136 @@ def zeta(n, k=1):
 
 def conjugate(a):
     return Cyclotomic.coerce(a).conjugate()
+
+
+# -- the Gram kernel --------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _phi_fold(n):
+    """x^phi(n) == sum of f * x^k mod Phi_n, as the pairs (k - phi(n), f)
+    with f != 0; Phi_n is monic and sparse for the orders met here."""
+    phi = euler_phi(n)
+    return tuple((k - phi, -c) for k, c in enumerate(cyclotomic_polynomial(n)[:phi]) if c)
+
+
+def _int_row(row, weights):
+    """A rational row as (integer numerators, shared denominator)."""
+    den = lcm(*{v.den for v in row})
+    return [w * v.num[0] * (den // v.den) for v, w in zip(row, weights)], den
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(m):
+    return [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
+
+
+def _two_roots(v):
+    """v as s * zeta^a + t * zeta^b, zeta = zeta_order and s, t = +-d for d
+    the gcd of v's numerators: [(a, s), (b, t)], or None. Sums of two roots
+    (most GL2 values) can have many power-basis coordinates. The complex
+    value of v only proposes a and b; a pair is taken only if its
+    coordinates are v's exactly."""
+    m, num = v.order, v.num
+    d = gcd(*num)
+    roots, table = _unit_roots(m), _power_table(m)
+    want = [c // d for c in num]
+    z = sum(c * w for c, w in zip(want, roots))
+    for a in range(m):
+        for s in (1, -1):
+            r = z - s * roots[a]
+            if abs(abs(r) - 1) < 1e-6:
+                for t in (1, -1):
+                    b = round(cmath.phase(t * r) * m / (2 * cmath.pi)) % m
+                    if [s * x + t * y for x, y in zip(table[a], table[b])] == want:
+                        return [(a, s * d), (b, t * d)]
+    return None
+
+
+def _root_row(row, n, weights, sign, shift, memo, short):
+    """A row over Q(zeta_n) as (terms, shared denominator, order of the
+    row): weights[c] times value c is the sum of k * zeta_n^e over the
+    denominator, for the pairs (e, k) in terms[c]. A value of order m gives
+    its power-basis coordinates, or with short its two-root form if it has
+    three or more coordinates; root i of order m sits at e = i * n/m mod n,
+    negated when sign is -1 (complex conjugation), then lowered by shift.
+    Equal values share their terms through memo, one per sign and shift."""
+    den = lcm(*{v.den for v in row})
+    terms = []
+    for v, w in zip(row, weights):
+        key = (v.order, v.num, w * (den // v.den))
+        t = memo.get(key)
+        if t is None:
+            step, f = sign * (n // v.order), key[2]
+            roots = [(i, c) for i, c in enumerate(v.num) if c]
+            if short and len(roots) > 2:
+                roots = _two_roots(v) or roots
+            t = memo[key] = [(i * step % n - shift, c * f) for i, c in roots]
+        terms.append(t)
+    return terms, den, lcm(*{v.order for v in row})
+
+
+def _reduce_root_sum(acc, n, den):
+    """The Cyclotomic sum of acc[e] * zeta_n^e / den, divided once by Phi_n
+    from the top."""
+    phi = euler_phi(n)
+    fold = _phi_fold(n)
+    for e in range(n - 1, phi - 1, -1):
+        c = acc[e]
+        if c:
+            for k, f in fold:
+                acc[e + k] += c * f
+    num = acc[:phi]
+    return Cyclotomic(n, num, den) if any(num) else _ZERO
+
+
+def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
+    """The exact sums sum_c w_c * a_c * conj(b_c) / scale, a = left[i] and
+    b = right[j], as a list of one Cyclotomic per (i, j) in pairs; rows are
+    sequences of Cyclotomics, w_c = 1 without weights, and b_c stays
+    unconjugated when conjugate is false.
+
+    With N the lcm of all orders, every value is read as a sparse integer
+    sum of N-th roots of unity over its row's one denominator: its
+    power-basis coordinates, or two roots where a row takes part in more
+    than one pair. b's rows are conjugated once by negating exponents. An
+    entry accumulates in Z[x]/(x^N - 1) and is reduced once, mod Phi_M for
+    M the lcm of the two rows' orders. Rational rows (N = 1) take an
+    integer dot product instead.
+    """
+    n = lcm(*{v.order for rows in (left, right) for row in rows for v in row})
+    if weights is None:
+        weights = [1] * max((len(row) for row in left), default=0)
+    ones = [1] * len(weights)
+    if n == 1:
+        a = [_int_row(row, weights) for row in left]
+        b = [_int_row(row, ones) for row in right]
+        sums = ((sum(map(mul, a[i][0], b[j][0])), a[i][1] * b[j][1] * scale) for i, j in pairs)
+        return [Cyclotomic(1, (s,), d) if s else _ZERO for s, d in sums]
+    # a two-root form costs a search over the roots of its order, and pays
+    # off only for a row that is multiplied more than once
+    a, memo = [], {}
+    for row in left:
+        terms, den, order = _root_row(row, n, weights, 1, 0, memo, len(pairs) > len(left))
+        nonzero = [c for c, sa in enumerate(terms) if sa]
+        a.append((nonzero, [terms[c] for c in nonzero], den, order))
+    # exponents of b in [-n, 0), so that ea + eb indexes a length-n list
+    # modulo n, as Python's negative indices do
+    memo = {}
+    b = [_root_row(row, n, ones, -1 if conjugate else 1, n, memo, len(pairs) > len(right))
+         for row in right]
+    out = []
+    for i, j in pairs:
+        (cs, ta, da, oa), (tb, db, ob) = a[i], b[j]
+        acc = [0] * n
+        for c, sa in zip(cs, ta):
+            sb = tb[c]
+            if sb:
+                for ea, ca in sa:
+                    for eb, cb in sb:
+                        acc[ea + eb] += ca * cb
+        m = lcm(oa, ob)
+        out.append(_reduce_root_sum(acc[::n // m], m, da * db * scale))
+    return out
 
 
 # -- serialization ----------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Cyclotomic, cyc, cyclotomic_to_json, one, zero, zeta
+from .exact import cyc, cyclotomic_to_json, hermitian_gram, zero, zeta
 
 
 def is_odd_prime(q):
@@ -184,10 +184,8 @@ class GL2Table:
         self.order = (q * q - 1) * (q * q - q)
 
     def inner_product(self, v1, v2):
-        total = zero()
-        for cl, a, b in zip(self.classes, v1, v2):
-            total = total + cl.size * (a * b.conjugate())
-        return total / self.order
+        sizes = [cl.size for cl in self.classes]
+        return hermitian_gram([v1], [v2], [(0, 0)], sizes, self.order)[0]
 
 
 def _complementary_parameters(q):
@@ -287,16 +285,11 @@ def gl2_table(q):
 def gl2_verify(table):
     """Row orthonormality under the class-weighted Hermitian product, the
     sum-of-squares count, and the row/class census."""
-    from .chartab import VerifyReport
+    from .chartab import VerifyReport, check_orthonormality
     rep = VerifyReport()
     rows = table.rows
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            got = table.inner_product(rows[i].values, rows[j].values)
-            want = one() if i == j else zero()
-            ok = got == want
-            rep.add(f"orthonormality ({rows[i].name},{rows[j].name})", ok,
-                    "" if ok else f"got {got}")
+    check_orthonormality(rep, "orthonormality", [r.name for r in rows], [r.values for r in rows],
+                         [cl.size for cl in table.classes], table.order)
     ssq = sum(r.degree ** 2 for r in rows)
     rep.add("sum of squares", ssq == table.order, f"{ssq} vs {table.order}")
     rep.add("row count equals class count",

@@ -20,13 +20,25 @@ class GraphError(ValueError):
     pass
 
 
+# Graphs are stored as a dense adjacency matrix and classified by O(n^3)
+# elimination, so the vertex count is bounded before anything is allocated.
+MAX_VERTICES = 200
+
+
+def _check_vertex_count(n):
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphError(f"a graph has 1 to {MAX_VERTICES} vertices, got {n}")
+
+
 class Graph:
-    """Undirected multigraph without self-loops: a symmetric nonnegative
-    edge-multiplicity matrix with zero diagonal."""
+    """Undirected multigraph without self-loops on 1 to MAX_VERTICES
+    vertices: a symmetric nonnegative edge-multiplicity matrix with zero
+    diagonal."""
 
     __slots__ = ("n", "adjacency")
 
     def __init__(self, n, adjacency):
+        _check_vertex_count(n)
         adjacency = tuple(tuple(int(x) for x in row) for row in adjacency)
         if len(adjacency) != n or any(len(r) != n for r in adjacency):
             raise GraphError(f"adjacency matrix must be {n}x{n}")
@@ -41,6 +53,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n, edges):
+        _check_vertex_count(n)
         adj = [[0] * n for _ in range(n)]
         for e in edges:
             if not (isinstance(e, (list, tuple)) and len(e) in (2, 3)
@@ -68,8 +81,6 @@ class Graph:
         return sum(self.adjacency[i])
 
     def is_connected(self):
-        if self.n == 0:
-            return True
         seen = {0}
         frontier = [0]
         while frontier:

@@ -259,6 +259,8 @@ BAD_ARTIFACTS = {
     "graph with null vertices": {"vertices": None, "edges": []},
     "graph with a string vertex count": {"vertices": "3", "edges": [[0, 1]]},
     "graph with a float vertex count": {"vertices": 3.0, "edges": [[0, 1]]},
+    "graph with no vertices": {"vertices": 0, "edges": []},
+    "graph with 2000 vertices": {"vertices": 2000, "edges": [[0, 1]]},
 }
 
 
@@ -287,6 +289,44 @@ def test_non_dynkin_graph_is_a_typed_error(tmp_path, command, optimize):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and "not positive definite" in proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("command", ["classify", "coxeter"])
+def test_empty_graph_is_a_typed_error(tmp_path, command, optimize):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": 0, "edges": []}))
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", "quiver", command,
+                           "--graph", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: a graph has 1 to ")
+
+
+# 40 bytes that used to ask for a dense 2000 x 2000 adjacency matrix
+HUGE_GRAPH = """
+import sys, time, tracemalloc
+from reptheory import cli
+tracemalloc.start()
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("argv", [["roundtrip"], ["quiver", "classify", "--graph"]],
+                         ids=["roundtrip", "classify"])
+def test_huge_vertex_count_is_rejected_before_allocating(tmp_path, argv, optimize):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 2000, "edges": [[0, 1]]}))
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", HUGE_GRAPH, *argv, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stderr.startswith("error: a graph has 1 to 200 vertices, got 2000")
+    code, elapsed, peak = proc.stdout.split()
+    assert code == "1" and float(elapsed) < 0.5 and int(peak) < 1_000_000, proc.stdout
 
 
 def test_roundtrip_truncated_file(tmp_path, capsys):

@@ -1,0 +1,288 @@
+"""The exact Gram kernel against the Cyclotomic loop it replaced.
+
+`reference_inner_product` is that loop, one conjugate, one product and one
+sum per class; the kernel must agree with it value for value and string for
+string, and verify reports built on either must be entry for entry equal,
+also on tables that are wrong on purpose.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import reptheory
+from reptheory.chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
+                               abelian_dual_table, builtin_table, class_sizes, decompose,
+                               dihedral_semidirect, inner_product, semidirect_table,
+                               verify_table)
+from reptheory.exact import _two_roots, cyc, hermitian_gram, one, zero, zeta
+from reptheory.gl2fq import GL2Class, GL2Row, GL2Table, gl2_table, gl2_verify
+from reptheory.permgroup import cyclic_group
+from reptheory.symgrp import sn_table
+
+
+def reference_inner_product(sizes, order, v1, v2):
+    total = zero()
+    for size, a, b in zip(sizes, v1, v2):
+        total = total + size * (a * b.conjugate())
+    return total / order
+
+
+def reference_orthonormality(rep, label, rows, sizes, order):
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            got = reference_inner_product(sizes, order, rows[i][1], rows[j][1])
+            want = one() if i == j else zero()
+            rep.add(f"{label} ({rows[i][0]},{rows[j][0]})", got == want,
+                    "" if got == want else f"got {got}")
+
+
+def reference_gl2_verify(table):
+    rep = VerifyReport()
+    reference_orthonormality(rep, "orthonormality", [(r.name, r.values) for r in table.rows],
+                             [c.size for c in table.classes], table.order)
+    ssq = sum(r.degree ** 2 for r in table.rows)
+    rep.add("sum of squares", ssq == table.order, f"{ssq} vs {table.order}")
+    rep.add("row count equals class count", len(table.rows) == len(table.classes),
+            f"{len(table.rows)} vs {len(table.classes)}")
+    return rep
+
+
+def reference_verify_table(table):
+    rep = VerifyReport()
+    g = table.group
+    rows = table.rows
+    reference_orthonormality(rep, "row orthonormality",
+                             [(r.name, r.function.values) for r in rows], class_sizes(g), g.order)
+    k = len(g.classes)
+    for c1 in range(k):
+        for c2 in range(c1, k):
+            total = zero()
+            for row in rows:
+                total = total + row.function.values[c1] * row.function.values[c2].conjugate()
+            want = cyc(g.classes[c1].centralizer_order) if c1 == c2 else zero()
+            ok = total == want
+            rep.add(f"column orthogonality ({g.class_label(c1)},{g.class_label(c2)})", ok,
+                    "" if ok else f"got {total}, want {want}")
+    ssq = sum(row.degree ** 2 for row in rows)
+    rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
+    for row in rows:
+        rep.add(f"degree divides |G| ({row.name})", g.order % row.degree == 0,
+                f"degree {row.degree}")
+    rep.add("row count equals class count", len(rows) == k, f"{len(rows)} vs {k}")
+    return rep
+
+
+def assert_same(got, want):
+    assert got == want and str(got) == str(want), (str(got), str(want))
+
+
+# -- inner products --------------------------------------------------------------
+
+def test_every_gl2_5_row_pair_matches_the_reference():
+    table = gl2_table(5)
+    sizes = [c.size for c in table.classes]
+    rows = [r.values for r in table.rows]
+    pairs = [(i, j) for i in range(len(rows)) for j in range(len(rows))]
+    # all pairs in one call read repeated rows in their two-root forms
+    gram = hermitian_gram(rows, rows, pairs, sizes, table.order)
+    for (i, j), got in zip(pairs, gram):
+        want = reference_inner_product(sizes, table.order, rows[i], rows[j])
+        assert_same(got, want)
+        assert_same(table.inner_product(rows[i], rows[j]), want)
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_seeded_gl2_row_pairs_match_the_reference(q):
+    table = gl2_table(q)
+    sizes = [c.size for c in table.classes]
+    rng = random.Random(f"gram:{q}")
+    for _ in range(40):
+        v1 = rng.choice(table.rows).values
+        v2 = v1 if rng.random() < 0.25 else rng.choice(table.rows).values
+        assert_same(table.inner_product(v1, v2),
+                    reference_inner_product(sizes, table.order, v1, v2))
+
+
+SMALL_TABLES = {
+    "S3": lambda: builtin_table("S3"),
+    "A5": lambda: builtin_table("A5"),
+    "Q8": lambda: builtin_table("Q8"),
+    "Z7": lambda: abelian_dual_table(cyclic_group(7)),
+    "D8": lambda: semidirect_table(dihedral_semidirect(8)),
+}
+
+
+def _seeded_class_function(rng, table, den):
+    """A random cyclotomic class function with denominators dividing den:
+    an integer combination of the rows plus a root of unity per class."""
+    k = len(table.group.classes)
+    values = [zero()] * k
+    for row in table.rows:
+        c = rng.randrange(-3, 4)
+        values = [v + c * x for v, x in zip(values, row.function.values)]
+    e = table.group.exponent
+    values = [(v + rng.randrange(-2, 3) * zeta(e, rng.randrange(e))) / den for v in values]
+    return ClassFunction(table.group, values)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES))
+def test_fractional_class_functions_match_the_reference(name):
+    table = SMALL_TABLES[name]()
+    g = table.group
+    rng = random.Random(f"gram:{name}")
+    for den in (1, 3, 6):
+        f1 = _seeded_class_function(rng, table, den)
+        f2 = _seeded_class_function(rng, table, 6 // den)
+        assert_same(inner_product(f1, f2),
+                    reference_inner_product(class_sizes(g), g.order, f1.values, f2.values))
+        want = [reference_inner_product(class_sizes(g), g.order, f1.values, row.function.values)
+                for row in table.rows]
+        got = decompose(f1, table)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+
+
+def test_rational_tables_match_the_reference():
+    table = sn_table(5)
+    g = table.group
+    rows = [row.function.values for row in table.rows]
+    halves = [v / 2 for v in rows[3]]
+    for v1 in rows + [halves]:
+        for v2 in rows + [halves]:
+            assert_same(hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g), g.order)[0],
+                        reference_inner_product(class_sizes(g), g.order, v1, v2))
+
+
+@pytest.mark.parametrize("m", [7, 8, 12, 24, 48, 120, 168])
+def test_two_root_forms_are_exact(m):
+    rng = random.Random(f"two roots:{m}")
+    for _ in range(30):
+        a, b = rng.randrange(m), rng.randrange(m)
+        d, s, t = rng.choice([1, 2, 13]), rng.choice([1, -1]), rng.choice([1, -1])
+        v = d * (s * zeta(m, a) + t * zeta(m, b))
+        if v.order != m or sum(1 for c in v.num if c) < 3:
+            continue
+        form = _two_roots(v)
+        assert form is not None, (m, a, b, s, t)
+        assert sum((k * zeta(m, e) for e, k in form), zero()) == v
+    # three independent roots are no two-root sum
+    assert _two_roots(2 + zeta(7) + 3 * zeta(7, 2)) is None
+    assert _two_roots(zeta(7) + zeta(7, 2) + zeta(7, 4)) is None
+
+
+def test_gram_kernel_options():
+    a = [zeta(3), cyc(Fraction(1, 2)), zeta(4) / 3]
+    b = [zeta(6), zeta(4), cyc(-2)]
+    bilinear = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    assert_same(hermitian_gram([a], [b], [(0, 0)], conjugate=False)[0], bilinear)
+    hermitian = sum((x * y.conjugate() for x, y in zip(a, b)), zero())
+    assert_same(hermitian_gram([a], [b], [(0, 0)])[0], hermitian)
+    assert_same(hermitian_gram([a], [b], [(0, 0)], [2, 0, 5], 7)[0],
+                (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
+    assert hermitian_gram([[]], [[]], [(0, 0)])[0] == 0
+
+
+# -- verify reports --------------------------------------------------------------
+
+def _with_row(table, index, values):
+    rows = list(table.rows)
+    old = rows[index]
+    rows[index] = GL2Row(old.name, old.series, old.degree, values)
+    return GL2Table(table.q, table.classes, rows, table.data)
+
+
+def _sabotaged_gl2_5():
+    table = gl2_table(5)
+    perturbed = list(table.rows[7].values)
+    perturbed[9] = perturbed[9] + zeta(24, 5)
+    x = next(i for i, r in enumerate(table.rows) if r.name.startswith("X["))
+    classes = list(table.classes)
+    c = classes[6]
+    classes[6] = GL2Class(c.family, c.params, c.size + 1, c.rep)
+    return {
+        "perturbed value": _with_row(table, 7, perturbed),
+        "conjugated row": _with_row(table, x, [v.conjugate() for v in table.rows[x].values]),
+        "wrong class size": GL2Table(table.q, classes, table.rows, table.data),
+    }
+
+
+@pytest.mark.parametrize("kind", ["perturbed value", "conjugated row", "wrong class size"])
+def test_sabotaged_gl2_tables_fail_like_the_reference(kind):
+    table = _sabotaged_gl2_5()[kind]
+    report = gl2_verify(table)
+    assert not report.ok
+    assert report.entries == reference_gl2_verify(table).entries
+
+
+def test_gl2_tables_verify_like_the_reference():
+    table = gl2_table(3)
+    assert gl2_verify(table).entries == reference_gl2_verify(table).entries
+
+
+def test_gl2_13_verifies():
+    report = gl2_verify(gl2_table(13))
+    assert report.ok
+    assert sum(1 for check, _, _ in report.entries if check.startswith("orthonormality")) == 14196
+    assert len(report.entries) == 14198
+
+
+def _a4_with_row(values):
+    table = builtin_table("A4")
+    rows = list(table.rows)
+    old = rows[1]
+    rows[1] = TableRow(old.name, old.degree, ClassFunction(table.group, values))
+    return CharacterTable(table.group, rows, table.name, table.display_classes, table.class_labels)
+
+
+@pytest.mark.parametrize("kind", ["perturbed value", "conjugated row", "fractional row"])
+def test_sabotaged_character_tables_fail_like_the_reference(kind):
+    values = list(builtin_table("A4").rows[1].function.values)
+    if kind == "perturbed value":
+        values[3] = values[3] + zeta(3)
+    elif kind == "conjugated row":
+        values = [v.conjugate() for v in values]
+    else:
+        values = values[:1] + [v / 3 for v in values[1:]]
+    table = _a4_with_row(values)
+    report = verify_table(table)
+    assert not report.ok
+    assert report.entries == reference_verify_table(table).entries
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_TABLES))
+def test_small_tables_verify_like_the_reference(name):
+    table = SMALL_TABLES[name]()
+    assert verify_table(table).entries == reference_verify_table(table).entries
+
+
+# -- decompose keeps its reconstruction check --------------------------------------
+
+# S3 with C- replaced by the trivial row: complete, but not orthonormal
+NON_ORTHONORMAL_DECOMPOSE = """
+from reptheory.chartab import CharacterTable, builtin_table, decompose, regular_character
+t = builtin_table("S3")
+rows = [t.rows[0], t.rows[0], t.rows[2]]
+bad = CharacterTable(t.group, rows, "S3", t.display_classes, t.class_labels)
+try:
+    decompose(regular_character(t.group), bad)
+except ValueError as exc:
+    print(exc)
+else:
+    print("accepted")
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_decompose_rejects_a_non_orthonormal_table(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", NON_ORTHONORMAL_DECOMPOSE],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "reconstruction failed: table is not orthonormal\n"

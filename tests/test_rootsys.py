@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptheory.linalg import Matrix, det
-from reptheory.rootsys import (Graph, GraphError, affine_graph, bilinear,
+from reptheory.rootsys import (MAX_VERTICES, Graph, GraphError, affine_graph, bilinear,
                                cartan_matrix, classify, coxeter_element,
                                cycle_graph, dynkin_graph, enumerate_roots,
                                graph_from_json, graph_to_json, path_graph,
@@ -331,3 +331,13 @@ def test_graph_serialization():
 def test_graph_from_json_rejects_wrong_types(obj):
     with pytest.raises(GraphError):
         graph_from_json(obj)
+
+
+def test_vertex_count_is_bounded():
+    path = [(i, i + 1) for i in range(MAX_VERTICES - 1)]
+    assert Graph.from_edges(MAX_VERTICES, path).n == MAX_VERTICES
+    for n in (0, -1, MAX_VERTICES + 1, 10 ** 9):
+        with pytest.raises(GraphError):
+            Graph.from_edges(n, [])
+        with pytest.raises(GraphError):
+            Graph(n, [])
