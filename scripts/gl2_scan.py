@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and fully verify the GL2(F_q) character tables for a range of
 odd primes (by default q = 3 to 13), reporting degree profiles and
-timings:
+timings; the exit status is 1 if any table fails:
 
     PYTHONPATH=src python scripts/gl2_scan.py [q ...]
 """
@@ -16,6 +16,7 @@ DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 
 
 def main(primes=DEFAULT_PRIMES):
+    failed = 0
     for q in primes:
         t0 = time.time()
         table = gl2_table(q)
@@ -28,10 +29,12 @@ def main(primes=DEFAULT_PRIMES):
             degrees[row.degree] = degrees.get(row.degree, 0) + 1
         profile = ", ".join(f"{v} of degree {k}" for k, v in sorted(degrees.items()))
         status = "ok" if report.ok else "FAILED"
-        print(f"q={q}: |G|={table.order}, {len(table.rows)} rows ({profile}); "
+        failed += not report.ok
+        print(f"q={q}: |G|={table.group.order}, {len(table.rows)} rows ({profile}); "
               f"built {built:.2f}s, verified {verified:.2f}s: {status}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
     primes = tuple(int(x) for x in sys.argv[1:]) or DEFAULT_PRIMES
-    main(primes)
+    sys.exit(main(primes))

@@ -1,10 +1,24 @@
-"""Class functions and character tables over permutation groups.
+"""Class functions and character tables.
 
 Values are exact cyclotomics throughout. A ClassFunction stores one value
 per conjugacy class in the group's canonical class order; a
 CharacterTable additionally carries a display layout (column order and
 labels) so the classical tables can be printed exactly as usually
 typeset, with a representative row and a class-size row on top.
+
+The group contract. ClassFunction, CharacterTable, inner_product,
+decompose, tensor_multiplicities, verify_table and render_table read only
+this much of a group:
+
+- `classes`: the conjugacy classes in canonical order, identity first;
+  each class has `size` and `centralizer_order`;
+- `order`: the group order;
+- `class_label(c)`: the display label of class index c.
+
+A `permgroup.PermGroup` provides it, and so does the class data of
+`gl2fq.GL2Group`, which has no elements. Induction, restriction, the
+Frobenius-Schur indicator, permutation characters, transfer_table and
+the JSON format need a PermGroup.
 """
 
 from __future__ import annotations
@@ -74,6 +88,10 @@ class TableRow:
         self.degree = degree
         self.function = function
 
+    @property
+    def values(self):
+        return self.function.values
+
     def __repr__(self):
         return f"TableRow({self.name}, degree={self.degree})"
 
@@ -96,8 +114,16 @@ class CharacterTable:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
 
     @property
+    def classes(self):
+        return self.group.classes
+
+    @property
     def complete(self):
         return len(self.rows) == len(self.group.classes)
+
+    def inner_product(self, v1, v2):
+        """(v1, v2) for two value sequences in the group's class order."""
+        return _hermitian(self.group, v1, v2)
 
     def row_by_name(self, name):
         for row in self.rows:
@@ -137,8 +163,11 @@ def permutation_character(group):
 def inner_product(f1, f2):
     """(f1, f2) = |G|^-1 sum_g f1(g) conj(f2(g)), summed classwise."""
     f1._same_group(f2)
-    g = f1.group
-    return hermitian_gram([f1.values], [f2.values], [(0, 0)], class_sizes(g), g.order)[0]
+    return _hermitian(f1.group, f1.values, f2.values)
+
+
+def _hermitian(g, v1, v2):
+    return hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g), g.order)[0]
 
 
 def class_sizes(group):
@@ -259,8 +288,8 @@ def verify_table(table):
     ssq = sum(row.degree ** 2 for row in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
     for row in rows:
-        rep.add(f"degree divides |G| ({row.name})", g.order % row.degree == 0,
-                f"degree {row.degree}")
+        rep.add(f"degree divides |G| ({row.name})",
+                row.degree != 0 and g.order % row.degree == 0, f"degree {row.degree}")
     rep.add("row count equals class count", len(rows) == k, f"{len(rows)} vs {k}")
     return rep
 
@@ -298,6 +327,25 @@ def induce(sub, f):
                 total = total + n * f.values[hc]
         values.append(total / h_order)
     return ClassFunction(g, values)
+
+
+def transfer_table(table, group):
+    """The rows of `table` carried over to an isomorphic `group`, each class
+    of `group` matched to the class of the table's group with the same
+    element order and size; ValueError where that match is not unique."""
+    by_key = {}
+    for i, c in enumerate(table.classes):
+        by_key.setdefault((c.element_order, c.size), []).append(i)
+    columns = []
+    for cl in group.classes:
+        match = by_key.get((cl.element_order, cl.size), [])
+        if len(match) != 1:
+            raise ValueError(f"{'ambiguous' if match else 'no'} class matching: {len(match)} classes "
+                             f"of element order {cl.element_order} and size {cl.size}")
+        columns.append(match[0])
+    rows = [TableRow(row.name, row.degree, ClassFunction(group, [row.values[i] for i in columns]))
+            for row in table.rows]
+    return CharacterTable(group, rows, name=table.name)
 
 
 def frobenius_schur(f):
@@ -619,21 +667,17 @@ def format_value(v, numeric=False):
     return str(v)
 
 
-def render_grid(grid):
-    """Rows of cells in left-aligned columns two spaces apart."""
+def render_table(table, numeric=False):
+    """Plain-text rendering in the classical layout: representatives row,
+    class sizes row, then one row per character, in left-aligned columns
+    two spaces apart."""
+    grid = [[table.name or "G"] + list(table.class_labels),
+            ["#"] + [str(table.classes[c].size) for c in table.display_classes]]
+    grid += [[row.name] + [format_value(row.values[c], numeric) for c in table.display_classes]
+             for row in table.rows]
     widths = [max(len(r[j]) for r in grid) for j in range(len(grid[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
                      for r in grid)
-
-
-def render_table(table, numeric=False):
-    """Plain-text rendering in the classical layout: representatives row,
-    class sizes row, then one row per character."""
-    head = [table.name or "G"] + list(table.class_labels)
-    sizes = ["#"] + [str(table.group.classes[c].size) for c in table.display_classes]
-    body = [[row.name] + [format_value(row.function.values[c], numeric)
-                          for c in table.display_classes] for row in table.rows]
-    return render_grid([head, sizes] + body)
 
 
 def table_to_json(table, group_name=None):

@@ -35,6 +35,30 @@ def _print_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
+def _print_table(args, table, to_json):
+    """JSON through to_json with --json, else the plain-text grid."""
+    if args.json:
+        _print_json(to_json(table))
+    else:
+        print(chartab.render_table(table, numeric=getattr(args, "numeric", False)))
+    return 0
+
+
+def _print_report(report):
+    for check, detail in report.failures():
+        print(f"FAIL {check}: {detail}")
+    print(f"{'ok' if report.ok else 'FAILED'}: {len(report.entries)} checks, "
+          f"{len(report.failures())} failures")
+    return 0 if report.ok else 1
+
+
+def _print_sum(head, table, mults):
+    """'head = 2*name + name' over the rows of nonzero multiplicity."""
+    print(f"{head} = " + " + ".join(row.name if m == 1 else f"{m}*{row.name}"
+                                    for row, m in zip(table.rows, mults) if m != 0))
+    return 0
+
+
 # -- chartab ---------------------------------------------------------------
 
 def _get_table(name):
@@ -58,35 +82,20 @@ def _get_table(name):
 
 def cmd_chartab_show(args):
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
-    if args.json:
-        _print_json(chartab.table_to_json(table, group_name=args.name if not args.file else None))
-    else:
-        print(chartab.render_table(table, numeric=args.numeric))
-    return 0
+    return _print_table(args, table, lambda t: chartab.table_to_json(
+        t, group_name=args.name if not args.file else None))
 
 
 def cmd_chartab_verify(args):
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
-    report = chartab.verify_table(table)
-    for check, detail in report.failures():
-        print(f"FAIL {check}: {detail}")
-    print(f"{'ok' if report.ok else 'FAILED'}: {len(report.entries)} checks, "
-          f"{len(report.failures())} failures")
-    return 0 if report.ok else 1
+    return _print_report(chartab.verify_table(table))
 
 
 def cmd_chartab_tensor(args):
     table = _get_table(args.name)
     i, j = table.row_index(args.row1), table.row_index(args.row2)
-    mults = chartab.tensor_multiplicities(table, i, j)
-    parts = []
-    for k, m in enumerate(mults):
-        if m == 1:
-            parts.append(table.rows[k].name)
-        elif m > 1:
-            parts.append(f"{m}*{table.rows[k].name}")
-    print(f"{args.row1} (x) {args.row2} = " + " + ".join(parts))
-    return 0
+    return _print_sum(f"{args.row1} (x) {args.row2}", table,
+                      chartab.tensor_multiplicities(table, i, j))
 
 
 def cmd_chartab_decompose(args):
@@ -115,20 +124,7 @@ def cmd_chartab_decompose(args):
 
 def _subgroup_table(sub, name):
     if name:
-        src = _get_table(name)
-        rows = []
-        for row in src.rows:
-            vals = [None] * len(sub.group.classes)
-            for ci, cl in enumerate(sub.group.classes):
-                key = (cl.element_order, cl.size)
-                match = [i for i, c in enumerate(src.group.classes)
-                         if (c.element_order, c.size) == key]
-                if len(match) != 1:
-                    raise ValueError("ambiguous class matching; supply a table file instead")
-                vals[ci] = row.function.values[match[0]]
-            rows.append(chartab.TableRow(row.name, row.degree,
-                                         chartab.ClassFunction(sub.group, vals)))
-        return chartab.CharacterTable(sub.group, rows, name=name)
+        return chartab.transfer_table(_get_table(name), sub.group)
     if sub.group.is_abelian():
         return chartab.abelian_dual_table(sub.group)
     raise ValueError("non-abelian subgroup: pass --sub-name for its table")
@@ -142,15 +138,7 @@ def cmd_chartab_induce(args):
     row = sub_table.row_by_name(args.row) if not args.row.isdigit() \
         else sub_table.rows[int(args.row)]
     ind = chartab.induce(sub, row.function)
-    mults = chartab.decompose(ind, table)
-    parts = []
-    for k, m in enumerate(mults):
-        if m == 0:
-            continue
-        mi = int(m.as_fraction())
-        parts.append(table.rows[k].name if mi == 1 else f"{mi}*{table.rows[k].name}")
-    print(f"Ind {row.name} = " + " + ".join(parts))
-    return 0
+    return _print_sum(f"Ind {row.name}", table, chartab.decompose(ind, table))
 
 
 def cmd_chartab_restrict(args):
@@ -187,12 +175,8 @@ def cmd_group_classes(args):
 # -- sn ----------------------------------------------------------------------
 
 def cmd_sn_table(args):
-    table = symgrp.sn_table(args.n)
-    if args.json:
-        _print_json(chartab.table_to_json(table, group_name=f"S{args.n}"))
-    else:
-        print(chartab.render_table(table))
-    return 0
+    return _print_table(args, symgrp.sn_table(args.n),
+                        lambda t: chartab.table_to_json(t, group_name=f"S{args.n}"))
 
 
 def cmd_sn_char(args):
@@ -312,37 +296,19 @@ def cmd_quiver_decompose(args):
 # -- gl2 --------------------------------------------------------------------
 
 def cmd_gl2_classes(args):
-    classes = gl2fq.gl2_classes(args.q)
-    order = (args.q ** 2 - 1) * (args.q ** 2 - args.q)
-    print(f"|GL2(F_{args.q})| = {order}, {len(classes)} classes")
-    for c in classes:
+    group = gl2fq.GL2Group(args.q)
+    print(f"|GL2(F_{args.q})| = {group.order}, {len(group.classes)} classes")
+    for c in group.classes:
         print(f"{c.family} params={','.join(str(p) for p in c.params)} size={c.size}")
     return 0
 
 
 def cmd_gl2_table(args):
-    table = gl2fq.gl2_table(args.q)
-    if args.json:
-        _print_json(gl2fq.gl2_table_to_json(table))
-    else:
-        labels = [f"{c.family[:4]}({','.join(str(p) for p in c.params)})"
-                  for c in table.classes]
-        head = [f"GL2(F_{args.q})"] + labels
-        sizes = ["#"] + [str(c.size) for c in table.classes]
-        body = [[r.name] + [chartab.format_value(v, args.numeric) for v in r.values]
-                for r in table.rows]
-        print(chartab.render_grid([head, sizes] + body))
-    return 0
+    return _print_table(args, gl2fq.gl2_table(args.q), gl2fq.gl2_table_to_json)
 
 
 def cmd_gl2_verify(args):
-    table = gl2fq.gl2_table(args.q)
-    report = gl2fq.gl2_verify(table)
-    for check, detail in report.failures():
-        print(f"FAIL {check}: {detail}")
-    print(f"{'ok' if report.ok else 'FAILED'}: {len(report.entries)} checks, "
-          f"{len(report.failures())} failures")
-    return 0 if report.ok else 1
+    return _print_report(gl2fq.gl2_verify(gl2fq.gl2_table(args.q)))
 
 
 # -- semidirect ----------------------------------------------------------------
@@ -354,12 +320,7 @@ def cmd_semidirect_table(args):
         sd = chartab.heisenberg_semidirect()
     else:
         raise ValueError(f"unknown construction {args.construction!r}")
-    table = chartab.semidirect_table(sd)
-    if args.json:
-        _print_json(chartab.table_to_json(table))
-    else:
-        print(chartab.render_table(table))
-    return 0
+    return _print_table(args, chartab.semidirect_table(sd), chartab.table_to_json)
 
 
 # -- roundtrip -----------------------------------------------------------------

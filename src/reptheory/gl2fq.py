@@ -17,9 +17,9 @@ root of unity in Q(zeta_(q^2-1)).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import cyc, cyclotomic_to_json, hermitian_gram, zero, zeta
+from .chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
+                      check_orthonormality, class_sizes)
+from .exact import cyc, cyclotomic_to_json, zero, zeta
 
 
 def is_odd_prime(q):
@@ -60,8 +60,29 @@ def smallest_nonresidue(q):
     raise AssertionError("no quadratic non-residue found")
 
 
-class FqData:
-    """Arithmetic and discrete logarithms for F_q and F_q(sqrt(eps))."""
+class GL2Class:
+    __slots__ = ("family", "params", "size", "centralizer_order", "rep")
+
+    def __init__(self, family, params, size, centralizer_order, rep):
+        self.family = family
+        self.params = params
+        self.size = size
+        self.centralizer_order = centralizer_order
+        self.rep = rep  # 2x2 integer matrix mod q
+
+    def __repr__(self):
+        return f"GL2Class({self.family}, {self.params}, size={self.size})"
+
+
+class GL2Group:
+    """GL_2(F_q) as class data, for the group contract of `chartab`: the
+    q^2 - 1 conjugacy classes, the order and the class labels, together
+    with the arithmetic and discrete logarithms of F_q and F_q(sqrt(eps))
+    the character values are computed from.
+
+    The classes come in a deterministic order: scalars, parabolics,
+    hyperbolics, elliptics, each family ordered by its parameters. The
+    identity class comes first."""
 
     def __init__(self, q):
         _check_q(q)
@@ -79,6 +100,28 @@ class FqData:
         for k in range(q * q - 1):
             self.dlog_q2[x] = k
             x = self.ext_mul(x, self.gen2)
+        self.order = (q * q - 1) * (q * q - q)
+        self.classes = []
+
+        def add(family, params, size, rep):
+            self.classes.append(GL2Class(family, params, size, self.order // size, rep))
+
+        for x in range(1, q):
+            add("scalar", (x,), 1, ((x, 0), (0, x)))
+        for x in range(1, q):
+            add("parabolic", (x,), q * q - 1, ((x, 1), (0, x)))
+        for x in range(1, q):
+            for y in range(x + 1, q):
+                add("hyperbolic", (x, y), q * q + q, ((x, 0), (0, y)))
+        for x in range(q):
+            for y in range(1, (q - 1) // 2 + 1):
+                add("elliptic", (x, y), q * q - q, ((x, self.eps * y % q), (y, x)))
+        assert len(self.classes) == q * q - 1
+        assert sum(c.size for c in self.classes) == self.order
+
+    def class_label(self, c):
+        cl = self.classes[c]
+        return f"{cl.family[:4]}({','.join(str(p) for p in cl.params)})"
 
     def ext_mul(self, u, v):
         a, b = u
@@ -125,67 +168,9 @@ class FqData:
         return (a * a - self.eps * b * b) % self.q
 
 
-class GL2Class:
-    __slots__ = ("family", "params", "size", "rep")
-
-    def __init__(self, family, params, size, rep):
-        self.family = family
-        self.params = params
-        self.size = size
-        self.rep = rep  # 2x2 integer matrix mod q
-
-    def __repr__(self):
-        return f"GL2Class({self.family}, {self.params}, size={self.size})"
-
-
 def gl2_classes(q):
-    """All q^2 - 1 conjugacy classes in a deterministic order: scalars,
-    parabolics, hyperbolics, elliptics, each family ordered by its
-    parameters. The identity class comes first."""
-    _check_q(q)
-    data = FqData(q)
-    classes = []
-    for x in range(1, q):
-        classes.append(GL2Class("scalar", (x,), 1, ((x, 0), (0, x))))
-    for x in range(1, q):
-        classes.append(GL2Class("parabolic", (x,), q * q - 1, ((x, 1), (0, x))))
-    for x in range(1, q):
-        for y in range(x + 1, q):
-            classes.append(GL2Class("hyperbolic", (x, y), q * q + q, ((x, 0), (0, y))))
-    for x in range(q):
-        for y in range(1, (q - 1) // 2 + 1):
-            classes.append(GL2Class("elliptic", (x, y), q * q - q,
-                                    ((x, data.eps * y % q), (y, x))))
-    order = (q * q - 1) * (q * q - q)
-    assert len(classes) == q * q - 1
-    assert sum(c.size for c in classes) == order
-    return classes
-
-
-class GL2Row:
-    __slots__ = ("name", "series", "degree", "values")
-
-    def __init__(self, name, series, degree, values):
-        self.name = name
-        self.series = series
-        self.degree = degree
-        self.values = tuple(values)
-
-    def __repr__(self):
-        return f"GL2Row({self.name}, degree={self.degree})"
-
-
-class GL2Table:
-    def __init__(self, q, classes, rows, data):
-        self.q = q
-        self.classes = classes
-        self.rows = rows
-        self.data = data
-        self.order = (q * q - 1) * (q * q - q)
-
-    def inner_product(self, v1, v2):
-        sizes = [cl.size for cl in self.classes]
-        return hermitian_gram([v1], [v2], [(0, 0)], sizes, self.order)[0]
+    """All q^2 - 1 conjugacy classes, in the order of `GL2Group`."""
+    return GL2Group(q).classes
 
 
 def _complementary_parameters(q):
@@ -206,19 +191,22 @@ def gl2_table(q):
     """The full character table: q-1 one-dimensional rows, (q-1)(q-2)/2
     principal rows of degree q+1, q-1 rows of degree q, and q(q-1)/2
     complementary rows of degree q-1."""
-    _check_q(q)
-    data = FqData(q)
-    classes = gl2_classes(q)
+    group = GL2Group(q)
+    classes = group.classes
     n1 = q - 1
     n2 = q * q - 1
 
     def chi_small(k, x):
-        return zeta(n1, k * data.dlog_q[x % q])
+        return zeta(n1, k * group.dlog_q[x % q])
 
     def chi_big(t, u):
-        return zeta(n2, t * data.dlog_q2[u])
+        return zeta(n2, t * group.dlog_q2[u])
 
     rows = []
+
+    def row(name, degree, values):
+        rows.append(TableRow(name, degree, ClassFunction(group, values)))
+
     dets = []
     for cl in classes:
         if cl.family in ("scalar", "parabolic"):
@@ -226,11 +214,10 @@ def gl2_table(q):
         elif cl.family == "hyperbolic":
             dets.append(cl.params[0] * cl.params[1] % q)
         else:
-            dets.append(data.norm(cl.params))
+            dets.append(group.norm(cl.params))
     # one-dimensional series: xi(det g)
     for k in range(q - 1):
-        values = [chi_small(k, d) for d in dets]
-        rows.append(GL2Row(f"xi[{k}]", "one-dimensional", 1, values))
+        row(f"xi[{k}]", 1, [chi_small(k, d) for d in dets])
     # principal series, lambda1 != lambda2 up to swap
     for k1 in range(q - 1):
         for k2 in range(k1 + 1, q - 1):
@@ -248,7 +235,7 @@ def gl2_table(q):
                                   + chi_small(k1, y) * chi_small(k2, x))
                 else:
                     values.append(zero())
-            rows.append(GL2Row(f"V[{k1},{k2}]", "principal", q + 1, values))
+            row(f"V[{k1},{k2}]", q + 1, values)
     # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det)
     for k in range(q - 1):
         values = []
@@ -261,7 +248,7 @@ def gl2_table(q):
                 values.append(chi_small(k, d))
             else:
                 values.append(-chi_small(k, d))
-        rows.append(GL2Row(f"W[{k}]", "cuspidal-W", q, values))
+        row(f"W[{k}]", q, values)
     # complementary series
     for t in _complementary_parameters(q):
         values = []
@@ -277,45 +264,45 @@ def gl2_table(q):
             else:
                 u = cl.params
                 values.append(-chi_big(t, u) - chi_big(t * q % n2, u))
-        rows.append(GL2Row(f"X[{t}]", "complementary", q - 1, values))
+        row(f"X[{t}]", q - 1, values)
     assert len(rows) == q * q - 1
-    return GL2Table(q, classes, rows, data)
+    return CharacterTable(group, rows, name=f"GL2(F_{q})")
 
 
 def gl2_verify(table):
     """Row orthonormality under the class-weighted Hermitian product, the
-    sum-of-squares count, and the row/class census."""
-    from .chartab import VerifyReport, check_orthonormality
+    sum-of-squares count, and the row/class census: the row half of
+    `chartab.verify_table`, under its own entry names."""
     rep = VerifyReport()
+    g = table.group
     rows = table.rows
     check_orthonormality(rep, "orthonormality", [r.name for r in rows], [r.values for r in rows],
-                         [cl.size for cl in table.classes], table.order)
+                         class_sizes(g), g.order)
     ssq = sum(r.degree ** 2 for r in rows)
-    rep.add("sum of squares", ssq == table.order, f"{ssq} vs {table.order}")
+    rep.add("sum of squares", ssq == g.order, f"{ssq} vs {g.order}")
     rep.add("row count equals class count",
             len(rows) == len(table.classes),
             f"{len(rows)} vs {len(table.classes)}")
     return rep
 
 
-def complementary_virtual_values(q, t, data=None, classes=None):
+def complementary_virtual_values(group, t):
     """The virtual character W_triv (x) V_(alpha,triv) - V_(alpha,triv)
     - Ind_K(nu) recomputed from its three constituents, where alpha is
     the restriction of nu = (index t) to the scalars. Its norm must be 1
     and its degree q-1: that is the complementary-series existence
     argument, rerun symbolically."""
-    data = data or FqData(q)
-    classes = classes or gl2_classes(q)
+    q = group.q
     n2 = q * q - 1
 
     def nu(u):
-        return zeta(n2, t * data.dlog_q2[u])
+        return zeta(n2, t * group.dlog_q2[u])
 
     def alpha(x):
         return nu((x % q, 0))
 
     values = []
-    for cl in classes:
+    for cl in group.classes:
         # W_triv on the four families: q, 0, 1, -1
         # V_(alpha,triv): (q+1)alpha(x), alpha(x), alpha(x)+alpha(y), 0
         # Ind_K(nu): q(q-1)nu(x), 0, 0, nu(u)+nu^q(u)
@@ -329,17 +316,22 @@ def complementary_virtual_values(q, t, data=None, classes=None):
             values.append(zero())
         else:
             u = cl.params
-            values.append(-(nu(u) + zeta(n2, t * q * data.dlog_q2[u])))
+            values.append(-(nu(u) + zeta(n2, t * q * group.dlog_q2[u])))
     return values
 
 
+_SERIES = {"xi": "one-dimensional", "V": "principal", "W": "cuspidal-W", "X": "complementary"}
+
+
 def gl2_table_to_json(table):
+    """The table with its class parameters and representatives; each row's
+    series is read from its name prefix."""
     return {
-        "q": table.q,
-        "group_order": table.order,
+        "q": table.group.q,
+        "group_order": table.group.order,
         "classes": [{"family": c.family, "params": list(c.params), "size": c.size,
                      "rep": [list(r) for r in c.rep]} for c in table.classes],
-        "rows": [{"name": r.name, "series": r.series, "degree": r.degree,
+        "rows": [{"name": r.name, "series": _SERIES[r.name.split("[")[0]], "degree": r.degree,
                   "values": [cyclotomic_to_json(v) for v in r.values]}
                  for r in table.rows],
     }

@@ -265,7 +265,8 @@ def _indecomposable(q, a, seq, n_positive, alpha):
         j = seq[len(applied) % len(seq)]
         nxt = reflect(a, j, beta)
         if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
-            assert beta == tuple(1 if v == j else 0 for v in range(q.n))
+            if beta != tuple(1 if v == j else 0 for v in range(q.n)):
+                raise QuiverError(f"reflection walk of {alpha} ends at {beta}, not a simple root")
             stop_vertex = j
             break
         beta = nxt
@@ -276,7 +277,8 @@ def _indecomposable(q, a, seq, n_positive, alpha):
     rep = simple_rep(cur_q, stop_vertex)
     for j in reversed(applied):
         rep = reflect_source(rep, j)
-    assert rep.quiver == q and rep.dims == alpha
+    if rep.quiver != q or rep.dims != alpha:
+        raise QuiverError(f"reflection functors built dimension vector {rep.dims}, not {alpha}")
     return rep
 
 
@@ -310,7 +312,8 @@ def decompose(v):
             root = tuple(1 if x == j else 0 for x in range(q.n))
             for k in reversed(applied):
                 root = reflect(a, k, root)
-            assert all(c >= 0 for c in root)
+            if any(c < 0 for c in root):
+                raise QuiverError(f"summand root {root} is not nonnegative")
             counts[root] = counts.get(root, 0) + coker_mult
         rep = nxt
         applied.append(j)
@@ -319,7 +322,8 @@ def decompose(v):
     check = [0] * q.n
     for root, mult in counts.items():
         check = [c + mult * r for c, r in zip(check, root)]
-    assert tuple(check) == v.dims, "summand dimension vectors do not add up"
+    if tuple(check) != v.dims:
+        raise QuiverError("summand dimension vectors do not add up")
     return sorted(counts.items())
 
 

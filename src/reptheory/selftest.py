@@ -139,23 +139,6 @@ def criterion_02(rng):
     return f"{count} products checked"
 
 
-def _transfer_rows(src_table, target_group):
-    """Match a table onto an isomorphic subgroup by (element order, size);
-    only used for pairs where that key separates the classes."""
-    rows = []
-    for row in src_table.rows:
-        vals = [None] * len(target_group.classes)
-        for ci, cl in enumerate(target_group.classes):
-            key = (cl.element_order, cl.size)
-            matches = [i for i, c in enumerate(src_table.group.classes)
-                       if (c.element_order, c.size) == key]
-            _require(len(matches) == 1)
-            vals[ci] = row.function.values[matches[0]]
-        rows.append(chartab.TableRow(row.name, row.degree,
-                                     chartab.ClassFunction(target_group, vals)))
-    return chartab.CharacterTable(target_group, rows)
-
-
 def criterion_03(rng):
     """induction examples and Frobenius reciprocity on builtin pairs"""
     s3t = builtin_table("S3")
@@ -169,7 +152,7 @@ def criterion_03(rng):
     z3t = chartab.abelian_dual_table(z3.group)
     pairs.append((s3t, z3, z3t))
     s3sub = s4t.group.subgroup([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2)])])
-    s3subt = _transfer_rows(s3t, s3sub.group)
+    s3subt = chartab.transfer_table(s3t, s3sub.group)
     pairs.append((s4t, s3sub, s3subt))
 
     def names_of(table, f):
@@ -239,7 +222,7 @@ def criterion_05(rng):
     for n, name in ((3, "S3"), (4, "S4")):
         table = sn_table(n)
         ref = builtin_table(name)
-        ref_on_sn = _transfer_rows(ref, table.group)
+        ref_on_sn = chartab.transfer_table(ref, table.group)
         got = {tuple(r.function.values) for r in table.rows}
         want = {tuple(r.function.values) for r in ref_on_sn.rows}
         _require(got == want, f"S{n} rows differ from the builtin table")
@@ -500,7 +483,7 @@ def criterion_13(rng):
         report = gl2fq.gl2_verify(table)
         _require(report.ok, (q, report.failures()[:2]))
         for t in gl2fq._complementary_parameters(q):
-            vals = gl2fq.complementary_virtual_values(q, t, table.data, table.classes)
+            vals = gl2fq.complementary_virtual_values(table.group, t)
             _require(table.inner_product(vals, vals) == 1, (q, t))
             _require(vals[0] == q - 1)
         elapsed = time.time() - t0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import reptheory
 from reptheory import chartab
 from reptheory.cli import main
 from reptheory.chartab import builtin_table, table_to_json
+from reptheory.exact import cyclotomic_to_json, zero
 from reptheory.quiverrep import indecomposable_for_root, Quiver, rep_to_json
 
 
@@ -123,6 +125,14 @@ def test_chartab_induce_nonabelian_subgroup(capsys):
                            "--row", "C2")
     assert code == 0
     assert out.strip() == "Ind C2 = C2 + C3+ + C3-"
+
+
+def test_chartab_induce_ambiguous_class_matching(capsys):
+    # A4's two classes of 3-cycles share element order 3 and size 4
+    code, out, err = run_cli(capsys, "chartab", "induce", "S4",
+                             "--sub", "1,2,0,3;1,0,3,2", "--sub-name", "A4", "--row", "C")
+    assert code == 1 and out == ""
+    assert err == "error: ambiguous class matching: 2 classes of element order 3 and size 4\n"
 
 
 def test_chartab_decompose_values(capsys):
@@ -386,3 +396,31 @@ def test_selftest_fails_a_sabotaged_criterion(optimize):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.startswith("[FAIL] criterion  5")
+
+
+GL2_DIGESTS = json.loads((Path(__file__).parent / "golden" / "gl2_cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GL2_DIGESTS))
+def test_gl2_cli_bytes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GL2_DIGESTS[command]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_verify_reports_a_degree_zero_row(tmp_path, optimize):
+    blob = table_to_json(builtin_table("S3"), group_name="S3")
+    row = next(r for r in blob["rows"] if r["name"] == "C-")
+    row["degree"] = 0
+    row["values"] = [cyclotomic_to_json(zero())] * len(row["values"])
+    path = tmp_path / "degree0.json"
+    path.write_text(json.dumps(blob))
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", "chartab", "verify",
+                           "--file", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1 and proc.stderr == "", proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "FAIL degree divides |G| (C-): degree 0" in lines
+    assert lines[-1].startswith("FAILED: ")

@@ -1,7 +1,8 @@
 import pytest
 
+from reptheory.chartab import CharacterTable, verify_table
 from reptheory.exact import zeta, zero
-from reptheory.gl2fq import (FqData, complementary_virtual_values,
+from reptheory.gl2fq import (GL2Group, complementary_virtual_values,
                              _complementary_parameters, gl2_classes, gl2_table,
                              gl2_table_to_json, gl2_verify, is_odd_prime,
                              smallest_nonresidue, smallest_primitive_root)
@@ -16,12 +17,12 @@ def test_q_validation():
 
 
 def test_field_data():
-    d = FqData(3)
+    d = GL2Group(3)
     assert d.eps == 2
     assert d.g == 2
     assert smallest_nonresidue(7) == 3
     assert smallest_primitive_root(7) == 3
-    d7 = FqData(7)
+    d7 = GL2Group(7)
     # the extension generator really has full order
     assert len(d7.dlog_q2) == 48
     assert d7.norm((1, 0)) == 1
@@ -44,6 +45,7 @@ def test_class_census():
         assert all(c.size == q * q - 1 for c in by_family["parabolic"])
         assert all(c.size == q * q + q for c in by_family["hyperbolic"])
         assert all(c.size == q * q - q for c in by_family["elliptic"])
+        assert all(c.size * c.centralizer_order == order for c in classes)
 
 
 def test_degree_multiset_q3():
@@ -62,7 +64,7 @@ def test_tables_verify():
 def test_principal_series_hyperbolic_value():
     q = 5
     table = gl2_table(q)
-    d = table.data
+    d = table.group
     row = next(r for r in table.rows if r.name == "V[1,2]")
     for ci, cl in enumerate(table.classes):
         if cl.family == "hyperbolic":
@@ -86,7 +88,7 @@ def test_complementary_virtual_characters():
     q = 3
     table = gl2_table(q)
     for t in _complementary_parameters(q):
-        vals = complementary_virtual_values(q, t, table.data, table.classes)
+        vals = complementary_virtual_values(table.group, t)
         assert table.inner_product(vals, vals) == 1
         assert vals[0] == q - 1
         row = next(r for r in table.rows if r.name == f"X[{t}]")
@@ -100,15 +102,15 @@ def test_frobenius_twist_gives_identical_rows():
         n = q * q - 1
         for t in _complementary_parameters(q):
             partner = (t * q) % n
-            vals_t = complementary_virtual_values(q, t, table.data, table.classes)
-            vals_tq = complementary_virtual_values(q, partner, table.data, table.classes)
+            vals_t = complementary_virtual_values(table.group, t)
+            vals_tq = complementary_virtual_values(table.group, partner)
             assert vals_t == vals_tq, (q, t)
 
 
 def test_one_dim_restriction_to_scalars():
     q = 5
     table = gl2_table(q)
-    d = table.data
+    d = table.group
     for k in range(q - 1):
         row = next(r for r in table.rows if r.name == f"xi[{k}]")
         for ci, cl in enumerate(table.classes):
@@ -122,7 +124,7 @@ def test_w_series_values():
     # -mu(norm)
     q = 3
     table = gl2_table(q)
-    d = table.data
+    d = table.group
     row = next(r for r in table.rows if r.name == "W[1]")
     for ci, cl in enumerate(table.classes):
         v = row.values[ci]
@@ -145,3 +147,33 @@ def test_json_export():
     assert blob["q"] == 3
     assert len(blob["classes"]) == 8 and len(blob["rows"]) == 8
     assert blob["rows"][0]["degree"] == 1
+    assert [r["series"] for r in blob["rows"]] == (
+        ["one-dimensional"] * 2 + ["principal"] + ["cuspidal-W"] * 2 + ["complementary"] * 3)
+    assert blob["group_order"] == 48
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_gl2_tables_are_character_tables(q):
+    table = gl2_table(q)
+    assert isinstance(table, CharacterTable)
+    assert table.complete and table.classes is table.group.classes
+    report = verify_table(table)
+    assert report.ok, report.failures()[:3]
+    # the full check adds the column relations and degree divisibility
+    k = q * q - 1
+    assert len(report.entries) == len(gl2_verify(table).entries) + k * (k + 1) // 2 + k
+
+
+def test_one_field_data_build_per_table(monkeypatch):
+    import reptheory.gl2fq as gl2fq
+    built = []
+    original = gl2fq.GL2Group.__init__
+
+    def counting(self, q):
+        built.append(q)
+        original(self, q)
+
+    monkeypatch.setattr(gl2fq.GL2Group, "__init__", counting)
+    table = gl2_table(5)
+    assert built == [5]
+    assert all(row.function.group is table.group for row in table.rows)

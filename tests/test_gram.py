@@ -6,6 +6,7 @@ string, and verify reports built on either must be entry for entry equal,
 also on tables that are wrong on purpose.
 """
 
+import copy
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ from reptheory.chartab import (CharacterTable, ClassFunction, TableRow, VerifyRe
                                dihedral_semidirect, inner_product, semidirect_table,
                                verify_table)
 from reptheory.exact import _two_roots, cyc, hermitian_gram, one, zero, zeta
-from reptheory.gl2fq import GL2Class, GL2Row, GL2Table, gl2_table, gl2_verify
+from reptheory.gl2fq import GL2Class, gl2_table, gl2_verify
 from reptheory.permgroup import cyclic_group
 from reptheory.symgrp import sn_table
 
@@ -44,10 +45,11 @@ def reference_orthonormality(rep, label, rows, sizes, order):
 
 def reference_gl2_verify(table):
     rep = VerifyReport()
+    order = table.group.order
     reference_orthonormality(rep, "orthonormality", [(r.name, r.values) for r in table.rows],
-                             [c.size for c in table.classes], table.order)
+                             [c.size for c in table.classes], order)
     ssq = sum(r.degree ** 2 for r in table.rows)
-    rep.add("sum of squares", ssq == table.order, f"{ssq} vs {table.order}")
+    rep.add("sum of squares", ssq == order, f"{ssq} vs {order}")
     rep.add("row count equals class count", len(table.rows) == len(table.classes),
             f"{len(table.rows)} vs {len(table.classes)}")
     return rep
@@ -87,12 +89,13 @@ def assert_same(got, want):
 def test_every_gl2_5_row_pair_matches_the_reference():
     table = gl2_table(5)
     sizes = [c.size for c in table.classes]
+    order = table.group.order
     rows = [r.values for r in table.rows]
     pairs = [(i, j) for i in range(len(rows)) for j in range(len(rows))]
     # all pairs in one call read repeated rows in their two-root forms
-    gram = hermitian_gram(rows, rows, pairs, sizes, table.order)
+    gram = hermitian_gram(rows, rows, pairs, sizes, order)
     for (i, j), got in zip(pairs, gram):
-        want = reference_inner_product(sizes, table.order, rows[i], rows[j])
+        want = reference_inner_product(sizes, order, rows[i], rows[j])
         assert_same(got, want)
         assert_same(table.inner_product(rows[i], rows[j]), want)
 
@@ -106,7 +109,7 @@ def test_seeded_gl2_row_pairs_match_the_reference(q):
         v1 = rng.choice(table.rows).values
         v2 = v1 if rng.random() < 0.25 else rng.choice(table.rows).values
         assert_same(table.inner_product(v1, v2),
-                    reference_inner_product(sizes, table.order, v1, v2))
+                    reference_inner_product(sizes, table.group.order, v1, v2))
 
 
 SMALL_TABLES = {
@@ -193,8 +196,19 @@ def test_gram_kernel_options():
 def _with_row(table, index, values):
     rows = list(table.rows)
     old = rows[index]
-    rows[index] = GL2Row(old.name, old.series, old.degree, values)
-    return GL2Table(table.q, table.classes, rows, table.data)
+    rows[index] = TableRow(old.name, old.degree, ClassFunction(table.group, values))
+    return CharacterTable(table.group, rows, table.name)
+
+
+def _with_class_size(table, index, size):
+    """The same rows on a copy of the group whose class `index` has the
+    given size."""
+    group = copy.copy(table.group)
+    group.classes = list(group.classes)
+    c = group.classes[index]
+    group.classes[index] = GL2Class(c.family, c.params, size, c.centralizer_order, c.rep)
+    rows = [TableRow(r.name, r.degree, ClassFunction(group, r.values)) for r in table.rows]
+    return CharacterTable(group, rows, table.name)
 
 
 def _sabotaged_gl2_5():
@@ -202,13 +216,10 @@ def _sabotaged_gl2_5():
     perturbed = list(table.rows[7].values)
     perturbed[9] = perturbed[9] + zeta(24, 5)
     x = next(i for i, r in enumerate(table.rows) if r.name.startswith("X["))
-    classes = list(table.classes)
-    c = classes[6]
-    classes[6] = GL2Class(c.family, c.params, c.size + 1, c.rep)
     return {
         "perturbed value": _with_row(table, 7, perturbed),
         "conjugated row": _with_row(table, x, [v.conjugate() for v in table.rows[x].values]),
-        "wrong class size": GL2Table(table.q, classes, table.rows, table.data),
+        "wrong class size": _with_class_size(table, 6, table.classes[6].size + 1),
     }
 
 
@@ -218,6 +229,7 @@ def test_sabotaged_gl2_tables_fail_like_the_reference(kind):
     report = gl2_verify(table)
     assert not report.ok
     assert report.entries == reference_gl2_verify(table).entries
+    assert verify_table(table).entries == reference_verify_table(table).entries
 
 
 def test_gl2_tables_verify_like_the_reference():

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
+import reptheory
 from reptheory import linalg, quiverrep
 from reptheory.linalg import Matrix
 from reptheory.quiverrep import (Quiver, QuiverError, QuiverRep,
@@ -344,3 +349,49 @@ def test_rep_serialization():
     assert back.quiver == rep.quiver
     assert back.dims == rep.dims
     assert all(a == b for a, b in zip(back.maps, rep.maps))
+
+
+# Each sabotage breaks one of the four consistency checks of decompose and
+# _indecomposable; they must raise QuiverError also where `assert` is off.
+SABOTAGED_REFLECTIONS = """
+from reptheory import quiverrep, rootsys
+from reptheory.quiverrep import Quiver, QuiverError, decompose, indecomposable_for_root
+
+q = Quiver(3, [(0, 1), (1, 2)])
+full = indecomposable_for_root(q, (1, 1, 1))
+simple = indecomposable_for_root(q, (1, 0, 0))
+
+
+def attempt(label, call):
+    try:
+        call()
+    except QuiverError as exc:
+        print(f"{label}: {exc}")
+    else:
+        print(f"{label}: no error")
+
+
+real = rootsys.reflect
+quiverrep.reflect = lambda a, i, v: tuple(-abs(c) for c in real(a, i, v))
+attempt("walk", lambda: indecomposable_for_root(q, (1, 1, 1)))
+attempt("nonnegative", lambda: decompose(simple))
+quiverrep.reflect = lambda a, i, v: tuple(v)
+attempt("add up", lambda: decompose(full))
+quiverrep.reflect = real
+quiverrep.reflect_source = lambda rep, i: rep
+attempt("functors", lambda: indecomposable_for_root(q, (1, 1, 1)))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_consistency_checks_survive_optimize(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", SABOTAGED_REFLECTIONS],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "walk: reflection walk of (1, 1, 1) ends at (1, 1, 1), not a simple root",
+        "nonnegative: summand root (-1, 0, 0) is not nonnegative",
+        "add up: summand dimension vectors do not add up",
+        "functors: reflection functors built dimension vector (1, 0, 0), not (1, 1, 1)",
+    ]
