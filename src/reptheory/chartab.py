@@ -7,18 +7,23 @@ labels) so the classical tables can be printed exactly as usually
 typeset, with a representative row and a class-size row on top.
 
 The group contract. ClassFunction, CharacterTable, inner_product,
-decompose, tensor_multiplicities, verify_table and render_table read only
-this much of a group:
+decompose, tensor_multiplicities, verify_table, frobenius_schur and
+render_table read only this much of a group:
 
 - `classes`: the conjugacy classes in canonical order, identity first;
   each class has `size` and `centralizer_order`;
 - `order`: the group order;
-- `class_label(c)`: the display label of class index c.
+- `class_label(c)`: the display label of class index c;
+- `power_class_map(k)`: for each class, the index of the class holding
+  the k-th powers of its elements.
 
 A `permgroup.PermGroup` provides it, and so does the class data of
-`gl2fq.GL2Group`, which has no elements. Induction, restriction, the
-Frobenius-Schur indicator, permutation characters, transfer_table and
-the JSON format need a PermGroup.
+`symgrp.SymmetricGroup` and `gl2fq.GL2Group`, which list no elements.
+Permutation characters and the JSON format also read each class's
+`representative`, a permutation, and transfer_table its
+`element_order`; PermGroup and SymmetricGroup classes carry both.
+Induction and restriction need the elements (`elements`, `index`,
+`class_of`, `subgroup`).
 """
 
 from __future__ import annotations
@@ -681,6 +686,9 @@ def render_table(table, numeric=False):
 
 
 def table_to_json(table, group_name=None):
+    if not hasattr(table.classes[0], "representative"):
+        raise ValueError("table_to_json needs classes with permutation representatives; "
+                         "write a GL2 table with gl2fq.gl2_table_to_json")
     classes = []
     for c in table.display_classes:
         cl = table.group.classes[c]

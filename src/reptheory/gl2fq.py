@@ -118,16 +118,51 @@ class GL2Group:
                 add("elliptic", (x, y), q * q - q, ((x, self.eps * y % q), (y, x)))
         assert len(self.classes) == q * q - 1
         assert sum(c.size for c in self.classes) == self.order
+        self._class_index = {(c.family, c.params): i for i, c in enumerate(self.classes)}
 
     def class_label(self, c):
         cl = self.classes[c]
         return f"{cl.family[:4]}({','.join(str(p) for p in cl.params)})"
+
+    def power_class_map(self, k):
+        """For each class, the index of the class of its k-th powers, from
+        the class parameters: the Jordan block [[x, 1], [0, x]]^k is
+        [[x^k, k x^(k-1)], [0, x^k]], scalar when q divides k; diag(x, y)^k
+        is scalar when x^k = y^k; an elliptic class is its eigenvalue
+        u = x + y sqrt(eps), up to the conjugation y -> -y, and u^k is
+        scalar when its sqrt(eps) part vanishes."""
+        q = self.q
+        out = []
+        for cl in self.classes:
+            if cl.family == "elliptic":
+                x, y = self.ext_pow(cl.params, k % (q * q - 1))
+                key = ("elliptic", (x, min(y, q - y))) if y else ("scalar", (x,))
+            else:
+                powers = tuple(pow(x, k % (q - 1), q) for x in cl.params)
+                if cl.family == "parabolic" and k % q:
+                    key = ("parabolic", powers)
+                elif len(set(powers)) == 1:
+                    key = ("scalar", powers[:1])
+                else:
+                    key = ("hyperbolic", tuple(sorted(powers)))
+            out.append(self._class_index[key])
+        return out
 
     def ext_mul(self, u, v):
         a, b = u
         c, d = v
         q, e = self.q, self.eps
         return ((a * c + e * b * d) % q, (a * d + b * c) % q)
+
+    def ext_pow(self, u, k):
+        """u^k in F_q(sqrt(eps)), for k >= 0, by repeated squaring."""
+        result = (1, 0)
+        while k:
+            if k & 1:
+                result = self.ext_mul(result, u)
+            u = self.ext_mul(u, u)
+            k >>= 1
+        return result
 
     def _find_ext_generator(self):
         n = self.q * self.q - 1
@@ -142,23 +177,12 @@ class GL2Group:
             p += 1
         if m > 1:
             prime_divs.append(m)
-
-        def power(u, k):
-            result = (1, 0)
-            base = u
-            while k:
-                if k & 1:
-                    result = self.ext_mul(result, base)
-                base = self.ext_mul(base, base)
-                k >>= 1
-            return result
-
         for a in range(self.q):
             for b in range(self.q):
                 u = (a, b)
                 if u == (0, 0):
                     continue
-                if all(power(u, n // p) != (1, 0) for p in prime_divs):
+                if all(self.ext_pow(u, n // p) != (1, 0) for p in prime_divs):
                     return u
         raise AssertionError("no generator of the quadratic extension found")
 

@@ -19,6 +19,10 @@ class EnumerationBound(ValueError):
     pass
 
 
+# The largest symmetric group whose elements are listed (8! = 40320).
+MAX_ENUMERATED_SN = 8
+
+
 # -- permutation helpers -----------------------------------------------
 
 def p_identity(degree):
@@ -96,6 +100,13 @@ def is_bijection(p):
 
 
 # -- groups ------------------------------------------------------------
+
+def class_order_key(cl):
+    """The canonical class order, (element order, size, representative):
+    the identity class comes first. Every group with permutation
+    representatives sorts its classes by this key."""
+    return (cl.element_order, cl.size, cl.representative)
+
 
 class ConjugacyClass:
     __slots__ = ("representative", "size", "members", "centralizer_order", "element_order")
@@ -187,7 +198,7 @@ class PermGroup:
         for members in raw_classes:
             rep = min(self.elements[i] for i in members)
             classes.append(ConjugacyClass(rep, members, n))
-        classes.sort(key=lambda c: (c.element_order, c.size, c.representative))
+        classes.sort(key=class_order_key)
         self.classes = tuple(classes)
         self.class_of = [0] * n
         for ci, cl in enumerate(self.classes):
@@ -365,8 +376,8 @@ def builtin_group(name):
     if head in ("S", "A", "Z", "D") and tail.isdigit():
         n = int(tail)
         if head == "S":
-            if n > 8:
-                raise ValueError("symmetric groups only up to S8 here")
+            if n > MAX_ENUMERATED_SN:
+                raise ValueError(f"symmetric groups only up to S{MAX_ENUMERATED_SN} here")
             return symmetric_group(n)
         if head == "A":
             if n > 7:

@@ -11,16 +11,22 @@ of the Young module U_lambda is a coefficient extraction: the
 coefficient of x^lambda in prod_m H_m(x)^(i_m), with sparse polynomials
 kept small by discarding every monomial that exceeds x^lambda
 componentwise.
+
+The tables need no list of group elements: `SymmetricGroup(n)` holds the
+classes of S_n as cycle types, with sizes n!/z_t and power maps read off
+the partitions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .chartab import CharacterTable, ClassFunction, TableRow
 from .exact import Cyclotomic, cyc
-from .permgroup import cycle_lengths, symmetric_group
+from .permgroup import (MAX_ENUMERATED_SN, SubgroupView, class_order_key, cycle_notation,
+                        symmetric_group)
 
 
 # -- partitions ----------------------------------------------------------
@@ -79,33 +85,80 @@ def sign_of_type(t):
     return (-1) ** sum(m - 1 for m in t)
 
 
-# -- cycle types ---------------------------------------------------------
+# -- S_n as class data ----------------------------------------------------
 
-def type_multiplicities(t):
-    """Cycle-length partition -> dict m -> i_m."""
-    mult = {}
-    for m in t:
-        mult[m] = mult.get(m, 0) + 1
-    return mult
+class CycleTypeClass:
+    """The permutations of cycle type t: n!/z_t of them, each of order
+    lcm(t), where z_t = prod_m m^(i_m) i_m! is the centralizer order.
+    The representative puts the fixed points first, then the cycles by
+    increasing length, each on consecutive points; it is the
+    lexicographically least element of the class."""
+
+    __slots__ = ("cycle_type", "size", "centralizer_order", "element_order", "representative")
+
+    def __init__(self, t, group_order):
+        self.cycle_type = t
+        self.centralizer_order = 1
+        for m, im in Counter(t).items():
+            self.centralizer_order *= m ** im * factorial(im)
+        self.size = group_order // self.centralizer_order
+        self.element_order = lcm(*t)
+        images = []
+        for m in reversed(t):
+            start = len(images)
+            images += range(start + 1, start + m)
+            images.append(start)
+        self.representative = tuple(images)
 
 
-def class_size(t):
-    """Number of permutations with cycle type t (a partition of n made of
-    the cycle lengths, fixed points included)."""
-    t = _check_partition(t)
-    n = sum(t)
-    centralizer = 1
-    for m, im in type_multiplicities(t).items():
-        centralizer *= m ** im * factorial(im)
-    return factorial(n) // centralizer
+class SymmetricGroup:
+    """S_n as class data, for the group contract of `chartab`: one class
+    per cycle type, in the canonical order of `permgroup.class_order_key`,
+    with power maps computed on cycle types. No element is listed.
 
+    Only induction and restriction read elements, through `subgroup()`
+    and the attributes that `__getattr__` supplies."""
 
-def centralizer_order(t):
-    t = _check_partition(t)
-    out = 1
-    for m, im in type_multiplicities(t).items():
-        out *= m ** im * factorial(im)
-    return out
+    def __init__(self, n):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.degree = n
+        self.order = factorial(n)
+        self.classes = tuple(sorted((CycleTypeClass(t, self.order) for t in partitions_of(n)),
+                                    key=class_order_key))
+        self.type_index = {cl.cycle_type: i for i, cl in enumerate(self.classes)}
+        self._enumerated = None
+
+    def class_label(self, c):
+        return cycle_notation(self.classes[c].representative)
+
+    def power_class_map(self, k):
+        """For each class, the index of the class of its k-th powers: an
+        m-cycle to the k-th power splits into gcd(m, k) cycles of length
+        m / gcd(m, k)."""
+        out = []
+        for cl in self.classes:
+            t = []
+            for m in cl.cycle_type:
+                d = gcd(m, k)
+                t += [m // d] * d
+            out.append(self.type_index[tuple(sorted(t, reverse=True))])
+        return out
+
+    def __getattr__(self, name):
+        """`elements`, `index`, `class_of` and `generators` come from
+        `permgroup.symmetric_group(n)`, built on first use, for n <= 8."""
+        if name not in ("elements", "index", "class_of", "generators"):
+            raise AttributeError(name)
+        if self._enumerated is None:
+            if self.degree > MAX_ENUMERATED_SN:
+                raise ValueError(f"S{self.degree} has class data only; induction, restriction "
+                                 f"and subgroups need n <= {MAX_ENUMERATED_SN}")
+            self._enumerated = symmetric_group(self.degree)
+        return getattr(self._enumerated, name)
+
+    def subgroup(self, h_gens):
+        return SubgroupView(self, h_gens)
 
 
 # -- capped sparse polynomials -------------------------------------------
@@ -171,18 +224,41 @@ def frobenius_character(lam, t):
     return sum(layer.values())
 
 
+def _horizontal_strips(shape, r):
+    """Every partition rho with shape / rho a horizontal strip of r cells,
+    that is shape[i + 1] <= rho[i] <= shape[i] and |shape| - |rho| = r."""
+    if not shape:
+        return [()] if r == 0 else []
+    below = shape[1] if len(shape) > 1 else 0
+    out = []
+    for take in range(min(r, shape[0] - below) + 1):
+        head = (shape[0] - take,) if shape[0] > take else ()
+        out += [head + rest for rest in _horizontal_strips(shape[1:], r - take)]
+    return out
+
+
 def kostka(mu, lam):
-    """K_{mu,lambda} = multiplicity of V_mu in U_lambda, via the exact
-    inner product over the classes of S_n."""
+    """K_{mu,lambda} = multiplicity of V_mu in U_lambda, the number of
+    semistandard tableaux of shape mu and content lambda. The cells
+    holding the largest entry form a horizontal strip of lambda_last
+    cells; removing it leaves a tableau of content lambda minus its last
+    part, so the count recurses over those strips, memoized on the shape."""
     mu, lam = _check_partition(mu), _check_partition(lam)
-    n = sum(mu)
-    if n != sum(lam):
+    if sum(mu) != sum(lam):
         raise ValueError("partitions of different sizes")
-    total = 0
-    for t in partitions_of(n):
-        total += class_size(t) * u_character(lam, t) * frobenius_character(mu, t)
-    assert total % factorial(n) == 0
-    return total // factorial(n)
+    memo = {}
+
+    def count(shape, k):
+        # tableaux of this shape with content lam[:k]; at most k rows
+        if len(shape) > k:
+            return 0
+        if k == 0:
+            return 1
+        if (shape, k) not in memo:
+            memo[shape, k] = sum(count(rho, k - 1) for rho in _horizontal_strips(shape, lam[k - 1]))
+        return memo[shape, k]
+
+    return count(mu, len(lam))
 
 
 def specht_dim_determinant(lam):
@@ -207,25 +283,28 @@ def specht_dim_determinant(lam):
 
 # -- the full table -------------------------------------------------------
 
+# The largest n whose table `sn_table` builds (S_15 has 176 classes).
+# Measured end to end on a 2-vCPU machine with Python 3.11, `sn table n`
+# and `chartab verify Sn` take 1.5 s and 2.1 s at n = 15, 2.2 s and 3.2 s
+# at n = 16, and 3.4 s and 6.3 s at n = 17; 15 keeps both under 5 s with
+# room for a slower machine.
+MAX_TABLE_N = 15
+
+
 def sn_table(n):
-    """Complete character table of S_n (n <= 8), rows indexed by
-    partitions and columns by cycle types, attached to the standard
-    permutation realization of S_n."""
-    if n < 1 or n > 8:
-        raise ValueError("supported range is 1 <= n <= 8")
-    group = symmetric_group(n)
+    """Complete character table of S_n (1 <= n <= MAX_TABLE_N), rows
+    indexed by partitions and columns by cycle types, over the class data
+    of SymmetricGroup(n)."""
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"supported range is 1 <= n <= {MAX_TABLE_N}")
+    group = SymmetricGroup(n)
     parts = partitions_of(n)
-    type_of_class = [cycle_lengths(cl.representative) for cl in group.classes]
-    class_of_type = {t: i for i, t in enumerate(type_of_class)}
     rows = []
     for lam in parts:
-        values = [0] * len(group.classes)
-        for t in parts:
-            values[class_of_type[t]] = frobenius_character(lam, t)
-        fn = ClassFunction(group, values)
+        fn = ClassFunction(group, [frobenius_character(lam, cl.cycle_type) for cl in group.classes])
         name = "V[" + ",".join(str(p) for p in lam) + "]"
         rows.append(TableRow(name, hook_dim(lam), fn))
-    display = [class_of_type[t] for t in parts]
+    display = [group.type_index[t] for t in parts]
     labels = ["[" + ",".join(str(m) for m in t) + "]" for t in parts]
     return CharacterTable(group, rows, name=f"S{n}", display_classes=display,
                           class_labels=labels)
@@ -287,12 +366,7 @@ def schur_special(lam, nvars, z=None):
         raise ValueError("partition has more parts than variables")
     lam_full = list(lam) + [0] * (nvars - len(lam))
     if z is None:
-        total = Fraction(1)
-        for i in range(nvars):
-            for j in range(i + 1, nvars):
-                total *= Fraction(lam_full[i] - lam_full[j] + j - i, j - i)
-        assert total.denominator == 1
-        return int(total)
+        return gl_dim(lam_full, nvars)
     z = Fraction(z)
     if z == 0 or z == 1 or z == -1:
         raise ValueError("geometric point needs z not in {0, 1, -1} "

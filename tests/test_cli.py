@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import reptheory
-from reptheory import chartab
+from reptheory import chartab, symgrp
 from reptheory.cli import main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
@@ -408,6 +409,31 @@ def test_gl2_cli_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GL2_DIGESTS[command]
 
 
+SN_DIGESTS = json.loads((Path(__file__).parent / "golden" / "sn_cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(SN_DIGESTS))
+def test_sn_cli_bytes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SN_DIGESTS[command]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("argv", [
+    ["sn", "table", "0"],
+    ["sn", "table", str(symgrp.MAX_TABLE_N + 1)],
+    ["chartab", "induce", "S9", "--sub", "1,0,2,3,4,5,6,7,8", "--row", "0"],
+    ["chartab", "restrict", "S9", "--sub", "1,0,2,3,4,5,6,7,8", "--row", "V[9]"],
+], ids=["sn table 0", "sn table above the bound", "induce S9", "restrict S9"])
+def test_sn_out_of_range_is_a_typed_error(argv, optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_verify_reports_a_degree_zero_row(tmp_path, optimize):
     blob = table_to_json(builtin_table("S3"), group_name="S3")
@@ -424,3 +450,16 @@ def test_verify_reports_a_degree_zero_row(tmp_path, optimize):
     lines = proc.stdout.splitlines()
     assert "FAIL degree divides |G| (C-): degree 0" in lines
     assert lines[-1].startswith("FAILED: ")
+
+
+def test_show_tables_exits_1_on_a_failed_table(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "show_tables.py"
+    spec = importlib.util.spec_from_file_location("show_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    failing = chartab.VerifyReport()
+    failing.add("sabotaged", False)
+    monkeypatch.setattr(script, "verify_table", lambda table: failing)
+    assert script.main() == 1
+    assert "verify: FAILED" in capsys.readouterr().out

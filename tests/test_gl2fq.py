@@ -1,6 +1,6 @@
 import pytest
 
-from reptheory.chartab import CharacterTable, verify_table
+from reptheory.chartab import CharacterTable, frobenius_schur, table_to_json, verify_table
 from reptheory.exact import zeta, zero
 from reptheory.gl2fq import (GL2Group, complementary_virtual_values,
                              _complementary_parameters, gl2_classes, gl2_table,
@@ -177,3 +177,55 @@ def test_one_field_data_build_per_table(monkeypatch):
     table = gl2_table(5)
     assert built == [5]
     assert all(row.function.group is table.group for row in table.rows)
+
+
+def _matrix_class(group, m):
+    """The class of a 2x2 matrix over F_q, from its trace, determinant and
+    whether it is scalar: an independent reading of the class parameters."""
+    q = group.q
+    (a, b), (c, d) = m
+    if b == c == 0 and a == d:
+        return ("scalar", (a,))
+    tr, det = (a + d) % q, (a * d - b * c) % q
+    x = tr * pow(2, -1, q) % q
+    disc = (x * x - det) % q  # the eigenvalues are x +- sqrt(disc)
+    if disc == 0:
+        return ("parabolic", (x,))
+    roots = [r for r in range(q) if r * r % q == disc]
+    if roots:
+        return ("hyperbolic", tuple(sorted(((x + roots[0]) % q, (x - roots[0]) % q))))
+    y = next(y for y in range(1, (q - 1) // 2 + 1) if group.eps * y * y % q == disc)
+    return ("elliptic", (x, y))
+
+
+def _matrix_power(m, k, q):
+    out = ((1, 0), (0, 1))
+    for _ in range(k):
+        out = tuple(tuple(sum(out[i][j] * m[j][l] for j in range(2)) % q for l in range(2))
+                    for i in range(2))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_power_class_map_matches_matrix_powers(q):
+    group = GL2Group(q)
+    keys = [(c.family, c.params) for c in group.classes]
+    for c in group.classes:
+        assert _matrix_class(group, c.rep) == (c.family, c.params)
+    for k in range(2 * q + 2):
+        want = [keys.index(_matrix_class(group, _matrix_power(c.rep, k, q))) for c in group.classes]
+        assert group.power_class_map(k) == want, k
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_frobenius_schur_counts_involutions(q):
+    # sum_chi FS(chi) chi(1) = #{g : g^2 = 1}: 1, -1 and the q^2 + q
+    # conjugates of diag(1, -1)
+    table = gl2_table(q)
+    total = sum(row.degree * frobenius_schur(row.function) for row in table.rows)
+    assert total == q * q + q + 2
+
+
+def test_table_to_json_names_the_gl2_writer():
+    with pytest.raises(ValueError, match="gl2_table_to_json"):
+        table_to_json(gl2_table(3))

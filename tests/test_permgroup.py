@@ -10,7 +10,7 @@ from reptheory.permgroup import (EnumerationBound, PermGroup, alternating_group,
                                  cyclic_group, dihedral_group, from_cycles,
                                  group_from_json, group_to_json, p_inv, p_mul,
                                  p_order, quaternion_group, symmetric_group)
-from reptheory.symgrp import class_size, partitions_of
+from reptheory.symgrp import SymmetricGroup, partitions_of
 
 
 def test_s3_classes():
@@ -76,8 +76,10 @@ def test_sn_classes_are_cycle_types():
         g = symmetric_group(n)
         types = {cycle_lengths(c.representative) for c in g.classes}
         assert types == set(partitions_of(n))
+        by_type = SymmetricGroup(n)
         for c in g.classes:
-            assert c.size == class_size(cycle_lengths(c.representative))
+            t = cycle_lengths(c.representative)
+            assert c.size == by_type.classes[by_type.type_index[t]].size
 
 
 def test_named_groups():

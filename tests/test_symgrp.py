@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptheory.chartab import builtin_table, verify_table
+from reptheory.chartab import builtin_table, frobenius_schur, verify_table
 from reptheory.cli import main
 from reptheory.exact import cyc
 from reptheory.permgroup import symmetric_group
-from reptheory.symgrp import (centralizer_order, class_size, conjugate_partition,
+from reptheory.symgrp import (MAX_TABLE_N, SymmetricGroup, conjugate_partition,
                               content, frobenius_character, gl_dim, hook_dim,
                               kostka, partitions_of, power_sum_value, schur_eval,
                               schur_special, sign_of_type, sn_table,
@@ -38,14 +39,33 @@ def test_hook_dims():
     assert hook_dim((6,)) == 1
 
 
+def _sn_class(t):
+    group = SymmetricGroup(sum(t))
+    return group.classes[group.type_index[t]]
+
+
 def test_class_sizes():
-    assert class_size((3,)) == 2
-    assert class_size((2, 2)) == 3
-    assert class_size((1, 1, 1, 1)) == 1
-    assert class_size((2, 1)) == 3
+    assert _sn_class((3,)).size == 2
+    assert _sn_class((2, 2)).size == 3
+    assert _sn_class((1, 1, 1, 1)).size == 1
+    assert _sn_class((2, 1)).size == 3
     for n in range(1, 8):
-        assert sum(class_size(t) for t in partitions_of(n)) == \
-            __import__("math").factorial(n)
+        assert sum(cl.size for cl in SymmetricGroup(n).classes) == factorial(n)
+
+
+def _class_data(group):
+    return [(cl.representative, cl.size, cl.element_order, cl.centralizer_order)
+            for cl in group.classes]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symmetric_group_matches_enumeration(n):
+    classes, enumerated = SymmetricGroup(n), symmetric_group(n)
+    assert _class_data(classes) == _class_data(enumerated)
+    assert [classes.class_label(c) for c in range(len(classes.classes))] == \
+        [enumerated.class_label(c) for c in range(len(enumerated.classes))]
+    for k in range(2, n + 1):
+        assert classes.power_class_map(k) == enumerated.power_class_map(k), k
 
 
 def test_frobenius_character_values():
@@ -140,6 +160,25 @@ def test_kostka_values():
     for n in range(1, 7):
         for lam in partitions_of(n):
             assert kostka(lam, lam) == 1
+    assert kostka((10, 10, 10), (6,) * 5) == 16
+    assert kostka((12, 12, 12), (6,) * 6) == 280
+
+
+def kostka_reference(mu, lam):
+    """(chi_mu, U_lambda) as the exact class sum over S_n."""
+    n = sum(mu)
+    total = sum(n_t * u_character(lam, t) * frobenius_character(mu, t)
+                for t, n_t in ((cl.cycle_type, cl.size) for cl in SymmetricGroup(n).classes))
+    assert total % factorial(n) == 0
+    return total // factorial(n)
+
+
+def test_kostka_matches_class_sum():
+    for n in range(1, 8):
+        parts = partitions_of(n)
+        for mu in parts:
+            for lam in parts:
+                assert kostka(mu, lam) == kostka_reference(mu, lam), (mu, lam)
 
 
 def test_kostka_triangularity():
@@ -197,16 +236,24 @@ def test_dimension_formulas_agree():
 
 
 def test_sum_of_dims_is_involution_count():
-    for n in range(1, 7):
+    involutions = [1, 1]  # I(n) = I(n - 1) + (n - 1) I(n - 2)
+    for n in range(2, MAX_TABLE_N + 1):
+        involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+    for n in range(1, MAX_TABLE_N + 1):
         total = sum(hook_dim(lam) for lam in partitions_of(n))
-        assert total == symmetric_group(n).involution_count()
+        assert total == involutions[n], n
+        if n < 7:
+            assert total == symmetric_group(n).involution_count()
 
 
 def test_sn_tables_verify():
-    for n in range(1, 6):
+    for n in range(1, MAX_TABLE_N + 1):
         table = sn_table(n)
         assert verify_table(table).ok, n
         assert sum(r.degree ** 2 for r in table.rows) == table.group.order
+        assert all(frobenius_schur(r.function) == 1 for r in table.rows), n
+    with pytest.raises(ValueError):
+        sn_table(MAX_TABLE_N + 1)
 
 
 def test_sn_table_matches_builtin():
@@ -214,7 +261,7 @@ def test_sn_table_matches_builtin():
         table = sn_table(n)
         ref = builtin_table(name)
         got = sorted((tuple(v.key() for v in r.function.values) for r in table.rows))
-        # builtin lives on the same group realization: same canonical classes
+        # the builtin table's PermGroup has the same canonical class order
         want = sorted((tuple(v.key() for v in r.function.values) for r in ref.rows))
         assert got == want
 
@@ -320,6 +367,6 @@ def test_dim_of_symmetric_power():
 
 
 def test_centralizer_order():
-    assert centralizer_order((3,)) == 3
-    assert centralizer_order((1, 1, 1)) == 6
-    assert centralizer_order((2, 1)) == 2
+    assert _sn_class((3,)).centralizer_order == 3
+    assert _sn_class((1, 1, 1)).centralizer_order == 6
+    assert _sn_class((2, 1)).centralizer_order == 2
