@@ -18,10 +18,12 @@ render_table read only this much of a group:
   the k-th powers of its elements.
 
 A `permgroup.PermGroup` provides it, and so does the class data of
-`symgrp.SymmetricGroup` and `gl2fq.GL2Group`, which list no elements.
+`permgroup.SymmetricGroup` and `gl2fq.GL2Group`, which list no elements.
 Permutation characters and the JSON format also read each class's
 `representative`, a permutation, and transfer_table its
-`element_order`; PermGroup and SymmetricGroup classes carry both.
+`element_order`; PermGroup and SymmetricGroup classes carry both. The
+JSON reader finds the class of each stored representative through the
+group's `class_index(perm)`.
 Induction and restriction need the elements (`elements`, `index`,
 `class_of`, `subgroup`).
 """
@@ -29,14 +31,11 @@ Induction and restriction need the elements (`elements`, `index`,
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .exact import (Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json,
-                    hermitian_gram, one, zero, zeta)
-from .permgroup import (PermGroup, SubgroupView, builtin_group, cycle_notation,
-                        from_cycles, group_from_json, group_to_json, p_identity,
-                        p_inv, p_mul, q8_point_name, quaternion_group)
-
+from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json, hermitian_gram, one, zero, zeta
+from .permgroup import (PermGroup, _q8_table, builtin_group, cyclic_group, from_cycles,
+                        group_from_json, group_to_json, p_identity, p_inv, p_mul, p_order,
+                        quaternion_group)
 
 class ClassFunction:
     __slots__ = ("group", "values")
@@ -381,7 +380,6 @@ def abelian_dual_table(group):
     e = group.exponent
     gens = group.generators
     n = group.order
-    from .permgroup import p_order
     gen_orders = [p_order(p) for p in gens]
     seen = {}
     hom_exponents = []
@@ -548,7 +546,6 @@ def semidirect_table(sd, g_table=None):
 
 def dihedral_semidirect(n):
     """D_n as Z_2 acting on Z_n by inversion."""
-    from .permgroup import cyclic_group
     z2 = cyclic_group(2)
     zn = cyclic_group(n)
     inv_auto = tuple(zn.inverse_index)
@@ -558,7 +555,6 @@ def dihedral_semidirect(n):
 def heisenberg_semidirect():
     """The order-27 group of unitriangular 3x3 matrices over F_3, as Z_3
     acting on Z_3 x Z_3 by (b, c) -> (b, b + c)."""
-    from .permgroup import cyclic_group
     z3 = cyclic_group(3)
     a = PermGroup(6, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4, 5)])])
 
@@ -652,7 +648,6 @@ def builtin_table(name):
 
 
 def _q8_left_mults():
-    from .permgroup import _q8_table
     table = _q8_table()
     return [tuple(table[u][x] for x in range(8)) for u in range(8)]
 
@@ -718,8 +713,7 @@ def table_from_json(obj):
     group = group_from_json(obj["group"])
     display = []
     for c in obj["classes"]:
-        rep = tuple(c["rep"])
-        ci = group.class_of[group.index[rep]]
+        ci = group.class_index(c["rep"])
         display.append(ci)
         if group.classes[ci].size != c["size"]:
             raise ValueError("class size mismatch in table file")

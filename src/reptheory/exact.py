@@ -27,6 +27,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
+# the rational string helpers live in linalg and are re-exported here
+from .linalg import _parse_ratio, gauss_jordan, rational_from_str, rational_to_str
+
 Rational = Fraction
 
 
@@ -108,25 +111,6 @@ def _power_table(n):
     return table
 
 
-def _eliminate(work, ncols):
-    """Gauss-Jordan in place on the first ncols columns of `work`, a list of
-    Fraction rows of full column rank; returns the pivot row of each column.
-    A row is only ever changed by adding multiples of pivot rows."""
-    pivots = []
-    for c in range(ncols):
-        r = next(i for i, row in enumerate(work) if row[c] and i not in pivots)
-        p = work[r][c]
-        pr = work[r] = [x / p for x in work[r]]
-        nonzero = [j for j, x in enumerate(pr) if x]
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                for j in nonzero:
-                    row[j] -= f * pr[j]
-        pivots.append(r)
-    return pivots
-
-
 @lru_cache(maxsize=None)
 def _subfield_projection(n, m):
     """Q(zeta_m) inside Q(zeta_n), m | n, as integer data for reduced().
@@ -139,14 +123,15 @@ def _subfield_projection(n, m):
     """
     table = _power_table(n)
     k = euler_phi(m)
-    rows = tuple(zip(*(table[i * (n // m)] for i in range(k))))
-    pivots = _eliminate([[Fraction(x) for x in row] for row in rows], k)
-    block = [[Fraction(x) for x in rows[p]] + [Fraction(int(i == j)) for j in range(k)]
-             for i, p in enumerate(pivots)]
-    inverse = [block[r][k:] for r in _eliminate(block, k)]
+    columns = [table[i * (n // m)] for i in range(k)]
+    # the rref of [E^T | I] is [R | T] with T E^T = R; on the pivot
+    # columns R is the identity, so T is the transpose of B^-1
+    work = [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(columns)]
+    pivots = gauss_jordan(work, len(columns[0]))[0]
+    inverse = list(zip(*(row[-k:] for row in work)))
     d = lcm(*(x.denominator for row in inverse for x in row))
     return (tuple(pivots), tuple(tuple(int(x * d) for x in row) for row in inverse),
-            d, rows)
+            d, tuple(zip(*columns)))
 
 
 class Cyclotomic:
@@ -669,28 +654,6 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
 
 
 # -- serialization ----------------------------------------------------
-
-def rational_to_str(f):
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _parse_ratio(s):
-    """Integers (p, q), q > 0, with p/q the value of "p/q" or "p"."""
-    if not isinstance(s, str):
-        raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
-    if "/" not in s:
-        return int(s), 1
-    p, q = s.split("/")
-    p, q = int(p), int(q)
-    if q == 0:
-        raise ZeroDivisionError(f"Fraction({p}, 0)")
-    return (p, q) if q > 0 else (-p, -q)
-
-
-def rational_from_str(s):
-    return Fraction(*_parse_ratio(s))
-
 
 def cyclotomic_to_json(a):
     a = Cyclotomic.coerce(a)

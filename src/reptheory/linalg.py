@@ -1,15 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over Q and Q(zeta_n).
 
 Matrices are immutable, stored row-major as Fractions. Empty shapes
 (0 x n and n x 0) are first-class: zero summand spaces occur all the
 time in quiver representations.
+
+One Gauss-Jordan kernel, gauss_jordan, exact over Fractions and
+Cyclotomics, does every elimination in the package: rref and all built on
+it, det (and with it the alternants of symgrp.schur_eval), and the
+subfield projections behind exact.Cyclotomic.reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import add, sub
 
-from .exact import rational_from_str
+_ONE = Fraction(1)
 
 
 class Matrix:
@@ -67,22 +74,20 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+    def _entrywise(self, other, op):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} and {other.rows}x{other.cols}")
         return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+                      [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return self._entrywise(other, sub)
 
     def __neg__(self):
         return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -94,7 +99,8 @@ class Matrix:
                       [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries])
 
     def hstack(self, other):
-        assert self.rows == other.rows
+        if self.rows != other.rows:
+            raise ValueError(f"cannot stack {self.rows} rows beside {other.rows}")
         return Matrix(self.rows, self.cols + other.cols,
                       [ra + rb for ra, rb in zip(self.entries, other.entries)])
 
@@ -115,26 +121,40 @@ def block_diag(blocks):
     return Matrix(rows, cols, out)
 
 
+def gauss_jordan(rows, ncols):
+    """Reduce rows, a list of equally long lists of Fractions or
+    Cyclotomics, in place to reduced row echelon form on its first ncols
+    columns; later columns ride along. Pivots are inverted as Fraction(1)
+    / p, so int entries become Fractions, never floats. Returns (pivot
+    columns, pivot values before scaling, parity of the row swaps)."""
+    pivots, values = [], []
+    swaps = r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps += 1
+        p = rows[r][c]
+        inv = _ONE / p
+        top = rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(c)
+        values.append(p)
+        r += 1
+    return pivots, values, swaps % 2
+
+
 def rref(m):
     """Reduced row echelon form with exact pivots; returns (echelon, pivot columns)."""
     a = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
+    pivots = gauss_jordan(a, m.cols)[0]
     return Matrix(m.rows, m.cols, a), tuple(pivots)
 
 
@@ -142,18 +162,23 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def kernel_basis(m):
-    """Matrix whose columns are a basis of ker m (cols x nullity)."""
+def _null_vectors(m):
+    """A basis of ker m read off its rref: for each free column f, the
+    vector e_f - sum_i echelon[i][f] e_{p_i} over the pivots p_i."""
     echelon, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
-    for f in free:
+    out = []
+    for f in (c for c in range(m.cols) if c not in pivots):
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -echelon.entries[i][f]
-        cols.append(v)
-    return Matrix.from_columns(cols, rows=m.cols)
+        out.append(v)
+    return out
+
+
+def kernel_basis(m):
+    """Matrix whose columns are a basis of ker m (cols x nullity)."""
+    return Matrix.from_columns(_null_vectors(m), rows=m.cols)
 
 
 def cokernel_projection(m):
@@ -162,21 +187,12 @@ def cokernel_projection(m):
     The complement is spanned by the standard vectors at the coordinates
     that are not pivots of the echelonized image, the rref of m^T with rows
     img_i and pivots p_i. Its row for such a coordinate j is
-    e_j - sum_i img_i[j] e_{p_i}: it kills the image and is the identity on
-    the complement. Shape (m.rows - rank m) x m.rows.
+    e_j - sum_i img_i[j] e_{p_i}, the null vector of m^T for the free
+    column j: it kills the image and is the identity on the complement.
+    Shape (m.rows - rank m) x m.rows.
     """
-    echelon, pivots = rref(m.transpose())
-    image = echelon.entries[:len(pivots)]
-    out = []
-    for j in range(m.rows):
-        if j in pivots:
-            continue
-        row = [Fraction(0)] * m.rows
-        row[j] = Fraction(1)
-        for p, img in zip(pivots, image):
-            row[p] = -img[j]
-        out.append(row)
-    return Matrix(len(out), m.rows, out)
+    rows = _null_vectors(m.transpose())
+    return Matrix(len(rows), m.rows, rows)
 
 
 def solve(m, rhs):
@@ -197,29 +213,21 @@ def solve(m, rhs):
 
 
 def det(m):
-    """Exact determinant by fraction Gaussian elimination."""
-    assert m.rows == m.cols
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    """Exact determinant of a square Matrix or a square sequence of rows of
+    Fractions or Cyclotomics: the signed product of the pivots."""
+    if isinstance(m, Matrix):
+        if m.rows != m.cols:
+            raise ValueError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
+        m = m.entries
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    pivots, values, odd = gauss_jordan([list(row) for row in m], len(m))
+    return prod(values, start=-_ONE if odd else _ONE) if len(pivots) == len(m) else Fraction(0)
 
 
 def inverse(m):
-    assert m.rows == m.cols
+    if m.rows != m.cols:
+        raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
     x = solve(m, Matrix.identity(m.rows))
     if x is None:
         raise ValueError("matrix is singular")
@@ -227,6 +235,28 @@ def inverse(m):
 
 
 # -- serialization ----------------------------------------------------
+
+def rational_to_str(f):
+    f = Fraction(f)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _parse_ratio(s):
+    """Integers (p, q), q > 0, with p/q the value of "p/q" or "p"."""
+    if not isinstance(s, str):
+        raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
+    if "/" not in s:
+        return int(s), 1
+    p, q = s.split("/")
+    p, q = int(p), int(q)
+    if q == 0:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return (p, q) if q > 0 else (-p, -q)
+
+
+def rational_from_str(s):
+    return Fraction(*_parse_ratio(s))
+
 
 def matrix_to_json(m):
     return {"rows": m.rows, "cols": m.cols,

@@ -11,9 +11,7 @@ and enumerated as the orbit of rho, whose stabilizer is trivial.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import Matrix, det
+from .linalg import det
 
 
 class GraphError(ValueError):
@@ -156,8 +154,7 @@ def classify(graph):
     if not graph.is_connected():
         raise GraphError("classification requires a connected graph")
     a = cartan_matrix(graph)
-    n = graph.n
-    full_det = det(Matrix(n, n, [[Fraction(x) for x in row] for row in a]))
+    full_det = det(a)
     sign = _form_sign(a)
     if sign > 0:
         return Classification("dynkin", _match_dynkin(graph), full_det)
@@ -389,9 +386,7 @@ def coxeter_element(a, labeling=None):
         order += 1
         if order > 10000:
             raise AssertionError("Coxeter element order did not close")
-    cmi = Matrix(n, n, [[Fraction(c[i][j] - (1 if i == j else 0)) for j in range(n)]
-                        for i in range(n)])
-    return c, order, det(cmi)
+    return c, order, det([[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(c)])
 
 
 def _orbit(a, weight, limit):

@@ -12,39 +12,24 @@ coefficient of x^lambda in prod_m H_m(x)^(i_m), with sparse polynomials
 kept small by discarding every monomial that exceeds x^lambda
 componentwise.
 
-The tables need no list of group elements: `SymmetricGroup(n)` holds the
-classes of S_n as cycle types, with sizes n!/z_t and power maps read off
-the partitions.
+The tables need no list of group elements: `permgroup.SymmetricGroup(n)`
+holds the classes of S_n as cycle types, with sizes n!/z_t and power
+maps read off the partitions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .chartab import CharacterTable, ClassFunction, TableRow
-from .exact import Cyclotomic, cyc
-from .permgroup import (MAX_ENUMERATED_SN, SubgroupView, class_order_key, cycle_notation,
-                        symmetric_group)
+from .exact import cyc
+from .linalg import det
+# S_n's class data sits with the named groups in permgroup
+from .permgroup import MAX_TABLE_N, SymmetricGroup, partitions_of
 
 
 # -- partitions ----------------------------------------------------------
-
-def partitions_of(n, max_part=None):
-    """All partitions of n in reverse lexicographic order, as tuples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return out
-
 
 def _check_partition(lam):
     lam = tuple(lam)
@@ -55,17 +40,18 @@ def _check_partition(lam):
 
 def conjugate_partition(lam):
     """Transpose of the Young diagram."""
-    lam = _check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+    return _conjugate(_check_partition(lam))
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0])) if lam else ()
 
 
 def hook_dim(lam):
     """Dimension of the Specht module, by the hook length formula."""
     lam = _check_partition(lam)
     n = sum(lam)
-    conj = conjugate_partition(lam)
+    conj = _conjugate(lam)
     denom = 1
     for r, row_len in enumerate(lam):
         for c in range(row_len):
@@ -83,82 +69,6 @@ def content(lam):
 def sign_of_type(t):
     """Sign of any permutation with the given cycle type."""
     return (-1) ** sum(m - 1 for m in t)
-
-
-# -- S_n as class data ----------------------------------------------------
-
-class CycleTypeClass:
-    """The permutations of cycle type t: n!/z_t of them, each of order
-    lcm(t), where z_t = prod_m m^(i_m) i_m! is the centralizer order.
-    The representative puts the fixed points first, then the cycles by
-    increasing length, each on consecutive points; it is the
-    lexicographically least element of the class."""
-
-    __slots__ = ("cycle_type", "size", "centralizer_order", "element_order", "representative")
-
-    def __init__(self, t, group_order):
-        self.cycle_type = t
-        self.centralizer_order = 1
-        for m, im in Counter(t).items():
-            self.centralizer_order *= m ** im * factorial(im)
-        self.size = group_order // self.centralizer_order
-        self.element_order = lcm(*t)
-        images = []
-        for m in reversed(t):
-            start = len(images)
-            images += range(start + 1, start + m)
-            images.append(start)
-        self.representative = tuple(images)
-
-
-class SymmetricGroup:
-    """S_n as class data, for the group contract of `chartab`: one class
-    per cycle type, in the canonical order of `permgroup.class_order_key`,
-    with power maps computed on cycle types. No element is listed.
-
-    Only induction and restriction read elements, through `subgroup()`
-    and the attributes that `__getattr__` supplies."""
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.degree = n
-        self.order = factorial(n)
-        self.classes = tuple(sorted((CycleTypeClass(t, self.order) for t in partitions_of(n)),
-                                    key=class_order_key))
-        self.type_index = {cl.cycle_type: i for i, cl in enumerate(self.classes)}
-        self._enumerated = None
-
-    def class_label(self, c):
-        return cycle_notation(self.classes[c].representative)
-
-    def power_class_map(self, k):
-        """For each class, the index of the class of its k-th powers: an
-        m-cycle to the k-th power splits into gcd(m, k) cycles of length
-        m / gcd(m, k)."""
-        out = []
-        for cl in self.classes:
-            t = []
-            for m in cl.cycle_type:
-                d = gcd(m, k)
-                t += [m // d] * d
-            out.append(self.type_index[tuple(sorted(t, reverse=True))])
-        return out
-
-    def __getattr__(self, name):
-        """`elements`, `index`, `class_of` and `generators` come from
-        `permgroup.symmetric_group(n)`, built on first use, for n <= 8."""
-        if name not in ("elements", "index", "class_of", "generators"):
-            raise AttributeError(name)
-        if self._enumerated is None:
-            if self.degree > MAX_ENUMERATED_SN:
-                raise ValueError(f"S{self.degree} has class data only; induction, restriction "
-                                 f"and subgroups need n <= {MAX_ENUMERATED_SN}")
-            self._enumerated = symmetric_group(self.degree)
-        return getattr(self._enumerated, name)
-
-    def subgroup(self, h_gens):
-        return SubgroupView(self, h_gens)
 
 
 # -- capped sparse polynomials -------------------------------------------
@@ -205,6 +115,12 @@ def frobenius_character(lam, t):
     lam, t = _check_partition(lam), _check_partition(t)
     if sum(lam) != sum(t):
         raise ValueError("partition and cycle type have different sizes")
+    return _murnaghan_nakayama(lam, t)
+
+
+def _murnaghan_nakayama(lam, t):
+    """frobenius_character for partitions lam and t of the same size,
+    unchecked: sn_table passes the partitions it generated itself."""
     layer = {tuple(p + len(lam) - 1 - i for i, p in enumerate(lam)): 1}
     for r in t:
         nxt = {}
@@ -283,14 +199,6 @@ def specht_dim_determinant(lam):
 
 # -- the full table -------------------------------------------------------
 
-# The largest n whose table `sn_table` builds (S_15 has 176 classes).
-# Measured end to end on a 2-vCPU machine with Python 3.11, `sn table n`
-# and `chartab verify Sn` take 1.5 s and 2.1 s at n = 15, 2.2 s and 3.2 s
-# at n = 16, and 3.4 s and 6.3 s at n = 17; 15 keeps both under 5 s with
-# room for a slower machine.
-MAX_TABLE_N = 15
-
-
 def sn_table(n):
     """Complete character table of S_n (1 <= n <= MAX_TABLE_N), rows
     indexed by partitions and columns by cycle types, over the class data
@@ -301,7 +209,7 @@ def sn_table(n):
     parts = partitions_of(n)
     rows = []
     for lam in parts:
-        fn = ClassFunction(group, [frobenius_character(lam, cl.cycle_type) for cl in group.classes])
+        fn = ClassFunction(group, [_murnaghan_nakayama(lam, cl.cycle_type) for cl in group.classes])
         name = "V[" + ",".join(str(p) for p in lam) + "]"
         rows.append(TableRow(name, hook_dim(lam), fn))
     display = [group.type_index[t] for t in parts]
@@ -311,28 +219,6 @@ def sn_table(n):
 
 
 # -- Schur polynomials ------------------------------------------------------
-
-def _cyc_det(rows):
-    """Determinant of a square matrix of cyclotomics, by elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    result = cyc(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not a[i][c].is_zero), None)
-        if pr is None:
-            return cyc(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            result = -result
-        pivot = a[c][c]
-        result = result * pivot
-        inv = pivot.inverse()
-        for i in range(c + 1, n):
-            if not a[i][c].is_zero:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
-
 
 def schur_eval(lam, points):
     """Schur polynomial S_lambda at the given points, as the exact ratio
@@ -345,16 +231,14 @@ def schur_eval(lam, points):
     nvars = len(pts)
     if nvars < len(lam):
         raise ValueError("need at least as many points as parts")
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            if pts[i] == pts[j]:
-                raise ValueError("points must be pairwise distinct "
-                                 "(use schur_special for the classical limits)")
+    # the Vandermonde determinant vanishes exactly when two points agree
+    den = det([[p ** (nvars - 1 - j) for j in range(nvars)] for p in pts])
+    if den == 0:
+        raise ValueError("points must be pairwise distinct "
+                         "(use schur_special for the classical limits)")
     lam_full = list(lam) + [0] * (nvars - len(lam))
     powers = [lam_full[j] + nvars - 1 - j for j in range(nvars)]
-    num = _cyc_det([[p ** e for e in powers] for p in pts])
-    den = _cyc_det([[p ** (nvars - 1 - j) for j in range(nvars)] for p in pts])
-    return num / den
+    return cyc(det([[p ** e for e in powers] for p in pts])) / den
 
 
 def schur_special(lam, nvars, z=None):

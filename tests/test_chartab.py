@@ -18,7 +18,8 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                tensor_multiplicities, trivial_character,
                                verify_table)
 from reptheory.exact import cyc, zeta, zero
-from reptheory.permgroup import builtin_group, cyclic_group, from_cycles
+from reptheory.permgroup import PermGroup, builtin_group, cyclic_group, from_cycles
+from reptheory.symgrp import MAX_TABLE_N, sn_table
 
 
 def test_inner_products_on_s3():
@@ -306,6 +307,23 @@ def test_render_golden_s3():
         "C2  2   0     -1"
     )
     assert render_table(builtin_table("S3")) == expected
+
+
+def _refuse_enumeration(*args, **kwargs):
+    raise AssertionError("a group was enumerated")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12, MAX_TABLE_N])
+def test_sn_table_files_read_back_as_class_data(n, monkeypatch):
+    table = sn_table(n)
+    blob = json.dumps(table_to_json(table, group_name=f"S{n}"))
+    monkeypatch.setattr(PermGroup, "__init__", _refuse_enumeration)
+    back = table_from_json(json.loads(blob))
+    assert back.display_classes == table.display_classes
+    assert [(r.name, r.degree, r.values) for r in back.rows] == \
+        [(r.name, r.degree, r.values) for r in table.rows]
+    if n <= 9:
+        assert verify_table(back).ok
 
 
 def test_table_json_roundtrip():

@@ -435,6 +435,28 @@ def test_sn_out_of_range_is_a_typed_error(argv, optimize):
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_sn_table_file_reads_back_past_s8(tmp_path, optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+        return proc.stdout
+
+    path = tmp_path / "s9.json"
+    path.write_text(run("sn", "table", "9", "--json"))
+    assert run("roundtrip", str(path)) == "roundtrip ok\n"
+    assert run("chartab", "verify", "--file", str(path)).splitlines()[-1].startswith("ok: ")
+    # the file's table labels classes by representatives, not cycle types;
+    # the size row and every value match the built table
+    shown, built = run("chartab", "show", "--file", str(path)), run("sn", "table", "9")
+    assert [line.split() for line in shown.splitlines()[1:]] == \
+        [line.split() for line in built.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_verify_reports_a_degree_zero_row(tmp_path, optimize):
     blob = table_to_json(builtin_table("S3"), group_name="S3")
     row = next(r for r in blob["rows"] if r["name"] == "C-")

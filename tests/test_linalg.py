@@ -1,14 +1,22 @@
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reptheory
+from reptheory.exact import Cyclotomic, cyc, zeta
 from reptheory.linalg import (Matrix, block_diag, cokernel_projection, det,
-                              inverse, kernel_basis, matrix_from_json,
+                              gauss_jordan, inverse, kernel_basis, matrix_from_json,
                               matrix_to_json, rank, rref, solve)
+from reptheory.symgrp import frobenius_character, partitions_of, power_sum_value, schur_eval
 
 
 @st.composite
@@ -125,3 +133,142 @@ def test_serialization():
     m = Matrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     blob = json.dumps(matrix_to_json(m))
     assert matrix_from_json(json.loads(blob)) == m
+
+
+# -- oracles for the elimination kernel -------------------------------------
+
+def reference_rref(m):
+    """Reduced row echelon form with exact pivots; returns (echelon, pivot columns)."""
+    a = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.rows, m.cols, a), tuple(pivots)
+
+
+@st.composite
+def rational_matrices(draw, max_dim=6):
+    r = draw(st.integers(min_value=0, max_value=max_dim))
+    c = draw(st.integers(min_value=0, max_value=max_dim))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return Matrix(r, c, [[draw(entry) for _ in range(c)] for _ in range(r)])
+
+
+@given(st.one_of(matrices(), rational_matrices()))
+@settings(max_examples=200, deadline=None)
+@example(Matrix.zeros(0, 0))
+@example(Matrix.zeros(0, 4))
+@example(Matrix.zeros(4, 0))
+@example(Matrix.zeros(3, 3))
+@example(Matrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]]))
+def test_rref_matches_reference(m):
+    assert rref(m) == reference_rref(m)
+
+
+def test_gauss_jordan_reports_pivots_values_and_swaps():
+    rows = [[0, 2, 4], [3, 1, 0]]
+    pivots, values, odd = gauss_jordan(rows, 2)
+    assert pivots == [0, 1] and values == [3, 2] and odd == 1
+    assert rows == [[1, 0, Fraction(-2, 3)], [0, 1, 2]]
+    # integer input never turns into a float
+    assert not any(isinstance(x, float) for row in rows for x in row)
+    assert all(isinstance(x, Fraction) for x in rows[0])
+    # columns past ncols ride along unreduced
+    rows = [[1, 5], [1, 7]]
+    assert gauss_jordan(rows, 1) == ([0], [1], 0) and rows == [[1, 5], [0, 2]]
+    rows = [[zeta(5), 1], [0, zeta(5, 2)]]
+    pivots, values, odd = gauss_jordan(rows, 2)
+    assert pivots == [0, 1] and values == [zeta(5), zeta(5, 2)] and odd == 0
+    assert rows == [[1, 0], [0, 1]]
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def _random_entry(rng, order):
+    if order == 1:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.8 else Fraction(0)
+    value = cyc(0)
+    for k in rng.sample(range(order), 2):
+        value = value + rng.randint(-2, 2) * zeta(order, k)
+    return value
+
+
+@pytest.mark.parametrize("order", [1, 5, 12], ids=["Q", "Q(zeta_5)", "Q(zeta_12)"])
+def test_det_matches_leibniz(order):
+    rng = random.Random(order)
+    for n in range(6):
+        for trial in range(12 if n < 4 else 4):
+            rows = [[_random_entry(rng, order) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 3 == 0:
+                rows[-1] = [2 * x for x in rows[0]]  # singular
+            assert cyc(det(rows)) == cyc(leibniz_det(rows)), rows
+            if order == 1:
+                assert det(Matrix(n, n, rows)) == leibniz_det(rows)
+
+
+def test_det_of_integer_rows_is_a_fraction():
+    assert det([[2, 1], [1, 2]]) == 3 and isinstance(det([[2, 1], [1, 2]]), Fraction)
+    assert det([[1, 2], [2, 4]]) == 0 and isinstance(det([[1, 2], [2, 4]]), Fraction)
+    assert det([]) == 1 and det(Matrix.zeros(0, 0)) == 1
+
+
+def test_schur_eval_at_roots_of_unity_matches_power_sums():
+    # p_t = sum over lambda of chi_lambda(t) s_lambda, with s_lambda = 0 in
+    # fewer variables than parts
+    for pts in ([zeta(5), zeta(5, 2), zeta(5, 4)], [1, zeta(12), zeta(12, 5)],
+                [zeta(3), zeta(4), zeta(12, 7), -1]):
+        for n in range(1, 5):
+            for t in partitions_of(n):
+                rhs = cyc(0)
+                for lam in partitions_of(n):
+                    if len(lam) <= len(pts):
+                        rhs = rhs + frobenius_character(lam, t) * schur_eval(lam, pts)
+                assert isinstance(rhs, Cyclotomic) and power_sum_value(pts, t) == rhs, (pts, t)
+
+
+BAD_SHAPES = {
+    "det of a 2x3 matrix": "det(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))",
+    "det of ragged rows": "det([[1, 2], [3]])",
+    "inverse of a 2x3 matrix": "inverse(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))",
+    "hstack of 2 rows beside 3": "Matrix.zeros(2, 1).hstack(Matrix.zeros(3, 1))",
+    "sum of 2x2 and 3x2": "Matrix.zeros(2, 2) + Matrix.zeros(3, 2)",
+    "difference of 2x2 and 3x2": "Matrix.zeros(2, 2) - Matrix.zeros(3, 2)",
+    "sum of 2x2 and 2x3": "Matrix.zeros(2, 2) + Matrix.zeros(2, 3)",
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_shape_mismatch_is_a_value_error(case, optimize):
+    code = ("from reptheory.linalg import Matrix, det, inverse\n"
+            f"try:\n    {BAD_SHAPES[case]}\n"
+            "except ValueError:\n    pass\n"
+            "else:\n    raise SystemExit('accepted')\n")
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,34 @@ def test_inverse_and_order(p):
     for _ in range(k):
         x = p_mul(x, p)
     assert x == (0, 1, 2, 3, 4)
+
+
+def test_class_index_matches_enumeration():
+    for n in range(1, 6):
+        g, data = symmetric_group(n), SymmetricGroup(n)
+        assert data.generators == g.generators
+        for x in g.elements:
+            assert data.class_index(x) == g.class_index(x) == g.class_of[g.index[x]]
+    with pytest.raises(ValueError):
+        SymmetricGroup(3).class_index((0, 0, 1))
+    with pytest.raises(ValueError):
+        SymmetricGroup(3).class_index((1, 0))
+    with pytest.raises(ValueError):
+        builtin_group("A4").class_index((1, 0, 2, 3))
+
+
+def _refuse_enumeration(*args, **kwargs):
+    raise AssertionError("a group was enumerated")
+
+
+def test_sn_names_resolve_to_class_data(monkeypatch):
+    monkeypatch.setattr(PermGroup, "__init__", _refuse_enumeration)
+    g = group_from_json("S12")
+    assert g.order == factorial(12) and len(g.classes) == 77 and g.exponent == 27720
+    assert g.class_index(tuple(range(1, 12)) + (0,)) == g.type_index[(12,)]
+    for name in ("S0", "S16"):
+        with pytest.raises(ValueError):
+            group_from_json(name)
 
 
 def test_group_serialization():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptheory import symgrp
 from reptheory.chartab import builtin_table, frobenius_schur, verify_table
 from reptheory.cli import main
 from reptheory.exact import cyc
@@ -254,6 +255,25 @@ def test_sn_tables_verify():
         assert all(frobenius_schur(r.function) == 1 for r in table.rows), n
     with pytest.raises(ValueError):
         sn_table(MAX_TABLE_N + 1)
+
+
+def test_sn_table_checks_each_partition_once(monkeypatch):
+    # sn_table validates each row's partition once (through hook_dim) and
+    # passes the partitions it generated unchecked to Murnaghan-Nakayama;
+    # its bytes are pinned by "sn table 15 --json" in the CLI digests
+    check, calls = symgrp._check_partition, []
+
+    def counted(lam):
+        calls.append(lam)
+        return check(lam)
+
+    monkeypatch.setattr(symgrp, "_check_partition", counted)
+    table = sn_table(15)
+    assert len(calls) == len(table.rows) == 176
+    with pytest.raises(ValueError):
+        frobenius_character((1, 2), (2, 1))
+    with pytest.raises(ValueError):
+        frobenius_character((2, 1), (2, 2))
 
 
 def test_sn_table_matches_builtin():
