@@ -21,11 +21,11 @@ A `permgroup.PermGroup` provides it, and so does the class data of
 `permgroup.SymmetricGroup` and `gl2fq.GL2Group`, which list no elements.
 Permutation characters and the JSON format also read each class's
 `representative`, a permutation, and transfer_table its
-`element_order`; PermGroup and SymmetricGroup classes carry both. The
-JSON reader finds the class of each stored representative through the
-group's `class_index(perm)`.
-Induction and restriction need the elements (`elements`, `index`,
-`class_of`, `subgroup`).
+`element_order`; PermGroup and SymmetricGroup classes carry both.
+Wherever an element is given as a permutation, its class comes from the
+group's `class_index(perm)`: in the JSON reader, the classical tables and
+the subgroup embedding `subgroup(generators)` that induction and
+restriction use. Only the subgroup is enumerated.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from __future__ import annotations
 import itertools
 
 from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json, hermitian_gram, one, zero, zeta
-from .permgroup import (PermGroup, _q8_table, builtin_group, cyclic_group, from_cycles,
-                        group_from_json, group_to_json, p_identity, p_inv, p_mul, p_order,
+from .permgroup import (PermGroup, builtin_group, cyclic_group, from_cycles,
+                        group_from_json, group_to_json, p_identity, p_mul, p_order,
                         quaternion_group)
 
 class ClassFunction:
@@ -309,28 +309,18 @@ def restrict(sub, f):
 
 
 def induce(sub, f):
-    """Induced class function, by the Mackey formula
-    chi(g) = |H|^-1 sum over x in G with x g x^-1 in H of f(x g x^-1).
-    The sum runs literally over all of G (desk scale)."""
+    """Induced class function. The Mackey formula
+    chi(g) = |H|^-1 sum over x in G with x g x^-1 in H of f(x g x^-1)
+    counts each h of H in the class c of g exactly |G| / |c| times, so
+    Ind f(c) = [G:H] / |c| * sum over the H-classes d in c of |d| f(d)."""
     if f.group is not sub.group:
         raise ValueError("class function does not live on the subgroup")
     g = sub.supergroup
-    h_order = sub.group.order
-    values = []
-    for cl in g.classes:
-        rep = cl.representative
-        counts = [0] * len(sub.group.classes)
-        for x in g.elements:
-            y = p_mul(p_mul(x, rep), p_inv(x))
-            hc = sub.g_member_class.get(g.index[y])
-            if hc is not None:
-                counts[hc] += 1
-        total = zero()
-        for hc, n in enumerate(counts):
-            if n:
-                total = total + n * f.values[hc]
-        values.append(total / h_order)
-    return ClassFunction(g, values)
+    totals = [zero()] * len(g.classes)
+    for d, gc, v in zip(sub.group.classes, sub.class_to_gclass, f.values):
+        totals[gc] = totals[gc] + d.size * v
+    return ClassFunction(g, [t * sub.index_in_supergroup / cl.size
+                             for t, cl in zip(totals, g.classes)])
 
 
 def transfer_table(table, group):
@@ -478,8 +468,7 @@ def semidirect_table(sd, g_table=None):
     g, a = sd.acting, sd.abelian
     dual = abelian_dual_table(a)
     # dual rows as value-per-element vectors
-    elem_class = a.class_of
-    dual_elem = [tuple(row.function.values[elem_class[i]] for i in range(a.order))
+    dual_elem = [tuple(row.function.values[a.class_index(x)] for x in a.elements)
                  for row in dual.rows]
     row_lookup = {vals: i for i, vals in enumerate(dual_elem)}
 
@@ -524,7 +513,7 @@ def semidirect_table(sd, g_table=None):
             vals = {}
             for gi in stab_indices:
                 elem = g.elements[gi]
-                vals[gi] = row.function.values[stab_table.group.class_of[stab_table.group.index[elem]]]
+                vals[gi] = row.function.values[stab_table.group.class_index(elem)]
             stab_val[row.name] = vals
         for srow in stab_table.rows:
             degree = len(orbit) * srow.degree
@@ -623,8 +612,8 @@ def builtin_table(name):
                 ("C5", [5, -1, 1, 0, 0])]
     elif key == "Q8":
         group = quaternion_group()
-        table = _q8_left_mults()
-        cols = [table[0], table[1], table[2], table[4], table[6]]  # 1,-1,i,j,k
+        i, j = group.generators  # left multiplication by i and by j
+        cols = [p_identity(8), p_mul(i, i), i, j, p_mul(i, j)]  # 1, -1, i, j, k
         labels = ["1", "-1", "i", "j", "k"]
         data = [("C++", [1, 1, 1, 1, 1]),
                 ("C+-", [1, 1, 1, -1, -1]),
@@ -633,7 +622,7 @@ def builtin_table(name):
                 ("C2", [2, -2, 0, 0, 0])]
     else:
         raise ValueError(f"no builtin table for {name!r}")
-    class_of_col = [group.class_of[group.index[p]] for p in cols]
+    class_of_col = [group.class_index(p) for p in cols]
     assert sorted(class_of_col) == list(range(len(group.classes))), \
         "display columns do not exhaust the classes"
     rows = []
@@ -645,11 +634,6 @@ def builtin_table(name):
         rows.append(TableRow(rname, int(fn.at_identity().as_fraction()), fn))
     return CharacterTable(group, rows, name=key, display_classes=class_of_col,
                           class_labels=labels)
-
-
-def _q8_left_mults():
-    table = _q8_table()
-    return [tuple(table[u][x] for x in range(8)) for u in range(8)]
 
 
 BUILTIN_TABLE_NAMES = ("S3", "A4", "S4", "A5", "Q8")

@@ -82,8 +82,15 @@ def _get_table(name):
 
 def cmd_chartab_show(args):
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
-    return _print_table(args, table, lambda t: chartab.table_to_json(
-        t, group_name=args.name if not args.file else None))
+
+    def to_json(t):
+        # The file names the group where the name resolves to the table's
+        # group. A D<n> table (n >= 3) lives on the 2n points of
+        # dihedral_semidirect(n), the name D<n> on the n points of the n-gon.
+        named = not args.file and permgroup.group_from_json(args.name).degree == t.group.degree
+        return chartab.table_to_json(t, group_name=args.name if named else None)
+
+    return _print_table(args, table, to_json)
 
 
 def cmd_chartab_verify(args):

@@ -4,7 +4,9 @@ Groups in scope are small (largest routine case is S_8), so the whole
 element set is enumerated breadth-first and conjugacy classes are
 computed as conjugation orbits; no stabilizer-chain machinery.
 SymmetricGroup holds S_n up to S_15 as class data instead: one class per
-cycle type, with no element listed.
+cycle type, with no element listed. A SubgroupView embeds an enumerated
+subgroup H in either kind of group through the group's `class_index`, so
+induction and restriction list the elements of H only.
 
 A permutation on m points is a plain tuple of 0-based images. The
 enumeration loops compose through `operator.itemgetter`, so each product
@@ -224,9 +226,6 @@ class PermGroup:
     def inv(self, i):
         return self.inverse_index[i]
 
-    def element_class(self, i):
-        return self.class_of[i]
-
     def power_class_map(self, k):
         """For each class, the index of the class containing rep^k."""
         out = []
@@ -244,7 +243,9 @@ class PermGroup:
         tree; the caller supplies the target multiplication. Returns the
         image list indexed by element index (not verified to be a
         homomorphism)."""
-        assert len(gen_images) == len(self.generators)
+        if len(gen_images) != len(self.generators):
+            raise ValueError(f"need one image per generator: {len(self.generators)}, "
+                             f"got {len(gen_images)}")
         images = [None] * len(self.elements)
         images[0] = one
         for i in range(1, len(self.elements)):
@@ -254,6 +255,9 @@ class PermGroup:
 
     def subgroup(self, h_gens):
         return SubgroupView(self, h_gens)
+
+    def to_json(self):
+        return {"degree": self.degree, "generators": [list(p) for p in self.generators]}
 
     def involution_count(self):
         """Number of elements with g^2 = identity (identity included)."""
@@ -272,35 +276,35 @@ class PermGroup:
 
 class SubgroupView:
     """A subgroup H of G with the embedding data needed for induction and
-    restriction: H's own class structure, each H-element's index in G, and
-    the map from H-classes to G-classes."""
+    restriction: H's own class structure and the map from H-classes to
+    G-classes. G is read only through `class_index`, so G may be class
+    data; H is enumerated."""
 
     def __init__(self, g, h_gens):
         self.supergroup = g
         for gen in h_gens:
-            if tuple(gen) not in g.index:
-                raise ValueError(f"generator {gen} is not an element of the ambient group")
+            g.class_index(gen)  # a ValueError unless gen is an element of G
         self.group = PermGroup(g.degree, h_gens)
         if g.order % self.group.order:
             raise AssertionError("subgroup order does not divide group order")
         self.index_in_supergroup = g.order // self.group.order
-        self.g_index_of = tuple(g.index[x] for x in self.group.elements)
-        self.g_member_class = {}
-        for hi, x in enumerate(self.group.elements):
-            self.g_member_class[g.index[x]] = self.group.class_of[hi]
-        self.class_to_gclass = tuple(
-            g.class_of[g.index[cl.representative]] for cl in self.group.classes)
+        self.class_to_gclass = tuple(g.class_index(cl.representative) for cl in self.group.classes)
 
 
 # -- named groups -------------------------------------------------------
 
-def symmetric_group(n):
+def _sn_generators(n):
+    """The transposition (0 1) and the n-cycle (0 1 ... n-1), without
+    repeats; none for n = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return PermGroup(1, [])
-    gens = [from_cycles(n, [(0, 1)]), tuple(list(range(1, n)) + [0])]
-    return PermGroup(n, gens)
+        return ()
+    return tuple(dict.fromkeys((from_cycles(n, [(0, 1)]), tuple(range(1, n)) + (0,))))
+
+
+def symmetric_group(n):
+    return PermGroup(n, _sn_generators(n))
 
 
 def alternating_group(n):
@@ -334,47 +338,28 @@ def dihedral_group(n):
     return PermGroup(n, [rot, ref])
 
 
-_Q8_NAMES = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-_Q8_MUL = None
+# quaternion axis products, axes 1, i, j, k: (axis, axis) -> (sign, axis)
+_Q8_AXES = {
+    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+}
 
 
-def _q8_table():
-    global _Q8_MUL
-    if _Q8_MUL is None:
-        # units 1,-1,i,-i,j,-j,k,-k encoded as (sign, axis 0..3)
-        def enc(s, a):
-            return a * 2 + (0 if s > 0 else 1)
-
-        def dec(e):
-            return (1 if e % 2 == 0 else -1), e // 2
-
-        def mul(e1, e2):
-            s1, a1 = dec(e1)
-            s2, a2 = dec(e2)
-            table = {  # quaternion axis products: (axis, axis) -> (sign, axis)
-                (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-                (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-                (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-                (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-            }
-            s, a = table[(a1, a2)]
-            return enc(s1 * s2 * s, a)
-
-        _Q8_MUL = [[mul(i, j) for j in range(8)] for i in range(8)]
-    return _Q8_MUL
+def _q8_mul(e1, e2):
+    """The product of two of the units 1, -1, i, -i, j, -j, k, -k, which
+    are numbered 0..7 as 2 * axis + (1 if negative)."""
+    (a1, neg1), (a2, neg2) = divmod(e1, 2), divmod(e2, 2)
+    sign, axis = _Q8_AXES[(a1, a2)]
+    return 2 * axis + (neg1 ^ neg2 ^ (sign < 0))
 
 
 def quaternion_group():
     """Q_8 realized by its left regular action on the 8 units
-    1, -1, i, -i, j, -j, k, -k (in that point order)."""
-    table = _q8_table()
-    gen_i = tuple(table[2][x] for x in range(8))
-    gen_j = tuple(table[4][x] for x in range(8))
-    return PermGroup(8, [gen_i, gen_j])
-
-
-def q8_point_name(point):
-    return _Q8_NAMES[point]
+    1, -1, i, -i, j, -j, k, -k (in that point order), generated by
+    left multiplication by i and by j."""
+    return PermGroup(8, [tuple(_q8_mul(u, x) for x in range(8)) for u in (2, 4)])
 
 
 # -- S_n as class data ------------------------------------------------
@@ -430,21 +415,16 @@ class SymmetricGroup:
     """S_n as class data, for the group contract of `chartab`: one class
     per cycle type, in the canonical order of `class_order_key`, with
     power maps and class indices computed on cycle types. No element is
-    listed.
-
-    Only induction and restriction read elements, through `subgroup()`
-    and the attributes that `__getattr__` supplies."""
+    listed; a subgroup is enumerated on its own (`subgroup()`)."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        self.generators = _sn_generators(n)
         self.degree = n
         self.order = factorial(n)
         self.classes = tuple(sorted((CycleTypeClass(t, self.order) for t in partitions_of(n)),
                                     key=class_order_key))
         self.type_index = {cl.cycle_type: i for i, cl in enumerate(self.classes)}
         self.exponent = lcm(*range(1, n + 1))
-        self._enumerated = None
 
     def class_label(self, c):
         return cycle_notation(self.classes[c].representative)
@@ -468,20 +448,13 @@ class SymmetricGroup:
             out.append(self.type_index[tuple(sorted(t, reverse=True))])
         return out
 
-    def __getattr__(self, name):
-        """`elements`, `index`, `class_of` and `generators` come from
-        `symmetric_group(n)`, built on first use, for n <= 8."""
-        if name not in ("elements", "index", "class_of", "generators"):
-            raise AttributeError(name)
-        if self._enumerated is None:
-            if self.degree > MAX_ENUMERATED_SN:
-                raise ValueError(f"S{self.degree} has class data only; induction, restriction "
-                                 f"and subgroups need n <= {MAX_ENUMERATED_SN}")
-            self._enumerated = symmetric_group(self.degree)
-        return getattr(self._enumerated, name)
-
     def subgroup(self, h_gens):
         return SubgroupView(self, h_gens)
+
+    def to_json(self):
+        """The name S<n>, which group_from_json reads back as class data; the
+        generators of S_9 and up do not enumerate within PermGroup's bound."""
+        return f"S{self.degree}"
 
 
 # -- names and JSON ---------------------------------------------------
@@ -510,7 +483,7 @@ def builtin_group(name):
 
 
 def group_to_json(g):
-    return {"degree": g.degree, "generators": [list(p) for p in g.generators]}
+    return g.to_json()
 
 
 def group_from_json(obj):

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reptheory
 from reptheory import chartab
 from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunction,
                                TableRow, abelian_dual_table, builtin_table,
@@ -15,10 +20,11 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                is_irreducible_virtual, permutation_character,
                                regular_character, render_table, restrict,
                                semidirect_table, table_from_json, table_to_json,
-                               tensor_multiplicities, trivial_character,
+                               tensor_multiplicities, transfer_table, trivial_character,
                                verify_table)
 from reptheory.exact import cyc, zeta, zero
-from reptheory.permgroup import PermGroup, builtin_group, cyclic_group, from_cycles
+from reptheory.permgroup import (PermGroup, builtin_group, cyclic_group, from_cycles, p_inv,
+                                 p_mul)
 from reptheory.symgrp import MAX_TABLE_N, sn_table
 
 
@@ -176,6 +182,67 @@ def test_induction_in_stages():
         assert staged.values == direct.values, k
 
 
+def reference_induce(sub, f):
+    """The previous release's induce, kept as the oracle: the Mackey sum
+    runs literally over every element x of an enumerated G. The map from
+    G-element indices to H-classes, which SubgroupView no longer carries,
+    is built here."""
+    if f.group is not sub.group:
+        raise ValueError("class function does not live on the subgroup")
+    g = sub.supergroup
+    g_member_class = {g.index[x]: sub.group.class_of[hi] for hi, x in enumerate(sub.group.elements)}
+    h_order = sub.group.order
+    values = []
+    for cl in g.classes:
+        rep = cl.representative
+        counts = [0] * len(sub.group.classes)
+        for x in g.elements:
+            y = p_mul(p_mul(x, rep), p_inv(x))
+            hc = g_member_class.get(g.index[y])
+            if hc is not None:
+                counts[hc] += 1
+        total = zero()
+        for hc, n in enumerate(counts):
+            if n:
+                total = total + n * f.values[hc]
+        values.append(total / h_order)
+    return ClassFunction(g, values)
+
+
+@pytest.mark.parametrize("name", BUILTIN_TABLE_NAMES)
+def test_induce_matches_reference_on_cyclic_subgroups(name):
+    g = builtin_table(name).group
+    for cl in g.classes:
+        sub = g.subgroup([cl.representative])
+        for row in abelian_dual_table(sub.group).rows:
+            assert induce(sub, row.function) == reference_induce(sub, row.function), \
+                (name, cl, row.name)
+
+
+def test_induce_matches_reference_through_transfer_table():
+    s4 = builtin_table("S4").group
+    s3sub = s4.subgroup([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2)])])
+    s3t = transfer_table(builtin_table("S3"), s3sub.group)
+    for row in s3t.rows:
+        assert induce(s3sub, row.function) == reference_induce(s3sub, row.function), row.name
+
+
+def test_induce_matches_reference_on_virtual_class_functions():
+    rng = random.Random(29)
+    cases = [("S4", [from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)])]),  # A4
+             ("S4", [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)])]),  # D4
+             ("A5", [from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(1, 2, 3)])]),  # A4
+             ("A5", [from_cycles(5, [(0, 1, 2, 3, 4)]), from_cycles(5, [(1, 4), (2, 3)])]),
+             ("Q8", [builtin_table("Q8").group.generators[0]])]
+    for name, gens in cases:
+        sub = builtin_table(name).group.subgroup(gens)
+        for _ in range(10):
+            f = ClassFunction(sub.group, [rng.randint(-3, 3)
+                                          + rng.randint(-2, 2) * zeta(12, rng.randrange(12))
+                                          for _ in sub.group.classes])
+            assert induce(sub, f) == reference_induce(sub, f), (name, f)
+
+
 def test_frobenius_schur_examples():
     q8 = builtin_table("Q8")
     assert frobenius_schur(q8.row_by_name("C2").function) == -1
@@ -291,6 +358,20 @@ def test_semidirect_rejects_bad_action():
         chartab.SemidirectProduct(z4, z5, [(0, 2, 1, 3, 4)])  # not multiplicative
     with pytest.raises(ValueError):
         chartab.SemidirectProduct(z4, builtin_group("S3"), [tuple(range(6))])
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_semidirect_generator_count_is_a_value_error(optimize):
+    # Z2 has one generator, so an action needs one automorphism of Z5
+    code = ("from reptheory.chartab import SemidirectProduct\n"
+            "from reptheory.permgroup import cyclic_group\n"
+            "try:\n    SemidirectProduct(cyclic_group(2), cyclic_group(5), [])\n"
+            "except ValueError:\n    pass\n"
+            "else:\n    raise SystemExit('accepted')\n")
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_builtin_table_unknown_name():

@@ -10,7 +10,7 @@ import pytest
 
 import reptheory
 from reptheory import chartab, symgrp
-from reptheory.cli import main
+from reptheory.cli import _get_table, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
 from reptheory.quiverrep import indecomposable_for_root, Quiver, rep_to_json
@@ -423,9 +423,10 @@ def test_sn_cli_bytes_are_pinned(capsys, command):
 @pytest.mark.parametrize("argv", [
     ["sn", "table", "0"],
     ["sn", "table", str(symgrp.MAX_TABLE_N + 1)],
-    ["chartab", "induce", "S9", "--sub", "1,0,2,3,4,5,6,7,8", "--row", "0"],
-    ["chartab", "restrict", "S9", "--sub", "1,0,2,3,4,5,6,7,8", "--row", "V[9]"],
-], ids=["sn table 0", "sn table above the bound", "induce S9", "restrict S9"])
+    ["chartab", "induce", "S16", "--sub", "1,0," + ",".join(map(str, range(2, 16))), "--row", "0"],
+    ["chartab", "restrict", "S16", "--sub", "1,0," + ",".join(map(str, range(2, 16))),
+     "--row", "V[16]"],
+], ids=["sn table 0", "sn table above the bound", "induce S16", "restrict S16"])
 def test_sn_out_of_range_is_a_typed_error(argv, optimize):
     src = str(Path(reptheory.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv],
@@ -454,6 +455,43 @@ def test_sn_table_file_reads_back_past_s8(tmp_path, optimize):
     shown, built = run("chartab", "show", "--file", str(path)), run("sn", "table", "9")
     assert [line.split() for line in shown.splitlines()[1:]] == \
         [line.split() for line in built.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("n", [5, 9, symgrp.MAX_TABLE_N])
+def test_sn_table_file_is_rewritten_by_name(tmp_path, n, optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+        return proc.stdout
+
+    written, rewritten = tmp_path / "sn.json", tmp_path / "again.json"
+    written.write_text(run("sn", "table", str(n), "--json"))
+    rewritten.write_text(run("chartab", "show", "--file", str(written), "--json"))
+    assert rewritten.read_text() == written.read_text()  # the group is written as "S<n>"
+    assert run("roundtrip", str(rewritten)) == "roundtrip ok\n"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_dihedral_table_file_reads_back(capsys, tmp_path, n):
+    code, out, _ = run_cli(capsys, "chartab", "show", f"D{n}", "--json")
+    assert code == 0
+    # the table lives on the 2n points of dihedral_semidirect(n)
+    assert json.loads(out)["group"]["degree"] == 2 * n
+    path = tmp_path / f"d{n}.json"
+    path.write_text(out)
+    assert run_cli(capsys, "roundtrip", str(path))[:2] == (0, "roundtrip ok\n")
+    code, out, _ = run_cli(capsys, "chartab", "verify", "--file", str(path))
+    assert code == 0 and out.startswith("ok: ")
+    named = _get_table(f"D{n}")
+    back = chartab.table_from_json(json.loads(path.read_text()))
+    assert back.display_classes == named.display_classes
+    assert [(r.name, r.degree, r.values) for r in back.rows] == \
+        [(r.name, r.degree, r.values) for r in named.rows]
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])

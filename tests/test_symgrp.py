@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptheory import symgrp
-from reptheory.chartab import builtin_table, frobenius_schur, verify_table
+from reptheory import permgroup, symgrp
+from reptheory.chartab import (abelian_dual_table, builtin_table, decompose, frobenius_schur,
+                               induce, inner_product, restrict, transfer_table, verify_table)
 from reptheory.cli import main
 from reptheory.exact import cyc
-from reptheory.permgroup import symmetric_group
+from reptheory.permgroup import cycle_notation, from_cycles, symmetric_group
 from reptheory.symgrp import (MAX_TABLE_N, SymmetricGroup, conjugate_partition,
                               content, frobenius_character, gl_dim, hook_dim,
                               kostka, partitions_of, power_sum_value, schur_eval,
@@ -329,6 +330,67 @@ def test_branching_rule_restriction():
                 expect = sum(frobenius_character(m, t) for m in removals)
                 assert res.values[hc] == expect, (lam, t)
             assert want == sum(hook_dim(m) for m in removals)
+
+
+def _corner_removals(lam):
+    """The partitions whose diagrams are lam's with one corner square removed."""
+    return [tuple(p for p in lam[:i] + (lam[i] - 1,) + lam[i + 1:] if p)
+            for i in range(len(lam)) if i + 1 == len(lam) or lam[i] > lam[i + 1]]
+
+
+def _row_name(lam):
+    return "V[" + ",".join(map(str, lam)) + "]"
+
+
+def _refuse_symmetric_group(n):
+    raise AssertionError(f"S{n} was enumerated")
+
+
+def test_branching_s8_in_s9_lists_no_element_of_s9(monkeypatch):
+    monkeypatch.setattr(permgroup, "symmetric_group", _refuse_symmetric_group)
+    table, small = sn_table(9), sn_table(8)
+    # S8 on the first eight points
+    sub = table.group.subgroup([from_cycles(9, [(0, 1)]), tuple(range(1, 8)) + (0, 8)])
+    assert sub.group.order == small.group.order
+    small_class = [small.group.class_index(cl.representative[:8]) for cl in sub.group.classes]
+    for lam in partitions_of(9):
+        res = restrict(sub, table.row_by_name(_row_name(lam)).function)
+        want = [sum(small.row_by_name(_row_name(m)).values[c] for m in _corner_removals(lam))
+                for c in small_class]
+        assert list(res.values) == want, lam
+
+
+@pytest.mark.parametrize("n", [10, 12, MAX_TABLE_N])
+def test_frobenius_reciprocity_lists_no_element_of_sn(n, monkeypatch, capsys):
+    s3_table = builtin_table("S3")  # on the enumerated S3
+    monkeypatch.setattr(permgroup, "symmetric_group", _refuse_symmetric_group)
+    table = sn_table(n)
+    n_cycle = tuple(range(1, n)) + (0,)
+    s3_gens = [from_cycles(n, [(0, 1)]), from_cycles(n, [(0, 1, 2)])]
+    z_n, s3 = table.group.subgroup([n_cycle]), table.group.subgroup(s3_gens)
+    z_n_table = abelian_dual_table(z_n.group)
+    for sub, sub_table in ((z_n, z_n_table),
+                           (s3, transfer_table(s3_table, s3.group))):
+        restricted = [restrict(sub, row.function) for row in table.rows]
+        for srow in sub_table.rows:
+            assert decompose(induce(sub, srow.function), table) == \
+                [inner_product(srow.function, r) for r in restricted], srow.name
+    # the same through the CLI: Ind of the n-cycle's chi1, Res of V[n-1,1] to S3
+    def perm(p):
+        return ",".join(map(str, p))
+
+    chi1 = z_n_table.rows[1].function
+    mults = [inner_product(chi1, restrict(z_n, row.function)) for row in table.rows]
+    want = "Ind chi1 = " + " + ".join(row.name if m == 1 else f"{m}*{row.name}"
+                                      for row, m in zip(table.rows, mults) if m != 0)
+    assert main(["chartab", "induce", f"S{n}", "--sub", perm(n_cycle), "--row", "1"]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    hook = _row_name((n - 1, 1))
+    res = restrict(s3, table.row_by_name(hook).function)
+    assert main(["chartab", "restrict", f"S{n}", "--sub", ";".join(map(perm, s3_gens)),
+                 "--row", hook]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{cycle_notation(cl.representative)}: {v}\n" for cl, v in zip(s3.group.classes, res.values))
 
 
 def test_schur_eval_and_specials():
