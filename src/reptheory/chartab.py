@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 
 from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json, hermitian_gram, one, zero, zeta
-from .permgroup import (PermGroup, builtin_group, cyclic_group, from_cycles,
+from .permgroup import (PermGroup, alternating_group, cyclic_group, from_cycles,
                         group_from_json, group_to_json, p_identity, p_mul, p_order,
-                        quaternion_group)
+                        parse_group_name, quaternion_group, symmetric_group)
 
 class ClassFunction:
     __slots__ = ("group", "values")
@@ -365,7 +365,7 @@ def abelian_dual_table(group):
     multiplicative; for Z_n with its standard generator this produces
     chi_k(m) = zeta_n^(k*m) in index order.
     """
-    if not group.is_abelian():
+    if any(cl.size > 1 for cl in group.classes):
         raise ValueError("dual table requires an abelian group")
     e = group.exponent
     gens = group.generators
@@ -407,7 +407,7 @@ class SemidirectProduct:
     multiplication (a1, g1)(a2, g2) = (a1 g1(a2), g1 g2)."""
 
     def __init__(self, g, a, generator_actions):
-        if not a.is_abelian():
+        if any(cl.size > 1 for cl in a.classes):
             raise ValueError("the normal factor must be abelian")
         self.acting = g
         self.abelian = a
@@ -570,16 +570,16 @@ def builtin_table(name):
     """The character tables of S3, A4, S4, A5 and Q8 with exact entries;
     epsilon = zeta_3 and the golden-ratio entries of the A5 table are
     -(z5^2+z5^3) and -(z5+z5^4)."""
-    key = name.strip().upper()
+    key = "%s%d" % parse_group_name(name)
     if key == "S3":
-        group = builtin_group("S3")
+        group = symmetric_group(3)
         cols = [p_identity(3), _cycle_perm(3, (1, 2)), _cycle_perm(3, (1, 2, 3))]
         labels = ["Id", "(12)", "(123)"]
         data = [("C+", [1, 1, 1]),
                 ("C-", [1, -1, 1]),
                 ("C2", [2, 0, -1])]
     elif key == "A4":
-        group = builtin_group("A4")
+        group = alternating_group(4)
         e = zeta(3)
         cols = [p_identity(4), _cycle_perm(4, (1, 2, 3)), _cycle_perm(4, (1, 3, 2)),
                 _cycle_perm(4, (1, 2), (3, 4))]
@@ -589,7 +589,7 @@ def builtin_table(name):
                 ("Ce2", [1, e * e, e, 1]),
                 ("C3", [3, 0, 0, -1])]
     elif key == "S4":
-        group = builtin_group("S4")
+        group = symmetric_group(4)
         cols = [p_identity(4), _cycle_perm(4, (1, 2)), _cycle_perm(4, (1, 2), (3, 4)),
                 _cycle_perm(4, (1, 2, 3)), _cycle_perm(4, (1, 2, 3, 4))]
         labels = ["Id", "(12)", "(12)(34)", "(123)", "(1234)"]
@@ -599,7 +599,7 @@ def builtin_table(name):
                 ("C3+", [3, -1, -1, 0, 1]),
                 ("C3-", [3, 1, -1, 0, -1])]
     elif key == "A5":
-        group = builtin_group("A5")
+        group = alternating_group(5)
         gold_plus = -(zeta(5, 2) + zeta(5, 3))   # (1+sqrt5)/2
         gold_minus = -(zeta(5, 1) + zeta(5, 4))  # (1-sqrt5)/2
         cols = [p_identity(5), _cycle_perm(5, (1, 2, 3)), _cycle_perm(5, (1, 2), (3, 4)),

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
-from .exact import Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json
+from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json
 
 
 def _parse_partition(s):
@@ -62,35 +62,31 @@ def _print_sum(head, table, mults):
 # -- chartab ---------------------------------------------------------------
 
 def _get_table(name):
-    key = name.strip().upper()
+    """The table of the group a name resolves to, named by its canonical
+    name: a classical table, an S_n table, an abelian dual, or for D<n>
+    the semidirect table, on the same points as the group."""
+    family, n = permgroup.parse_group_name(name)
+    key = f"{family}{n}"
     if key in chartab.BUILTIN_TABLE_NAMES:
         return chartab.builtin_table(key)
-    if key.startswith("S") and key[1:].isdigit():
-        return symgrp.sn_table(int(key[1:]))
-    if key.startswith("Z") or key.startswith("D"):
-        group = permgroup.builtin_group(key)
-        if group.is_abelian():
-            table = chartab.abelian_dual_table(group)
-            table.name = key
-            return table
-        if key.startswith("D"):
-            table = chartab.semidirect_table(chartab.dihedral_semidirect(int(key[1:])))
-            table.name = key
-            return table
-    raise ValueError(f"no table construction for {name!r}; use a builtin name or a file")
+    if family == "S":
+        return symgrp.sn_table(n)
+    group = permgroup.builtin_group(key)
+    if group.is_abelian():
+        table = chartab.abelian_dual_table(group)
+    elif family == "D":
+        table = chartab.semidirect_table(chartab.dihedral_semidirect(n))
+    else:
+        raise ValueError(f"no table construction for {name!r}; use a builtin name or a file")
+    table.name = key
+    return table
 
 
 def cmd_chartab_show(args):
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
-
-    def to_json(t):
-        # The file names the group where the name resolves to the table's
-        # group. A D<n> table (n >= 3) lives on the 2n points of
-        # dihedral_semidirect(n), the name D<n> on the n points of the n-gon.
-        named = not args.file and permgroup.group_from_json(args.name).degree == t.group.degree
-        return chartab.table_to_json(t, group_name=args.name if named else None)
-
-    return _print_table(args, table, to_json)
+    # a table built from a name writes that name; one read from a file, with
+    # no name, writes its group
+    return _print_table(args, table, lambda t: chartab.table_to_json(t, group_name=t.name))
 
 
 def cmd_chartab_verify(args):
@@ -170,8 +166,7 @@ def cmd_chartab_fs(args):
 # -- group ------------------------------------------------------------------
 
 def cmd_group_classes(args):
-    group = (permgroup.group_from_json(_load_json(args.file)) if args.file
-             else permgroup.builtin_group(args.name))
+    group = permgroup.group_from_json(_load_json(args.file) if args.file else args.name)
     print(f"|G| = {group.order}, {len(group.classes)} classes, exponent {group.exponent}")
     for i, cl in enumerate(group.classes):
         print(f"{i}: rep {permgroup.cycle_notation(cl.representative)} "
@@ -182,8 +177,7 @@ def cmd_group_classes(args):
 # -- sn ----------------------------------------------------------------------
 
 def cmd_sn_table(args):
-    return _print_table(args, symgrp.sn_table(args.n),
-                        lambda t: chartab.table_to_json(t, group_name=f"S{args.n}"))
+    return _print_table(args, symgrp.sn_table(args.n), chartab.table_to_json)
 
 
 def cmd_sn_char(args):

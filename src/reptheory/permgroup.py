@@ -15,6 +15,7 @@ is one C-level call instead of a Python generator over the points.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from math import factorial, gcd, lcm
 from operator import itemgetter
@@ -22,10 +23,6 @@ from operator import itemgetter
 
 class EnumerationBound(ValueError):
     pass
-
-
-# The largest symmetric group whose elements are listed (8! = 40320).
-MAX_ENUMERATED_SN = 8
 
 
 # -- permutation helpers -----------------------------------------------
@@ -327,15 +324,15 @@ def cyclic_group(n):
 
 
 def dihedral_group(n):
-    """Symmetries of the regular n-gon, order 2n (n >= 3); D_2 is the
-    Klein four-group, D_1 is Z_2."""
-    if n == 1:
-        return PermGroup(2, [(1, 0)])
+    """D_n of order 2n by its left regular action on the elements r^a s^e,
+    point 2a + e, generated by the rotation r and the reflection s; these
+    are the points and generators of `chartab.dihedral_semidirect(n)`.
+    D_1 is Z_2; D_2 is the Klein four-group on 4 points."""
     if n == 2:
         return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
-    rot = tuple(list(range(1, n)) + [0])
-    ref = tuple((-i) % n for i in range(n))
-    return PermGroup(n, [rot, ref])
+    rot = tuple(2 * ((p // 2 + 1) % n) + p % 2 for p in range(2 * n))
+    ref = tuple(2 * (-(p // 2) % n) + 1 - p % 2 for p in range(2 * n))
+    return PermGroup(2 * n, [rot, ref])
 
 
 # quaternion axis products, axes 1, i, j, k: (axis, axis) -> (sign, axis)
@@ -364,8 +361,8 @@ def quaternion_group():
 
 # -- S_n as class data ------------------------------------------------
 
-# The largest n whose table `symgrp.sn_table` builds and group_from_json
-# reads (S_15 has 176 classes). Measured end to end on a 2-vCPU machine
+# The largest n whose table `symgrp.sn_table` builds and whose name S<n>
+# resolves (S_15 has 176 classes). Measured end to end on a 2-vCPU machine
 # with Python 3.11, `sn table n` and `chartab verify Sn` take 1.5 s and
 # 2.1 s at n = 15, 2.2 s and 3.2 s at n = 16, and 3.4 s and 6.3 s at
 # n = 17; 15 keeps both under 5 s with room for a slower machine.
@@ -459,27 +456,36 @@ class SymmetricGroup:
 
 # -- names and JSON ---------------------------------------------------
 
+# S<n>, A<n>, Z<n>, D<n> or Q8, in either case, with an optional underscore
+_GROUP_NAME = re.compile(r"([SAZD])_?([0-9]+)|(Q)_?(8)", re.ASCII | re.IGNORECASE)
+
+
+def parse_group_name(name):
+    """The family letter and n of a group name: S<n> for n <= MAX_TABLE_N,
+    A<n> for n <= 7, Z<n> and D<n>, each for n >= 1, and Q8. This is the
+    grammar every command and every file reads a name by."""
+    m = _GROUP_NAME.fullmatch(name.strip())
+    if m is None:
+        raise ValueError(f"unknown group name: {name!r}")
+    family, n = (m[1] or m[3]).upper(), int(m[2] or m[4])
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if family == "S" and n > MAX_TABLE_N:
+        raise ValueError(f"symmetric groups only up to S{MAX_TABLE_N} here")
+    if family == "A" and n > 7:
+        raise ValueError("alternating groups only up to A7 here")
+    return family, n
+
+
+_NAMED_GROUPS = {"S": SymmetricGroup, "A": alternating_group, "Z": cyclic_group,
+                 "D": dihedral_group, "Q": lambda n: quaternion_group()}
+
+
 def builtin_group(name):
-    """Resolve a named group: S2..S8, A3..A7, Q8, Z_n, D_n."""
-    name = name.strip()
-    if name.upper() == "Q8":
-        return quaternion_group()
-    head, tail = name[:1].upper(), name[1:].lstrip("_")
-    if head in ("S", "A", "Z", "D") and tail.isdigit():
-        n = int(tail)
-        if head == "S":
-            if n > MAX_ENUMERATED_SN:
-                raise ValueError(f"symmetric groups only up to S{MAX_ENUMERATED_SN} here")
-            return symmetric_group(n)
-        if head == "A":
-            if n > 7:
-                raise ValueError("alternating groups only up to A7 here")
-            return alternating_group(n)
-        if head == "Z":
-            return cyclic_group(n)
-        if head == "D":
-            return dihedral_group(n)
-    raise ValueError(f"unknown group name: {name}")
+    """The group a name resolves to: S<n> the class data SymmetricGroup(n),
+    the others enumerated."""
+    family, n = parse_group_name(name)
+    return _NAMED_GROUPS[family](n)
 
 
 def group_to_json(g):
@@ -488,16 +494,9 @@ def group_to_json(g):
 
 def group_from_json(obj):
     """A group from its JSON form: {"degree": n, "generators": [...]} or a
-    name. A name S<n> resolves to the class data SymmetricGroup(n), for
-    n <= MAX_TABLE_N; any other name goes through builtin_group."""
+    name, which builtin_group resolves."""
     if isinstance(obj, str):
-        name = obj.strip()
-        tail = name[1:].lstrip("_")
-        if name[:1].upper() == "S" and tail.isdigit():
-            if int(tail) > MAX_TABLE_N:
-                raise ValueError(f"symmetric group tables only up to S{MAX_TABLE_N} here")
-            return SymmetricGroup(int(tail))
-        return builtin_group(name)
+        return builtin_group(obj)
     if not (isinstance(obj, dict) and isinstance(obj.get("degree"), int)
             and isinstance(obj.get("generators"), list)
             and all(isinstance(p, list) for p in obj["generators"])):

@@ -13,15 +13,15 @@ import time
 from fractions import Fraction
 from functools import reduce
 
-from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
+from . import chartab, gl2fq, linalg
 from .chartab import (builtin_table, decompose, dihedral_semidirect,
                       frobenius_schur, heisenberg_semidirect, induce, inner_product,
-                      integer_multiplicities, regular_character, render_table,
+                      integer_multiplicities, render_table,
                       restrict, semidirect_table, tensor_multiplicities,
                       verify_table)
 from .exact import cyc, zeta, zero
 from .linalg import Matrix
-from .permgroup import builtin_group, cyclic_group, from_cycles
+from .permgroup import cyclic_group, from_cycles
 from .quiverrep import (Quiver, QuiverRep, decompose as qdecompose, direct_sum,
                         enumerate_indecomposables, hom_dim, reflect_sink,
                         reflect_source)

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -7,12 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reptheory
 from reptheory import chartab, symgrp
 from reptheory.cli import _get_table, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
+from reptheory.permgroup import cycle_notation, group_from_json, parse_group_name
 from reptheory.quiverrep import indecomposable_for_root, Quiver, rep_to_json
 
 
@@ -481,7 +486,7 @@ def test_dihedral_table_file_reads_back(capsys, tmp_path, n):
     code, out, _ = run_cli(capsys, "chartab", "show", f"D{n}", "--json")
     assert code == 0
     # the table lives on the 2n points of dihedral_semidirect(n)
-    assert json.loads(out)["group"]["degree"] == 2 * n
+    assert group_from_json(json.loads(out)["group"]).degree == 2 * n
     path = tmp_path / f"d{n}.json"
     path.write_text(out)
     assert run_cli(capsys, "roundtrip", str(path))[:2] == (0, "roundtrip ok\n")
@@ -493,6 +498,105 @@ def test_dihedral_table_file_reads_back(capsys, tmp_path, n):
     assert [(r.name, r.degree, r.values) for r in back.rows] == \
         [(r.name, r.degree, r.values) for r in named.rows]
 
+
+@pytest.mark.parametrize("name", ["S9", "s_9", "D_4", "d4", "Z_6", "A3", "A5", "Q8", "q_8"])
+def test_name_and_its_table_file_agree(capsys, tmp_path, name):
+    canonical = "%s%d" % parse_group_name(name)
+    code, shown, _ = run_cli(capsys, "chartab", "show", name)
+    assert code == 0 and shown.split()[0] == canonical
+    assert run_cli(capsys, "chartab", "show", canonical)[1] == shown
+    code, written, _ = run_cli(capsys, "chartab", "show", name, "--json")
+    assert code == 0 and json.loads(written)["group"] == canonical
+    assert run_cli(capsys, "chartab", "show", canonical, "--json")[1] == written
+    path = tmp_path / "table.json"
+    path.write_text(written)
+    assert run_cli(capsys, "roundtrip", str(path))[:2] == (0, "roundtrip ok\n")
+    # the file's table differs from the named one only in its header line
+    code, from_file, _ = run_cli(capsys, "chartab", "show", "--file", str(path))
+    assert code == 0
+    assert [line.split() for line in from_file.splitlines()[1:]] == \
+        [line.split() for line in shown.splitlines()[1:]]
+    verified = run_cli(capsys, "chartab", "verify", name)
+    assert verified[0] == 0 and verified[1].startswith("ok: ")
+    assert run_cli(capsys, "chartab", "verify", "--file", str(path)) == verified
+    # `group classes` lists the table's columns: representatives and sizes
+    code, listed, _ = run_cli(capsys, "group", "classes", name)
+    assert code == 0
+    classes = [(line.split()[2], int(line.split()[4])) for line in listed.splitlines()[1:]]
+    columns = [(cycle_notation(c["rep"]), c["size"]) for c in json.loads(written)["classes"]]
+    assert sorted(classes) == sorted(columns)
+
+
+@pytest.mark.parametrize("name, header", [
+    ("S9", "|G| = 362880, 30 classes, exponent 2520"),
+    ("s_15", "|G| = 1307674368000, 176 classes, exponent 360360"),
+])
+def test_group_classes_of_sn_past_s8(capsys, name, header):
+    code, out, _ = run_cli(capsys, "group", "classes", name)
+    assert code == 0 and out.splitlines()[0] == header
+
+
+def _name_exit_codes(name):
+    """The exit code of `group classes` and of `chartab show` on a name."""
+    codes = []
+    for command in (["group", "classes"], ["chartab", "show"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main([*command, "--", name]))
+    return codes
+
+
+GRAMMAR_NAMES = st.builds("{}{}{}".format, st.sampled_from("SAZDQsazdq"),
+                          st.sampled_from(["", "_"]), st.integers(0, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(GRAMMAR_NAMES, st.text(max_size=6)))
+def test_group_name_fuzz(name):
+    assert set(_name_exit_codes(name)) <= {0, 1}
+
+
+# name -> stderr of `group classes NAME` and of `chartab show NAME`, "" on exit 0
+NAME_CASES = {
+    "Q_8": ("", ""),
+    "q_8": ("", ""),
+    "s_9": ("", ""),
+    "D_4": ("", ""),
+    "A3": ("", ""),
+    "A7": ("", "error: no table construction for 'A7'; use a builtin name or a file\n"),
+    "Z0": ("error: n must be >= 1\n",) * 2,
+    "D0": ("error: n must be >= 1\n",) * 2,
+    "A0": ("error: n must be >= 1\n",) * 2,
+    "S\u0663": ("error: unknown group name: 'S\u0663'\n",) * 2,
+    "S16": ("error: symmetric groups only up to S15 here\n",) * 2,
+    "A8": ("error: alternating groups only up to A7 here\n",) * 2,
+    "M11": ("error: unknown group name: 'M11'\n",) * 2,
+    "-x": ("error: unknown group name: '-x'\n",) * 2,
+    "": ("error: unknown group name: ''\n",) * 2,
+}
+
+NAME_SCRIPT = """
+import contextlib, io, json, sys
+from reptheory.cli import main
+out = {}
+for name in json.loads(sys.argv[1]):
+    for command in (["group", "classes"], ["chartab", "show"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, "--", name])
+        out.setdefault(name, []).append([code, err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_group_names_exit_0_or_1(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", NAME_SCRIPT, json.dumps(list(NAME_CASES))],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {name: [[1 if err else 0, err] for err in errs]
+                   for name, errs in NAME_CASES.items()}
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_verify_reports_a_degree_zero_row(tmp_path, optimize):

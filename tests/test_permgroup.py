@@ -10,7 +10,8 @@ from reptheory.permgroup import (EnumerationBound, PermGroup, alternating_group,
                                  builtin_group, cycle_lengths, cycle_notation,
                                  cyclic_group, dihedral_group, from_cycles,
                                  group_from_json, group_to_json, p_inv, p_mul,
-                                 p_order, quaternion_group, symmetric_group)
+                                 p_order, parse_group_name, quaternion_group,
+                                 symmetric_group)
 from reptheory.symgrp import SymmetricGroup, partitions_of
 
 
@@ -93,6 +94,45 @@ def test_named_groups():
     assert builtin_group("Q8").order == 8
     with pytest.raises(ValueError):
         builtin_group("M11")
+
+
+@pytest.mark.parametrize("forms", [
+    ("S9", "s9", "S_9", "s_9", " S09 "),
+    ("D4", "d4", "D_4", "d_4"),
+    ("Z6", "z6", "Z_6"),
+    ("A3", "a3", "A_3"),
+    ("Q8", "q8", "Q_8", "q_8"),
+])
+def test_name_forms_resolve_to_one_group(forms):
+    family, n = parse_group_name(forms[0])
+    assert forms[0] == f"{family}{n}"
+    assert all(parse_group_name(name) == (family, n) for name in forms)
+    groups = [builtin_group(name) for name in forms]
+    assert len({(g.degree, tuple((c.representative, c.size) for c in g.classes))
+                for g in groups}) == 1
+
+
+@pytest.mark.parametrize("name, message", [
+    ("Z0", "n must be >= 1"),
+    ("D0", "n must be >= 1"),
+    ("A0", "n must be >= 1"),
+    ("S0", "n must be >= 1"),
+    ("S16", "only up to S15"),
+    ("A8", "only up to A7"),
+    ("S\u0663", "unknown group name"),  # an Arabic-Indic three
+    ("\u017f3", "unknown group name"),  # a long s, which folds to s
+    ("Q4", "unknown group name"),
+    ("S__3", "unknown group name"),
+    ("", "unknown group name"),
+])
+def test_bad_group_names_are_value_errors(name, message):
+    with pytest.raises(ValueError, match=message):
+        builtin_group(name)
+
+
+@pytest.mark.parametrize("n", range(3, 19))
+def test_dihedral_group_is_the_semidirect_product(n):
+    assert dihedral_group(n).elements == dihedral_semidirect(n).group.elements
 
 
 def test_quaternion_group_structure():
