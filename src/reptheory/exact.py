@@ -125,13 +125,16 @@ def _subfield_projection(n, m):
     k = euler_phi(m)
     columns = [table[i * (n // m)] for i in range(k)]
     # the rref of [E^T | I] is [R | T] with T E^T = R; on the pivot
-    # columns R is the identity, so T is the transpose of B^-1
+    # columns R is the identity, so T is the transpose of B^-1. Fraction-free
+    # elimination leaves e * [R | T] in the integer rows, e the last pivot;
+    # dividing e and e * T by their gcd (signed to make d > 0) gives d * B^-1
+    # with d the least common denominator of B^-1
     work = [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(columns)]
-    pivots = gauss_jordan(work, len(columns[0]))[0]
-    inverse = list(zip(*(row[-k:] for row in work)))
-    d = lcm(*(x.denominator for row in inverse for x in row))
-    return (tuple(pivots), tuple(tuple(int(x * d) for x in row) for row in inverse),
-            d, tuple(zip(*columns)))
+    pivots, e, _ = gauss_jordan(work, len(columns[0]))
+    scaled = [row[-k:] for row in work]
+    g = gcd(e, *(x for row in scaled for x in row)) * (1 if e > 0 else -1)
+    return (tuple(pivots), tuple(tuple(x // g for x in col) for col in zip(*scaled)),
+            e // g, tuple(zip(*columns)))
 
 
 class Cyclotomic:

@@ -4,18 +4,26 @@ Matrices are immutable, stored row-major as Fractions. Empty shapes
 (0 x n and n x 0) are first-class: zero summand spaces occur all the
 time in quiver representations.
 
-One Gauss-Jordan kernel, gauss_jordan, exact over Fractions and
-Cyclotomics, does every elimination in the package: rref and all built on
-it, det (and with it the alternants of symgrp.schur_eval), and the
-subfield projections behind exact.Cyclotomic.reduced.
+One elimination kernel, gauss_jordan, does every elimination in the
+package: rref and all built on it (kernels, cokernels, solve, inverse),
+det (and with it the alternants of symgrp.schur_eval), and the subfield
+projections behind exact.Cyclotomic.reduced. It is fraction-free
+Gauss-Jordan elimination after Bareiss (1968): every intermediate entry
+is a minor of the input, so on integer rows each division is exact and
+no Fraction is built inside the loop. A rational caller scales each row
+by the lcm of its denominators (which changes neither the row space, nor
+the pivots, nor the rref), eliminates over the integers, and builds one
+Fraction per entry it returns. Cyclotomic rows run the same loop with
+true division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
-from operator import add, sub
+from math import lcm
+from operator import add, floordiv, mul, sub
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -23,7 +31,10 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        # tuples made from lists are allocated once at their final size; from
+        # a generator they are grown and cut back, which raises peak memory
+        entries = tuple([tuple([x if type(x) is Fraction else Fraction(x) for x in row])
+                         for row in entries])
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entries do not form a {rows}x{cols} matrix")
         self.rows = rows
@@ -122,12 +133,26 @@ def block_diag(blocks):
 
 
 def gauss_jordan(rows, ncols):
-    """Reduce rows, a list of equally long lists of Fractions or
-    Cyclotomics, in place to reduced row echelon form on its first ncols
-    columns; later columns ride along. Pivots are inverted as Fraction(1)
-    / p, so int entries become Fractions, never floats. Returns (pivot
-    columns, pivot values before scaling, parity of the row swaps)."""
-    pivots, values = [], []
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rows, a
+    list of equally long lists, in place on its first ncols columns; later
+    columns ride along.
+
+    For each pivot column c with pivot row r, every other row i, above
+    and below, becomes (p * row_i - row_i[c] * row_r) / prev, where p is
+    the new pivot and prev the one before it (1 at the start); a row with
+    row_i[c] = 0 is skipped when p = prev, as the update would not change
+    it. Every entry is then a minor of the input, so on rows of ints the
+    division is exact and runs as //, and ints stay ints; on any other
+    entries (Fractions, Cyclotomics) it is a product with 1 / prev, one
+    inversion per pivot. At the end each pivot row is d times its reduced
+    row echelon row, where d is the last pivot (1 if there is none), so
+    every pivot entry equals d; the rows past the rank are zero on the
+    first ncols columns. On a square matrix of full rank, d is the
+    determinant up to the sign of the row swaps.
+    Returns (pivot columns, d, parity of the row swaps)."""
+    integral = all(type(x) is int for row in rows for x in row)
+    scale, prev = (floordiv, 1) if integral else (mul, _ONE)  # ints never become floats
+    pivots = []
     swaps = r = 0
     for c in range(ncols):
         if r == len(rows):
@@ -138,24 +163,37 @@ def gauss_jordan(rows, ncols):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             swaps += 1
-        p = rows[r][c]
-        inv = _ONE / p
-        top = rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
+        by = prev if integral else _ONE / prev
         for i, row in enumerate(rows):
             f = row[c]
-            if i != r and f != 0:
-                rows[i] = [x - f * y for x, y in zip(row, top)]
+            if i != r and (f != 0 or p != prev):
+                rows[i] = [scale(p * x - f * y, by) for x, y in zip(row, top)]
         pivots.append(c)
-        values.append(p)
+        prev = p
         r += 1
-    return pivots, values, swaps % 2
+    return pivots, prev, swaps % 2
+
+
+def _integer_rows(rows):
+    """Rows of rationals, each times the lcm of its denominators, as
+    lists of ints; and the product of those lcms."""
+    out, scale = [], 1
+    for row in rows:
+        s = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return out, scale
 
 
 def rref(m):
     """Reduced row echelon form with exact pivots; returns (echelon, pivot columns)."""
-    a = [list(r) for r in m.entries]
-    pivots = gauss_jordan(a, m.cols)[0]
-    return Matrix(m.rows, m.cols, a), tuple(pivots)
+    rows = _integer_rows(m.entries)[0]
+    pivots, d, _ = gauss_jordan(rows, m.cols)
+    echelon = [[Fraction(x, d) if x else _ZERO for x in row] for row in rows[:len(pivots)]]
+    echelon += [[_ZERO] * m.cols] * (m.rows - len(pivots))
+    return Matrix(m.rows, m.cols, echelon), tuple(pivots)
 
 
 def rank(m):
@@ -214,15 +252,22 @@ def solve(m, rhs):
 
 def det(m):
     """Exact determinant of a square Matrix or a square sequence of rows of
-    Fractions or Cyclotomics: the signed product of the pivots."""
+    Fractions or Cyclotomics: the last pivot of gauss_jordan, signed by
+    the row swaps. Rational rows are eliminated over the integers, so the
+    determinant is that pivot over the product of the row scalings."""
     if isinstance(m, Matrix):
         if m.rows != m.cols:
             raise ValueError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
         m = m.entries
     if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
-    pivots, values, odd = gauss_jordan([list(row) for row in m], len(m))
-    return prod(values, start=-_ONE if odd else _ONE) if len(pivots) == len(m) else Fraction(0)
+    rational = all(isinstance(x, (int, Fraction)) for row in m for x in row)
+    rows, scale = _integer_rows(m) if rational else ([list(row) for row in m], 1)
+    pivots, d, odd = gauss_jordan(rows, len(m))
+    if len(pivots) < len(m):
+        return _ZERO
+    d = -d if odd else d
+    return Fraction(d, scale) if rational else d
 
 
 def inverse(m):

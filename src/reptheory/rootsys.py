@@ -248,15 +248,23 @@ def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _diagram_name(name, dropped):
+    """(family letter, n) of a diagram name like "E8", "d_4" or "A~3", after
+    removing the characters in dropped; n is read from ASCII digits only."""
+    key = name.strip().upper()
+    for ch in dropped:
+        key = key.replace(ch, "")
+    family, num = key[:1], key[1:]
+    if not (family and num.isascii() and num.isdigit()):
+        raise GraphError(f"cannot parse diagram name {name!r}")
+    return family, int(num)
+
+
 def dynkin_graph(name):
     """ADE diagrams by name ("A5", "D4", "E8"). D_n carries the fork at
     the last two vertices; E_n has the short arm attached to vertex 2 of
     the path (so vertex order matches the usual pictures)."""
-    key = name.strip().upper().replace("_", "")
-    family, num = key[0], key[1:]
-    if not num.isdigit():
-        raise GraphError(f"cannot parse diagram name {name!r}")
-    n = int(num)
+    family, n = _diagram_name(name, "_")
     if family == "A" and n >= 1:
         return path_graph(n)
     if family == "D" and n >= 3:
@@ -271,10 +279,8 @@ def dynkin_graph(name):
 def affine_graph(name):
     """The affine (positive semidefinite) diagrams: A~n (cycle), D~n,
     E~6, E~7, E~8 and the doubled edge A~1."""
-    key = name.strip().upper().replace("~", "").replace("_", "")
-    family, num = key[0], key[1:]
-    n = int(num)
-    if family == "A":
+    family, n = _diagram_name(name, "~_")
+    if family == "A" and n >= 1:
         if n == 1:
             return Graph.from_edges(2, [(0, 1, 2)])
         return cycle_graph(n + 1)

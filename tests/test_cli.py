@@ -320,6 +320,51 @@ def test_empty_graph_is_a_typed_error(tmp_path, command, optimize):
     assert proc.stdout == "" and proc.stderr.startswith("error: a graph has 1 to ")
 
 
+# diagram names with no family letter, or with digits that are not ASCII
+# (str.isdigit and int() accept the Arabic-Indic three)
+BAD_DIAGRAM_NAMES = [" ", "_", "~", "\u0663", "A\u0663", "E\u0668", "D_\u0664"]
+
+DIAGRAM_SCRIPT = """
+import contextlib, io, json, sys
+from reptheory.cli import main
+out = []
+for name in json.loads(sys.argv[1]):
+    for command in (["roots", "--count"], ["coxeter"], ["classify"], ["indecomposables"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["quiver", command[0], "--type", name, *command[1:]])
+        out.append([name, command[0], code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_bad_diagram_name_is_a_typed_error(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", DIAGRAM_SCRIPT, json.dumps(BAD_DIAGRAM_NAMES)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for name, command, code, out, err in json.loads(proc.stdout):
+        assert (code, out) == (1, ""), (name, command, out)
+        assert err == f"error: cannot parse diagram name {name!r}\n", (name, command, err)
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_reader_closing_stdout_early_is_not_an_error(optimize):
+    # 283 kB of output, far more than a pipe holds: the command is still
+    # writing when the reader goes
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, *optimize, "-m", "reptheory.cli", "sn", "table", "13"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().startswith(b"S13")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 # 40 bytes that used to ask for a dense 2000 x 2000 adjacency matrix
 HUGE_GRAPH = """
 import sys, time, tracemalloc

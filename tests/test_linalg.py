@@ -179,21 +179,50 @@ def test_rref_matches_reference(m):
     assert rref(m) == reference_rref(m)
 
 
+@st.composite
+def large_entry_matrices(draw, max_dim=7):
+    """Entries 0 or +-10^6 / (1..10^4); in half the cases a product of two
+    thin random factors, so of rank at most the inner width."""
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.sampled_from([-10**6, 10**6]),
+                                             st.integers(1, 10**4)))
+    r = draw(st.integers(min_value=1, max_value=max_dim))
+    c = draw(st.integers(min_value=1, max_value=max_dim))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=min(r, c)))
+        a = Matrix(r, k, [[draw(entry) for _ in range(k)] for _ in range(r)])
+        b = Matrix(k, c, [[draw(entry) for _ in range(c)] for _ in range(k)])
+        return a * b
+    return Matrix(r, c, [[draw(entry) for _ in range(c)] for _ in range(r)])
+
+
+@given(large_entry_matrices())
+@settings(max_examples=60, deadline=None)
+def test_large_entries_match_the_oracles(m):
+    assert rref(m) == reference_rref(m)
+    k = kernel_basis(m)
+    assert k.cols == m.cols - rank(m) and (m * k).is_zero()
+    p = cokernel_projection(m)
+    assert p.rows == m.rows - rank(m) and (p * m).is_zero()
+    if m.rows == m.cols <= 5:
+        assert det(m) == leibniz_det(m.entries)
+
+
 def test_gauss_jordan_reports_pivots_values_and_swaps():
+    # fraction-free: each pivot row ends as d times its rref row, d the last pivot
     rows = [[0, 2, 4], [3, 1, 0]]
-    pivots, values, odd = gauss_jordan(rows, 2)
-    assert pivots == [0, 1] and values == [3, 2] and odd == 1
-    assert rows == [[1, 0, Fraction(-2, 3)], [0, 1, 2]]
-    # integer input never turns into a float
-    assert not any(isinstance(x, float) for row in rows for x in row)
-    assert all(isinstance(x, Fraction) for x in rows[0])
+    pivots, d, odd = gauss_jordan(rows, 2)
+    assert pivots == [0, 1] and d == 6 and odd == 1
+    assert rows == [[6, 0, -4], [0, 6, 12]]
+    # integer input stays integer: never a float, never a Fraction
+    assert all(type(x) is int for row in rows for x in row)
     # columns past ncols ride along unreduced
     rows = [[1, 5], [1, 7]]
-    assert gauss_jordan(rows, 1) == ([0], [1], 0) and rows == [[1, 5], [0, 2]]
+    assert gauss_jordan(rows, 1) == ([0], 1, 0) and rows == [[1, 5], [0, 2]]
+    # Cyclotomic rows divide with /; d is the determinant
     rows = [[zeta(5), 1], [0, zeta(5, 2)]]
-    pivots, values, odd = gauss_jordan(rows, 2)
-    assert pivots == [0, 1] and values == [zeta(5), zeta(5, 2)] and odd == 0
-    assert rows == [[1, 0], [0, 1]]
+    pivots, d, odd = gauss_jordan(rows, 2)
+    assert pivots == [0, 1] and d == zeta(5, 3) and odd == 0
+    assert rows == [[d, 0], [0, d]]
 
 
 def leibniz_det(rows):

@@ -101,6 +101,16 @@ def test_forbidden_diagrams_are_affine():
         assert c.kind == "affine" and c.determinant == 0, name
 
 
+@pytest.mark.parametrize("name", ["", " ", "~", "A", "A~", "A٣", "A~٣", "E٨",
+                                  "A-1", "A 3", "A~0", "E9", "D3~"])
+def test_bad_diagram_names_are_graph_errors(name):
+    with pytest.raises(GraphError):
+        affine_graph(name)
+    if "~" not in name:
+        with pytest.raises(GraphError):
+            dynkin_graph(name)
+
+
 def test_indefinite():
     g = Graph.from_edges(2, [(0, 1, 3)])
     assert classify(g).kind == "indefinite"
