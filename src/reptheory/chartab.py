@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json, hermitian_gram, one, zero, zeta
+from .exact import (cyc, cyclotomic_to_json, hermitian_gram, json_reader, one, per_value,
+                    zero, zeta)
 from .permgroup import (PermGroup, alternating_group, cyclic_group, from_cycles,
                         group_from_json, group_to_json, p_identity, p_mul, p_order,
                         parse_group_name, quaternion_group, symmetric_group)
@@ -654,10 +655,11 @@ def format_value(v, numeric=False):
 def render_table(table, numeric=False):
     """Plain-text rendering in the classical layout: representatives row,
     class sizes row, then one row per character, in left-aligned columns
-    two spaces apart."""
+    two spaces apart. Each distinct value is formatted once."""
+    fmt = per_value(lambda v: format_value(v, numeric))
     grid = [[table.name or "G"] + list(table.class_labels),
             ["#"] + [str(table.classes[c].size) for c in table.display_classes]]
-    grid += [[row.name] + [format_value(row.values[c], numeric) for c in table.display_classes]
+    grid += [[row.name] + [fmt(row.values[c]) for c in table.display_classes]
              for row in table.rows]
     widths = [max(len(r[j]) for r in grid) for j in range(len(grid[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
@@ -673,11 +675,10 @@ def table_to_json(table, group_name=None):
         cl = table.group.classes[c]
         classes.append({"rep": list(cl.representative), "size": cl.size,
                         "order": cl.element_order})
-    rows = []
-    for row in table.rows:
-        rows.append({"name": row.name, "degree": row.degree,
-                     "values": [cyclotomic_to_json(row.function.values[c])
-                                for c in table.display_classes]})
+    to_json = per_value(cyclotomic_to_json)
+    rows = [{"name": row.name, "degree": row.degree,
+             "values": [to_json(row.values[c]) for c in table.display_classes]}
+            for row in table.rows]
     return {"group": group_name or group_to_json(table.group),
             "classes": classes, "rows": rows}
 
@@ -701,9 +702,9 @@ def table_from_json(obj):
         display.append(ci)
         if group.classes[ci].size != c["size"]:
             raise ValueError("class size mismatch in table file")
-    rows = []
+    read, rows = json_reader(), []
     for r in obj["rows"]:
-        vals = [cyclotomic_from_json(v) for v in r["values"]]
+        vals = [read(v) for v in r["values"]]
         canonical = [None] * len(group.classes)
         for ci, v in zip(display, vals):
             canonical[ci] = v

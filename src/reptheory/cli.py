@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Batch only, deterministic output; exit code 0 on success, 1 on domain
-errors, 2 on usage errors (argparse's convention).
+errors, 2 on usage errors (argparse's convention). Integers on the command
+line are read by linalg.parse_integer, after parsing, so that one which is
+not ASCII digits is a domain error too.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ from fractions import Fraction
 
 from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
 from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json
+from .linalg import parse_integer
 
 
 def _parse_partition(s):
     s = s.strip()
     if not s:
         return ()
-    return tuple(int(x) for x in s.split(","))
+    return tuple(map(parse_integer, s.split(",")))
 
 
 def _parse_perm(s):
-    return tuple(int(x) for x in s.strip().split(","))
+    return tuple(map(parse_integer, s.strip().split(",")))
 
 
 def _load_json(path):
@@ -33,7 +36,29 @@ def _load_json(path):
 
 
 def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=False))
+    """print(json.dumps(obj, indent=2)) for a table dict, whose rows come
+    last and whose values come last in each row, written a row at a time:
+    the GL2(F_31) file is over 1 GB of text. Each distinct value dict is
+    encoded once; the to_json functions share equal ones."""
+    if not obj["rows"]:
+        print(json.dumps(obj, indent=2))
+        return
+    write, encoded = sys.stdout.write, {}
+
+    def value(v):
+        text = encoded.get(id(v))
+        if text is None:
+            text = encoded[id(v)] = json.dumps(v, indent=2).replace("\n", "\n        ")
+        return text
+
+    # an indented dict whose last value is [] ends '[]\n}', the closing
+    # brace indented to its own level
+    write(json.dumps({**obj, "rows": []}, indent=2)[:-len("[]\n}")] + "[")
+    for i, row in enumerate(obj["rows"]):
+        head = json.dumps({**row, "values": []}, indent=2).replace("\n", "\n    ")
+        write(("," if i else "") + "\n    " + head[:-len("[]\n    }")] + "[\n        "
+              + ",\n        ".join(map(value, row["values"])) + "\n      ]\n    }")
+    write("\n  ]\n}\n")
 
 
 def _print_table(args, table, to_json):
@@ -139,8 +164,14 @@ def cmd_chartab_induce(args):
     gens = [_parse_perm(s) for s in args.sub.split(";")]
     sub = table.group.subgroup(gens)
     sub_table = _subgroup_table(sub, args.sub_name)
-    row = sub_table.row_by_name(args.row) if not args.row.isdigit() \
-        else sub_table.rows[int(args.row)]
+    if args.row.isascii() and args.row.isdigit():
+        index = parse_integer(args.row)
+        if index >= len(sub_table.rows):
+            raise ValueError(f"row index {index} out of range: the subgroup table has "
+                             f"{len(sub_table.rows)} rows")
+        row = sub_table.rows[index]
+    else:
+        row = sub_table.row_by_name(args.row)
     ind = chartab.induce(sub, row.function)
     return _print_sum(f"Ind {row.name}", table, chartab.decompose(ind, table))
 
@@ -178,7 +209,7 @@ def cmd_group_classes(args):
 # -- sn ----------------------------------------------------------------------
 
 def cmd_sn_table(args):
-    return _print_table(args, symgrp.sn_table(args.n), chartab.table_to_json)
+    return _print_table(args, symgrp.sn_table(parse_integer(args.n)), chartab.table_to_json)
 
 
 def cmd_sn_char(args):
@@ -212,10 +243,11 @@ def cmd_schur_eval(args):
 
 def cmd_schur_dim(args):
     lam = _parse_partition(getattr(args, "lambda"))
+    n = parse_integer(args.vars)
     if args.z is not None:
-        print(symgrp.schur_special(lam, args.vars, z=Fraction(args.z)))
+        print(symgrp.schur_special(lam, n, z=Fraction(args.z)))
     else:
-        print(symgrp.schur_special(lam, args.vars))
+        print(symgrp.schur_special(lam, n))
     return 0
 
 
@@ -233,7 +265,7 @@ def _parse_arrows(s):
     arrows = []
     for part in s.split(","):
         a, b = part.split(">")
-        arrows.append((int(a), int(b)))
+        arrows.append((parse_integer(a), parse_integer(b)))
     return arrows
 
 
@@ -298,26 +330,27 @@ def cmd_quiver_decompose(args):
 # -- gl2 --------------------------------------------------------------------
 
 def cmd_gl2_classes(args):
-    group = gl2fq.GL2Group(args.q)
-    print(f"|GL2(F_{args.q})| = {group.order}, {len(group.classes)} classes")
+    q = parse_integer(args.q)
+    group = gl2fq.GL2Group(q)
+    print(f"|GL2(F_{q})| = {group.order}, {len(group.classes)} classes")
     for c in group.classes:
         print(f"{c.family} params={','.join(str(p) for p in c.params)} size={c.size}")
     return 0
 
 
 def cmd_gl2_table(args):
-    return _print_table(args, gl2fq.gl2_table(args.q), gl2fq.gl2_table_to_json)
+    return _print_table(args, gl2fq.gl2_table(parse_integer(args.q)), gl2fq.gl2_table_to_json)
 
 
 def cmd_gl2_verify(args):
-    return _print_report(gl2fq.gl2_verify(gl2fq.gl2_table(args.q)))
+    return _print_report(gl2fq.gl2_verify(gl2fq.gl2_table(parse_integer(args.q))))
 
 
 # -- semidirect ----------------------------------------------------------------
 
 def cmd_semidirect_table(args):
     if args.construction == "dn":
-        sd = chartab.dihedral_semidirect(args.n)
+        sd = chartab.dihedral_semidirect(parse_integer(args.n))
     elif args.construction == "heisenberg":
         sd = chartab.heisenberg_semidirect()
     else:
@@ -364,7 +397,8 @@ def cmd_roundtrip(args):
 
 def cmd_selftest(args):
     from . import selftest
-    results = selftest.run_all(seed=args.seed, only=args.criterion)
+    only = None if args.criterion is None else parse_integer(args.criterion)
+    results = selftest.run_all(seed=parse_integer(args.seed), only=only)
     worst = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -429,7 +463,7 @@ def build_parser():
     sn = sub.add_parser("sn", help="symmetric group characters").add_subparsers(
         dest="sub", required=True)
     s = sn.add_parser("table")
-    s.add_argument("n", type=int)
+    s.add_argument("n")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_sn_table)
     s = sn.add_parser("char")
@@ -452,7 +486,7 @@ def build_parser():
     s.set_defaults(func=cmd_schur_eval)
     s = sc.add_parser("dim")
     s.add_argument("--lambda", required=True)
-    s.add_argument("--vars", type=int, required=True)
+    s.add_argument("--vars", required=True)
     s.add_argument("--z", default=None)
     s.set_defaults(func=cmd_schur_dim)
 
@@ -484,22 +518,22 @@ def build_parser():
     gl = sub.add_parser("gl2", help="GL2 over a prime field").add_subparsers(
         dest="sub", required=True)
     s = gl.add_parser("classes")
-    s.add_argument("--q", type=int, required=True)
+    s.add_argument("--q", required=True)
     s.set_defaults(func=cmd_gl2_classes)
     s = gl.add_parser("table")
-    s.add_argument("--q", type=int, required=True)
+    s.add_argument("--q", required=True)
     s.add_argument("--json", action="store_true")
     s.add_argument("--numeric", action="store_true")
     s.set_defaults(func=cmd_gl2_table)
     s = gl.add_parser("verify")
-    s.add_argument("--q", type=int, required=True)
+    s.add_argument("--q", required=True)
     s.set_defaults(func=cmd_gl2_verify)
 
     sd = sub.add_parser("semidirect", help="semidirect product tables").add_subparsers(
         dest="sub", required=True)
     s = sd.add_parser("table")
     s.add_argument("construction", choices=["dn", "heisenberg"])
-    s.add_argument("--n", type=int, default=3)
+    s.add_argument("--n", default="3")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_semidirect_table)
 
@@ -508,8 +542,8 @@ def build_parser():
     s.set_defaults(func=cmd_roundtrip)
 
     s = sub.add_parser("selftest", help="run the acceptance suite")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--criterion", type=int, default=None)
+    s.add_argument("--seed", default="0")
+    s.add_argument("--criterion", default=None)
     s.set_defaults(func=cmd_selftest)
     return p
 

@@ -13,6 +13,9 @@ Q(zeta_m) -> Q(zeta_n) is computed once and cached, and a candidate is
 accepted only when its re-embedding reproduces the value exactly.
 Printing and JSON conversion read the numerators and the shared
 denominator directly; Fractions remain only where inversion needs them.
+A table converts each distinct value once: per_value memoizes a
+conversion on the stored (order, numerators, denominator), which is one
+key per value at a fixed order and needs no reduced().
 
 Sums over classes of products of values, the inner products and Gram
 matrices of character theory, go through hermitian_gram: it accumulates
@@ -661,6 +664,8 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
 def cyclotomic_to_json(a):
     a = Cyclotomic.coerce(a)
     den = a.den
+    if den == 1:
+        return {"order": a.order, "coeffs": [f"{c}/1" for c in a.num]}
     return {"order": a.order,
             "coeffs": [f"{c // g}/{den // g}" for c in a.num for g in (gcd(c, den),)]}
 
@@ -671,10 +676,59 @@ def cyclotomic_from_json(obj):
     order = obj["order"]
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError(f"order must be an integer, not {order!r}")
-    if not isinstance(obj["coeffs"], list):
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):
         raise ValueError("coeffs must be a list")
-    ratios = [_parse_ratio(s) for s in obj["coeffs"]]
-    if len(ratios) != euler_phi(order):
+    # phi(n) >= sqrt(n/2), so no order above 2 * len(coeffs)^2 fits the
+    # list; checking that first keeps euler_phi from trial-dividing a huge order
+    if order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
         raise ValueError("coefficient list has wrong length for the given order")
-    den = lcm(*(q for _, q in ratios))
-    return Cyclotomic(order, [p * (den // q) for p, q in ratios], den)
+    # the zero coordinate as written, "0/1", needs no parsing
+    terms = [(i, _parse_ratio(s)) for i, s in enumerate(coeffs) if s != "0/1"]
+    den = lcm(*(q for _, (_, q) in terms))
+    num = [0] * len(coeffs)
+    for i, (p, q) in terms:
+        num[i] = p * (den // q)
+    return Cyclotomic(order, num, den)
+
+
+def _stored(v):
+    """A value as stored, (order, numerators, denominator): one key per
+    value at a fixed order, with no reduced()."""
+    return v.order, v.num, v.den
+
+
+def _json_fields(obj):
+    """(order, coeffs) of a value dict of the types cyclotomic_from_json
+    reads, as a hashable key, or None for any other object."""
+    if type(obj) is dict:
+        order, coeffs = obj.get("order"), obj.get("coeffs")
+        if type(order) is int and type(coeffs) is list and all(type(s) is str for s in coeffs):
+            return order, tuple(coeffs)
+    return None
+
+
+def per_value(convert, key=_stored):
+    """convert, run once per distinct key: the function returned computes
+    convert(x) for the first x of each key(x) and returns that result again
+    for every later x with the same key. A key of None is not memoized, so
+    convert raises on it as it would alone. The memo lives only as long as
+    the returned function: make one for each table converted. Equal values
+    share one result, a JSON dict too."""
+    memo = {}
+
+    def once(x):
+        k = key(x)
+        if k is None:
+            return convert(x)
+        out = memo.get(k)
+        if out is None:
+            out = memo[k] = convert(x)
+        return out
+    return once
+
+
+def json_reader():
+    """cyclotomic_from_json, once per distinct (order, coeffs) of the value
+    dicts of one file."""
+    return per_value(cyclotomic_from_json, _json_fields)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
                       check_orthonormality, class_sizes)
-from .exact import cyc, cyclotomic_to_json, zero, zeta
+from .exact import cyc, cyclotomic_to_json, per_value, zero, zeta
 
 
 def is_odd_prime(q):
@@ -214,80 +214,86 @@ def _complementary_parameters(q):
 def gl2_table(q):
     """The full character table: q-1 one-dimensional rows, (q-1)(q-2)/2
     principal rows of degree q+1, q-1 rows of degree q, and q(q-1)/2
-    complementary rows of degree q-1."""
+    complementary rows of degree q-1.
+
+    Every value is c * zeta_n^a or c * (zeta_n^a + zeta_n^b), n = q - 1 or
+    q^2 - 1, and is built once for each (n, c, {a, b} mod n) that occurs:
+    the 28224 entries of GL2(F_13) take 195 distinct values."""
     group = GL2Group(q)
     classes = group.classes
     n1 = q - 1
     n2 = q * q - 1
+    memo = {}
 
-    def chi_small(k, x):
-        return zeta(n1, k * group.dlog_q[x % q])
+    def roots(n, c, a, b=None):
+        a %= n
+        if b is not None:
+            a, b = sorted((a, b % n))
+        key = (n, c, a, b)
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = c * (zeta(n, a) if b is None else zeta(n, a) + zeta(n, b))
+        return v
 
-    def chi_big(t, u):
-        return zeta(n2, t * group.dlog_q2[u])
+    # the discrete logarithm of each class's determinant, and of its
+    # parameters: x (scalar, parabolic), x and y (hyperbolic), or the
+    # eigenvalue x + y sqrt(eps) in F_q(sqrt(eps)) (elliptic)
+    dets, logs = [], []
+    for cl in classes:
+        if cl.family in ("scalar", "parabolic"):
+            x = cl.params[0]
+            dets.append(group.dlog_q[x * x % q])
+            logs.append((group.dlog_q[x], group.dlog_q2[(x, 0)]))
+        elif cl.family == "hyperbolic":
+            x, y = cl.params
+            dets.append(group.dlog_q[x * y % q])
+            logs.append((group.dlog_q[x], group.dlog_q[y]))
+        else:
+            dets.append(group.dlog_q[group.norm(cl.params)])
+            logs.append((group.dlog_q2[cl.params],))
+    families = [cl.family for cl in classes]
 
     rows = []
 
     def row(name, degree, values):
         rows.append(TableRow(name, degree, ClassFunction(group, values)))
 
-    dets = []
-    for cl in classes:
-        if cl.family in ("scalar", "parabolic"):
-            dets.append(cl.params[0] ** 2 % q)
-        elif cl.family == "hyperbolic":
-            dets.append(cl.params[0] * cl.params[1] % q)
-        else:
-            dets.append(group.norm(cl.params))
     # one-dimensional series: xi(det g)
     for k in range(q - 1):
-        row(f"xi[{k}]", 1, [chi_small(k, d) for d in dets])
+        row(f"xi[{k}]", 1, [roots(n1, 1, k * d) for d in dets])
     # principal series, lambda1 != lambda2 up to swap
     for k1 in range(q - 1):
         for k2 in range(k1 + 1, q - 1):
             values = []
-            for cl in classes:
-                if cl.family == "scalar":
-                    x = cl.params[0]
-                    values.append((q + 1) * chi_small(k1 + k2, x))
-                elif cl.family == "parabolic":
-                    x = cl.params[0]
-                    values.append(chi_small(k1 + k2, x))
-                elif cl.family == "hyperbolic":
-                    x, y = cl.params
-                    values.append(chi_small(k1, x) * chi_small(k2, y)
-                                  + chi_small(k1, y) * chi_small(k2, x))
+            for family, lg in zip(families, logs):
+                if family == "scalar":
+                    values.append(roots(n1, q + 1, (k1 + k2) * lg[0]))
+                elif family == "parabolic":
+                    values.append(roots(n1, 1, (k1 + k2) * lg[0]))
+                elif family == "hyperbolic":
+                    x, y = lg
+                    values.append(roots(n1, 1, k1 * x + k2 * y, k1 * y + k2 * x))
                 else:
                     values.append(zero())
             row(f"V[{k1},{k2}]", q + 1, values)
-    # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det)
+    # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det), the factor below
+    # times mu(det g)
+    w_factor = {"scalar": q, "parabolic": 0, "hyperbolic": 1, "elliptic": -1}
     for k in range(q - 1):
-        values = []
-        for cl, d in zip(classes, dets):
-            if cl.family == "scalar":
-                values.append(q * chi_small(k, d))
-            elif cl.family == "parabolic":
-                values.append(zero())
-            elif cl.family == "hyperbolic":
-                values.append(chi_small(k, d))
-            else:
-                values.append(-chi_small(k, d))
-        row(f"W[{k}]", q, values)
+        row(f"W[{k}]", q, [roots(n1, w_factor[family], k * d) if w_factor[family] else zero()
+                           for family, d in zip(families, dets)])
     # complementary series
     for t in _complementary_parameters(q):
         values = []
-        for cl in classes:
-            if cl.family == "scalar":
-                x = cl.params[0]
-                values.append((q - 1) * chi_big(t, (x, 0)))
-            elif cl.family == "parabolic":
-                x = cl.params[0]
-                values.append(-chi_big(t, (x, 0)))
-            elif cl.family == "hyperbolic":
+        for family, lg in zip(families, logs):
+            if family == "scalar":
+                values.append(roots(n2, q - 1, t * lg[1]))
+            elif family == "parabolic":
+                values.append(roots(n2, -1, t * lg[1]))
+            elif family == "hyperbolic":
                 values.append(zero())
             else:
-                u = cl.params
-                values.append(-chi_big(t, u) - chi_big(t * q % n2, u))
+                values.append(roots(n2, -1, t * lg[0], t * q * lg[0]))
         row(f"X[{t}]", q - 1, values)
     assert len(rows) == q * q - 1
     return CharacterTable(group, rows, name=f"GL2(F_{q})")
@@ -349,13 +355,15 @@ _SERIES = {"xi": "one-dimensional", "V": "principal", "W": "cuspidal-W", "X": "c
 
 def gl2_table_to_json(table):
     """The table with its class parameters and representatives; each row's
-    series is read from its name prefix."""
+    series is read from its name prefix. Each distinct value is converted
+    once."""
+    to_json = per_value(cyclotomic_to_json)
     return {
         "q": table.group.q,
         "group_order": table.group.order,
         "classes": [{"family": c.family, "params": list(c.params), "size": c.size,
                      "rep": [list(r) for r in c.rep]} for c in table.classes],
         "rows": [{"name": r.name, "series": _SERIES[r.name.split("[")[0]], "degree": r.degree,
-                  "values": [cyclotomic_to_json(v) for v in r.values]}
+                  "values": [to_json(v) for v in r.values]}
                  for r in table.rows],
     }

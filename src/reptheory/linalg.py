@@ -19,6 +19,7 @@ true division.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import add, floordiv, mul, sub
@@ -286,14 +287,30 @@ def rational_to_str(f):
     return f"{f.numerator}/{f.denominator}"
 
 
+# an optional sign and ASCII digits; int() alone also takes the digits of
+# other scripts and "_" separators, and int() on each side of a "/" takes
+# spaces inside a ratio
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_TEXT = re.compile(rf"\s*({_INTEGER})\s*", re.ASCII)
+_RATIO_TEXT = re.compile(rf"\s*({_INTEGER})(?:/({_INTEGER}))?\s*", re.ASCII)
+
+
+def parse_integer(s):
+    """The integer written as s: an optional sign, then ASCII digits, with
+    whitespace only around them; anything else is a ValueError."""
+    m = _INTEGER_TEXT.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f"not an integer: {s!r}")
+    return int(m[1])
+
+
 def _parse_ratio(s):
-    """Integers (p, q), q > 0, with p/q the value of "p/q" or "p"."""
-    if not isinstance(s, str):
+    """Integers (p, q), q > 0, with p/q the value of "p/q" or "p", p and q
+    read as parse_integer reads them."""
+    m = _RATIO_TEXT.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
         raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
-    if "/" not in s:
-        return int(s), 1
-    p, q = s.split("/")
-    p, q = int(p), int(q)
+    p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
         raise ZeroDivisionError(f"Fraction({p}, 0)")
     return (p, q) if q > 0 else (-p, -q)

@@ -22,7 +22,8 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                semidirect_table, table_from_json, table_to_json,
                                tensor_multiplicities, transfer_table, trivial_character,
                                verify_table)
-from reptheory.exact import cyc, zeta, zero
+from reptheory.exact import cyc, cyclotomic_from_json, cyclotomic_to_json, zeta, zero
+from reptheory.gl2fq import gl2_table, gl2_table_to_json
 from reptheory.permgroup import (PermGroup, builtin_group, cyclic_group, from_cycles, p_inv,
                                  p_mul)
 from reptheory.symgrp import MAX_TABLE_N, sn_table
@@ -415,3 +416,65 @@ def test_table_json_roundtrip():
         assert r1.name == r2.name and r1.degree == r2.degree
         assert r1.function.values == r2.function.values
     assert verify_table(back).ok
+
+
+# -- conversions once per value ------------------------------------------------
+
+def per_entry_render(table, numeric=False):
+    """render_table as it was before its value memo: one format per entry."""
+    grid = [[table.name or "G"] + list(table.class_labels),
+            ["#"] + [str(table.classes[c].size) for c in table.display_classes]]
+    grid += [[row.name] + [chartab.format_value(row.values[c], numeric)
+                           for c in table.display_classes] for row in table.rows]
+    widths = [max(len(r[j]) for r in grid) for j in range(len(grid[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in grid)
+
+
+def _tables_by_name():
+    from reptheory.cli import _get_table
+    names = list(BUILTIN_TABLE_NAMES) + [f"S{n}" for n in range(1, 7)] \
+        + [f"{f}{n}" for f in "ZD" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24)]
+    return [(name, lambda name=name: _get_table(name)) for name in names] \
+        + [("heisenberg", lambda: semidirect_table(heisenberg_semidirect()))]
+
+
+@pytest.mark.parametrize("name, build", _tables_by_name(), ids=[n for n, _ in _tables_by_name()])
+def test_table_conversions_equal_per_entry_conversion(name, build):
+    table = build()
+    for numeric in (False, True):
+        assert render_table(table, numeric) == per_entry_render(table, numeric)
+    obj = table_to_json(table)
+    assert obj["rows"] == [{"name": r.name, "degree": r.degree,
+                            "values": [cyclotomic_to_json(r.values[c]) for c in table.display_classes]}
+                           for r in table.rows]
+    obj = json.loads(json.dumps(obj))
+    back = table_from_json(obj)
+    assert [r.values for r in back.rows] == \
+        [tuple(cyclotomic_from_json(v) for v in _canonical(r["values"], back.display_classes))
+         for r in obj["rows"]]
+
+
+def _canonical(values, display):
+    out = [None] * len(values)
+    for c, v in zip(display, values):
+        out[c] = v
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_gl2_conversions_equal_per_entry_conversion(q):
+    table = gl2_table(q)
+    for numeric in (False, True):
+        assert render_table(table, numeric) == per_entry_render(table, numeric)
+    assert [r["values"] for r in gl2_table_to_json(table)["rows"]] == \
+        [[cyclotomic_to_json(v) for v in r.values] for r in table.rows]
+
+
+def test_table_reader_still_types_every_value():
+    obj = table_to_json(builtin_table("S3"), group_name="S3")
+    for bad in (5, {"order": True, "coeffs": ["1/1"]}, {"order": 1, "coeffs": [["1/1"]]},
+                {"order": 1, "coeffs": "1/1"}, {"order": 1, "coeffs": ["\u0661/1"]}):
+        obj["rows"][-1]["values"][-1] = bad
+        with pytest.raises(ValueError):
+            table_from_json(json.loads(json.dumps(obj)))

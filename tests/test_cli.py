@@ -614,6 +614,10 @@ NAME_CASES = {
     "S\u0663": ("error: unknown group name: 'S\u0663'\n",) * 2,
     "S16": ("error: symmetric groups only up to S15 here\n",) * 2,
     "A8": ("error: alternating groups only up to A7 here\n",) * 2,
+    "z100": ("", ""),
+    "D_100": ("", ""),
+    "Z101": ("error: cyclic and dihedral groups only up to Z100 here\n",) * 2,
+    "d101": ("error: cyclic and dihedral groups only up to D100 here\n",) * 2,
     "M11": ("error: unknown group name: 'M11'\n",) * 2,
     "-x": ("error: unknown group name: '-x'\n",) * 2,
     "": ("error: unknown group name: ''\n",) * 2,
@@ -642,6 +646,78 @@ def test_group_names_exit_0_or_1(optimize):
     got = json.loads(proc.stdout)
     assert got == {name: [[1 if err else 0, err] for err in errs]
                    for name, errs in NAME_CASES.items()}
+
+
+# every integer the command line reads, written with digits that are not
+# ASCII (int() takes the Arabic-Indic ones), with "_" or with inner spaces
+NOT_ASCII_INTEGERS = [
+    (["sn", "table", "\u0663"], "\u0663"),
+    (["sn", "table", "1_0"], "1_0"),
+    (["gl2", "table", "--q", "\u0661\u0663"], "\u0661\u0663"),
+    (["gl2", "classes", "--q", "+ 3"], "+ 3"),
+    (["gl2", "verify", "--q", "\u0663"], "\u0663"),
+    (["semidirect", "table", "dn", "--n", "\u0665"], "\u0665"),
+    (["schur", "dim", "--lambda", "2,1", "--vars", "\u0663"], "\u0663"),
+    (["selftest", "--criterion", "\u0661"], "\u0661"),
+    (["selftest", "--seed", "1_0", "--criterion", "1"], "1_0"),
+    (["sn", "dim", "--lambda", "\u0662,1"], "\u0662"),
+    (["sn", "kostka", "--mu", "2,1", "--lambda", "1 1,1"], "1 1"),
+    (["quiver", "indecomposables", "--arrows", "0>\u0661"], "\u0661"),
+    (["chartab", "restrict", "S3", "--sub", "1,\u0660,2", "--row", "C+"], "\u0660"),
+]
+
+INTEGER_SCRIPT = """
+import contextlib, io, json, sys
+from reptheory.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_command_line_integers_are_ascii(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [argv for argv, _ in NOT_ASCII_INTEGERS] + [["sn", "table", " 3 "]]
+    proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    *bad, ok = json.loads(proc.stdout)
+    for (argv, text), got in zip(NOT_ASCII_INTEGERS, bad):
+        assert got == [1, "", f"error: not an integer: {text!r}\n"], argv
+    assert ok[0] == 0 and ok[1].startswith("S3  ")
+
+
+@pytest.mark.parametrize("row, err", [
+    ("\u0660", "error: '\u0660'\n"),
+    ("5", "error: row index 5 out of range: the subgroup table has 2 rows\n"),
+])
+def test_induce_row_index_is_ascii_and_in_range(capsys, row, err):
+    assert run_cli(capsys, "chartab", "induce", "S3", "--sub", "1,0,2", "--row", row) == (1, "", err)
+    assert run_cli(capsys, "chartab", "induce", "S3", "--sub", "1,0,2", "--row", "1") == \
+        (0, "Ind chi1 = C- + C2\n", "")
+
+
+@pytest.mark.parametrize("command", [["gl2", "table", "--q", "5", "--json"],
+                                     ["chartab", "show", "A5", "--json"],
+                                     ["semidirect", "table", "heisenberg", "--json"]])
+def test_json_output_is_json_dumps(capsys, command):
+    code, out, _ = run_cli(capsys, *command)
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_output_of_a_table_with_no_rows(capsys, tmp_path):
+    blob = table_to_json(builtin_table("S3"), group_name="S3")
+    blob["rows"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = run_cli(capsys, "chartab", "show", "--file", str(path), "--json")
+    assert code == 0 and json.loads(out) == blob and out == json.dumps(blob, indent=2) + "\n"
+
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_verify_reports_a_degree_zero_row(tmp_path, optimize):

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import reptheory
 from reptheory.exact import (Cyclotomic, _divisors, _power_table, cyc, conjugate,
                              cyclotomic_from_json, cyclotomic_to_json, cyclotomic_polynomial,
-                             euler_phi, rational_from_str, rational_to_str, zeta)
+                             euler_phi, per_value, rational_from_str, rational_to_str, zeta)
+from reptheory.linalg import matrix_from_json, parse_integer
 from reptheory.gl2fq import gl2_table
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -295,7 +296,7 @@ def test_gl2_13_values_match_reference():
 
 
 @pytest.mark.parametrize("coeffs", [["2/4", "1/-2"], [" 3", "+1/6"], ["-0/5", "6/-4"],
-                                    ["1_0/3", " -7 "], ["0", "0/-9"]])
+                                    ["10/-3", " -7 "], ["0", "0/-9"]])
 def test_odd_coefficient_strings_parse_as_reference(coeffs):
     obj = {"order": 4, "coeffs": coeffs}
     assert fields(cyclotomic_from_json(obj)) == fields(reference_from_json(obj))
@@ -310,6 +311,72 @@ def test_bad_coefficient_strings_raise_as_reference(bad):
         reference_from_json(obj)
     with pytest.raises(ref.type):
         cyclotomic_from_json(obj)
+
+
+# digits of other scripts, "_" separators and spaces inside a ratio, which
+# int() takes on either side of a "/"
+NOT_ASCII_RATIOS = ["\u0663/\u0664", " +3/ 4", "1_000/3", "3 /4", "- 3", "\u0663", "1\u00a0"]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_RATIOS)
+def test_rationals_are_ascii_digits(text):
+    for read in (rational_from_str, parse_integer,
+                 lambda s: cyclotomic_from_json({"order": 4, "coeffs": ["0/1", s]}),
+                 lambda s: matrix_from_json({"rows": 1, "cols": 1, "entries": [[s]]})):
+        with pytest.raises(ValueError):
+            read(text)
+    assert parse_integer(" -12 ") == -12 and rational_from_str("\t+3/-4\n") == Fraction(-3, 4)
+
+
+def dense_from_json(obj):
+    """The reader before the "0/1" shortcut: every coefficient through the
+    ratio parser, then one lcm."""
+    ratios = []
+    for s in obj["coeffs"]:
+        p, q = s.split("/") if "/" in s else (s, "1")
+        p, q = int(p), int(q)
+        ratios.append((p, q) if q > 0 else (-p, -q))
+    den = lcm(*(q for _, q in ratios))
+    return Cyclotomic(obj["order"], [p * (den // q) for p, q in ratios], den)
+
+
+# valid coefficient strings that are not the canonical "0/1" and "p/q"
+ODD_COEFFS = ["0", "0/7", "-0/1", "4/6", "3/-4", "-2/-6", "5", "1/1", "-1/1", "7/3"]
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 8, 12, 15, 24, 168]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_json_reader_matches_the_dense_reader(order, data):
+    coeffs = data.draw(st.lists(st.sampled_from(["0/1"] * 4 + ODD_COEFFS),
+                                min_size=euler_phi(order), max_size=euler_phi(order)))
+    obj = {"order": order, "coeffs": coeffs}
+    assert fields(cyclotomic_from_json(obj)) == fields(dense_from_json(obj))
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_huge_order_is_rejected_before_factoring(optimize):
+    # a prime near 10^18: trial division to its square root would not end
+    code = ("from reptheory.exact import cyclotomic_from_json\n"
+            "try:\n    cyclotomic_from_json({'order': 1000000000000000003, 'coeffs': ['1/1']})\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=20)
+    assert proc.stdout == "coefficient list has wrong length for the given order\n", proc.stderr
+
+
+def test_order_bound_admits_every_phi():
+    # phi(n) >= sqrt(n/2): the bound rejects no order that has the right length
+    for n in range(1, 5000):
+        assert n <= 2 * euler_phi(n) ** 2
+
+
+def test_per_value_converts_each_stored_value_once():
+    calls = []
+    once = per_value(lambda v: calls.append(v) or str(v))
+    values = [zeta(12, k) for k in range(24)] + [cyc(0), cyc(Fraction(1, 2)), cyc(Fraction(2, 4))]
+    assert [once(v) for v in values] == [str(v) for v in values]
+    assert len(calls) == len({fields(v) for v in values}) == 14
 
 
 BAD_CONSTRUCTIONS = {
