@@ -26,6 +26,12 @@ Wherever an element is given as a permutation, its class comes from the
 group's `class_index(perm)`: in the JSON reader, the classical tables and
 the subgroup embedding `subgroup(generators)` that induction and
 restriction use. Only the subgroup is enumerated.
+
+Abelian duals and semidirect tables work on characters of an abelian
+group as lists of integer exponents mod its exponent e, one per element,
+and turn them into zeta_e powers only as table values. The product
+itself, `SemidirectProduct`, and `dihedral_semidirect` live in permgroup
+beside the named groups; chartab names them too.
 """
 
 from __future__ import annotations
@@ -34,9 +40,10 @@ import itertools
 
 from .exact import (cyc, cyclotomic_to_json, hermitian_gram, json_reader, one, per_value,
                     zero, zeta)
-from .permgroup import (PermGroup, alternating_group, cyclic_group, from_cycles,
-                        group_from_json, group_to_json, p_identity, p_mul, p_order,
-                        parse_group_name, quaternion_group, symmetric_group)
+from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
+                        dihedral_semidirect, from_cycles, group_from_json, group_to_json,
+                        p_identity, p_mul, p_order, parse_group_name, quaternion_group,
+                        symmetric_group)
 
 class ClassFunction:
     __slots__ = ("group", "values")
@@ -358,207 +365,101 @@ def frobenius_schur(f):
 
 # -- abelian dual tables -------------------------------------------------
 
-def abelian_dual_table(group):
-    """The character group of an abelian group, as a complete table.
-
-    All |G| homomorphisms into the roots of unity of order exp(G) are
-    enumerated by brute force over generator images and verified to be
-    multiplicative; for Z_n with its standard generator this produces
-    chi_k(m) = zeta_n^(k*m) in index order.
-    """
+def _abelian_characters(group):
+    """(e, characters) for an abelian group of exponent e: its |G|
+    homomorphisms into the e-th roots of unity, each as the list of
+    exponents x[i], the character's value at element i being zeta_e^x[i].
+    They are enumerated by brute force over generator images, in
+    lexicographic order, and each is checked to be multiplicative; for Z_n
+    with its standard generator the k-th is m -> k*m."""
     if any(cl.size > 1 for cl in group.classes):
         raise ValueError("dual table requires an abelian group")
-    e = group.exponent
-    gens = group.generators
-    n = group.order
-    gen_orders = [p_order(p) for p in gens]
-    seen = {}
-    hom_exponents = []
+    e, n = group.exponent, group.order
+    gen_orders = [p_order(p) for p in group.generators]
+    # times[k][i]: the index of element i times generator k
+    times = [[group.mul(i, group.index[p]) for i in range(n)] for p in group.generators]
+    characters = []
     for combo in itertools.product(*(range(o) for o in gen_orders)):
         gen_exps = [c * (e // o) for c, o in zip(combo, gen_orders)]
-        exps = group.extend_hom(gen_exps, mul=lambda a, b: (a + b) % e, one=0)
-        good = True
-        for i in range(n):
-            for k, p in enumerate(gens):
-                if exps[group.mul(i, group.index[p])] != (exps[i] + gen_exps[k]) % e:
-                    good = False
-                    break
-            if not good:
-                break
-        key = tuple(exps)
-        if good and key not in seen:
-            seen[key] = True
-            hom_exponents.append(exps)
-    assert len(hom_exponents) == n, "abelian dual enumeration is incomplete"
-    rows = []
-    for k, exps in enumerate(hom_exponents):
-        values = []
-        for cl in group.classes:
-            elem_idx = cl.members[0]
-            values.append(zeta(e, exps[elem_idx]))
-        rows.append(TableRow(f"chi{k}", 1, ClassFunction(group, values)))
+        x = group.extend_hom(gen_exps, mul=lambda a, b: (a + b) % e, one=0)
+        if all(x[t[i]] == (x[i] + k) % e for t, k in zip(times, gen_exps) for i in range(n)):
+            characters.append(x)
+    if len(characters) != n:
+        raise ValueError("abelian dual enumeration is incomplete")
+    return e, characters
+
+
+def abelian_dual_table(group):
+    """The character group of an abelian group, as a complete table: row
+    chi<k> is the k-th character of `_abelian_characters`, so for Z_n with
+    its standard generator chi_k(m) = zeta_n^(k*m)."""
+    e, characters = _abelian_characters(group)
+    roots = [zeta(e, k) for k in range(e)]
+    reps = [cl.members[0] for cl in group.classes]
+    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [roots[x[i]] for i in reps]))
+            for k, x in enumerate(characters)]
     return CharacterTable(group, rows, name="dual")
 
 
 # -- semidirect products -------------------------------------------------
 
-class SemidirectProduct:
-    """G acting on an abelian group A; the product is realized as a
-    permutation group by its left regular action on the (a, g) pairs with
-    multiplication (a1, g1)(a2, g2) = (a1 g1(a2), g1 g2)."""
-
-    def __init__(self, g, a, generator_actions):
-        if any(cl.size > 1 for cl in a.classes):
-            raise ValueError("the normal factor must be abelian")
-        self.acting = g
-        self.abelian = a
-        for auto in generator_actions:
-            self._check_automorphism(a, auto)
-        self.act = g.extend_hom([tuple(x) for x in generator_actions],
-                                mul=p_mul, one=p_identity(a.order))
-        na, ng = a.order, g.order
-        self.pair_count = na * ng
-
-        def pair_index(ai, gi):
-            return ai * ng + gi
-
-        def pair_mul(p1, p2):
-            a1, g1 = p1
-            a2, g2 = p2
-            return (a.mul(a1, self.act[g1][a2]), g.mul(g1, g2))
-
-        gen_perms = []
-        for gen in a.generators:
-            ga = a.index[gen]
-            gen_perms.append(tuple(
-                pair_index(*pair_mul((ga, 0), (ai, gi)))
-                for ai in range(na) for gi in range(ng)))
-        for gen in g.generators:
-            gg = g.index[gen]
-            gen_perms.append(tuple(
-                pair_index(*pair_mul((0, gg), (ai, gi)))
-                for ai in range(na) for gi in range(ng)))
-        self.group = PermGroup(self.pair_count, gen_perms)
-        assert self.group.order == self.pair_count
-        ident_pair = pair_index(0, 0)
-        self.pair_of = []
-        for perm in self.group.elements:
-            p = perm[ident_pair]
-            self.pair_of.append((p // ng, p % ng))
-
-    @staticmethod
-    def _check_automorphism(a, auto):
-        auto = tuple(auto)
-        if sorted(auto) != list(range(a.order)):
-            raise ValueError("action is not a bijection of the abelian group")
-        for x in range(a.order):
-            for y in range(a.order):
-                if auto[a.mul(x, y)] != a.mul(auto[x], auto[y]):
-                    raise ValueError("action is not an automorphism")
-
-
-def semidirect_table(sd, g_table=None):
+def semidirect_table(sd):
     """Character table of G x| A from orbits of G on the dual of A.
 
-    One row per pair (orbit O, irreducible U of the stabilizer of a
-    chosen orbit representative), with values from the Mackey-type
+    One row per pair (orbit O, irreducible U of the stabilizer G_x of a
+    chosen orbit representative x), with values from the Mackey-type
     formula chi(a, g) = |G_x|^-1 sum over h with h g h^-1 in G_x of
-    x(h(a)) chi_U(h g h^-1). Orbits are ordered by their minimal
-    dual-row index, stabilizer rows in their own table order.
+    x(h(a)) chi_U(h g h^-1). The trivial character's stabilizer is G, so
+    G must be abelian (ValueError otherwise), and then h g h^-1 = g. The
+    characters of A are exponent lists (`_abelian_characters`), on which
+    h acts by permuting entries. Orbits are ordered by their minimal
+    character index, stabilizer rows in their own table order.
     """
-    g, a = sd.acting, sd.abelian
-    dual = abelian_dual_table(a)
-    # dual rows as value-per-element vectors
-    dual_elem = [tuple(row.function.values[a.class_index(x)] for x in a.elements)
-                 for row in dual.rows]
-    row_lookup = {vals: i for i, vals in enumerate(dual_elem)}
-
-    def g_on_row(gi, ri):
-        inv = g.inv(gi)
-        moved = tuple(dual_elem[ri][sd.act[inv][ai]] for ai in range(a.order))
-        return row_lookup[moved]
-
-    unassigned = set(range(len(dual_elem)))
-    orbits = []
-    while unassigned:
-        start = min(unassigned)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            r = frontier.pop()
-            for gi in range(g.order):
-                r2 = g_on_row(gi, r)
-                if r2 not in orbit:
-                    orbit.add(r2)
-                    frontier.append(r2)
-        unassigned -= orbit
-        orbits.append(sorted(orbit))
-
+    g, a, act = sd.acting, sd.abelian, sd.act
+    if not g.is_abelian():
+        raise ValueError("no character table available for a non-abelian stabilizer")
+    e, characters = _abelian_characters(a)
+    roots = [zeta(e, k) for k in range(e)]
+    number = {tuple(x): r for r, x in enumerate(characters)}
     product = sd.group
+    pairs = [sd.pair_of[cl.members[0]] for cl in product.classes]
+    done = set()
     rows = []
-    for orbit in orbits:
-        x_row = orbit[0]
-        x_vals = dual_elem[x_row]
-        stab_indices = [gi for gi in range(g.order) if g_on_row(gi, x_row) == x_row]
-        stab_set = set(stab_indices)
-        stab = PermGroup(g.degree, [g.elements[i] for i in stab_indices])
-        if stab.is_abelian():
-            stab_table = abelian_dual_table(stab)
-        elif stab.order == g.order and g_table is not None and g_table.group is g:
-            stab_table = g_table
-        else:
-            raise ValueError("no character table available for a non-abelian stabilizer")
-        # stabilizer character values per G-element index
-        stab_val = {}
-        for row in stab_table.rows:
-            vals = {}
-            for gi in stab_indices:
-                elem = g.elements[gi]
-                vals[gi] = row.function.values[stab_table.group.class_index(elem)]
-            stab_val[row.name] = vals
-        for srow in stab_table.rows:
-            degree = len(orbit) * srow.degree
+    for r, x in enumerate(characters):
+        if r in done:
+            continue
+        # the character x o h for each h of G: the orbit of x, as G is a group
+        moved = [number[tuple(x[b] for b in act_h)] for act_h in act]
+        done.update(moved)
+        degree = len(set(moved))
+        stab_indices = [h for h, s in enumerate(moved) if s == r]
+        stab = PermGroup(g.degree, [g.elements[h] for h in stab_indices])
+        e_u, stab_characters = _abelian_characters(stab)
+        roots_u = [zeta(e_u, k) for k in range(e_u)]
+        where = [stab.index.get(elem) for elem in g.elements]  # G-index -> stabilizer index
+        for k, u in enumerate(stab_characters):
+            chi_u = [None if i is None else roots_u[u[i]] for i in where]
             values = []
-            for cl in product.classes:
-                eidx = cl.members[0]
-                ai, gi = sd.pair_of[eidx]
+            for ai, gi in pairs:
                 total = zero()
-                vals = stab_val[srow.name]
-                for hi in range(g.order):
-                    y = g.mul(g.mul(hi, gi), g.inv(hi))
-                    if y in stab_set:
-                        total = total + x_vals[sd.act[hi][ai]] * vals[y]
+                if chi_u[gi] is not None:
+                    for act_h in act:
+                        total = total + roots[x[act_h[ai]]] * chi_u[gi]
                 values.append(total / len(stab_indices))
-            name = f"(O{x_row},{srow.name})"
-            rows.append(TableRow(name, degree, ClassFunction(product, values)))
+            rows.append(TableRow(f"(O{r},chi{k})", degree, ClassFunction(product, values)))
     return CharacterTable(product, rows, name="semidirect")
-
-
-def dihedral_semidirect(n):
-    """D_n as Z_2 acting on Z_n by inversion."""
-    z2 = cyclic_group(2)
-    zn = cyclic_group(n)
-    inv_auto = tuple(zn.inverse_index)
-    return SemidirectProduct(z2, zn, [inv_auto])
 
 
 def heisenberg_semidirect():
     """The order-27 group of unitriangular 3x3 matrices over F_3, as Z_3
     acting on Z_3 x Z_3 by (b, c) -> (b, b + c)."""
-    z3 = cyclic_group(3)
     a = PermGroup(6, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4, 5)])])
 
-    def coords(elem):
-        return elem[0], elem[3] - 3
-
-    def elem_of(b, c):
+    def elem_of(b, c):  # the element with p[0] = b and p[3] = 3 + c
         return tuple([(i + b) % 3 for i in range(3)] + [3 + (i + c) % 3 for i in range(3)])
 
-    auto = []
-    for idx in range(a.order):
-        b, c = coords(a.elements[idx])
-        auto.append(a.index[elem_of(b, (b + c) % 3)])
-    return SemidirectProduct(z3, a, [tuple(auto)])
+    auto = [a.index[elem_of(p[0], p[0] + p[3] - 3)] for p in a.elements]
+    return SemidirectProduct(cyclic_group(3), a, [auto])
 
 
 # -- the classical tables ------------------------------------------------

@@ -2,8 +2,8 @@
 
 Batch only, deterministic output; exit code 0 on success, 1 on domain
 errors, 2 on usage errors (argparse's convention). Integers on the command
-line are read by linalg.parse_integer, after parsing, so that one which is
-not ASCII digits is a domain error too.
+line are read by linalg.parse_integer and rationals by linalg.parse_rational,
+after parsing, so that one which is not ASCII is a domain error too.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
 from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json
-from .linalg import parse_integer
+from .linalg import parse_integer, parse_rational
 
 
 def _parse_partition(s):
@@ -89,21 +88,21 @@ def _print_sum(head, table, mults):
 
 def _get_table(name):
     """The table of the group a name resolves to, named by its canonical
-    name: a classical table, an S_n table, an abelian dual, or for D<n>
-    the semidirect table, on the same points as the group."""
+    name: a classical table, an S_n table, for D<n> with n >= 3 the
+    semidirect table on the points of the group D<n>, or an abelian dual."""
     family, n = permgroup.parse_group_name(name)
     key = f"{family}{n}"
     if key in chartab.BUILTIN_TABLE_NAMES:
         return chartab.builtin_table(key)
     if family == "S":
         return symgrp.sn_table(n)
-    group = permgroup.builtin_group(key)
-    if group.is_abelian():
-        table = chartab.abelian_dual_table(group)
-    elif family == "D":
-        table = chartab.semidirect_table(chartab.dihedral_semidirect(n))
+    if family == "D" and n >= 3:
+        table = chartab.semidirect_table(permgroup.dihedral_semidirect(n))
     else:
-        raise ValueError(f"no table construction for {name!r}; use a builtin name or a file")
+        group = permgroup.builtin_group(key)
+        if not group.is_abelian():
+            raise ValueError(f"no table construction for {name!r}; use a builtin name or a file")
+        table = chartab.abelian_dual_table(group)
     table.name = key
     return table
 
@@ -135,7 +134,7 @@ def cmd_chartab_decompose(args):
     elif args.permutation:
         f = chartab.permutation_character(g)
     else:
-        vals = [Fraction(x) for x in args.values.split(",")]
+        vals = [parse_rational(x) for x in args.values.split(",")]
         if len(vals) != len(g.classes):
             raise ValueError(f"need {len(g.classes)} values (class order: "
                              f"{', '.join(table.class_labels)})")
@@ -236,7 +235,7 @@ def cmd_sn_kostka(args):
 
 def cmd_schur_eval(args):
     lam = _parse_partition(getattr(args, "lambda"))
-    points = [Fraction(x) for x in args.points.split(",")]
+    points = [parse_rational(x) for x in args.points.split(",")]
     print(symgrp.schur_eval(lam, points))
     return 0
 
@@ -245,7 +244,7 @@ def cmd_schur_dim(args):
     lam = _parse_partition(getattr(args, "lambda"))
     n = parse_integer(args.vars)
     if args.z is not None:
-        print(symgrp.schur_special(lam, n, z=Fraction(args.z)))
+        print(symgrp.schur_special(lam, n, z=parse_rational(args.z)))
     else:
         print(symgrp.schur_special(lam, n))
     return 0
@@ -350,11 +349,9 @@ def cmd_gl2_verify(args):
 
 def cmd_semidirect_table(args):
     if args.construction == "dn":
-        sd = chartab.dihedral_semidirect(parse_integer(args.n))
-    elif args.construction == "heisenberg":
+        sd = permgroup.dihedral_semidirect(permgroup.check_name_range("D", parse_integer(args.n)))
+    else:  # "heisenberg", the parser's other choice
         sd = chartab.heisenberg_semidirect()
-    else:
-        raise ValueError(f"unknown construction {args.construction!r}")
     return _print_table(args, chartab.semidirect_table(sd), chartab.table_to_json)
 
 

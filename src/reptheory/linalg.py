@@ -304,6 +304,14 @@ def parse_integer(s):
     return int(m[1])
 
 
+def parse_rational(s):
+    """The rational written as s, as Fraction reads it ("2/3", "-1.5"), but
+    from ASCII text only: Fraction itself reads any Unicode decimal digit."""
+    if not s.isascii():
+        raise ValueError(f"not a rational: {s!r}")
+    return Fraction(s)
+
+
 def _parse_ratio(s):
     """Integers (p, q), q > 0, with p/q the value of "p/q" or "p", p and q
     read as parse_integer reads them."""

@@ -6,7 +6,10 @@ computed as conjugation orbits; no stabilizer-chain machinery.
 SymmetricGroup holds S_n up to S_15 as class data instead: one class per
 cycle type, with no element listed. A SubgroupView embeds an enumerated
 subgroup H in either kind of group through the group's `class_index`, so
-induction and restriction list the elements of H only.
+induction and restriction list the elements of H only. A
+SemidirectProduct realizes G x| A (A abelian) on the pairs (a, g); D_n
+for n >= 3 is the one of Z_2 acting on Z_n by inversion, and its
+character table is built from it by `chartab.semidirect_table`.
 
 A permutation on m points is a plain tuple of 0-based images. The
 enumeration loops compose through `operator.itemgetter`, so each product
@@ -323,16 +326,61 @@ def cyclic_group(n):
     return PermGroup(n, [tuple(list(range(1, n)) + [0])])
 
 
+class SemidirectProduct:
+    """G acting on an abelian group A; the product is realized as a
+    permutation group by its left regular action on the (a, g) pairs, pair
+    (a, g) the point a * |G| + g, with multiplication
+    (a1, g1)(a2, g2) = (a1 g1(a2), g1 g2). `act[g]` is the permutation of
+    the element indices of A by which g acts, and `pair_of[i]` the pair of
+    the product's element i."""
+
+    def __init__(self, g, a, generator_actions):
+        if any(cl.size > 1 for cl in a.classes):
+            raise ValueError("the normal factor must be abelian")
+        self.acting = g
+        self.abelian = a
+        generator_actions = [tuple(x) for x in generator_actions]
+        for auto in generator_actions:
+            _check_automorphism(a, auto)
+        self.act = g.extend_hom(generator_actions, mul=p_mul, one=p_identity(a.order))
+        na, ng = a.order, g.order
+
+        def left_mul(ai, gi):
+            return tuple(a.mul(ai, self.act[gi][b]) * ng + g.mul(gi, h)
+                         for b in range(na) for h in range(ng))
+
+        self.group = PermGroup(na * ng, [left_mul(a.index[p], 0) for p in a.generators]
+                               + [left_mul(0, g.index[p]) for p in g.generators])
+        if self.group.order != na * ng:
+            raise ValueError("the generator actions do not define an action of the acting group")
+        self.pair_of = [divmod(perm[0], ng) for perm in self.group.elements]
+
+
+def _check_automorphism(a, auto):
+    """A bijection f of A with f(xs) = f(x) f(s) for every x and every
+    generator s is an automorphism: f(1) = 1, and f(xy) = f(x) f(y) follows
+    along a word in the generators for y."""
+    if sorted(auto) != list(range(a.order)):
+        raise ValueError("action is not a bijection of the abelian group")
+    for s in (a.index[p] for p in a.generators):
+        if any(auto[a.mul(x, s)] != a.mul(auto[x], auto[s]) for x in range(a.order)):
+            raise ValueError("action is not an automorphism")
+
+
+def dihedral_semidirect(n):
+    """D_n as Z_2 acting on Z_n by inversion."""
+    zn = cyclic_group(n)
+    return SemidirectProduct(cyclic_group(2), zn, [zn.inverse_index])
+
+
 def dihedral_group(n):
-    """D_n of order 2n by its left regular action on the elements r^a s^e,
-    point 2a + e, generated by the rotation r and the reflection s; these
-    are the points and generators of `chartab.dihedral_semidirect(n)`.
-    D_1 is Z_2; D_2 is the Klein four-group on 4 points."""
+    """D_n of order 2n: the group of `dihedral_semidirect(n)`, the left
+    regular action on the elements r^a s^e, point 2a + e, generated by the
+    rotation r and the reflection s. D_1 is Z_2; D_2 is the Klein
+    four-group on 4 points."""
     if n == 2:
         return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
-    rot = tuple(2 * ((p // 2 + 1) % n) + p % 2 for p in range(2 * n))
-    ref = tuple(2 * (-(p // 2) % n) + 1 - p % 2 for p in range(2 * n))
-    return PermGroup(2 * n, [rot, ref])
+    return dihedral_semidirect(n).group
 
 
 # quaternion axis products, axes 1, i, j, k: (axis, axis) -> (sign, axis)
@@ -456,12 +504,13 @@ class SymmetricGroup:
 
 # -- names and JSON ---------------------------------------------------
 
-# The largest n whose names Z<n> and D<n> resolve. Their tables are n x n
-# and about 2n x 2n cyclotomics over enumerated groups: measured end to end
-# on a 2-vCPU machine with Python 3.11, `chartab show D<n>` takes 2.0 s at
-# n = 100 and 5.7 s at n = 150 (as text and with --json alike), and
-# `chartab show Z<n>` 0.3 s at n = 100 and 2.8 s at n = 300. 100 keeps
-# both families under 5 s with room for a slower machine.
+# The largest n whose names Z<n> and D<n> resolve, and the largest
+# `semidirect table dn --n`. Their tables are n x n and about n/2 x n/2
+# cyclotomics over enumerated groups: measured end to end on a 2-vCPU
+# machine with Python 3.11, `chartab show D<n>` takes 0.3 s at n = 100,
+# 0.45 s at n = 150 and 0.9 s at n = 200 (as text and with --json alike),
+# and `chartab show Z<n>` 0.2 s at n = 100 and 0.7 s at n = 300. Both
+# families stay under 1 s up to 100 with room for a slower machine.
 MAX_CYCLIC_DIHEDRAL_N = 100
 
 # S<n>, A<n>, Z<n>, D<n> or Q8, in either case, with an optional underscore
@@ -476,7 +525,13 @@ def parse_group_name(name):
     m = _GROUP_NAME.fullmatch(name.strip())
     if m is None:
         raise ValueError(f"unknown group name: {name!r}")
-    family, n = (m[1] or m[3]).upper(), int(m[2] or m[4])
+    family = (m[1] or m[3]).upper()
+    return family, check_name_range(family, int(m[2] or m[4]))
+
+
+def check_name_range(family, n):
+    """n, if the name <family><n> is in the range parse_group_name takes;
+    otherwise the ValueError that name raises."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if family == "S" and n > MAX_TABLE_N:
@@ -485,7 +540,7 @@ def parse_group_name(name):
         raise ValueError("alternating groups only up to A7 here")
     if family in ("Z", "D") and n > MAX_CYCLIC_DIHEDRAL_N:
         raise ValueError(f"cyclic and dihedral groups only up to {family}{MAX_CYCLIC_DIHEDRAL_N} here")
-    return family, n
+    return n
 
 
 _NAMED_GROUPS = {"S": SymmetricGroup, "A": alternating_group, "Z": cyclic_group,

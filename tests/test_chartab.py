@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -22,10 +23,11 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                semidirect_table, table_from_json, table_to_json,
                                tensor_multiplicities, transfer_table, trivial_character,
                                verify_table)
-from reptheory.exact import cyc, cyclotomic_from_json, cyclotomic_to_json, zeta, zero
+from reptheory.exact import (Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json, zeta,
+                            zero)
 from reptheory.gl2fq import gl2_table, gl2_table_to_json
 from reptheory.permgroup import (PermGroup, builtin_group, cyclic_group, from_cycles, p_inv,
-                                 p_mul)
+                                 p_mul, p_order)
 from reptheory.symgrp import MAX_TABLE_N, sn_table
 
 
@@ -322,31 +324,38 @@ def test_semidirect_count_identity():
         assert sum(r.degree ** 2 for r in table.rows) == 2 * n
 
 
-def test_semidirect_frobenius_group_20():
-    # Z_4 acting on Z_5 by an order-4 automorphism (multiplication by 2):
-    # four linear characters and one of degree 4
+def frobenius_group_20():
+    # Z_4 acting on Z_5 by an order-4 automorphism (multiplication by 2)
     z4 = cyclic_group(4)
     z5 = cyclic_group(5)
     # element index of k in Z_5 is k (BFS order from the n-cycle)
     auto = tuple((2 * k) % 5 for k in range(5))
-    sd = chartab.SemidirectProduct(z4, z5, [auto])
-    table = semidirect_table(sd)
+    return chartab.SemidirectProduct(z4, z5, [auto])
+
+
+def proper_stabilizer_example():
+    # Z_4 acting on Z_2 x Z_2 through its order-2 quotient (swap the two
+    # factors): the swapped pair of characters has stabilizer 2Z_4, a
+    # proper nontrivial subgroup
+    z4 = cyclic_group(4)
+    klein = builtin_group("D2")
+    sigma = (2, 3, 0, 1)  # exchanges the point pairs {0,1} and {2,3}
+    swap = tuple(klein.index[tuple(sigma[p[sigma[i]]] for i in range(4))]
+                 for p in klein.elements)
+    return chartab.SemidirectProduct(z4, klein, [swap])
+
+
+def test_semidirect_frobenius_group_20():
+    # four linear characters and one of degree 4
+    table = semidirect_table(frobenius_group_20())
     assert table.group.order == 20
     assert verify_table(table).ok
     assert sorted(r.degree for r in table.rows) == [1, 1, 1, 1, 4]
 
 
 def test_semidirect_proper_stabilizer():
-    # Z_4 acting on Z_2 x Z_2 through its order-2 quotient (swap the two
-    # factors): the swapped pair of characters has stabilizer 2Z_4, a
-    # proper nontrivial subgroup, giving two rows of degree 2
-    z4 = cyclic_group(4)
-    klein = builtin_group("D2")
-    sigma = (2, 3, 0, 1)  # exchanges the point pairs {0,1} and {2,3}
-    swap = tuple(klein.index[tuple(sigma[p[sigma[i]]] for i in range(4))]
-                 for p in klein.elements)
-    sd = chartab.SemidirectProduct(z4, klein, [swap])
-    table = semidirect_table(sd)
+    # the swapped pair of characters gives two rows of degree 2
+    table = semidirect_table(proper_stabilizer_example())
     assert table.group.order == 16
     assert verify_table(table).ok
     assert sorted(r.degree for r in table.rows) == [1] * 8 + [2, 2]
@@ -373,6 +382,141 @@ def test_semidirect_generator_count_is_a_value_error(optimize):
     proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def reference_dual_table(group):
+    """The previous release's abelian_dual_table, kept as the oracle: each
+    character is found by brute force over generator images, checked with
+    group products and kept unless an equal exponent list was seen."""
+    if any(cl.size > 1 for cl in group.classes):
+        raise ValueError("dual table requires an abelian group")
+    e = group.exponent
+    gens = group.generators
+    gen_orders = [p_order(p) for p in gens]
+    seen = {}
+    hom_exponents = []
+    for combo in itertools.product(*(range(o) for o in gen_orders)):
+        gen_exps = [c * (e // o) for c, o in zip(combo, gen_orders)]
+        exps = group.extend_hom(gen_exps, mul=lambda a, b: (a + b) % e, one=0)
+        good = all(exps[group.mul(i, group.index[p])] == (exps[i] + gen_exps[k]) % e
+                   for i in range(group.order) for k, p in enumerate(gens))
+        if good and tuple(exps) not in seen:
+            seen[tuple(exps)] = True
+            hom_exponents.append(exps)
+    assert len(hom_exponents) == group.order
+    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [zeta(e, exps[cl.members[0]])
+                                                         for cl in group.classes]))
+            for k, exps in enumerate(hom_exponents)]
+    return CharacterTable(group, rows, name="dual")
+
+
+def reference_semidirect_table(sd):
+    """The previous release's semidirect_table, kept as the oracle: the
+    dual rows are tuples of cyclotomics, orbits are grown breadth-first and
+    the Mackey-type sum conjugates g by every h of G."""
+    g, a = sd.acting, sd.abelian
+    dual = reference_dual_table(a)
+    dual_elem = [tuple(row.function.values[a.class_index(x)] for x in a.elements)
+                 for row in dual.rows]
+    row_lookup = {vals: i for i, vals in enumerate(dual_elem)}
+
+    def g_on_row(gi, ri):
+        inv = g.inv(gi)
+        return row_lookup[tuple(dual_elem[ri][sd.act[inv][ai]] for ai in range(a.order))]
+
+    unassigned = set(range(len(dual_elem)))
+    orbits = []
+    while unassigned:
+        start = min(unassigned)
+        orbit, frontier = {start}, [start]
+        while frontier:
+            r = frontier.pop()
+            for gi in range(g.order):
+                r2 = g_on_row(gi, r)
+                if r2 not in orbit:
+                    orbit.add(r2)
+                    frontier.append(r2)
+        unassigned -= orbit
+        orbits.append(sorted(orbit))
+    product = sd.group
+    rows = []
+    for orbit in orbits:
+        x_row = orbit[0]
+        x_vals = dual_elem[x_row]
+        stab_indices = [gi for gi in range(g.order) if g_on_row(gi, x_row) == x_row]
+        stab = PermGroup(g.degree, [g.elements[i] for i in stab_indices])
+        if not stab.is_abelian():
+            raise ValueError("no character table available for a non-abelian stabilizer")
+        stab_table = reference_dual_table(stab)
+        for srow in stab_table.rows:
+            vals = {gi: srow.function.values[stab.class_index(g.elements[gi])]
+                    for gi in stab_indices}
+            values = []
+            for cl in product.classes:
+                ai, gi = sd.pair_of[cl.members[0]]
+                total = zero()
+                for hi in range(g.order):
+                    y = g.mul(g.mul(hi, gi), g.inv(hi))
+                    if y in vals:
+                        total = total + x_vals[sd.act[hi][ai]] * vals[y]
+                values.append(total / len(stab_indices))
+            rows.append(TableRow(f"(O{x_row},{srow.name})", len(orbit) * srow.degree,
+                                 ClassFunction(product, values)))
+    return CharacterTable(product, rows, name="semidirect")
+
+
+SEMIDIRECT_CASES = {**{f"D{n}": (lambda n=n: dihedral_semidirect(n)) for n in range(1, 31)},
+                    "heisenberg": heisenberg_semidirect,
+                    "frobenius 20": frobenius_group_20,
+                    "proper stabilizer": proper_stabilizer_example}
+DUAL_CASES = {**{f"Z{n}": (lambda n=n: cyclic_group(n)) for n in range(1, 31)},
+              "klein": lambda: builtin_group("D2")}
+
+
+def _stored_rows(table):
+    """Names, degrees and every value as stored: (order, numerators, denominator)."""
+    return [(r.name, r.degree, [(v.order, v.num, v.den) for v in r.values]) for r in table.rows]
+
+
+@pytest.mark.parametrize("name", list(SEMIDIRECT_CASES))
+def test_semidirect_table_matches_reference(name):
+    sd = SEMIDIRECT_CASES[name]()
+    assert _stored_rows(semidirect_table(sd)) == _stored_rows(reference_semidirect_table(sd))
+
+
+@pytest.mark.parametrize("name", list(DUAL_CASES))
+def test_abelian_dual_table_matches_reference(name):
+    group = DUAL_CASES[name]()
+    assert _stored_rows(abelian_dual_table(group)) == _stored_rows(reference_dual_table(group))
+
+
+def test_dual_and_semidirect_tables_make_no_reduction(monkeypatch):
+    products = [build() for build in SEMIDIRECT_CASES.values()]
+    groups = [build() for build in DUAL_CASES.values()]
+    calls = []
+    original = Cyclotomic.reduced
+    monkeypatch.setattr(Cyclotomic, "reduced", lambda self: calls.append(1) or original(self))
+    for sd in products:
+        semidirect_table(sd)
+    for group in groups:
+        abelian_dual_table(group)
+    assert calls == []
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_semidirect_non_abelian_stabilizer_is_a_value_error(optimize):
+    # S3 acting trivially on Z2: the trivial character's stabilizer is S3
+    code = ("from reptheory.chartab import SemidirectProduct, semidirect_table\n"
+            "from reptheory.permgroup import cyclic_group, symmetric_group\n"
+            "sd = SemidirectProduct(symmetric_group(3), cyclic_group(2), [(0, 1), (0, 1)])\n"
+            "try:\n    semidirect_table(sd)\n"
+            "except ValueError as exc:\n    print(exc)\n"
+            "else:\n    raise SystemExit('accepted')\n")
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == \
+        "no character table available for a non-abelian stabilizer\n", proc.stdout + proc.stderr
 
 
 def test_builtin_table_unknown_name():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory import chartab, symgrp
+from reptheory import chartab, permgroup, symgrp
 from reptheory.cli import _get_table, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
@@ -690,6 +690,54 @@ def test_command_line_integers_are_ascii(optimize):
     for (argv, text), got in zip(NOT_ASCII_INTEGERS, bad):
         assert got == [1, "", f"error: not an integer: {text!r}\n"], argv
     assert ok[0] == 0 and ok[1].startswith("S3  ")
+
+
+# every rational the command line reads, written with digits that are not
+# ASCII (Fraction() takes the Arabic-Indic ones)
+NOT_ASCII_RATIONALS = [
+    (["schur", "eval", "--lambda", "1", "--points", "\u0663,\u0661/\u0662"], "\u0663"),
+    (["chartab", "decompose", "S3", "--values", "\u0662,\u0660,-\u0661"], "\u0662"),
+    (["schur", "dim", "--lambda", "2,1", "--vars", "3", "--z", "\u0661/2"], "\u0661/2"),
+]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_command_line_rationals_are_ascii(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [argv for argv, _ in NOT_ASCII_RATIONALS] + [
+        ["schur", "eval", "--lambda", "1", "--points", "1.5,2/3"],
+        ["chartab", "decompose", "S3", "--values", " 2,0,-1"]]
+    proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    *bad, points, values = json.loads(proc.stdout)
+    for (argv, text), got in zip(NOT_ASCII_RATIONALS, bad):
+        assert got == [1, "", f"error: not a rational: {text!r}\n"], argv
+    assert points == [0, "13/6\n", ""]
+    assert values == [0, "C+: 0\nC-: 0\nC2: 1\n", ""]
+
+
+# `semidirect table dn --n N` takes the range of the names D<n>, with the
+# same message
+DIHEDRAL_N_CASES = {
+    "0": "error: n must be >= 1\n",
+    "-3": "error: n must be >= 1\n",
+    str(permgroup.MAX_CYCLIC_DIHEDRAL_N + 1):
+        f"error: cyclic and dihedral groups only up to D{permgroup.MAX_CYCLIC_DIHEDRAL_N} here\n",
+    str(permgroup.MAX_CYCLIC_DIHEDRAL_N): "",
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_semidirect_dn_takes_the_dihedral_name_range(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [["semidirect", "table", "dn", "--n", n] for n in DIHEDRAL_N_CASES]
+    proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for (n, err), (code, out, stderr) in zip(DIHEDRAL_N_CASES.items(), json.loads(proc.stdout)):
+        assert (code, stderr) == (1 if err else 0, err), n
+        assert (out == "") == bool(err), n
 
 
 @pytest.mark.parametrize("row, err", [
