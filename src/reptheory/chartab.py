@@ -37,6 +37,7 @@ beside the named groups; chartab names them too.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .exact import (cyc, cyclotomic_to_json, hermitian_gram, json_reader, one, per_value,
                     zero, zeta)
@@ -413,12 +414,17 @@ def semidirect_table(sd):
     G must be abelian (ValueError otherwise), and then h g h^-1 = g. The
     characters of A are exponent lists (`_abelian_characters`), on which
     h acts by permuting entries. Orbits are ordered by their minimal
-    character index, stabilizer rows in their own table order.
+    character index. The characters of G_x are the distinct restrictions
+    of those of G, each an exponent list over G_x's elements in G's order;
+    its rows follow their lexicographic order, which is the order in which
+    `_abelian_characters` lists them for G_x generated by all its elements.
     """
     g, a, act = sd.acting, sd.abelian, sd.act
     if not g.is_abelian():
         raise ValueError("no character table available for a non-abelian stabilizer")
     e, characters = _abelian_characters(a)
+    e_g, g_characters = _abelian_characters(g)
+    element_orders = [p_order(p) for p in g.elements]
     roots = [zeta(e, k) for k in range(e)]
     number = {tuple(x): r for r, x in enumerate(characters)}
     product = sd.group
@@ -433,12 +439,16 @@ def semidirect_table(sd):
         done.update(moved)
         degree = len(set(moved))
         stab_indices = [h for h, s in enumerate(moved) if s == r]
-        stab = PermGroup(g.degree, [g.elements[h] for h in stab_indices])
-        e_u, stab_characters = _abelian_characters(stab)
+        # on the stabilizer, of exponent e_u, a character of G takes e_u-th
+        # roots of unity: its exponents there are multiples of e_g / e_u
+        e_u = lcm(*(element_orders[h] for h in stab_indices))
+        step = e_g // e_u
+        stab_characters = sorted({tuple(y[h] // step for h in stab_indices) for y in g_characters})
         roots_u = [zeta(e_u, k) for k in range(e_u)]
-        where = [stab.index.get(elem) for elem in g.elements]  # G-index -> stabilizer index
         for k, u in enumerate(stab_characters):
-            chi_u = [None if i is None else roots_u[u[i]] for i in where]
+            chi_u = [None] * g.order
+            for h, i in zip(stab_indices, u):
+                chi_u[h] = roots_u[i]
             values = []
             for ai, gi in pairs:
                 total = zero()
@@ -525,8 +535,8 @@ def builtin_table(name):
     else:
         raise ValueError(f"no builtin table for {name!r}")
     class_of_col = [group.class_index(p) for p in cols]
-    assert sorted(class_of_col) == list(range(len(group.classes))), \
-        "display columns do not exhaust the classes"
+    if sorted(class_of_col) != list(range(len(group.classes))):
+        raise AssertionError("display columns do not exhaust the classes")
     rows = []
     for rname, vals in data:
         canonical = [None] * len(group.classes)

@@ -7,12 +7,18 @@ reduction modulo the n-th cyclotomic polynomial Phi_n; internally the
 phi(n) rational coordinates share one positive denominator so that the
 hot arithmetic paths stay in machine integers.
 
+One function, _fold, reduces an integer polynomial mod Phi_n: products,
+the Galois substitutions z -> z^k (conjugation, and the embedding of a
+subfield), the cached powers of z and the sums of the Gram kernel all end
+in it. Inversion solves num * y = 1 with the multiplication matrix of num
+over the integers, on linalg.gauss_jordan.
+
 Reduction to the smallest subfield Q(zeta_m), m | n, stays in those
 integers too: for each (n, m) an integer left inverse of the embedding
 Q(zeta_m) -> Q(zeta_n) is computed once and cached, and a candidate is
 accepted only when its re-embedding reproduces the value exactly.
 Printing and JSON conversion read the numerators and the shared
-denominator directly; Fractions remain only where inversion needs them.
+denominator directly; no arithmetic builds a Fraction.
 A table converts each distinct value once: per_value memoizes a
 conversion on the stored (order, numerators, denominator), which is one
 key per value at a fixed order and needs no reduced().
@@ -89,28 +95,58 @@ def cyclotomic_polynomial(n):
     for d in _divisors(n):
         if d < n:
             poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            assert not rem
+            if rem:
+                raise AssertionError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_table(n):
-    """Representations of z^k mod Phi_n for 0 <= k <= max(n-1, 2*phi-2),
-    each as an integer tuple of length phi(n)."""
+def _phi_fold(n):
+    """x^phi(n) == sum of f * x^k mod Phi_n, as the pairs (k - phi(n), f)
+    with f != 0; Phi_n is monic and sparse for the orders met here."""
     phi = euler_phi(n)
-    fold = [-c for c in cyclotomic_polynomial(n)[:phi]]  # x^phi == fold
-    top = max(n - 1, 2 * phi - 2)
-    table = []
-    cur = [0] * phi
-    cur[0] = 1
-    table.append(tuple(cur))
-    for _ in range(top):
-        lead = cur[phi - 1] if phi else 0
-        nxt = [0] + cur[: phi - 1]
-        if lead:
-            nxt = [a + lead * b for a, b in zip(nxt, fold)]
-        cur = nxt
-        table.append(tuple(cur))
+    return tuple((k - phi, -c) for k, c in enumerate(cyclotomic_polynomial(n)[:phi]) if c)
+
+
+def _fold(acc, n):
+    """The phi(n) power-basis coordinates of the sum of acc[e] * zeta_n^e,
+    for a list acc of ints of any length, which is consumed: acc is folded
+    by zeta_n^n = 1, then divided by Phi_n from the top with the few
+    nonzero coefficients of _phi_fold. The one reduction mod Phi_n."""
+    phi = euler_phi(n)
+    if len(acc) > n:
+        for e in range(n, len(acc)):
+            acc[e % n] += acc[e]
+        del acc[n:]
+    elif len(acc) < phi:
+        acc += [0] * (phi - len(acc))
+    fold = _phi_fold(n)
+    for e in range(len(acc) - 1, phi - 1, -1):
+        c = acc[e]
+        if c:
+            for k, f in fold:
+                acc[e + k] += c * f
+    return acc[:phi]
+
+
+def _substitute(num, n, step):
+    """The coordinates in Q(zeta_n) of the sum of num[i] * zeta_n^(i * step):
+    the Galois substitution z -> z^step for step prime to n, and for
+    step = n/m the embedding of Q(zeta_m)."""
+    acc = [0] * n
+    for i, c in enumerate(num):
+        if c:
+            acc[i * step % n] += c
+    return _fold(acc, n)
+
+
+@lru_cache(maxsize=None)
+def _power_table(n):
+    """zeta_n^k mod Phi_n for 0 <= k < n, each as an integer tuple of
+    length phi(n): each entry is the one before times z, folded."""
+    table = [tuple(_fold([1], n))]
+    while len(table) < n:
+        table.append(tuple(_fold([0, *table[-1]], n)))
     return table
 
 
@@ -229,15 +265,7 @@ class Cyclotomic:
         """Coefficient vector of self inside Q(zeta_n); requires order | n."""
         if self.order == n:
             return self.num
-        step = n // self.order
-        table = _power_table(n)
-        out = [0] * euler_phi(n)
-        for i, c in enumerate(self.num):
-            if c:
-                rep = table[(i * step) % n]
-                for j, r in enumerate(rep):
-                    out[j] += c * r
-        return out
+        return _substitute(self.num, n, n // self.order)
 
     @staticmethod
     def _common(a, b):
@@ -288,22 +316,13 @@ class Cyclotomic:
             return Cyclotomic(self.order, [other.num[0] * c for c in self.num],
                               self.den * other.den)
         n, na, nb = Cyclotomic._common(self, other)
-        phi = len(na)
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (2 * len(na) - 1)
         for i, a in enumerate(na):
             if a:
                 for j, b in enumerate(nb):
                     if b:
                         conv[i + j] += a * b
-        out = list(conv[:phi])
-        table = _power_table(n)
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                rep = table[e]
-                for j, r in enumerate(rep):
-                    out[j] += c * r
-        return Cyclotomic(n, out, self.den * other.den)
+        return Cyclotomic(n, _fold(conv, n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -313,22 +332,15 @@ class Cyclotomic:
         if self.order == 1:
             return Cyclotomic(1, (self.den if self.num[0] > 0 else -self.den,), abs(self.num[0]),
                               _normalized=True)
-        # extended Euclid: u*a + v*Phi = 1 in Q[x], then a^-1 = u mod Phi
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c, self.den) for c in self.num]
-        r0, r1 = phi_poly, a
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod_frac(r0, r1)
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-        c = r1[0]
-        inv = [v / c for v in s1]
-        return _from_fraction_vector(self.order, inv)
+        # column j of the multiplication matrix M of num is num * z^j; the
+        # eliminated [M | e_0] has row i = d * (e_i | y_i) for M y = e_0, and
+        # the inverse of num / den is den * y
+        n, columns = self.order, [list(self.num)]
+        while len(columns) < len(self.num):
+            columns.append(_fold([0, *columns[-1]], n))
+        rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*columns))]
+        _, d, _ = gauss_jordan(rows, len(columns))
+        return Cyclotomic(n, [self.den * row[-1] for row in rows], d)
 
     def __truediv__(self, other):
         try:
@@ -358,15 +370,7 @@ class Cyclotomic:
         """Galois conjugation zeta -> zeta^(-1) (complex conjugation)."""
         if self.order == 1:
             return self
-        n = self.order
-        table = _power_table(n)
-        out = [0] * len(self.num)
-        for i, c in enumerate(self.num):
-            if c:
-                rep = table[(n - i) % n]
-                for j, r in enumerate(rep):
-                    out[j] += c * r
-        return Cyclotomic(n, out, self.den)
+        return Cyclotomic(self.order, _substitute(self.num, self.order, -1), self.den)
 
     def __eq__(self, other):
         try:
@@ -456,48 +460,6 @@ def _fmt_ratio(p, q):
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dd] = c
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _from_fraction_vector(order, vec):
-    phi = euler_phi(order)
-    vec = list(vec) + [Fraction(0)] * (phi - len(vec))
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    num = [int(v * den) for v in vec]
-    return Cyclotomic(order, num, den)
-
-
 _ZERO = Cyclotomic(1, (0,), 1, _normalized=True)
 _ONE = Cyclotomic(1, (1,), 1, _normalized=True)
 
@@ -530,14 +492,6 @@ def conjugate(a):
 
 
 # -- the Gram kernel --------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _phi_fold(n):
-    """x^phi(n) == sum of f * x^k mod Phi_n, as the pairs (k - phi(n), f)
-    with f != 0; Phi_n is monic and sparse for the orders met here."""
-    phi = euler_phi(n)
-    return tuple((k - phi, -c) for k, c in enumerate(cyclotomic_polynomial(n)[:phi]) if c)
-
 
 def _int_row(row, weights):
     """A rational row as (integer numerators, shared denominator)."""
@@ -595,20 +549,6 @@ def _root_row(row, n, weights, sign, shift, memo, short):
     return terms, den, lcm(*{v.order for v in row})
 
 
-def _reduce_root_sum(acc, n, den):
-    """The Cyclotomic sum of acc[e] * zeta_n^e / den, divided once by Phi_n
-    from the top."""
-    phi = euler_phi(n)
-    fold = _phi_fold(n)
-    for e in range(n - 1, phi - 1, -1):
-        c = acc[e]
-        if c:
-            for k, f in fold:
-                acc[e + k] += c * f
-    num = acc[:phi]
-    return Cyclotomic(n, num, den) if any(num) else _ZERO
-
-
 def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     """The exact sums sum_c w_c * a_c * conj(b_c) / scale, a = left[i] and
     b = right[j], as a list of one Cyclotomic per (i, j) in pairs; rows are
@@ -619,9 +559,9 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     sum of N-th roots of unity over its row's one denominator: its
     power-basis coordinates, or two roots where a row takes part in more
     than one pair. b's rows are conjugated once by negating exponents. An
-    entry accumulates in Z[x]/(x^N - 1) and is reduced once, mod Phi_M for
-    M the lcm of the two rows' orders. Rational rows (N = 1) take an
-    integer dot product instead.
+    entry accumulates in Z[x]/(x^N - 1) and is reduced once by _fold, mod
+    Phi_M for M the lcm of the two rows' orders. Rational rows (N = 1) take
+    an integer dot product instead.
     """
     n = lcm(*{v.order for rows in (left, right) for row in rows for v in row})
     if weights is None:
@@ -655,7 +595,8 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
                     for eb, cb in sb:
                         acc[ea + eb] += ca * cb
         m = lcm(oa, ob)
-        out.append(_reduce_root_sum(acc[::n // m], m, da * db * scale))
+        num = _fold(acc[::n // m], m)
+        out.append(Cyclotomic(m, num, da * db * scale) if any(num) else _ZERO)
     return out
 
 

@@ -116,8 +116,8 @@ class GL2Group:
         for x in range(q):
             for y in range(1, (q - 1) // 2 + 1):
                 add("elliptic", (x, y), q * q - q, ((x, self.eps * y % q), (y, x)))
-        assert len(self.classes) == q * q - 1
-        assert sum(c.size for c in self.classes) == self.order
+        if len(self.classes) != q * q - 1 or sum(c.size for c in self.classes) != self.order:
+            raise AssertionError(f"GL2(F_{q}) classes do not partition the group")
         self._class_index = {(c.family, c.params): i for i, c in enumerate(self.classes)}
 
     def class_label(self, c):
@@ -207,7 +207,8 @@ def _complementary_parameters(q):
             continue  # fixed by the Frobenius twist: restriction of F_q line
         if t <= (t * q) % n:
             out.append(t)
-    assert len(out) == q * (q - 1) // 2
+    if len(out) != q * (q - 1) // 2:
+        raise AssertionError(f"wrong number of complementary parameters for q = {q}")
     return out
 
 
@@ -295,7 +296,8 @@ def gl2_table(q):
             else:
                 values.append(roots(n2, -1, t * lg[0], t * q * lg[0]))
         row(f"X[{t}]", q - 1, values)
-    assert len(rows) == q * q - 1
+    if len(rows) != q * q - 1:
+        raise AssertionError(f"GL2(F_{q}) table has {len(rows)} rows, not q^2 - 1")
     return CharacterTable(group, rows, name=f"GL2(F_{q})")
 
 

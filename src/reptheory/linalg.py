@@ -6,8 +6,9 @@ time in quiver representations.
 
 One elimination kernel, gauss_jordan, does every elimination in the
 package: rref and all built on it (kernels, cokernels, solve, inverse),
-det (and with it the alternants of symgrp.schur_eval), and the subfield
-projections behind exact.Cyclotomic.reduced. It is fraction-free
+det (and with it the alternants of symgrp.schur_eval), the subfield
+projections behind exact.Cyclotomic.reduced, and the inverse of a
+cyclotomic, exact.Cyclotomic.inverse. It is fraction-free
 Gauss-Jordan elimination after Bareiss (1968): every intermediate entry
 is a minor of the input, so on integer rows each division is exact and
 no Fraction is built inside the loop. A rational caller scales each row

@@ -357,18 +357,6 @@ def roots_by_box_search(a, bound):
 
 # -- Weyl groups and Coxeter elements --------------------------------------
 
-def _reflection_matrix(a, i):
-    n = len(a)
-    return tuple(tuple((1 if r == c else 0) - (a[i][c] if r == i else 0)
-                       for c in range(n)) for r in range(n))
-
-
-def _mat_mul(x, y):
-    n = len(x)
-    yt = list(zip(*y))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt) for row in x)
-
-
 def _mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -377,18 +365,22 @@ def coxeter_element(a, labeling=None):
     """The product s_1 s_2 ... s_r in the simple root basis, its
     multiplicative order, and det(c - Id) (nonzero on Dynkin types: 1 is
     never an eigenvalue of a Coxeter element). Only Dynkin types have a
-    Coxeter element of finite order; any other form raises GraphError."""
+    Coxeter element of finite order; any other form raises GraphError.
+    A labeling, the order of the factors, must list each vertex once."""
     _require_definite(a)
-    n = len(a)
-    order_of_vertices = list(labeling) if labeling is not None else list(range(n))
-    c = _mat_identity(n)
-    for i in order_of_vertices:
-        c = _mat_mul(c, _reflection_matrix(a, i))
-    ident = _mat_identity(n)
-    power = c
+    labels = list(labeling) if labeling is not None else list(range(len(a)))
+    if sorted(labels) != list(range(len(a))):
+        raise ValueError(f"a labeling lists each of the {len(a)} vertices once, not {labels}")
+    ident = _mat_identity(len(a))
+
+    def times_c(m):  # c * m = s_1 (s_2 (... (s_r * m)))
+        for i in reversed(labels):
+            m = _reflect_rows(a, i, m)
+        return m
+    c = power = times_c(ident)
     order = 1
     while power != ident:
-        power = _mat_mul(power, c)
+        power = times_c(power)
         order += 1
         if order > 10000:
             raise AssertionError("Coxeter element order did not close")

@@ -193,7 +193,8 @@ def specht_dim_determinant(lam):
     for l in ls:
         den *= factorial(l)
     val = Fraction(num * prod, den)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise AssertionError(f"dimension of the Specht module {lam} is not an integer")
     return int(val)
 
 
@@ -277,7 +278,8 @@ def gl_dim(weights, nvars):
     for i in range(nvars):
         for j in range(i + 1, nvars):
             total *= Fraction(weights[i] - weights[j] + j - i, j - i)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise AssertionError(f"Weyl dimension of {weights} is not an integer")
     return int(total)
 
 

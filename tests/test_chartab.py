@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -324,13 +325,16 @@ def test_semidirect_count_identity():
         assert sum(r.degree ** 2 for r in table.rows) == 2 * n
 
 
+def doubling_action(m, p):
+    # Z_m acting on Z_p by k -> 2k, for 2 of order m mod p; element k of
+    # Z_p has index k (BFS order from the p-cycle)
+    return chartab.SemidirectProduct(cyclic_group(m), cyclic_group(p),
+                                     [tuple(2 * k % p for k in range(p))])
+
+
 def frobenius_group_20():
     # Z_4 acting on Z_5 by an order-4 automorphism (multiplication by 2)
-    z4 = cyclic_group(4)
-    z5 = cyclic_group(5)
-    # element index of k in Z_5 is k (BFS order from the n-cycle)
-    auto = tuple((2 * k) % 5 for k in range(5))
-    return chartab.SemidirectProduct(z4, z5, [auto])
+    return doubling_action(4, 5)
 
 
 def proper_stabilizer_example():
@@ -468,7 +472,8 @@ def reference_semidirect_table(sd):
 SEMIDIRECT_CASES = {**{f"D{n}": (lambda n=n: dihedral_semidirect(n)) for n in range(1, 31)},
                     "heisenberg": heisenberg_semidirect,
                     "frobenius 20": frobenius_group_20,
-                    "proper stabilizer": proper_stabilizer_example}
+                    "proper stabilizer": proper_stabilizer_example,
+                    "Z8 on Z17": lambda: doubling_action(8, 17)}
 DUAL_CASES = {**{f"Z{n}": (lambda n=n: cyclic_group(n)) for n in range(1, 31)},
               "klein": lambda: builtin_group("D2")}
 
@@ -482,6 +487,16 @@ def _stored_rows(table):
 def test_semidirect_table_matches_reference(name):
     sd = SEMIDIRECT_CASES[name]()
     assert _stored_rows(semidirect_table(sd)) == _stored_rows(reference_semidirect_table(sd))
+
+
+def test_semidirect_stabilizers_take_restricted_characters():
+    # enumerating the characters of the stabilizer Z_10 over its 10
+    # elements as generators would try 10^4 * 5^4 * 2 combinations
+    start = time.perf_counter()
+    table = semidirect_table(doubling_action(10, 11))
+    assert verify_table(table).ok
+    assert sorted(r.degree for r in table.rows) == [1] * 10 + [10]
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("name", list(DUAL_CASES))

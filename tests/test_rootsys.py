@@ -178,6 +178,44 @@ def test_simple_reflections():
             assert bilinear(a, reflect(a, i, u), reflect(a, i, v)) == bilinear(a, u, v)
 
 
+def reference_coxeter_element(a, labeling):
+    """The product of full reflection matrices, c = s_l1 ... s_lr, its
+    order by repeated matrix products, and det(c - Id)."""
+    n = len(a)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def mat_mul(x, y):
+        return tuple(tuple(sum(p * q for p, q in zip(row, col)) for col in zip(*y)) for row in x)
+    c = ident
+    for i in labeling:
+        c = mat_mul(c, tuple(tuple(int(r == k) - (a[i][k] if r == i else 0) for k in range(n))
+                             for r in range(n)))
+    power, order = c, 1
+    while power != ident:
+        power, order = mat_mul(power, c), order + 1
+    return c, order, det([[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(c)])
+
+
+ADE_UP_TO_8 = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", ADE_UP_TO_8)
+def test_coxeter_element_matches_matrix_products(name):
+    a = cartan_matrix(dynkin_graph(name))
+    rng = random.Random(name)
+    labelings = [list(range(len(a)))] + [rng.sample(range(len(a)), len(a)) for _ in range(4)]
+    for labeling in labelings:
+        want = reference_coxeter_element(a, labeling)
+        got = coxeter_element(a, labeling=None if labeling == sorted(labeling) else labeling)
+        assert got == want, (name, labeling)
+
+
+@pytest.mark.parametrize("labeling", [[0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]])
+def test_coxeter_labeling_lists_each_vertex_once(labeling):
+    with pytest.raises(ValueError):
+        coxeter_element(cartan_matrix(dynkin_graph("A3")), labeling=labeling)
+
+
 def test_coxeter_orders():
     for name, want in (("A2", 3), ("A3", 4), ("D4", 6)):
         a = cartan_matrix(dynkin_graph(name))
