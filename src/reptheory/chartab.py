@@ -606,6 +606,8 @@ def table_from_json(obj):
                     for r in obj["rows"])):
         raise ValueError('a table is {"group": ..., "classes": [{"rep": [...], "size": s}, ...], '
                          '"rows": [{"name": ..., "degree": d, "values": [one per class]}, ...]}')
+    if "group" not in obj:
+        raise ValueError('a table needs the field "group"')
     group = group_from_json(obj["group"])
     display = []
     for c in obj["classes"]:

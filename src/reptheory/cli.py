@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
 from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json
@@ -407,7 +408,11 @@ def cmd_selftest(args):
 
 # -- parser --------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The one parser of the process, shared by every call of main: parse_args
+    keeps no state between calls, and argparse reads sys.stdout, sys.stderr
+    and the terminal width when it prints, not when the parser is built."""
     p = argparse.ArgumentParser(prog="reptheory",
                                 description="exact character tables and quiver representations")
     sub = p.add_subparsers(dest="command", required=True)

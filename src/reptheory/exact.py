@@ -9,14 +9,14 @@ hot arithmetic paths stay in machine integers.
 
 One function, _fold, reduces an integer polynomial mod Phi_n: products,
 the Galois substitutions z -> z^k (conjugation, and the embedding of a
-subfield), the cached powers of z and the sums of the Gram kernel all end
-in it. Inversion solves num * y = 1 with the multiplication matrix of num
-over the integers, on linalg.gauss_jordan.
+subfield), the powers of z and the sums of the Gram kernel all end in it.
+Inversion solves num * y = 1 with the multiplication matrix of num over
+the integers, on linalg.gauss_jordan.
 
 Reduction to the smallest subfield Q(zeta_m), m | n, stays in those
-integers too: for each (n, m) an integer left inverse of the embedding
-Q(zeta_m) -> Q(zeta_n) is computed once and cached, and a candidate is
-accepted only when its re-embedding reproduces the value exactly.
+integers too: it descends from Q(zeta_n) to Q(zeta_(n/p)) one prime p at
+a time, splitting the coordinates and folding the parts, for as long as
+the value lies in the smaller field.
 Printing and JSON conversion read the numerators and the shared
 denominator directly; no arithmetic builds a Fraction.
 A table converts each distinct value once: per_value memoizes a
@@ -54,20 +54,24 @@ def _divisors(n):
     return small + large[::-1]
 
 
+def _prime_divisors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n):
     if n < 1:
         raise ValueError(f"cyclotomic order must be positive, got {n}")
     result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -140,40 +144,36 @@ def _substitute(num, n, step):
     return _fold(acc, n)
 
 
-@lru_cache(maxsize=None)
-def _power_table(n):
-    """zeta_n^k mod Phi_n for 0 <= k < n, each as an integer tuple of
-    length phi(n): each entry is the one before times z, folded."""
-    table = [tuple(_fold([1], n))]
-    while len(table) < n:
-        table.append(tuple(_fold([0, *table[-1]], n)))
-    return table
+def _root(n, k):
+    """The coordinates of zeta_n^k, 0 <= k < n: the monomial, folded."""
+    acc = [0] * (k + 1)
+    acc[k] = 1
+    return _fold(acc, n)
 
 
-@lru_cache(maxsize=None)
-def _subfield_projection(n, m):
-    """Q(zeta_m) inside Q(zeta_n), m | n, as integer data for reduced().
-
-    z_m^i embeds as z_n^(i*n/m), so the embedding is the phi(n) x phi(m)
-    integer matrix E whose columns are rows of _power_table(n); it has full
-    column rank. Returns (pivots, inverse, d, rows): the rows `pivots` of E
-    form an invertible block B, `inverse` is the integer matrix d * B^-1 with
-    d > 0, and `rows` are the rows of E.
-    """
-    table = _power_table(n)
-    k = euler_phi(m)
-    columns = [table[i * (n // m)] for i in range(k)]
-    # the rref of [E^T | I] is [R | T] with T E^T = R; on the pivot
-    # columns R is the identity, so T is the transpose of B^-1. Fraction-free
-    # elimination leaves e * [R | T] in the integer rows, e the last pivot;
-    # dividing e and e * T by their gcd (signed to make d > 0) gives d * B^-1
-    # with d the least common denominator of B^-1
-    work = [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(columns)]
-    pivots, e, _ = gauss_jordan(work, len(columns[0]))
-    scaled = [row[-k:] for row in work]
-    g = gcd(e, *(x for row in scaled for x in row)) * (1 if e > 0 else -1)
-    return (tuple(pivots), tuple(tuple(x // g for x in col) for col in zip(*scaled)),
-            e // g, tuple(zip(*columns)))
+def _descend(num, n, p):
+    """The coordinates in Q(zeta_m), m = n/p for a prime p | n, of the value
+    with coordinates num in Q(zeta_n), or None if it does not lie there."""
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p), so Q(zeta_m) is spanned by the z^(p*j)
+        if any(c for i, c in enumerate(num) if i % p):
+            return None
+        return num[::p]
+    # zeta_n = zeta_m^s * zeta_p^t for s*p + t*m = 1, so the value is the sum
+    # over r < p of y_r * zeta_p^r, y_r in Q(zeta_m); 1, zeta_p, ...,
+    # zeta_p^(p-2) are a basis over Q(zeta_m) and the zeta_p^r sum to 0, so
+    # it lies in Q(zeta_m) exactly when y_1 = ... = y_(p-1), as y_0 - y_(p-1)
+    t = pow(m, -1, p)
+    s = (1 - t * m) // p
+    parts = [[0] * m for _ in range(p)]
+    for i, c in enumerate(num):
+        if c:
+            parts[t * i % p][s * i % m] += c
+    last = _fold(parts[-1], m)
+    if any(_fold(part, m) != last for part in parts[1:-1]):
+        return None
+    return [a - b for a, b in zip(_fold(parts[0], m), last)]
 
 
 class Cyclotomic:
@@ -395,23 +395,25 @@ class Cyclotomic:
     def reduced(self):
         """The same value at the smallest order m | order containing it.
 
-        For each divisor m in ascending order, the candidate coordinates
-        y = inverse * num[pivots] of _subfield_projection are accepted only
-        if E * y == d * num exactly, so the result is a proof of membership.
+        The order descends one prime p at a time while _descend finds the
+        value in Q(zeta_(order/p)). Q(zeta_a) and Q(zeta_b) meet in
+        Q(zeta_gcd(a, b)), so every descent ends at the same m, and a prime
+        that fails once fails at every smaller order too.
         """
         if self.order == 1:
             return self
         if self._red is not None:
             return self._red
         n, num = self.order, self.num
+        for p in _prime_divisors(n):
+            while n % p == 0:
+                y = _descend(num, n, p)
+                if y is None:
+                    break
+                n, num = n // p, y
         result = self
-        for m in _divisors(n)[:-1]:
-            pivots, inverse, d, rows = _subfield_projection(n, m)
-            x = [num[p] for p in pivots]
-            y = [sum(map(mul, row, x)) for row in inverse]
-            if all(sum(map(mul, row, y)) == d * c for row, c in zip(rows, num)):
-                result = Cyclotomic(m, y, d * self.den)
-                break
+        if n != self.order:
+            result = Cyclotomic(n, num, self.den)
         self._red = result
         return result
 
@@ -484,7 +486,7 @@ def zeta(n, k=1):
     k %= n
     if k == 0 or n == 1:
         return _ONE
-    return Cyclotomic(n, _power_table(n)[k], 1)
+    return Cyclotomic(n, _root(n, k), 1)
 
 
 def conjugate(a):
@@ -512,7 +514,7 @@ def _two_roots(v):
     coordinates are v's exactly."""
     m, num = v.order, v.num
     d = gcd(*num)
-    roots, table = _unit_roots(m), _power_table(m)
+    roots = _unit_roots(m)
     want = [c // d for c in num]
     z = sum(c * w for c, w in zip(want, roots))
     for a in range(m):
@@ -521,7 +523,7 @@ def _two_roots(v):
             if abs(abs(r) - 1) < 1e-6:
                 for t in (1, -1):
                     b = round(cmath.phase(t * r) * m / (2 * cmath.pi)) % m
-                    if [s * x + t * y for x, y in zip(table[a], table[b])] == want:
+                    if [s * x + t * y for x, y in zip(_root(m, a), _root(m, b))] == want:
                         return [(a, s * d), (b, t * d)]
     return None
 
@@ -612,8 +614,13 @@ def cyclotomic_to_json(a):
 
 
 def cyclotomic_from_json(obj):
+    """The value of a dict {"order": n, "coeffs": [one "p/q" per coordinate]},
+    parsed and brought to the canonical form of Cyclotomic in one pass."""
     if not isinstance(obj, dict):
         raise ValueError(f'a cyclotomic is {{"order": n, "coeffs": [...]}}, got {type(obj).__name__}')
+    for field in ("order", "coeffs"):
+        if field not in obj:
+            raise ValueError(f'a cyclotomic needs the field "{field}"')
     order = obj["order"]
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError(f"order must be an integer, not {order!r}")
@@ -625,12 +632,26 @@ def cyclotomic_from_json(obj):
     if order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
         raise ValueError("coefficient list has wrong length for the given order")
     # the zero coordinate as written, "0/1", needs no parsing
-    terms = [(i, _parse_ratio(s)) for i, s in enumerate(coeffs) if s != "0/1"]
-    den = lcm(*(q for _, (_, q) in terms))
-    num = [0] * len(coeffs)
-    for i, (p, q) in terms:
+    terms, den = [], 1
+    for i, s in enumerate(coeffs):
+        if s != "0/1":
+            p, q = _parse_ratio(s)
+            if p:
+                terms.append((i, p, q))
+                if den % q:
+                    den = lcm(den, q)
+    if not terms:
+        return _ZERO
+    if terms[-1][0] == 0:
+        order = 1  # no nonconstant part: a rational
+    num = [0] * (len(coeffs) if order > 1 else 1)
+    for i, p, q in terms:
         num[i] = p * (den // q)
-    return Cyclotomic(order, num, den)
+    g = gcd(den, *num)
+    if g > 1:
+        den //= g
+        num = [c // g for c in num]
+    return Cyclotomic(order, tuple(num), den, _normalized=True)
 
 
 def _stored(v):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import reptheory
 from reptheory import chartab, permgroup, symgrp
-from reptheory.cli import _get_table, main
+from reptheory.cli import _get_table, build_parser, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
 from reptheory.permgroup import cycle_notation, group_from_json, parse_group_name
@@ -277,6 +278,12 @@ BAD_ARTIFACTS = {
     "graph with a float vertex count": {"vertices": 3.0, "edges": [[0, 1]]},
     "graph with no vertices": {"vertices": 0, "edges": []},
     "graph with 2000 vertices": {"vertices": 2000, "edges": [[0, 1]]},
+    "table with no group": {"rows": [], "classes": []},
+    "table value with no order": {"group": "S3", "classes": [{"rep": [0, 1, 2], "size": 1}],
+                                  "rows": [{"name": "C+", "degree": 1,
+                                            "values": [{"coeffs": ["1/1"]}]}]},
+    "table value with no coeffs": {"group": "S3", "classes": [{"rep": [0, 1, 2], "size": 1}],
+                                   "rows": [{"name": "C+", "degree": 1, "values": [{"order": 1}]}]},
 }
 
 
@@ -290,6 +297,18 @@ def test_bad_artifact_is_a_typed_error(tmp_path, kind, optimize):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind, field", [("table with no group", "group"),
+                                         ("table value with no order", "order"),
+                                         ("table value with no coeffs", "coeffs")])
+@pytest.mark.parametrize("command", [["roundtrip"], ["chartab", "show", "--file"]])
+def test_missing_field_is_named(capsys, tmp_path, kind, field, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_ARTIFACTS[kind]))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a ") and err.endswith(f' needs the field "{field}"\n'), err
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
@@ -408,6 +427,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["chartab", "bogus-subcommand"])
     assert exc.value.code == 2
+
+
+def command_paths(parser, path=()):
+    """The words of the top-level command, of each command group and of
+    each subcommand, from the parser's subparsers."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from command_paths(sub, (*path, name))
+
+
+HELP_DIGESTS = json.loads((Path(__file__).parent / "golden" / "help_digests.json").read_text())
+
+
+def test_help_texts_are_pinned(capsys, monkeypatch):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = [" ".join(path) for path in command_paths(build_parser())]
+    assert sorted(paths) == sorted(HELP_DIGESTS)
+    for path in paths:
+        with pytest.raises(SystemExit) as exc:
+            main([*path.split(), "--help"])
+        out = capsys.readouterr()
+        assert exc.value.code == 0 and out.err == ""
+        assert hashlib.sha256(out.out.encode()).hexdigest() == HELP_DIGESTS[path], path
 
 
 def test_numeric_flag(capsys):
@@ -673,7 +718,10 @@ out = []
 for argv in json.loads(sys.argv[1]):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out.append([code, stdout.getvalue(), stderr.getvalue()])
 print(json.dumps(out))
 """
@@ -738,6 +786,29 @@ def test_semidirect_dn_takes_the_dihedral_name_range(optimize):
     for (n, err), (code, out, stderr) in zip(DIHEDRAL_N_CASES.items(), json.loads(proc.stdout)):
         assert (code, stderr) == (1 if err else 0, err), n
         assert (out == "") == bool(err), n
+
+
+# one process runs these through main, one after another, on its one
+# parser; each must print and exit as it does alone: an A5 table, a usage
+# error (exit 2), a domain error (exit 1), a help text, the A5 table again
+STATELESS_ARGVS = [["chartab", "show", "A5"], ["chartab", "show", "--bogus"],
+                   ["chartab", "show", "Z0"], ["chartab", "show", "--help"],
+                   ["chartab", "show", "A5"]]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_in_process_calls_keep_no_state(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT, json.dumps(STATELESS_ARGVS)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    in_process = json.loads(proc.stdout)
+    assert [code for code, _, _ in in_process] == [0, 2, 1, 0, 0]
+    for argv, (code, out, err) in zip(STATELESS_ARGVS, in_process):
+        alone = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv],
+                               capture_output=True, env=env, timeout=60)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, out.encode(), err.encode()), argv
 
 
 @pytest.mark.parametrize("row, err", [

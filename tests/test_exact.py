@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory.exact import (Cyclotomic, _divisors, cyc, conjugate,
+from reptheory.exact import (Cyclotomic, _divisors, _fold, cyc, conjugate,
                              cyclotomic_from_json, cyclotomic_to_json, cyclotomic_polynomial,
                              euler_phi, per_value, rational_from_str, rational_to_str, zeta)
-from reptheory.linalg import matrix_from_json, parse_integer
+from reptheory.linalg import gauss_jordan, matrix_from_json, parse_integer
 from reptheory.gl2fq import gl2_table
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -527,3 +528,83 @@ def test_inverse_at_order_360_is_fast():
     inv = a.inverse()
     assert time.perf_counter() - start < 2
     assert a * inv == 1
+
+
+# -- reference implementation: the divisor scan of reduced(), which tried
+# each divisor m of the order in turn with an integer left inverse of the
+# embedding Q(zeta_m) -> Q(zeta_n), built from the table of all n powers of z --
+
+@lru_cache(maxsize=None)
+def scan_power_table(n):
+    table = [tuple(_fold([1], n))]
+    while len(table) < n:
+        table.append(tuple(_fold([0, *table[-1]], n)))
+    return table
+
+
+@lru_cache(maxsize=None)
+def scan_projection(n, m):
+    """(pivots, d * B^-1, d, rows of E) for E the phi(n) x phi(m) matrix of
+    the embedding and B its invertible block on the rows `pivots`."""
+    table = scan_power_table(n)
+    k = euler_phi(m)
+    columns = [table[i * (n // m)] for i in range(k)]
+    work = [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(columns)]
+    pivots, e, _ = gauss_jordan(work, len(columns[0]))
+    scaled = [row[-k:] for row in work]
+    g = gcd(e, *(x for row in scaled for x in row)) * (1 if e > 0 else -1)
+    return (tuple(pivots), tuple(tuple(x // g for x in col) for col in zip(*scaled)),
+            e // g, tuple(zip(*columns)))
+
+
+def reference_scan_reduced(a):
+    n, num = a.order, a.num
+    if n == 1:
+        return a
+    for m in _divisors(n)[:-1]:
+        pivots, inverse, d, rows = scan_projection(n, m)
+        x = [num[p] for p in pivots]
+        y = [sum(map(mul, row, x)) for row in inverse]
+        if all(sum(map(mul, row, y)) == d * c for row, c in zip(rows, num)):
+            return Cyclotomic(m, y, d * a.den)
+    return a
+
+
+DESCENT_ORDERS = [12, 16, 18, 20, 24, 27, 30, 36, 45, 48, 60, 63, 72, 84, 90, 105, 120, 180, 210,
+                  360]
+
+
+@pytest.mark.parametrize("n", DESCENT_ORDERS)
+def test_descent_matches_the_divisor_scan(n):
+    # values of random subfields, and sums of two, embedded at order n
+    rng = random.Random(1600 + n)
+
+    def value(m):
+        num = [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(euler_phi(m))]
+        return Cyclotomic(m, num, rng.randint(1, 12))
+
+    divisors = _divisors(n)
+    for m in divisors:
+        for v in (value(m), value(m), value(m) + value(rng.choice(divisors))):
+            a = Cyclotomic(n, v._embed(n), v.den)
+            assert fields(a.reduced()) == fields(reference_scan_reduced(a))
+            if n <= 72:
+                assert fields(a.reduced()) == fields(reference_reduced(a))
+
+
+LARGE_ORDER_TEXTS = json.loads((Path(__file__).parent / "golden" / "large_order_texts.json")
+                               .read_text())
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_ORDER_TEXTS, key=int))
+def test_one_plus_z_of_large_order_prints_fast(n):
+    # z + 1 at order 2310 (32 divisors) printed in 22 s through the divisor
+    # scan (2-vCPU VM, Python 3.11.7), and at the prime order 20011 its table
+    # of powers of z would hold 4 * 10^8 integers. The texts are those of
+    # reference_str: it took 459 s at order 2310, and at order 20011 it ran
+    # with reference_power_table dividing out only the rows it reads
+    n = int(n)
+    start = time.perf_counter()
+    text = str(cyclotomic_from_json({"order": n, "coeffs": ["1/1", "1/1"] + ["0/1"] * (euler_phi(n) - 2)}))
+    assert time.perf_counter() - start < 1
+    assert text == LARGE_ORDER_TEXTS[str(n)]
