@@ -372,7 +372,7 @@ def cmd_roundtrip(args):
         again = chartab.table_to_json(table, group_name=obj.get("group")
                                       if isinstance(obj.get("group"), str) else None)
         ok = _table_rows(chartab.table_from_json(again)) == _table_rows(table)
-    elif "quiver" in obj:
+    elif not {"quiver", "dims", "maps"}.isdisjoint(obj):
         rep = quiverrep.rep_from_json(obj)
         ok = quiverrep.rep_from_json(quiverrep.rep_to_json(rep)).maps == rep.maps
     elif "vertices" in obj:

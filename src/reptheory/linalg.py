@@ -15,7 +15,9 @@ no Fraction is built inside the loop. A rational caller scales each row
 by the lcm of its denominators (which changes neither the row space, nor
 the pivots, nor the rref), eliminates over the integers, and builds one
 Fraction per entry it returns. Cyclotomic rows run the same loop with
-true division.
+true division. The decomposition walk of quiverrep.decompose calls it on
+int rows only, through integer_null_vectors, the null-space read-off it
+shares with kernel_basis and cokernel_projection, and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -202,18 +204,28 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def _null_vectors(m):
-    """A basis of ker m read off its rref: for each free column f, the
-    vector e_f - sum_i echelon[i][f] e_{p_i} over the pivots p_i."""
-    echelon, pivots = rref(m)
+def integer_null_vectors(rows, ncols):
+    """A basis of the null space of rows, a list of lists of ints, which
+    gauss_jordan eliminates in place. Each pivot row is d times its rref
+    row, so for each free column f the vector d e_f - sum_i rows[i][f] e_{p_i}
+    over the pivots p_i is an integer null vector: d times the rref null
+    vector e_f - sum_i rref[i][f] e_{p_i}. Returns (vectors, d)."""
+    pivots, d, _ = gauss_jordan(rows, ncols)
     out = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -echelon.entries[i][f]
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = d
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
         out.append(v)
-    return out
+    return out, d
+
+
+def _null_vectors(m):
+    """A basis of ker m, the rref null vectors: integer_null_vectors of the
+    integer rows of m, divided by d."""
+    vectors, d = integer_null_vectors(_integer_rows(m.entries)[0], m.cols)
+    return [[Fraction(x, d) if x else _ZERO for x in v] for v in vectors]
 
 
 def kernel_basis(m):
@@ -335,9 +347,13 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(obj):
-    if not (isinstance(obj, dict) and isinstance(obj.get("rows"), int)
-            and isinstance(obj.get("cols"), int)):
+    if not isinstance(obj, dict):
         raise ValueError('a matrix is {"rows": r, "cols": c, "entries": [[...], ...]}')
+    for field in ("rows", "cols", "entries"):
+        if field not in obj:
+            raise ValueError(f'a matrix needs the field "{field}"')
+    if not (isinstance(obj["rows"], int) and isinstance(obj["cols"], int)):
+        raise ValueError("rows and cols must be integers")
     rows, cols = obj["rows"], obj["cols"]
     if not (isinstance(obj["entries"], list) and all(isinstance(row, list) for row in obj["entries"])):
         raise ValueError("entries must be a list of rows")

@@ -8,11 +8,29 @@ ordering, splitting off the cokernel at the current sink (so many copies
 of the current simple) and reflecting the remainder, until nothing is
 left; the recorded dimension vectors determine the isomorphism class of
 the decomposition by Krull-Schmidt uniqueness.
+
+The decomposition walk runs on lists of int rows, with no Matrix, Quiver
+or QuiverRep per step. Each arrow's map is scaled by the lcm of its
+denominators: the underlying graph of a Dynkin quiver is a tree, so
+scalars per arrow are a base change at the vertices and the isomorphism
+class is unchanged. The kernel at a sink is read off linalg.gauss_jordan
+on ints (linalg.integer_null_vectors), each kernel column divided by its
+gcd, which is a base change at the reflected vertex. The Weyl word of
+the walk is carried as an integer matrix, whose column j is the root of
+a cokernel at j.
+
+Gabriel's enumeration pulls each simple back through source reflections.
+A full cycle of the admissible sequence flips every arrow twice, so the
+representation reached at walk state (position mod n, root) is the same
+for every root whose walk passes through it; one enumeration builds each
+state once, at most n * |positive roots| source reflections (924 on E8,
+where walking every root on its own takes 7140).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .linalg import Matrix
@@ -251,75 +269,112 @@ def indecomposable_for_root(q, alpha):
     alpha = tuple(alpha)
     if alpha not in positive:
         raise QuiverError(f"{alpha} is not a positive root of the underlying diagram")
-    return _indecomposable(q, a, _sink_sequence(q), len(positive), alpha)
+    return _indecomposables(q, a, len(positive), [alpha])[0]
 
 
-def _indecomposable(q, a, seq, n_positive, alpha):
-    """Walk the reflection word of the positive root alpha down to a simple
-    root, then pull the simple representation back through the reverse
-    chain of source reflections."""
-    beta = alpha
-    applied = []
-    cur_q = q
-    while True:
-        j = seq[len(applied) % len(seq)]
-        nxt = reflect(a, j, beta)
-        if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
-            if beta != tuple(1 if v == j else 0 for v in range(q.n)):
-                raise QuiverError(f"reflection walk of {alpha} ends at {beta}, not a simple root")
-            stop_vertex = j
-            break
-        beta = nxt
-        applied.append(j)
-        cur_q = cur_q.reversed_at(j)
-        if len(applied) > 4 * n_positive * len(seq):
-            raise AssertionError("reflection walk failed to terminate")
-    rep = simple_rep(cur_q, stop_vertex)
-    for j in reversed(applied):
-        rep = reflect_source(rep, j)
-    if rep.quiver != q or rep.dims != alpha:
-        raise QuiverError(f"reflection functors built dimension vector {rep.dims}, not {alpha}")
-    return rep
+def _indecomposables(q, a, n_positive, alphas):
+    """The indecomposable for each positive root in alphas: walk its
+    reflection word down to a simple root, then pull the simple
+    representation back through the reverse chain of source reflections.
+
+    A full cycle of the admissible sequence flips every arrow twice, so the
+    quiver at walk position p is that at p mod n, and the representation
+    reached at state (p mod n, beta) is the same for every root whose walk
+    passes through it. Each state is built once, by one reflect_source (or
+    as a simple), so there are at most n * |positive roots| of them."""
+    n = len(a)
+    seq = _sink_sequence(q)
+    quivers = [q]
+    for j in seq[:-1]:
+        quivers.append(quivers[-1].reversed_at(j))
+    built = {}
+    out = []
+    for alpha in alphas:
+        beta, p, path = alpha, 0, []
+        while (p % n, beta) not in built:
+            j = seq[p % n]
+            nxt = reflect(a, j, beta)
+            if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
+                if beta != tuple(1 if v == j else 0 for v in range(n)):
+                    raise QuiverError(f"reflection walk of {alpha} ends at {beta}, not a simple root")
+                built[p % n, beta] = simple_rep(quivers[p % n], j)
+                break
+            path.append((p % n, beta))
+            beta = nxt
+            p += 1
+            if p > 4 * n_positive * n:
+                raise AssertionError("reflection walk failed to terminate")
+        rep = built[p % n, beta]
+        for state in reversed(path):
+            rep = built[state] = reflect_source(rep, seq[state[0]])
+        if rep.quiver != q or rep.dims != alpha:
+            raise QuiverError(f"reflection functors built dimension vector {rep.dims}, not {alpha}")
+        out.append(rep)
+    return out
 
 
 def enumerate_indecomposables(q):
     """One indecomposable representation per positive root (Gabriel)."""
     a = require_dynkin(q)
     positive, _ = enumerate_roots(a)
-    seq = _sink_sequence(q)
-    return [(alpha, _indecomposable(q, a, seq, len(positive), alpha)) for alpha in positive]
+    return list(zip(positive, _indecomposables(q, a, len(positive), positive)))
+
+
+def _integer_map(m):
+    """The entries of m times the lcm of their denominators, as int rows."""
+    s = lcm(*[x.denominator for row in m.entries for x in row])
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m.entries]
 
 
 def decompose(v):
     """Multiset of indecomposable summands of v, as a sorted list of
     (positive root, multiplicity) pairs with sum mult * root = dims.
 
-    The cokernel at sink j has dimension dims[j] - rank(phi), that is
-    dims[j] - (source dims) + the kernel dimension reflect_sink returns.
+    The walk runs on int rows, as the module docstring says. The cokernel
+    at the sink j has dimension dims[j] - rank(phi) for the stacked
+    incoming map phi; after the reflections s_k1 ... s_km its root is
+    w e_j for w = s_k1 ... s_km.
     """
     q = v.quiver
     a = require_dynkin(q)
     seq = _sink_sequence(q)
+    n = q.n
+    neighbours = [[(i, a[j][i]) for i in range(n) if i != j and a[j][i]] for j in range(n)]
+    dims = list(v.dims)
+    arrows = list(q.arrows)
+    maps = [_integer_map(m) for m in v.maps]
+    w = [[int(i == j) for i in range(n)] for j in range(n)]  # column j is w e_j
     counts = {}
-    rep = v
-    applied = []
-    while not rep.is_zero():
-        j = seq[len(applied) % len(seq)]
-        source_dims = sum(rep.dims[s] for s, t in rep.quiver.arrows if t == j)
-        nxt = reflect_sink(rep, j)
-        coker_mult = rep.dims[j] - source_dims + nxt.dims[j]
+    steps = 0
+    while any(dims):
+        j = seq[steps % n]
+        into = [k for k, (_, t) in enumerate(arrows) if t == j]
+        width = sum(dims[arrows[k][0]] for k in into)
+        phi = [[x for k in into for x in maps[k][r]] for r in range(dims[j])]
+        kernel, _ = linalg.integer_null_vectors(phi, width)
+        coker_mult = dims[j] - width + len(kernel)
         if coker_mult:
-            root = tuple(1 if x == j else 0 for x in range(q.n))
-            for k in reversed(applied):
-                root = reflect(a, k, root)
+            root = tuple(w[j])
             if any(c < 0 for c in root):
                 raise QuiverError(f"summand root {root} is not nonnegative")
             counts[root] = counts.get(root, 0) + coker_mult
-        rep = nxt
-        applied.append(j)
-        if len(applied) > 1000 * (q.n + v.total_dim()):
+        kernel = [[x // g for x in col] for col in kernel for g in (gcd(*col),)]
+        offset = 0
+        for k in into:
+            s = arrows[k][0]
+            maps[k] = [[col[r] for col in kernel] for r in range(offset, offset + dims[s])]
+            arrows[k] = (j, s)
+            offset += dims[s]
+        dims[j] = len(kernel)
+        # w s_j e_i = w e_i - a[j][i] w e_j
+        wj = w[j]
+        for i, c in neighbours[j]:
+            w[i] = [x - c * y for x, y in zip(w[i], wj)]
+        w[j] = [-y for y in wj]
+        steps += 1
+        if steps > 1000 * (n + v.total_dim()):
             raise AssertionError("decomposition did not terminate")
-    check = [0] * q.n
+    check = [0] * n
     for root, mult in counts.items():
         check = [c + mult * r for c, r in zip(check, root)]
     if tuple(check) != v.dims:
@@ -348,6 +403,11 @@ def rep_to_json(v):
 
 
 def rep_from_json(obj):
+    if not isinstance(obj, dict):
+        raise QuiverError('a quiver representation is {"quiver": ..., "dims": [...], "maps": [...]}')
+    for field in ("quiver", "dims", "maps"):
+        if field not in obj:
+            raise QuiverError(f'a quiver representation needs the field "{field}"')
     q = quiver_from_json(obj["quiver"])
     if not (isinstance(obj["dims"], list) and all(isinstance(d, int) for d in obj["dims"])
             and isinstance(obj["maps"], list)):

@@ -220,6 +220,15 @@ def test_quiver_decompose_cli(tmp_path, capsys):
     assert code == 0 and out.strip() == "(1,1,1) x 1"
 
 
+@pytest.mark.parametrize("command", ["decompose", "indecomposables"])
+def test_quiver_rep_not_an_object_is_a_typed_error(tmp_path, capsys, command):
+    path = tmp_path / "rep.json"
+    path.write_text("[1]")
+    code, out, err = run_cli(capsys, "quiver", command, "--rep", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a quiver representation is "), err
+
+
 def test_roundtrip_table(tmp_path, capsys):
     path = tmp_path / "s4.json"
     path.write_text(json.dumps(table_to_json(builtin_table("S4"), group_name=None)))
@@ -284,6 +293,13 @@ BAD_ARTIFACTS = {
                                             "values": [{"coeffs": ["1/1"]}]}]},
     "table value with no coeffs": {"group": "S3", "classes": [{"rep": [0, 1, 2], "size": 1}],
                                    "rows": [{"name": "C+", "degree": 1, "values": [{"order": 1}]}]},
+    "quiver representation with no quiver": {"dims": [1, 1], "maps": []},
+    "quiver representation with no dims": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                                           "maps": []},
+    "quiver representation with no maps": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                                           "dims": [1, 1]},
+    "quiver map with no entries": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                                   "dims": [1, 1], "maps": [{"rows": 1, "cols": 1}]},
 }
 
 
@@ -299,13 +315,23 @@ def test_bad_artifact_is_a_typed_error(tmp_path, kind, optimize):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+# the command besides roundtrip that reads each kind of artifact from a file
+READERS = {"table": ["chartab", "show", "--file"], "quiver": ["quiver", "decompose", "--rep"]}
+
+
 @pytest.mark.parametrize("kind, field", [("table with no group", "group"),
                                          ("table value with no order", "order"),
-                                         ("table value with no coeffs", "coeffs")])
-@pytest.mark.parametrize("command", [["roundtrip"], ["chartab", "show", "--file"]])
+                                         ("table value with no coeffs", "coeffs"),
+                                         ("quiver representation with no quiver", "quiver"),
+                                         ("quiver representation with no dims", "dims"),
+                                         ("quiver representation with no maps", "maps"),
+                                         ("quiver map with no entries", "entries")])
+@pytest.mark.parametrize("command", [["roundtrip"], ["reader"]])
 def test_missing_field_is_named(capsys, tmp_path, kind, field, command):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(BAD_ARTIFACTS[kind]))
+    if command == ["reader"]:
+        command = READERS[kind.split()[0]]
     code, out, err = run_cli(capsys, *command, str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: a ") and err.endswith(f' needs the field "{field}"\n'), err

@@ -342,6 +342,94 @@ def test_decompose_matches_rank_count():
                 assert decompose(mixed) == reference_decompose(mixed)
 
 
+# -- the integer decomposition walk and the shared Gabriel chains -------------
+
+ALL_TYPES = ["A5", "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"]
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _rational_base_changed(v, rng):
+    """v conjugated at every vertex x by a random invertible matrix with
+    rational entries, divided by the x-th prime, so that the maps of arrows
+    into different vertices have different denominators."""
+    ps = []
+    for x, d in enumerate(v.dims):
+        while True:
+            m = Matrix(d, d, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) / PRIMES[x]
+                               for _ in range(d)] for _ in range(d)])
+            if d == 0 or linalg.det(m) != 0:
+                break
+        ps.append(m)
+    inv = [linalg.inverse(m) if m.rows else m for m in ps]
+    maps = [ps[t] * m * inv[s] for (s, t), m in zip(v.quiver.arrows, v.maps)]
+    return QuiverRep(v.quiver, v.dims, maps)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_integer_walk_matches_fraction_oracle(name):
+    rng = random.Random(17)
+    for q in _two_orientations(name):
+        objs = [rep for _, rep in enumerate_indecomposables(q)]
+        # the indecomposables that vanish at vertex 0, so their sums do too
+        off_zero = [rep for rep in objs if rep.dims[0] == 0]
+        cases = [zero_rep(q),
+                 reduce(direct_sum, [simple_rep(q, x) for x in range(q.n) for _ in range(x % 3)]),
+                 reduce(direct_sum, [rng.choice(off_zero) for _ in range(3)])]
+        cases += [reduce(direct_sum, [rng.choice(objs) for _ in range(rng.randint(2, 5))])
+                  for _ in range(3)]
+        for v in cases:
+            mixed = _rational_base_changed(v, rng)
+            assert decompose(mixed) == reference_decompose(mixed), (q, v.dims)
+        assert decompose(cases[0]) == []
+        assert cases[2].dims[0] == 0
+
+
+def reference_indecomposables(q):
+    """Gabriel's enumeration with nothing shared between roots: each root's
+    reflection word walked down to a simple root, and the simple pulled back
+    through its own chain of source reflections."""
+    a = cartan_matrix(q.underlying_graph())
+    positive, _ = enumerate_roots(a)
+    labels = admissible_labels(q)
+    seq = sorted(range(q.n), key=lambda x: -labels[x])
+    out = []
+    for alpha in positive:
+        beta, applied, cur_q = alpha, [], q
+        while True:
+            j = seq[len(applied) % len(seq)]
+            nxt = reflect(a, j, beta)
+            if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
+                break
+            beta = nxt
+            applied.append(j)
+            cur_q = cur_q.reversed_at(j)
+        rep = simple_rep(cur_q, j)
+        for k in reversed(applied):
+            rep = reflect_source(rep, k)
+        out.append((alpha, rep))
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_shared_chains_match_unshared_walk(name, monkeypatch):
+    for q in _two_orientations(name):
+        want = reference_indecomposables(q)
+        calls = []
+
+        def counted(rep, i):
+            calls.append(i)
+            return reflect_source(rep, i)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quiverrep, "reflect_source", counted)
+            got = enumerate_indecomposables(q)
+        assert [root for root, _ in got] == [root for root, _ in want]
+        for (root, rep), (_, ref) in zip(got, want):
+            assert rep.quiver == ref.quiver == q and rep.dims == ref.dims == root
+            assert rep.maps == ref.maps, (q, root)
+        assert len(calls) <= q.n * len(want), (q, len(calls))
+
+
 def test_rep_serialization():
     rep = indecomposable_for_root(D4, (1, 2, 1, 1))
     blob = json.dumps(rep_to_json(rep))
@@ -352,14 +440,15 @@ def test_rep_serialization():
 
 
 # Each sabotage breaks one of the four consistency checks of decompose and
-# _indecomposable; they must raise QuiverError also where `assert` is off.
+# _indecomposables; they must raise QuiverError also where `assert` is off.
+# The Gabriel walk takes its roots from rootsys.reflect; decompose carries
+# its Weyl word as a matrix built from the Cartan matrix of the quiver.
 SABOTAGED_REFLECTIONS = """
 from reptheory import quiverrep, rootsys
 from reptheory.quiverrep import Quiver, QuiverError, decompose, indecomposable_for_root
 
 q = Quiver(3, [(0, 1), (1, 2)])
 full = indecomposable_for_root(q, (1, 1, 1))
-simple = indecomposable_for_root(q, (1, 0, 0))
 
 
 def attempt(label, call):
@@ -374,10 +463,13 @@ def attempt(label, call):
 real = rootsys.reflect
 quiverrep.reflect = lambda a, i, v: tuple(-abs(c) for c in real(a, i, v))
 attempt("walk", lambda: indecomposable_for_root(q, (1, 1, 1)))
-attempt("nonnegative", lambda: decompose(simple))
-quiverrep.reflect = lambda a, i, v: tuple(v)
-attempt("add up", lambda: decompose(full))
 quiverrep.reflect = real
+real_cartan = quiverrep.cartan_matrix
+quiverrep.cartan_matrix = lambda g: [[-x for x in row] for row in real_cartan(g)]
+attempt("nonnegative", lambda: decompose(full))
+quiverrep.cartan_matrix = lambda g: [[0] * g.n for _ in range(g.n)]
+attempt("add up", lambda: decompose(full))
+quiverrep.cartan_matrix = real_cartan
 quiverrep.reflect_source = lambda rep, i: rep
 attempt("functors", lambda: indecomposable_for_root(q, (1, 1, 1)))
 """
@@ -391,7 +483,7 @@ def test_consistency_checks_survive_optimize(optimize):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "walk: reflection walk of (1, 1, 1) ends at (1, 1, 1), not a simple root",
-        "nonnegative: summand root (-1, 0, 0) is not nonnegative",
+        "nonnegative: summand root (1, -1, 1) is not nonnegative",
         "add up: summand dimension vectors do not add up",
         "functors: reflection functors built dimension vector (1, 0, 0), not (1, 1, 1)",
     ]
