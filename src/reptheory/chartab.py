@@ -596,12 +596,12 @@ def table_to_json(table, group_name=None):
 
 def table_from_json(obj):
     if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
-            and all(isinstance(c, dict) and isinstance(c.get("size"), int)
-                    and isinstance(c.get("rep"), list) and all(isinstance(x, int) for x in c["rep"])
+            and all(isinstance(c, dict) and type(c.get("size")) is int
+                    and isinstance(c.get("rep"), list) and all(type(x) is int for x in c["rep"])
                     for c in obj["classes"])
             and isinstance(obj.get("rows"), list)
             and all(isinstance(r, dict) and isinstance(r.get("name"), str)
-                    and isinstance(r.get("degree"), int)
+                    and type(r.get("degree")) is int
                     and isinstance(r.get("values"), list) and len(r["values"]) == len(obj["classes"])
                     for r in obj["rows"])):
         raise ValueError('a table is {"group": ..., "classes": [{"rep": [...], "size": s}, ...], '
@@ -615,9 +615,12 @@ def table_from_json(obj):
         display.append(ci)
         if group.classes[ci].size != c["size"]:
             raise ValueError("class size mismatch in table file")
-    read, rows = json_reader(), []
-    for r in obj["rows"]:
-        vals = [read(v) for v in r["values"]]
+    read = json_reader()
+    values = [[read(v) for v in r["values"]] for r in obj["rows"]]
+    if sorted(display) != list(range(len(group.classes))):
+        raise ValueError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
+    rows = []
+    for r, vals in zip(obj["rows"], values):
         canonical = [None] * len(group.classes)
         for ci, v in zip(display, vals):
             canonical[ci] = v

@@ -622,7 +622,7 @@ def cyclotomic_from_json(obj):
         if field not in obj:
             raise ValueError(f'a cyclotomic needs the field "{field}"')
     order = obj["order"]
-    if isinstance(order, bool) or not isinstance(order, int):
+    if type(order) is not int:
         raise ValueError(f"order must be an integer, not {order!r}")
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):

@@ -12,7 +12,9 @@ Frobenius twist.
 
 Multiplicative characters are indexed through discrete logarithms with
 respect to fixed deterministic generators, so every value is an exact
-root of unity in Q(zeta_(q^2-1)).
+root of unity in Q(zeta_(q^2-1)). Each generator is the first candidate
+whose powers run through the whole multiplicative group, and the list of
+its powers is both the logarithm table and its inverse.
 """
 
 from __future__ import annotations
@@ -40,16 +42,23 @@ def _check_q(q):
         raise ValueError("q is limited to 31 (discrete logarithm tables)")
 
 
+def _cyclic_powers(candidates, mul, one, order):
+    """The powers one, g, g^2, ..., g^(order - 1) of the first candidate g
+    of multiplicative order `order`. Each candidate's powers are walked
+    until they return to one, or for at most `order` steps: the list is
+    both the discrete logarithm table of g (k -> g^k) and its inverse."""
+    for g in candidates:
+        powers, x = [one], g
+        while x != one and len(powers) < order:
+            powers.append(x)
+            x = mul(x, g)
+        if x == one and len(powers) == order:
+            return powers
+    raise AssertionError(f"no element of order {order} found")
+
+
 def smallest_primitive_root(q):
-    for g in range(2, q):
-        seen = set()
-        x = 1
-        for _ in range(q - 1):
-            x = x * g % q
-            seen.add(x)
-        if len(seen) == q - 1:
-            return g
-    raise AssertionError("no primitive root found")
+    return _cyclic_powers(range(2, q), lambda x, y: x * y % q, 1, q - 1)[1]
 
 
 def smallest_nonresidue(q):
@@ -88,18 +97,15 @@ class GL2Group:
         _check_q(q)
         self.q = q
         self.eps = smallest_nonresidue(q)
-        self.g = smallest_primitive_root(q)
-        self.dlog_q = {}
-        x = 1
-        for k in range(q - 1):
-            self.dlog_q[x] = k
-            x = x * self.g % q
-        self.gen2 = self._find_ext_generator()
-        self.dlog_q2 = {}
-        x = (1, 0)
-        for k in range(q * q - 1):
-            self.dlog_q2[x] = k
-            x = self.ext_mul(x, self.gen2)
+        powers_q = _cyclic_powers(range(2, q), lambda x, y: x * y % q, 1, q - 1)
+        self.g = powers_q[1]
+        self.dlog_q = {x: k for k, x in enumerate(powers_q)}
+        # the nonzero a + b sqrt(eps) of F_q(sqrt(eps)) as pairs (a, b), in
+        # the order (0, 1), (0, 2), ..., (1, 0), (1, 1), ...
+        self.powers_q2 = _cyclic_powers(((a, b) for a in range(q) for b in range(q) if a or b),
+                                        self.ext_mul, (1, 0), q * q - 1)
+        self.gen2 = self.powers_q2[1]
+        self.dlog_q2 = {u: k for k, u in enumerate(self.powers_q2)}
         self.order = (q * q - 1) * (q * q - q)
         self.classes = []
 
@@ -129,13 +135,14 @@ class GL2Group:
         the class parameters: the Jordan block [[x, 1], [0, x]]^k is
         [[x^k, k x^(k-1)], [0, x^k]], scalar when q divides k; diag(x, y)^k
         is scalar when x^k = y^k; an elliptic class is its eigenvalue
-        u = x + y sqrt(eps), up to the conjugation y -> -y, and u^k is
-        scalar when its sqrt(eps) part vanishes."""
+        u = x + y sqrt(eps), up to the conjugation y -> -y, and u^k, read
+        off the power list of gen2, is scalar when its sqrt(eps) part
+        vanishes."""
         q = self.q
         out = []
         for cl in self.classes:
             if cl.family == "elliptic":
-                x, y = self.ext_pow(cl.params, k % (q * q - 1))
+                x, y = self.powers_q2[self.dlog_q2[cl.params] * k % (q * q - 1)]
                 key = ("elliptic", (x, min(y, q - y))) if y else ("scalar", (x,))
             else:
                 powers = tuple(pow(x, k % (q - 1), q) for x in cl.params)
@@ -153,38 +160,6 @@ class GL2Group:
         c, d = v
         q, e = self.q, self.eps
         return ((a * c + e * b * d) % q, (a * d + b * c) % q)
-
-    def ext_pow(self, u, k):
-        """u^k in F_q(sqrt(eps)), for k >= 0, by repeated squaring."""
-        result = (1, 0)
-        while k:
-            if k & 1:
-                result = self.ext_mul(result, u)
-            u = self.ext_mul(u, u)
-            k >>= 1
-        return result
-
-    def _find_ext_generator(self):
-        n = self.q * self.q - 1
-        prime_divs = []
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                prime_divs.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            prime_divs.append(m)
-        for a in range(self.q):
-            for b in range(self.q):
-                u = (a, b)
-                if u == (0, 0):
-                    continue
-                if all(self.ext_pow(u, n // p) != (1, 0) for p in prime_divs):
-                    return u
-        raise AssertionError("no generator of the quadratic extension found")
 
     def norm(self, u):
         """Norm to F_q of a + b sqrt(eps): a^2 - eps b^2."""

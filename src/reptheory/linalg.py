@@ -352,7 +352,7 @@ def matrix_from_json(obj):
     for field in ("rows", "cols", "entries"):
         if field not in obj:
             raise ValueError(f'a matrix needs the field "{field}"')
-    if not (isinstance(obj["rows"], int) and isinstance(obj["cols"], int)):
+    if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
         raise ValueError("rows and cols must be integers")
     rows, cols = obj["rows"], obj["cols"]
     if not (isinstance(obj["entries"], list) and all(isinstance(row, list) for row in obj["entries"])):

@@ -101,7 +101,7 @@ def from_cycles(degree, cycle_list):
 
 
 def is_bijection(p):
-    return all(isinstance(x, int) for x in p) and sorted(p) == list(range(len(p)))
+    return all(type(x) is int for x in p) and sorted(p) == list(range(len(p)))
 
 
 # -- groups ------------------------------------------------------------
@@ -127,8 +127,15 @@ class ConjugacyClass:
         return f"ConjugacyClass({cycle_notation(self.representative)}, size={self.size})"
 
 
+# Every element of a PermGroup is a tuple of `degree` points, so the degree
+# is bounded before anything is allocated. The largest group the package
+# builds is D100, the regular action of dihedral_semidirect(100) on its 200
+# elements; no named group or table needs more points.
+MAX_DEGREE = 200
+
+
 class PermGroup:
-    """A fully enumerated permutation group.
+    """A fully enumerated permutation group on 0 to MAX_DEGREE points.
 
     Element 0 is the identity; elements follow BFS order from the
     generators. Classes are sorted by (element order, size, lexicographic
@@ -136,6 +143,8 @@ class PermGroup:
     """
 
     def __init__(self, degree, generators, bound=200000):
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValueError(f"a permutation group has degree 0 to {MAX_DEGREE}, got {degree}")
         self.degree = degree
         gens = []
         for g in generators:
@@ -563,7 +572,7 @@ def group_from_json(obj):
     name, which builtin_group resolves."""
     if isinstance(obj, str):
         return builtin_group(obj)
-    if not (isinstance(obj, dict) and isinstance(obj.get("degree"), int)
+    if not (isinstance(obj, dict) and type(obj.get("degree")) is int
             and isinstance(obj.get("generators"), list)
             and all(isinstance(p, list) for p in obj["generators"])):
         raise ValueError('a group is a name or {"degree": n, "generators": [[images], ...]}')

@@ -389,9 +389,9 @@ def quiver_to_json(q):
 
 
 def quiver_from_json(obj):
-    if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), int)
+    if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
             and isinstance(obj.get("arrows"), list)
-            and all(isinstance(x, list) and len(x) == 2 and all(isinstance(v, int) for v in x)
+            and all(isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x)
                     for x in obj["arrows"])):
         raise QuiverError('a quiver is {"vertices": n, "arrows": [[source, target], ...]}')
     return Quiver(obj["vertices"], [tuple(x) for x in obj["arrows"]])
@@ -409,7 +409,7 @@ def rep_from_json(obj):
         if field not in obj:
             raise QuiverError(f'a quiver representation needs the field "{field}"')
     q = quiver_from_json(obj["quiver"])
-    if not (isinstance(obj["dims"], list) and all(isinstance(d, int) for d in obj["dims"])
+    if not (isinstance(obj["dims"], list) and all(type(d) is int for d in obj["dims"])
             and isinstance(obj["maps"], list)):
         raise QuiverError("dims must be a list of integers and maps a list of matrices")
     dims = obj["dims"]

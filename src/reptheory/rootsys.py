@@ -3,7 +3,10 @@ Coxeter elements.
 
 Everything is integer arithmetic on tuples. Classification is decided by
 fraction-free symmetric elimination of the form 2*Id - R (Bareiss), which
-tells definite, semidefinite and indefinite apart in O(n^3). Root sets are
+tells definite, semidefinite and indefinite apart in O(n^3). A diagram is
+named by its invariants, not by its shape: a Dynkin diagram by its
+determinant, an affine one by the largest coordinate of its primitive null
+root delta, read off the same elimination kernel. Root sets are
 the reflection closure of the simple roots. Weyl groups are counted by
 orbits of fundamental weights along the parabolic chain W_1 < ... < W_n,
 and enumerated as the orbit of rho, whose stabilizer is trivial.
@@ -11,7 +14,9 @@ and enumerated as the orbit of rho, whose stabilizer is trivial.
 
 from __future__ import annotations
 
-from .linalg import det
+from math import gcd
+
+from .linalg import det, integer_null_vectors
 
 
 class GraphError(ValueError):
@@ -55,7 +60,7 @@ class Graph:
         adj = [[0] * n for _ in range(n)]
         for e in edges:
             if not (isinstance(e, (list, tuple)) and len(e) in (2, 3)
-                    and all(isinstance(x, int) for x in e)):
+                    and all(type(x) is int for x in e)):
                 raise GraphError(f"edge {e!r} is not two endpoints and an optional multiplicity")
             i, j = e[0], e[1]
             m = e[2] if len(e) > 2 else 1
@@ -74,9 +79,6 @@ class Graph:
                 if self.adjacency[i][j]:
                     out.append((i, j, self.adjacency[i][j]))
         return out
-
-    def degree(self, i):
-        return sum(self.adjacency[i])
 
     def is_connected(self):
         seen = {0}
@@ -140,7 +142,7 @@ class Classification:
 
     def __init__(self, kind, name, determinant):
         self.kind = kind          # "dynkin" | "affine" | "indefinite"
-        self.name = name          # e.g. "A_3", "E8", "affine", "affine (A~2)"
+        self.name = name          # e.g. "A_3", "E8", "affine (A~2)", "indefinite"
         self.determinant = determinant
 
     def __repr__(self):
@@ -150,92 +152,28 @@ class Classification:
 def classify(graph):
     """Decide by exact symmetric elimination whether the form 2*Id - R is
     positive definite (simply laced Dynkin: one of A_n, D_n, E6, E7, E8),
-    positive semidefinite (affine) or indefinite."""
+    positive semidefinite (affine) or indefinite, and name the diagram by
+    its invariants. A definite connected graph is an ADE tree, named by its
+    determinant: n + 1 for A_n (tested first, so A_3 is not D_3), then 4,
+    3, 2, 1 for D_n, E6, E7, E8. A semidefinite one is an extended ADE
+    diagram, whose null space is spanned by the primitive null root delta;
+    its largest coordinate, 1, 2, 3, 4 or 6, names A~(n-1), D~(n-1), E~6,
+    E~7 or E~8."""
     if not graph.is_connected():
         raise GraphError("classification requires a connected graph")
     a = cartan_matrix(graph)
     full_det = det(a)
     sign = _form_sign(a)
+    n = graph.n
     if sign > 0:
-        return Classification("dynkin", _match_dynkin(graph), full_det)
+        name = f"A_{n}" if full_det == n + 1 else {4: f"D_{n}", 3: "E6", 2: "E7", 1: "E8"}[full_det]
+        return Classification("dynkin", name, full_det)
     if sign < 0:
         return Classification("indefinite", "indefinite", full_det)
-    return Classification("affine", _match_affine(graph), full_det)
-
-
-def _branch_lengths(graph, center):
-    """Lengths of the simple paths leaving a vertex in a tree graph."""
-    lengths = []
-    for w in range(graph.n):
-        if not graph.adjacency[center][w]:
-            continue
-        length = 1
-        prev, cur = center, w
-        while True:
-            nxts = [u for u in range(graph.n) if graph.adjacency[cur][u] and u != prev]
-            if len(nxts) != 1:
-                break
-            prev, cur = cur, nxts[0]
-            length += 1
-        lengths.append(length)
-    return sorted(lengths)
-
-
-def _is_simple_tree(graph):
-    if any(m > 1 for _, _, m in graph.edges()):
-        return False
-    return sum(m for _, _, m in graph.edges()) == graph.n - 1
-
-
-def _match_dynkin(graph):
-    n = graph.n
-    if not _is_simple_tree(graph):
-        return "dynkin (unrecognized)"
-    degrees = [graph.degree(i) for i in range(n)]
-    if max(degrees, default=0) <= 2:
-        return f"A_{n}"
-    forks = [i for i in range(n) if degrees[i] == 3]
-    if len(forks) == 1 and max(degrees) == 3:
-        arms = _branch_lengths(graph, forks[0])
-        if arms[:2] == [1, 1]:
-            return f"D_{n}"
-        if arms == [1, 2, 2]:
-            return "E6"
-        if arms == [1, 2, 3]:
-            return "E7"
-        if arms == [1, 2, 4]:
-            return "E8"
-    return "dynkin (unrecognized)"
-
-
-def _match_affine(graph):
-    n = graph.n
-    degrees = [graph.degree(i) for i in range(n)]
-    if n == 2 and graph.adjacency[0][1] == 2:
-        return "affine (A~1)"
-    if all(d == 2 for d in degrees) and _is_cycle(graph):
-        return f"affine (A~{n - 1})"
-    if _is_simple_tree(graph):
-        forks = sorted(i for i in range(n) if degrees[i] >= 3)
-        if len(forks) == 1:
-            arms = _branch_lengths(graph, forks[0])
-            if arms == [1, 1, 1, 1]:
-                return "affine (D~4)"
-            if arms == [2, 2, 2]:
-                return "affine (E~6)"
-            if arms == [1, 3, 3]:
-                return "affine (E~7)"
-            if arms == [1, 2, 5]:
-                return "affine (E~8)"
-        if len(forks) == 2 and all(degrees[f] == 3 for f in forks):
-            if all(sorted(_branch_lengths(graph, f))[:2] == [1, 1] for f in forks):
-                return f"affine (D~{n - 1})"
-    return "affine (unnamed)"
-
-
-def _is_cycle(graph):
-    return (graph.n >= 3 and all(m == 1 for _, _, m in graph.edges())
-            and len(graph.edges()) == graph.n)
+    (delta,), _ = integer_null_vectors([list(row) for row in a], n)
+    top = max(map(abs, delta)) // gcd(*delta)
+    name = {1: f"A~{n - 1}", 2: f"D~{n - 1}", 3: "E~6", 4: "E~7", 6: "E~8"}[top]
+    return Classification("affine", f"affine ({name})", full_det)
 
 
 # -- named diagrams -------------------------------------------------------
@@ -483,7 +421,7 @@ def graph_to_json(graph):
 
 
 def graph_from_json(obj):
-    if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), int)
+    if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
             and isinstance(obj.get("edges"), list)):
         raise GraphError('a graph is {"vertices": n, "edges": [[i, j], [i, j, m], ...]}')
     return Graph.from_edges(obj["vertices"], obj["edges"])

@@ -260,6 +260,18 @@ def test_roundtrip_compares_every_row(tmp_path, capsys, monkeypatch):
     assert code == 1 and out.strip() == "roundtrip FAILED"
 
 
+def _s3_table(classes=(0, 1, 2), degree=1):
+    """The character table of S3 as a file lists it, with the classes
+    listed by their indices 0 (identity), 1 (transpositions) and 2
+    (3-cycles), and the given degree on the trivial row."""
+    cls = [{"rep": [0, 1, 2], "size": 1}, {"rep": [0, 2, 1], "size": 3}, {"rep": [1, 2, 0], "size": 2}]
+    rows = [("C+", degree, (1, 1, 1)), ("C-", 1, (1, -1, 1)), ("C2", 2, (2, 0, -1))]
+    return {"group": "S3", "classes": [cls[c] for c in classes],
+            "rows": [{"name": name, "degree": d,
+                      "values": [{"order": 1, "coeffs": [f"{values[c]}/1"]} for c in classes]}
+                     for name, d, values in rows]}
+
+
 BAD_ARTIFACTS = {
     "cyclotomic of order 0": {"order": 0, "coeffs": []},
     "ragged matrix": {"rows": 2, "cols": 2, "entries": [["1", "2"], ["3"]]},
@@ -300,6 +312,16 @@ BAD_ARTIFACTS = {
                                            "dims": [1, 1]},
     "quiver map with no entries": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
                                    "dims": [1, 1], "maps": [{"rows": 1, "cols": 1}]},
+    "table missing a class": _s3_table(classes=(0, 1)),
+    "table with a class twice": _s3_table(classes=(0, 1, 1)),
+    "table row with a boolean degree": _s3_table(degree=True),
+    "graph edge with boolean endpoints": {"vertices": 2, "edges": [[False, True]]},
+    "generator with boolean images": {"degree": 3, "generators": [[True, False, 2]]},
+    "quiver representation with a boolean dim": {"quiver": {"vertices": 2, "arrows": [[0, 1]]},
+                                                 "dims": [True, 1],
+                                                 "maps": [{"rows": 1, "cols": 1, "entries": [["1/1"]]}]},
+    "matrix with a boolean row count": {"rows": True, "cols": 1, "entries": [["1/1"]]},
+    "group of degree 10^9": {"degree": 10 ** 9, "generators": []},
 }
 
 
@@ -335,6 +357,51 @@ def test_missing_field_is_named(capsys, tmp_path, kind, field, command):
     code, out, err = run_cli(capsys, *command, str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: a ") and err.endswith(f' needs the field "{field}"\n'), err
+
+
+def test_s3_table_file_is_the_builtin_table(capsys, tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(_s3_table()))
+    for command in (["roundtrip"], ["chartab", "show", "--file"], ["chartab", "verify", "--file"]):
+        assert run_cli(capsys, *command, str(path))[0] == 0
+
+
+@pytest.mark.parametrize("kind", ["table missing a class", "table with a class twice"])
+@pytest.mark.parametrize("command", [["roundtrip"], ["chartab", "show", "--file"], ["chartab", "verify", "--file"]])
+def test_table_lists_each_class_once(capsys, tmp_path, kind, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_ARTIFACTS[kind]))
+    assert run_cli(capsys, *command, str(path)) == (
+        1, "", "error: a table lists each of the 3 classes of its group exactly once\n")
+
+
+# each artifact with a boolean where an integer belongs, the command besides
+# roundtrip that reads it, and the error it ends in
+BOOLEAN_READERS = [
+    ("table row with a boolean degree", ["chartab", "verify", "--file"], 'error: a table is {"group": ...'),
+    ("graph edge with boolean endpoints", ["quiver", "classify", "--graph"],
+     "error: edge [False, True] is not two endpoints and an optional multiplicity"),
+    ("generator with boolean images", ["group", "classes", "--file"],
+     "error: not a permutation of 0..2: (True, False, 2)"),
+    ("quiver representation with a boolean dim", ["quiver", "decompose", "--rep"],
+     "error: dims must be a list of integers and maps a list of matrices"),
+]
+
+
+@pytest.mark.parametrize("kind, command, error", BOOLEAN_READERS, ids=[k for k, _, _ in BOOLEAN_READERS])
+def test_boolean_is_not_an_integer(capsys, tmp_path, kind, command, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_ARTIFACTS[kind]))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (1, "") and err.startswith(error), err
+
+
+def test_group_degree_is_bounded(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BAD_ARTIFACTS["group of degree 10^9"]))
+    for command in (["roundtrip"], ["group", "classes", "--file"]):
+        assert run_cli(capsys, *command, str(path)) == (
+            1, "", f"error: a permutation group has degree 0 to {permgroup.MAX_DEGREE}, got 1000000000\n")
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
@@ -893,3 +960,26 @@ def test_show_tables_exits_1_on_a_failed_table(monkeypatch, capsys):
     monkeypatch.setattr(script, "verify_table", lambda table: failing)
     assert script.main() == 1
     assert "verify: FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sabotage, failure", [
+    ("count", "12 indecomposables, not 20"),
+    ("hom_dim", "is not one-dimensional"),
+    ("bilinear", "has norm 3, not 2"),
+])
+def test_gabriel_census_exits_1_on_a_failed_check(monkeypatch, capsys, sabotage, failure):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gabriel_census.py"
+    spec = importlib.util.spec_from_file_location("gabriel_census", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    capsys.readouterr()
+    if sabotage == "count":
+        enumerate_all = script.enumerate_indecomposables
+        monkeypatch.setattr(script, "enumerate_indecomposables", lambda q: enumerate_all(q)[:12])
+    elif sabotage == "hom_dim":
+        monkeypatch.setattr(script, "hom_dim", lambda v, w: 2)
+    else:
+        monkeypatch.setattr(script, "bilinear", lambda a, x, y: 3)
+    assert script.main() == 1
+    assert failure in capsys.readouterr().out

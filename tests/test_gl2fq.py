@@ -28,6 +28,24 @@ def test_field_data():
     assert d7.norm((1, 0)) == 1
 
 
+# the primitive root of F_q and the generator a + b sqrt(eps) of F_(q^2)
+# for each odd prime q <= 31: the first of 2, 3, ... and of (0, 1), (0, 2),
+# ..., (1, 0), (1, 1), ... with full multiplicative order
+GENERATORS = {3: (2, (1, 1)), 5: (2, (1, 2)), 7: (3, (1, 1)), 11: (2, (1, 5)), 13: (2, (1, 2)),
+              17: (3, (1, 2)), 19: (2, (1, 9)), 23: (5, (1, 1)), 29: (2, (1, 4)), 31: (3, (1, 6))}
+
+
+@pytest.mark.parametrize("q", sorted(GENERATORS))
+def test_generators_and_logarithms(q):
+    d = GL2Group(q)
+    assert (d.g, d.gen2) == GENERATORS[q]
+    assert smallest_primitive_root(q) == d.g
+    assert sorted(d.dlog_q) == list(range(1, q))
+    assert all(d.dlog_q[x * d.g % q] == (k + 1) % (q - 1) for x, k in d.dlog_q.items())
+    assert len(d.dlog_q2) == q * q - 1 and (0, 0) not in d.dlog_q2
+    assert all(d.dlog_q2[d.ext_mul(u, d.gen2)] == (k + 1) % (q * q - 1) for u, k in d.dlog_q2.items())
+
+
 def test_class_census():
     for q in (3, 5, 7):
         classes = gl2_classes(q)

@@ -337,6 +337,36 @@ def _random_connected_graph(rng, n):
     return Graph.from_edges(n, [(perm[i], perm[j], m) for i, j, m in edges])
 
 
+AFFINE_UP_TO_8 = [f"A~{n}" for n in range(1, 9)] + [f"D~{n}" for n in range(4, 9)] + ["E~6", "E~7", "E~8"]
+
+
+def _relabeled(graph, rng):
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(graph.n, [(perm[i], perm[j], m) for i, j, m in graph.edges()])
+
+
+def _constructed(name):
+    """The graph a classification name stands for, built by dynkin_graph
+    or affine_graph."""
+    if name.startswith("affine ("):
+        return affine_graph(name[len("affine ("):-1])
+    return dynkin_graph(name)
+
+
+@pytest.mark.parametrize("name", ADE_UP_TO_8 + AFFINE_UP_TO_8)
+def test_names_match_the_constructors_under_relabeling(name):
+    # the name a constructor was called with, in classify's spelling
+    if "~" in name:
+        graph, want = affine_graph(name), f"affine ({name})"
+    else:
+        graph, want = dynkin_graph(name), name if name[0] == "E" else f"{name[0]}_{name[1:]}"
+    rng = random.Random(name)
+    for _ in range(20):
+        assert classify(_relabeled(graph, rng)).name == want
+    assert classify(graph).name == want
+
+
 def test_classify_matches_principal_minors():
     rng = random.Random(5)
     named = [affine_graph(x) for x in ("A~1", "A~2", "A~6", "D~4", "D~5", "D~6", "E~6")]
@@ -346,6 +376,10 @@ def test_classify_matches_principal_minors():
         want = reference_classify(graph)
         assert (c.kind, c.determinant) == want, graph.adjacency
         kinds.add(c.kind)
+        if c.kind != "indefinite":
+            # the named diagram has the same vertex count and degree sequence
+            built = _constructed(c.name)
+            assert sorted(map(sum, built.adjacency)) == sorted(map(sum, graph.adjacency)), (c.name, graph.adjacency)
     assert kinds == {"dynkin", "affine", "indefinite"}
 
 
