@@ -39,8 +39,8 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from .exact import (cyc, cyclotomic_to_json, hermitian_gram, json_reader, one, per_value,
-                    zero, zeta)
+from .exact import (Cyclotomic, GramRows, ValuePool, cyc, cyclotomic_from_json, cyclotomic_to_json,
+                    hermitian_gram, intern, one, zero, zeta)
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -50,7 +50,7 @@ class ClassFunction:
     __slots__ = ("group", "values")
 
     def __init__(self, group, values):
-        values = tuple(cyc(v) for v in values)
+        values = tuple(map(Cyclotomic.coerce, values))
         if len(values) != len(group.classes):
             raise ValueError("one value per conjugacy class required")
         self.group = group
@@ -110,11 +110,20 @@ class TableRow:
 
 
 class CharacterTable:
-    """A list of (purported) irreducible characters plus class metadata."""
+    """A tuple of (purported) irreducible characters plus class metadata.
 
-    def __init__(self, group, rows, name="", display_classes=None, class_labels=None):
+    The values are interned: `pool` holds each distinct value once, by its
+    stored form, and `index[i][c]` is the pool index of row i at class c.
+    A builder that knows its distinct values passes them in as
+    values=(pool, index), matching the rows; otherwise the rows' values are
+    interned here. `gram_rows` and `gram_columns` are the rows and the
+    columns as lasting operands of `exact.hermitian_gram`, so every product
+    with the table converts its values once."""
+
+    def __init__(self, group, rows, name="", display_classes=None, class_labels=None,
+                 values=None):
         self.group = group
-        self.rows = list(rows)
+        self.rows = tuple(rows)
         self.name = name
         k = len(group.classes)
         self.display_classes = tuple(display_classes) if display_classes else tuple(range(k))
@@ -125,6 +134,17 @@ class CharacterTable:
         for row in self.rows:
             if row.function.at_identity() != row.degree:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
+        pool, index = values or intern(row.values for row in self.rows)
+        self.pool = tuple(pool)
+        self.index = tuple(map(tuple, index))
+        self.gram_rows = GramRows(self.pool, self.index, lasting=True)
+        self._gram_columns = None
+
+    @property
+    def gram_columns(self):
+        if self._gram_columns is None:
+            self._gram_columns = self.gram_rows.transposed(len(self.group.classes))
+        return self._gram_columns
 
     @property
     def classes(self):
@@ -180,7 +200,7 @@ def inner_product(f1, f2):
 
 
 def _hermitian(g, v1, v2):
-    return hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g), g.order)[0]
+    return hermitian_gram(intern([v1]), intern([v2]), [(0, 0)], class_sizes(g), g.order)[0]
 
 
 def class_sizes(group):
@@ -205,20 +225,17 @@ def is_irreducible_virtual(f):
 def decompose(f, table):
     """Multiplicities (f, chi_i) against every row of a complete table. The
     reconstruction sum_i m_i chi_i = f is checked exactly, by the same
-    kernel; a table that fails it is not orthonormal (ValueError)."""
+    kernel on the table's columns; a table that fails it is not
+    orthonormal (ValueError)."""
     if not table.complete:
         raise ValueError("cannot decompose against an incomplete table")
     g = f.group
     if g is not table.group:
         raise ValueError("class functions live on different groups")
-    rows = [row.function.values for row in table.rows]
-    mults = hermitian_gram([f.values], rows, [(0, i) for i in range(len(rows))],
-                           class_sizes(g), g.order)
-    # sum_i m_i chi_i(c) - f(c), one entry per class c
-    columns = [[*col, v] for col, v in zip(zip(*rows), f.values)]
-    residual = hermitian_gram([mults + [cyc(-1)]], columns,
-                              [(0, c) for c in range(len(columns))], conjugate=False)
-    if not all(r.is_zero for r in residual):
+    pairs = [(0, i) for i in range(len(table.rows))]
+    mults = hermitian_gram(intern([f.values]), table.gram_rows, pairs, class_sizes(g), g.order)
+    # sum_i m_i chi_i(c), one entry per class c
+    if hermitian_gram(intern([mults]), table.gram_columns, pairs, conjugate=False) != list(f.values):
         raise ValueError("reconstruction failed: table is not orthonormal")
     return mults
 
@@ -228,12 +245,9 @@ def integer_multiplicities(mults):
     not a nonnegative rational integer (virtual / non-character input)."""
     out = []
     for m in mults:
-        if not m.is_integer():
+        if not m.is_integer() or m.num[0] < 0:
             return None
-        v = m.as_fraction()
-        if v < 0 or v.denominator != 1:
-            return None
-        out.append(int(v))
+        out.append(m.num[0])
     return out
 
 
@@ -268,10 +282,11 @@ class VerifyReport:
 
 
 def check_orthonormality(report, label, names, rows, sizes, order):
-    """One report entry per pair i <= j of rows (value sequences): the
-    Hermitian product order^-1 sum_c sizes[c] a_c conj(b_c) must be 1 on
-    the diagonal and 0 off it."""
-    pairs = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
+    """One report entry per pair i <= j of rows (an operand of
+    hermitian_gram): the Hermitian product order^-1 sum_c sizes[c] a_c
+    conj(b_c) must be 1 on the diagonal and 0 off it."""
+    k = len(names)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
     for (i, j), got in zip(pairs, hermitian_gram(rows, rows, pairs, sizes, order)):
         want = one() if i == j else zero()
         ok = got == want
@@ -289,14 +304,15 @@ def verify_table(table):
     g = table.group
     rows = table.rows
     check_orthonormality(rep, "row orthonormality", [row.name for row in rows],
-                         [row.function.values for row in rows], class_sizes(g), g.order)
+                         table.gram_rows, class_sizes(g), g.order)
     k = len(g.classes)
-    columns = [[row.function.values[c] for row in rows] for c in range(k)]
+    labels = [g.class_label(c) for c in range(k)]
+    columns = table.gram_columns
     pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]
     for (c1, c2), total in zip(pairs, hermitian_gram(columns, columns, pairs)):
         want = cyc(g.classes[c1].centralizer_order) if c1 == c2 else zero()
         ok = total == want
-        rep.add(f"column orthogonality ({g.class_label(c1)},{g.class_label(c2)})", ok,
+        rep.add(f"column orthogonality ({labels[c1]},{labels[c2]})", ok,
                 "" if ok else f"got {total}, want {want}")
     ssq = sum(row.degree ** 2 for row in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
@@ -348,7 +364,8 @@ def transfer_table(table, group):
         columns.append(match[0])
     rows = [TableRow(row.name, row.degree, ClassFunction(group, [row.values[i] for i in columns]))
             for row in table.rows]
-    return CharacterTable(group, rows, name=table.name)
+    index = [[row[i] for i in columns] for row in table.index]
+    return CharacterTable(group, rows, name=table.name, values=(table.pool, index))
 
 
 def frobenius_schur(f):
@@ -397,9 +414,10 @@ def abelian_dual_table(group):
     e, characters = _abelian_characters(group)
     roots = [zeta(e, k) for k in range(e)]
     reps = [cl.members[0] for cl in group.classes]
-    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [roots[x[i]] for i in reps]))
-            for k, x in enumerate(characters)]
-    return CharacterTable(group, rows, name="dual")
+    index = [[x[i] for i in reps] for x in characters]
+    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [roots[x] for x in row]))
+            for k, row in enumerate(index)]
+    return CharacterTable(group, rows, name="dual", values=(roots, index))
 
 
 # -- semidirect products -------------------------------------------------
@@ -429,8 +447,11 @@ def semidirect_table(sd):
     number = {tuple(x): r for r, x in enumerate(characters)}
     product = sd.group
     pairs = [sd.pair_of[cl.members[0]] for cl in product.classes]
+    # a value is fixed by the orbit representative r, the class's a and the
+    # exponent of chi_u at its g: each is computed once, as below, and pooled
+    pool, memo = ValuePool(), {}
     done = set()
-    rows = []
+    rows, index = [], []
     for r, x in enumerate(characters):
         if r in done:
             continue
@@ -448,16 +469,22 @@ def semidirect_table(sd):
         for k, u in enumerate(stab_characters):
             chi_u = [None] * g.order
             for h, i in zip(stab_indices, u):
-                chi_u[h] = roots_u[i]
-            values = []
+                chi_u[h] = i
+            row = []
             for ai, gi in pairs:
-                total = zero()
-                if chi_u[gi] is not None:
-                    for act_h in act:
-                        total = total + roots[x[act_h[ai]]] * chi_u[gi]
-                values.append(total / len(stab_indices))
-            rows.append(TableRow(f"(O{r},chi{k})", degree, ClassFunction(product, values)))
-    return CharacterTable(product, rows, name="semidirect")
+                key = (r, ai, chi_u[gi])
+                at = memo.get(key)
+                if at is None:
+                    total = zero()
+                    if chi_u[gi] is not None:
+                        for act_h in act:
+                            total = total + roots[x[act_h[ai]]] * roots_u[chi_u[gi]]
+                    at = memo[key] = pool.add(total / len(stab_indices))
+                row.append(at)
+            index.append(row)
+            rows.append(TableRow(f"(O{r},chi{k})", degree,
+                                 ClassFunction(product, [pool.values[at] for at in row])))
+    return CharacterTable(product, rows, name="semidirect", values=(pool.values, index))
 
 
 def heisenberg_semidirect():
@@ -566,12 +593,12 @@ def format_value(v, numeric=False):
 def render_table(table, numeric=False):
     """Plain-text rendering in the classical layout: representatives row,
     class sizes row, then one row per character, in left-aligned columns
-    two spaces apart. Each distinct value is formatted once."""
-    fmt = per_value(lambda v: format_value(v, numeric))
+    two spaces apart. Each value of the pool is formatted once."""
+    texts = [format_value(v, numeric) for v in table.pool]
     grid = [[table.name or "G"] + list(table.class_labels),
             ["#"] + [str(table.classes[c].size) for c in table.display_classes]]
-    grid += [[row.name] + [fmt(row.values[c]) for c in table.display_classes]
-             for row in table.rows]
+    grid += [[row.name] + [texts[index[c]] for c in table.display_classes]
+             for row, index in zip(table.rows, table.index)]
     widths = [max(len(r[j]) for r in grid) for j in range(len(grid[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
                      for r in grid)
@@ -586,12 +613,22 @@ def table_to_json(table, group_name=None):
         cl = table.group.classes[c]
         classes.append({"rep": list(cl.representative), "size": cl.size,
                         "order": cl.element_order})
-    to_json = per_value(cyclotomic_to_json)
+    values = [cyclotomic_to_json(v) for v in table.pool]
     rows = [{"name": row.name, "degree": row.degree,
-             "values": [to_json(row.values[c]) for c in table.display_classes]}
-            for row in table.rows]
+             "values": [values[index[c]] for c in table.display_classes]}
+            for row, index in zip(table.rows, table.index)]
     return {"group": group_name or group_to_json(table.group),
             "classes": classes, "rows": rows}
+
+
+def _value_key(obj):
+    """(order, coeffs) of a value dict of the types cyclotomic_from_json
+    reads, as a hashable key, or None for any other object."""
+    if type(obj) is dict:
+        order, coeffs = obj.get("order"), obj.get("coeffs")
+        if type(order) is int and type(coeffs) is list and all(type(s) is str for s in coeffs):
+            return order, tuple(coeffs)
+    return None
 
 
 def table_from_json(obj):
@@ -615,14 +652,28 @@ def table_from_json(obj):
         display.append(ci)
         if group.classes[ci].size != c["size"]:
             raise ValueError("class size mismatch in table file")
-    read = json_reader()
-    values = [[read(v) for v in r["values"]] for r in obj["rows"]]
+    # each distinct value dict is read once; a dict of another shape is read
+    # on its own, so that it raises as it would alone
+    pool, seen, file_index = ValuePool(), {}, []
+    for r in obj["rows"]:
+        row = []
+        for v in r["values"]:
+            key = _value_key(v)
+            x = seen.get(key) if key is not None else None
+            if x is None:
+                x = pool.add(cyclotomic_from_json(v))
+                if key is not None:
+                    seen[key] = x
+            row.append(x)
+        file_index.append(row)
     if sorted(display) != list(range(len(group.classes))):
         raise ValueError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
-    rows = []
-    for r, vals in zip(obj["rows"], values):
-        canonical = [None] * len(group.classes)
-        for ci, v in zip(display, vals):
-            canonical[ci] = v
-        rows.append(TableRow(r["name"], r["degree"], ClassFunction(group, canonical)))
-    return CharacterTable(group, rows, display_classes=display)
+    rows, index = [], []
+    for r, file_row in zip(obj["rows"], file_index):
+        row = [None] * len(group.classes)
+        for ci, x in zip(display, file_row):
+            row[ci] = x
+        index.append(row)
+        rows.append(TableRow(r["name"], r["degree"],
+                             ClassFunction(group, [pool.values[x] for x in row])))
+    return CharacterTable(group, rows, display_classes=display, values=(pool.values, index))

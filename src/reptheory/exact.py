@@ -19,13 +19,17 @@ a time, splitting the coordinates and folding the parts, for as long as
 the value lies in the smaller field.
 Printing and JSON conversion read the numerators and the shared
 denominator directly; no arithmetic builds a Fraction.
-A table converts each distinct value once: per_value memoizes a
-conversion on the stored (order, numerators, denominator), which is one
-key per value at a fixed order and needs no reduced().
+A character table holds each distinct value once: a ValuePool keys its
+values on the stored (order, numerators, denominator), which is one key
+per value at a fixed order and needs no reduced(), and the table's rows
+are indices into the pool.
 
 Sums over classes of products of values, the inner products and Gram
-matrices of character theory, go through hermitian_gram: it accumulates
-integer sums of roots of unity and reduces once per entry.
+matrices of character theory, go through hermitian_gram. Its operands are
+a pool and index rows (GramRows); it converts each pool entry once into
+integers or sparse roots of unity, accumulates integer sums of roots of
+unity and reduces once per entry. A table's rows and columns are lasting
+operands, which keep their converted forms from call to call.
 """
 
 from __future__ import annotations
@@ -493,12 +497,40 @@ def conjugate(a):
     return Cyclotomic.coerce(a).conjugate()
 
 
-# -- the Gram kernel --------------------------------------------------
+# -- value pools and the Gram kernel ------------------------------------
 
-def _int_row(row, weights):
-    """A rational row as (integer numerators, shared denominator)."""
-    den = lcm(*{v.den for v in row})
-    return [w * v.num[0] * (den // v.den) for v, w in zip(row, weights)], den
+class ValuePool:
+    """Distinct Cyclotomics in the order first added. add(v) is the index of
+    the value with v's stored form (order, numerators, denominator), which
+    is one key per value at a fixed order and needs no reduced()."""
+
+    __slots__ = ("values", "_where")
+
+    def __init__(self):
+        self.values = []
+        self._where = {}
+
+    def indices(self, values):
+        """The index of each value, adding those of a new stored form."""
+        pool, where, out = self.values, self._where, []
+        for v in values:
+            key = (v.order, v.num, v.den)
+            i = where.get(key)
+            if i is None:
+                i = where[key] = len(pool)
+                pool.append(v)
+            out.append(i)
+        return out
+
+    def add(self, v):
+        return self.indices((v,))[0]
+
+
+def intern(rows):
+    """(pool, index) for rows of Cyclotomics: their distinct values and each
+    row as a list of indices into them, the operand form of hermitian_gram."""
+    pool = ValuePool()
+    return pool.values, [pool.indices(row) for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -528,77 +560,170 @@ def _two_roots(v):
     return None
 
 
-def _root_row(row, n, weights, sign, shift, memo, short):
-    """A row over Q(zeta_n) as (terms, shared denominator, order of the
-    row): weights[c] times value c is the sum of k * zeta_n^e over the
-    denominator, for the pairs (e, k) in terms[c]. A value of order m gives
-    its power-basis coordinates, or with short its two-root form if it has
-    three or more coordinates; root i of order m sits at e = i * n/m mod n,
-    negated when sign is -1 (complex conjugation), then lowered by shift.
-    Equal values share their terms through memo, one per sign and shift."""
-    den = lcm(*{v.den for v in row})
+def _integers(pool):
+    """(numerators, den): the values of a pool of order-1 values as integers
+    over one denominator."""
+    den = lcm(*{v.den for v in pool})
+    return [v.num[0] * (den // v.den) for v in pool], den
+
+
+def _terms(pool, n, sign, shift, roots=None):
+    """(terms, den): the values of a pool over one denominator as sparse
+    root terms at order n, pool[x] the sum of k * zeta_n^e over den for
+    (e, k) in terms[x]. A value of order m is read from its coordinates
+    (i, k), or from roots[x] where roots is given, at e = sign * i * n/m
+    mod n, lowered by shift."""
+    den = lcm(*{v.den for v in pool})
     terms = []
-    for v, w in zip(row, weights):
-        key = (v.order, v.num, w * (den // v.den))
-        t = memo.get(key)
-        if t is None:
-            step, f = sign * (n // v.order), key[2]
-            roots = [(i, c) for i, c in enumerate(v.num) if c]
-            if short and len(roots) > 2:
-                roots = _two_roots(v) or roots
-            t = memo[key] = [(i * step % n - shift, c * f) for i, c in roots]
-        terms.append(t)
-    return terms, den, lcm(*{v.order for v in row})
+    for x, v in enumerate(pool):
+        step, f = sign * (n // v.order), den // v.den
+        coords = enumerate(v.num) if roots is None else roots[x]
+        terms.append([(i * step % n - shift, c * f) for i, c in coords if c])
+    return terms, den
+
+
+class GramRows:
+    """Rows of Cyclotomics as hermitian_gram reads them: a pool of distinct
+    values and each row as a sequence of indices into it.
+
+    The kernel asks an operand for its rows in one form per call: integers
+    over the pool's one denominator when every order is 1, and otherwise
+    sparse root terms at the lcm N of both operands' orders (_terms). Each
+    form converts each pool entry once. A lasting operand, the rows or the
+    columns of a character table, keeps every form it makes, so a table's
+    values are converted once however often it is used; any other operand
+    lives for one call."""
+
+    __slots__ = ("pool", "index", "order", "lasting", "_roots", "_forms")
+
+    def __init__(self, pool, index, lasting=False, _roots=None):
+        self.pool = pool
+        self.index = index
+        self.order = lcm(*{v.order for v in pool})
+        self.lasting = lasting
+        # per pool entry, its coordinates or its two-root form, filled by the
+        # first ready form and shared with the transposed operand
+        self._roots = [] if _roots is None else _roots
+        self._forms = {}
+
+    def transposed(self, width):
+        """The columns of these rows, `width` entries to a row, over the same
+        pool and its two-root forms."""
+        columns = tuple(zip(*self.index)) if self.index else ((),) * width
+        return GramRows(self.pool, columns, self.lasting, self._roots)
+
+    def _form(self, key, make):
+        form = self._forms.get(key)
+        if form is None:
+            form = make()
+            if self.lasting:
+                self._forms[key] = form
+        return form
+
+    def integers(self, weights):
+        """(rows, den): row r at class c is rows[r][c] / den, times weights[c]."""
+        def make():
+            ints, den = _integers(self.pool)
+            if weights is None:
+                return [[ints[x] for x in row] for row in self.index], den
+            return [[w * ints[x] for x, w in zip(row, weights)] for row in self.index], den
+        return self._form((1, weights), make)
+
+    def roots(self, n, sign, shift, weights, ready):
+        """(rows, den): rows[r] is (the classes where row r is nonzero,
+        terms, the lcm of the row's orders), and row r at class c is the sum
+        of k * zeta_n^e over den, times weights[c], for (e, k) in terms[c];
+        sign and shift as in _terms. A ready form reads each value in its
+        two-root form where that is shorter (_two_roots), a search over the
+        roots of its order that the operand does once."""
+        def make():
+            if ready and len(self._roots) < len(self.pool):
+                for v in self.pool:
+                    coords = [(i, c) for i, c in enumerate(v.num) if c]
+                    self._roots.append((_two_roots(v) or coords) if len(coords) > 2 else coords)
+            terms, den = _terms(self.pool, n, sign, shift, self._roots if ready else None)
+            if weights is None:
+                rows = [[terms[x] for x in row] for row in self.index]
+            else:
+                # each (value, weight) pair is multiplied out once
+                rows, memo = [], {}
+                for row in self.index:
+                    weighted = []
+                    for x, w in zip(row, weights):
+                        t = terms[x]
+                        if t:
+                            key = (x, w)
+                            t = memo.get(key)
+                            if t is None:
+                                t = memo[key] = [(e, c * w) for e, c in terms[x]]
+                        weighted.append(t)
+                    rows.append(weighted)
+            orders = [v.order for v in self.pool]
+            return [([c for c, t in enumerate(ts) if t], ts, lcm(*{orders[x] for x in row}))
+                    for ts, row in zip(rows, self.index)], den
+        return self._form((n, sign, shift, weights), make)
 
 
 def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
-    """The exact sums sum_c w_c * a_c * conj(b_c) / scale, a = left[i] and
-    b = right[j], as a list of one Cyclotomic per (i, j) in pairs; rows are
-    sequences of Cyclotomics, w_c = 1 without weights, and b_c stays
-    unconjugated when conjugate is false.
+    """The exact sums sum_c w_c * a_c * conj(b_c) / scale, a = left row i
+    and b = right row j, as a list of one Cyclotomic per (i, j) in pairs;
+    w_c = 1 without weights, and b_c stays unconjugated when conjugate is
+    false. An operand is a GramRows or a (pool, index rows) pair such as
+    intern makes: row i at class c is pool[index[i][c]].
 
-    With N the lcm of all orders, every value is read as a sparse integer
-    sum of N-th roots of unity over its row's one denominator: its
-    power-basis coordinates, or two roots where a row takes part in more
-    than one pair. b's rows are conjugated once by negating exponents. An
-    entry accumulates in Z[x]/(x^N - 1) and is reduced once by _fold, mod
-    Phi_M for M the lcm of the two rows' orders. Rational rows (N = 1) take
-    an integer dot product instead.
+    Each operand gives its rows in a form of GramRows: integers, with an
+    integer dot product, when every order is 1, and otherwise sparse root
+    terms at N, the lcm of both operands' orders, b conjugated by negating
+    exponents. A row that a lasting operand keeps, or that takes part in
+    more than one pair, is read ready: in two-root forms where shorter, and
+    with a's weights multiplied in. A row used once is weighted in the sum.
+    An entry accumulates in Z[x]/(x^N - 1) and is reduced once by _fold,
+    mod Phi_M for M the lcm of the two rows' orders.
     """
-    n = lcm(*{v.order for rows in (left, right) for row in rows for v in row})
-    if weights is None:
-        weights = [1] * max((len(row) for row in left), default=0)
-    ones = [1] * len(weights)
+    if not isinstance(left, GramRows):
+        left = GramRows(*left)
+    if not isinstance(right, GramRows):
+        right = GramRows(*right)
+    if weights is not None:
+        weights = tuple(weights)
+    n = lcm(left.order, right.order)
     if n == 1:
-        a = [_int_row(row, weights) for row in left]
-        b = [_int_row(row, ones) for row in right]
-        sums = ((sum(map(mul, a[i][0], b[j][0])), a[i][1] * b[j][1] * scale) for i, j in pairs)
-        return [Cyclotomic(1, (s,), d) if s else _ZERO for s, d in sums]
-    # a two-root form costs a search over the roots of its order, and pays
-    # off only for a row that is multiplied more than once
-    a, memo = [], {}
-    for row in left:
-        terms, den, order = _root_row(row, n, weights, 1, 0, memo, len(pairs) > len(left))
-        nonzero = [c for c, sa in enumerate(terms) if sa]
-        a.append((nonzero, [terms[c] for c in nonzero], den, order))
+        a, da = left.integers(weights)
+        b, db = right.integers(None)
+        d = da * db * scale
+        sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
+        return [Cyclotomic(1, (s,), d) if s else _ZERO for s in sums]
+    ready = left.lasting or len(pairs) > len(left.index)
+    a, da = left.roots(n, 1, 0, weights if ready else None, ready)
+    w = None if ready else weights
     # exponents of b in [-n, 0), so that ea + eb indexes a length-n list
     # modulo n, as Python's negative indices do
-    memo = {}
-    b = [_root_row(row, n, ones, -1 if conjugate else 1, n, memo, len(pairs) > len(right))
-         for row in right]
+    b, db = right.roots(n, -1 if conjugate else 1, n, None,
+                        right.lasting or len(pairs) > len(right.index))
+    d = da * db * scale
     out = []
     for i, j in pairs:
-        (cs, ta, da, oa), (tb, db, ob) = a[i], b[j]
+        (cs, ta, oa), (_, tb, ob) = a[i], b[j]
         acc = [0] * n
-        for c, sa in zip(cs, ta):
-            sb = tb[c]
-            if sb:
-                for ea, ca in sa:
-                    for eb, cb in sb:
-                        acc[ea + eb] += ca * cb
+        if w is None:
+            for c in cs:
+                sb = tb[c]
+                if sb:
+                    for ea, ca in ta[c]:
+                        for eb, cb in sb:
+                            acc[ea + eb] += ca * cb
+        else:
+            for c in cs:
+                sb = tb[c]
+                if sb:
+                    wc = w[c]
+                    for ea, ca in ta[c]:
+                        ca *= wc
+                        for eb, cb in sb:
+                            acc[ea + eb] += ca * cb
         m = lcm(oa, ob)
         num = _fold(acc[::n // m], m)
-        out.append(Cyclotomic(m, num, da * db * scale) if any(num) else _ZERO)
+        out.append(Cyclotomic(m, num, d) if any(num) else _ZERO)
     return out
 
 
@@ -652,45 +777,3 @@ def cyclotomic_from_json(obj):
         den //= g
         num = [c // g for c in num]
     return Cyclotomic(order, tuple(num), den, _normalized=True)
-
-
-def _stored(v):
-    """A value as stored, (order, numerators, denominator): one key per
-    value at a fixed order, with no reduced()."""
-    return v.order, v.num, v.den
-
-
-def _json_fields(obj):
-    """(order, coeffs) of a value dict of the types cyclotomic_from_json
-    reads, as a hashable key, or None for any other object."""
-    if type(obj) is dict:
-        order, coeffs = obj.get("order"), obj.get("coeffs")
-        if type(order) is int and type(coeffs) is list and all(type(s) is str for s in coeffs):
-            return order, tuple(coeffs)
-    return None
-
-
-def per_value(convert, key=_stored):
-    """convert, run once per distinct key: the function returned computes
-    convert(x) for the first x of each key(x) and returns that result again
-    for every later x with the same key. A key of None is not memoized, so
-    convert raises on it as it would alone. The memo lives only as long as
-    the returned function: make one for each table converted. Equal values
-    share one result, a JSON dict too."""
-    memo = {}
-
-    def once(x):
-        k = key(x)
-        if k is None:
-            return convert(x)
-        out = memo.get(k)
-        if out is None:
-            out = memo[k] = convert(x)
-        return out
-    return once
-
-
-def json_reader():
-    """cyclotomic_from_json, once per distinct (order, coeffs) of the value
-    dicts of one file."""
-    return per_value(cyclotomic_from_json, _json_fields)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
                       check_orthonormality, class_sizes)
-from .exact import cyc, cyclotomic_to_json, per_value, zero, zeta
+from .exact import ValuePool, cyc, cyclotomic_to_json, zero, zeta
 
 
 def is_odd_prime(q):
@@ -36,10 +36,11 @@ def is_odd_prime(q):
 
 
 def _check_q(q):
-    if not is_odd_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
+    # the range first: trial division of a huge q would not end
     if q > 31:
         raise ValueError("q is limited to 31 (discrete logarithm tables)")
+    if not is_odd_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
 
 
 def _cyclic_powers(candidates, mul, one, order):
@@ -194,22 +195,24 @@ def gl2_table(q):
 
     Every value is c * zeta_n^a or c * (zeta_n^a + zeta_n^b), n = q - 1 or
     q^2 - 1, and is built once for each (n, c, {a, b} mod n) that occurs:
-    the 28224 entries of GL2(F_13) take 195 distinct values."""
+    the 28224 entries of GL2(F_13) take 195 distinct values. The rows are
+    made as indices into the pool of those values, which the table keeps."""
     group = GL2Group(q)
     classes = group.classes
     n1 = q - 1
     n2 = q * q - 1
-    memo = {}
+    pool, memo = ValuePool(), {}
+    zero_index = pool.add(zero())
 
     def roots(n, c, a, b=None):
         a %= n
         if b is not None:
             a, b = sorted((a, b % n))
         key = (n, c, a, b)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = c * (zeta(n, a) if b is None else zeta(n, a) + zeta(n, b))
-        return v
+        x = memo.get(key)
+        if x is None:
+            x = memo[key] = pool.add(c * (zeta(n, a) if b is None else zeta(n, a) + zeta(n, b)))
+        return x
 
     # the discrete logarithm of each class's determinant, and of its
     # parameters: x (scalar, parabolic), x and y (hyperbolic), or the
@@ -229,10 +232,11 @@ def gl2_table(q):
             logs.append((group.dlog_q2[cl.params],))
     families = [cl.family for cl in classes]
 
-    rows = []
+    rows, index = [], []
 
-    def row(name, degree, values):
-        rows.append(TableRow(name, degree, ClassFunction(group, values)))
+    def row(name, degree, xs):
+        index.append(xs)
+        rows.append(TableRow(name, degree, ClassFunction(group, [pool.values[x] for x in xs])))
 
     # one-dimensional series: xi(det g)
     for k in range(q - 1):
@@ -240,40 +244,40 @@ def gl2_table(q):
     # principal series, lambda1 != lambda2 up to swap
     for k1 in range(q - 1):
         for k2 in range(k1 + 1, q - 1):
-            values = []
+            xs = []
             for family, lg in zip(families, logs):
                 if family == "scalar":
-                    values.append(roots(n1, q + 1, (k1 + k2) * lg[0]))
+                    xs.append(roots(n1, q + 1, (k1 + k2) * lg[0]))
                 elif family == "parabolic":
-                    values.append(roots(n1, 1, (k1 + k2) * lg[0]))
+                    xs.append(roots(n1, 1, (k1 + k2) * lg[0]))
                 elif family == "hyperbolic":
                     x, y = lg
-                    values.append(roots(n1, 1, k1 * x + k2 * y, k1 * y + k2 * x))
+                    xs.append(roots(n1, 1, k1 * x + k2 * y, k1 * y + k2 * x))
                 else:
-                    values.append(zero())
-            row(f"V[{k1},{k2}]", q + 1, values)
+                    xs.append(zero_index)
+            row(f"V[{k1},{k2}]", q + 1, xs)
     # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det), the factor below
     # times mu(det g)
     w_factor = {"scalar": q, "parabolic": 0, "hyperbolic": 1, "elliptic": -1}
     for k in range(q - 1):
-        row(f"W[{k}]", q, [roots(n1, w_factor[family], k * d) if w_factor[family] else zero()
+        row(f"W[{k}]", q, [roots(n1, w_factor[family], k * d) if w_factor[family] else zero_index
                            for family, d in zip(families, dets)])
     # complementary series
     for t in _complementary_parameters(q):
-        values = []
+        xs = []
         for family, lg in zip(families, logs):
             if family == "scalar":
-                values.append(roots(n2, q - 1, t * lg[1]))
+                xs.append(roots(n2, q - 1, t * lg[1]))
             elif family == "parabolic":
-                values.append(roots(n2, -1, t * lg[1]))
+                xs.append(roots(n2, -1, t * lg[1]))
             elif family == "hyperbolic":
-                values.append(zero())
+                xs.append(zero_index)
             else:
-                values.append(roots(n2, -1, t * lg[0], t * q * lg[0]))
-        row(f"X[{t}]", q - 1, values)
+                xs.append(roots(n2, -1, t * lg[0], t * q * lg[0]))
+        row(f"X[{t}]", q - 1, xs)
     if len(rows) != q * q - 1:
         raise AssertionError(f"GL2(F_{q}) table has {len(rows)} rows, not q^2 - 1")
-    return CharacterTable(group, rows, name=f"GL2(F_{q})")
+    return CharacterTable(group, rows, name=f"GL2(F_{q})", values=(pool.values, index))
 
 
 def gl2_verify(table):
@@ -283,7 +287,7 @@ def gl2_verify(table):
     rep = VerifyReport()
     g = table.group
     rows = table.rows
-    check_orthonormality(rep, "orthonormality", [r.name for r in rows], [r.values for r in rows],
+    check_orthonormality(rep, "orthonormality", [r.name for r in rows], table.gram_rows,
                          class_sizes(g), g.order)
     ssq = sum(r.degree ** 2 for r in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs {g.order}")
@@ -332,15 +336,15 @@ _SERIES = {"xi": "one-dimensional", "V": "principal", "W": "cuspidal-W", "X": "c
 
 def gl2_table_to_json(table):
     """The table with its class parameters and representatives; each row's
-    series is read from its name prefix. Each distinct value is converted
-    once."""
-    to_json = per_value(cyclotomic_to_json)
+    series is read from its name prefix. Each value of the pool is
+    converted once."""
+    values = [cyclotomic_to_json(v) for v in table.pool]
     return {
         "q": table.group.q,
         "group_order": table.group.order,
         "classes": [{"family": c.family, "params": list(c.params), "size": c.size,
                      "rep": [list(r) for r in c.rep]} for c in table.classes],
         "rows": [{"name": r.name, "series": _SERIES[r.name.split("[")[0]], "degree": r.degree,
-                  "values": [to_json(v) for v in r.values]}
-                 for r in table.rows],
+                  "values": [values[x] for x in index]}
+                 for r, index in zip(table.rows, table.index)],
     }

@@ -516,6 +516,26 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+def test_q_range_comes_before_primality(capsys):
+    for q in (1, 2, 4, 9, 15, 25, 27):
+        assert run_cli(capsys, "gl2", "classes", "--q", str(q)) == \
+            (1, "", f"error: q must be an odd prime, got {q}\n")
+    for q in (32, 33, 37, 10 ** 6, 10 ** 18 + 9):
+        assert run_cli(capsys, "gl2", "verify", "--q", str(q)) == \
+            (1, "", "error: q is limited to 31 (discrete logarithm tables)\n")
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_huge_prime_q_is_rejected_at_once(optimize):
+    # 10^18 + 9 is prime: trial division to its square root would not end
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", "gl2", "table", "--q",
+                           "1000000000000000009"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=2)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == "error: q is limited to 31 (discrete logarithm tables)\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["chartab", "bogus-subcommand"])

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory.exact import (Cyclotomic, _divisors, _fold, cyc, conjugate,
+from reptheory.exact import (Cyclotomic, ValuePool, _divisors, _fold, cyc, conjugate,
                              cyclotomic_from_json, cyclotomic_to_json, cyclotomic_polynomial,
-                             euler_phi, per_value, rational_from_str, rational_to_str, zeta)
+                             euler_phi, rational_from_str, rational_to_str, zeta)
 from reptheory.linalg import gauss_jordan, matrix_from_json, parse_integer
 from reptheory.gl2fq import gl2_table
 
@@ -391,12 +391,13 @@ def test_order_bound_admits_every_phi():
         assert n <= 2 * euler_phi(n) ** 2
 
 
-def test_per_value_converts_each_stored_value_once():
-    calls = []
-    once = per_value(lambda v: calls.append(v) or str(v))
+def test_value_pool_keeps_each_stored_value_once():
+    pool = ValuePool()
     values = [zeta(12, k) for k in range(24)] + [cyc(0), cyc(Fraction(1, 2)), cyc(Fraction(2, 4))]
-    assert [once(v) for v in values] == [str(v) for v in values]
-    assert len(calls) == len({fields(v) for v in values}) == 14
+    index = pool.indices(values)
+    assert [fields(pool.values[i]) for i in index] == [fields(v) for v in values]
+    assert len(pool.values) == len({fields(v) for v in values}) == 14
+    assert pool.add(cyc(Fraction(3, 6))) == index[-1] and len(pool.values) == 14
 
 
 BAD_CONSTRUCTIONS = {

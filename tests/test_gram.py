@@ -1,29 +1,40 @@
-"""The exact Gram kernel against the Cyclotomic loop it replaced.
+"""The exact Gram kernel against the Cyclotomic loop it replaced, and the
+pooled kernel against the per-call kernel before it.
 
 `reference_inner_product` is that loop, one conjugate, one product and one
 sum per class; the kernel must agree with it value for value and string for
 string, and verify reports built on either must be entry for entry equal,
-also on tables that are wrong on purpose.
+also on tables that are wrong on purpose. `reference_hermitian_gram` is the
+kernel that converted every value of its rows on each call; the kernel on
+(pool, index) operands and on a table's lasting rows and columns must give
+the same stored values, and decompose and tensor_multiplicities the same
+results as on it.
 """
 
 import copy
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import reptheory
-from reptheory.chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
-                               abelian_dual_table, builtin_table, class_sizes, decompose,
-                               dihedral_semidirect, inner_product, semidirect_table,
-                               verify_table)
-from reptheory.exact import _two_roots, cyc, hermitian_gram, one, zero, zeta
+from reptheory import exact
+from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunction, TableRow,
+                               VerifyReport, abelian_dual_table, builtin_table, class_sizes,
+                               decompose, dihedral_semidirect, heisenberg_semidirect,
+                               inner_product, semidirect_table, table_from_json, table_to_json,
+                               tensor_multiplicities, transfer_table, verify_table)
+from reptheory.exact import (Cyclotomic, GramRows, _fold, _two_roots, cyc, hermitian_gram, intern,
+                             one, zero, zeta)
 from reptheory.gl2fq import GL2Class, gl2_table, gl2_verify
-from reptheory.permgroup import cyclic_group
+from reptheory.permgroup import builtin_group, cyclic_group, from_cycles
 from reptheory.symgrp import sn_table
 
 
@@ -93,7 +104,7 @@ def test_every_gl2_5_row_pair_matches_the_reference():
     rows = [r.values for r in table.rows]
     pairs = [(i, j) for i in range(len(rows)) for j in range(len(rows))]
     # all pairs in one call read repeated rows in their two-root forms
-    gram = hermitian_gram(rows, rows, pairs, sizes, order)
+    gram = hermitian_gram(intern(rows), intern(rows), pairs, sizes, order)
     for (i, j), got in zip(pairs, gram):
         want = reference_inner_product(sizes, order, rows[i], rows[j])
         assert_same(got, want)
@@ -158,7 +169,8 @@ def test_rational_tables_match_the_reference():
     halves = [v / 2 for v in rows[3]]
     for v1 in rows + [halves]:
         for v2 in rows + [halves]:
-            assert_same(hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g), g.order)[0],
+            assert_same(hermitian_gram(intern([v1]), intern([v2]), [(0, 0)], class_sizes(g),
+                                       g.order)[0],
                         reference_inner_product(class_sizes(g), g.order, v1, v2))
 
 
@@ -183,12 +195,18 @@ def test_gram_kernel_options():
     a = [zeta(3), cyc(Fraction(1, 2)), zeta(4) / 3]
     b = [zeta(6), zeta(4), cyc(-2)]
     bilinear = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    assert_same(hermitian_gram([a], [b], [(0, 0)], conjugate=False)[0], bilinear)
+    assert_same(hermitian_gram(intern([a]), intern([b]), [(0, 0)], conjugate=False)[0], bilinear)
     hermitian = sum((x * y.conjugate() for x, y in zip(a, b)), zero())
-    assert_same(hermitian_gram([a], [b], [(0, 0)])[0], hermitian)
-    assert_same(hermitian_gram([a], [b], [(0, 0)], [2, 0, 5], 7)[0],
+    assert_same(hermitian_gram(intern([a]), intern([b]), [(0, 0)])[0], hermitian)
+    assert_same(hermitian_gram(intern([a]), intern([b]), [(0, 0)], [2, 0, 5], 7)[0],
                 (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
-    assert hermitian_gram([[]], [[]], [(0, 0)])[0] == 0
+    # a pool and index rows by hand, and a lasting operand, read the same
+    pool, index = [zeta(3), cyc(Fraction(1, 2)), zeta(4) / 3, zeta(6), zeta(4), cyc(-2)], [(0, 1, 2)]
+    lasting = GramRows(pool, [(3, 4, 5)], lasting=True)
+    for _ in range(2):
+        assert_same(hermitian_gram((pool, index), lasting, [(0, 0)], [2, 0, 5], 7)[0],
+                    (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
+    assert hermitian_gram(intern([[]]), intern([[]]), [(0, 0)])[0] == 0
 
 
 # -- verify reports --------------------------------------------------------------
@@ -252,8 +270,7 @@ def _a4_with_row(values):
     return CharacterTable(table.group, rows, table.name, table.display_classes, table.class_labels)
 
 
-@pytest.mark.parametrize("kind", ["perturbed value", "conjugated row", "fractional row"])
-def test_sabotaged_character_tables_fail_like_the_reference(kind):
+def _sabotaged_a4(kind):
     values = list(builtin_table("A4").rows[1].function.values)
     if kind == "perturbed value":
         values[3] = values[3] + zeta(3)
@@ -261,7 +278,12 @@ def test_sabotaged_character_tables_fail_like_the_reference(kind):
         values = [v.conjugate() for v in values]
     else:
         values = values[:1] + [v / 3 for v in values[1:]]
-    table = _a4_with_row(values)
+    return _a4_with_row(values)
+
+
+@pytest.mark.parametrize("kind", ["perturbed value", "conjugated row", "fractional row"])
+def test_sabotaged_character_tables_fail_like_the_reference(kind):
+    table = _sabotaged_a4(kind)
     report = verify_table(table)
     assert not report.ok
     assert report.entries == reference_verify_table(table).entries
@@ -298,3 +320,238 @@ def test_decompose_rejects_a_non_orthonormal_table(optimize):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "reconstruction failed: table is not orthonormal\n"
+
+
+# -- the pooled kernel against the per-call kernel ---------------------------------
+
+def reference_int_row(row, weights):
+    den = lcm(*{v.den for v in row})
+    return [w * v.num[0] * (den // v.den) for v, w in zip(row, weights)], den
+
+
+def reference_root_row(row, n, weights, sign, shift, memo, short):
+    den = lcm(*{v.den for v in row})
+    terms = []
+    for v, w in zip(row, weights):
+        key = (v.order, v.num, w * (den // v.den))
+        t = memo.get(key)
+        if t is None:
+            step, f = sign * (n // v.order), key[2]
+            roots = [(i, c) for i, c in enumerate(v.num) if c]
+            if short and len(roots) > 2:
+                roots = _two_roots(v) or roots
+            t = memo[key] = [(i * step % n - shift, c * f) for i, c in roots]
+        terms.append(t)
+    return terms, den, lcm(*{v.order for v in row})
+
+
+def reference_hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
+    """The kernel on rows of values, converting every row on each call."""
+    n = lcm(*{v.order for rows in (left, right) for row in rows for v in row})
+    if weights is None:
+        weights = [1] * max((len(row) for row in left), default=0)
+    ones = [1] * len(weights)
+    if n == 1:
+        a = [reference_int_row(row, weights) for row in left]
+        b = [reference_int_row(row, ones) for row in right]
+        sums = ((sum(map(mul, a[i][0], b[j][0])), a[i][1] * b[j][1] * scale) for i, j in pairs)
+        return [Cyclotomic(1, (s,), d) if s else zero() for s, d in sums]
+    a, memo = [], {}
+    for row in left:
+        terms, den, order = reference_root_row(row, n, weights, 1, 0, memo, len(pairs) > len(left))
+        nonzero = [c for c, sa in enumerate(terms) if sa]
+        a.append((nonzero, [terms[c] for c in nonzero], den, order))
+    memo = {}
+    b = [reference_root_row(row, n, ones, -1 if conjugate else 1, n, memo, len(pairs) > len(right))
+         for row in right]
+    out = []
+    for i, j in pairs:
+        (cs, ta, da, oa), (tb, db, ob) = a[i], b[j]
+        acc = [0] * n
+        for c, sa in zip(cs, ta):
+            sb = tb[c]
+            if sb:
+                for ea, ca in sa:
+                    for eb, cb in sb:
+                        acc[ea + eb] += ca * cb
+        m = lcm(oa, ob)
+        num = _fold(acc[::n // m], m)
+        out.append(Cyclotomic(m, num, da * db * scale) if any(num) else zero())
+    return out
+
+
+def reference_decompose(f, table):
+    g = f.group
+    rows = [row.function.values for row in table.rows]
+    mults = reference_hermitian_gram([f.values], rows, [(0, i) for i in range(len(rows))],
+                                     class_sizes(g), g.order)
+    columns = [[*col, v] for col, v in zip(zip(*rows), f.values)]
+    residual = reference_hermitian_gram([mults + [cyc(-1)]], columns,
+                                        [(0, c) for c in range(len(columns))], conjugate=False)
+    if not all(r.is_zero for r in residual):
+        raise ValueError("reconstruction failed: table is not orthonormal")
+    return mults
+
+
+def reference_tensor(table, i, j):
+    mults = reference_decompose(table.rows[i].function * table.rows[j].function, table)
+    fractions = [m.as_fraction() for m in mults]
+    assert all(x >= 0 and x.denominator == 1 for x in fractions)
+    return [int(x) for x in fractions]
+
+
+def stored(values):
+    return [(v.order, v.num, v.den) for v in values]
+
+
+def _dihedral(n):
+    return lambda: semidirect_table(dihedral_semidirect(n))
+
+
+SMALL_TABLE_BUILDERS = {
+    **{name: (lambda name=name: builtin_table(name)) for name in BUILTIN_TABLE_NAMES},
+    "Z7": lambda: abelian_dual_table(cyclic_group(7)),
+    "D8": _dihedral(8),
+    "heisenberg": lambda: semidirect_table(heisenberg_semidirect()),
+    "GL2(3)": lambda: gl2_table(3),
+}
+
+GRAM_TABLES = {
+    **SMALL_TABLE_BUILDERS,
+    **{f"D{n}": _dihedral(n) for n in range(3, 31)},
+    **{f"S{n}": (lambda n=n: sn_table(n)) for n in range(1, 11)},
+    "GL2(5)": lambda: gl2_table(5),
+    "GL2(7)": lambda: gl2_table(7),
+    **{f"GL2(5) {kind}": (lambda kind=kind: _sabotaged_gl2_5()[kind])
+       for kind in ("perturbed value", "conjugated row", "wrong class size")},
+    **{f"A4 {kind}": (lambda kind=kind: _sabotaged_a4(kind))
+       for kind in ("perturbed value", "conjugated row", "fractional row")},
+}
+
+
+def _pairs(k):
+    return [(i, j) for i in range(k) for j in range(i, k)]
+
+
+@pytest.mark.parametrize("name", list(GRAM_TABLES))
+def test_every_row_and_column_pair_matches_the_reference_kernel(name):
+    table = GRAM_TABLES[name]()
+    g = table.group
+    rows = [row.values for row in table.rows]
+    columns = [[row[c] for row in rows] for c in range(len(g.classes))]
+    sizes = class_sizes(g)
+    want = stored(reference_hermitian_gram(rows, rows, _pairs(len(rows)), sizes, g.order))
+    for operand in (table.gram_rows, table.gram_rows, intern(rows)):
+        assert stored(hermitian_gram(operand, operand, _pairs(len(rows)), sizes, g.order)) == want
+    for conjugate in (True, False):
+        want = stored(reference_hermitian_gram(columns, columns, _pairs(len(columns)),
+                                               conjugate=conjugate))
+        for operand in (table.gram_columns, intern(columns)):
+            got = hermitian_gram(operand, operand, _pairs(len(columns)), conjugate=conjugate)
+            assert stored(got) == want
+    # a row used in one pair is weighted in the sum, not in its terms
+    i, j = len(rows) // 2, len(rows) - 1
+    assert stored([table.inner_product(rows[i], rows[j])]) == \
+        stored(reference_hermitian_gram([rows[i]], [rows[j]], [(0, 0)], sizes, g.order))
+
+
+def _lifting_order(table):
+    """The smallest prime from 7 on that does not divide the table's conductor."""
+    return next(p for p in (7, 11, 13) if table.gram_rows.order % p)
+
+
+@pytest.mark.parametrize("name", list(SMALL_TABLE_BUILDERS) + ["S5", "GL2(5)"])
+def test_decompose_lifts_class_functions_like_the_reference(name):
+    table = GRAM_TABLES[name]()
+    g = table.group
+    rng = random.Random(f"lift:{name}")
+    for m in (_lifting_order(table), table.gram_rows.order):
+        for _ in range(3):
+            f = ClassFunction(g, [rng.randrange(-3, 4) * zeta(m, rng.randrange(m))
+                                  + Fraction(rng.randrange(-2, 3), rng.choice((1, 2, 3)))
+                                  for _ in g.classes])
+            want = stored(reference_decompose(f, table))
+            assert stored(decompose(f, table)) == want
+            assert stored(decompose(f, table)) == want  # on the kept lifted forms
+
+
+TENSOR_TABLES = [name for name in GRAM_TABLES
+                 if name in SMALL_TABLE_BUILDERS or name in {f"S{n}" for n in range(1, 9)}]
+
+
+@pytest.mark.parametrize("name", TENSOR_TABLES)
+def test_every_tensor_product_matches_the_reference(name):
+    table = GRAM_TABLES[name]()
+    k = len(table.rows)
+    for i in range(k):
+        for j in range(i, k):
+            assert tensor_multiplicities(table, i, j) == reference_tensor(table, i, j), (i, j)
+
+
+# -- interned tables -----------------------------------------------------------------
+
+def _transferred_s3():
+    s4 = builtin_table("S4").group
+    s3sub = s4.subgroup([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2)])])
+    return transfer_table(builtin_table("S3"), s3sub.group)
+
+
+def _read_back(table, group_name=None):
+    return lambda: table_from_json(json.loads(json.dumps(table_to_json(table(), group_name))))
+
+
+POOL_BUILDERS = {
+    **{f"builtin {name}": (lambda name=name: builtin_table(name)) for name in BUILTIN_TABLE_NAMES},
+    **{f"sn_table {n}": (lambda n=n: sn_table(n)) for n in range(1, 9)},
+    **{f"gl2_table {q}": (lambda q=q: gl2_table(q)) for q in (3, 5, 7, 11)},
+    **{f"semidirect D{n}": _dihedral(n) for n in (3, 8, 15)},
+    "semidirect heisenberg": lambda: semidirect_table(heisenberg_semidirect()),
+    "abelian_dual Z1": lambda: abelian_dual_table(cyclic_group(1)),
+    "abelian_dual Z12": lambda: abelian_dual_table(cyclic_group(12)),
+    "abelian_dual klein": lambda: abelian_dual_table(builtin_group("D2")),
+    "transfer_table S3": _transferred_s3,
+    "table_from_json A5": _read_back(lambda: builtin_table("A5"), "A5"),
+    "table_from_json S5": _read_back(lambda: sn_table(5), "S5"),
+    "table_from_json D7": _read_back(_dihedral(7), "D7"),
+    "_with_row GL2(5)": lambda: _sabotaged_gl2_5()["perturbed value"],
+    "_with_class_size GL2(5)": lambda: _sabotaged_gl2_5()["wrong class size"],
+    "_a4_with_row": lambda: _sabotaged_a4("fractional row"),
+}
+
+
+@pytest.mark.parametrize("name", list(POOL_BUILDERS))
+def test_pool_holds_each_table_value_once(name):
+    table = POOL_BUILDERS[name]()
+    pool, index = table.pool, table.index
+    assert len(set(stored(pool))) == len(pool)
+    assert len(index) == len(table.rows)
+    for row, indices in zip(table.rows, index):
+        assert stored(pool[x] for x in indices) == stored(row.values), row.name
+    assert {x for indices in index for x in indices} == set(range(len(pool)))
+    # the lasting kernel operands read the same pool, the columns by the
+    # transposed index
+    assert table.gram_rows.pool is pool and table.gram_columns.pool is pool
+    assert table.gram_rows.index == index
+    assert table.gram_columns.index == tuple(zip(*index))
+
+
+@pytest.mark.parametrize("name", ["S7", "A5", "D8", "GL2(5)"])
+def test_a_table_converts_its_values_once(name, monkeypatch):
+    table = GRAM_TABLES[name]()
+    converted = []
+    for convert in ("_integers", "_terms"):
+        original = getattr(exact, convert)
+
+        def counting(pool, *args, original=original):
+            if pool is table.pool:
+                converted.append(len(pool))
+            return original(pool, *args)
+        monkeypatch.setattr(exact, convert, counting)
+    tensor_multiplicities(table, 1, 2)
+    verify_table(table)
+    assert converted
+    converted.clear()
+    tensor_multiplicities(table, 1, 2)
+    tensor_multiplicities(table, 2, 3)
+    verify_table(table)
+    assert converted == []
