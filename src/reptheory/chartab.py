@@ -39,8 +39,8 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from .exact import (Cyclotomic, GramRows, ValuePool, cyc, cyclotomic_from_json, cyclotomic_to_json,
-                    hermitian_gram, intern, one, zero, zeta)
+from .exact import (Cyclotomic, GramRows, cyc, cyclotomic_from_json, cyclotomic_to_json,
+                    hermitian_gram, one, zero, zeta)
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -50,7 +50,9 @@ class ClassFunction:
     __slots__ = ("group", "values")
 
     def __init__(self, group, values):
-        values = tuple(map(Cyclotomic.coerce, values))
+        values = tuple(values)
+        if set(map(type, values)) != {Cyclotomic}:
+            values = tuple(map(Cyclotomic.coerce, values))
         if len(values) != len(group.classes):
             raise ValueError("one value per conjugacy class required")
         self.group = group
@@ -112,16 +114,15 @@ class TableRow:
 class CharacterTable:
     """A tuple of (purported) irreducible characters plus class metadata.
 
-    The values are interned: `pool` holds each distinct value once, by its
-    stored form, and `index[i][c]` is the pool index of row i at class c.
-    A builder that knows its distinct values passes them in as
-    values=(pool, index), matching the rows; otherwise the rows' values are
-    interned here. `gram_rows` and `gram_columns` are the rows and the
-    columns as lasting operands of `exact.hermitian_gram`, so every product
-    with the table converts its values once."""
+    Every table is built here, from its rows, and its values are interned
+    once, by `exact.GramRows`: `gram_rows` is the rows as a lasting operand
+    of `exact.hermitian_gram`, `pool` its distinct values and `index[i][c]`
+    the pool index of row i at class c. `gram_columns` is the columns over
+    the same pool, so every product with the table converts its values
+    once. A builder that makes each distinct value once, as one object,
+    lets the interning find repeats by identity."""
 
-    def __init__(self, group, rows, name="", display_classes=None, class_labels=None,
-                 values=None):
+    def __init__(self, group, rows, name="", display_classes=None, class_labels=None):
         self.group = group
         self.rows = tuple(rows)
         self.name = name
@@ -134,10 +135,9 @@ class CharacterTable:
         for row in self.rows:
             if row.function.at_identity() != row.degree:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
-        pool, index = values or intern(row.values for row in self.rows)
-        self.pool = tuple(pool)
-        self.index = tuple(map(tuple, index))
-        self.gram_rows = GramRows(self.pool, self.index, lasting=True)
+        self.gram_rows = GramRows((row.values for row in self.rows), lasting=True)
+        self.pool = self.gram_rows.pool
+        self.index = self.gram_rows.index
         self._gram_columns = None
 
     @property
@@ -159,16 +159,13 @@ class CharacterTable:
         return _hermitian(self.group, v1, v2)
 
     def row_by_name(self, name):
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
+        return self.rows[self.row_index(name)]
 
     def row_index(self, name):
         for i, row in enumerate(self.rows):
             if row.name == name:
                 return i
-        raise KeyError(name)
+        raise ValueError(f"no row {name!r} in the {self.name or 'unnamed'} table")
 
     def __repr__(self):
         return f"CharacterTable({self.name or 'table'}, {len(self.rows)} rows)"
@@ -200,7 +197,7 @@ def inner_product(f1, f2):
 
 
 def _hermitian(g, v1, v2):
-    return hermitian_gram(intern([v1]), intern([v2]), [(0, 0)], class_sizes(g), g.order)[0]
+    return hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g), g.order)[0]
 
 
 def class_sizes(group):
@@ -233,9 +230,9 @@ def decompose(f, table):
     if g is not table.group:
         raise ValueError("class functions live on different groups")
     pairs = [(0, i) for i in range(len(table.rows))]
-    mults = hermitian_gram(intern([f.values]), table.gram_rows, pairs, class_sizes(g), g.order)
+    mults = hermitian_gram([f.values], table.gram_rows, pairs, class_sizes(g), g.order)
     # sum_i m_i chi_i(c), one entry per class c
-    if hermitian_gram(intern([mults]), table.gram_columns, pairs, conjugate=False) != list(f.values):
+    if hermitian_gram([mults], table.gram_columns, pairs, conjugate=False) != list(f.values):
         raise ValueError("reconstruction failed: table is not orthonormal")
     return mults
 
@@ -364,8 +361,7 @@ def transfer_table(table, group):
         columns.append(match[0])
     rows = [TableRow(row.name, row.degree, ClassFunction(group, [row.values[i] for i in columns]))
             for row in table.rows]
-    index = [[row[i] for i in columns] for row in table.index]
-    return CharacterTable(group, rows, name=table.name, values=(table.pool, index))
+    return CharacterTable(group, rows, name=table.name)
 
 
 def frobenius_schur(f):
@@ -414,10 +410,9 @@ def abelian_dual_table(group):
     e, characters = _abelian_characters(group)
     roots = [zeta(e, k) for k in range(e)]
     reps = [cl.members[0] for cl in group.classes]
-    index = [[x[i] for i in reps] for x in characters]
-    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [roots[x] for x in row]))
-            for k, row in enumerate(index)]
-    return CharacterTable(group, rows, name="dual", values=(roots, index))
+    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [roots[x[i]] for i in reps]))
+            for k, x in enumerate(characters)]
+    return CharacterTable(group, rows, name="dual")
 
 
 # -- semidirect products -------------------------------------------------
@@ -448,10 +443,10 @@ def semidirect_table(sd):
     product = sd.group
     pairs = [sd.pair_of[cl.members[0]] for cl in product.classes]
     # a value is fixed by the orbit representative r, the class's a and the
-    # exponent of chi_u at its g: each is computed once, as below, and pooled
-    pool, memo = ValuePool(), {}
+    # exponent of chi_u at its g: each is computed once, as below
+    memo = {}
     done = set()
-    rows, index = [], []
+    rows = []
     for r, x in enumerate(characters):
         if r in done:
             continue
@@ -479,12 +474,10 @@ def semidirect_table(sd):
                     if chi_u[gi] is not None:
                         for act_h in act:
                             total = total + roots[x[act_h[ai]]] * roots_u[chi_u[gi]]
-                    at = memo[key] = pool.add(total / len(stab_indices))
+                    at = memo[key] = total / len(stab_indices)
                 row.append(at)
-            index.append(row)
-            rows.append(TableRow(f"(O{r},chi{k})", degree,
-                                 ClassFunction(product, [pool.values[at] for at in row])))
-    return CharacterTable(product, rows, name="semidirect", values=(pool.values, index))
+            rows.append(TableRow(f"(O{r},chi{k})", degree, ClassFunction(product, row)))
+    return CharacterTable(product, rows, name="semidirect")
 
 
 def heisenberg_semidirect():
@@ -654,26 +647,24 @@ def table_from_json(obj):
             raise ValueError("class size mismatch in table file")
     # each distinct value dict is read once; a dict of another shape is read
     # on its own, so that it raises as it would alone
-    pool, seen, file_index = ValuePool(), {}, []
+    seen, file_rows = {}, []
     for r in obj["rows"]:
         row = []
         for v in r["values"]:
             key = _value_key(v)
             x = seen.get(key) if key is not None else None
             if x is None:
-                x = pool.add(cyclotomic_from_json(v))
+                x = cyclotomic_from_json(v)
                 if key is not None:
                     seen[key] = x
             row.append(x)
-        file_index.append(row)
+        file_rows.append(row)
     if sorted(display) != list(range(len(group.classes))):
         raise ValueError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
-    rows, index = [], []
-    for r, file_row in zip(obj["rows"], file_index):
+    rows = []
+    for r, file_row in zip(obj["rows"], file_rows):
         row = [None] * len(group.classes)
         for ci, x in zip(display, file_row):
             row[ci] = x
-        index.append(row)
-        rows.append(TableRow(r["name"], r["degree"],
-                             ClassFunction(group, [pool.values[x] for x in row])))
-    return CharacterTable(group, rows, display_classes=display, values=(pool.values, index))
+        rows.append(TableRow(r["name"], r["degree"], ClassFunction(group, row)))
+    return CharacterTable(group, rows, display_classes=display)

@@ -19,17 +19,16 @@ a time, splitting the coordinates and folding the parts, for as long as
 the value lies in the smaller field.
 Printing and JSON conversion read the numerators and the shared
 denominator directly; no arithmetic builds a Fraction.
-A character table holds each distinct value once: a ValuePool keys its
-values on the stored (order, numerators, denominator), which is one key
-per value at a fixed order and needs no reduced(), and the table's rows
-are indices into the pool.
 
 Sums over classes of products of values, the inner products and Gram
 matrices of character theory, go through hermitian_gram. Its operands are
-a pool and index rows (GramRows); it converts each pool entry once into
-integers or sparse roots of unity, accumulates integer sums of roots of
-unity and reduces once per entry. A table's rows and columns are lasting
-operands, which keep their converted forms from call to call.
+GramRows, the one place where values are interned: built from rows of
+values, a GramRows holds each distinct value once in a pool, keyed on the
+stored (order, numerators, denominator), and each row as indices into it.
+The kernel converts each pool entry once into integers or sparse roots of
+unity, accumulates integer sums of roots of unity and reduces once per
+entry. A character table's rows and columns are lasting operands, which
+keep their converted forms from call to call.
 """
 
 from __future__ import annotations
@@ -497,41 +496,7 @@ def conjugate(a):
     return Cyclotomic.coerce(a).conjugate()
 
 
-# -- value pools and the Gram kernel ------------------------------------
-
-class ValuePool:
-    """Distinct Cyclotomics in the order first added. add(v) is the index of
-    the value with v's stored form (order, numerators, denominator), which
-    is one key per value at a fixed order and needs no reduced()."""
-
-    __slots__ = ("values", "_where")
-
-    def __init__(self):
-        self.values = []
-        self._where = {}
-
-    def indices(self, values):
-        """The index of each value, adding those of a new stored form."""
-        pool, where, out = self.values, self._where, []
-        for v in values:
-            key = (v.order, v.num, v.den)
-            i = where.get(key)
-            if i is None:
-                i = where[key] = len(pool)
-                pool.append(v)
-            out.append(i)
-        return out
-
-    def add(self, v):
-        return self.indices((v,))[0]
-
-
-def intern(rows):
-    """(pool, index) for rows of Cyclotomics: their distinct values and each
-    row as a list of indices into them, the operand form of hermitian_gram."""
-    pool = ValuePool()
-    return pool.values, [pool.indices(row) for row in rows]
-
+# -- the Gram kernel --------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _unit_roots(m):
@@ -583,8 +548,18 @@ def _terms(pool, n, sign, shift, roots=None):
 
 
 class GramRows:
-    """Rows of Cyclotomics as hermitian_gram reads them: a pool of distinct
-    values and each row as a sequence of indices into it.
+    """Rows of Cyclotomics as hermitian_gram reads them, interned: `pool`
+    holds each distinct value once, in the order first met, and
+    `index[r][c]` is the pool index of row r at class c. This is the one
+    place where values are interned.
+
+    A value is keyed on its stored form (order, numerators, denominator),
+    which is one key per value at a fixed order and needs no reduced(). A
+    value the pool holds is keyed on its identity too, so a row that
+    repeats one object, as a table builder's memo makes it, finds it by
+    id. Only the pool's values take that key: the pool keeps them alive,
+    so their ids are not reused, while any other value may be freed once
+    its row is read.
 
     The kernel asks an operand for its rows in one form per call: integers
     over the pool's one denominator when every order is 1, and otherwise
@@ -596,21 +571,39 @@ class GramRows:
 
     __slots__ = ("pool", "index", "order", "lasting", "_roots", "_forms")
 
-    def __init__(self, pool, index, lasting=False, _roots=None):
+    def __init__(self, rows, lasting=False):
+        pool, where, index = [], {}, []
+        for row in rows:
+            indices = []
+            for v in row:
+                x = where.get(id(v))
+                if x is None:
+                    key = (v.order, v.num, v.den)
+                    x = where.get(key)
+                    if x is None:
+                        x = where[key] = where[id(v)] = len(pool)
+                        pool.append(v)
+                indices.append(x)
+            index.append(indices)
+        self._share(pool, index, lasting, [])
+
+    def _share(self, pool, index, lasting, roots):
         self.pool = pool
         self.index = index
         self.order = lcm(*{v.order for v in pool})
         self.lasting = lasting
         # per pool entry, its coordinates or its two-root form, filled by the
         # first ready form and shared with the transposed operand
-        self._roots = [] if _roots is None else _roots
+        self._roots = roots
         self._forms = {}
 
     def transposed(self, width):
         """The columns of these rows, `width` entries to a row, over the same
         pool and its two-root forms."""
-        columns = tuple(zip(*self.index)) if self.index else ((),) * width
-        return GramRows(self.pool, columns, self.lasting, self._roots)
+        columns = GramRows.__new__(GramRows)
+        columns._share(self.pool, tuple(zip(*self.index)) if self.index else ((),) * width,
+                       self.lasting, self._roots)
+        return columns
 
     def _form(self, key, make):
         form = self._forms.get(key)
@@ -668,8 +661,8 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     """The exact sums sum_c w_c * a_c * conj(b_c) / scale, a = left row i
     and b = right row j, as a list of one Cyclotomic per (i, j) in pairs;
     w_c = 1 without weights, and b_c stays unconjugated when conjugate is
-    false. An operand is a GramRows or a (pool, index rows) pair such as
-    intern makes: row i at class c is pool[index[i][c]].
+    false. An operand is a GramRows, or rows of Cyclotomics, which are
+    interned into one for this call.
 
     Each operand gives its rows in a form of GramRows: integers, with an
     integer dot product, when every order is 1, and otherwise sparse root
@@ -681,9 +674,9 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     mod Phi_M for M the lcm of the two rows' orders.
     """
     if not isinstance(left, GramRows):
-        left = GramRows(*left)
+        left = GramRows(left)
     if not isinstance(right, GramRows):
-        right = GramRows(*right)
+        right = GramRows(right)
     if weights is not None:
         weights = tuple(weights)
     n = lcm(left.order, right.order)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
                       check_orthonormality, class_sizes)
-from .exact import ValuePool, cyc, cyclotomic_to_json, zero, zeta
+from .exact import cyc, cyclotomic_to_json, zero, zeta
 
 
 def is_odd_prime(q):
@@ -194,15 +194,14 @@ def gl2_table(q):
     complementary rows of degree q-1.
 
     Every value is c * zeta_n^a or c * (zeta_n^a + zeta_n^b), n = q - 1 or
-    q^2 - 1, and is built once for each (n, c, {a, b} mod n) that occurs:
-    the 28224 entries of GL2(F_13) take 195 distinct values. The rows are
-    made as indices into the pool of those values, which the table keeps."""
+    q^2 - 1, and is built once for each (n, c, {a, b} mod n) that occurs,
+    as one object that every entry with that key shares: the 28224 entries
+    of GL2(F_13) take 195 distinct values."""
     group = GL2Group(q)
     classes = group.classes
     n1 = q - 1
     n2 = q * q - 1
-    pool, memo = ValuePool(), {}
-    zero_index = pool.add(zero())
+    memo = {}
 
     def roots(n, c, a, b=None):
         a %= n
@@ -211,7 +210,7 @@ def gl2_table(q):
         key = (n, c, a, b)
         x = memo.get(key)
         if x is None:
-            x = memo[key] = pool.add(c * (zeta(n, a) if b is None else zeta(n, a) + zeta(n, b)))
+            x = memo[key] = c * (zeta(n, a) if b is None else zeta(n, a) + zeta(n, b))
         return x
 
     # the discrete logarithm of each class's determinant, and of its
@@ -232,11 +231,10 @@ def gl2_table(q):
             logs.append((group.dlog_q2[cl.params],))
     families = [cl.family for cl in classes]
 
-    rows, index = [], []
+    rows = []
 
     def row(name, degree, xs):
-        index.append(xs)
-        rows.append(TableRow(name, degree, ClassFunction(group, [pool.values[x] for x in xs])))
+        rows.append(TableRow(name, degree, ClassFunction(group, xs)))
 
     # one-dimensional series: xi(det g)
     for k in range(q - 1):
@@ -254,13 +252,13 @@ def gl2_table(q):
                     x, y = lg
                     xs.append(roots(n1, 1, k1 * x + k2 * y, k1 * y + k2 * x))
                 else:
-                    xs.append(zero_index)
+                    xs.append(zero())
             row(f"V[{k1},{k2}]", q + 1, xs)
     # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det), the factor below
     # times mu(det g)
     w_factor = {"scalar": q, "parabolic": 0, "hyperbolic": 1, "elliptic": -1}
     for k in range(q - 1):
-        row(f"W[{k}]", q, [roots(n1, w_factor[family], k * d) if w_factor[family] else zero_index
+        row(f"W[{k}]", q, [roots(n1, w_factor[family], k * d) if w_factor[family] else zero()
                            for family, d in zip(families, dets)])
     # complementary series
     for t in _complementary_parameters(q):
@@ -271,13 +269,13 @@ def gl2_table(q):
             elif family == "parabolic":
                 xs.append(roots(n2, -1, t * lg[1]))
             elif family == "hyperbolic":
-                xs.append(zero_index)
+                xs.append(zero())
             else:
                 xs.append(roots(n2, -1, t * lg[0], t * q * lg[0]))
         row(f"X[{t}]", q - 1, xs)
     if len(rows) != q * q - 1:
         raise AssertionError(f"GL2(F_{q}) table has {len(rows)} rows, not q^2 - 1")
-    return CharacterTable(group, rows, name=f"GL2(F_{q})", values=(pool.values, index))
+    return CharacterTable(group, rows, name=f"GL2(F_{q})")
 
 
 def gl2_verify(table):

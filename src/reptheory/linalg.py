@@ -333,7 +333,7 @@ def _parse_ratio(s):
         raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
     p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
-        raise ZeroDivisionError(f"Fraction({p}, 0)")
+        raise ZeroDivisionError(f"zero denominator in {s!r}")
     return (p, q) if q > 0 else (-p, -q)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chartab import CharacterTable, ClassFunction, TableRow
-from .exact import ValuePool, cyc
+from .exact import cyc
 from .linalg import det
 # S_n's class data sits with the named groups in permgroup
 from .permgroup import MAX_TABLE_N, SymmetricGroup, partitions_of
@@ -208,25 +208,23 @@ def sn_table(n):
         raise ValueError(f"supported range is 1 <= n <= {MAX_TABLE_N}")
     group = SymmetricGroup(n)
     parts = partitions_of(n)
-    # the values are integers: each distinct one becomes a pooled Cyclotomic once
-    pool, seen = ValuePool(), {}
-    rows, index = [], []
+    # the values are integers: each distinct one becomes a Cyclotomic once
+    seen = {}
+    rows = []
     for lam in parts:
         row = []
         for cl in group.classes:
             v = _murnaghan_nakayama(lam, cl.cycle_type)
             x = seen.get(v)
             if x is None:
-                x = seen[v] = pool.add(cyc(v))
+                x = seen[v] = cyc(v)
             row.append(x)
-        index.append(row)
         name = "V[" + ",".join(str(p) for p in lam) + "]"
-        rows.append(TableRow(name, hook_dim(lam),
-                             ClassFunction(group, [pool.values[x] for x in row])))
+        rows.append(TableRow(name, hook_dim(lam), ClassFunction(group, row)))
     display = [group.type_index[t] for t in parts]
     labels = ["[" + ",".join(str(m) for m in t) + "]" for t in parts]
     return CharacterTable(group, rows, name=f"S{n}", display_classes=display,
-                          class_labels=labels, values=(pool.values, index))
+                          class_labels=labels)
 
 
 # -- Schur polynomials ------------------------------------------------------

@@ -32,6 +32,19 @@ from reptheory.permgroup import (PermGroup, builtin_group, cyclic_group, from_cy
 from reptheory.symgrp import MAX_TABLE_N, sn_table
 
 
+def test_class_function_values():
+    g = builtin_table("S3").group
+    mixed = ClassFunction(g, [1, Fraction(1, 2), zeta(3)])
+    assert all(type(v) is Cyclotomic for v in mixed.values)
+    assert mixed.values == (cyc(1), cyc(Fraction(1, 2)), zeta(3))
+    # Cyclotomic values are kept as the same objects
+    values = [zeta(3), zeta(3, 2), cyc(-1)]
+    assert all(a is b for a, b in zip(ClassFunction(g, values).values, values))
+    for bad in ([1.0, 1, 1], [zeta(3), zeta(3), "1"]):
+        with pytest.raises(TypeError):
+            ClassFunction(g, bad)
+
+
 def test_inner_products_on_s3():
     t = builtin_table("S3")
     c2 = t.row_by_name("C2").function

@@ -536,6 +536,25 @@ def test_huge_prime_q_is_rejected_at_once(optimize):
     assert proc.stderr == "error: q is limited to 31 (discrete logarithm tables)\n"
 
 
+UNKNOWN_ROWS = {
+    "tensor": (["chartab", "tensor", "S3", "bogus", "C+"], "error: no row 'bogus' in the S3 table\n"),
+    "restrict": (["chartab", "restrict", "S3", "--sub", "1,0,2", "--row", "nope"],
+                 "error: no row 'nope' in the S3 table\n"),
+    "induce": (["chartab", "induce", "S4", "--sub", "1,0,2,3;1,2,0,3", "--sub-name", "S3",
+                "--row", "nope"], "error: no row 'nope' in the S3 table\n"),
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("command", sorted(UNKNOWN_ROWS))
+def test_unknown_row_name_is_named(command, optimize):
+    argv, err = UNKNOWN_ROWS[command]
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["chartab", "bogus-subcommand"])
@@ -925,7 +944,7 @@ def test_in_process_calls_keep_no_state(optimize):
 
 
 @pytest.mark.parametrize("row, err", [
-    ("\u0660", "error: '\u0660'\n"),
+    ("\u0660", "error: no row '\u0660' in the dual table\n"),
     ("5", "error: row index 5 out of range: the subgroup table has 2 rows\n"),
 ])
 def test_induce_row_index_is_ascii_and_in_range(capsys, row, err):

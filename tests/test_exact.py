@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory.exact import (Cyclotomic, ValuePool, _divisors, _fold, cyc, conjugate,
+from reptheory.exact import (Cyclotomic, GramRows, _divisors, _fold, cyc, conjugate,
                              cyclotomic_from_json, cyclotomic_to_json, cyclotomic_polynomial,
                              euler_phi, rational_from_str, rational_to_str, zeta)
 from reptheory.linalg import gauss_jordan, matrix_from_json, parse_integer
@@ -392,12 +392,30 @@ def test_order_bound_admits_every_phi():
 
 
 def test_value_pool_keeps_each_stored_value_once():
-    pool = ValuePool()
     values = [zeta(12, k) for k in range(24)] + [cyc(0), cyc(Fraction(1, 2)), cyc(Fraction(2, 4))]
-    index = pool.indices(values)
-    assert [fields(pool.values[i]) for i in index] == [fields(v) for v in values]
-    assert len(pool.values) == len({fields(v) for v in values}) == 14
-    assert pool.add(cyc(Fraction(3, 6))) == index[-1] and len(pool.values) == 14
+    rows = GramRows([values, [cyc(Fraction(3, 6)), values[5]]])
+    index = rows.index[0]
+    assert [fields(rows.pool[i]) for i in index] == [fields(v) for v in values]
+    assert len(rows.pool) == len({fields(v) for v in values}) == 14
+    assert rows.index[1] == [index[-1], index[5]] and len(rows.pool) == 14
+    # the pool keeps the first object of each stored form
+    assert all(rows.pool[i] is v for i, v in zip(index, values[:12]))
+
+
+def test_gram_rows_from_values_that_are_freed_between_rows():
+    # fresh objects for every row, dropped once the row is read: a value
+    # that the pool does not keep frees its id for a value made later
+    def fresh(r):
+        return [zeta(12, r * c) + Fraction(r % 3, 2) for c in range(12)] + [cyc(r % 5)]
+
+    def rows():
+        for r in range(60):
+            yield fresh(r)
+
+    gram = GramRows(rows())
+    for r in range(60):
+        assert [fields(gram.pool[x]) for x in gram.index[r]] == [fields(v) for v in fresh(r)], r
+    assert len({fields(v) for v in gram.pool}) == len(gram.pool)
 
 
 BAD_CONSTRUCTIONS = {

@@ -6,7 +6,7 @@ sum per class; the kernel must agree with it value for value and string for
 string, and verify reports built on either must be entry for entry equal,
 also on tables that are wrong on purpose. `reference_hermitian_gram` is the
 kernel that converted every value of its rows on each call; the kernel on
-(pool, index) operands and on a table's lasting rows and columns must give
+rows of values and on a table's lasting rows and columns must give
 the same stored values, and decompose and tensor_multiplicities the same
 results as on it.
 """
@@ -31,7 +31,7 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                decompose, dihedral_semidirect, heisenberg_semidirect,
                                inner_product, semidirect_table, table_from_json, table_to_json,
                                tensor_multiplicities, transfer_table, verify_table)
-from reptheory.exact import (Cyclotomic, GramRows, _fold, _two_roots, cyc, hermitian_gram, intern,
+from reptheory.exact import (Cyclotomic, GramRows, _fold, _two_roots, cyc, hermitian_gram,
                              one, zero, zeta)
 from reptheory.gl2fq import GL2Class, gl2_table, gl2_verify
 from reptheory.permgroup import builtin_group, cyclic_group, from_cycles
@@ -104,7 +104,7 @@ def test_every_gl2_5_row_pair_matches_the_reference():
     rows = [r.values for r in table.rows]
     pairs = [(i, j) for i in range(len(rows)) for j in range(len(rows))]
     # all pairs in one call read repeated rows in their two-root forms
-    gram = hermitian_gram(intern(rows), intern(rows), pairs, sizes, order)
+    gram = hermitian_gram(rows, rows, pairs, sizes, order)
     for (i, j), got in zip(pairs, gram):
         want = reference_inner_product(sizes, order, rows[i], rows[j])
         assert_same(got, want)
@@ -169,7 +169,7 @@ def test_rational_tables_match_the_reference():
     halves = [v / 2 for v in rows[3]]
     for v1 in rows + [halves]:
         for v2 in rows + [halves]:
-            assert_same(hermitian_gram(intern([v1]), intern([v2]), [(0, 0)], class_sizes(g),
+            assert_same(hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g),
                                        g.order)[0],
                         reference_inner_product(class_sizes(g), g.order, v1, v2))
 
@@ -195,18 +195,20 @@ def test_gram_kernel_options():
     a = [zeta(3), cyc(Fraction(1, 2)), zeta(4) / 3]
     b = [zeta(6), zeta(4), cyc(-2)]
     bilinear = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    assert_same(hermitian_gram(intern([a]), intern([b]), [(0, 0)], conjugate=False)[0], bilinear)
+    assert_same(hermitian_gram([a], [b], [(0, 0)], conjugate=False)[0], bilinear)
     hermitian = sum((x * y.conjugate() for x, y in zip(a, b)), zero())
-    assert_same(hermitian_gram(intern([a]), intern([b]), [(0, 0)])[0], hermitian)
-    assert_same(hermitian_gram(intern([a]), intern([b]), [(0, 0)], [2, 0, 5], 7)[0],
+    assert_same(hermitian_gram([a], [b], [(0, 0)])[0], hermitian)
+    assert_same(hermitian_gram([a], [b], [(0, 0)], [2, 0, 5], 7)[0],
                 (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
-    # a pool and index rows by hand, and a lasting operand, read the same
-    pool, index = [zeta(3), cyc(Fraction(1, 2)), zeta(4) / 3, zeta(6), zeta(4), cyc(-2)], [(0, 1, 2)]
-    lasting = GramRows(pool, [(3, 4, 5)], lasting=True)
+    # an operand whose pool holds values its row does not use, and a lasting
+    # operand, read the same
+    both = GramRows([a, b])
+    assert len(both.pool) == 6 and both.index == [[0, 1, 2], [3, 4, 5]]
+    lasting = GramRows([b], lasting=True)
     for _ in range(2):
-        assert_same(hermitian_gram((pool, index), lasting, [(0, 0)], [2, 0, 5], 7)[0],
+        assert_same(hermitian_gram(both, lasting, [(0, 0)], [2, 0, 5], 7)[0],
                     (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
-    assert hermitian_gram(intern([[]]), intern([[]]), [(0, 0)])[0] == 0
+    assert hermitian_gram([[]], [[]], [(0, 0)])[0] == 0
 
 
 # -- verify reports --------------------------------------------------------------
@@ -441,12 +443,12 @@ def test_every_row_and_column_pair_matches_the_reference_kernel(name):
     columns = [[row[c] for row in rows] for c in range(len(g.classes))]
     sizes = class_sizes(g)
     want = stored(reference_hermitian_gram(rows, rows, _pairs(len(rows)), sizes, g.order))
-    for operand in (table.gram_rows, table.gram_rows, intern(rows)):
+    for operand in (table.gram_rows, table.gram_rows, rows):
         assert stored(hermitian_gram(operand, operand, _pairs(len(rows)), sizes, g.order)) == want
     for conjugate in (True, False):
         want = stored(reference_hermitian_gram(columns, columns, _pairs(len(columns)),
                                                conjugate=conjugate))
-        for operand in (table.gram_columns, intern(columns)):
+        for operand in (table.gram_columns, columns):
             got = hermitian_gram(operand, operand, _pairs(len(columns)), conjugate=conjugate)
             assert stored(got) == want
     # a row used in one pair is weighted in the sum, not in its terms
