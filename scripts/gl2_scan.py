@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Build and fully verify the GL2(F_q) character tables for a range of
-odd primes (by default q = 3 to 13), reporting degree profiles and
+odd primes (by default q = 3 to 19), reporting degree profiles and
 timings; the exit status is 1 if any table fails:
 
     PYTHONPATH=src python scripts/gl2_scan.py [q ...]
@@ -12,7 +12,7 @@ import time
 from reptheory.gl2fq import gl2_table, gl2_verify
 
 
-DEFAULT_PRIMES = (3, 5, 7, 11, 13)
+DEFAULT_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
 def main(primes=DEFAULT_PRIMES):

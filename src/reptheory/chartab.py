@@ -37,10 +37,11 @@ beside the named groups; chartab names them too.
 from __future__ import annotations
 
 import itertools
+from array import array
 from math import lcm
 
 from .exact import (Cyclotomic, GramRows, cyc, cyclotomic_from_json, cyclotomic_to_json,
-                    hermitian_gram, one, zero, zeta)
+                    hermitian_gram, one, unit_generators, zero, zeta)
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -139,6 +140,7 @@ class CharacterTable:
         self.pool = self.gram_rows.pool
         self.index = self.gram_rows.index
         self._gram_columns = None
+        self._row_of = None
 
     @property
     def gram_columns(self):
@@ -155,8 +157,21 @@ class CharacterTable:
         return len(self.rows) == len(self.group.classes)
 
     def inner_product(self, v1, v2):
-        """(v1, v2) for two value sequences in the group's class order."""
-        return _hermitian(self.group, v1, v2)
+        """(v1, v2) for two value sequences in the group's class order. A
+        row's own value tuple is read through the table's pool, whose
+        values are converted once; any other sequence is interned for the
+        call."""
+        g = self.group
+        return hermitian_gram(self._operand(v1), self._operand(v2), [(0, 0)],
+                              class_sizes(g), g.order)[0]
+
+    def _operand(self, values):
+        # the table holds its rows' value tuples, so no other live object
+        # shares their ids
+        if self._row_of is None:
+            self._row_of = {id(row.values): i for i, row in enumerate(self.rows)}
+        i = self._row_of.get(id(values))
+        return [values] if i is None else self.gram_rows.select([i])
 
     def row_by_name(self, name):
         return self.rows[self.row_index(name)]
@@ -193,11 +208,8 @@ def permutation_character(group):
 def inner_product(f1, f2):
     """(f1, f2) = |G|^-1 sum_g f1(g) conj(f2(g)), summed classwise."""
     f1._same_group(f2)
-    return _hermitian(f1.group, f1.values, f2.values)
-
-
-def _hermitian(g, v1, v2):
-    return hermitian_gram([v1], [v2], [(0, 0)], class_sizes(g), g.order)[0]
+    g = f1.group
+    return hermitian_gram([f1.values], [f2.values], [(0, 0)], class_sizes(g), g.order)[0]
 
 
 def class_sizes(group):
@@ -278,15 +290,157 @@ class VerifyReport:
         return f"VerifyReport({status})"
 
 
+# failed twist tries after which no further linear row is tried
+_TWIST_TRIES = 3
+# the fewest rows for which orbit_gram looks for symmetries: the search
+# costs O(k^2) and a fresh table's Gram matrix O(k^3), and below this the
+# search costs more than it saves (GL2(F_3), A4 and D8 measured)
+ORBIT_ROWS = 10
+
+
+def _row_symmetries(operand, twists):
+    """Maps m of the operand's rows into its rows, as lists of row indices,
+    under which the Hermitian product of rows m[a] and m[b] is that of rows
+    a and b or its image under a field automorphism.
+
+    A map comes from a generator j of the units mod n, for n the lcm of the
+    pool's orders, where sigma_j: zeta_n -> zeta_n^j takes every value to a
+    value and every row to a row, as <sigma a, sigma b> = sigma <a, b>.
+    With `twists`, one also comes from a row l whose values have l conj(l)
+    = 1 and whose product with every row is a row, as <l a, l b> = <a, b>;
+    such rows are tried in order until the twists found reach each one
+    from the all-ones row, or _TWIST_TRIES of them have failed. Rows are
+    compared as tuples of FieldKeys ids, so every map is checked exactly
+    and none is assumed."""
+    keys = operand.field_keys()
+    ids = keys.ids
+    rows = [tuple(map(ids.__getitem__, row)) for row in operand.index]
+    where = {}
+    for i, row in enumerate(rows):
+        where.setdefault(row, i)
+    identity = list(range(len(rows)))
+
+    def row_map(images):
+        out = list(map(where.get, images))
+        return None if None in out or out == identity else out
+
+    maps = []
+    for j in unit_generators(keys.n):
+        values = keys.galois(j)
+        m = values and row_map(tuple(map(values.__getitem__, row)) for row in rows)
+        if m:
+            maps.append(m)
+    one_id = keys.find(one())
+    trivial = where.get((one_id,) * len(rows[0])) if twists and rows and one_id is not None else None
+    if trivial is None:
+        return maps
+    columns = list(zip(*rows))
+
+    def twisted_rows(lam):
+        return zip(*(map(keys.times(y, column).__getitem__, column)
+                     for y, column in zip(lam, columns)))
+
+    reached, found, tries = {trivial}, [], _TWIST_TRIES
+    for lam in rows:
+        if tries == 0:
+            break
+        if where[lam] in reached or not all(map(keys.unit, set(lam))):
+            continue
+        m = row_map(twisted_rows(lam))
+        if m is None:
+            tries -= 1
+            continue
+        found.append(m)
+        todo = [trivial]
+        for a in todo:
+            for t in found:
+                if t[a] not in reached:
+                    reached.add(t[a])
+                    todo.append(t[a])
+    return maps + found
+
+
+def _pair_orbits(operand, diagonal, twists):
+    """(first, reps) for the orbits of the pairs i <= j of the operand's
+    rows under _row_symmetries, an orbit holding only pairs that want the
+    same value: first[i * k + j] = i' * k + j' for (i', j') the first pair
+    of the orbit of (i, j), reps those first pairs; None where no symmetry
+    is found."""
+    maps = _row_symmetries(operand, twists)
+    if not maps:
+        return None
+    k = len(operand.index)
+    # the wanted value of pair (x, y) as a small int: -1 off the diagonal
+    tags = {}
+    tag = [tags.setdefault((d.order, d.num, d.den), len(tags)) for d in diagonal]
+    first = array("l", [-1]) * (k * k)
+    reps = []
+    for i in range(k):
+        for j in range(i, k):
+            p = i * k + j
+            if first[p] >= 0:
+                continue
+            first[p] = p
+            reps.append((i, j))
+            want = tag[i] if i == j else -1
+            todo = [(i, j)]
+            for a, b in todo:
+                for m in maps:
+                    x, y = m[a], m[b]
+                    if x > y:
+                        x, y = y, x
+                    c = x * k + y
+                    if first[c] < 0 and (tag[x] if x == y else -1) == want:
+                        first[c] = p
+                        todo.append((x, y))
+    return first, reps
+
+
+def orbit_gram(operand, diagonal, weights=None, scale=1, twists=False):
+    """The Hermitian products sum_c w_c a_c conj(b_c) / scale of the pairs
+    i <= j of a GramRows operand's rows, in the order (0, 0), (0, 1), ...,
+    (1, 1), ..., for a check that wants the rational diagonal[i] on the
+    diagonal and 0 off it.
+
+    Over irrational values one pair per orbit of _pair_orbits is computed.
+    A map sends a pair's product to its image under a field automorphism,
+    which fixes a rational value: so if the first pair of an orbit has its
+    wanted value, so has every pair of the orbit, and is given that value.
+    Each pair of an orbit whose first pair fails is computed, so a check
+    reads the same values as from the full Gram matrix. A lasting operand
+    keeps its orbits; below ORBIT_ROWS rows every pair is computed."""
+    k = len(operand.index)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    orbits = None
+    if operand.order > 1 and k >= ORBIT_ROWS:
+        orbits = operand.form(("orbits", tuple((d.order, d.num, d.den) for d in diagonal), twists),
+                              lambda: _pair_orbits(operand, diagonal, twists))
+    if orbits is None:
+        return hermitian_gram(operand, operand, pairs, weights, scale)
+    first, reps = orbits
+    off = zero()
+    failed = {i * k + j for (i, j), got in zip(reps, hermitian_gram(operand, operand, reps,
+                                                                       weights, scale))
+              if got != (diagonal[i] if i == j else off)}
+    out = [diagonal[i] if i == j else off for i, j in pairs]
+    if failed:
+        computed = [p for p, (i, j) in enumerate(pairs) if first[i * k + j] in failed]
+        values = hermitian_gram(operand, operand, [pairs[p] for p in computed], weights, scale)
+        for p, got in zip(computed, values):
+            out[p] = got
+    return out
+
+
 def check_orthonormality(report, label, names, rows, sizes, order):
-    """One report entry per pair i <= j of rows (an operand of
-    hermitian_gram): the Hermitian product order^-1 sum_c sizes[c] a_c
-    conj(b_c) must be 1 on the diagonal and 0 off it."""
+    """One report entry per pair i <= j of rows (a GramRows): the Hermitian
+    product order^-1 sum_c sizes[c] a_c conj(b_c) must be 1 on the diagonal
+    and 0 off it. The products come from orbit_gram, which may also use
+    twists by linear rows."""
     k = len(names)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    for (i, j), got in zip(pairs, hermitian_gram(rows, rows, pairs, sizes, order)):
+    for (i, j), got in zip(pairs, orbit_gram(rows, [one()] * k, sizes, order, twists=True)):
         want = one() if i == j else zero()
-        ok = got == want
+        ok = got is want or got == want
         report.add(f"{label} ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
 
 
@@ -304,10 +458,10 @@ def verify_table(table):
                          table.gram_rows, class_sizes(g), g.order)
     k = len(g.classes)
     labels = [g.class_label(c) for c in range(k)]
-    columns = table.gram_columns
     pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]
-    for (c1, c2), total in zip(pairs, hermitian_gram(columns, columns, pairs)):
-        want = cyc(g.classes[c1].centralizer_order) if c1 == c2 else zero()
+    centralizers = [cyc(cl.centralizer_order) for cl in g.classes]
+    for (c1, c2), total in zip(pairs, orbit_gram(table.gram_columns, centralizers)):
+        want = centralizers[c1] if c1 == c2 else zero()
         ok = total == want
         rep.add(f"column orthogonality ({labels[c1]},{labels[c2]})", ok,
                 "" if ok else f"got {total}, want {want}")

@@ -371,9 +371,14 @@ class Cyclotomic:
 
     def conjugate(self):
         """Galois conjugation zeta -> zeta^(-1) (complex conjugation)."""
+        return self.galois(-1)
+
+    def galois(self, j):
+        """The image under the field automorphism zeta -> zeta^j, for j
+        prime to the order."""
         if self.order == 1:
             return self
-        return Cyclotomic(self.order, _substitute(self.num, self.order, -1), self.den)
+        return Cyclotomic(self.order, _substitute(self.num, self.order, j), self.den)
 
     def __eq__(self, other):
         try:
@@ -532,19 +537,52 @@ def _integers(pool):
     return [v.num[0] * (den // v.den) for v in pool], den
 
 
-def _terms(pool, n, sign, shift, roots=None):
+def _terms(pool, n, sign, shift, roots):
     """(terms, den): the values of a pool over one denominator as sparse
     root terms at order n, pool[x] the sum of k * zeta_n^e over den for
-    (e, k) in terms[x]. A value of order m is read from its coordinates
-    (i, k), or from roots[x] where roots is given, at e = sign * i * n/m
-    mod n, lowered by shift."""
+    (e, k) in terms[x], each value read from roots[x] (_root_terms)."""
     den = lcm(*{v.den for v in pool})
-    terms = []
-    for x, v in enumerate(pool):
-        step, f = sign * (n // v.order), den // v.den
-        coords = enumerate(v.num) if roots is None else roots[x]
-        terms.append([(i * step % n - shift, c * f) for i, c in coords if c])
-    return terms, den
+    return [_root_terms(v, coords, n, sign, shift, den) for v, coords in zip(pool, roots)], den
+
+
+def _root_terms(v, coords, n, sign, shift, den):
+    """The terms (e, k) of v over den at order n, for v the sum of
+    c * zeta_m^i over (i, c) in coords, m its order: each at
+    e = sign * i * n/m mod n, lowered by shift."""
+    step, f = sign * (n // v.order), den // v.den
+    return [(i * step % n - shift, c * f) for i, c in coords if c]
+
+
+class _Pooled:
+    """What every operand over one pool shares: the pool, its lcm order
+    and its common denominator, and each conversion of its entries once
+    made: `roots`, per entry its coordinates or its two-root form, filled
+    by the first ready form; `terms`, per (n, sign, shift) the root terms
+    of each entry, filled entry by entry as rows that are read once ask
+    for them; and `keys`, the pool's FieldKeys."""
+
+    __slots__ = ("pool", "order", "den", "roots", "terms", "keys")
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.order = lcm(*{v.order for v in pool})
+        self.den = lcm(*{v.den for v in pool})
+        self.roots = []
+        self.terms = {}
+        self.keys = None
+
+    def value_terms(self, n, sign, shift, index):
+        """The terms of _root_terms over den for every entry, as a list with
+        the entries the rows of `index` use filled in."""
+        terms = self.terms.get((n, sign, shift))
+        if terms is None:
+            terms = self.terms[n, sign, shift] = [None] * len(self.pool)
+        for row in index:
+            for x in row:
+                if terms[x] is None:
+                    v = self.pool[x]
+                    terms[x] = _root_terms(v, enumerate(v.num), n, sign, shift, self.den)
+        return terms
 
 
 class GramRows:
@@ -567,9 +605,10 @@ class GramRows:
     form converts each pool entry once. A lasting operand, the rows or the
     columns of a character table, keeps every form it makes, so a table's
     values are converted once however often it is used; any other operand
-    lives for one call."""
+    lives for one call. The operands over one pool, its transpose and its
+    row selections, share each entry's conversions (_Pooled)."""
 
-    __slots__ = ("pool", "index", "order", "lasting", "_roots", "_forms")
+    __slots__ = ("pool", "index", "order", "lasting", "_pooled", "_forms")
 
     def __init__(self, rows, lasting=False):
         pool, where, index = [], {}, []
@@ -585,27 +624,41 @@ class GramRows:
                         pool.append(v)
                 indices.append(x)
             index.append(indices)
-        self._share(pool, index, lasting, [])
+        self._share(_Pooled(pool), index, lasting)
 
-    def _share(self, pool, index, lasting, roots):
-        self.pool = pool
+    def _share(self, pooled, index, lasting):
+        self.pool = pooled.pool
         self.index = index
-        self.order = lcm(*{v.order for v in pool})
+        self.order = pooled.order
         self.lasting = lasting
-        # per pool entry, its coordinates or its two-root form, filled by the
-        # first ready form and shared with the transposed operand
-        self._roots = roots
+        self._pooled = pooled
         self._forms = {}
 
     def transposed(self, width):
         """The columns of these rows, `width` entries to a row, over the same
-        pool and its two-root forms."""
+        pool and its conversions."""
         columns = GramRows.__new__(GramRows)
-        columns._share(self.pool, tuple(zip(*self.index)) if self.index else ((),) * width,
-                       self.lasting, self._roots)
+        columns._share(self._pooled, tuple(zip(*self.index)) if self.index else ((),) * width,
+                       self.lasting)
         return columns
 
-    def _form(self, key, make):
+    def select(self, rows):
+        """The rows with these indices as an operand for one call, which
+        reads each value through the pool's conversions: no form of the
+        whole table is made for a few rows."""
+        chosen = GramRows.__new__(GramRows)
+        chosen._share(self._pooled, [self.index[i] for i in rows], False)
+        return chosen
+
+    def field_keys(self):
+        """The FieldKeys of the pool, made once."""
+        pooled = self._pooled
+        if pooled.keys is None:
+            pooled.keys = FieldKeys(self.pool)
+        return pooled.keys
+
+    def form(self, key, make):
+        """make(), kept under key by a lasting operand."""
         form = self._forms.get(key)
         if form is None:
             form = make()
@@ -620,21 +673,28 @@ class GramRows:
             if weights is None:
                 return [[ints[x] for x in row] for row in self.index], den
             return [[w * ints[x] for x, w in zip(row, weights)] for row in self.index], den
-        return self._form((1, weights), make)
+        return self.form((1, weights), make)
 
     def roots(self, n, sign, shift, weights, ready):
         """(rows, den): rows[r] is (the classes where row r is nonzero,
         terms, the lcm of the row's orders), and row r at class c is the sum
         of k * zeta_n^e over den, times weights[c], for (e, k) in terms[c];
-        sign and shift as in _terms. A ready form reads each value in its
-        two-root form where that is shorter (_two_roots), a search over the
-        roots of its order that the operand does once."""
+        sign and shift as in _root_terms. A ready form converts every value
+        of the pool, each in its two-root form where that is shorter
+        (_two_roots), a search over the roots of its order that the pool
+        does once; any other reads its values' coordinates, converting only
+        the values its rows use."""
+        pooled = self._pooled
+
         def make():
-            if ready and len(self._roots) < len(self.pool):
-                for v in self.pool:
-                    coords = [(i, c) for i, c in enumerate(v.num) if c]
-                    self._roots.append((_two_roots(v) or coords) if len(coords) > 2 else coords)
-            terms, den = _terms(self.pool, n, sign, shift, self._roots if ready else None)
+            if ready:
+                if len(pooled.roots) < len(self.pool):
+                    for v in self.pool:
+                        coords = [(i, c) for i, c in enumerate(v.num) if c]
+                        pooled.roots.append((_two_roots(v) or coords) if len(coords) > 2 else coords)
+                terms, den = _terms(self.pool, n, sign, shift, pooled.roots)
+            else:
+                terms, den = pooled.value_terms(n, sign, shift, self.index), pooled.den
             if weights is None:
                 rows = [[terms[x] for x in row] for row in self.index]
             else:
@@ -654,7 +714,128 @@ class GramRows:
             orders = [v.order for v in self.pool]
             return [([c for c, t in enumerate(ts) if t], ts, lcm(*{orders[x] for x in row}))
                     for ts, row in zip(rows, self.index)], den
-        return self._form((n, sign, shift, weights), make)
+        return self.form((n, sign, shift, weights), make)
+
+
+def unit_generators(n):
+    """A few units that generate (Z/n)^*: for each prime power p^a that
+    exactly divides n, generators of (Z/p^a)^*, each lifted to 1 modulo
+    the rest of n. They are a primitive root mod p^a for odd p (a
+    primitive root g mod p, or g + p where g^(p-1) = 1 mod p^2), and -1
+    and 5 mod 2^a (-1 alone for a = 2, none for a = 1)."""
+    out = []
+    for p in _prime_divisors(n):
+        rest, pa = n, 1
+        while rest % p == 0:
+            rest //= p
+            pa *= p
+        if p == 2:
+            gens = [] if pa == 2 else [pa - 1] if pa == 4 else [pa - 1, 5]
+        else:
+            factors = _prime_divisors(p - 1)
+            g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1 for r in factors))
+            gens = [g + p if pa > p and pow(g, p - 1, p * p) == 1 else g]
+        # g mod p^a and 1 mod the rest, by the Chinese remainder theorem
+        lift = rest * pow(rest, -1, pa)
+        out += [(1 + (g - 1) * lift) % n for g in gens]
+    return out
+
+
+class FieldKeys:
+    """The distinct values of a pool, each keyed on its coordinates at one
+    order n, the lcm of the pool's orders, so that one value stored at
+    two orders (zeta_6, and zeta_48^8 at order 48) gets one key. `ids[x]`
+    is the id of pool entry x and `values[i]` a pool value of id i; a
+    table's rows read through `ids` are tuples that are equal exactly when
+    the rows are. The maps below are exact: each image is computed and
+    looked up by its key, and is None where the pool lacks it."""
+
+    __slots__ = ("n", "ids", "values", "_coords", "_where", "_products", "_units", "_exponents",
+                 "_monomials")
+
+    def __init__(self, pool):
+        n = self.n = lcm(*{v.order for v in pool})
+        self.ids, self.values, self._coords, self._where = [], [], [], {}
+        for v in pool:
+            coords = v._embed(n)
+            key = (v.den, tuple(coords))
+            x = self._where.get(key)
+            if x is None:
+                x = self._where[key] = len(self.values)
+                self.values.append(v)
+                self._coords.append(coords)
+            self.ids.append(x)
+        self._products, self._units, self._exponents, self._monomials = {}, {}, {}, {}
+
+    def find(self, v):
+        """The id of value v, whose order divides n, or None."""
+        return self._where.get((v.den, tuple(v._embed(self.n))))
+
+    def galois(self, j):
+        """For each id, the id of its value's image under zeta_n -> zeta_n^j,
+        j prime to n; None if some image is not a value of the pool."""
+        out = []
+        for x, v in enumerate(self.values):
+            # sigma_j is zeta_m -> zeta_m^(j mod m) on Q(zeta_m), m the order,
+            # so it fixes v where j = 1 mod m
+            image = self._where.get(self._moved(x, j, 0)) if (j - 1) % v.order else x
+            if image is None:
+                return None
+            out.append(image)
+        return out
+
+    def times(self, y, xs):
+        """A dict that maps each id x in xs, among the ids met before, to the
+        id of the product of the values of ids y and x, or to None; each
+        product is made once. A factor zeta_n^e shifts x's exponents by e
+        (_moved)."""
+        known = self._products.setdefault(y, {})
+        missing = set(xs).difference(known)
+        if missing:
+            e = self._exponent(y)
+            if e is None:
+                v = self.values[y]
+                known.update((x, self.find(v * self.values[x])) for x in missing)
+            else:
+                known.update((x, self._where.get(self._moved(x, 1, e))) for x in missing)
+        return known
+
+    def _moved(self, x, step, shift):
+        """The key of the sum of c * zeta_n^(i * step + shift) over the
+        coordinates c_i of the value of id x: sigma_step of it, times
+        zeta_n^shift. Each power of zeta_n is folded once, and kept."""
+        n, monomials = self.n, self._monomials
+        coords = self._coords[x]
+        acc = [0] * len(coords)
+        for i, c in enumerate(coords):
+            if c:
+                k = (i * step + shift) % n
+                terms = monomials.get(k)
+                if terms is None:
+                    terms = monomials[k] = [(t, f) for t, f in enumerate(_root(n, k)) if f]
+                for t, f in terms:
+                    acc[t] += c * f
+        return self.values[x].den, tuple(acc)
+
+    def _exponent(self, y):
+        """The e with zeta_n^e the value of id y, or None. The complex value
+        proposes e, and only the exact coordinates of zeta_n^e confirm it."""
+        if y not in self._exponents:
+            v, e = self.values[y], None
+            z = v.numeric()
+            if v.den == 1 and abs(abs(z) - 1) < 1e-6:
+                e = round(cmath.phase(z) * self.n / (2 * cmath.pi)) % self.n
+                if list(_root(self.n, e)) != list(self._coords[y]):
+                    e = None
+            self._exponents[y] = e
+        return self._exponents[y]
+
+    def unit(self, x):
+        """Whether the value of id x times its complex conjugate is 1."""
+        if x not in self._units:
+            v = self.values[x]
+            self._units[x] = v * v.conjugate() == _ONE
+        return self._units[x]
 
 
 def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
