@@ -41,7 +41,7 @@ from array import array
 from math import lcm
 
 from .exact import (Cyclotomic, GramRows, cyc, cyclotomic_from_json, cyclotomic_to_json,
-                    hermitian_gram, one, unit_generators, zero, zeta)
+                    euler_phi, hermitian_gram, one, unit_generators, zero, zeta)
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -296,6 +296,10 @@ _TWIST_TRIES = 3
 # costs O(k^2) and a fresh table's Gram matrix O(k^3), and below this the
 # search costs more than it saves (GL2(F_3), A4 and D8 measured)
 ORBIT_ROWS = 10
+# the most coordinates, phi(N) for each pool value, that the search may
+# hold in its FieldKeys (GL2(F_31) needs 264192); past it, as for values
+# of two large prime orders, every pair is computed
+KEY_COORDINATES = 1 << 22
 
 
 def _row_symmetries(operand, twists):
@@ -408,11 +412,13 @@ def orbit_gram(operand, diagonal, weights=None, scale=1, twists=False):
     wanted value, so has every pair of the orbit, and is given that value.
     Each pair of an orbit whose first pair fails is computed, so a check
     reads the same values as from the full Gram matrix. A lasting operand
-    keeps its orbits; below ORBIT_ROWS rows every pair is computed."""
+    keeps its orbits. Below ORBIT_ROWS rows, or past KEY_COORDINATES,
+    every pair is computed."""
     k = len(operand.index)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     orbits = None
-    if operand.order > 1 and k >= ORBIT_ROWS:
+    if (operand.order > 1 and k >= ORBIT_ROWS
+            and len(operand.pool) * euler_phi(operand.order) <= KEY_COORDINATES):
         orbits = operand.form(("orbits", tuple((d.order, d.num, d.den) for d in diagonal), twists),
                               lambda: _pair_orbits(operand, diagonal, twists))
     if orbits is None:

@@ -98,6 +98,15 @@ def test_gl2_orbit_counts(q, monkeypatch, all_orbits):
     assert counted[0] > GL2_ORBITS[q]
 
 
+def test_the_search_holds_a_bounded_number_of_coordinates(monkeypatch):
+    want = gl2_verify(gl2_table(5)).entries
+    table = gl2_table(5)
+    assert len(table.pool) * 8 == 232  # phi(24) = 8 coordinates per value
+    monkeypatch.setattr(chartab, "KEY_COORDINATES", 231)
+    monkeypatch.setattr(chartab, "_pair_orbits", None)  # a search would raise
+    assert gl2_verify(table).entries == want
+
+
 def test_every_builtin_irrational_table_has_symmetries(all_orbits):
     for name in ("A4", "A5", "D5", "Z7", "heisenberg", "Z8 on Z17"):
         table = TABLES[name]()
