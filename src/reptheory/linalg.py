@@ -5,19 +5,18 @@ Matrices are immutable, stored row-major as Fractions. Empty shapes
 time in quiver representations.
 
 One elimination kernel, gauss_jordan, does every elimination in the
-package: rref and all built on it (kernels, cokernels, solve, inverse),
-det (and with it the alternants of symgrp.schur_eval), the subfield
-projections behind exact.Cyclotomic.reduced, and the inverse of a
-cyclotomic, exact.Cyclotomic.inverse. It is fraction-free
+package: rref, rank, inverse, det (and with it the alternants of
+symgrp.schur_eval), the null vectors behind the reflection functors of
+quiverrep and the null root of rootsys, and the inverse of a cyclotomic,
+exact.Cyclotomic.inverse. It is fraction-free
 Gauss-Jordan elimination after Bareiss (1968): every intermediate entry
 is a minor of the input, so on integer rows each division is exact and
 no Fraction is built inside the loop. A rational caller scales each row
 by the lcm of its denominators (which changes neither the row space, nor
 the pivots, nor the rref), eliminates over the integers, and builds one
 Fraction per entry it returns. Cyclotomic rows run the same loop with
-true division. The decomposition walk of quiverrep.decompose calls it on
-int rows only, through integer_null_vectors, the null-space read-off it
-shares with kernel_basis and cokernel_projection, and builds no Fraction.
+true division. The reflection steps of quiverrep call it on int rows
+only, through integer_null_vectors, and build no Fraction.
 """
 
 from __future__ import annotations
@@ -201,7 +200,8 @@ def rref(m):
 
 
 def rank(m):
-    return len(rref(m)[1])
+    """The number of pivots gauss_jordan finds in the integer rows of m."""
+    return len(gauss_jordan(_integer_rows(m.entries)[0], m.cols)[0])
 
 
 def integer_null_vectors(rows, ncols):
@@ -219,49 +219,6 @@ def integer_null_vectors(rows, ncols):
             v[p] = -row[f]
         out.append(v)
     return out, d
-
-
-def _null_vectors(m):
-    """A basis of ker m, the rref null vectors: integer_null_vectors of the
-    integer rows of m, divided by d."""
-    vectors, d = integer_null_vectors(_integer_rows(m.entries)[0], m.cols)
-    return [[Fraction(x, d) if x else _ZERO for x in v] for v in vectors]
-
-
-def kernel_basis(m):
-    """Matrix whose columns are a basis of ker m (cols x nullity)."""
-    return Matrix.from_columns(_null_vectors(m), rows=m.cols)
-
-
-def cokernel_projection(m):
-    """Projection of the target space of m onto a complement of its image.
-
-    The complement is spanned by the standard vectors at the coordinates
-    that are not pivots of the echelonized image, the rref of m^T with rows
-    img_i and pivots p_i. Its row for such a coordinate j is
-    e_j - sum_i img_i[j] e_{p_i}, the null vector of m^T for the free
-    column j: it kills the image and is the identity on the complement.
-    Shape (m.rows - rank m) x m.rows.
-    """
-    rows = _null_vectors(m.transpose())
-    return Matrix(len(rows), m.rows, rows)
-
-
-def solve(m, rhs):
-    """One exact solution X of m*X = rhs, or None if the system is unsolvable."""
-    if rhs.rows != m.rows:
-        raise ValueError(f"dimension mismatch: lhs has {m.rows} rows, rhs has {rhs.rows}")
-    aug = m.hstack(rhs)
-    echelon, pivots = rref(aug)
-    pivots_m = [p for p in pivots if p < m.cols]
-    if len(pivots_m) < len(pivots):
-        return None
-    nrows = len(pivots_m)
-    out = [[Fraction(0)] * rhs.cols for _ in range(m.cols)]
-    for i in range(nrows):
-        for k in range(rhs.cols):
-            out[pivots_m[i]][k] = echelon.entries[i][m.cols + k]
-    return Matrix(m.cols, rhs.cols, out)
 
 
 def det(m):
@@ -285,12 +242,17 @@ def det(m):
 
 
 def inverse(m):
+    """The inverse of a square m: the right half of the rref of [m | I],
+    read off one gauss_jordan on the integer rows of [m | I]."""
     if m.rows != m.cols:
         raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
-    x = solve(m, Matrix.identity(m.rows))
-    if x is None:
+    n = m.rows
+    rows, _ = _integer_rows([row + tuple(_ONE if c == r else _ZERO for c in range(n))
+                             for r, row in enumerate(m.entries)])
+    pivots, d, _ = gauss_jordan(rows, n)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return x
+    return Matrix(n, n, [[Fraction(x, d) for x in row[n:]] for row in rows])
 
 
 # -- serialization ----------------------------------------------------

@@ -9,22 +9,25 @@ of the current simple) and reflecting the remainder, until nothing is
 left; the recorded dimension vectors determine the isomorphism class of
 the decomposition by Krull-Schmidt uniqueness.
 
-The decomposition walk runs on lists of int rows, with no Matrix, Quiver
-or QuiverRep per step. Each arrow's map is scaled by the lcm of its
-denominators: the underlying graph of a Dynkin quiver is a tree, so
-scalars per arrow are a base change at the vertices and the isomorphism
-class is unchanged. The kernel at a sink is read off linalg.gauss_jordan
-on ints (linalg.integer_null_vectors), each kernel column divided by its
-gcd, which is a base change at the reflected vertex. The Weyl word of
-the walk is carried as an integer matrix, whose column j is the root of
-a cokernel at j.
+The reflection functors of Bernstein, Gelfand and Ponomarev are one sink
+step (V_j becomes the kernel of the stacked incoming map) and one source
+step (V_i becomes the cokernel of the stacked outgoing map), in place on
+lists of int rows. Each takes its basis from integer_null_vectors, every
+vector divided by its gcd with its free coordinate positive: the rref
+null vector with its denominators cleared. decompose, Gabriel's
+enumeration and the public reflect_sink and reflect_source all go
+through them. The public functors clear denominators by one scalar per
+coordinate of V_i, a base change at i on any quiver; decompose by one
+scalar per arrow, a base change at the vertices only on a tree, which a
+Dynkin quiver is.
 
-Gabriel's enumeration pulls each simple back through source reflections.
-A full cycle of the admissible sequence flips every arrow twice, so the
+Gabriel's enumeration pulls each simple back through source steps. A
+full cycle of the admissible sequence flips every arrow twice, so the
 representation reached at walk state (position mod n, root) is the same
 for every root whose walk passes through it; one enumeration builds each
-state once, at most n * |positive roots| source reflections (924 on E8,
-where walking every root on its own takes 7140).
+state once, as a dimension vector and int maps, at most n * |positive
+roots| source steps (924 on E8, where walking every root on its own
+takes 7140). Only the representations returned become QuiverReps.
 """
 
 from __future__ import annotations
@@ -162,25 +165,68 @@ def hom_dim(a, b):
                 rows.append(row)
     if not rows:
         return total
-    system = Matrix(len(rows), total, rows)
-    return total - len(linalg.rref(system)[1])
+    return total - linalg.rank(Matrix(len(rows), total, rows))
 
 
 # -- reflection functors ----------------------------------------------------
 
-def _stack_into(v, i):
-    """The combined map from the direct sum of the spaces at arrow sources
-    into V_i, blocks in arrow order; returns (matrix, arrow indices)."""
-    idx = v.quiver.arrows_into(i)
-    cols = sum(v.maps[k].cols for k in idx)
-    rows = [[x for k in idx for x in v.maps[k].entries[r]] for r in range(v.dims[i])]
-    return Matrix(v.dims[i], cols, rows), idx
+def _null_basis(rows, ncols):
+    """A basis of the null space of rows (int rows, eliminated in place):
+    each integer_null_vectors vector divided by its gcd and signed so that
+    its free coordinate, d, becomes positive."""
+    vectors, d = linalg.integer_null_vectors(rows, ncols)
+    return [[x // g for x in v] for v in vectors for g in (gcd(*v) if d > 0 else -gcd(*v),)]
+
+
+def _sink_step(dims, arrows, maps, j):
+    """Reflection at the sink j, in place on int rows: V_j becomes the
+    kernel of the stacked incoming map phi, the arrows into j turn round,
+    and each new map is the block of the kernel basis at the arrow's other
+    end. Returns dims[j] - rank(phi), the number of copies of the simple
+    at j that the step annihilates (the cokernel of phi)."""
+    into = [k for k, (_, t) in enumerate(arrows) if t == j]
+    width = sum(dims[arrows[k][0]] for k in into)
+    phi = [[x for k in into for x in maps[k][r]] for r in range(dims[j])]
+    kernel = _null_basis(phi, width)
+    coker = dims[j] - width + len(kernel)
+    offset = 0
+    for k in into:
+        s = arrows[k][0]
+        maps[k] = [[v[r] for v in kernel] for r in range(offset, offset + dims[s])]
+        arrows[k] = (j, s)
+        offset += dims[s]
+    dims[j] = len(kernel)
+    return coker
+
+
+def _source_step(dims, arrows, maps, i):
+    """Reflection at the source i, in place on int rows: V_i becomes the
+    cokernel of the stacked outgoing map psi, realized on the standard
+    vectors at the non-pivot coordinates of psi's echelonized image, so
+    repeated runs are bit-identical. The projection onto it has a row for
+    each null vector of psi^T; each new map is its block of columns."""
+    out = [k for k, (s, _) in enumerate(arrows) if s == i]
+    height = sum(dims[arrows[k][1]] for k in out)
+    psi_t = [[row[c] for k in out for row in maps[k]] for c in range(dims[i])]
+    proj = _null_basis(psi_t, height)
+    offset = 0
+    for k in out:
+        t = arrows[k][1]
+        maps[k] = [v[offset:offset + dims[t]] for v in proj]
+        arrows[k] = (t, i)
+        offset += dims[t]
+    dims[i] = len(proj)
+
+
+def _rep(q, dims, maps):
+    """The representation of q with the given maps, one list of rows per arrow."""
+    return QuiverRep(q, dims, [Matrix(dims[t], dims[s], m) for (s, t), m in zip(q.arrows, maps)])
 
 
 def reflect_sink(v, i):
-    """Reflection at a sink: the space at i is replaced by the kernel of
-    the combined incoming map, the incident arrows are reversed, and the
-    new outgoing maps are kernel-inclusion followed by block projection.
+    """Reflection at a sink: _sink_step, after row r of the stacked
+    incoming map is scaled by the lcm of its denominators (a base change at
+    i, which keeps the kernel).
 
     Applied to a representation that is not surjective at i, this is the
     "pre-split" kernel construction: the cokernel summands (copies of the
@@ -189,42 +235,35 @@ def reflect_sink(v, i):
     q = v.quiver
     if not q.is_sink(i):
         raise QuiverError(f"vertex {i} is not a sink")
-    phi, arrow_idx = _stack_into(v, i)
-    kernel = linalg.kernel_basis(phi)  # (sum of source dims) x new_dim
-    new_dim = kernel.cols
-    new_q = q.reversed_at(i)
-    dims = tuple(new_dim if x == i else d for x, d in enumerate(v.dims))
-    maps = list(v.maps)
-    offset = 0
-    for k in arrow_idx:
-        height = v.dims[q.arrows[k][0]]
-        maps[k] = Matrix(height, new_dim, kernel.entries[offset:offset + height])
-        offset += height
-    return QuiverRep(new_q, dims, maps)
+    into = q.arrows_into(i)
+    scales = [lcm(*[x.denominator for k in into for x in v.maps[k].entries[r]])
+              for r in range(v.dims[i])]
+    maps = [m.entries for m in v.maps]
+    for k in into:
+        maps[k] = [[x.numerator * (c // x.denominator) for x in row]
+                   for row, c in zip(maps[k], scales)]
+    dims, arrows = list(v.dims), list(q.arrows)
+    _sink_step(dims, arrows, maps, i)
+    return _rep(Quiver(q.n, arrows), dims, maps)
 
 
 def reflect_source(v, i):
-    """Reflection at a source: the space at i becomes the cokernel of the
-    combined outgoing map psi, realized on the standard vectors at the
-    non-pivot coordinates of psi's echelonized image, so repeated runs are
-    bit-identical. The new map from each target is the block of columns of
-    the cokernel projection that belongs to it."""
+    """Reflection at a source: _source_step, after column c of the stacked
+    outgoing map is scaled by the lcm of its denominators (a base change at
+    i, which keeps the image)."""
     q = v.quiver
     if not q.is_source(i):
         raise QuiverError(f"vertex {i} is not a source")
-    arrow_idx = q.arrows_out_of(i)
-    rows = [r for k in arrow_idx for r in v.maps[k].entries]
-    proj = linalg.cokernel_projection(Matrix(len(rows), v.dims[i], rows))
-    new_dim = proj.rows
-    new_q = q.reversed_at(i)
-    dims = tuple(new_dim if x == i else d for x, d in enumerate(v.dims))
-    maps = list(v.maps)
-    offset = 0
-    for k in arrow_idx:
-        width = v.dims[q.arrows[k][1]]
-        maps[k] = Matrix(new_dim, width, [r[offset:offset + width] for r in proj.entries])
-        offset += width
-    return QuiverRep(new_q, dims, maps)
+    out = q.arrows_out_of(i)
+    scales = [lcm(*[row[c].denominator for k in out for row in v.maps[k].entries])
+              for c in range(v.dims[i])]
+    maps = [m.entries for m in v.maps]
+    for k in out:
+        maps[k] = [[x.numerator * (c // x.denominator) for x, c in zip(row, scales)]
+                   for row in maps[k]]
+    dims, arrows = list(v.dims), list(q.arrows)
+    _source_step(dims, arrows, maps, i)
+    return _rep(Quiver(q.n, arrows), dims, maps)
 
 
 # -- admissible orderings and Gabriel ---------------------------------------
@@ -280,8 +319,10 @@ def _indecomposables(q, a, n_positive, alphas):
     A full cycle of the admissible sequence flips every arrow twice, so the
     quiver at walk position p is that at p mod n, and the representation
     reached at state (p mod n, beta) is the same for every root whose walk
-    passes through it. Each state is built once, by one reflect_source (or
-    as a simple), so there are at most n * |positive roots| of them."""
+    passes through it. Each state is built once, by one _source_step (or
+    as a simple), so there are at most n * |positive roots| of them. A
+    state is its dimension vector and int maps on the quiver at its
+    position; only the representations returned become QuiverReps."""
     n = len(a)
     seq = _sink_sequence(q)
     quivers = [q]
@@ -297,19 +338,22 @@ def _indecomposables(q, a, n_positive, alphas):
             if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
                 if beta != tuple(1 if v == j else 0 for v in range(n)):
                     raise QuiverError(f"reflection walk of {alpha} ends at {beta}, not a simple root")
-                built[p % n, beta] = simple_rep(quivers[p % n], j)
+                built[p % n, beta] = beta, [[[0] * beta[s] for _ in range(beta[t])]
+                                            for s, t in quivers[p % n].arrows]
                 break
             path.append((p % n, beta))
             beta = nxt
             p += 1
             if p > 4 * n_positive * n:
                 raise AssertionError("reflection walk failed to terminate")
-        rep = built[p % n, beta]
+        dims, maps = built[p % n, beta]
         for state in reversed(path):
-            rep = built[state] = reflect_source(rep, seq[state[0]])
-        if rep.quiver != q or rep.dims != alpha:
-            raise QuiverError(f"reflection functors built dimension vector {rep.dims}, not {alpha}")
-        out.append(rep)
+            dims, maps = list(dims), list(maps)
+            _source_step(dims, list(quivers[(state[0] + 1) % n].arrows), maps, seq[state[0]])
+            built[state] = dims, maps
+        if tuple(dims) != alpha:
+            raise QuiverError(f"reflection functors built dimension vector {tuple(dims)}, not {alpha}")
+        out.append(_rep(q, dims, maps))
     return out
 
 
@@ -348,24 +392,12 @@ def decompose(v):
     steps = 0
     while any(dims):
         j = seq[steps % n]
-        into = [k for k, (_, t) in enumerate(arrows) if t == j]
-        width = sum(dims[arrows[k][0]] for k in into)
-        phi = [[x for k in into for x in maps[k][r]] for r in range(dims[j])]
-        kernel, _ = linalg.integer_null_vectors(phi, width)
-        coker_mult = dims[j] - width + len(kernel)
+        coker_mult = _sink_step(dims, arrows, maps, j)
         if coker_mult:
             root = tuple(w[j])
             if any(c < 0 for c in root):
                 raise QuiverError(f"summand root {root} is not nonnegative")
             counts[root] = counts.get(root, 0) + coker_mult
-        kernel = [[x // g for x in col] for col in kernel for g in (gcd(*col),)]
-        offset = 0
-        for k in into:
-            s = arrows[k][0]
-            maps[k] = [[col[r] for col in kernel] for r in range(offset, offset + dims[s])]
-            arrows[k] = (j, s)
-            offset += dims[s]
-        dims[j] = len(kernel)
         # w s_j e_i = w e_i - a[j][i] w e_j
         wj = w[j]
         for i, c in neighbours[j]:

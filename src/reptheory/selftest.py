@@ -458,7 +458,7 @@ def criterion_12(rng):
         phi = Matrix.zeros(dims[i], 0)
         for k in q.arrows_into(i):
             phi = phi.hstack(v.maps[k])
-        if len(linalg.rref(phi)[1]) != dims[i]:
+        if linalg.rank(phi) != dims[i]:
             continue
         a = cartan_matrix(q.underlying_graph())
         w = reflect_sink(v, i)

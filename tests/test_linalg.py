@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 import reptheory
 from reptheory.exact import Cyclotomic, cyc, zeta
-from reptheory.linalg import (Matrix, block_diag, cokernel_projection, det,
-                              gauss_jordan, inverse, kernel_basis, matrix_from_json,
-                              matrix_to_json, rank, rref, solve)
+from reptheory.linalg import (Matrix, block_diag, det, gauss_jordan, integer_null_vectors,
+                              inverse, matrix_from_json, matrix_to_json, rank, rref)
+from reptheory.quiverrep import Quiver, QuiverRep, _source_step, reflect_source
 from reptheory.symgrp import frobenius_character, partitions_of, power_sum_value, schur_eval
 
 
@@ -26,6 +28,14 @@ def matrices(draw, max_dim=8):
     entries = [[draw(st.integers(min_value=-4, max_value=4)) for _ in range(c)]
                for _ in range(r)]
     return Matrix(r, c, entries)
+
+
+@st.composite
+def rational_matrices(draw, max_dim=6):
+    r = draw(st.integers(min_value=0, max_value=max_dim))
+    c = draw(st.integers(min_value=0, max_value=max_dim))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return Matrix(r, c, [[draw(entry) for _ in range(c)] for _ in range(r)])
 
 
 def test_rref_examples():
@@ -40,12 +50,18 @@ def test_rref_examples():
 
 
 def test_kernel_examples():
-    k = kernel_basis(Matrix.from_rows([[1, 1]]))
-    assert k.cols == 1 and k.column(0) in ((Fraction(-1), Fraction(1)),
-                                           (Fraction(1), Fraction(-1)))
-    assert kernel_basis(Matrix.identity(3)).cols == 0
     # the fold map (id, id): k + k -> k
-    assert kernel_basis(Matrix.from_rows([[1, 1]])).cols == 1
+    assert integer_null_vectors([[1, 1]], 2) == ([[-1, 1]], 1)
+    assert integer_null_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == ([], 1)
+    # d times the rref null vector (1/2, 1): d = 2
+    assert integer_null_vectors([[2, -1]], 2) == ([[1, 2]], 2)
+    assert integer_null_vectors([], 2) == ([[1, 0], [0, 1]], 1)
+
+
+def cokernel_projection(m):
+    """The projection onto the cokernel of m that the source reflection
+    builds at vertex 0 of the quiver 0 -> 1 with the map m."""
+    return reflect_source(QuiverRep(Quiver(2, [(0, 1)]), (m.cols, m.rows), [m]), 0).maps[0]
 
 
 def test_cokernel_projection_examples():
@@ -55,29 +71,23 @@ def test_cokernel_projection_examples():
     p = cokernel_projection(m)
     assert p == Matrix.from_rows([[-1, 1]]) and (p * m).is_zero()
     assert cokernel_projection(Matrix.zeros(2, 0)) == Matrix.identity(2)
-
-
-def test_solve_examples():
-    b = Matrix.from_rows([[3], [4]])
-    assert solve(Matrix.identity(2), b) == b
-    m = Matrix.from_rows([[1, 1]])
-    rhs = Matrix.from_rows([[2]])
-    x = solve(m, rhs)
-    assert m * x == rhs
-    assert solve(Matrix.from_rows([[0]]), Matrix.from_rows([[1]])) is None
-    with pytest.raises(ValueError):
-        solve(Matrix.zeros(2, 2), Matrix.zeros(3, 1))
-    with pytest.raises(ValueError):
-        Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+    assert cokernel_projection(Matrix.zeros(0, 2)) == Matrix.zeros(0, 0)
+    # the source step itself, on int rows: psi^T = (-4, 2) has the rref null
+    # vector (1/2, 1); integer_null_vectors gives d = -4 times it, and the
+    # step divides by -2 so that the free coordinate is positive
+    dims, arrows, maps = [1, 2], [(0, 1)], [[[-4], [2]]]
+    _source_step(dims, arrows, maps, 0)
+    assert (dims, arrows, maps) == ([1, 2], [(1, 0)], [[[1, 2]]])
 
 
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity(m):
-    assert rank(m) + kernel_basis(m).cols == m.cols
-    k = kernel_basis(m)
-    if k.cols:
-        assert (m * k).is_zero()
+    rows = [[int(x) for x in row] for row in m.entries]
+    vectors, _ = integer_null_vectors(rows, m.cols)
+    assert rank(m) + len(vectors) == m.cols
+    if vectors:
+        assert (m * Matrix(len(vectors), m.cols, vectors).transpose()).is_zero()
 
 
 @given(matrices())
@@ -86,10 +96,17 @@ def test_cokernel_projection_splits_target(m):
     p = cokernel_projection(m)
     assert p.rows == m.rows - rank(m) and p.cols == m.rows
     assert (p * m).is_zero()
-    pivots = rref(m.transpose())[1]
+    # row j is the rref null vector e_j - sum_r img_r[j] e_{p_r} of m^T for
+    # the free coordinate j, times the least positive integer that clears it
+    echelon, pivots = rref(m.transpose())
     free = [j for j in range(m.rows) if j not in pivots]
-    on_free = Matrix(p.rows, len(free), [[p[r, j] for j in free] for r in range(p.rows)])
-    assert on_free == Matrix.identity(len(free))
+    for row, j in zip(p.entries, free):
+        want = [Fraction(int(c == j)) for c in range(m.rows)]
+        for r, c in enumerate(pivots):
+            want[c] = -echelon[r, j]
+        assert all(type(x) is Fraction and x.denominator == 1 for x in row)
+        assert row[j] > 0 and [x / row[j] for x in row] == want
+        assert reduce(gcd, [int(x) for x in row]) == 1
 
 
 @given(matrices())
@@ -100,16 +117,30 @@ def test_rref_idempotent(m):
     assert e2 == e and p2 == p
 
 
-@given(matrices(max_dim=5), st.integers(min_value=0, max_value=3))
-@settings(max_examples=50, deadline=None)
-def test_solve_by_substitution(m, width):
-    rng = random.Random(7)
-    x_true = Matrix(m.cols, width,
-                    [[rng.randint(-3, 3) for _ in range(width)] for _ in range(m.cols)])
-    rhs = m * x_true
-    x = solve(m, rhs)
-    assert x is not None
-    assert m * x == rhs
+def test_inverse_examples():
+    b = Matrix.from_rows([[3, 1], [4, 2]])
+    assert inverse(Matrix.identity(2)) == Matrix.identity(2)
+    assert b * inverse(b) == Matrix.identity(2) == inverse(b) * b
+    assert inverse(Matrix.from_rows([[Fraction(1, 2)]])) == Matrix.from_rows([[2]])
+    assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
+    for singular in (Matrix.from_rows([[0]]), Matrix.zeros(2, 2), Matrix.from_rows([[1, 1], [2, 2]])):
+        with pytest.raises(ValueError):
+            inverse(singular)
+    with pytest.raises(ValueError):
+        inverse(Matrix.zeros(2, 3))
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+
+
+@given(st.one_of(matrices(max_dim=5), rational_matrices(max_dim=5)))
+@settings(max_examples=80, deadline=None)
+def test_inverse_by_substitution(m):
+    if m.rows != m.cols or det(m) == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    x = inverse(m)
+    assert m * x == Matrix.identity(m.rows) == x * m
 
 
 def test_det_and_inverse():
@@ -160,14 +191,6 @@ def reference_rref(m):
     return Matrix(m.rows, m.cols, a), tuple(pivots)
 
 
-@st.composite
-def rational_matrices(draw, max_dim=6):
-    r = draw(st.integers(min_value=0, max_value=max_dim))
-    c = draw(st.integers(min_value=0, max_value=max_dim))
-    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    return Matrix(r, c, [[draw(entry) for _ in range(c)] for _ in range(r)])
-
-
 @given(st.one_of(matrices(), rational_matrices()))
 @settings(max_examples=200, deadline=None)
 @example(Matrix.zeros(0, 0))
@@ -198,11 +221,16 @@ def large_entry_matrices(draw, max_dim=7):
 @given(large_entry_matrices())
 @settings(max_examples=60, deadline=None)
 def test_large_entries_match_the_oracles(m):
-    assert rref(m) == reference_rref(m)
-    k = kernel_basis(m)
-    assert k.cols == m.cols - rank(m) and (m * k).is_zero()
+    echelon, pivots = reference_rref(m)
+    assert rref(m) == (echelon, pivots) and rank(m) == len(pivots)
     p = cokernel_projection(m)
     assert p.rows == m.rows - rank(m) and (p * m).is_zero()
+    if m.rows == m.cols:
+        if len(pivots) < m.rows:
+            with pytest.raises(ValueError):
+                inverse(m)
+        else:
+            assert m * inverse(m) == Matrix.identity(m.rows)
     if m.rows == m.cols <= 5:
         assert det(m) == leibniz_det(m.entries)
 
