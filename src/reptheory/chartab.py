@@ -158,12 +158,12 @@ class CharacterTable:
 
     def inner_product(self, v1, v2):
         """(v1, v2) for two value sequences in the group's class order. A
-        row's own value tuple is read through the table's pool, whose
-        values are converted once; any other sequence is interned for the
-        call."""
+        row's own value tuple is read as that row of the table's lasting
+        operand, which converts only the rows it is asked for, each once;
+        any other sequence is interned for the call."""
         g = self.group
-        return hermitian_gram(self._operand(v1), self._operand(v2), [(0, 0)],
-                              class_sizes(g), g.order)[0]
+        (a, i), (b, j) = self._operand(v1), self._operand(v2)
+        return hermitian_gram(a, b, [(i, j)], class_sizes(g), g.order)[0]
 
     def _operand(self, values):
         # the table holds its rows' value tuples, so no other live object
@@ -171,7 +171,7 @@ class CharacterTable:
         if self._row_of is None:
             self._row_of = {id(row.values): i for i, row in enumerate(self.rows)}
         i = self._row_of.get(id(values))
-        return [values] if i is None else self.gram_rows.select([i])
+        return ([values], 0) if i is None else (self.gram_rows, i)
 
     def row_by_name(self, name):
         return self.rows[self.row_index(name)]

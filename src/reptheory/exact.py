@@ -25,10 +25,11 @@ matrices of character theory, go through hermitian_gram. Its operands are
 GramRows, the one place where values are interned: built from rows of
 values, a GramRows holds each distinct value once in a pool, keyed on the
 stored (order, numerators, denominator), and each row as indices into it.
-The kernel converts each pool entry once into integers or sparse roots of
-unity, accumulates integer sums of roots of unity and reduces once per
+The kernel converts each pool entry once, when a row that uses it is first
+read, into integers or sparse roots of unity (two roots where that is
+shorter), accumulates integer sums of roots of unity and reduces once per
 entry. A character table's rows and columns are lasting operands, which
-keep their converted forms from call to call.
+keep the rows they have converted from call to call.
 """
 
 from __future__ import annotations
@@ -537,51 +538,51 @@ def _integers(pool):
     return [v.num[0] * (den // v.den) for v in pool], den
 
 
-def _terms(pool, n, sign, shift, roots):
-    """(terms, den): the values of a pool over one denominator as sparse
-    root terms at order n, pool[x] the sum of k * zeta_n^e over den for
-    (e, k) in terms[x], each value read from roots[x] (_root_terms)."""
-    den = lcm(*{v.den for v in pool})
-    return [_root_terms(v, coords, n, sign, shift, den) for v, coords in zip(pool, roots)], den
-
-
 def _root_terms(v, coords, n, sign, shift, den):
     """The terms (e, k) of v over den at order n, for v the sum of
     c * zeta_m^i over (i, c) in coords, m its order: each at
     e = sign * i * n/m mod n, lowered by shift."""
     step, f = sign * (n // v.order), den // v.den
-    return [(i * step % n - shift, c * f) for i, c in coords if c]
+    return [(i * step % n - shift, c * f) for i, c in coords]
 
 
 class _Pooled:
     """What every operand over one pool shares: the pool, its lcm order
-    and its common denominator, and each conversion of its entries once
-    made: `roots`, per entry its coordinates or its two-root form, filled
-    by the first ready form; `terms`, per (n, sign, shift) the root terms
-    of each entry, filled entry by entry as rows that are read once ask
-    for them; and `keys`, the pool's FieldKeys."""
+    and its common denominator, and each conversion of its entries, made
+    entry by entry as rows ask for them (value_terms): `sparse`, per entry
+    its two-root form or its nonzero coordinates, and `terms`, per
+    (n, sign, shift) the root terms of each entry; and `keys`, the pool's
+    FieldKeys."""
 
-    __slots__ = ("pool", "order", "den", "roots", "terms", "keys")
+    __slots__ = ("pool", "order", "den", "sparse", "terms", "keys")
 
     def __init__(self, pool):
         self.pool = pool
         self.order = lcm(*{v.order for v in pool})
         self.den = lcm(*{v.den for v in pool})
-        self.roots = []
+        self.sparse = [None] * len(pool)
         self.terms = {}
         self.keys = None
 
-    def value_terms(self, n, sign, shift, index):
+    def value_terms(self, n, sign, shift, rows):
         """The terms of _root_terms over den for every entry, as a list with
-        the entries the rows of `index` use filled in."""
+        the entries of these rows (lists of pool indices) filled in. An
+        entry is converted once, to its two-root form where that is shorter
+        than its nonzero coordinates (_two_roots, a search over the roots of
+        its order), and mapped once to each (n, sign, shift)."""
         terms = self.terms.get((n, sign, shift))
         if terms is None:
             terms = self.terms[n, sign, shift] = [None] * len(self.pool)
-        for row in index:
+        for row in rows:
             for x in row:
                 if terms[x] is None:
-                    v = self.pool[x]
-                    terms[x] = _root_terms(v, enumerate(v.num), n, sign, shift, self.den)
+                    v, coords = self.pool[x], self.sparse[x]
+                    if coords is None:
+                        coords = [(i, c) for i, c in enumerate(v.num) if c]
+                        if len(coords) > 2:
+                            coords = _two_roots(v) or coords
+                        self.sparse[x] = coords
+                    terms[x] = _root_terms(v, coords, n, sign, shift, self.den)
         return terms
 
 
@@ -601,12 +602,13 @@ class GramRows:
 
     The kernel asks an operand for its rows in one form per call: integers
     over the pool's one denominator when every order is 1, and otherwise
-    sparse root terms at the lcm N of both operands' orders (_terms). Each
-    form converts each pool entry once. A lasting operand, the rows or the
-    columns of a character table, keeps every form it makes, so a table's
-    values are converted once however often it is used; any other operand
-    lives for one call. The operands over one pool, its transpose and its
-    row selections, share each entry's conversions (_Pooled)."""
+    root terms at the lcm N of both operands' orders, made only for the
+    rows the call reads (roots). A lasting operand, the rows or the
+    columns of a character table, keeps every form it makes and adds rows
+    to it as later calls read them, so a table's values are converted
+    once however often it is used; any other operand lives for one call.
+    An operand and its transpose share each entry's conversions
+    (_Pooled)."""
 
     __slots__ = ("pool", "index", "order", "lasting", "_pooled", "_forms")
 
@@ -642,14 +644,6 @@ class GramRows:
                        self.lasting)
         return columns
 
-    def select(self, rows):
-        """The rows with these indices as an operand for one call, which
-        reads each value through the pool's conversions: no form of the
-        whole table is made for a few rows."""
-        chosen = GramRows.__new__(GramRows)
-        chosen._share(self._pooled, [self.index[i] for i in rows], False)
-        return chosen
-
     def field_keys(self):
         """The FieldKeys of the pool, made once."""
         pooled = self._pooled
@@ -675,46 +669,30 @@ class GramRows:
             return [[w * ints[x] for x, w in zip(row, weights)] for row in self.index], den
         return self.form((1, weights), make)
 
-    def roots(self, n, sign, shift, weights, ready):
-        """(rows, den): rows[r] is (the classes where row r is nonzero,
-        terms, the lcm of the row's orders), and row r at class c is the sum
-        of k * zeta_n^e over den, times weights[c], for (e, k) in terms[c];
-        sign and shift as in _root_terms. A ready form converts every value
-        of the pool, each in its two-root form where that is shorter
-        (_two_roots), a search over the roots of its order that the pool
-        does once; any other reads its values' coordinates, converting only
-        the values its rows use."""
-        pooled = self._pooled
-
-        def make():
-            if ready:
-                if len(pooled.roots) < len(self.pool):
-                    for v in self.pool:
-                        coords = [(i, c) for i, c in enumerate(v.num) if c]
-                        pooled.roots.append((_two_roots(v) or coords) if len(coords) > 2 else coords)
-                terms, den = _terms(self.pool, n, sign, shift, pooled.roots)
-            else:
-                terms, den = pooled.value_terms(n, sign, shift, self.index), pooled.den
-            if weights is None:
-                rows = [[terms[x] for x in row] for row in self.index]
-            else:
-                # each (value, weight) pair is multiplied out once
-                rows, memo = [], {}
-                for row in self.index:
-                    weighted = []
-                    for x, w in zip(row, weights):
-                        t = terms[x]
-                        if t:
-                            key = (x, w)
-                            t = memo.get(key)
+    def roots(self, n, sign, shift, weights, wanted):
+        """A dict that maps each row r in wanted to (the classes where row r
+        is nonzero, terms, the lcm of the row's orders): row r at class c is
+        the sum of k * zeta_n^e over the pool's den, times weights[c], for
+        (e, k) in terms[c]; sign and shift as in _root_terms. Only the rows
+        asked for are made, from the pool's conversions (value_terms), and
+        each (value, weight) pair is multiplied out once."""
+        rows, weighted = self.form((n, sign, shift, weights), lambda: ({}, {}))
+        missing = [r for r in wanted if r not in rows]
+        if missing:
+            pool, index = self.pool, self.index
+            terms = self._pooled.value_terms(n, sign, shift, [index[r] for r in missing])
+            for r in missing:
+                ts = [terms[x] for x in index[r]]
+                if weights is not None:
+                    for c, (x, w) in enumerate(zip(index[r], weights)):
+                        if ts[c]:
+                            t = weighted.get((x, w))
                             if t is None:
-                                t = memo[key] = [(e, c * w) for e, c in terms[x]]
-                        weighted.append(t)
-                    rows.append(weighted)
-            orders = [v.order for v in self.pool]
-            return [([c for c, t in enumerate(ts) if t], ts, lcm(*{orders[x] for x in row}))
-                    for ts, row in zip(rows, self.index)], den
-        return self.form((n, sign, shift, weights), make)
+                                t = weighted[x, w] = [(e, k * w) for e, k in ts[c]]
+                            ts[c] = t
+                rows[r] = ([c for c, t in enumerate(ts) if t], ts,
+                           lcm(*{pool[x].order for x in index[r]}))
+        return rows
 
 
 def unit_generators(n):
@@ -847,12 +825,11 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
 
     Each operand gives its rows in a form of GramRows: integers, with an
     integer dot product, when every order is 1, and otherwise sparse root
-    terms at N, the lcm of both operands' orders, b conjugated by negating
-    exponents. A row that a lasting operand keeps, or that takes part in
-    more than one pair, is read ready: in two-root forms where shorter, and
-    with a's weights multiplied in. A row used once is weighted in the sum.
-    An entry accumulates in Z[x]/(x^N - 1) and is reduced once by _fold,
-    mod Phi_M for M the lcm of the two rows' orders.
+    terms at N, the lcm of both operands' orders (GramRows.roots): only the
+    rows the pairs read, each value in its two-root form where shorter, a's
+    weights multiplied in and b conjugated by negating exponents. An entry
+    accumulates in Z[x]/(x^N - 1) and is reduced once by _fold, mod Phi_M
+    for M the lcm of the two rows' orders.
     """
     if not isinstance(left, GramRows):
         left = GramRows(left)
@@ -867,34 +844,21 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
         d = da * db * scale
         sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
         return [Cyclotomic(1, (s,), d) if s else _ZERO for s in sums]
-    ready = left.lasting or len(pairs) > len(left.index)
-    a, da = left.roots(n, 1, 0, weights if ready else None, ready)
-    w = None if ready else weights
+    a = left.roots(n, 1, 0, weights, {i for i, _ in pairs})
     # exponents of b in [-n, 0), so that ea + eb indexes a length-n list
     # modulo n, as Python's negative indices do
-    b, db = right.roots(n, -1 if conjugate else 1, n, None,
-                        right.lasting or len(pairs) > len(right.index))
-    d = da * db * scale
+    b = right.roots(n, -1 if conjugate else 1, n, None, {j for _, j in pairs})
+    d = left._pooled.den * right._pooled.den * scale
     out = []
     for i, j in pairs:
         (cs, ta, oa), (_, tb, ob) = a[i], b[j]
         acc = [0] * n
-        if w is None:
-            for c in cs:
-                sb = tb[c]
-                if sb:
-                    for ea, ca in ta[c]:
-                        for eb, cb in sb:
-                            acc[ea + eb] += ca * cb
-        else:
-            for c in cs:
-                sb = tb[c]
-                if sb:
-                    wc = w[c]
-                    for ea, ca in ta[c]:
-                        ca *= wc
-                        for eb, cb in sb:
-                            acc[ea + eb] += ca * cb
+        for c in cs:
+            sb = tb[c]
+            if sb:
+                for ea, ca in ta[c]:
+                    for eb, cb in sb:
+                        acc[ea + eb] += ca * cb
         m = lcm(oa, ob)
         num = _fold(acc[::n // m], m)
         out.append(Cyclotomic(m, num, d) if any(num) else _ZERO)

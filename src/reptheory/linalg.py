@@ -58,12 +58,6 @@ class Matrix:
     def identity(n):
         return Matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_columns(cols_list, rows=None):
-        c = len(cols_list)
-        r = len(cols_list[0]) if c else (rows if rows is not None else 0)
-        return Matrix(r, c, [[cols_list[j][i] for j in range(c)] for i in range(r)])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -80,9 +74,6 @@ class Matrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self):
         return Matrix(self.cols, self.rows,

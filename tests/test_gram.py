@@ -541,14 +541,22 @@ def test_pool_holds_each_table_value_once(name):
 def test_a_table_converts_its_values_once(name, monkeypatch):
     table = GRAM_TABLES[name]()
     converted = []
-    for convert in ("_integers", "_terms"):
-        original = getattr(exact, convert)
+    integers, value_terms = exact._integers, exact._Pooled.value_terms
 
-        def counting(pool, *args, original=original):
-            if pool is table.pool:
-                converted.append(len(pool))
-            return original(pool, *args)
-        monkeypatch.setattr(exact, convert, counting)
+    def counting_integers(pool):
+        if pool is table.pool:
+            converted.append(len(pool))
+        return integers(pool)
+
+    def counting_terms(pooled, n, sign, shift, rows):
+        before = sum(t is not None for t in pooled.terms.get((n, sign, shift), ()))
+        terms = value_terms(pooled, n, sign, shift, rows)
+        filled = sum(t is not None for t in terms) - before
+        if pooled.pool is table.pool and filled:
+            converted.append(filled)
+        return terms
+    monkeypatch.setattr(exact, "_integers", counting_integers)
+    monkeypatch.setattr(exact._Pooled, "value_terms", counting_terms)
     tensor_multiplicities(table, 1, 2)
     verify_table(table)
     assert converted
@@ -557,3 +565,30 @@ def test_a_table_converts_its_values_once(name, monkeypatch):
     tensor_multiplicities(table, 2, 3)
     verify_table(table)
     assert converted == []
+
+
+def _held_rows(operand):
+    """The rows each root form (n, sign, shift, weights) of a lasting
+    operand holds, by sign: +1 for left operands, -1 for conjugated right
+    ones."""
+    return {key[1]: set(form[0]) for key, form in operand._forms.items() if len(key) == 4}
+
+
+def test_a_lasting_operand_holds_only_the_rows_it_was_asked_for():
+    table = gl2_table(11)
+    rows, sizes = table.rows, class_sizes(table.group)
+    got = table.inner_product(rows[3].values, rows[50].values)
+    assert got == reference_inner_product(sizes, table.group.order, rows[3].values,
+                                          rows[50].values) == 0
+    assert _held_rows(table.gram_rows) == {1: {3}, -1: {50}}
+    # the orbit path reads only the rows of its representative pairs, and a
+    # second verify reads them from the forms the first one kept
+    table = gl2_table(7)
+    want = reference_gl2_verify(table).entries
+    assert gl2_verify(table).entries == want
+    reps = next(form[1] for key, form in table.gram_rows._forms.items() if key[0] == "orbits")
+    held = _held_rows(table.gram_rows)
+    assert held == {1: {i for i, _ in reps}, -1: {j for _, j in reps}}
+    assert len(held[1]) < len(table.rows)
+    assert gl2_verify(table).entries == want
+    assert _held_rows(table.gram_rows) == held

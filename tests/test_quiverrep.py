@@ -271,7 +271,7 @@ def reference_reflect_source(v, i):
     image = [echelon.row(r) for r in range(len(pivots))]
     complement = [[int(r == j) for r in range(psi.rows)]
                   for j in range(psi.rows) if j not in pivots]
-    basis = Matrix.from_columns(image + complement, rows=psi.rows)
+    basis = Matrix(len(image) + len(complement), psi.rows, image + complement).transpose()
     coords = linalg.inverse(basis) if basis.cols else Matrix.zeros(0, 0)
     proj = Matrix(len(complement), psi.rows, coords.entries[len(image):])
     maps = list(v.maps)
