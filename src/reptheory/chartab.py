@@ -116,11 +116,11 @@ class CharacterTable:
     """A tuple of (purported) irreducible characters plus class metadata.
 
     Every table is built here, from its rows, and its values are interned
-    once, by `exact.GramRows`: `gram_rows` is the rows as a lasting operand
-    of `exact.hermitian_gram`, `pool` its distinct values and `index[i][c]`
+    once, by `exact.GramRows`: `gram_rows` is the rows as an operand of
+    `exact.hermitian_gram`, `pool` its distinct values and `index[i][c]`
     the pool index of row i at class c. `gram_columns` is the columns over
-    the same pool, so every product with the table converts its values
-    once. A builder that makes each distinct value once, as one object,
+    the same pool. Both keep the rows they convert, so every product with
+    the table converts its values once. A builder that makes each distinct value once, as one object,
     lets the interning find repeats by identity."""
 
     def __init__(self, group, rows, name="", display_classes=None, class_labels=None):
@@ -136,7 +136,7 @@ class CharacterTable:
         for row in self.rows:
             if row.function.at_identity() != row.degree:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
-        self.gram_rows = GramRows((row.values for row in self.rows), lasting=True)
+        self.gram_rows = GramRows(row.values for row in self.rows)
         self.pool = self.gram_rows.pool
         self.index = self.gram_rows.index
         self._gram_columns = None
@@ -158,9 +158,9 @@ class CharacterTable:
 
     def inner_product(self, v1, v2):
         """(v1, v2) for two value sequences in the group's class order. A
-        row's own value tuple is read as that row of the table's lasting
-        operand, which converts only the rows it is asked for, each once;
-        any other sequence is interned for the call."""
+        row's own value tuple is read as that row of the table's operand,
+        which converts only the rows it is asked for, each once, at every
+        order; any other sequence is interned for the call."""
         g = self.group
         (a, i), (b, j) = self._operand(v1), self._operand(v2)
         return hermitian_gram(a, b, [(i, j)], class_sizes(g), g.order)[0]
@@ -411,8 +411,8 @@ def orbit_gram(operand, diagonal, weights=None, scale=1, twists=False):
     which fixes a rational value: so if the first pair of an orbit has its
     wanted value, so has every pair of the orbit, and is given that value.
     Each pair of an orbit whose first pair fails is computed, so a check
-    reads the same values as from the full Gram matrix. A lasting operand
-    keeps its orbits. Below ORBIT_ROWS rows, or past KEY_COORDINATES,
+    reads the same values as from the full Gram matrix. The operand keeps
+    its orbits, as it keeps its rows. Below ORBIT_ROWS rows, or past KEY_COORDINATES,
     every pair is computed."""
     k = len(operand.index)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]

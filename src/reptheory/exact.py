@@ -25,11 +25,12 @@ matrices of character theory, go through hermitian_gram. Its operands are
 GramRows, the one place where values are interned: built from rows of
 values, a GramRows holds each distinct value once in a pool, keyed on the
 stored (order, numerators, denominator), and each row as indices into it.
-The kernel converts each pool entry once, when a row that uses it is first
-read, into integers or sparse roots of unity (two roots where that is
-shorter), accumulates integer sums of roots of unity and reduces once per
-entry. A character table's rows and columns are lasting operands, which
-keep the rows they have converted from call to call.
+The kernel reads every operand, at every order, through one row store
+(GramRows.rows): it converts each pool entry once, into integers or
+sparse roots of unity (two roots where that is shorter), makes a row
+when a call first reads it and keeps it in the operand, accumulates
+integer sums of roots of unity and reduces once per entry. An operand
+made for one call is freed with it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 # the rational string helpers live in linalg and are re-exported here
 from .linalg import _parse_ratio, gauss_jordan, rational_from_str, rational_to_str
@@ -531,13 +532,6 @@ def _two_roots(v):
     return None
 
 
-def _integers(pool):
-    """(numerators, den): the values of a pool of order-1 values as integers
-    over one denominator."""
-    den = lcm(*{v.den for v in pool})
-    return [v.num[0] * (den // v.den) for v in pool], den
-
-
 def _root_terms(v, coords, n, sign, shift, den):
     """The terms (e, k) of v over den at order n, for v the sum of
     c * zeta_m^i over (i, c) in coords, m its order: each at
@@ -548,21 +542,30 @@ def _root_terms(v, coords, n, sign, shift, den):
 
 class _Pooled:
     """What every operand over one pool shares: the pool, its lcm order
-    and its common denominator, and each conversion of its entries, made
-    entry by entry as rows ask for them (value_terms): `sparse`, per entry
-    its two-root form or its nonzero coordinates, and `terms`, per
+    and its common denominator, and each conversion of its entries: `ints`,
+    the numerators over den of a rational pool (integers), and, made entry
+    by entry as rows ask for them (value_terms), `sparse`, per entry its
+    two-root form or its nonzero coordinates, and `terms`, per
     (n, sign, shift) the root terms of each entry; and `keys`, the pool's
     FieldKeys."""
 
-    __slots__ = ("pool", "order", "den", "sparse", "terms", "keys")
+    __slots__ = ("pool", "order", "den", "ints", "sparse", "terms", "keys")
 
     def __init__(self, pool):
         self.pool = pool
         self.order = lcm(*{v.order for v in pool})
         self.den = lcm(*{v.den for v in pool})
+        self.ints = None
         self.sparse = [None] * len(pool)
         self.terms = {}
         self.keys = None
+
+    def integers(self):
+        """The value of each entry of a pool of order 1 as an integer over
+        den, made once."""
+        if self.ints is None:
+            self.ints = [v.num[0] * (self.den // v.den) for v in self.pool]
+        return self.ints
 
     def value_terms(self, n, sign, shift, rows):
         """The terms of _root_terms over den for every entry, as a list with
@@ -600,19 +603,18 @@ class GramRows:
     so their ids are not reused, while any other value may be freed once
     its row is read.
 
-    The kernel asks an operand for its rows in one form per call: integers
-    over the pool's one denominator when every order is 1, and otherwise
-    root terms at the lcm N of both operands' orders, made only for the
-    rows the call reads (roots). A lasting operand, the rows or the
-    columns of a character table, keeps every form it makes and adds rows
-    to it as later calls read them, so a table's values are converted
-    once however often it is used; any other operand lives for one call.
-    An operand and its transpose share each entry's conversions
+    The kernel reads an operand's rows in one way (rows): integers over
+    the pool's one denominator when every order is 1, and otherwise root
+    terms at the lcm N of both operands' orders. Only the rows a call
+    reads are made; an operand keeps each form it makes and adds rows to
+    it as later calls read them, so a table's values are converted once
+    however often it is used, and an operand made for one call is freed
+    with it. An operand and its transpose share each entry's conversions
     (_Pooled)."""
 
-    __slots__ = ("pool", "index", "order", "lasting", "_pooled", "_forms")
+    __slots__ = ("pool", "index", "order", "_pooled", "_forms")
 
-    def __init__(self, rows, lasting=False):
+    def __init__(self, rows):
         pool, where, index = [], {}, []
         for row in rows:
             indices = []
@@ -626,13 +628,12 @@ class GramRows:
                         pool.append(v)
                 indices.append(x)
             index.append(indices)
-        self._share(_Pooled(pool), index, lasting)
+        self._share(_Pooled(pool), index)
 
-    def _share(self, pooled, index, lasting):
+    def _share(self, pooled, index):
         self.pool = pooled.pool
         self.index = index
         self.order = pooled.order
-        self.lasting = lasting
         self._pooled = pooled
         self._forms = {}
 
@@ -640,8 +641,7 @@ class GramRows:
         """The columns of these rows, `width` entries to a row, over the same
         pool and its conversions."""
         columns = GramRows.__new__(GramRows)
-        columns._share(self._pooled, tuple(zip(*self.index)) if self.index else ((),) * width,
-                       self.lasting)
+        columns._share(self._pooled, tuple(zip(*self.index)) if self.index else ((),) * width)
         return columns
 
     def field_keys(self):
@@ -652,46 +652,45 @@ class GramRows:
         return pooled.keys
 
     def form(self, key, make):
-        """make(), kept under key by a lasting operand."""
+        """make(), made once and kept under key."""
         form = self._forms.get(key)
         if form is None:
-            form = make()
-            if self.lasting:
-                self._forms[key] = form
+            form = self._forms[key] = make()
         return form
 
-    def integers(self, weights):
-        """(rows, den): row r at class c is rows[r][c] / den, times weights[c]."""
-        def make():
-            ints, den = _integers(self.pool)
-            if weights is None:
-                return [[ints[x] for x in row] for row in self.index], den
-            return [[w * ints[x] for x, w in zip(row, weights)] for row in self.index], den
-        return self.form((1, weights), make)
-
-    def roots(self, n, sign, shift, weights, wanted):
-        """A dict that maps each row r in wanted to (the classes where row r
-        is nonzero, terms, the lcm of the row's orders): row r at class c is
-        the sum of k * zeta_n^e over the pool's den, times weights[c], for
-        (e, k) in terms[c]; sign and shift as in _root_terms. Only the rows
-        asked for are made, from the pool's conversions (value_terms), and
-        each (value, weight) pair is multiplied out once."""
-        rows, weighted = self.form((n, sign, shift, weights), lambda: ({}, {}))
-        missing = [r for r in wanted if r not in rows]
-        if missing:
-            pool, index = self.pool, self.index
-            terms = self._pooled.value_terms(n, sign, shift, [index[r] for r in missing])
+    def rows(self, n, sign, shift, weights, wanted):
+        """A dict that maps each row r in wanted to row r times weights,
+        weights[c] at class c. At n = 1 row r is a list of integers over the
+        pool's den (_Pooled.integers). Otherwise it is (the classes where
+        row r is nonzero, terms, the lcm of the row's orders): row r at
+        class c is the sum of k * zeta_n^e over den for (e, k) in terms[c];
+        sign and shift as in _root_terms, from the pool's conversions
+        (value_terms), each (value, weight) pair multiplied out once. Only
+        the rows asked for, by any iterable, are made, and kept under
+        (n, sign, shift, weights)."""
+        rows, weighted = self._forms.setdefault((n, sign, shift, weights), ({}, {}))
+        missing = set(wanted).difference(rows) if len(rows) < len(self.index) else ()
+        if not missing:
+            return rows
+        pool, index = self.pool, self.index
+        if n == 1:
+            read = self._pooled.integers().__getitem__
             for r in missing:
-                ts = [terms[x] for x in index[r]]
-                if weights is not None:
-                    for c, (x, w) in enumerate(zip(index[r], weights)):
-                        if ts[c]:
-                            t = weighted.get((x, w))
-                            if t is None:
-                                t = weighted[x, w] = [(e, k * w) for e, k in ts[c]]
-                            ts[c] = t
-                rows[r] = ([c for c, t in enumerate(ts) if t], ts,
-                           lcm(*{pool[x].order for x in index[r]}))
+                row = map(read, index[r])
+                rows[r] = list(row if weights is None else map(mul, row, weights))
+            return rows
+        terms = self._pooled.value_terms(n, sign, shift, [index[r] for r in missing])
+        for r in missing:
+            ts = [terms[x] for x in index[r]]
+            if weights is not None:
+                for c, (x, w) in enumerate(zip(index[r], weights)):
+                    if ts[c]:
+                        t = weighted.get((x, w))
+                        if t is None:
+                            t = weighted[x, w] = [(e, k * w) for e, k in ts[c]]
+                        ts[c] = t
+            rows[r] = ([c for c, t in enumerate(ts) if t], ts,
+                       lcm(*{pool[x].order for x in index[r]}))
         return rows
 
 
@@ -823,11 +822,11 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     false. An operand is a GramRows, or rows of Cyclotomics, which are
     interned into one for this call.
 
-    Each operand gives its rows in a form of GramRows: integers, with an
-    integer dot product, when every order is 1, and otherwise sparse root
-    terms at N, the lcm of both operands' orders (GramRows.roots): only the
-    rows the pairs read, each value in its two-root form where shorter, a's
-    weights multiplied in and b conjugated by negating exponents. An entry
+    Both operands give their rows through GramRows.rows, only the rows
+    the pairs read, a's weights multiplied in: integers, with an integer
+    dot product, when every order is 1, and otherwise sparse root terms at
+    N, the lcm of both operands' orders, each value in its two-root form
+    where shorter and b conjugated by negating exponents. An entry then
     accumulates in Z[x]/(x^N - 1) and is reduced once by _fold, mod Phi_M
     for M the lcm of the two rows' orders.
     """
@@ -838,17 +837,14 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     if weights is not None:
         weights = tuple(weights)
     n = lcm(left.order, right.order)
-    if n == 1:
-        a, da = left.integers(weights)
-        b, db = right.integers(None)
-        d = da * db * scale
-        sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
-        return [Cyclotomic(1, (s,), d) if s else _ZERO for s in sums]
-    a = left.roots(n, 1, 0, weights, {i for i, _ in pairs})
+    a = left.rows(n, 1, 0, weights, map(itemgetter(0), pairs))
     # exponents of b in [-n, 0), so that ea + eb indexes a length-n list
     # modulo n, as Python's negative indices do
-    b = right.roots(n, -1 if conjugate else 1, n, None, {j for _, j in pairs})
+    b = right.rows(n, -1 if conjugate else 1, n, None, map(itemgetter(1), pairs))
     d = left._pooled.den * right._pooled.den * scale
+    if n == 1:
+        sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
+        return [Cyclotomic(1, (s,), d) if s else _ZERO for s in sums]
     out = []
     for i, j in pairs:
         (cs, ta, oa), (_, tb, ob) = a[i], b[j]

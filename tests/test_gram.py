@@ -6,7 +6,7 @@ sum per class; the kernel must agree with it value for value and string for
 string, and verify reports built on either must be entry for entry equal,
 also on tables that are wrong on purpose. `reference_hermitian_gram` is the
 kernel that converted every value of its rows on each call; the kernel on
-rows of values and on a table's lasting rows and columns must give
+rows of values and on a table's kept rows and columns must give
 the same stored values, and decompose and tensor_multiplicities the same
 results as on it.
 """
@@ -82,13 +82,42 @@ def reference_verify_table(table):
             ok = total == want
             rep.add(f"column orthogonality ({g.class_label(c1)},{g.class_label(c2)})", ok,
                     "" if ok else f"got {total}, want {want}")
+    return _reference_degrees(rep, g, rows)
+
+
+def _reference_degrees(rep, g, rows):
     ssq = sum(row.degree ** 2 for row in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
     for row in rows:
         rep.add(f"degree divides |G| ({row.name})", g.order % row.degree == 0,
                 f"degree {row.degree}")
-    rep.add("row count equals class count", len(rows) == k, f"{len(rows)} vs {k}")
+    rep.add("row count equals class count", len(rows) == len(g.classes),
+            f"{len(rows)} vs {len(g.classes)}")
     return rep
+
+
+def integer_reference_verify_table(table):
+    """The entries of reference_verify_table for a table of integer values,
+    as an S_n table is, from the same sums in Python ints: on S15 the
+    Cyclotomic loop takes about half a minute."""
+    rep, g, rows = VerifyReport(), table.group, table.rows
+    assert all(v.is_integer() for row in rows for v in row.values)
+    values = [[int(v.as_fraction()) for v in row.values] for row in rows]
+    sizes = class_sizes(g)
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            total = sum(s * a * b for s, a, b in zip(sizes, values[i], values[j]))
+            ok = total == (g.order if i == j else 0)
+            rep.add(f"row orthonormality ({rows[i].name},{rows[j].name})", ok,
+                    "" if ok else f"got {cyc(Fraction(total, g.order))}")
+    k = len(g.classes)
+    for c1 in range(k):
+        for c2 in range(c1, k):
+            total = sum(row[c1] * row[c2] for row in values)
+            want = g.classes[c1].centralizer_order if c1 == c2 else 0
+            rep.add(f"column orthogonality ({g.class_label(c1)},{g.class_label(c2)})",
+                    total == want, "" if total == want else f"got {cyc(total)}, want {cyc(want)}")
+    return _reference_degrees(rep, g, rows)
 
 
 def assert_same(got, want):
@@ -200,13 +229,13 @@ def test_gram_kernel_options():
     assert_same(hermitian_gram([a], [b], [(0, 0)])[0], hermitian)
     assert_same(hermitian_gram([a], [b], [(0, 0)], [2, 0, 5], 7)[0],
                 (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
-    # an operand whose pool holds values its row does not use, and a lasting
-    # operand, read the same
+    # an operand whose pool holds values its row does not use, and an
+    # operand built once and read twice, from the rows it kept, read the same
     both = GramRows([a, b])
     assert len(both.pool) == 6 and both.index == [[0, 1, 2], [3, 4, 5]]
-    lasting = GramRows([b], lasting=True)
+    kept = GramRows([b])
     for _ in range(2):
-        assert_same(hermitian_gram(both, lasting, [(0, 0)], [2, 0, 5], 7)[0],
+        assert_same(hermitian_gram(both, kept, [(0, 0)], [2, 0, 5], 7)[0],
                     (2 * a[0] * b[0].conjugate() + 5 * a[2] * b[2].conjugate()) / 7)
     assert hermitian_gram([[]], [[]], [(0, 0)])[0] == 0
 
@@ -530,7 +559,7 @@ def test_pool_holds_each_table_value_once(name):
     for row, indices in zip(table.rows, index):
         assert stored(pool[x] for x in indices) == stored(row.values), row.name
     assert {x for indices in index for x in indices} == set(range(len(pool)))
-    # the lasting kernel operands read the same pool, the columns by the
+    # the table's kernel operands read the same pool, the columns by the
     # transposed index
     assert table.gram_rows.pool is pool and table.gram_columns.pool is pool
     assert table.gram_rows.index == index
@@ -541,12 +570,14 @@ def test_pool_holds_each_table_value_once(name):
 def test_a_table_converts_its_values_once(name, monkeypatch):
     table = GRAM_TABLES[name]()
     converted = []
-    integers, value_terms = exact._integers, exact._Pooled.value_terms
+    integers, value_terms = exact._Pooled.integers, exact._Pooled.value_terms
 
-    def counting_integers(pool):
-        if pool is table.pool:
-            converted.append(len(pool))
-        return integers(pool)
+    def counting_integers(pooled):
+        first = pooled.ints is None
+        ints = integers(pooled)
+        if pooled.pool is table.pool and first:
+            converted.append(len(ints))
+        return ints
 
     def counting_terms(pooled, n, sign, shift, rows):
         before = sum(t is not None for t in pooled.terms.get((n, sign, shift), ()))
@@ -555,7 +586,7 @@ def test_a_table_converts_its_values_once(name, monkeypatch):
         if pooled.pool is table.pool and filled:
             converted.append(filled)
         return terms
-    monkeypatch.setattr(exact, "_integers", counting_integers)
+    monkeypatch.setattr(exact._Pooled, "integers", counting_integers)
     monkeypatch.setattr(exact._Pooled, "value_terms", counting_terms)
     tensor_multiplicities(table, 1, 2)
     verify_table(table)
@@ -568,10 +599,11 @@ def test_a_table_converts_its_values_once(name, monkeypatch):
 
 
 def _held_rows(operand):
-    """The rows each root form (n, sign, shift, weights) of a lasting
+    """The rows each root form (n, sign, shift, weights), n > 1, of an
     operand holds, by sign: +1 for left operands, -1 for conjugated right
     ones."""
-    return {key[1]: set(form[0]) for key, form in operand._forms.items() if len(key) == 4}
+    return {key[1]: set(form[0]) for key, form in operand._forms.items()
+            if len(key) == 4 and key[0] > 1}
 
 
 def test_a_lasting_operand_holds_only_the_rows_it_was_asked_for():
@@ -592,3 +624,25 @@ def test_a_lasting_operand_holds_only_the_rows_it_was_asked_for():
     assert len(held[1]) < len(table.rows)
     assert gl2_verify(table).entries == want
     assert _held_rows(table.gram_rows) == held
+
+
+def test_a_rational_operand_holds_only_the_rows_it_was_asked_for():
+    table = sn_table(15)
+    rows, sizes = table.rows, class_sizes(table.group)
+    got = table.inner_product(rows[3].values, rows[50].values)
+    assert got == reference_inner_product(sizes, table.group.order, rows[3].values,
+                                          rows[50].values) == 0
+    # the weighted left form and the conjugated right form, each as integer
+    # rows over the pool's denominator
+    assert {key: set(form[0]) for key, form in table.gram_rows._forms.items()} == {
+        (1, 1, 0, tuple(sizes)): {3}, (1, -1, 1, None): {50}}
+    # verify adds the other rows to the same forms
+    assert verify_table(table).entries == integer_reference_verify_table(table).entries
+    assert set(table.gram_rows._forms[1, 1, 0, tuple(sizes)][0]) == set(range(len(rows)))
+    # the integer reference reads as reference_verify_table does, also on a
+    # table that is wrong on purpose
+    small = sn_table(6)
+    perturbed = list(small.rows[3].values)
+    perturbed[-1] = perturbed[-1] + 1
+    for t in (small, _with_row(small, 3, perturbed)):
+        assert integer_reference_verify_table(t).entries == reference_verify_table(t).entries

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptheory.exact import cyclotomic_polynomial
 from reptheory.linalg import Matrix, det
 from reptheory.rootsys import (MAX_VERTICES, Graph, GraphError, affine_graph, bilinear,
                                cartan_matrix, classify, coxeter_element,
@@ -344,6 +345,68 @@ def _relabeled(graph, rng):
     perm = list(range(graph.n))
     rng.shuffle(perm)
     return Graph.from_edges(graph.n, [(perm[i], perm[j], m) for i, j, m in graph.edges()])
+
+
+def _characteristic_polynomial(c):
+    """det(xI - c), coefficients ascending, interpolated from linalg.det at
+    x = 0, ..., n: each value times its Lagrange basis polynomial,
+    multiplied out one linear factor at a time."""
+    n = len(c)
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        y = det([[k * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c)])
+        basis, scale = [1], 1
+        for j in range(n + 1):
+            if j != k:
+                basis = [p - j * q for p, q in zip([0] + basis, basis + [0])]
+                scale *= k - j
+        for i, b in enumerate(basis):
+            coeffs[i] += y * b / scale
+    assert all(f.denominator == 1 for f in coeffs)
+    return [int(f) for f in coeffs]
+
+
+def _divide_exactly(p, q):
+    """p / q for integer polynomials (ascending), q monic, or None if q
+    does not divide p."""
+    p, quot = list(p), []
+    while len(p) >= len(q):
+        c = p[-1]
+        quot.append(c)
+        for i, x in enumerate(q):
+            p[len(p) - len(q) + i] -= c * x
+        p.pop()
+    return None if any(p) else quot[::-1]
+
+
+def _coxeter_exponents(c, h):
+    """The exponents m_i of a Coxeter element c of order h: its eigenvalues
+    are the zeta_h^m_i. Phi_d divides det(xI - c) exactly k_d times for
+    each d | h, and its roots are the zeta_h^m for m = j * h / d, j prime
+    to d; nothing may be left over."""
+    poly, exponents = _characteristic_polynomial(c), []
+    for d in (d for d in range(1, h + 1) if h % d == 0):
+        while (quot := _divide_exactly(poly, cyclotomic_polynomial(d))) is not None:
+            poly = quot
+            exponents += [j * (h // d) for j in range(1, d + 1) if math.gcd(j, d) == 1]
+    assert poly == [1]
+    return exponents
+
+
+@pytest.mark.parametrize("name", ADE_UP_TO_8)
+def test_coxeter_exponents_give_the_weyl_order_and_the_root_count(name):
+    # |W| = prod (m_i + 1) and |positive roots| = n h / 2 (Humphreys,
+    # Reflection Groups and Coxeter Groups, ch. 3): checks weyl_count,
+    # enumerate_roots and coxeter_element against each other
+    graph, rng = dynkin_graph(name), random.Random(name)
+    relabeled = _relabeled(graph, rng)
+    for a, labeling in ((cartan_matrix(graph), None),
+                        (cartan_matrix(relabeled), rng.sample(range(graph.n), graph.n))):
+        c, h, _ = coxeter_element(a, labeling)
+        exponents = _coxeter_exponents(c, h)
+        assert len(exponents) == len(a)
+        assert weyl_count(a, max_elements=10 ** 9) == math.prod(m + 1 for m in exponents)
+        assert len(enumerate_roots(a)[0]) * 2 == len(a) * h
 
 
 def _constructed(name):
