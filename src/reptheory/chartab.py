@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from fractions import Fraction
 from math import lcm
 
 from .exact import (Cyclotomic, GramRows, cyc, cyclotomic_from_json, cyclotomic_to_json,
@@ -302,7 +303,7 @@ ORBIT_ROWS = 10
 KEY_COORDINATES = 1 << 22
 
 
-def _row_symmetries(operand, twists):
+def _row_symmetries(operand):
     """Maps m of the operand's rows into its rows, as lists of row indices,
     under which the Hermitian product of rows m[a] and m[b] is that of rows
     a and b or its image under a field automorphism.
@@ -310,12 +311,13 @@ def _row_symmetries(operand, twists):
     A map comes from a generator j of the units mod n, for n the lcm of the
     pool's orders, where sigma_j: zeta_n -> zeta_n^j takes every value to a
     value and every row to a row, as <sigma a, sigma b> = sigma <a, b>.
-    With `twists`, one also comes from a row l whose values have l conj(l)
-    = 1 and whose product with every row is a row, as <l a, l b> = <a, b>;
-    such rows are tried in order until the twists found reach each one
-    from the all-ones row, or _TWIST_TRIES of them have failed. Rows are
-    compared as tuples of FieldKeys ids, so every map is checked exactly
-    and none is assumed."""
+    One also comes from a twist by a row l whose values are roots of unity
+    up to sign (FieldKeys.root), as every linear character's are, and whose
+    product with every row is a row, as <l a, l b> = <a, b>; such rows are
+    tried in order until the twists found reach each one from the all-ones
+    row, or _TWIST_TRIES of them have failed. Rows are compared as tuples
+    of FieldKeys ids, so every map is checked exactly and none is
+    assumed."""
     keys = operand.field_keys()
     ids = keys.ids
     rows = [tuple(map(ids.__getitem__, row)) for row in operand.index]
@@ -335,7 +337,7 @@ def _row_symmetries(operand, twists):
         if m:
             maps.append(m)
     one_id = keys.find(one())
-    trivial = where.get((one_id,) * len(rows[0])) if twists and rows and one_id is not None else None
+    trivial = where.get((one_id,) * len(rows[0])) if rows and one_id is not None else None
     if trivial is None:
         return maps
     columns = list(zip(*rows))
@@ -348,7 +350,7 @@ def _row_symmetries(operand, twists):
     for lam in rows:
         if tries == 0:
             break
-        if where[lam] in reached or not all(map(keys.unit, set(lam))):
+        if where[lam] in reached or not all(map(keys.root, set(lam))):
             continue
         m = row_map(twisted_rows(lam))
         if m is None:
@@ -364,19 +366,16 @@ def _row_symmetries(operand, twists):
     return maps + found
 
 
-def _pair_orbits(operand, diagonal, twists):
+def _pair_orbits(operand):
     """(first, reps) for the orbits of the pairs i <= j of the operand's
-    rows under _row_symmetries, an orbit holding only pairs that want the
-    same value: first[i * k + j] = i' * k + j' for (i', j') the first pair
-    of the orbit of (i, j), reps those first pairs; None where no symmetry
-    is found."""
-    maps = _row_symmetries(operand, twists)
+    rows under _row_symmetries, an orbit holding diagonal pairs only or
+    none, as maps need not be injective: first[i * k + j] = i' * k + j'
+    for (i', j') the first pair of the orbit of (i, j), reps those first
+    pairs; None where no symmetry is found."""
+    maps = _row_symmetries(operand)
     if not maps:
         return None
     k = len(operand.index)
-    # the wanted value of pair (x, y) as a small int: -1 off the diagonal
-    tags = {}
-    tag = [tags.setdefault((d.order, d.num, d.den), len(tags)) for d in diagonal]
     first = array("l", [-1]) * (k * k)
     reps = []
     for i in range(k):
@@ -386,7 +385,7 @@ def _pair_orbits(operand, diagonal, twists):
                 continue
             first[p] = p
             reps.append((i, j))
-            want = tag[i] if i == j else -1
+            diagonal = i == j
             todo = [(i, j)]
             for a, b in todo:
                 for m in maps:
@@ -394,41 +393,39 @@ def _pair_orbits(operand, diagonal, twists):
                     if x > y:
                         x, y = y, x
                     c = x * k + y
-                    if first[c] < 0 and (tag[x] if x == y else -1) == want:
+                    if first[c] < 0 and (x == y) == diagonal:
                         first[c] = p
                         todo.append((x, y))
     return first, reps
 
 
-def orbit_gram(operand, diagonal, weights=None, scale=1, twists=False):
+def orbit_gram(operand, weights, scale):
     """The Hermitian products sum_c w_c a_c conj(b_c) / scale of the pairs
     i <= j of a GramRows operand's rows, in the order (0, 0), (0, 1), ...,
-    (1, 1), ..., for a check that wants the rational diagonal[i] on the
-    diagonal and 0 off it.
+    (1, 1), ..., for a check that wants 1 on the diagonal and 0 off it.
 
     Over irrational values one pair per orbit of _pair_orbits is computed.
     A map sends a pair's product to its image under a field automorphism,
-    which fixes a rational value: so if the first pair of an orbit has its
-    wanted value, so has every pair of the orbit, and is given that value.
-    Each pair of an orbit whose first pair fails is computed, so a check
-    reads the same values as from the full Gram matrix. The operand keeps
-    its orbits, as it keeps its rows. Below ORBIT_ROWS rows, or past KEY_COORDINATES,
-    every pair is computed."""
+    which fixes 1 and 0: so if the first pair of an orbit has its wanted
+    value, so has every pair of the orbit, and is given that value. Each
+    pair of an orbit whose first pair fails is computed, so a check reads
+    the same values as from the full Gram matrix. The operand keeps its
+    orbits, or that it has none, as it keeps its rows. Below ORBIT_ROWS
+    rows, or past KEY_COORDINATES, every pair is computed."""
     k = len(operand.index)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     orbits = None
     if (operand.order > 1 and k >= ORBIT_ROWS
             and len(operand.pool) * euler_phi(operand.order) <= KEY_COORDINATES):
-        orbits = operand.form(("orbits", tuple((d.order, d.num, d.den) for d in diagonal), twists),
-                              lambda: _pair_orbits(operand, diagonal, twists))
+        orbits = operand.form("orbits", lambda: _pair_orbits(operand))
     if orbits is None:
         return hermitian_gram(operand, operand, pairs, weights, scale)
     first, reps = orbits
-    off = zero()
+    on, off = one(), zero()
     failed = {i * k + j for (i, j), got in zip(reps, hermitian_gram(operand, operand, reps,
                                                                        weights, scale))
-              if got != (diagonal[i] if i == j else off)}
-    out = [diagonal[i] if i == j else off for i, j in pairs]
+              if got != (on if i == j else off)}
+    out = [on if i == j else off for i, j in pairs]
     if failed:
         computed = [p for p, (i, j) in enumerate(pairs) if first[i * k + j] in failed]
         values = hermitian_gram(operand, operand, [pairs[p] for p in computed], weights, scale)
@@ -440,11 +437,11 @@ def orbit_gram(operand, diagonal, weights=None, scale=1, twists=False):
 def check_orthonormality(report, label, names, rows, sizes, order):
     """One report entry per pair i <= j of rows (a GramRows): the Hermitian
     product order^-1 sum_c sizes[c] a_c conj(b_c) must be 1 on the diagonal
-    and 0 off it. The products come from orbit_gram, which may also use
-    twists by linear rows."""
+    and 0 off it. The products come from orbit_gram, which proves whole
+    orbits of pairs under Galois maps and twists by linear rows."""
     k = len(names)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    for (i, j), got in zip(pairs, orbit_gram(rows, [one()] * k, sizes, order, twists=True)):
+    for (i, j), got in zip(pairs, orbit_gram(rows, sizes, order)):
         want = one() if i == j else zero()
         ok = got is want or got == want
         report.add(f"{label} ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
@@ -455,7 +452,8 @@ def verify_table(table):
 
     Verifies row orthonormality, column orthogonality against centralizer
     orders, the sum-of-squares identity, degree divisibility, and the row
-    count; every failure names the offending pair.
+    count; every failure names the offending pair. Column sums are read
+    off the rows where these pass on a complete table, else computed.
     """
     rep = VerifyReport()
     g = table.group
@@ -465,9 +463,15 @@ def verify_table(table):
     k = len(g.classes)
     labels = [g.class_label(c) for c in range(k)]
     pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]
-    centralizers = [cyc(cl.centralizer_order) for cl in g.classes]
-    for (c1, c2), total in zip(pairs, orbit_gram(table.gram_columns, centralizers)):
-        want = centralizers[c1] if c1 == c2 else zero()
+    if rep.ok and len(rows) == k:
+        # the k x k value matrix R has R W R* = I for W = diag(|c| / |G|),
+        # so R is invertible and R* R = W^-1: columns c1, c2 give |G| / |c1| or 0
+        totals = [cyc(Fraction(g.order, g.classes[c1].size)) if c1 == c2 else zero()
+                  for c1, c2 in pairs]
+    else:
+        totals = hermitian_gram(table.gram_columns, table.gram_columns, pairs)
+    for (c1, c2), total in zip(pairs, totals):
+        want = cyc(g.classes[c1].centralizer_order) if c1 == c2 else zero()
         ok = total == want
         rep.add(f"column orthogonality ({labels[c1]},{labels[c2]})", ok,
                 "" if ok else f"got {total}, want {want}")

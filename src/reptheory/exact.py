@@ -652,11 +652,10 @@ class GramRows:
         return pooled.keys
 
     def form(self, key, make):
-        """make(), made once and kept under key."""
-        form = self._forms.get(key)
-        if form is None:
-            form = self._forms[key] = make()
-        return form
+        """make(), made once and kept under key, None too."""
+        if key not in self._forms:
+            self._forms[key] = make()
+        return self._forms[key]
 
     def rows(self, n, sign, shift, weights, wanted):
         """A dict that maps each row r in wanted to row r times weights,
@@ -724,11 +723,11 @@ class FieldKeys:
     two orders (zeta_6, and zeta_48^8 at order 48) gets one key. `ids[x]`
     is the id of pool entry x and `values[i]` a pool value of id i; a
     table's rows read through `ids` are tuples that are equal exactly when
-    the rows are. The maps below are exact: each image is computed and
-    looked up by its key, and is None where the pool lacks it."""
+    the rows are. The maps below are exact: each image is computed from
+    coordinates, by moving exponents of zeta_n, and looked up by its key,
+    and is None where the pool lacks it."""
 
-    __slots__ = ("n", "ids", "values", "_coords", "_where", "_products", "_units", "_exponents",
-                 "_monomials")
+    __slots__ = ("n", "ids", "values", "_coords", "_where", "_products", "_roots", "_monomials")
 
     def __init__(self, pool):
         n = self.n = lcm(*{v.order for v in pool})
@@ -742,7 +741,7 @@ class FieldKeys:
                 self.values.append(v)
                 self._coords.append(coords)
             self.ids.append(x)
-        self._products, self._units, self._exponents, self._monomials = {}, {}, {}, {}
+        self._products, self._roots, self._monomials = {}, {}, {}
 
     def find(self, v):
         """The id of value v, whose order divides n, or None."""
@@ -755,7 +754,7 @@ class FieldKeys:
         for x, v in enumerate(self.values):
             # sigma_j is zeta_m -> zeta_m^(j mod m) on Q(zeta_m), m the order,
             # so it fixes v where j = 1 mod m
-            image = self._where.get(self._moved(x, j, 0)) if (j - 1) % v.order else x
+            image = self._where.get(self._moved(x, j, 0, 1)) if (j - 1) % v.order else x
             if image is None:
                 return None
             out.append(image)
@@ -763,24 +762,20 @@ class FieldKeys:
 
     def times(self, y, xs):
         """A dict that maps each id x in xs, among the ids met before, to the
-        id of the product of the values of ids y and x, or to None; each
-        product is made once. A factor zeta_n^e shifts x's exponents by e
-        (_moved)."""
+        id of the product of the values of ids y and x, or to None; the
+        value of y is a signed root s * zeta_n^e (root), so x's exponents
+        move by e and its sign by s (_moved). Each product is made once."""
         known = self._products.setdefault(y, {})
         missing = set(xs).difference(known)
         if missing:
-            e = self._exponent(y)
-            if e is None:
-                v = self.values[y]
-                known.update((x, self.find(v * self.values[x])) for x in missing)
-            else:
-                known.update((x, self._where.get(self._moved(x, 1, e))) for x in missing)
+            s, e = self.root(y)
+            known.update((x, self._where.get(self._moved(x, 1, e, s))) for x in missing)
         return known
 
-    def _moved(self, x, step, shift):
-        """The key of the sum of c * zeta_n^(i * step + shift) over the
-        coordinates c_i of the value of id x: sigma_step of it, times
-        zeta_n^shift. Each power of zeta_n is folded once, and kept."""
+    def _moved(self, x, step, shift, sign):
+        """The key of sign times the sum of c * zeta_n^(i * step + shift)
+        over the coordinates c_i of the value of id x: sigma_step of it, times
+        sign * zeta_n^shift. Each power of zeta_n is folded once, and kept."""
         n, monomials = self.n, self._monomials
         coords = self._coords[x]
         acc = [0] * len(coords)
@@ -792,27 +787,23 @@ class FieldKeys:
                     terms = monomials[k] = [(t, f) for t, f in enumerate(_root(n, k)) if f]
                 for t, f in terms:
                     acc[t] += c * f
-        return self.values[x].den, tuple(acc)
+        return self.values[x].den, tuple(acc) if sign > 0 else tuple(-a for a in acc)
 
-    def _exponent(self, y):
-        """The e with zeta_n^e the value of id y, or None. The complex value
-        proposes e, and only the exact coordinates of zeta_n^e confirm it."""
-        if y not in self._exponents:
-            v, e = self.values[y], None
+    def root(self, y):
+        """(s, e) with the value of id y equal to s * zeta_n^e, s = 1 or -1
+        (-1 only at odd n), or None. The complex value proposes s and e,
+        and only the exact coordinates confirm them."""
+        if y not in self._roots:
+            v, n, found = self.values[y], self.n, None
             z = v.numeric()
             if v.den == 1 and abs(abs(z) - 1) < 1e-6:
-                e = round(cmath.phase(z) * self.n / (2 * cmath.pi)) % self.n
-                if list(_root(self.n, e)) != list(self._coords[y]):
-                    e = None
-            self._exponents[y] = e
-        return self._exponents[y]
-
-    def unit(self, x):
-        """Whether the value of id x times its complex conjugate is 1."""
-        if x not in self._units:
-            v = self.values[x]
-            self._units[x] = v * v.conjugate() == _ONE
-        return self._units[x]
+                for s in (1, -1):
+                    e = round(cmath.phase(s * z) * n / (2 * cmath.pi)) % n
+                    if [s * f for f in _root(n, e)] == list(self._coords[y]):
+                        found = s, e
+                        break
+            self._roots[y] = found
+        return self._roots[y]
 
 
 def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import reptheory
-from reptheory import exact
+from reptheory import chartab, exact
 from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunction, TableRow,
                                VerifyReport, abelian_dual_table, builtin_table, class_sizes,
                                decompose, dihedral_semidirect, heisenberg_semidirect,
@@ -618,7 +618,7 @@ def test_a_lasting_operand_holds_only_the_rows_it_was_asked_for():
     table = gl2_table(7)
     want = reference_gl2_verify(table).entries
     assert gl2_verify(table).entries == want
-    reps = next(form[1] for key, form in table.gram_rows._forms.items() if key[0] == "orbits")
+    reps = table.gram_rows._forms["orbits"][1]
     held = _held_rows(table.gram_rows)
     assert held == {1: {i for i, _ in reps}, -1: {j for _, j in reps}}
     assert len(held[1]) < len(table.rows)
@@ -646,3 +646,73 @@ def test_a_rational_operand_holds_only_the_rows_it_was_asked_for():
     perturbed[-1] = perturbed[-1] + 1
     for t in (small, _with_row(small, 3, perturbed)):
         assert integer_reference_verify_table(t).entries == reference_verify_table(t).entries
+
+
+# -- columns by duality ------------------------------------------------------------
+
+def _column_pairs(table, monkeypatch):
+    """The number of column pairs each hermitian_gram call of verify_table
+    reads from the table's columns, and the report."""
+    calls = []
+
+    def counting(left, right, pairs, *args, **kwargs):
+        calls.append((left, right, len(pairs)))
+        return hermitian_gram(left, right, pairs, *args, **kwargs)
+    monkeypatch.setattr(chartab, "hermitian_gram", counting)
+    report = verify_table(table)
+    monkeypatch.undo()
+    columns = table._gram_columns
+    return [n for left, right, n in calls if columns is not None and columns in (left, right)], report
+
+
+@pytest.mark.parametrize("name", ["A5", "S8", "D10", "GL2(5)"])
+def test_a_passing_complete_table_computes_no_column_product(name, monkeypatch):
+    table = GRAM_TABLES[name]()
+    counted, report = _column_pairs(table, monkeypatch)
+    assert counted == []
+    assert report.ok
+    reference = integer_reference_verify_table if name == "S8" else reference_verify_table
+    assert report.entries == reference(table).entries
+
+
+def _dropped_last_row(table):
+    return CharacterTable(table.group, table.rows[:-1], table.name)
+
+
+@pytest.mark.parametrize("name", ["A5", "S6", "D10"])
+@pytest.mark.parametrize("fault", ["one value", "last row dropped"])
+def test_a_failing_table_computes_every_column_pair(name, fault, monkeypatch):
+    table = GRAM_TABLES[name]()
+    if fault == "one value":
+        values = list(table.rows[2].values)
+        values[-1] = values[-1] + 1
+        table = _with_row(table, 2, values)
+    else:
+        table = _dropped_last_row(table)
+    k = len(table.group.classes)
+    counted, report = _column_pairs(table, monkeypatch)
+    assert sum(counted) == k * (k + 1) // 2
+    assert not report.ok
+    assert report.entries == reference_verify_table(table).entries
+
+
+@pytest.mark.parametrize("build", [lambda: sn_table(5), _dihedral(8)], ids=["S5", "D8"])
+def test_a_wrong_centralizer_order_fails_its_column_entry(build, monkeypatch):
+    table = build()
+    c = 2
+    group = copy.copy(table.group)
+    group.classes = list(group.classes)
+    cl = group.classes[c] = copy.copy(group.classes[c])
+    size = cl.size
+    cl.centralizer_order += 1
+    assert cl.size == size
+    rows = [TableRow(r.name, r.degree, ClassFunction(group, r.values)) for r in table.rows]
+    table = CharacterTable(group, rows, table.name)
+    counted, report = _column_pairs(table, monkeypatch)
+    assert counted == []
+    want = reference_verify_table(table)
+    assert report.entries == want.entries
+    label = group.class_label(c)
+    assert report.failures() == want.failures() == [
+        (f"column orthogonality ({label},{label})",
+         f"got {group.order // size}, want {group.order // size + 1}")]

@@ -89,12 +89,13 @@ def test_gl2_orbit_counts(q, monkeypatch, all_orbits):
         return hermitian_gram(left, right, pairs, *args, **kwargs)
     monkeypatch.setattr(chartab, "hermitian_gram", counting)
     k = len(table.rows)
-    values = orbit_gram(table.gram_rows, [one()] * k, class_sizes(g), g.order, twists=True)
+    values = orbit_gram(table.gram_rows, class_sizes(g), g.order)
     assert counted == [GL2_ORBITS[q]]
     assert len(values) == k * (k + 1) // 2
     # without twists the Galois orbits alone are more
     counted.clear()
-    orbit_gram(gl2_table(q).gram_rows, [one()] * k, class_sizes(g), g.order)
+    monkeypatch.setattr(chartab, "_TWIST_TRIES", 0)
+    orbit_gram(gl2_table(q).gram_rows, class_sizes(g), g.order)
     assert counted[0] > GL2_ORBITS[q]
 
 
@@ -110,7 +111,17 @@ def test_the_search_holds_a_bounded_number_of_coordinates(monkeypatch):
 def test_every_builtin_irrational_table_has_symmetries(all_orbits):
     for name in ("A4", "A5", "D5", "Z7", "heisenberg", "Z8 on Z17"):
         table = TABLES[name]()
-        assert chartab._row_symmetries(table.gram_rows, True), name
+        assert chartab._row_symmetries(table.gram_rows), name
+
+
+def test_the_sign_row_of_an_odd_dihedral_group_twists():
+    # D15: every value has order 15, so the sign row's -1 is no power of
+    # zeta_15, and is read as -zeta_15^0
+    table = semidirect_table(dihedral_semidirect(15))
+    values = [list(row.values) for row in table.rows]
+    sign = next(v for v in values if v[0] == 1 and any(x == -1 for x in v))
+    twist = [values.index([s * x for s, x in zip(sign, v)]) for v in values]
+    assert chartab._row_symmetries(table.gram_rows).count(twist) == 1
 
 
 # -- broken tables ------------------------------------------------------------
@@ -164,15 +175,31 @@ def test_broken_tables_report_like_the_full_gram(name, monkeypatch):
 
 def test_a_wrong_class_size_fails_whole_orbits(all_orbits):
     table = gl2_5_with_a_wrong_class_size()
-    assert chartab._row_symmetries(table.gram_rows, True)
+    assert chartab._row_symmetries(table.gram_rows)
     assert len(gl2_verify(table).failures()) > GL2_ORBITS[5]
 
 
-def test_swapped_a5_keeps_no_galois_symmetry(all_orbits):
+def test_a_table_with_no_symmetry_searches_once(monkeypatch):
+    table = broken_gl2_5()
+    searches = []
+    search = chartab._row_symmetries
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+    monkeypatch.setattr(chartab, "_row_symmetries", counting)
+    want = gl2_verify(table).entries
+    assert gl2_verify(table).entries == want
+    assert len(searches) == 1
+    assert table.gram_rows._forms["orbits"] is None
+
+
+def test_swapped_a5_keeps_no_galois_symmetry(all_orbits, monkeypatch):
     table = swapped_a5()
     keys = table.gram_rows.field_keys()
     assert keys.galois(2) is not None  # every value still has its image
-    assert chartab._row_symmetries(table.gram_rows, False) == []
+    monkeypatch.setattr(chartab, "_TWIST_TRIES", 0)
+    assert chartab._row_symmetries(table.gram_rows) == []
 
 
 def _mutated(table, rng):
@@ -287,9 +314,22 @@ def test_field_keys_merge_one_value_stored_at_two_orders():
     assert keys.n == 48 and keys.ids == [0, 0, 1, 2]
     assert keys.find(zeta(3, 1) * zeta(6, 1) * zeta(6, 1).conjugate() * zeta(2)) is None
     assert keys.galois(5) is None  # zeta_48^5 is not in the pool
-    assert keys.unit(0) and keys.unit(1) and keys.unit(2)
+    assert [keys.root(x) for x in range(3)] == [(1, 8), (1, 1), (1, 0)]
     assert keys.times(1, [0, 1, 2]) == {0: None, 1: None, 2: 1}
     assert keys.times(1, [2]) == {0: None, 1: None, 2: 1}
+
+
+def test_field_keys_read_signed_roots():
+    # N = 12: -1 and i are powers of zeta_12
+    keys = FieldKeys([zeta(12, 5), -one(), zeta(4), (3 + 4 * zeta(4)) / 5, 2 * zeta(12), zero()])
+    assert keys.n == 12
+    assert [keys.root(x) for x in range(6)] == [(1, 5), (1, 6), (1, 3), None, None, None]
+    # N = 15: -1 is not, and is read with the sign
+    keys = FieldKeys([zeta(15, 2), -one(), -zeta(15, 4), 2 * zeta(15), zero(), one()])
+    assert keys.n == 15
+    assert [keys.root(x) for x in range(6)] == [(1, 2), (-1, 0), (-1, 4), None, None, (1, 0)]
+    # a twist by -1 moves signs: -1 * -zeta_15^4 is not in the pool, -1 * -1 is 1
+    assert keys.times(1, [1, 2]) == {1: 5, 2: None}
 
 
 # -- rows of the table read through its pool -----------------------------------------
