@@ -41,8 +41,9 @@ from array import array
 from fractions import Fraction
 from math import lcm
 
-from .exact import (Cyclotomic, GramRows, cyc, cyclotomic_from_json, cyclotomic_to_json,
-                    euler_phi, hermitian_gram, one, unit_generators, zero, zeta)
+from .exact import (Cyclotomic, FieldKeys, GramRows, cyc, cyclotomic_from_json,
+                    cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
+                    zeta)
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -298,8 +299,8 @@ _TWIST_TRIES = 3
 # search costs more than it saves (GL2(F_3), A4 and D8 measured)
 ORBIT_ROWS = 10
 # the most coordinates, phi(N) for each pool value, that the search may
-# hold in its FieldKeys (GL2(F_31) needs 264192); past it, as for values
-# of two large prime orders, every pair is computed
+# hold in its FieldKeys, which live for the search only (GL2(F_31) needs
+# 264192); past it, as for two large prime orders, every pair is computed
 KEY_COORDINATES = 1 << 22
 
 
@@ -318,7 +319,7 @@ def _row_symmetries(operand):
     row, or _TWIST_TRIES of them have failed. Rows are compared as tuples
     of FieldKeys ids, so every map is checked exactly and none is
     assumed."""
-    keys = operand.field_keys()
+    keys = FieldKeys(operand.pool)
     ids = keys.ids
     rows = [tuple(map(ids.__getitem__, row)) for row in operand.index]
     where = {}

@@ -134,6 +134,8 @@ def cmd_chartab_decompose(args):
         f = chartab.regular_character(g)
     elif args.permutation:
         f = chartab.permutation_character(g)
+    elif args.values is None:
+        raise ValueError("pass --values, --regular or --permutation")
     else:
         vals = [parse_rational(x) for x in args.values.split(",")]
         if len(vals) != len(g.classes):
@@ -566,7 +568,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

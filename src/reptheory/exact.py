@@ -26,11 +26,13 @@ GramRows, the one place where values are interned: built from rows of
 values, a GramRows holds each distinct value once in a pool, keyed on the
 stored (order, numerators, denominator), and each row as indices into it.
 The kernel reads every operand, at every order, through one row store
-(GramRows.rows): it converts each pool entry once, into integers or
-sparse roots of unity (two roots where that is shorter), makes a row
-when a call first reads it and keeps it in the operand, accumulates
-integer sums of roots of unity and reduces once per entry. An operand
-made for one call is freed with it.
+(GramRows.rows). An operand is one object: it converts each pool entry
+once, into integers or sparse roots of unity (two roots where that is
+shorter), and makes a row when a call first reads it and keeps it. A
+table's columns share only the pool and its rows' two-root forms, the
+one costly conversion. The kernel accumulates integer sums of roots of
+unity and reduces once per entry. An operand made for one call is freed
+with it.
 """
 
 from __future__ import annotations
@@ -540,60 +542,12 @@ def _root_terms(v, coords, n, sign, shift, den):
     return [(i * step % n - shift, c * f) for i, c in coords]
 
 
-class _Pooled:
-    """What every operand over one pool shares: the pool, its lcm order
-    and its common denominator, and each conversion of its entries: `ints`,
-    the numerators over den of a rational pool (integers), and, made entry
-    by entry as rows ask for them (value_terms), `sparse`, per entry its
-    two-root form or its nonzero coordinates, and `terms`, per
-    (n, sign, shift) the root terms of each entry; and `keys`, the pool's
-    FieldKeys."""
-
-    __slots__ = ("pool", "order", "den", "ints", "sparse", "terms", "keys")
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.order = lcm(*{v.order for v in pool})
-        self.den = lcm(*{v.den for v in pool})
-        self.ints = None
-        self.sparse = [None] * len(pool)
-        self.terms = {}
-        self.keys = None
-
-    def integers(self):
-        """The value of each entry of a pool of order 1 as an integer over
-        den, made once."""
-        if self.ints is None:
-            self.ints = [v.num[0] * (self.den // v.den) for v in self.pool]
-        return self.ints
-
-    def value_terms(self, n, sign, shift, rows):
-        """The terms of _root_terms over den for every entry, as a list with
-        the entries of these rows (lists of pool indices) filled in. An
-        entry is converted once, to its two-root form where that is shorter
-        than its nonzero coordinates (_two_roots, a search over the roots of
-        its order), and mapped once to each (n, sign, shift)."""
-        terms = self.terms.get((n, sign, shift))
-        if terms is None:
-            terms = self.terms[n, sign, shift] = [None] * len(self.pool)
-        for row in rows:
-            for x in row:
-                if terms[x] is None:
-                    v, coords = self.pool[x], self.sparse[x]
-                    if coords is None:
-                        coords = [(i, c) for i, c in enumerate(v.num) if c]
-                        if len(coords) > 2:
-                            coords = _two_roots(v) or coords
-                        self.sparse[x] = coords
-                    terms[x] = _root_terms(v, coords, n, sign, shift, self.den)
-        return terms
-
-
 class GramRows:
     """Rows of Cyclotomics as hermitian_gram reads them, interned: `pool`
     holds each distinct value once, in the order first met, and
     `index[r][c]` is the pool index of row r at class c. This is the one
-    place where values are interned.
+    place where values are interned; `order` and `den` are the lcm of the
+    pool's orders and of its denominators.
 
     A value is keyed on its stored form (order, numerators, denominator),
     which is one key per value at a fixed order and needs no reduced(). A
@@ -604,15 +558,17 @@ class GramRows:
     its row is read.
 
     The kernel reads an operand's rows in one way (rows): integers over
-    the pool's one denominator when every order is 1, and otherwise root
-    terms at the lcm N of both operands' orders. Only the rows a call
-    reads are made; an operand keeps each form it makes and adds rows to
-    it as later calls read them, so a table's values are converted once
-    however often it is used, and an operand made for one call is freed
-    with it. An operand and its transpose share each entry's conversions
-    (_Pooled)."""
+    den when every order is 1, and otherwise root terms at the lcm N of
+    both operands' orders. An operand converts its pool itself, entry by
+    entry as rows ask for them: `_ints`, the integers of a rational pool,
+    `_sparse`, per entry its two-root form or its nonzero coordinates, and
+    `_terms`, per (n, sign, shift) the root terms of each entry. Only the
+    rows a call reads are made; an operand keeps each form it makes
+    (`_forms`) and adds rows to it as later calls read them, so a table's
+    values are converted once however often it is used, and an operand
+    made for one call is freed with it."""
 
-    __slots__ = ("pool", "index", "order", "_pooled", "_forms")
+    __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms")
 
     def __init__(self, rows):
         pool, where, index = [], {}, []
@@ -628,28 +584,21 @@ class GramRows:
                         pool.append(v)
                 indices.append(x)
             index.append(indices)
-        self._share(_Pooled(pool), index)
-
-    def _share(self, pooled, index):
-        self.pool = pooled.pool
-        self.index = index
-        self.order = pooled.order
-        self._pooled = pooled
-        self._forms = {}
+        self.pool, self.index = pool, index
+        self.order = lcm(*{v.order for v in pool})
+        self.den = lcm(*{v.den for v in pool})
+        self._ints, self._sparse, self._terms, self._forms = None, [None] * len(pool), {}, {}
 
     def transposed(self, width):
-        """The columns of these rows, `width` entries to a row, over the same
-        pool and its conversions."""
+        """The columns of these rows, `width` entries to a row: an operand
+        over the same pool object that shares the rows' `_sparse` list, so
+        that no entry's two-root form is searched for twice, and makes its
+        own integers, terms and forms."""
         columns = GramRows.__new__(GramRows)
-        columns._share(self._pooled, tuple(zip(*self.index)) if self.index else ((),) * width)
+        columns.pool, columns.order, columns.den = self.pool, self.order, self.den
+        columns.index = tuple(zip(*self.index)) if self.index else ((),) * width
+        columns._ints, columns._sparse, columns._terms, columns._forms = None, self._sparse, {}, {}
         return columns
-
-    def field_keys(self):
-        """The FieldKeys of the pool, made once."""
-        pooled = self._pooled
-        if pooled.keys is None:
-            pooled.keys = FieldKeys(self.pool)
-        return pooled.keys
 
     def form(self, key, make):
         """make(), made once and kept under key, None too."""
@@ -659,27 +608,42 @@ class GramRows:
 
     def rows(self, n, sign, shift, weights, wanted):
         """A dict that maps each row r in wanted to row r times weights,
-        weights[c] at class c. At n = 1 row r is a list of integers over the
-        pool's den (_Pooled.integers). Otherwise it is (the classes where
-        row r is nonzero, terms, the lcm of the row's orders): row r at
-        class c is the sum of k * zeta_n^e over den for (e, k) in terms[c];
-        sign and shift as in _root_terms, from the pool's conversions
-        (value_terms), each (value, weight) pair multiplied out once. Only
-        the rows asked for, by any iterable, are made, and kept under
+        weights[c] at class c. At n = 1 row r is a list of integers over
+        den. Otherwise it is (the classes where row r is nonzero, terms, the
+        lcm of the row's orders): row r at class c is the sum of
+        k * zeta_n^e over den for (e, k) in terms[c], sign and shift as in
+        _root_terms, each (value, weight) pair multiplied out once. An entry
+        is converted once, to its two-root form where that is shorter than
+        its nonzero coordinates (_two_roots, a search over the roots of its
+        order), and mapped once to each (n, sign, shift). Only the rows
+        asked for, by any iterable, are made, and kept under
         (n, sign, shift, weights)."""
         rows, weighted = self._forms.setdefault((n, sign, shift, weights), ({}, {}))
         missing = set(wanted).difference(rows) if len(rows) < len(self.index) else ()
         if not missing:
             return rows
-        pool, index = self.pool, self.index
+        pool, index, den = self.pool, self.index, self.den
         if n == 1:
-            read = self._pooled.integers().__getitem__
+            if self._ints is None:
+                self._ints = [v.num[0] * (den // v.den) for v in pool]
+            read = self._ints.__getitem__
             for r in missing:
                 row = map(read, index[r])
                 rows[r] = list(row if weights is None else map(mul, row, weights))
             return rows
-        terms = self._pooled.value_terms(n, sign, shift, [index[r] for r in missing])
+        terms, sparse = self._terms.get((n, sign, shift)), self._sparse
+        if terms is None:
+            terms = self._terms[n, sign, shift] = [None] * len(pool)
         for r in missing:
+            for x in index[r]:
+                if terms[x] is None:
+                    v, coords = pool[x], sparse[x]
+                    if coords is None:
+                        coords = [(i, c) for i, c in enumerate(v.num) if c]
+                        if len(coords) > 2:
+                            coords = _two_roots(v) or coords
+                        sparse[x] = coords
+                    terms[x] = _root_terms(v, coords, n, sign, shift, den)
             ts = [terms[x] for x in index[r]]
             if weights is not None:
                 for c, (x, w) in enumerate(zip(index[r], weights)):
@@ -832,7 +796,7 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     # exponents of b in [-n, 0), so that ea + eb indexes a length-n list
     # modulo n, as Python's negative indices do
     b = right.rows(n, -1 if conjugate else 1, n, None, map(itemgetter(1), pairs))
-    d = left._pooled.den * right._pooled.den * scale
+    d = left.den * right.den * scale
     if n == 1:
         sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
         return [Cyclotomic(1, (s,), d) if s else _ZERO for s in sums]

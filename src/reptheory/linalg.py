@@ -275,7 +275,10 @@ def parse_rational(s):
     from ASCII text only: Fraction itself reads any Unicode decimal digit."""
     if not s.isascii():
         raise ValueError(f"not a rational: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _parse_ratio(s):
@@ -286,7 +289,7 @@ def _parse_ratio(s):
         raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
     p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
-        raise ZeroDivisionError(f"zero denominator in {s!r}")
+        raise ValueError(f"zero denominator in {s!r}")
     return (p, q) if q > 0 else (-p, -q)
 
 

@@ -80,15 +80,14 @@ def cycle_lengths(p):
     return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
-def cycle_notation(p, one_based=True):
-    shift = 1 if one_based else 0
+def cycle_notation(p):
     parts = []
     for c in cycles(p):
         if len(c) > 1:
             m = min(c)
             k = c.index(m)
             rotated = c[k:] + c[:k]
-            parts.append("(" + "".join(str(x + shift) for x in rotated) + ")")
+            parts.append("(" + "".join(str(x + 1) for x in rotated) + ")")
     return "".join(parts) if parts else "Id"
 
 
@@ -132,6 +131,8 @@ class ConjugacyClass:
 # builds is D100, the regular action of dihedral_semidirect(100) on its 200
 # elements; no named group or table needs more points.
 MAX_DEGREE = 200
+# the most elements a PermGroup enumerates before it stops (EnumerationBound)
+MAX_ELEMENTS = 200000
 
 
 class PermGroup:
@@ -142,7 +143,7 @@ class PermGroup:
     representative), so the identity class is always class 0.
     """
 
-    def __init__(self, degree, generators, bound=200000):
+    def __init__(self, degree, generators):
         if not 0 <= degree <= MAX_DEGREE:
             raise ValueError(f"a permutation group has degree 0 to {MAX_DEGREE}, got {degree}")
         self.degree = degree
@@ -171,9 +172,9 @@ class PermGroup:
                         elements.append(y)
                         parent.append((xi, gi))
                         nxt.append(y)
-                        if len(elements) > bound:
+                        if len(elements) > MAX_ELEMENTS:
                             raise EnumerationBound(
-                                f"group enumeration exceeded bound {bound}")
+                                f"group enumeration exceeded bound {MAX_ELEMENTS}")
             frontier = nxt
         self.elements = tuple(elements)
         self.index = index

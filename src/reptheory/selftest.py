@@ -559,4 +559,6 @@ def run_all(seed=0, only=None):
             detail = f"{type(exc).__name__}: {exc}"
             ok = False
         results.append(Result(number, title, ok, detail, time.time() - t0))
+    if not results:
+        raise ValueError(f"no criterion {only}; criteria are 1 to {len(CRITERIA)}")
     return results

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory import chartab, permgroup, symgrp
+from reptheory import chartab, permgroup, selftest, symgrp
 from reptheory.cli import _get_table, build_parser, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
@@ -896,6 +896,48 @@ def test_command_line_rationals_are_ascii(optimize):
     assert points == [0, "13/6\n", ""]
     assert values == [0, "C+: 0\nC-: 0\nC2: 1\n", ""]
 
+
+# input that is missing or bad, and its one-line error: a ValueError, never
+# an assert, so python -O reports it too
+TYPED_INPUT_ERRORS = [
+    (["chartab", "decompose", "S3"], "pass --values, --regular or --permutation"),
+    *[(["selftest", "--criterion", n],
+       f"no criterion {n}; criteria are 1 to {len(selftest.CRITERIA)}") for n in ("99", "0", "-1")],
+    (["schur", "eval", "--lambda", "1", "--points", "1/0"], "zero denominator in '1/0'"),
+    (["schur", "dim", "--lambda", "1", "--vars", "2", "--z", "1/0"], "zero denominator in '1/0'"),
+    (["chartab", "decompose", "S3", "--values", "1/0,1,1"], "zero denominator in '1/0'"),
+]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_bad_input_is_a_typed_error(tmp_path, optimize):
+    table = _s3_table()
+    table["rows"][1]["values"][2]["coeffs"] = ["1/0"]
+    rep = {"quiver": {"vertices": 2, "arrows": [[0, 1]]}, "dims": [1, 1],
+           "maps": [{"rows": 1, "cols": 1, "entries": [["1/0"]]}]}
+    files = []
+    for name, blob, command in [("table", table, ["chartab", "show", "--file"]),
+                                ("rep", rep, ["quiver", "decompose", "--rep"])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        files += [(["roundtrip", str(path)], "zero denominator in '1/0'"),
+                  ([*command, str(path)], "zero denominator in '1/0'")]
+    cases = TYPED_INPUT_ERRORS + files
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT,
+                           json.dumps([argv for argv, _ in cases])],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for (argv, error), got in zip(cases, json.loads(proc.stdout)):
+        assert got == [1, "", f"error: {error}\n"], argv
+
+
+def test_an_internal_zero_division_is_not_an_input_error(capsys, monkeypatch):
+    def broken(group):
+        return 1 // 0
+    monkeypatch.setattr(chartab, "regular_character", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["chartab", "decompose", "S3", "--regular"])
 
 # `semidirect table dn --n N` takes the range of the names D<n>, with the
 # same message

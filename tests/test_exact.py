@@ -244,8 +244,10 @@ def reference_reduced(a):
 
 def reference_rational_from_str(s):
     if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
+        p, q = map(int, s.split("/"))
+        if q == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(p, q)
     return Fraction(int(s))
 
 

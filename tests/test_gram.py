@@ -570,24 +570,19 @@ def test_pool_holds_each_table_value_once(name):
 def test_a_table_converts_its_values_once(name, monkeypatch):
     table = GRAM_TABLES[name]()
     converted = []
-    integers, value_terms = exact._Pooled.integers, exact._Pooled.value_terms
+    rows = GramRows.rows
 
-    def counting_integers(pooled):
-        first = pooled.ints is None
-        ints = integers(pooled)
-        if pooled.pool is table.pool and first:
-            converted.append(len(ints))
-        return ints
+    def filled(operand):
+        return len(operand._ints or ()) + sum(t is not None for terms in operand._terms.values()
+                                              for t in terms)
 
-    def counting_terms(pooled, n, sign, shift, rows):
-        before = sum(t is not None for t in pooled.terms.get((n, sign, shift), ()))
-        terms = value_terms(pooled, n, sign, shift, rows)
-        filled = sum(t is not None for t in terms) - before
-        if pooled.pool is table.pool and filled:
-            converted.append(filled)
-        return terms
-    monkeypatch.setattr(exact._Pooled, "integers", counting_integers)
-    monkeypatch.setattr(exact._Pooled, "value_terms", counting_terms)
+    def counting_rows(operand, *args):
+        before = filled(operand)
+        out = rows(operand, *args)
+        if operand.pool is table.pool and filled(operand) > before:
+            converted.append(filled(operand) - before)
+        return out
+    monkeypatch.setattr(GramRows, "rows", counting_rows)
     tensor_multiplicities(table, 1, 2)
     verify_table(table)
     assert converted
@@ -596,6 +591,30 @@ def test_a_table_converts_its_values_once(name, monkeypatch):
     tensor_multiplicities(table, 2, 3)
     verify_table(table)
     assert converted == []
+
+
+def test_columns_reuse_the_rows_two_root_forms(monkeypatch):
+    table = gl2_table(7)
+    long = [v for v in table.pool if sum(map(bool, v.num)) > 2]
+    assert len(long) == 10
+    searched = []
+
+    def counting(v):
+        if any(v is u for u in table.pool):
+            searched.append(v)
+        return _two_roots(v)
+    monkeypatch.setattr(exact, "_two_roots", counting)
+    # decompose reads the rows and then the columns
+    f = chartab.regular_character(table.group)
+    decompose(f, table)
+    verify_table(table)
+    assert table._gram_columns is not None
+    # one search per long entry, none for the columns
+    assert sorted(map(id, searched)) == sorted(map(id, long))
+    searched.clear()
+    decompose(f, table)
+    verify_table(table)
+    assert searched == []
 
 
 def _held_rows(operand):

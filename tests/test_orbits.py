@@ -8,6 +8,7 @@ to 1 so that small tables take the orbit path too.
 """
 
 import copy
+import gc
 import json
 import os
 import random
@@ -194,9 +195,17 @@ def test_a_table_with_no_symmetry_searches_once(monkeypatch):
     assert table.gram_rows._forms["orbits"] is None
 
 
+def test_the_orbit_search_keeps_no_field_keys():
+    table = gl2_table(7)
+    assert gl2_verify(table).ok
+    gc.collect()
+    assert not any(isinstance(x, FieldKeys) for x in gc.get_objects())
+    assert table.gram_rows._forms["orbits"] is not None
+
+
 def test_swapped_a5_keeps_no_galois_symmetry(all_orbits, monkeypatch):
     table = swapped_a5()
-    keys = table.gram_rows.field_keys()
+    keys = FieldKeys(table.gram_rows.pool)
     assert keys.galois(2) is not None  # every value still has its image
     monkeypatch.setattr(chartab, "_TWIST_TRIES", 0)
     assert chartab._row_symmetries(table.gram_rows) == []

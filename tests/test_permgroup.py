@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptheory import permgroup
 from reptheory.chartab import dihedral_semidirect, heisenberg_semidirect
 from reptheory.permgroup import (EnumerationBound, PermGroup, alternating_group,
                                  builtin_group, cycle_lengths, cycle_notation,
@@ -149,9 +150,10 @@ def test_involution_counts():
     assert alternating_group(5).involution_count() == 16
 
 
-def test_enumeration_bound():
+def test_enumeration_bound(monkeypatch):
+    monkeypatch.setattr(permgroup, "MAX_ELEMENTS", 100)
     with pytest.raises(EnumerationBound):
-        PermGroup(6, symmetric_group(6).generators, bound=100)
+        PermGroup(6, symmetric_group(6).generators)
 
 
 def test_extend_hom():
