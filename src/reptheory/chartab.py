@@ -243,8 +243,9 @@ def decompose(f, table):
     g = f.group
     if g is not table.group:
         raise ValueError("class functions live on different groups")
-    pairs = [(0, i) for i in range(len(table.rows))]
-    mults = hermitian_gram([f.values], table.gram_rows, pairs, class_sizes(g), g.order)
+    a, i = table._operand(f.values)
+    pairs = [(0, k) for k in range(len(table.rows))]
+    mults = hermitian_gram(a, table.gram_rows, [(i, k) for _, k in pairs], class_sizes(g), g.order)
     # sum_i m_i chi_i(c), one entry per class c
     if hermitian_gram([mults], table.gram_columns, pairs, conjugate=False) != list(f.values):
         raise ValueError("reconstruction failed: table is not orthonormal")
@@ -513,7 +514,8 @@ def induce(sub, f):
 def transfer_table(table, group):
     """The rows of `table` carried over to an isomorphic `group`, each class
     of `group` matched to the class of the table's group with the same
-    element order and size; ValueError where that match is not unique."""
+    element order and size; ValueError unless that matching is one to one,
+    which, as matched classes have equal sizes, makes the orders equal."""
     by_key = {}
     for i, c in enumerate(table.classes):
         by_key.setdefault((c.element_order, c.size), []).append(i)
@@ -524,6 +526,9 @@ def transfer_table(table, group):
             raise ValueError(f"{'ambiguous' if match else 'no'} class matching: {len(match)} classes "
                              f"of element order {cl.element_order} and size {cl.size}")
         columns.append(match[0])
+    if sorted(columns) != list(range(len(table.classes))):
+        raise ValueError(f"class matching is not one to one: the group's {len(group.classes)} classes "
+                         f"land on {len(set(columns))} of the table's {len(table.classes)}")
     rows = [TableRow(row.name, row.degree, ClassFunction(group, [row.values[i] for i in columns]))
             for row in table.rows]
     return CharacterTable(group, rows, name=table.name)

@@ -346,7 +346,7 @@ class Cyclotomic:
         while len(columns) < len(self.num):
             columns.append(_fold([0, *columns[-1]], n))
         rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*columns))]
-        _, d, _ = gauss_jordan(rows, len(columns))
+        d = gauss_jordan(rows, len(columns))[1][-1]
         return Cyclotomic(n, [self.den * row[-1] for row in rows], d)
 
     def __truediv__(self, other):

@@ -6,9 +6,9 @@ time in quiver representations.
 
 One elimination kernel, gauss_jordan, does every elimination in the
 package: rref, rank, inverse, det (and with it the alternants of
-symgrp.schur_eval), the null vectors behind the reflection functors of
-quiverrep and the null root of rootsys, and the inverse of a cyclotomic,
-exact.Cyclotomic.inverse. It is fraction-free
+symgrp.schur_eval), the primitive null vectors behind the reflection
+functors of quiverrep and the null root of rootsys, the classification of
+a Cartan form in rootsys, and exact.Cyclotomic.inverse. It is fraction-free
 Gauss-Jordan elimination after Bareiss (1968): every intermediate entry
 is a minor of the input, so on integer rows each division is exact and
 no Fraction is built inside the loop. A rational caller scales each row
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, floordiv, mul, sub
 
 _ZERO = Fraction(0)
@@ -141,12 +141,13 @@ def gauss_jordan(rows, ncols):
     inversion per pivot. At the end each pivot row is d times its reduced
     row echelon row, where d is the last pivot (1 if there is none), so
     every pivot entry equals d; the rows past the rank are zero on the
-    first ncols columns. On a square matrix of full rank, d is the
-    determinant up to the sign of the row swaps.
-    Returns (pivot columns, d, parity of the row swaps)."""
+    first ncols columns. With no row swapped and the pivots in columns
+    0, 1, ..., the k-th pivot is the leading principal minor of order k;
+    on a square matrix of full rank, d is the determinant times (-1)^swaps.
+    Returns (pivot columns, minors = [1, pivot 1, pivot 2, ...], swaps)."""
     integral = all(type(x) is int for row in rows for x in row)
     scale, prev = (floordiv, 1) if integral else (mul, _ONE)  # ints never become floats
-    pivots = []
+    pivots, minors = [], [prev]
     swaps = r = 0
     for c in range(ncols):
         if r == len(rows):
@@ -165,9 +166,10 @@ def gauss_jordan(rows, ncols):
             if i != r and (f != 0 or p != prev):
                 rows[i] = [scale(p * x - f * y, by) for x, y in zip(row, top)]
         pivots.append(c)
+        minors.append(p)
         prev = p
         r += 1
-    return pivots, prev, swaps % 2
+    return pivots, minors, swaps
 
 
 def _integer_rows(rows):
@@ -184,8 +186,8 @@ def _integer_rows(rows):
 def rref(m):
     """Reduced row echelon form with exact pivots; returns (echelon, pivot columns)."""
     rows = _integer_rows(m.entries)[0]
-    pivots, d, _ = gauss_jordan(rows, m.cols)
-    echelon = [[Fraction(x, d) if x else _ZERO for x in row] for row in rows[:len(pivots)]]
+    pivots, minors, _ = gauss_jordan(rows, m.cols)
+    echelon = [[Fraction(x, minors[-1]) if x else _ZERO for x in row] for row in rows[:len(pivots)]]
     echelon += [[_ZERO] * m.cols] * (m.rows - len(pivots))
     return Matrix(m.rows, m.cols, echelon), tuple(pivots)
 
@@ -197,19 +199,20 @@ def rank(m):
 
 def integer_null_vectors(rows, ncols):
     """A basis of the null space of rows, a list of lists of ints, which
-    gauss_jordan eliminates in place. Each pivot row is d times its rref
-    row, so for each free column f the vector d e_f - sum_i rows[i][f] e_{p_i}
-    over the pivots p_i is an integer null vector: d times the rref null
-    vector e_f - sum_i rref[i][f] e_{p_i}. Returns (vectors, d)."""
-    pivots, d, _ = gauss_jordan(rows, ncols)
+    gauss_jordan eliminates in place: for each free column f, the rref null
+    vector e_f - sum_i rref[i][f] e_{p_i} over the pivots p_i, cleared of
+    denominators. Each pivot row is d times its rref row, so that is
+    d e_f - sum_i rows[i][f] e_{p_i} over its gcd, signed so that v_f > 0."""
+    pivots, minors, _ = gauss_jordan(rows, ncols)
     out = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
-        v[f] = d
+        v[f] = minors[-1]
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
-        out.append(v)
-    return out, d
+        g = gcd(*v) if v[f] > 0 else -gcd(*v)
+        out.append([x // g for x in v])
+    return out
 
 
 def det(m):
@@ -225,10 +228,10 @@ def det(m):
         raise ValueError("determinant of a non-square matrix")
     rational = all(isinstance(x, (int, Fraction)) for row in m for x in row)
     rows, scale = _integer_rows(m) if rational else ([list(row) for row in m], 1)
-    pivots, d, odd = gauss_jordan(rows, len(m))
+    pivots, minors, swaps = gauss_jordan(rows, len(m))
     if len(pivots) < len(m):
         return _ZERO
-    d = -d if odd else d
+    d = -minors[-1] if swaps % 2 else minors[-1]
     return Fraction(d, scale) if rational else d
 
 
@@ -240,10 +243,10 @@ def inverse(m):
     n = m.rows
     rows, _ = _integer_rows([row + tuple(_ONE if c == r else _ZERO for c in range(n))
                              for r, row in enumerate(m.entries)])
-    pivots, d, _ = gauss_jordan(rows, n)
+    pivots, minors, _ = gauss_jordan(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return Matrix(n, n, [[Fraction(x, d) for x in row[n:]] for row in rows])
+    return Matrix(n, n, [[Fraction(x, minors[-1]) for x in row[n:]] for row in rows])
 
 
 # -- serialization ----------------------------------------------------

@@ -12,9 +12,9 @@ the decomposition by Krull-Schmidt uniqueness.
 The reflection functors of Bernstein, Gelfand and Ponomarev are one sink
 step (V_j becomes the kernel of the stacked incoming map) and one source
 step (V_i becomes the cokernel of the stacked outgoing map), in place on
-lists of int rows. Each takes its basis from integer_null_vectors, every
-vector divided by its gcd with its free coordinate positive: the rref
-null vector with its denominators cleared. decompose, Gabriel's
+lists of int rows. Each takes its basis from integer_null_vectors, whose
+vectors are primitive with their free coordinate positive: the rref null
+vector with its denominators cleared. decompose, Gabriel's
 enumeration and the public reflect_sink and reflect_source all go
 through them. The public functors clear denominators by one scalar per
 coordinate of V_i, a base change at i on any quiver; decompose by one
@@ -33,7 +33,7 @@ takes 7140). Only the representations returned become QuiverReps.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .linalg import Matrix
@@ -170,14 +170,6 @@ def hom_dim(a, b):
 
 # -- reflection functors ----------------------------------------------------
 
-def _null_basis(rows, ncols):
-    """A basis of the null space of rows (int rows, eliminated in place):
-    each integer_null_vectors vector divided by its gcd and signed so that
-    its free coordinate, d, becomes positive."""
-    vectors, d = linalg.integer_null_vectors(rows, ncols)
-    return [[x // g for x in v] for v in vectors for g in (gcd(*v) if d > 0 else -gcd(*v),)]
-
-
 def _sink_step(dims, arrows, maps, j):
     """Reflection at the sink j, in place on int rows: V_j becomes the
     kernel of the stacked incoming map phi, the arrows into j turn round,
@@ -187,7 +179,7 @@ def _sink_step(dims, arrows, maps, j):
     into = [k for k, (_, t) in enumerate(arrows) if t == j]
     width = sum(dims[arrows[k][0]] for k in into)
     phi = [[x for k in into for x in maps[k][r]] for r in range(dims[j])]
-    kernel = _null_basis(phi, width)
+    kernel = linalg.integer_null_vectors(phi, width)
     coker = dims[j] - width + len(kernel)
     offset = 0
     for k in into:
@@ -208,7 +200,7 @@ def _source_step(dims, arrows, maps, i):
     out = [k for k, (s, _) in enumerate(arrows) if s == i]
     height = sum(dims[arrows[k][1]] for k in out)
     psi_t = [[row[c] for k in out for row in maps[k]] for c in range(dims[i])]
-    proj = _null_basis(psi_t, height)
+    proj = linalg.integer_null_vectors(psi_t, height)
     offset = 0
     for k in out:
         t = arrows[k][1]
@@ -294,10 +286,11 @@ def _sink_sequence(q):
 
 
 def require_dynkin(q):
-    cls = classify(q.underlying_graph())
+    graph = q.underlying_graph()
+    cls = classify(graph)
     if cls.kind != "dynkin":
         raise QuiverError(f"not finite type: underlying graph is {cls.name}")
-    return cartan_matrix(q.underlying_graph())
+    return cartan_matrix(graph)
 
 
 def indecomposable_for_root(q, alpha):

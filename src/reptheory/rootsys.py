@@ -1,12 +1,11 @@
 """Graphs, Cartan matrices, ADE classification, roots, Weyl groups and
 Coxeter elements.
 
-Everything is integer arithmetic on tuples. Classification is decided by
-fraction-free symmetric elimination of the form 2*Id - R (Bareiss), which
-tells definite, semidefinite and indefinite apart in O(n^3). A diagram is
-named by its invariants, not by its shape: a Dynkin diagram by its
-determinant, an affine one by the largest coordinate of its primitive null
-root delta, read off the same elimination kernel. Root sets are
+Everything is integer arithmetic on tuples. One gauss_jordan pass on the
+form 2*Id - R tells definite, semidefinite and indefinite apart by its
+leading principal minors in O(n^3). A diagram is named by its invariants,
+not by its shape: a Dynkin diagram by its determinant, an affine one by
+the largest coordinate of its primitive null root delta. Root sets are
 the reflection closure of the simple roots. Weyl groups are counted by
 orbits of fundamental weights along the parabolic chain W_1 < ... < W_n,
 and enumerated as the orbit of rho, whose stabilizer is trivial.
@@ -14,9 +13,7 @@ and enumerated as the orbit of rho, whose stabilizer is trivial.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .linalg import det, integer_null_vectors
+from .linalg import det, gauss_jordan, integer_null_vectors
 
 
 class GraphError(ValueError):
@@ -109,31 +106,23 @@ def reflect(a, i, v):
     return tuple(v[j] - (b if j == i else 0) for j in range(len(v)))
 
 
-def _form_sign(a):
-    """1, 0 or -1 as the symmetric integer form a is positive definite,
-    positive semidefinite but singular, or indefinite. Fraction-free
-    symmetric elimination (Bareiss 1968) on positive diagonal pivots: a
-    negative pivot, or a zero pivot whose row is not zero, is indefinite;
-    a zero pivot with a zero row is dropped and makes the form singular."""
+def _definiteness(a):
+    """(sign, determinant) of the symmetric integer form a, off one
+    gauss_jordan pass: 1 if the n pivots are positive leading principal
+    minors (columns 0..n-1, no swap; Sylvester), 0 if the first n - 1 are
+    and the rank is n - 1, else -1: indefinite on a connected graph, as
+    every proper principal submatrix of an affine diagram is Dynkin."""
     n = len(a)
-    s = [list(row) for row in a]
-    prev, sign = 1, 1
-    for k in range(n):
-        p = s[k][k]
-        if p < 0 or (p == 0 and any(s[k][k + 1:])):
-            return -1
-        if p == 0:
-            sign = 0
-            continue
-        for i in range(k + 1, n):
-            f = s[i][k]
-            s[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(s[i][k + 1:], s[k][k + 1:])]
-        prev = p
-    return sign
+    pivots, minors, swaps = gauss_jordan([list(row) for row in a], n)
+    r = len(pivots)
+    leading = not swaps and pivots == list(range(r)) and all(m > 0 for m in minors)
+    if r < n:
+        return (0 if leading and r == n - 1 else -1), 0
+    return (1 if leading else -1), (-minors[-1] if swaps % 2 else minors[-1])
 
 
 def _require_definite(a):
-    if _form_sign(a) <= 0:
+    if _definiteness(a)[0] <= 0:
         raise GraphError("the form 2*Id - R is not positive definite: not a Dynkin diagram")
 
 
@@ -150,7 +139,7 @@ class Classification:
 
 
 def classify(graph):
-    """Decide by exact symmetric elimination whether the form 2*Id - R is
+    """Decide by one exact elimination whether the form 2*Id - R is
     positive definite (simply laced Dynkin: one of A_n, D_n, E6, E7, E8),
     positive semidefinite (affine) or indefinite, and name the diagram by
     its invariants. A definite connected graph is an ADE tree, named by its
@@ -162,18 +151,16 @@ def classify(graph):
     if not graph.is_connected():
         raise GraphError("classification requires a connected graph")
     a = cartan_matrix(graph)
-    full_det = det(a)
-    sign = _form_sign(a)
+    sign, d = _definiteness(a)
     n = graph.n
     if sign > 0:
-        name = f"A_{n}" if full_det == n + 1 else {4: f"D_{n}", 3: "E6", 2: "E7", 1: "E8"}[full_det]
-        return Classification("dynkin", name, full_det)
+        name = f"A_{n}" if d == n + 1 else {4: f"D_{n}", 3: "E6", 2: "E7", 1: "E8"}[d]
+        return Classification("dynkin", name, d)
     if sign < 0:
-        return Classification("indefinite", "indefinite", full_det)
-    (delta,), _ = integer_null_vectors([list(row) for row in a], n)
-    top = max(map(abs, delta)) // gcd(*delta)
-    name = {1: f"A~{n - 1}", 2: f"D~{n - 1}", 3: "E~6", 4: "E~7", 6: "E~8"}[top]
-    return Classification("affine", f"affine ({name})", full_det)
+        return Classification("indefinite", "indefinite", d)
+    (delta,) = integer_null_vectors([list(row) for row in a], n)
+    name = {1: f"A~{n - 1}", 2: f"D~{n - 1}", 3: "E~6", 4: "E~7", 6: "E~8"}[max(delta)]
+    return Classification("affine", f"affine ({name})", d)
 
 
 # -- named diagrams -------------------------------------------------------

@@ -229,15 +229,25 @@ def sn_table(n):
 
 # -- Schur polynomials ------------------------------------------------------
 
+# the alternants are N x N determinants of powers: N is bounded before any work
+MAX_VARIABLES = 32
+
+
+def _check_variable_count(nvars):
+    if nvars > MAX_VARIABLES:
+        raise ValueError(f"a Schur polynomial takes at most {MAX_VARIABLES} variables, got {nvars}")
+
+
 def schur_eval(lam, points):
     """Schur polynomial S_lambda at the given points, as the exact ratio
     of alternants det(x_i^(lambda_j + N - j)) / det(x_i^(N - j)).
 
     The points must be pairwise distinct (otherwise the Vandermonde
     denominator vanishes; use schur_special for the classical limits)."""
+    nvars = len(points)
+    _check_variable_count(nvars)
     lam = _check_partition(lam)
     pts = [cyc(p) for p in points]
-    nvars = len(pts)
     if nvars < len(lam):
         raise ValueError("need at least as many points as parts")
     # the Vandermonde determinant vanishes exactly when two points agree
@@ -254,6 +264,7 @@ def schur_special(lam, nvars, z=None):
     """Product-formula specializations: at the geometric point
     (1, z, ..., z^(N-1)) when z is given, and at the all-ones point
     otherwise (which returns the integer dimension)."""
+    _check_variable_count(nvars)
     lam = _check_partition(lam)
     if len(lam) > nvars:
         raise ValueError("partition has more parts than variables")

@@ -932,6 +932,41 @@ def test_bad_input_is_a_typed_error(tmp_path, optimize):
         assert got == [1, "", f"error: {error}\n"], argv
 
 
+# a --sub-name whose table is not of the subgroup, and a Schur polynomial
+# in more variables than symgrp.MAX_VARIABLES: typed errors, exit 1
+KLEIN_IN_S4 = ["chartab", "induce", "S4", "--sub", "1,0,2,3;0,1,3,2", "--row", "1"]
+SUBGROUP_AND_VARIABLE_ERRORS = [
+    (KLEIN_IN_S4 + ["--sub-name", "Z4"],
+     "class matching is not one to one: the group's 4 classes land on 2 of the table's 4"),
+    # |Q8| = 8 and |H| = 4: a one-to-one matching would make the orders equal
+    (KLEIN_IN_S4 + ["--sub-name", "Q8"],
+     "class matching is not one to one: the group's 4 classes land on 2 of the table's 5"),
+    (KLEIN_IN_S4 + ["--sub-name", "S3"], "no class matching: 0 classes of element order 2 and size 1"),
+    (["schur", "eval", "--lambda", "5,3,2,1", "--points", ",".join(map(str, range(1, 34)))],
+     "a Schur polynomial takes at most 32 variables, got 33"),
+    (["schur", "dim", "--lambda", "3,2,1", "--vars", "2000", "--z", "2"],
+     "a Schur polynomial takes at most 32 variables, got 2000"),
+    (["schur", "dim", "--lambda", "1", "--vars", "2000"],
+     "a Schur polynomial takes at most 32 variables, got 2000"),
+]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_subgroup_names_and_variable_counts_are_checked(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [argv for argv, _ in SUBGROUP_AND_VARIABLE_ERRORS] + [
+        KLEIN_IN_S4, ["schur", "dim", "--lambda", "3,2,1", "--vars", "32", "--z", "2"]]
+    proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    *bad, abelian, top = json.loads(proc.stdout)
+    for (argv, error), got in zip(SUBGROUP_AND_VARIABLE_ERRORS, bad):
+        assert got == [1, "", f"error: {error}\n"], argv
+    # the abelian subgroup's own dual table, and the top of the range
+    assert abelian == [0, "Ind chi1 = C3+ + C3-\n", ""]
+    assert top[0] == 0 and top[2] == ""
+
+
 def test_an_internal_zero_division_is_not_an_input_error(capsys, monkeypatch):
     def broken(group):
         return 1 // 0

@@ -571,7 +571,8 @@ def scan_projection(n, m):
     k = euler_phi(m)
     columns = [table[i * (n // m)] for i in range(k)]
     work = [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(columns)]
-    pivots, e, _ = gauss_jordan(work, len(columns[0]))
+    pivots, minors, _ = gauss_jordan(work, len(columns[0]))
+    e = minors[-1]
     scaled = [row[-k:] for row in work]
     g = gcd(e, *(x for row in scaled for x in row)) * (1 if e > 0 else -1)
     return (tuple(pivots), tuple(tuple(x // g for x in col) for col in zip(*scaled)),

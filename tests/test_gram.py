@@ -617,6 +617,25 @@ def test_columns_reuse_the_rows_two_root_forms(monkeypatch):
     assert searched == []
 
 
+def test_a_tables_own_row_is_not_searched_again(monkeypatch):
+    # decompose reads a class function whose values are a row's own tuple
+    # from the table's operand, as CharacterTable.inner_product does
+    table = gl2_table(7)
+    f = ClassFunction(table.group, table.rows[-1].values)
+    assert f.values is table.rows[-1].values
+    searched = []
+
+    def counting(v):
+        searched.append(v)
+        return _two_roots(v)
+    monkeypatch.setattr(exact, "_two_roots", counting)
+    decompose(f, table)
+    searched.clear()
+    mults = decompose(f, table)
+    assert searched == []
+    assert mults == [0] * (len(table.rows) - 1) + [1]
+
+
 def _held_rows(operand):
     """The rows each root form (n, sign, shift, weights), n > 1, of an
     operand holds, by sign: +1 for left operands, -1 for conjugated right

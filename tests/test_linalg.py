@@ -51,11 +51,16 @@ def test_rref_examples():
 
 def test_kernel_examples():
     # the fold map (id, id): k + k -> k
-    assert integer_null_vectors([[1, 1]], 2) == ([[-1, 1]], 1)
-    assert integer_null_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == ([], 1)
-    # d times the rref null vector (1/2, 1): d = 2
-    assert integer_null_vectors([[2, -1]], 2) == ([[1, 2]], 2)
-    assert integer_null_vectors([], 2) == ([[1, 0], [0, 1]], 1)
+    assert integer_null_vectors([[1, 1]], 2) == [[-1, 1]]
+    assert integer_null_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == []
+    # the rref null vector (1/2, 1) with its denominator cleared; the
+    # elimination gives d = 2 times it
+    assert integer_null_vectors([[2, -1]], 2) == [[1, 2]]
+    # d = 2 times (-2, 1), divided by the gcd 2
+    assert integer_null_vectors([[2, 4]], 2) == [[-2, 1]]
+    # d = -4 times (1/2, 1), divided by -2 so that the free coordinate is positive
+    assert integer_null_vectors([[-4, 2]], 2) == [[1, 2]]
+    assert integer_null_vectors([], 2) == [[1, 0], [0, 1]]
 
 
 def cokernel_projection(m):
@@ -73,8 +78,7 @@ def test_cokernel_projection_examples():
     assert cokernel_projection(Matrix.zeros(2, 0)) == Matrix.identity(2)
     assert cokernel_projection(Matrix.zeros(0, 2)) == Matrix.zeros(0, 0)
     # the source step itself, on int rows: psi^T = (-4, 2) has the rref null
-    # vector (1/2, 1); integer_null_vectors gives d = -4 times it, and the
-    # step divides by -2 so that the free coordinate is positive
+    # vector (1/2, 1), which integer_null_vectors gives as (1, 2)
     dims, arrows, maps = [1, 2], [(0, 1)], [[[-4], [2]]]
     _source_step(dims, arrows, maps, 0)
     assert (dims, arrows, maps) == ([1, 2], [(1, 0)], [[[1, 2]]])
@@ -84,10 +88,23 @@ def test_cokernel_projection_examples():
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity(m):
     rows = [[int(x) for x in row] for row in m.entries]
-    vectors, _ = integer_null_vectors(rows, m.cols)
+    vectors = integer_null_vectors(rows, m.cols)
     assert rank(m) + len(vectors) == m.cols
     if vectors:
         assert (m * Matrix(len(vectors), m.cols, vectors).transpose()).is_zero()
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_null_vectors_are_primitive_with_a_positive_free_coordinate(m):
+    vectors = integer_null_vectors([[int(x) for x in row] for row in m.entries], m.cols)
+    _, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    assert len(vectors) == len(free)
+    for v, f in zip(vectors, free):
+        assert all(type(x) is int for x in v) and reduce(gcd, v) == 1
+        # v is the rref null vector of f: positive at f, zero at the other free columns
+        assert v[f] > 0 and all(v[c] == 0 for c in free if c != f)
 
 
 @given(matrices())
@@ -236,21 +253,45 @@ def test_large_entries_match_the_oracles(m):
 
 
 def test_gauss_jordan_reports_pivots_values_and_swaps():
-    # fraction-free: each pivot row ends as d times its rref row, d the last pivot
+    # fraction-free: each pivot row ends as d times its rref row, d the last
+    # pivot; the minors are 1 and then each pivot, those of the swapped rows
     rows = [[0, 2, 4], [3, 1, 0]]
-    pivots, d, odd = gauss_jordan(rows, 2)
-    assert pivots == [0, 1] and d == 6 and odd == 1
+    pivots, minors, swaps = gauss_jordan(rows, 2)
+    assert pivots == [0, 1] and minors == [1, 3, 6] and swaps == 1
     assert rows == [[6, 0, -4], [0, 6, 12]]
     # integer input stays integer: never a float, never a Fraction
     assert all(type(x) is int for row in rows for x in row)
     # columns past ncols ride along unreduced
     rows = [[1, 5], [1, 7]]
-    assert gauss_jordan(rows, 1) == ([0], 1, 0) and rows == [[1, 5], [0, 2]]
+    assert gauss_jordan(rows, 1) == ([0], [1, 1], 0) and rows == [[1, 5], [0, 2]]
     # Cyclotomic rows divide with /; d is the determinant
     rows = [[zeta(5), 1], [0, zeta(5, 2)]]
-    pivots, d, odd = gauss_jordan(rows, 2)
-    assert pivots == [0, 1] and d == zeta(5, 3) and odd == 0
+    pivots, minors, swaps = gauss_jordan(rows, 2)
+    d = minors[-1]
+    assert pivots == [0, 1] and minors == [1, zeta(5), zeta(5, 3)] and swaps == 0
     assert rows == [[d, 0], [0, d]]
+    # with no swap and the pivots in order, the leading principal minors
+    assert gauss_jordan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3)[1] == [1, 2, 3, 4]
+    # the swaps are counted: two swaps have even parity, and the minors are
+    # then not the leading principal minors (here 0, -1, 0, 1)
+    rows = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    assert gauss_jordan(rows, 4) == ([0, 1, 2, 3], [1, 1, 1, 1, 1], 2)
+
+
+@given(matrices(max_dim=5))
+@settings(max_examples=80, deadline=None)
+def test_gauss_jordan_minors_are_the_minors_of_the_swapped_rows(m):
+    rows = [[int(x) for x in row] for row in m.entries]
+    pivots, minors, swaps = gauss_jordan([list(row) for row in rows], m.cols)
+    assert len(minors) == len(pivots) + 1 and minors[0] == 1
+    for k in range(1, len(pivots) + 1):
+        # the k-th pivot is, up to the order of the rows, a k x k minor on
+        # the first k pivot columns
+        assert any(abs(minors[k]) == abs(leibniz_det([[row[c] for c in pivots[:k]] for row in chosen]))
+                   for chosen in itertools.combinations(rows, k))
+    if not swaps and pivots == list(range(len(pivots))):
+        for k in range(1, len(pivots) + 1):
+            assert minors[k] == leibniz_det([row[:k] for row in rows[:k]])
 
 
 def leibniz_det(rows):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from reptheory.exact import cyclotomic_polynomial
 from reptheory.linalg import Matrix, det
-from reptheory.rootsys import (MAX_VERTICES, Graph, GraphError, affine_graph, bilinear,
-                               cartan_matrix, classify, coxeter_element,
+from reptheory.rootsys import (MAX_VERTICES, Graph, GraphError, _definiteness, affine_graph,
+                               bilinear, cartan_matrix, classify, coxeter_element,
                                cycle_graph, dynkin_graph, enumerate_roots,
                                graph_from_json, graph_to_json, path_graph,
                                reflect, roots_by_box_search, weyl_count,
@@ -444,6 +444,71 @@ def test_classify_matches_principal_minors():
             built = _constructed(c.name)
             assert sorted(map(sum, built.adjacency)) == sorted(map(sum, graph.adjacency)), (c.name, graph.adjacency)
     assert kinds == {"dynkin", "affine", "indefinite"}
+
+
+def _principal_minor(a, subset):
+    return det(Matrix(len(subset), len(subset), [[Fraction(a[i][j]) for j in subset] for i in subset]))
+
+
+def _random_symmetric(rng, n):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = rng.choice((0, 1, 2, 2, 2, 3))
+        for j in range(i):
+            a[i][j] = a[j][i] = rng.choice((0, 0, 0, -1, -1, -2, 1))
+    return a
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
+def test_definiteness_is_sylvesters_criterion():
+    # one elimination pass, against every leading principal minor, on
+    # random symmetric integer matrices and on block sums of two of them
+    rng = random.Random(27)
+    mats = [_random_symmetric(rng, rng.randint(1, 6)) for _ in range(300)]
+    mats += [_block_sum(_random_symmetric(rng, rng.randint(1, 3)), _random_symmetric(rng, rng.randint(1, 3)))
+             for _ in range(200)]
+    mats += [_block_sum(cartan_matrix(x), cartan_matrix(y)) for x, y in
+             [(path_graph(1), path_graph(1)), (affine_graph("A~1"), path_graph(1)),
+              (path_graph(2), affine_graph("A~2")), (dynkin_graph("D4"), dynkin_graph("E6"))]]
+    signs = set()
+    for a in mats:
+        n = len(a)
+        leading = [_principal_minor(a, list(range(k))) for k in range(1, n + 1)]
+        if all(m > 0 for m in leading):
+            want = 1
+        elif all(m > 0 for m in leading[:-1]) and leading[-1] == 0:
+            want = 0
+        else:
+            want = -1
+        sign, d = _definiteness(a)
+        assert (sign, d) == (want, leading[-1]) and type(d) is int, a
+        if sign == 0:
+            # semidefinite: every principal minor is nonnegative
+            assert all(_principal_minor(a, [i for i in range(n) if mask >> i & 1]) >= 0
+                       for mask in range(1, 1 << n)), a
+        signs.add(sign)
+    assert signs == {1, 0, -1}
+
+
+def test_roots_of_block_sums():
+    a1 = cartan_matrix(path_graph(1))
+    positive, negative = enumerate_roots(_block_sum(a1, a1))
+    assert positive == [(0, 1), (1, 0)] and negative == [(0, -1), (-1, 0)]
+    # A~1 + A1 is semidefinite, not definite, and has infinitely many roots
+    with pytest.raises(GraphError):
+        enumerate_roots(_block_sum(cartan_matrix(affine_graph("A~1")), a1))
+
+
+@pytest.mark.parametrize("graph", [dynkin_graph("E8"), path_graph(5), cycle_graph(4),
+                                   Graph.from_edges(3, [(0, 1, 3), (1, 2)])],
+                         ids=["E8", "A5", "A~3", "indefinite"])
+def test_determinant_is_an_int(graph):
+    d = classify(graph).determinant
+    assert type(d) is int and d == det(Matrix.from_rows(cartan_matrix(graph)))
 
 
 def test_large_classification_is_fast():

@@ -427,6 +427,18 @@ def test_power_sum_expansion():
                 assert power_sum_value(pts, t) == rhs
 
 
+def test_variable_count_is_bounded():
+    n = symgrp.MAX_VARIABLES
+    assert schur_special((1,), n) == n
+    assert schur_special((1,), n, z=2) == 2 ** n - 1
+    assert schur_eval((1,), range(1, n + 1)) == n * (n + 1) // 2
+    # the bound is checked first, before the points are compared
+    for call in (lambda: schur_eval((1,), [1] * (n + 1)), lambda: schur_special((1,), n + 1),
+                 lambda: schur_special((1,), n + 1, z=2)):
+        with pytest.raises(ValueError, match=f"at most {n} variables, got {n + 1}"):
+            call()
+
+
 def test_gl_dims():
     assert gl_dim((5, 0), 2) == 6
     assert gl_dim((1, 1, 1), 3) == 1
