@@ -255,11 +255,16 @@ def cmd_schur_dim(args):
 
 # -- quiver --------------------------------------------------------------------
 
+def _named_graph(name):
+    """The diagram a --type names: affine names carry a tilde (A~2, E~6)."""
+    return (rootsys.affine_graph if "~" in name else rootsys.dynkin_graph)(name)
+
+
 def _get_graph(args):
     if args.graph:
         return rootsys.graph_from_json(_load_json(args.graph))
     if args.type:
-        return rootsys.dynkin_graph(args.type)
+        return _named_graph(args.type)
     raise ValueError("pass --type or --graph")
 
 
@@ -279,8 +284,8 @@ def _get_quiver(args):
         n = max(max(a, b) for a, b in arrows) + 1
         return quiverrep.Quiver(n, arrows)
     if args.type:
-        g = rootsys.dynkin_graph(args.type)
-        return quiverrep.Quiver(g.n, [(i, j) for i, j, _ in g.edges()])
+        g = _named_graph(args.type)
+        return quiverrep.Quiver(g.n, [(i, j) for i, j, m in g.edges() for _ in range(m)])
     raise ValueError("pass --type, --arrows or --rep")
 
 

@@ -199,15 +199,22 @@ def rank(m):
 
 def integer_null_vectors(rows, ncols):
     """A basis of the null space of rows, a list of lists of ints, which
-    gauss_jordan eliminates in place: for each free column f, the rref null
-    vector e_f - sum_i rref[i][f] e_{p_i} over the pivots p_i, cleared of
-    denominators. Each pivot row is d times its rref row, so that is
-    d e_f - sum_i rows[i][f] e_{p_i} over its gcd, signed so that v_f > 0."""
+    gauss_jordan eliminates in place; read off by eliminated_null_vectors."""
     pivots, minors, _ = gauss_jordan(rows, ncols)
+    return eliminated_null_vectors(rows, ncols, pivots, minors[-1])
+
+
+def eliminated_null_vectors(rows, ncols, pivots, d):
+    """A basis of the null space of int rows that gauss_jordan has
+    eliminated, with these pivot columns and last pivot d: for each free
+    column f, the rref null vector e_f - sum_i rref[i][f] e_{p_i} over the
+    pivots p_i, cleared of denominators. Each pivot row is d times its rref
+    row, so that is d e_f - sum_i rows[i][f] e_{p_i} over its gcd, signed
+    so that v_f > 0."""
     out = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
-        v[f] = minors[-1]
+        v[f] = d
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
         g = gcd(*v) if v[f] > 0 else -gcd(*v)

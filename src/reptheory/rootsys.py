@@ -3,7 +3,8 @@ Coxeter elements.
 
 Everything is integer arithmetic on tuples. One gauss_jordan pass on the
 form 2*Id - R tells definite, semidefinite and indefinite apart by its
-leading principal minors in O(n^3). A diagram is named by its invariants,
+leading principal minors in O(n^3), and its eliminated rows give the
+null root of a semidefinite form. A diagram is named by its invariants,
 not by its shape: a Dynkin diagram by its determinant, an affine one by
 the largest coordinate of its primitive null root delta. Root sets are
 the reflection closure of the simple roots. Weyl groups are counted by
@@ -13,7 +14,7 @@ and enumerated as the orbit of rho, whose stabilizer is trivial.
 
 from __future__ import annotations
 
-from .linalg import det, gauss_jordan, integer_null_vectors
+from .linalg import det, eliminated_null_vectors, gauss_jordan
 
 
 class GraphError(ValueError):
@@ -107,18 +108,23 @@ def reflect(a, i, v):
 
 
 def _definiteness(a):
-    """(sign, determinant) of the symmetric integer form a, off one
-    gauss_jordan pass: 1 if the n pivots are positive leading principal
+    """(sign, determinant, delta) of the symmetric integer form a, off one
+    gauss_jordan pass: sign 1 if the n pivots are positive leading principal
     minors (columns 0..n-1, no swap; Sylvester), 0 if the first n - 1 are
     and the rank is n - 1, else -1: indefinite on a connected graph, as
-    every proper principal submatrix of an affine diagram is Dynkin."""
+    every proper principal submatrix of an affine diagram is Dynkin. At
+    sign 0, delta is the primitive null vector with delta_n > 0, read off
+    the same eliminated rows; otherwise it is None."""
     n = len(a)
-    pivots, minors, swaps = gauss_jordan([list(row) for row in a], n)
+    rows = [list(row) for row in a]
+    pivots, minors, swaps = gauss_jordan(rows, n)
     r = len(pivots)
     leading = not swaps and pivots == list(range(r)) and all(m > 0 for m in minors)
     if r < n:
-        return (0 if leading and r == n - 1 else -1), 0
-    return (1 if leading else -1), (-minors[-1] if swaps % 2 else minors[-1])
+        if leading and r == n - 1:
+            return 0, 0, eliminated_null_vectors(rows, n, pivots, minors[-1])[0]
+        return -1, 0, None
+    return (1 if leading else -1), (-minors[-1] if swaps % 2 else minors[-1]), None
 
 
 def _require_definite(a):
@@ -145,20 +151,19 @@ def classify(graph):
     its invariants. A definite connected graph is an ADE tree, named by its
     determinant: n + 1 for A_n (tested first, so A_3 is not D_3), then 4,
     3, 2, 1 for D_n, E6, E7, E8. A semidefinite one is an extended ADE
-    diagram, whose null space is spanned by the primitive null root delta;
-    its largest coordinate, 1, 2, 3, 4 or 6, names A~(n-1), D~(n-1), E~6,
-    E~7 or E~8."""
+    diagram, whose null space is spanned by the primitive null root delta,
+    read off the same elimination; its largest coordinate, 1, 2, 3, 4 or
+    6, names A~(n-1), D~(n-1), E~6, E~7 or E~8."""
     if not graph.is_connected():
         raise GraphError("classification requires a connected graph")
     a = cartan_matrix(graph)
-    sign, d = _definiteness(a)
+    sign, d, delta = _definiteness(a)
     n = graph.n
     if sign > 0:
         name = f"A_{n}" if d == n + 1 else {4: f"D_{n}", 3: "E6", 2: "E7", 1: "E8"}[d]
         return Classification("dynkin", name, d)
     if sign < 0:
         return Classification("indefinite", "indefinite", d)
-    (delta,) = integer_null_vectors([list(row) for row in a], n)
     name = {1: f"A~{n - 1}", 2: f"D~{n - 1}", 3: "E~6", 4: "E~7", 6: "E~8"}[max(delta)]
     return Classification("affine", f"affine ({name})", d)
 

@@ -4,13 +4,20 @@ the symmetric groups.
 Character values chi_{V_lambda}(t) come from the Murnaghan-Nakayama
 rule (Sagan, The Symmetric Group, 4.10): strip rim hooks of the lengths
 in t off lambda, each with the sign (-1)^(height), worked on beta-sets.
-Frobenius' formula, which the paper proves (chi_lambda(t) is the
-coefficient of x^(lambda+rho) in Delta(x) * prod_m H_m(x)^(i_m)), is kept
-in the test suite as the independent oracle. The permutation character
-of the Young module U_lambda is a coefficient extraction: the
-coefficient of x^lambda in prod_m H_m(x)^(i_m), with sparse polynomials
-kept small by discarding every monomial that exceeds x^lambda
-componentwise.
+A single value strips them off lambda (frobenius_character). A table
+runs the rule forward, column by column: by Frobenius' formula
+p_t = sum_lambda chi_lambda(t) s_lambda, multiplying the parts of t onto
+s_() yields the whole column at t, each part r adding a rim hook of
+length r to every partition held. Cycle types that share a prefix of
+ascending parts share those products, so one depth-first walk over the
+cycle types computes each prefix once (_columns); the per-entry rule is
+its oracle in the tests. Frobenius' formula, which the paper proves
+(chi_lambda(t) is the coefficient of x^(lambda+rho) in
+Delta(x) * prod_m H_m(x)^(i_m)), is kept in the test suite as the
+independent oracle. The permutation character of the Young module
+U_lambda is a coefficient extraction: the coefficient of x^lambda in
+prod_m H_m(x)^(i_m), with sparse polynomials kept small by discarding
+every monomial that exceeds x^lambda componentwise.
 
 The tables need no list of group elements: `permgroup.SymmetricGroup(n)`
 holds the classes of S_n as cycle types, with sizes n!/z_t and power
@@ -120,7 +127,7 @@ def frobenius_character(lam, t):
 
 def _murnaghan_nakayama(lam, t):
     """frobenius_character for partitions lam and t of the same size,
-    unchecked: sn_table passes the partitions it generated itself."""
+    unchecked."""
     layer = {tuple(p + len(lam) - 1 - i for i, p in enumerate(lam)): 1}
     for r in t:
         nxt = {}
@@ -200,6 +207,36 @@ def specht_dim_determinant(lam):
 
 # -- the full table -------------------------------------------------------
 
+def _columns(n):
+    """{cycle type t: {beta-set: chi_lambda(t)}} for every partition t of
+    n; a beta-set is an int whose bits are the n beads lambda_i + n - 1 - i
+    (zero parts included), and a lambda not listed has value 0 at t. From
+    the empty partition, beads 0..n-1, adding a part r moves a bead from b
+    to a free b + r with sign (-1)^(beads strictly between). The parts go
+    in ascending order, so after a part r the rest is 0 or at least r."""
+    columns = {}
+
+    def walk(state, t, rest, least):
+        if not rest:
+            columns[t] = state
+            return
+        for r in [*range(least, rest // 2 + 1), rest]:
+            nxt = {}
+            get = nxt.get
+            for beads, coef in state.items():
+                free = beads & ~(beads >> r)  # beads b with b + r free
+                while free:
+                    low = free & -free
+                    free ^= low
+                    moved = beads ^ low ^ (low << r)
+                    between = beads & ((low << r) - (low << 1))
+                    nxt[moved] = get(moved, 0) + (-coef if between.bit_count() & 1 else coef)
+            walk(nxt, (r,) + t, rest - r, r)
+
+    walk({(1 << n) - 1: 1}, (), n, 1)
+    return columns
+
+
 def sn_table(n):
     """Complete character table of S_n (1 <= n <= MAX_TABLE_N), rows
     indexed by partitions and columns by cycle types, over the class data
@@ -208,13 +245,17 @@ def sn_table(n):
         raise ValueError(f"supported range is 1 <= n <= {MAX_TABLE_N}")
     group = SymmetricGroup(n)
     parts = partitions_of(n)
+    by_type = _columns(n)
+    columns = [by_type[cl.cycle_type] for cl in group.classes]
     # the values are integers: each distinct one becomes a Cyclotomic once
     seen = {}
     rows = []
     for lam in parts:
+        # the beta-set of lam over n beads, its zero parts in bits 0..n - len(lam) - 1
+        beads = sum(1 << (p + n - 1 - i) for i, p in enumerate(lam)) | ((1 << (n - len(lam))) - 1)
         row = []
-        for cl in group.classes:
-            v = _murnaghan_nakayama(lam, cl.cycle_type)
+        for column in columns:
+            v = column.get(beads, 0)
             x = seen.get(v)
             if x is None:
                 x = seen[v] = cyc(v)

@@ -461,6 +461,49 @@ def test_bad_diagram_name_is_a_typed_error(optimize):
         assert err == f"error: cannot parse diagram name {name!r}\n", (name, command, err)
 
 
+CLI_CASES_SCRIPT = """
+import contextlib, io, json, sys
+from reptheory.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+NOT_DEFINITE = "error: the form 2*Id - R is not positive definite: not a Dynkin diagram\n"
+
+# --type takes the affine names of rootsys.affine_graph too; the doubled
+# edge of A~1 is two arrows
+AFFINE_NAME_CASES = [
+    *[(["quiver", "classify", "--verbose", "--type", name], 0,
+       f"affine\ndet = 0; kind = affine; name = affine ({name})\n", "")
+      for name in ("A~1", "A~2", "A~5", "D~4", "D~6", "E~6", "E~7", "E~8")],
+    (["quiver", "classify", "--type", "a_~3"], 0, "affine\n", ""),
+    (["quiver", "roots", "--type", "E~6"], 1, "", NOT_DEFINITE),
+    (["quiver", "roots", "--count", "--type", "A~2"], 1, "", NOT_DEFINITE),
+    (["quiver", "coxeter", "--type", "D~4"], 1, "", NOT_DEFINITE),
+    *[(["quiver", "indecomposables", "--type", name], 1, "",
+       f"error: not finite type: underlying graph is affine ({name})\n") for name in ("A~1", "E~6")],
+    (["quiver", "classify", "--type", "A~x"], 1, "", "error: cannot parse diagram name 'A~x'\n"),
+    (["quiver", "roots", "--type", "~~"], 1, "", "error: cannot parse diagram name '~~'\n"),
+    (["quiver", "classify", "--type", "X~3"], 1, "", "error: not an affine diagram name: 'X~3'\n"),
+]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_affine_diagram_names_reach_the_graph_commands(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [argv for argv, *_ in AFFINE_NAME_CASES]
+    proc = subprocess.run([sys.executable, *optimize, "-c", CLI_CASES_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for (argv, *want), got in zip(AFFINE_NAME_CASES, json.loads(proc.stdout)):
+        assert got == want, argv
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_reader_closing_stdout_early_is_not_an_error(optimize):
     # 283 kB of output, far more than a pipe holds: the command is still

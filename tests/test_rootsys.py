@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptheory import linalg, rootsys
 from reptheory.exact import cyclotomic_polynomial
 from reptheory.linalg import Matrix, det
 from reptheory.rootsys import (MAX_VERTICES, Graph, GraphError, _definiteness, affine_graph,
@@ -484,12 +485,16 @@ def test_definiteness_is_sylvesters_criterion():
             want = 0
         else:
             want = -1
-        sign, d = _definiteness(a)
+        sign, d, delta = _definiteness(a)
         assert (sign, d) == (want, leading[-1]) and type(d) is int, a
+        assert (delta is None) == (sign != 0), a
         if sign == 0:
-            # semidefinite: every principal minor is nonnegative
+            # semidefinite: every principal minor is nonnegative, and the
+            # null space is spanned by one primitive vector
             assert all(_principal_minor(a, [i for i in range(n) if mask >> i & 1]) >= 0
                        for mask in range(1, 1 << n)), a
+            assert all(sum(x * y for x, y in zip(row, delta)) == 0 for row in a), a
+            assert delta[-1] > 0 and math.gcd(*delta) == 1, a
         signs.add(sign)
     assert signs == {1, 0, -1}
 
@@ -509,6 +514,26 @@ def test_roots_of_block_sums():
 def test_determinant_is_an_int(graph):
     d = classify(graph).determinant
     assert type(d) is int and d == det(Matrix.from_rows(cartan_matrix(graph)))
+
+
+@pytest.mark.parametrize("graph", [affine_graph("A~2"), affine_graph("D~5"), affine_graph("E~8"),
+                                   cycle_graph(60), dynkin_graph("E8"), path_graph(30),
+                                   Graph.from_edges(2, [(0, 1, 3)])],
+                         ids=["A~2", "D~5", "E~8", "A~59", "E8", "A30", "indefinite"])
+def test_classify_eliminates_once(graph, monkeypatch):
+    # the null root of an affine form is read off the rows that decided
+    # its sign, so every graph costs one gauss_jordan pass
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    eliminate = linalg.gauss_jordan
+    monkeypatch.setattr(linalg, "gauss_jordan", counted)
+    monkeypatch.setattr(rootsys, "gauss_jordan", counted)
+    classify(graph)
+    assert calls == [graph.n]
 
 
 def test_large_classification_is_fast():

@@ -260,8 +260,8 @@ def test_sn_tables_verify():
 
 def test_sn_table_checks_each_partition_once(monkeypatch):
     # sn_table validates each row's partition once (through hook_dim) and
-    # passes the partitions it generated unchecked to Murnaghan-Nakayama;
-    # its bytes are pinned by "sn table 15 --json" in the CLI digests
+    # reads its values off the columns of the forward walk, which checks no
+    # partition; its bytes are pinned by "sn table 15 --json" in the CLI digests
     check, calls = symgrp._check_partition, []
 
     def counted(lam):
@@ -275,6 +275,28 @@ def test_sn_table_checks_each_partition_once(monkeypatch):
         frobenius_character((1, 2), (2, 1))
     with pytest.raises(ValueError):
         frobenius_character((2, 1), (2, 2))
+
+
+def test_sn_table_columns_match_the_per_entry_rule(monkeypatch):
+    # the forward column walk against frobenius_character, which strips
+    # the rim hooks of one entry at a time off lambda; sn_table itself
+    # evaluates no entry on its own
+    per_entry, calls = symgrp._murnaghan_nakayama, []
+
+    def counted(lam, t):
+        calls.append((lam, t))
+        return per_entry(lam, t)
+
+    monkeypatch.setattr(symgrp, "_murnaghan_nakayama", counted)
+    tables = [sn_table(n) for n in range(1, 13)]
+    assert calls == []
+    for n, table in enumerate(tables, start=1):
+        parts = partitions_of(n)
+        assert [row.name for row in table.rows] == [f"V[{','.join(map(str, lam))}]" for lam in parts]
+        for lam, row in zip(parts, table.rows):
+            assert list(row.values) == [cyc(frobenius_character(lam, cl.cycle_type))
+                                        for cl in table.group.classes], lam
+    assert len(calls) == sum(len(partitions_of(n)) ** 2 for n in range(1, 13))
 
 
 def test_sn_table_matches_builtin():
