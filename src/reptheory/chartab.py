@@ -123,7 +123,9 @@ class CharacterTable:
     the pool index of row i at class c. `gram_columns` is the columns over
     the same pool. Both keep the rows they convert, so every product with
     the table converts its values once. A builder that makes each distinct value once, as one object,
-    lets the interning find repeats by identity."""
+    lets the interning find repeats by identity. `class_sizes` is the
+    weights of every product with the table, one tuple, so that a product
+    neither rebuilds nor copies them."""
 
     def __init__(self, group, rows, name="", display_classes=None, class_labels=None):
         self.group = group
@@ -138,6 +140,7 @@ class CharacterTable:
         for row in self.rows:
             if row.function.at_identity() != row.degree:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
+        self.class_sizes = tuple(class_sizes(group))
         self.gram_rows = GramRows(row.values for row in self.rows)
         self.pool = self.gram_rows.pool
         self.index = self.gram_rows.index
@@ -163,9 +166,8 @@ class CharacterTable:
         row's own value tuple is read as that row of the table's operand,
         which converts only the rows it is asked for, each once, at every
         order; any other sequence is interned for the call."""
-        g = self.group
         (a, i), (b, j) = self._operand(v1), self._operand(v2)
-        return hermitian_gram(a, b, [(i, j)], class_sizes(g), g.order)[0]
+        return hermitian_gram(a, b, [(i, j)], self.class_sizes, self.group.order)[0]
 
     def _operand(self, values):
         # the table holds its rows' value tuples, so no other live object
@@ -245,7 +247,8 @@ def decompose(f, table):
         raise ValueError("class functions live on different groups")
     a, i = table._operand(f.values)
     pairs = [(0, k) for k in range(len(table.rows))]
-    mults = hermitian_gram(a, table.gram_rows, [(i, k) for _, k in pairs], class_sizes(g), g.order)
+    mults = hermitian_gram(a, table.gram_rows, [(i, k) for _, k in pairs], table.class_sizes,
+                           g.order)
     # sum_i m_i chi_i(c), one entry per class c
     if hermitian_gram([mults], table.gram_columns, pairs, conjugate=False) != list(f.values):
         raise ValueError("reconstruction failed: table is not orthonormal")
@@ -461,7 +464,7 @@ def verify_table(table):
     g = table.group
     rows = table.rows
     check_orthonormality(rep, "row orthonormality", [row.name for row in rows],
-                         table.gram_rows, class_sizes(g), g.order)
+                         table.gram_rows, table.class_sizes, g.order)
     k = len(g.classes)
     labels = [g.class_label(c) for c in range(k)]
     pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]

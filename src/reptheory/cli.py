@@ -4,6 +4,10 @@ Batch only, deterministic output; exit code 0 on success, 1 on domain
 errors, 2 on usage errors (argparse's convention). Integers on the command
 line are read by linalg.parse_integer and rationals by linalg.parse_rational,
 after parsing, so that one which is not ASCII is a domain error too.
+
+Only linalg, whose parsers every subcommand uses, is imported with this
+module; each handler imports the modules it calls, so that a command
+loads only the theory it runs.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import os
 import sys
 from functools import lru_cache
 
-from . import chartab, gl2fq, linalg, permgroup, quiverrep, rootsys, symgrp
-from .exact import cyc, cyclotomic_from_json, cyclotomic_to_json
 from .linalg import parse_integer, parse_rational
 
 
@@ -66,6 +68,7 @@ def _print_table(args, table, to_json):
     if args.json:
         _print_json(to_json(table))
     else:
+        from . import chartab
         print(chartab.render_table(table, numeric=getattr(args, "numeric", False)))
     return 0
 
@@ -91,11 +94,13 @@ def _get_table(name):
     """The table of the group a name resolves to, named by its canonical
     name: a classical table, an S_n table, for D<n> with n >= 3 the
     semidirect table on the points of the group D<n>, or an abelian dual."""
+    from . import chartab, permgroup
     family, n = permgroup.parse_group_name(name)
     key = f"{family}{n}"
     if key in chartab.BUILTIN_TABLE_NAMES:
         return chartab.builtin_table(key)
     if family == "S":
+        from . import symgrp
         return symgrp.sn_table(n)
     if family == "D" and n >= 3:
         table = chartab.semidirect_table(permgroup.dihedral_semidirect(n))
@@ -109,6 +114,7 @@ def _get_table(name):
 
 
 def cmd_chartab_show(args):
+    from . import chartab
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
     # a table built from a name writes that name; one read from a file, with
     # no name, writes its group
@@ -116,11 +122,13 @@ def cmd_chartab_show(args):
 
 
 def cmd_chartab_verify(args):
+    from . import chartab
     table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
     return _print_report(chartab.verify_table(table))
 
 
 def cmd_chartab_tensor(args):
+    from . import chartab
     table = _get_table(args.name)
     i, j = table.row_index(args.row1), table.row_index(args.row2)
     return _print_sum(f"{args.row1} (x) {args.row2}", table,
@@ -128,6 +136,7 @@ def cmd_chartab_tensor(args):
 
 
 def cmd_chartab_decompose(args):
+    from . import chartab, exact
     table = _get_table(args.name)
     g = table.group
     if args.regular:
@@ -143,7 +152,7 @@ def cmd_chartab_decompose(args):
                              f"{', '.join(table.class_labels)})")
         canonical = [None] * len(g.classes)
         for ci, v in zip(table.display_classes, vals):
-            canonical[ci] = cyc(v)
+            canonical[ci] = exact.cyc(v)
         f = chartab.ClassFunction(g, canonical)
     mults = chartab.decompose(f, table)
     for row, m in zip(table.rows, mults):
@@ -154,6 +163,7 @@ def cmd_chartab_decompose(args):
 
 
 def _subgroup_table(sub, name):
+    from . import chartab
     if name:
         return chartab.transfer_table(_get_table(name), sub.group)
     if sub.group.is_abelian():
@@ -162,6 +172,7 @@ def _subgroup_table(sub, name):
 
 
 def cmd_chartab_induce(args):
+    from . import chartab
     table = _get_table(args.name)
     gens = [_parse_perm(s) for s in args.sub.split(";")]
     sub = table.group.subgroup(gens)
@@ -179,6 +190,7 @@ def cmd_chartab_induce(args):
 
 
 def cmd_chartab_restrict(args):
+    from . import chartab, permgroup
     table = _get_table(args.name)
     gens = [_parse_perm(s) for s in args.sub.split(";")]
     sub = table.group.subgroup(gens)
@@ -191,6 +203,7 @@ def cmd_chartab_restrict(args):
 
 
 def cmd_chartab_fs(args):
+    from . import chartab
     table = _get_table(args.name)
     for row in table.rows:
         print(f"{row.name}: {chartab.frobenius_schur(row.function)}")
@@ -200,6 +213,7 @@ def cmd_chartab_fs(args):
 # -- group ------------------------------------------------------------------
 
 def cmd_group_classes(args):
+    from . import permgroup
     group = permgroup.group_from_json(_load_json(args.file) if args.file else args.name)
     print(f"|G| = {group.order}, {len(group.classes)} classes, exponent {group.exponent}")
     for i, cl in enumerate(group.classes):
@@ -211,10 +225,12 @@ def cmd_group_classes(args):
 # -- sn ----------------------------------------------------------------------
 
 def cmd_sn_table(args):
+    from . import chartab, symgrp
     return _print_table(args, symgrp.sn_table(parse_integer(args.n)), chartab.table_to_json)
 
 
 def cmd_sn_char(args):
+    from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
     t = _parse_partition(args.cls)
     print(symgrp.frobenius_character(lam, t))
@@ -222,12 +238,14 @@ def cmd_sn_char(args):
 
 
 def cmd_sn_dim(args):
+    from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
     print(symgrp.hook_dim(lam))
     return 0
 
 
 def cmd_sn_kostka(args):
+    from . import symgrp
     mu = _parse_partition(args.mu)
     lam = _parse_partition(getattr(args, "lambda"))
     print(symgrp.kostka(mu, lam))
@@ -237,6 +255,7 @@ def cmd_sn_kostka(args):
 # -- schur --------------------------------------------------------------------
 
 def cmd_schur_eval(args):
+    from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
     points = [parse_rational(x) for x in args.points.split(",")]
     print(symgrp.schur_eval(lam, points))
@@ -244,6 +263,7 @@ def cmd_schur_eval(args):
 
 
 def cmd_schur_dim(args):
+    from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
     n = parse_integer(args.vars)
     if args.z is not None:
@@ -256,11 +276,13 @@ def cmd_schur_dim(args):
 # -- quiver --------------------------------------------------------------------
 
 def _named_graph(name):
+    from . import rootsys
     """The diagram a --type names: affine names carry a tilde (A~2, E~6)."""
     return (rootsys.affine_graph if "~" in name else rootsys.dynkin_graph)(name)
 
 
 def _get_graph(args):
+    from . import rootsys
     if args.graph:
         return rootsys.graph_from_json(_load_json(args.graph))
     if args.type:
@@ -277,6 +299,7 @@ def _parse_arrows(s):
 
 
 def _get_quiver(args):
+    from . import quiverrep
     if args.rep:
         return quiverrep.rep_from_json(_load_json(args.rep)).quiver
     if args.arrows:
@@ -290,6 +313,7 @@ def _get_quiver(args):
 
 
 def cmd_quiver_classify(args):
+    from . import rootsys
     g = _get_graph(args)
     result = rootsys.classify(g)
     print(result.name if result.kind == "dynkin" else result.kind)
@@ -299,6 +323,7 @@ def cmd_quiver_classify(args):
 
 
 def cmd_quiver_roots(args):
+    from . import rootsys
     g = _get_graph(args)
     a = rootsys.cartan_matrix(g)
     pos, neg = rootsys.enumerate_roots(a)
@@ -311,6 +336,7 @@ def cmd_quiver_roots(args):
 
 
 def cmd_quiver_coxeter(args):
+    from . import rootsys
     g = _get_graph(args)
     a = rootsys.cartan_matrix(g)
     c, order, d = rootsys.coxeter_element(a)
@@ -319,6 +345,7 @@ def cmd_quiver_coxeter(args):
 
 
 def cmd_quiver_indecomposables(args):
+    from . import quiverrep
     q = _get_quiver(args)
     objs = quiverrep.enumerate_indecomposables(q)
     print(f"{len(objs)} indecomposable representations")
@@ -328,6 +355,7 @@ def cmd_quiver_indecomposables(args):
 
 
 def cmd_quiver_decompose(args):
+    from . import quiverrep
     rep = quiverrep.rep_from_json(_load_json(args.rep))
     for root, mult in quiverrep.decompose(rep):
         print(f"(" + ",".join(str(c) for c in root) + f") x {mult}")
@@ -337,6 +365,7 @@ def cmd_quiver_decompose(args):
 # -- gl2 --------------------------------------------------------------------
 
 def cmd_gl2_classes(args):
+    from . import gl2fq
     q = parse_integer(args.q)
     group = gl2fq.GL2Group(q)
     print(f"|GL2(F_{q})| = {group.order}, {len(group.classes)} classes")
@@ -346,16 +375,19 @@ def cmd_gl2_classes(args):
 
 
 def cmd_gl2_table(args):
+    from . import gl2fq
     return _print_table(args, gl2fq.gl2_table(parse_integer(args.q)), gl2fq.gl2_table_to_json)
 
 
 def cmd_gl2_verify(args):
+    from . import gl2fq
     return _print_report(gl2fq.gl2_verify(gl2fq.gl2_table(parse_integer(args.q))))
 
 
 # -- semidirect ----------------------------------------------------------------
 
 def cmd_semidirect_table(args):
+    from . import chartab, permgroup
     if args.construction == "dn":
         sd = permgroup.dihedral_semidirect(permgroup.check_name_range("D", parse_integer(args.n)))
     else:  # "heisenberg", the parser's other choice
@@ -375,23 +407,29 @@ def cmd_roundtrip(args):
     if not isinstance(obj, dict):
         raise ValueError("an artifact is a JSON object")
     if "rows" in obj and "classes" in obj and "q" not in obj:
+        from . import chartab
         table = chartab.table_from_json(obj)
         again = chartab.table_to_json(table, group_name=obj.get("group")
                                       if isinstance(obj.get("group"), str) else None)
         ok = _table_rows(chartab.table_from_json(again)) == _table_rows(table)
     elif not {"quiver", "dims", "maps"}.isdisjoint(obj):
+        from . import quiverrep
         rep = quiverrep.rep_from_json(obj)
         ok = quiverrep.rep_from_json(quiverrep.rep_to_json(rep)).maps == rep.maps
     elif "vertices" in obj:
+        from . import rootsys
         g = rootsys.graph_from_json(obj)
         ok = rootsys.graph_from_json(rootsys.graph_to_json(g)).adjacency == g.adjacency
     elif "degree" in obj:
+        from . import permgroup
         g = permgroup.group_from_json(obj)
         ok = permgroup.group_from_json(permgroup.group_to_json(g)).elements == g.elements
     elif "order" in obj and "coeffs" in obj:
-        v = cyclotomic_from_json(obj)
-        ok = cyclotomic_from_json(cyclotomic_to_json(v)) == v
+        from . import exact
+        v = exact.cyclotomic_from_json(obj)
+        ok = exact.cyclotomic_from_json(exact.cyclotomic_to_json(v)) == v
     elif "entries" in obj:
+        from . import linalg
         m = linalg.matrix_from_json(obj)
         ok = linalg.matrix_from_json(linalg.matrix_to_json(m)) == m
     else:

@@ -20,7 +20,7 @@ its powers is both the logarithm table and its inverse.
 from __future__ import annotations
 
 from .chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
-                      check_orthonormality, class_sizes)
+                      check_orthonormality)
 from .exact import cyc, cyclotomic_to_json, zero, zeta
 
 
@@ -286,7 +286,7 @@ def gl2_verify(table):
     g = table.group
     rows = table.rows
     check_orthonormality(rep, "orthonormality", [r.name for r in rows], table.gram_rows,
-                         class_sizes(g), g.order)
+                         table.class_sizes, g.order)
     ssq = sum(r.degree ** 2 for r in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs {g.order}")
     rep.add("row count equals class count",
