@@ -37,7 +37,6 @@ beside the named groups; chartab names them too.
 from __future__ import annotations
 
 import itertools
-from array import array
 from fractions import Fraction
 from math import lcm
 
@@ -246,11 +245,12 @@ def decompose(f, table):
     if g is not table.group:
         raise ValueError("class functions live on different groups")
     a, i = table._operand(f.values)
-    pairs = [(0, k) for k in range(len(table.rows))]
-    mults = hermitian_gram(a, table.gram_rows, [(i, k) for _, k in pairs], table.class_sizes,
-                           g.order)
-    # sum_i m_i chi_i(c), one entry per class c
-    if hermitian_gram([mults], table.gram_columns, pairs, conjugate=False) != list(f.values):
+    mults = hermitian_gram(a, table.gram_rows, [(i, k) for k in range(len(table.rows))],
+                           table.class_sizes, g.order)
+    # sum_i chi_i(c) m_i, one entry per class c: the columns against the
+    # conjugated multiplicities
+    if hermitian_gram(table.gram_columns, [[m.conjugate() for m in mults]],
+                      [(c, 0) for c in range(len(g.classes))]) != list(f.values):
         raise ValueError("reconstruction failed: table is not orthonormal")
     return mults
 
@@ -296,8 +296,6 @@ class VerifyReport:
         return f"VerifyReport({status})"
 
 
-# failed twist tries after which no further linear row is tried
-_TWIST_TRIES = 3
 # the fewest rows for which orbit_gram looks for symmetries: the search
 # costs O(k^2) and a fresh table's Gram matrix O(k^3), and below this the
 # search costs more than it saves (GL2(F_3), A4 and D8 measured)
@@ -320,7 +318,9 @@ def _row_symmetries(operand):
     up to sign (FieldKeys.root), as every linear character's are, and whose
     product with every row is a row, as <l a, l b> = <a, b>; such rows are
     tried in order until the twists found reach each one from the all-ones
-    row, or _TWIST_TRIES of them have failed. Rows are compared as tuples
+    row, or until the first one whose twist is no row map: on a complete
+    table of characters l chi is irreducible for every row chi, so only a
+    broken or incomplete table stops early. Rows are compared as tuples
     of FieldKeys ids, so every map is checked exactly and none is
     assumed."""
     keys = FieldKeys(operand.pool)
@@ -351,16 +351,13 @@ def _row_symmetries(operand):
         return zip(*(map(keys.times(y, column).__getitem__, column)
                      for y, column in zip(lam, columns)))
 
-    reached, found, tries = {trivial}, [], _TWIST_TRIES
+    reached, found = {trivial}, []
     for lam in rows:
-        if tries == 0:
-            break
         if where[lam] in reached or not all(map(keys.root, set(lam))):
             continue
         m = row_map(twisted_rows(lam))
         if m is None:
-            tries -= 1
-            continue
+            break
         found.append(m)
         todo = [trivial]
         for a in todo:
@@ -372,23 +369,21 @@ def _row_symmetries(operand):
 
 
 def _pair_orbits(operand):
-    """(first, reps) for the orbits of the pairs i <= j of the operand's
-    rows under _row_symmetries, an orbit holding diagonal pairs only or
-    none, as maps need not be injective: first[i * k + j] = i' * k + j'
-    for (i', j') the first pair of the orbit of (i, j), reps those first
-    pairs; None where no symmetry is found."""
+    """The first pair of each orbit of the pairs i <= j of the operand's
+    rows under _row_symmetries, in the order (0, 0), (0, 1), ...; an orbit
+    holds diagonal pairs only or none, as maps need not be injective.
+    None where no symmetry is found."""
     maps = _row_symmetries(operand)
     if not maps:
         return None
     k = len(operand.index)
-    first = array("l", [-1]) * (k * k)
+    seen = bytearray(k * k)
     reps = []
     for i in range(k):
         for j in range(i, k):
-            p = i * k + j
-            if first[p] >= 0:
+            if seen[i * k + j]:
                 continue
-            first[p] = p
+            seen[i * k + j] = 1
             reps.append((i, j))
             diagonal = i == j
             todo = [(i, j)]
@@ -397,46 +392,37 @@ def _pair_orbits(operand):
                     x, y = m[a], m[b]
                     if x > y:
                         x, y = y, x
-                    c = x * k + y
-                    if first[c] < 0 and (x == y) == diagonal:
-                        first[c] = p
+                    if not seen[x * k + y] and (x == y) == diagonal:
+                        seen[x * k + y] = 1
                         todo.append((x, y))
-    return first, reps
+    return reps
 
 
 def orbit_gram(operand, weights, scale):
-    """The Hermitian products sum_c w_c a_c conj(b_c) / scale of the pairs
-    i <= j of a GramRows operand's rows, in the order (0, 0), (0, 1), ...,
-    (1, 1), ..., for a check that wants 1 on the diagonal and 0 off it.
+    """None when the Hermitian products sum_c w_c a_c conj(b_c) / scale of
+    the pairs i <= j of a GramRows operand's rows are proven to be 1 on
+    the diagonal and 0 off it; otherwise the products of all pairs, in the
+    order (0, 0), (0, 1), ..., (1, 1), ...
 
     Over irrational values one pair per orbit of _pair_orbits is computed.
     A map sends a pair's product to its image under a field automorphism,
-    which fixes 1 and 0: so if the first pair of an orbit has its wanted
-    value, so has every pair of the orbit, and is given that value. Each
-    pair of an orbit whose first pair fails is computed, so a check reads
-    the same values as from the full Gram matrix. The operand keeps its
-    orbits, or that it has none, as it keeps its rows. Below ORBIT_ROWS
-    rows, or past KEY_COORDINATES, every pair is computed."""
+    which fixes 1 and 0: so if the first pair of every orbit has its
+    wanted value, so has every pair. If one fails, the table is broken,
+    and every pair is computed, so a check reads the same values as from
+    the full Gram matrix. The operand keeps its orbits, or that it has
+    none, as it keeps its rows. Below ORBIT_ROWS rows, or past
+    KEY_COORDINATES, every pair is computed."""
     k = len(operand.index)
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    orbits = None
     if (operand.order > 1 and k >= ORBIT_ROWS
             and len(operand.pool) * euler_phi(operand.order) <= KEY_COORDINATES):
-        orbits = operand.form("orbits", lambda: _pair_orbits(operand))
-    if orbits is None:
-        return hermitian_gram(operand, operand, pairs, weights, scale)
-    first, reps = orbits
-    on, off = one(), zero()
-    failed = {i * k + j for (i, j), got in zip(reps, hermitian_gram(operand, operand, reps,
-                                                                       weights, scale))
-              if got != (on if i == j else off)}
-    out = [on if i == j else off for i, j in pairs]
-    if failed:
-        computed = [p for p, (i, j) in enumerate(pairs) if first[i * k + j] in failed]
-        values = hermitian_gram(operand, operand, [pairs[p] for p in computed], weights, scale)
-        for p, got in zip(computed, values):
-            out[p] = got
-    return out
+        reps = operand.form("orbits", lambda: _pair_orbits(operand))
+        if reps is not None:
+            on, off = one(), zero()
+            products = hermitian_gram(operand, operand, reps, weights, scale)
+            if all(got == (on if i == j else off) for (i, j), got in zip(reps, products)):
+                return None
+    return hermitian_gram(operand, operand, [(i, j) for i in range(k) for j in range(i, k)],
+                          weights, scale)
 
 
 def check_orthonormality(report, label, names, rows, sizes, order):
@@ -444,12 +430,14 @@ def check_orthonormality(report, label, names, rows, sizes, order):
     product order^-1 sum_c sizes[c] a_c conj(b_c) must be 1 on the diagonal
     and 0 off it. The products come from orbit_gram, which proves whole
     orbits of pairs under Galois maps and twists by linear rows."""
+    products = iter(orbit_gram(rows, sizes, order) or ())
     k = len(names)
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    for (i, j), got in zip(pairs, orbit_gram(rows, sizes, order)):
-        want = one() if i == j else zero()
-        ok = got is want or got == want
-        report.add(f"{label} ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
+    for i in range(k):
+        for j in range(i, k):
+            # None where the orbits proved every pair
+            got = next(products, None)
+            ok = got is None or got == (one() if i == j else zero())
+            report.add(f"{label} ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
 
 
 def verify_table(table):

@@ -276,8 +276,8 @@ def cmd_schur_dim(args):
 # -- quiver --------------------------------------------------------------------
 
 def _named_graph(name):
-    from . import rootsys
     """The diagram a --type names: affine names carry a tilde (A~2, E~6)."""
+    from . import rootsys
     return (rootsys.affine_graph if "~" in name else rootsys.dynkin_graph)(name)
 
 

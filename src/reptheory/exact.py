@@ -27,12 +27,13 @@ values, a GramRows holds each distinct value once in a pool, keyed on the
 stored (order, numerators, denominator), and each row as indices into it.
 The kernel reads every operand, at every order, through one row store
 (GramRows.rows). An operand is one object: it converts each pool entry
-once, into integers or sparse roots of unity (two roots where that is
-shorter), and makes a row when a call first reads it and keeps it. A
-table's columns share only the pool and its rows' two-root forms, the
-one costly conversion. The kernel accumulates integer sums of roots of
-unity and reduces once per entry. An operand made for one call is freed
-with it.
+once, into integers or sparse roots of unity (one or two roots where
+that is shorter, by _short_roots, the one floating-point search here),
+and makes a row when a call first reads it and keeps it. A table's
+columns share only the pool and its rows' short forms, the one costly
+conversion. The kernel conjugates its right operand only, accumulates
+integer sums of roots of unity and reduces once per entry. An operand
+made for one call is freed with it.
 """
 
 from __future__ import annotations
@@ -512,17 +513,23 @@ def _unit_roots(m):
     return [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
 
 
-def _two_roots(v):
-    """v as s * zeta^a + t * zeta^b, zeta = zeta_order and s, t = +-d for d
-    the gcd of v's numerators: [(a, s), (b, t)], or None. Sums of two roots
-    (most GL2 values) can have many power-basis coordinates. The complex
-    value of v only proposes a and b; a pair is taken only if its
-    coordinates are v's exactly."""
+def _short_roots(v):
+    """v as s * zeta^a, or as s * zeta^a + t * zeta^b, zeta = zeta_order
+    and s, t = +-d for d the gcd of v's numerators: [(a, s)] or
+    [(a, s), (b, t)], or None. A root of unity (zeta_23^22 has 22
+    coordinates) and a sum of two roots (most GL2 values) can have many
+    power-basis coordinates. The complex value of v only proposes a and
+    b; a form is taken only if its coordinates are v's exactly."""
     m, num = v.order, v.num
     d = gcd(*num)
     roots = _unit_roots(m)
     want = [c // d for c in num]
     z = sum(c * w for c, w in zip(want, roots))
+    if abs(abs(z) - 1) < 1e-6:
+        for s in (1, -1):
+            a = round(cmath.phase(s * z) * m / (2 * cmath.pi)) % m
+            if [s * x for x in _root(m, a)] == want:
+                return [(a, s * d)]
     for a in range(m):
         for s in (1, -1):
             r = z - s * roots[a]
@@ -534,12 +541,12 @@ def _two_roots(v):
     return None
 
 
-def _root_terms(v, coords, n, sign, shift, den):
+def _root_terms(v, coords, n, right, den):
     """The terms (e, k) of v over den at order n, for v the sum of
-    c * zeta_m^i over (i, c) in coords, m its order: each at
-    e = sign * i * n/m mod n, lowered by shift."""
-    step, f = sign * (n // v.order), den // v.den
-    return [(i * step % n - shift, c * f) for i, c in coords]
+    c * zeta_m^i over (i, c) in coords, m its order: each at e = i * n/m,
+    or on the right side, conjugated, at -i * n/m mod n lowered by n."""
+    step, shift = (-(n // v.order), n) if right else (n // v.order, 0)
+    return [(i * step % n - shift, c * (den // v.den)) for i, c in coords]
 
 
 class GramRows:
@@ -561,12 +568,12 @@ class GramRows:
     den when every order is 1, and otherwise root terms at the lcm N of
     both operands' orders. An operand converts its pool itself, entry by
     entry as rows ask for them: `_ints`, the integers of a rational pool,
-    `_sparse`, per entry its two-root form or its nonzero coordinates, and
-    `_terms`, per (n, sign, shift) the root terms of each entry. Only the
-    rows a call reads are made; an operand keeps each form it makes
-    (`_forms`) and adds rows to it as later calls read them, so a table's
-    values are converted once however often it is used, and an operand
-    made for one call is freed with it."""
+    `_sparse`, per entry its short form (one or two roots) or its nonzero
+    coordinates, and `_terms`, per (n, right) the root terms of each
+    entry. Only the rows a call reads are made; an operand keeps each form
+    it makes (`_forms`) and adds rows to it as later calls read them, so a
+    table's values are converted once however often it is used, and an
+    operand made for one call is freed with it."""
 
     __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms")
 
@@ -592,7 +599,7 @@ class GramRows:
     def transposed(self, width):
         """The columns of these rows, `width` entries to a row: an operand
         over the same pool object that shares the rows' `_sparse` list, so
-        that no entry's two-root form is searched for twice, and makes its
+        that no entry's short form is searched for twice, and makes its
         own integers, terms and forms."""
         columns = GramRows.__new__(GramRows)
         columns.pool, columns.order, columns.den = self.pool, self.order, self.den
@@ -606,19 +613,19 @@ class GramRows:
             self._forms[key] = make()
         return self._forms[key]
 
-    def rows(self, n, sign, shift, weights, wanted):
+    def rows(self, n, right, weights, wanted):
         """A dict that maps each row r in wanted to row r times weights,
         weights[c] at class c. At n = 1 row r is a list of integers over
         den. Otherwise it is (the classes where row r is nonzero, terms, the
         lcm of the row's orders): row r at class c is the sum of
-        k * zeta_n^e over den for (e, k) in terms[c], sign and shift as in
-        _root_terms, each (value, weight) pair multiplied out once. An entry
-        is converted once, to its two-root form where that is shorter than
-        its nonzero coordinates (_two_roots, a search over the roots of its
-        order), and mapped once to each (n, sign, shift). Only the rows
-        asked for, by any iterable, are made, and kept under
-        (n, sign, shift, weights)."""
-        rows, weighted = self._forms.setdefault((n, sign, shift, weights), ({}, {}))
+        k * zeta_n^e over den for (e, k) in terms[c], conjugated on the
+        right side as in _root_terms, each (value, weight) pair multiplied
+        out once. An entry is converted once, to its short form where that
+        is shorter than its nonzero coordinates (_short_roots, a search over
+        the roots of its order), and mapped once to each (n, right). Only
+        the rows asked for, by any iterable, are made, and kept under
+        (n, right, weights)."""
+        rows, weighted = self._forms.setdefault((n, right, weights), ({}, {}))
         missing = set(wanted).difference(rows) if len(rows) < len(self.index) else ()
         if not missing:
             return rows
@@ -631,9 +638,9 @@ class GramRows:
                 row = map(read, index[r])
                 rows[r] = list(row if weights is None else map(mul, row, weights))
             return rows
-        terms, sparse = self._terms.get((n, sign, shift)), self._sparse
+        terms, sparse = self._terms.get((n, right)), self._sparse
         if terms is None:
-            terms = self._terms[n, sign, shift] = [None] * len(pool)
+            terms = self._terms[n, right] = [None] * len(pool)
         for r in missing:
             for x in index[r]:
                 if terms[x] is None:
@@ -641,9 +648,9 @@ class GramRows:
                     if coords is None:
                         coords = [(i, c) for i, c in enumerate(v.num) if c]
                         if len(coords) > 2:
-                            coords = _two_roots(v) or coords
+                            coords = _short_roots(v) or coords
                         sparse[x] = coords
-                    terms[x] = _root_terms(v, coords, n, sign, shift, den)
+                    terms[x] = _root_terms(v, coords, n, right, den)
             ts = [terms[x] for x in index[r]]
             if weights is not None:
                 for c, (x, w) in enumerate(zip(index[r], weights)):
@@ -755,35 +762,35 @@ class FieldKeys:
 
     def root(self, y):
         """(s, e) with the value of id y equal to s * zeta_n^e, s = 1 or -1
-        (-1 only at odd n), or None. The complex value proposes s and e,
-        and only the exact coordinates confirm them."""
+        (-1 only at odd n), or None: the one-term form of _short_roots,
+        s * zeta_m^a at the value's order m, read at n."""
         if y not in self._roots:
             v, n, found = self.values[y], self.n, None
-            z = v.numeric()
-            if v.den == 1 and abs(abs(z) - 1) < 1e-6:
-                for s in (1, -1):
-                    e = round(cmath.phase(s * z) * n / (2 * cmath.pi)) % n
-                    if [s * f for f in _root(n, e)] == list(self._coords[y]):
-                        found = s, e
-                        break
+            form = v.den == 1 and not v.is_zero and _short_roots(v)
+            if form and len(form) == 1 and abs(form[0][1]) == 1:
+                (a, s), = form
+                e = a * (n // v.order)
+                # -zeta_n^e is zeta_n^(e + n/2) at even n
+                found = (1, (e + n // 2) % n) if s < 0 and n % 2 == 0 else (s, e)
             self._roots[y] = found
         return self._roots[y]
 
 
-def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
+def hermitian_gram(left, right, pairs, weights=None, scale=1):
     """The exact sums sum_c w_c * a_c * conj(b_c) / scale, a = left row i
     and b = right row j, as a list of one Cyclotomic per (i, j) in pairs;
-    w_c = 1 without weights, and b_c stays unconjugated when conjugate is
-    false. An operand is a GramRows, or rows of Cyclotomics, which are
-    interned into one for this call.
+    w_c = 1 without weights. The right side is always the conjugated one:
+    a sum without conjugation passes conjugated values on the right. An
+    operand is a GramRows, or rows of Cyclotomics, which are interned into
+    one for this call.
 
     Both operands give their rows through GramRows.rows, only the rows
     the pairs read, a's weights multiplied in: integers, with an integer
     dot product, when every order is 1, and otherwise sparse root terms at
-    N, the lcm of both operands' orders, each value in its two-root form
-    where shorter and b conjugated by negating exponents. An entry then
-    accumulates in Z[x]/(x^N - 1) and is reduced once by _fold, mod Phi_M
-    for M the lcm of the two rows' orders.
+    N, the lcm of both operands' orders, each value in its short form
+    (one or two roots) where shorter and b conjugated by negating
+    exponents. An entry then accumulates in Z[x]/(x^N - 1) and is reduced
+    once by _fold, mod Phi_M for M the lcm of the two rows' orders.
     """
     if not isinstance(left, GramRows):
         left = GramRows(left)
@@ -792,10 +799,10 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1, conjugate=True):
     if weights is not None:
         weights = tuple(weights)
     n = lcm(left.order, right.order)
-    a = left.rows(n, 1, 0, weights, map(itemgetter(0), pairs))
+    a = left.rows(n, False, weights, map(itemgetter(0), pairs))
     # exponents of b in [-n, 0), so that ea + eb indexes a length-n list
     # modulo n, as Python's negative indices do
-    b = right.rows(n, -1 if conjugate else 1, n, None, map(itemgetter(1), pairs))
+    b = right.rows(n, True, None, map(itemgetter(1), pairs))
     d = left.den * right.den * scale
     if n == 1:
         sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)

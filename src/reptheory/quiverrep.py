@@ -37,7 +37,7 @@ from math import lcm
 
 from . import linalg
 from .linalg import Matrix
-from .rootsys import Graph, cartan_matrix, classify, enumerate_roots, reflect
+from .rootsys import Graph, bilinear, cartan_matrix, classify, enumerate_roots, reflect
 
 
 class QuiverError(ValueError):
@@ -295,16 +295,17 @@ def require_dynkin(q):
 
 def indecomposable_for_root(q, alpha):
     """The unique indecomposable representation with dimension vector the
-    given positive root."""
+    given positive root. On a Dynkin form the positive roots are exactly
+    the integer vectors alpha >= 0 with B(alpha, alpha) = 2."""
     a = require_dynkin(q)
-    positive, _ = enumerate_roots(a)
     alpha = tuple(alpha)
-    if alpha not in positive:
+    if (len(alpha) != len(a) or not all(type(c) is int and c >= 0 for c in alpha)
+            or bilinear(a, alpha, alpha) != 2):
         raise QuiverError(f"{alpha} is not a positive root of the underlying diagram")
-    return _indecomposables(q, a, len(positive), [alpha])[0]
+    return _indecomposables(q, a, [alpha])[0]
 
 
-def _indecomposables(q, a, n_positive, alphas):
+def _indecomposables(q, a, alphas):
     """The indecomposable for each positive root in alphas: walk its
     reflection word down to a simple root, then pull the simple
     representation back through the reverse chain of source reflections.
@@ -313,9 +314,10 @@ def _indecomposables(q, a, n_positive, alphas):
     quiver at walk position p is that at p mod n, and the representation
     reached at state (p mod n, beta) is the same for every root whose walk
     passes through it. Each state is built once, by one _source_step (or
-    as a simple), so there are at most n * |positive roots| of them. A
-    state is its dimension vector and int maps on the quiver at its
-    position; only the representations returned become QuiverReps."""
+    as a simple), so there are at most n * |positive roots| of them, and a
+    walk that meets one of its own states again would never end. A state
+    is its dimension vector and int maps on the quiver at its position;
+    only the representations returned become QuiverReps."""
     n = len(a)
     seq = _sink_sequence(q)
     quivers = [q]
@@ -324,7 +326,7 @@ def _indecomposables(q, a, n_positive, alphas):
     built = {}
     out = []
     for alpha in alphas:
-        beta, p, path = alpha, 0, []
+        beta, p, path = alpha, 0, {}
         while (p % n, beta) not in built:
             j = seq[p % n]
             nxt = reflect(a, j, beta)
@@ -334,11 +336,11 @@ def _indecomposables(q, a, n_positive, alphas):
                 built[p % n, beta] = beta, [[[0] * beta[s] for _ in range(beta[t])]
                                             for s, t in quivers[p % n].arrows]
                 break
-            path.append((p % n, beta))
+            if (p % n, beta) in path:
+                raise AssertionError("reflection walk failed to terminate")
+            path[p % n, beta] = None
             beta = nxt
             p += 1
-            if p > 4 * n_positive * n:
-                raise AssertionError("reflection walk failed to terminate")
         dims, maps = built[p % n, beta]
         for state in reversed(path):
             dims, maps = list(dims), list(maps)
@@ -354,7 +356,7 @@ def enumerate_indecomposables(q):
     """One indecomposable representation per positive root (Gabriel)."""
     a = require_dynkin(q)
     positive, _ = enumerate_roots(a)
-    return list(zip(positive, _indecomposables(q, a, len(positive), positive)))
+    return list(zip(positive, _indecomposables(q, a, positive)))
 
 
 def _integer_map(m):

@@ -247,6 +247,7 @@ def sn_table(n):
     parts = partitions_of(n)
     by_type = _columns(n)
     columns = [by_type[cl.cycle_type] for cl in group.classes]
+    degrees = by_type[(1,) * n]  # chi_lambda(1), the identity class's column
     # the values are integers: each distinct one becomes a Cyclotomic once
     seen = {}
     rows = []
@@ -261,7 +262,7 @@ def sn_table(n):
                 x = seen[v] = cyc(v)
             row.append(x)
         name = "V[" + ",".join(str(p) for p in lam) + "]"
-        rows.append(TableRow(name, hook_dim(lam), ClassFunction(group, row)))
+        rows.append(TableRow(name, degrees[beads], ClassFunction(group, row)))
     display = [group.type_index[t] for t in parts]
     labels = ["[" + ",".join(str(m) for m in t) + "]" for t in parts]
     return CharacterTable(group, rows, name=f"S{n}", display_classes=display,

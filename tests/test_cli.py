@@ -1144,3 +1144,20 @@ def test_gabriel_census_exits_1_on_a_failed_check(monkeypatch, capsys, sabotage,
         monkeypatch.setattr(script, "bilinear", lambda a, x, y: 3)
     assert script.main() == 1
     assert failure in capsys.readouterr().out
+
+
+def test_every_docstring_comes_first():
+    # a string after a function's first statement, such as a lazy import,
+    # is no docstring: __doc__ is None
+    import ast
+    from reptheory import cli
+    assert cli._named_graph.__doc__
+    src = Path(reptheory.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                late = [b.lineno for b in node.body[1:]
+                        if isinstance(b, ast.Expr) and isinstance(b.value, ast.Constant)
+                        and isinstance(b.value.value, str)]
+                assert late == [], (path.name, node.name, late)

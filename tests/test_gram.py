@@ -31,7 +31,7 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                decompose, dihedral_semidirect, heisenberg_semidirect,
                                inner_product, semidirect_table, table_from_json, table_to_json,
                                tensor_multiplicities, transfer_table, verify_table)
-from reptheory.exact import (Cyclotomic, GramRows, _fold, _two_roots, cyc, hermitian_gram,
+from reptheory.exact import (Cyclotomic, GramRows, _fold, _short_roots, cyc, hermitian_gram,
                              one, zero, zeta)
 from reptheory.gl2fq import GL2Class, gl2_table, gl2_verify
 from reptheory.permgroup import builtin_group, cyclic_group, from_cycles
@@ -212,19 +212,35 @@ def test_two_root_forms_are_exact(m):
         v = d * (s * zeta(m, a) + t * zeta(m, b))
         if v.order != m or sum(1 for c in v.num if c) < 3:
             continue
-        form = _two_roots(v)
+        form = _short_roots(v)
         assert form is not None, (m, a, b, s, t)
         assert sum((k * zeta(m, e) for e, k in form), zero()) == v
+        # a two-root sum that is one root, as 1 + zeta_3 = -zeta_3^2, is one term
+        assert len(form) == (1 if abs(abs(v.numeric()) - d) < 1e-9 else 2), (m, a, b, s, t)
     # three independent roots are no two-root sum
-    assert _two_roots(2 + zeta(7) + 3 * zeta(7, 2)) is None
-    assert _two_roots(zeta(7) + zeta(7, 2) + zeta(7, 4)) is None
+    assert _short_roots(2 + zeta(7) + 3 * zeta(7, 2)) is None
+    assert _short_roots(zeta(7) + zeta(7, 2) + zeta(7, 4)) is None
+
+
+def test_a_root_of_unity_is_one_term():
+    for m in range(1, 61):
+        for k in range(m):
+            for s in (1, -1):
+                v = s * zeta(m, k)
+                form = _short_roots(v)
+                assert form is not None and len(form) == 1, (m, k, s)
+                (e, c), = form
+                assert c in (1, -1) and 0 <= e < v.order, (m, k, s)
+                assert c * zeta(v.order, e) == v, (m, k, s)
+                assert _short_roots(3 * v) == [(e, 3 * c)], (m, k, s)
 
 
 def test_gram_kernel_options():
     a = [zeta(3), cyc(Fraction(1, 2)), zeta(4) / 3]
     b = [zeta(6), zeta(4), cyc(-2)]
     bilinear = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    assert_same(hermitian_gram([a], [b], [(0, 0)], conjugate=False)[0], bilinear)
+    # the right side is the conjugated one: a bilinear sum conjugates b first
+    assert_same(hermitian_gram([a], [[y.conjugate() for y in b]], [(0, 0)])[0], bilinear)
     hermitian = sum((x * y.conjugate() for x, y in zip(a, b)), zero())
     assert_same(hermitian_gram([a], [b], [(0, 0)])[0], hermitian)
     assert_same(hermitian_gram([a], [b], [(0, 0)], [2, 0, 5], 7)[0],
@@ -370,7 +386,7 @@ def reference_root_row(row, n, weights, sign, shift, memo, short):
             step, f = sign * (n // v.order), key[2]
             roots = [(i, c) for i, c in enumerate(v.num) if c]
             if short and len(roots) > 2:
-                roots = _two_roots(v) or roots
+                roots = _short_roots(v) or roots
             t = memo[key] = [(i * step % n - shift, c * f) for i, c in roots]
         terms.append(t)
     return terms, den, lcm(*{v.order for v in row})
@@ -474,11 +490,14 @@ def test_every_row_and_column_pair_matches_the_reference_kernel(name):
     want = stored(reference_hermitian_gram(rows, rows, _pairs(len(rows)), sizes, g.order))
     for operand in (table.gram_rows, table.gram_rows, rows):
         assert stored(hermitian_gram(operand, operand, _pairs(len(rows)), sizes, g.order)) == want
+    # unconjugated sums pass conjugated columns on the right
+    conjugated = [[v.conjugate() for v in column] for column in columns]
     for conjugate in (True, False):
         want = stored(reference_hermitian_gram(columns, columns, _pairs(len(columns)),
                                                conjugate=conjugate))
         for operand in (table.gram_columns, columns):
-            got = hermitian_gram(operand, operand, _pairs(len(columns)), conjugate=conjugate)
+            right = operand if conjugate else conjugated
+            got = hermitian_gram(operand, right, _pairs(len(columns)))
             assert stored(got) == want
     # a row used in one pair is weighted in the sum, not in its terms
     i, j = len(rows) // 2, len(rows) - 1
@@ -602,8 +621,11 @@ def test_columns_reuse_the_rows_two_root_forms(monkeypatch):
     def counting(v):
         if any(v is u for u in table.pool):
             searched.append(v)
-        return _two_roots(v)
-    monkeypatch.setattr(exact, "_two_roots", counting)
+        return _short_roots(v)
+    monkeypatch.setattr(exact, "_short_roots", counting)
+    # the orbit search reads the one-term forms of a few values itself, so
+    # verify computes every row pair here
+    monkeypatch.setattr(chartab, "ORBIT_ROWS", float("inf"))
     # decompose reads the rows and then the columns
     f = chartab.regular_character(table.group)
     decompose(f, table)
@@ -627,8 +649,8 @@ def test_a_tables_own_row_is_not_searched_again(monkeypatch):
 
     def counting(v):
         searched.append(v)
-        return _two_roots(v)
-    monkeypatch.setattr(exact, "_two_roots", counting)
+        return _short_roots(v)
+    monkeypatch.setattr(exact, "_short_roots", counting)
     decompose(f, table)
     searched.clear()
     mults = decompose(f, table)
@@ -637,11 +659,11 @@ def test_a_tables_own_row_is_not_searched_again(monkeypatch):
 
 
 def _held_rows(operand):
-    """The rows each root form (n, sign, shift, weights), n > 1, of an
-    operand holds, by sign: +1 for left operands, -1 for conjugated right
+    """The rows each root form (n, right, weights), n > 1, of an operand
+    holds, by side: False for left operands, True for conjugated right
     ones."""
     return {key[1]: set(form[0]) for key, form in operand._forms.items()
-            if len(key) == 4 and key[0] > 1}
+            if isinstance(key, tuple) and key[0] > 1}
 
 
 def test_a_lasting_operand_holds_only_the_rows_it_was_asked_for():
@@ -650,16 +672,16 @@ def test_a_lasting_operand_holds_only_the_rows_it_was_asked_for():
     got = table.inner_product(rows[3].values, rows[50].values)
     assert got == reference_inner_product(sizes, table.group.order, rows[3].values,
                                           rows[50].values) == 0
-    assert _held_rows(table.gram_rows) == {1: {3}, -1: {50}}
+    assert _held_rows(table.gram_rows) == {False: {3}, True: {50}}
     # the orbit path reads only the rows of its representative pairs, and a
     # second verify reads them from the forms the first one kept
     table = gl2_table(7)
     want = reference_gl2_verify(table).entries
     assert gl2_verify(table).entries == want
-    reps = table.gram_rows._forms["orbits"][1]
+    reps = table.gram_rows._forms["orbits"]
     held = _held_rows(table.gram_rows)
-    assert held == {1: {i for i, _ in reps}, -1: {j for _, j in reps}}
-    assert len(held[1]) < len(table.rows)
+    assert held == {False: {i for i, _ in reps}, True: {j for _, j in reps}}
+    assert len(held[False]) < len(table.rows)
     assert gl2_verify(table).entries == want
     assert _held_rows(table.gram_rows) == held
 
@@ -673,10 +695,10 @@ def test_a_rational_operand_holds_only_the_rows_it_was_asked_for():
     # the weighted left form and the conjugated right form, each as integer
     # rows over the pool's denominator
     assert {key: set(form[0]) for key, form in table.gram_rows._forms.items()} == {
-        (1, 1, 0, tuple(sizes)): {3}, (1, -1, 1, None): {50}}
+        (1, False, tuple(sizes)): {3}, (1, True, None): {50}}
     # verify adds the other rows to the same forms
     assert verify_table(table).entries == integer_reference_verify_table(table).entries
-    assert set(table.gram_rows._forms[1, 1, 0, tuple(sizes)][0]) == set(range(len(rows)))
+    assert set(table.gram_rows._forms[1, False, tuple(sizes)][0]) == set(range(len(rows)))
     # the integer reference reads as reference_verify_table does, also on a
     # table that is wrong on purpose
     small = sn_table(6)

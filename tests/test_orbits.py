@@ -89,15 +89,28 @@ def test_gl2_orbit_counts(q, monkeypatch, all_orbits):
         counted.append(len(pairs))
         return hermitian_gram(left, right, pairs, *args, **kwargs)
     monkeypatch.setattr(chartab, "hermitian_gram", counting)
-    k = len(table.rows)
-    values = orbit_gram(table.gram_rows, class_sizes(g), g.order)
+    assert orbit_gram(table.gram_rows, class_sizes(g), g.order) is None
     assert counted == [GL2_ORBITS[q]]
-    assert len(values) == k * (k + 1) // 2
-    # without twists the Galois orbits alone are more
+    # without twists (no value is read as a root of unity) the Galois
+    # orbits alone are more
     counted.clear()
-    monkeypatch.setattr(chartab, "_TWIST_TRIES", 0)
-    orbit_gram(gl2_table(q).gram_rows, class_sizes(g), g.order)
+    monkeypatch.setattr(FieldKeys, "root", lambda keys, y: None)
+    assert orbit_gram(gl2_table(q).gram_rows, class_sizes(g), g.order) is None
     assert counted[0] > GL2_ORBITS[q]
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_a_passing_table_is_proven_without_its_products(name, all_orbits):
+    table = TABLES[name]()
+    g = table.group
+    got = orbit_gram(table.gram_rows, class_sizes(g), g.order)
+    if table.gram_rows.order > 1:
+        assert got is None
+    else:
+        # a rational table has no orbit search: every product is computed
+        k = len(table.rows)
+        assert got == [int(i == j) for i in range(k) for j in range(i, k)]
+
 
 
 def test_the_search_holds_a_bounded_number_of_coordinates(monkeypatch):
@@ -174,6 +187,17 @@ def test_broken_tables_report_like_the_full_gram(name, monkeypatch):
     assert any(not ok for entries in full for _, ok, _ in entries)
 
 
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_a_broken_table_reads_the_full_gram(name, all_orbits):
+    table = BROKEN[name]()
+    g = table.group
+    k = len(table.rows)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    want = hermitian_gram(table.gram_rows, table.gram_rows, pairs, class_sizes(g), g.order)
+    got = orbit_gram(table.gram_rows, class_sizes(g), g.order)
+    assert [(v.order, v.num, v.den) for v in got] == [(v.order, v.num, v.den) for v in want]
+
+
 def test_a_wrong_class_size_fails_whole_orbits(all_orbits):
     table = gl2_5_with_a_wrong_class_size()
     assert chartab._row_symmetries(table.gram_rows)
@@ -207,7 +231,7 @@ def test_swapped_a5_keeps_no_galois_symmetry(all_orbits, monkeypatch):
     table = swapped_a5()
     keys = FieldKeys(table.gram_rows.pool)
     assert keys.galois(2) is not None  # every value still has its image
-    monkeypatch.setattr(chartab, "_TWIST_TRIES", 0)
+    monkeypatch.setattr(FieldKeys, "root", lambda keys, y: None)  # no twists
     assert chartab._row_symmetries(table.gram_rows) == []
 
 

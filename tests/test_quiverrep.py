@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -318,6 +319,36 @@ def _two_orientations(name):
     edges = [(i, j) for i, j, _ in g.edges()]
     mixed = [(j, i) if k % 2 else (i, j) for k, (i, j) in enumerate(edges)]
     return Quiver(g.n, edges), Quiver(g.n, mixed)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4"])
+def test_the_root_check_agrees_with_the_root_list(name):
+    # indecomposable_for_root takes alpha >= 0 with B(alpha, alpha) = 2 for
+    # a positive root, with no list of the roots
+    q, _ = _two_orientations(name)
+    positive = set(enumerate_roots(cartan_matrix(dynkin_graph(name)))[0])
+    for alpha in itertools.product(range(-1, 4), repeat=q.n):
+        if alpha in positive:
+            assert indecomposable_for_root(q, alpha).dims == alpha
+        else:
+            with pytest.raises(QuiverError):
+                indecomposable_for_root(q, alpha)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_each_root_alone_gives_the_enumerated_indecomposable(name):
+    for q in _two_orientations(name):
+        for root, rep in enumerate_indecomposables(q):
+            alone = indecomposable_for_root(q, root)
+            assert alone.dims == root and alone.maps == rep.maps, (name, root)
+
+
+def test_the_root_check_refuses_floats_and_wrong_lengths():
+    q, _ = _two_orientations("D4")
+    assert indecomposable_for_root(q, (1, 1, 1, 1)).dims == (1, 1, 1, 1)
+    for alpha in [(1.0, 1, 1, 1), (1, 1, 1, 1.5), (1, 1, 1), (1, 1, 1, 1, 0), (), (0, 0, 0, 0)]:
+        with pytest.raises(QuiverError):
+            indecomposable_for_root(q, alpha)
 
 
 @pytest.mark.parametrize("name", ["A5", "D4", "D5", "D6", "E6"])

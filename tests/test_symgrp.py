@@ -258,10 +258,11 @@ def test_sn_tables_verify():
         sn_table(MAX_TABLE_N + 1)
 
 
-def test_sn_table_checks_each_partition_once(monkeypatch):
-    # sn_table validates each row's partition once (through hook_dim) and
-    # reads its values off the columns of the forward walk, which checks no
-    # partition; its bytes are pinned by "sn table 15 --json" in the CLI digests
+def test_sn_table_checks_no_partition(monkeypatch):
+    # sn_table reads its values and each row's degree off the columns of the
+    # forward walk, which makes only valid partitions and checks none, and
+    # computes no hook product; its bytes are pinned by "sn table 15 --json"
+    # in the CLI digests
     check, calls = symgrp._check_partition, []
 
     def counted(lam):
@@ -270,7 +271,9 @@ def test_sn_table_checks_each_partition_once(monkeypatch):
 
     monkeypatch.setattr(symgrp, "_check_partition", counted)
     table = sn_table(15)
-    assert len(calls) == len(table.rows) == 176
+    assert len(table.rows) == 176 and calls == []
+    monkeypatch.undo()
+    assert [row.degree for row in table.rows] == [hook_dim(lam) for lam in partitions_of(15)]
     with pytest.raises(ValueError):
         frobenius_character((1, 2), (2, 1))
     with pytest.raises(ValueError):
