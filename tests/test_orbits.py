@@ -112,7 +112,6 @@ def test_a_passing_table_is_proven_without_its_products(name, all_orbits):
         assert got == [int(i == j) for i in range(k) for j in range(i, k)]
 
 
-
 def test_the_search_holds_a_bounded_number_of_coordinates(monkeypatch):
     want = gl2_verify(gl2_table(5)).entries
     table = gl2_table(5)
