@@ -28,8 +28,9 @@ stored (order, numerators, denominator), and each row as indices into it.
 The kernel reads every operand, at every order, through one row store
 (GramRows.rows). An operand is one object: it converts each pool entry
 once, into integers or sparse roots of unity (one or two roots where
-that is shorter, by _short_roots, the one floating-point search here),
-and makes a row when a call first reads it and keeps it. A table's
+that is shorter, by _short_roots, the floating-point search here, which
+tries _one_root first), and makes a row when a call first reads it and
+keeps it. FieldKeys.root reads _one_root alone. A table's
 columns share only the pool and its rows' short forms, the one costly
 conversion. The kernel conjugates its right operand only, accumulates
 integer sums of roots of unity and reduces once per entry. An operand
@@ -513,23 +514,38 @@ def _unit_roots(m):
     return [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
 
 
-def _short_roots(v):
-    """v as s * zeta^a, or as s * zeta^a + t * zeta^b, zeta = zeta_order
-    and s, t = +-d for d the gcd of v's numerators: [(a, s)] or
-    [(a, s), (b, t)], or None. A root of unity (zeta_23^22 has 22
-    coordinates) and a sum of two roots (most GL2 values) can have many
-    power-basis coordinates. The complex value of v only proposes a and
-    b; a form is taken only if its coordinates are v's exactly."""
-    m, num = v.order, v.num
-    d = gcd(*num)
-    roots = _unit_roots(m)
-    want = [c // d for c in num]
-    z = sum(c * w for c, w in zip(want, roots))
+def _unit_scaled(v):
+    """(m, d, v's numerators over d, their complex value) for m the order
+    of v and d the gcd of its numerators: what the root searches read."""
+    d = gcd(*v.num)
+    want = [c // d for c in v.num]
+    return v.order, d, want, sum(c * w for c, w in zip(want, _unit_roots(v.order)))
+
+
+def _one_root(m, d, want, z):
+    """v, given as _unit_scaled(v), as s * zeta^a, zeta = zeta_m and
+    s = +-d: (a, s), or None. A root of unity can have many power-basis
+    coordinates (zeta_23^22 has 22). The complex value of v only proposes
+    a; the form is taken only if its coordinates are v's exactly."""
     if abs(abs(z) - 1) < 1e-6:
         for s in (1, -1):
             a = round(cmath.phase(s * z) * m / (2 * cmath.pi)) % m
             if [s * x for x in _root(m, a)] == want:
-                return [(a, s * d)]
+                return a, s * d
+    return None
+
+
+def _short_roots(v):
+    """v as one root, [(a, s)] from _one_root, or else as a sum of two,
+    [(a, s), (b, t)] with s * zeta^a + t * zeta^b = v and s, t = +-d as
+    there, or None. A sum of two roots (most GL2 values) can have many
+    power-basis coordinates; again the complex value of v only proposes a
+    and b."""
+    m, d, want, z = scaled = _unit_scaled(v)
+    one = _one_root(*scaled)
+    if one is not None:
+        return [one]
+    roots = _unit_roots(m)
     for a in range(m):
         for s in (1, -1):
             r = z - s * roots[a]
@@ -762,13 +778,13 @@ class FieldKeys:
 
     def root(self, y):
         """(s, e) with the value of id y equal to s * zeta_n^e, s = 1 or -1
-        (-1 only at odd n), or None: the one-term form of _short_roots,
-        s * zeta_m^a at the value's order m, read at n."""
+        (-1 only at odd n), or None: the form of _one_root, s * zeta_m^a at
+        the value's order m, read at n."""
         if y not in self._roots:
             v, n, found = self.values[y], self.n, None
-            form = v.den == 1 and not v.is_zero and _short_roots(v)
-            if form and len(form) == 1 and abs(form[0][1]) == 1:
-                (a, s), = form
+            form = v.den == 1 and not v.is_zero and _one_root(*_unit_scaled(v))
+            if form and abs(form[1]) == 1:
+                a, s = form
                 e = a * (n // v.order)
                 # -zeta_n^e is zeta_n^(e + n/2) at even n
                 found = (1, (e + n // 2) % n) if s < 0 and n % 2 == 0 else (s, e)

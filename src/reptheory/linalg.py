@@ -11,20 +11,24 @@ functors of quiverrep and the null root of rootsys, the classification of
 a Cartan form in rootsys, and exact.Cyclotomic.inverse. It is fraction-free
 Gauss-Jordan elimination after Bareiss (1968): every intermediate entry
 is a minor of the input, so on integer rows each division is exact and
-no Fraction is built inside the loop. A rational caller scales each row
-by the lcm of its denominators (which changes neither the row space, nor
-the pivots, nor the rref), eliminates over the integers, and builds one
-Fraction per entry it returns. Cyclotomic rows run the same loop with
-true division. The reflection steps of quiverrep call it on int rows
-only, through integer_null_vectors, and build no Fraction.
+no Fraction is built inside the loop. Rows are scaled lazily, so a
+pivot rebuilds only the rows with a nonzero entry in its column; the
+result is the eager elimination's, entry for entry. A rational caller
+scales each row by the lcm of its denominators (which changes neither
+the row space, nor the pivots, nor the rref), eliminates over the
+integers, and builds one Fraction per entry it returns. Cyclotomic rows
+run the same loop with true division. The reflection steps of quiverrep
+call it on int rows only, through integer_null_vectors, and build no
+Fraction.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import add, floordiv, mul, sub
+from operator import add, sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,43 +137,81 @@ def gauss_jordan(rows, ncols):
 
     For each pivot column c with pivot row r, every other row i, above
     and below, becomes (p * row_i - row_i[c] * row_r) / prev, where p is
-    the new pivot and prev the one before it (1 at the start); a row with
-    row_i[c] = 0 is skipped when p = prev, as the update would not change
-    it. Every entry is then a minor of the input, so on rows of ints the
-    division is exact and runs as //, and ints stay ints; on any other
-    entries (Fractions, Cyclotomics) it is a product with 1 / prev, one
-    inversion per pivot. At the end each pivot row is d times its reduced
-    row echelon row, where d is the last pivot (1 if there is none), so
-    every pivot entry equals d; the rows past the rank are zero on the
-    first ncols columns. With no row swapped and the pivots in columns
-    0, 1, ..., the k-th pivot is the leading principal minor of order k;
-    on a square matrix of full rank, d is the determinant times (-1)^swaps.
+    the new pivot and prev the one before it (1 at the start). Every
+    entry is then a minor of the input, so on rows of ints the division
+    is exact and runs as //, and ints stay ints; on any other entries
+    (Fractions, Cyclotomics) it is a product with an inverse, one
+    inversion per pivot. A row with row_i[c] = 0 would only be multiplied
+    by p / prev, so scaling is lazy: each row is kept as it was after its
+    last update, with the index s of the minor in force then, and its
+    value is that row times prev / minors[s]. A nonzero scalar leaves the
+    zero entries zero, so pivots are searched on the rows as kept. A row
+    with row_i[c] != 0 becomes (p * row_i - row_i[c] * row_r) / minors[s]
+    from its kept form, which is the eager update, so on ints the
+    division is still exact; the pivot row is brought up to date before
+    it is used, and a row left behind is scaled once, at the end. The
+    rows, pivots, minors and swaps are the eager loop's.
+
+    At the end each pivot row is d times its reduced row echelon row,
+    where d is the last pivot (1 if there is none), so every pivot entry
+    equals d; the rows past the rank are zero on the first ncols columns.
+    With no row swapped and the pivots in columns 0, 1, ..., the k-th
+    pivot is the leading principal minor of order k; on a square matrix
+    of full rank, d is the determinant times (-1)^swaps.
     Returns (pivot columns, minors = [1, pivot 1, pivot 2, ...], swaps)."""
-    integral = all(type(x) is int for row in rows for x in row)
-    scale, prev = (floordiv, 1) if integral else (mul, _ONE)  # ints never become floats
+    integral = {int}.issuperset(map(type, chain.from_iterable(rows)))
+    prev = 1 if integral else _ONE  # ints never become floats
     pivots, minors = [], [prev]
+    # a row stamped s is divided by minors[s]: by[s] is minors[s] itself
+    # on ints, for //, and its inverse otherwise, for a product
+    by = minors if integral else [prev]
+    n = len(rows)
+    stamps = [0] * n
     swaps = r = 0
     for c in range(ncols):
-        if r == len(rows):
+        if r == n:
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, n):
+            if rows[pr][c] != 0:
+                break
+        else:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
+            stamps[r], stamps[pr] = stamps[pr], stamps[r]
             swaps += 1
+        if minors[stamps[r]] != prev:
+            rows[r] = _rescaled(rows[r], integral, prev, by[stamps[r]])
         top = rows[r]
         p = top[c]
-        by = prev if integral else _ONE / prev
+        k = len(minors)
         for i, row in enumerate(rows):
             f = row[c]
-            if i != r and (f != 0 or p != prev):
-                rows[i] = [scale(p * x - f * y, by) for x, y in zip(row, top)]
+            if f != 0 and i != r:
+                m = by[stamps[i]]
+                rows[i] = ([(p * x - f * y) // m for x, y in zip(row, top)] if integral
+                           else [(p * x - f * y) * m for x, y in zip(row, top)])
+                stamps[i] = k
+        stamps[r] = k
         pivots.append(c)
         minors.append(p)
+        if not integral:
+            by.append(_ONE / p)
         prev = p
         r += 1
+    for i, s in enumerate(stamps):
+        if minors[s] != prev:
+            rows[i] = _rescaled(rows[i], integral, prev, by[s])
     return pivots, minors, swaps
+
+
+def _rescaled(row, integral, d, by):
+    """A row of gauss_jordan kept at the minor m, brought up to the pivot
+    d: row * d / m, for by = m on ints and by = 1 / m otherwise."""
+    if integral:
+        return [x * d // by for x in row]
+    ratio = d * by
+    return [x * ratio for x in row]
 
 
 def _integer_rows(rows):
@@ -211,8 +253,8 @@ def eliminated_null_vectors(rows, ncols, pivots, d):
     pivots p_i, cleared of denominators. Each pivot row is d times its rref
     row, so that is d e_f - sum_i rows[i][f] e_{p_i} over its gcd, signed
     so that v_f > 0."""
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
+    out, pivotal = [], set(pivots)
+    for f in (c for c in range(ncols) if c not in pivotal):
         v = [0] * ncols
         v[f] = d
         for row, p in zip(rows, pivots):

@@ -623,10 +623,8 @@ def test_columns_reuse_the_rows_two_root_forms(monkeypatch):
             searched.append(v)
         return _short_roots(v)
     monkeypatch.setattr(exact, "_short_roots", counting)
-    # the orbit search reads the one-term forms of a few values itself, so
-    # verify computes every row pair here
-    monkeypatch.setattr(chartab, "ORBIT_ROWS", float("inf"))
-    # decompose reads the rows and then the columns
+    # decompose reads the rows and then the columns; the orbit search of
+    # verify reads one-root forms only, through _one_root
     f = chartab.regular_character(table.group)
     decompose(f, table)
     verify_table(table)

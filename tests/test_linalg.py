@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import floordiv, mul
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,125 @@ def test_gauss_jordan_minors_are_the_minors_of_the_swapped_rows(m):
     if not swaps and pivots == list(range(len(pivots))):
         for k in range(1, len(pivots) + 1):
             assert minors[k] == leibniz_det([row[:k] for row in rows[:k]])
+
+
+def reference_gauss_jordan(rows, ncols):
+    """The eager form of gauss_jordan: each pivot rebuilds every other row,
+    also a row with a zero in its column whenever p != prev, only to
+    multiply it by p / prev. gauss_jordan must return what this returns and
+    leave the same rows."""
+    integral = all(type(x) is int for row in rows for x in row)
+    scale, prev = (floordiv, 1) if integral else (mul, Fraction(1))
+    pivots, minors = [], [prev]
+    swaps = r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps += 1
+        top = rows[r]
+        p = top[c]
+        by = prev if integral else Fraction(1) / prev
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and (f != 0 or p != prev):
+                rows[i] = [scale(p * x - f * y, by) for x, y in zip(row, top)]
+        pivots.append(c)
+        minors.append(p)
+        prev = p
+        r += 1
+    return pivots, minors, swaps
+
+
+@st.composite
+def sparse_rows(draw, entry, max_rows=7, max_cols=7):
+    """(rows, ncols): mostly zero entries, some columns zero throughout,
+    some rows repeated, and up to three ride-along columns past ncols."""
+    ncols = draw(st.integers(min_value=0, max_value=max_cols))
+    width = ncols + draw(st.integers(min_value=0, max_value=3))
+    zero = draw(st.sets(st.integers(min_value=0, max_value=max(width - 1, 0))))
+    value = st.one_of(st.just(0), st.just(0), entry)
+    rows = [[0 if c in zero else draw(value) for c in range(width)]
+            for _ in range(draw(st.integers(min_value=0, max_value=max_rows)))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=3)):
+        if i < len(rows) and j < len(rows):
+            rows[j] = list(rows[i])
+    return rows, ncols
+
+
+def assert_same_elimination(rows, ncols):
+    lazy, eager = [list(row) for row in rows], [list(row) for row in rows]
+    assert gauss_jordan(lazy, ncols) == reference_gauss_jordan(eager, ncols)
+    assert lazy == eager
+    return lazy
+
+
+@given(sparse_rows(st.integers(min_value=-10**6, max_value=10**6)))
+@settings(max_examples=300, deadline=None)
+@example(([], 4))
+@example(([[], [], []], 0))
+@example(([[1, 2], [3, 4]], 0))
+@example(([[0, 5, 7], [0, 5, 7], [0, 0, 3]], 2))
+@example(([[2, 0, 0, 1], [0, 3, 0, 1], [0, 0, 5, 1]], 3))
+@example(([[2, 0, 0], [0, 3, 1], [0, 5, 7]], 3))  # row 2 is updated while stale
+def test_lazy_scaling_matches_the_eager_loop_on_ints(case):
+    rows = assert_same_elimination(*case)
+    assert all(type(x) is int for row in rows for x in row)
+
+
+@st.composite
+def cyclotomic_entries(draw, order):
+    value = cyc(0)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        k = draw(st.integers(min_value=0, max_value=order - 1))
+        value = value + draw(st.integers(min_value=-2, max_value=2)) * zeta(order, k)
+    return value
+
+
+@pytest.mark.parametrize("order", [5, 12], ids=["Q(zeta_5)", "Q(zeta_12)"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_lazy_scaling_matches_the_eager_loop_on_cyclotomics(order, data):
+    rows, ncols = data.draw(sparse_rows(cyclotomic_entries(order), max_rows=4, max_cols=4))
+    assert_same_elimination(rows, ncols)
+
+
+class RecordedRows(list):
+    """Rows that log every (index, row object) stored into them."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.stored = []
+
+    def __setitem__(self, i, row):
+        self.stored.append((i, row))
+        super().__setitem__(i, row)
+
+
+def test_a_pivot_rebuilds_only_the_rows_it_changes():
+    # diag(2, 3, 5) has no entry off the diagonal, so no pivot changes
+    # another row: the eager loop rebuilds the two other rows at each of
+    # its three pivots, only to scale them
+    eager = RecordedRows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+    assert reference_gauss_jordan(eager, 3) == ([0, 1, 2], [1, 2, 6, 30], 0)
+    assert len({id(row) for _, row in eager.stored}) == 6
+    # the lazy loop rebuilds two rows during the pivots, each when it
+    # becomes the pivot row (as 3 * 2 and 5 * 6), then scales the two
+    # rows left behind once, to the last pivot
+    lazy = RecordedRows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+    assert gauss_jordan(lazy, 3) == ([0, 1, 2], [1, 2, 6, 30], 0)
+    assert lazy == eager == [[30, 0, 0], [0, 30, 0], [0, 0, 30]]
+    assert [(i, row) for i, row in lazy.stored] == [
+        (1, [0, 6, 0]), (2, [0, 0, 30]), (0, [30, 0, 0]), (1, [0, 30, 0])]
+    assert len({id(row) for _, row in lazy.stored}) == 4
+    # a row whose entry in the pivot column is nonzero is still rebuilt
+    lazy = RecordedRows([[2, 1], [4, 3]])
+    assert gauss_jordan(lazy, 2) == ([0, 1], [1, 2, 2], 0)
+    assert [i for i, _ in lazy.stored] == [1, 0] and lazy == [[2, 0], [0, 2]]
 
 
 def leibniz_det(rows):

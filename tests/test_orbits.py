@@ -364,6 +364,16 @@ def test_field_keys_read_signed_roots():
     assert keys.times(1, [1, 2]) == {1: 5, 2: None}
 
 
+def test_field_keys_root_runs_no_two_root_search(monkeypatch):
+    # zeta_7 + zeta_7^2 (six coordinates) is a sum of two roots and no one
+    # root; root reads None from the one-root test alone
+    searched = []
+    monkeypatch.setattr(exact, "_short_roots", lambda v: searched.append(v))
+    keys = FieldKeys([zeta(7) + zeta(7, 2), -zeta(7, 3), zeta(7, 4) - zeta(7, 5)])
+    assert [keys.root(x) for x in range(3)] == [None, (-1, 3), None]
+    assert searched == []
+
+
 # -- rows of the table read through its pool -----------------------------------------
 
 def test_inner_product_reads_rows_through_the_pool(monkeypatch):
