@@ -189,10 +189,6 @@ class CharacterTable:
         return f"CharacterTable({self.name or 'table'}, {len(self.rows)} rows)"
 
 
-def trivial_character(group):
-    return ClassFunction(group, [one()] * len(group.classes))
-
-
 def regular_character(group):
     vals = [zero()] * len(group.classes)
     vals[0] = cyc(group.order)
@@ -218,20 +214,6 @@ def inner_product(f1, f2):
 def class_sizes(group):
     """The class sizes, in the group's class order: the weights of (f1, f2)."""
     return [cl.size for cl in group.classes]
-
-
-def dual_character(f):
-    """Character of the dual representation: entrywise complex conjugation."""
-    return f.conjugate()
-
-
-def is_irreducible_virtual(f):
-    """Norm-one test: (f,f) = 1 and f(1) a positive integer force f to be
-    an irreducible character."""
-    if inner_product(f, f) != 1:
-        return False
-    v = f.at_identity()
-    return v.is_integer() and v.as_fraction() > 0
 
 
 def decompose(f, table):

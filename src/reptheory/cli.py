@@ -293,8 +293,10 @@ def _get_graph(args):
 def _parse_arrows(s):
     arrows = []
     for part in s.split(","):
-        a, b = part.split(">")
-        arrows.append((parse_integer(a), parse_integer(b)))
+        ends = part.split(">")
+        if len(ends) != 2:
+            raise ValueError(f"an arrow is written s>t, not {part!r}")
+        arrows.append((parse_integer(ends[0]), parse_integer(ends[1])))
     return arrows
 
 

@@ -45,8 +45,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-# the rational string helpers live in linalg and are re-exported here
-from .linalg import _parse_ratio, gauss_jordan, rational_from_str, rational_to_str
+from .linalg import _parse_ratio, gauss_jordan
 
 Rational = Fraction
 
@@ -252,10 +251,6 @@ class Cyclotomic:
     @property
     def is_zero(self):
         return self.order == 1 and self.num[0] == 0
-
-    @property
-    def is_rational(self):
-        return self.order == 1
 
     def as_fraction(self):
         if self.order != 1:
@@ -501,10 +496,6 @@ def zeta(n, k=1):
     if k == 0 or n == 1:
         return _ONE
     return Cyclotomic(n, _root(n, k), 1)
-
-
-def conjugate(a):
-    return Cyclotomic.coerce(a).conjugate()
 
 
 # -- the Gram kernel --------------------------------------------------

@@ -58,10 +58,6 @@ def _cyclic_powers(candidates, mul, one, order):
     raise AssertionError(f"no element of order {order} found")
 
 
-def smallest_primitive_root(q):
-    return _cyclic_powers(range(2, q), lambda x, y: x * y % q, 1, q - 1)[1]
-
-
 def smallest_nonresidue(q):
     residues = {x * x % q for x in range(1, q)}
     for e in range(2, q):

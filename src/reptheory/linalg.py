@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -103,9 +103,12 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        bt = other.transpose().entries
+        # each row of self and each column of other over its own lcm of
+        # denominators: one integer dot product and one Fraction per entry
+        left = [_integer_rows([row]) for row in self.entries]
+        right = [_integer_rows([col]) for col in other.transpose().entries]
         return Matrix(self.rows, other.cols,
-                      [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries])
+                      [[Fraction(sum(map(mul, a, b)), s * t) for (b,), t in right] for (a,), s in left])
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -299,11 +302,6 @@ def inverse(m):
 
 
 # -- serialization ----------------------------------------------------
-
-def rational_to_str(f):
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
-
 
 # an optional sign and ASCII digits; int() alone also takes the digits of
 # other scripts and "_" separators, and int() on each side of a "/" takes

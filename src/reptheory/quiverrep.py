@@ -116,17 +116,6 @@ class QuiverRep:
         return f"QuiverRep(dims={self.dims})"
 
 
-def zero_rep(quiver):
-    return QuiverRep(quiver, (0,) * quiver.n,
-                     [Matrix.zeros(0, 0) for _ in quiver.arrows])
-
-
-def simple_rep(quiver, i):
-    dims = tuple(1 if v == i else 0 for v in range(quiver.n))
-    maps = [Matrix.zeros(dims[t], dims[s]) for s, t in quiver.arrows]
-    return QuiverRep(quiver, dims, maps)
-
-
 def direct_sum(a, b):
     if a.quiver != b.quiver:
         raise QuiverError("direct sum requires the same quiver")

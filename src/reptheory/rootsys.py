@@ -8,8 +8,7 @@ null root of a semidefinite form. A diagram is named by its invariants,
 not by its shape: a Dynkin diagram by its determinant, an affine one by
 the largest coordinate of its primitive null root delta. Root sets are
 the reflection closure of the simple roots. Weyl groups are counted by
-orbits of fundamental weights along the parabolic chain W_1 < ... < W_n,
-and enumerated as the orbit of rho, whose stabilizer is trivial.
+orbits of fundamental weights along the parabolic chain W_1 < ... < W_n.
 """
 
 from __future__ import annotations
@@ -264,27 +263,6 @@ def enumerate_roots(a):
     return positive, negative
 
 
-def roots_by_box_search(a, bound):
-    """Oracle enumeration: all integer vectors with |x_i| <= bound and
-    B(x,x) = 2 (exponential in the rank; testing aid)."""
-    n = len(a)
-    out = []
-    vec = [0] * n
-
-    def rec(i):
-        if i == n:
-            v = tuple(vec)
-            if any(v) and bilinear(a, v, v) == 2:
-                out.append(v)
-            return
-        for c in range(-bound, bound + 1):
-            vec[i] = c
-            rec(i + 1)
-
-    rec(0)
-    return set(out)
-
-
 # -- Weyl groups and Coxeter elements --------------------------------------
 
 def _mat_identity(n):
@@ -318,19 +296,16 @@ def coxeter_element(a, labeling=None):
 
 
 def _orbit(a, weight, limit):
-    """The orbit of a dominant integer weight (fundamental-weight
+    """The size of the orbit of a dominant integer weight (fundamental-weight
     coordinates) under the group generated by the simple reflections,
-    s_i(l)_j = l_j - l_i*a_ij. Breadth first from the weight, stepping
-    down by s_i wherever l_i > 0, which reaches the whole orbit. Returns the
-    BFS tree as a list of (parent index, i), the weight's own entry
-    (None, None), with point k = s_i(point parent); None as soon as the
-    orbit has more than limit points."""
+    s_i(l)_j = l_j - l_i*a_ij; None as soon as the orbit has more than limit
+    points. Breadth first from the weight, stepping down by s_i wherever
+    l_i > 0, which reaches the whole orbit."""
     n = len(a)
     steps = [[(j, a[i][j]) for j in range(n) if a[i][j]] for i in range(n)]
     points = [tuple(weight)]
-    tree = [(None, None)]
     seen = {points[0]}
-    for k, lam in enumerate(points):
+    for lam in points:
         for i in range(n):
             c = lam[i]
             if c > 0:
@@ -343,8 +318,7 @@ def _orbit(a, weight, limit):
                         return None
                     seen.add(mu)
                     points.append(mu)
-                    tree.append((k, i))
-    return tree
+    return len(points)
 
 
 def _reflect_rows(a, i, m):
@@ -354,21 +328,6 @@ def _reflect_rows(a, i, m):
         if aik:
             row = tuple(x - aik * y for x, y in zip(row, m[k]))
     return m[:i] + (row,) + m[i + 1:]
-
-
-def weyl_elements(a, max_elements=300000):
-    """All elements of the group generated by the simple reflections, as
-    integer matrices in the simple-root basis; None if there are more than
-    max_elements. The stabilizer of rho (all ones in the fundamental-weight
-    basis) is trivial, so the points of its orbit are the group elements,
-    and each matrix is its BFS parent's times one simple reflection."""
-    tree = _orbit(a, (1,) * len(a), max_elements)
-    if tree is None:
-        return None
-    matrices = [_mat_identity(len(a))]
-    for parent, i in tree[1:]:
-        matrices.append(_reflect_rows(a, i, matrices[parent]))
-    return set(matrices)
 
 
 def _chain_order(a):
@@ -399,10 +358,10 @@ def weyl_count(a, max_elements=300000):
     a = [[a[i][j] for j in order] for i in order]
     count = 1
     for k in range(1, len(a) + 1):
-        tree = _orbit([row[:k] for row in a[:k]], (0,) * (k - 1) + (1,), max_elements // count)
-        if tree is None:
+        size = _orbit([row[:k] for row in a[:k]], (0,) * (k - 1) + (1,), max_elements // count)
+        if size is None:
             return None
-        count *= len(tree)
+        count *= size
     return count
 
 

@@ -45,11 +45,6 @@ def _check_partition(lam):
     return lam
 
 
-def conjugate_partition(lam):
-    """Transpose of the Young diagram."""
-    return _conjugate(_check_partition(lam))
-
-
 def _conjugate(lam):
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0])) if lam else ()
 
@@ -64,18 +59,6 @@ def hook_dim(lam):
         for c in range(row_len):
             denom *= (row_len - c) + (conj[c] - r) - 1
     return factorial(n) // denom
-
-
-def content(lam):
-    """Sum over diagram cells of (column index - row index), 1-based in
-    both coordinates."""
-    lam = _check_partition(lam)
-    return sum(i - j for j, row in enumerate(lam, start=1) for i in range(1, row + 1))
-
-
-def sign_of_type(t):
-    """Sign of any permutation with the given cycle type."""
-    return (-1) ** sum(m - 1 for m in t)
 
 
 # -- capped sparse polynomials -------------------------------------------

@@ -16,20 +16,22 @@ import reptheory
 from reptheory import chartab
 from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunction,
                                TableRow, abelian_dual_table, builtin_table,
-                               decompose, dihedral_semidirect, dual_character,
-                               frobenius_schur, heisenberg_semidirect, induce,
-                               inner_product, integer_multiplicities,
-                               is_irreducible_virtual, permutation_character,
+                               decompose, dihedral_semidirect, frobenius_schur,
+                               heisenberg_semidirect, induce, inner_product,
+                               integer_multiplicities, permutation_character,
                                regular_character, render_table, restrict,
                                semidirect_table, table_from_json, table_to_json,
-                               tensor_multiplicities, transfer_table, trivial_character,
-                               verify_table)
+                               tensor_multiplicities, transfer_table, verify_table)
 from reptheory.exact import (Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json, zeta,
                             zero)
 from reptheory.gl2fq import gl2_table, gl2_table_to_json
 from reptheory.permgroup import (PermGroup, builtin_group, cyclic_group, from_cycles, p_inv,
                                  p_mul, p_order)
 from reptheory.symgrp import MAX_TABLE_N, sn_table
+
+
+def trivial_character(group):
+    return ClassFunction(group, [1] * len(group.classes))
 
 
 def test_class_function_values():
@@ -133,18 +135,19 @@ def test_tensor_examples():
 
 
 def test_dual_character():
+    # the character of the dual representation is the entrywise conjugate
     s4 = builtin_table("S4")
     for row in s4.rows:  # all rows real-valued
-        assert dual_character(row.function) == row.function
+        assert row.function.conjugate() == row.function
     a4 = builtin_table("A4")
-    assert dual_character(a4.row_by_name("Ce").function) == a4.row_by_name("Ce2").function
+    assert a4.row_by_name("Ce").function.conjugate() == a4.row_by_name("Ce2").function
     g = a4.group
-    assert dual_character(trivial_character(g)) == trivial_character(g)
+    assert trivial_character(g).conjugate() == trivial_character(g)
     # involution permuting the rows of a complete table
     names = set()
     for row in a4.rows:
-        d = dual_character(row.function)
-        assert dual_character(d) == row.function
+        d = row.function.conjugate()
+        assert d.conjugate() == row.function
         match = [r.name for r in a4.rows if r.function == d]
         assert len(match) == 1
         names.add(match[0])
@@ -275,13 +278,6 @@ def test_frobenius_schur_examples():
     with pytest.raises(ValueError):
         reducible = s4.rows[0].function + s4.rows[1].function
         frobenius_schur(reducible)
-
-
-def test_is_irreducible_virtual():
-    s3 = builtin_table("S3")
-    assert is_irreducible_virtual(s3.rows[2].function)
-    assert not is_irreducible_virtual(s3.rows[0].function + s3.rows[1].function)
-    assert not is_irreducible_virtual(-1 * s3.rows[0].function)
 
 
 def test_abelian_dual_tables():

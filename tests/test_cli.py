@@ -504,6 +504,21 @@ def test_affine_diagram_names_reach_the_graph_commands(optimize):
         assert got == want, argv
 
 
+# --arrows, each with the arrow that the error names
+BAD_ARROWS = {"0>1,1": "1", "0>1>2": "0>1>2"}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_bad_arrow_is_a_typed_error(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [["quiver", "indecomposables", "--arrows", arrows] for arrows in BAD_ARROWS]
+    proc = subprocess.run([sys.executable, *optimize, "-c", CLI_CASES_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for (arrows, bad), got in zip(BAD_ARROWS.items(), json.loads(proc.stdout)):
+        assert got == [1, "", f"error: an arrow is written s>t, not {bad!r}\n"], arrows
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_reader_closing_stdout_early_is_not_an_error(optimize):
     # 283 kB of output, far more than a pipe holds: the command is still

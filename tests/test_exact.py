@@ -16,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory.exact import (Cyclotomic, GramRows, _divisors, _fold, cyc, conjugate,
-                             cyclotomic_from_json, cyclotomic_to_json, cyclotomic_polynomial,
-                             euler_phi, rational_from_str, rational_to_str, zeta)
-from reptheory.linalg import gauss_jordan, matrix_from_json, parse_integer
+from reptheory.exact import (Cyclotomic, GramRows, _divisors, _fold, cyc, cyclotomic_from_json,
+                             cyclotomic_to_json, cyclotomic_polynomial, euler_phi, zeta)
+from reptheory.linalg import gauss_jordan, matrix_from_json, parse_integer, rational_from_str
 from reptheory.gl2fq import gl2_table
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -52,7 +51,7 @@ def test_phi5_reduction_numeric_oracle():
 def test_golden_ratio_entry():
     golden = -(zeta(5, 2) + zeta(5, 3))
     assert abs(golden.numeric() - (1 + 5 ** 0.5) / 2) < 1e-12
-    assert conjugate(golden) == golden  # real value
+    assert golden.conjugate() == golden  # real value
 
 
 def test_mixed_order_embedding():
@@ -63,8 +62,8 @@ def test_mixed_order_embedding():
 
 
 def test_conjugation():
-    assert conjugate(zeta(5, 2)) == zeta(5, 3)
-    assert conjugate(cyc(Fraction(3, 7))) == Fraction(3, 7)
+    assert zeta(5, 2).conjugate() == zeta(5, 3)
+    assert cyc(Fraction(3, 7)).conjugate() == Fraction(3, 7)
 
 
 def test_division():
@@ -77,7 +76,7 @@ def test_division():
 
 def test_rational_collapse():
     v = zeta(4, 2)
-    assert v.order == 1 and v.is_rational
+    assert v.order == 1
     assert v.as_fraction() == -1
     w = zeta(6, 2)
     assert w.reduced().order == 3
@@ -105,13 +104,13 @@ def test_field_axioms(a, b, c):
 def test_inverse_and_conjugation(a):
     if not a.is_zero:
         assert a * a.inverse() == 1
-    assert conjugate(conjugate(a)) == a
+    assert a.conjugate().conjugate() == a
 
 
 @given(cyclotomics(), cyclotomics())
 @settings(max_examples=60, deadline=None)
 def test_conjugation_multiplicative(a, b):
-    assert conjugate(a * b) == conjugate(a) * conjugate(b)
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
 @given(st.sampled_from(ORDERS), st.integers(min_value=0, max_value=11),
@@ -145,7 +144,6 @@ def test_serialization_roundtrip():
     v = zeta(12, 5) * cyc(Fraction(-3, 4)) + cyc(Fraction(1, 6))
     blob = json.dumps(cyclotomic_to_json(v))
     assert cyclotomic_from_json(json.loads(blob)) == v
-    assert rational_to_str(Fraction(-3, 4)) == "-3/4"
     assert rational_from_str("-3/4") == Fraction(-3, 4)
     with pytest.raises(ValueError):
         cyclotomic_from_json({"order": 5, "coeffs": ["1/1"]})

@@ -184,6 +184,35 @@ def test_serialization():
     assert matrix_from_json(json.loads(blob)) == m
 
 
+def reference_matmul(a, b):
+    """The product summed one Fraction product at a time."""
+    bt = b.transpose().entries
+    return Matrix(a.rows, b.cols, [[sum(x * y for x, y in zip(row, col)) for col in bt]
+                                   for row in a.entries])
+
+
+@st.composite
+def product_pairs(draw, max_dim=6):
+    r, k, c = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+    entry = st.one_of(st.integers(min_value=-4, max_value=4),
+                      st.integers(min_value=-10**12, max_value=10**12),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=12))
+    return (Matrix(r, k, [[draw(entry) for _ in range(k)] for _ in range(r)]),
+            Matrix(k, c, [[draw(entry) for _ in range(c)] for _ in range(k)]))
+
+
+@given(product_pairs())
+@settings(max_examples=200, deadline=None)
+@example((Matrix.zeros(0, 3), Matrix.zeros(3, 2)))
+@example((Matrix.zeros(2, 3), Matrix.zeros(3, 0)))
+@example((Matrix.zeros(2, 0), Matrix.zeros(0, 3)))
+@example((Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]]),
+          Matrix.from_rows([[Fraction(2, 5)], [Fraction(-3, 7)]])))
+def test_product_matches_the_fraction_loop(pair):
+    a, b = pair
+    assert a * b == reference_matmul(a, b)
+
+
 # -- oracles for the elimination kernel -------------------------------------
 
 def reference_rref(m):

@@ -19,8 +19,7 @@ from reptheory.quiverrep import (Quiver, QuiverError, QuiverRep,
                                  admissible_labels, decompose, direct_sum,
                                  enumerate_indecomposables, hom_dim,
                                  indecomposable_for_root, reflect_sink,
-                                 reflect_source, rep_from_json, rep_to_json,
-                                 simple_rep, zero_rep)
+                                 reflect_source, rep_from_json, rep_to_json)
 from reptheory.rootsys import (bilinear, cartan_matrix, dynkin_graph, enumerate_roots,
                                reflect)
 
@@ -37,6 +36,15 @@ def identity_rep(q, dims):
                            [[1 if i == j else 0 for j in range(dims[s])]
                             for i in range(dims[t])]))
     return QuiverRep(q, dims, maps)
+
+
+def zero_rep(q):
+    return QuiverRep(q, (0,) * q.n, [Matrix.zeros(0, 0) for _ in q.arrows])
+
+
+def simple_rep(q, i):
+    dims = tuple(int(v == i) for v in range(q.n))
+    return QuiverRep(q, dims, [Matrix.zeros(dims[t], dims[s]) for s, t in q.arrows])
 
 
 def test_rep_validation():

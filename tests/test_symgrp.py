@@ -13,14 +13,22 @@ from reptheory.chartab import (abelian_dual_table, builtin_table, decompose, fro
 from reptheory.cli import main
 from reptheory.exact import cyc
 from reptheory.permgroup import cycle_notation, from_cycles, symmetric_group
-from reptheory.symgrp import (MAX_TABLE_N, SymmetricGroup, conjugate_partition,
-                              content, frobenius_character, gl_dim, hook_dim,
-                              kostka, partitions_of, power_sum_value, schur_eval,
-                              schur_special, sign_of_type, sn_table,
-                              specht_dim_determinant, u_character)
+from reptheory.symgrp import (MAX_TABLE_N, SymmetricGroup, frobenius_character, gl_dim,
+                              hook_dim, kostka, partitions_of, power_sum_value, schur_eval,
+                              schur_special, sn_table, specht_dim_determinant, u_character)
 
 partition_strategy = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.sampled_from(partitions_of(n)))
+
+
+def conjugate_partition(lam):
+    """Transpose of the Young diagram."""
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0])) if lam else ()
+
+
+def sign_of_type(t):
+    """Sign of any permutation with cycle type t."""
+    return (-1) ** sum(m - 1 for m in t)
 
 
 def test_partitions_listing():
@@ -201,12 +209,6 @@ def test_u_expansion_identity():
                     kostka(mu, lam) * frobenius_character(mu, t) for mu in parts)
 
 
-def test_conjugate_partition():
-    assert conjugate_partition((3, 1)) == (2, 1, 1)
-    assert conjugate_partition((5,)) == (1, 1, 1, 1, 1)
-    assert conjugate_partition(()) == ()
-
-
 @given(partition_strategy)
 @settings(max_examples=40, deadline=None)
 def test_conjugate_is_involution(lam):
@@ -222,12 +224,6 @@ def test_conjugate_sign_twist():
             for t in partitions_of(n):
                 assert frobenius_character(star, t) == \
                     sign_of_type(t) * frobenius_character(lam, t)
-
-
-def test_content():
-    assert content((4,)) == 6
-    assert content((1, 1)) == -1
-    assert content((2, 1)) == 0
 
 
 def test_dimension_formulas_agree():
