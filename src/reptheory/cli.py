@@ -281,13 +281,29 @@ def _named_graph(name):
     return (rootsys.affine_graph if "~" in name else rootsys.dynkin_graph)(name)
 
 
+def _one_source(args, options):
+    """(option, value) of the one option of options that was passed: no
+    source, two sources and an empty value are each a typed error, so no
+    source is silently preferred to another."""
+    given = [o for o in options if getattr(args, o) is not None]
+    choices = ", ".join(f"--{o}" for o in options[:-1]) + f" or --{options[-1]}"
+    if not given:
+        raise ValueError(f"pass {choices}")
+    if len(given) > 1:
+        raise ValueError(f"pass {choices}, not --{given[0]} and --{given[1]}")
+    value = getattr(args, given[0])
+    if not value:
+        noun = {"type": "diagram", "arrows": "arrow"}.get(given[0], "file")
+        raise ValueError(f"--{given[0]} names no {noun}")
+    return given[0], value
+
+
 def _get_graph(args):
     from . import rootsys
-    if args.graph:
-        return rootsys.graph_from_json(_load_json(args.graph))
-    if args.type:
-        return _named_graph(args.type)
-    raise ValueError("pass --type or --graph")
+    option, value = _one_source(args, ("type", "graph"))
+    if option == "graph":
+        return rootsys.graph_from_json(_load_json(value))
+    return _named_graph(value)
 
 
 def _parse_arrows(s):
@@ -302,16 +318,15 @@ def _parse_arrows(s):
 
 def _get_quiver(args):
     from . import quiverrep
-    if args.rep:
-        return quiverrep.rep_from_json(_load_json(args.rep)).quiver
-    if args.arrows:
-        arrows = _parse_arrows(args.arrows)
+    option, value = _one_source(args, ("type", "arrows", "rep"))
+    if option == "rep":
+        return quiverrep.rep_from_json(_load_json(value)).quiver
+    if option == "arrows":
+        arrows = _parse_arrows(value)
         n = max(max(a, b) for a, b in arrows) + 1
         return quiverrep.Quiver(n, arrows)
-    if args.type:
-        g = _named_graph(args.type)
-        return quiverrep.Quiver(g.n, [(i, j) for i, j, m in g.edges() for _ in range(m)])
-    raise ValueError("pass --type, --arrows or --rep")
+    g = _named_graph(value)
+    return quiverrep.Quiver(g.n, [(i, j) for i, j, m in g.edges() for _ in range(m)])
 
 
 def cmd_quiver_classify(args):

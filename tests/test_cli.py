@@ -519,6 +519,38 @@ def test_bad_arrow_is_a_typed_error(optimize):
         assert got == [1, "", f"error: an arrow is written s>t, not {bad!r}\n"], arrows
 
 
+# a quiver command takes exactly one non-empty source: none, an empty one
+# and two at once (even an empty one beside a good one) are each a typed
+# error, exit 1, and no source is preferred to another
+QUIVER_SOURCE_CASES = {
+    ("roots", "--count"): "pass --type or --graph",
+    ("roots", "--graph", "", "--count"): "--graph names no file",
+    ("classify", "--type", ""): "--type names no diagram",
+    ("roots", "--graph", "", "--type", "E6", "--count"): "pass --type or --graph, not --type and --graph",
+    ("coxeter", "--graph", "g.json", "--type", "E6"): "pass --type or --graph, not --type and --graph",
+    ("indecomposables",): "pass --type, --arrows or --rep",
+    ("indecomposables", "--arrows", ""): "--arrows names no arrow",
+    ("indecomposables", "--rep", ""): "--rep names no file",
+    ("indecomposables", "--type", ""): "--type names no diagram",
+    ("indecomposables", "--arrows", "", "--type", "E6"): "pass --type, --arrows or --rep, not --type and --arrows",
+    ("indecomposables", "--rep", "v.json", "--arrows", "0>1"):
+        "pass --type, --arrows or --rep, not --arrows and --rep",
+    ("indecomposables", "--rep", "v.json", "--arrows", "0>1", "--type", "A2"):
+        "pass --type, --arrows or --rep, not --type and --arrows",
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_quiver_sources_are_checked(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    argvs = [["quiver", *args] for args in QUIVER_SOURCE_CASES]
+    proc = subprocess.run([sys.executable, *optimize, "-c", CLI_CASES_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for (args, message), got in zip(QUIVER_SOURCE_CASES.items(), json.loads(proc.stdout)):
+        assert got == [1, "", f"error: {message}\n"], args
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
 def test_reader_closing_stdout_early_is_not_an_error(optimize):
     # 283 kB of output, far more than a pipe holds: the command is still

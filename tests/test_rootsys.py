@@ -42,6 +42,29 @@ def reference_weyl_elements(a, max_elements=300000):
     return seen
 
 
+def reference_roots_by_reflection(a):
+    """All roots of a Dynkin form as the closure of the simple roots under
+    the simple reflections, each checked to have norm 2; (positive,
+    negative) sorted by (height, coordinates)."""
+    n = len(a)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                w = reflect(a, i, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    positive = sorted((v for v in seen if all(c >= 0 for c in v)), key=lambda v: (sum(v), v))
+    assert 2 * len(positive) == len(seen)
+    assert all(bilinear(a, v, v) == 2 for v in seen)
+    return positive, [tuple(-c for c in v) for v in positive]
+
+
 def reference_roots_by_box_search(a, bound):
     """All integer vectors with |x_i| <= bound and B(x,x) = 2 (exponential
     in the rank)."""
@@ -182,6 +205,46 @@ def test_roots_equal_box_search():
         closure = set(pos) | set(neg)
         bound = max(abs(c) for v in closure for c in v)
         assert reference_roots_by_box_search(a, bound + 1) == closure
+
+
+ADE_UP_TO_10 = [f"A{n}" for n in range(1, 11)] + [f"D{n}" for n in range(4, 11)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", ADE_UP_TO_10)
+def test_roots_by_height_match_the_reflection_closure(name):
+    # the same two lists in the same order, on the diagram as built, on a
+    # seeded relabeling and in block sums with A1 and D4 on either side
+    graph = dynkin_graph(name)
+    a = cartan_matrix(graph)
+    forms = [a, cartan_matrix(_relabeled(graph, random.Random(name)))]
+    for other in (cartan_matrix(path_graph(1)), cartan_matrix(dynkin_graph("D4"))):
+        forms += [_block_sum(a, other), _block_sum(other, a)]
+    for form in forms:
+        assert enumerate_roots(form) == reference_roots_by_reflection(form), form
+
+
+@pytest.mark.parametrize("name", ["A8", "D8", "E8"])
+def test_roots_by_height_neither_reflect_nor_pair(name, monkeypatch):
+    # each root's pairings come from its parent's, one row of A added, so
+    # the enumeration calls neither reflect nor the O(n^2) bilinear
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f.__name__) or f(*args)
+
+    monkeypatch.setattr(rootsys, "reflect", counted(reflect))
+    monkeypatch.setattr(rootsys, "bilinear", counted(bilinear))
+    positive, _ = enumerate_roots(cartan_matrix(dynkin_graph(name)))
+    assert len(positive) == {"A8": 36, "D8": 56, "E8": 120}[name]
+    assert calls == []
+
+
+@pytest.mark.parametrize("a", [((2, 1), (1, 2)), ((4,),), ((2, 0), (0, 3)), ((2, -1, 1), (-1, 2, 0), (1, 0, 2))],
+                         ids=["positive A2", "diagonal 4", "diagonal 3", "positive edge"])
+def test_definite_forms_that_are_not_cartan_matrices_are_graph_errors(a):
+    assert _definiteness(a)[0] == 1
+    with pytest.raises(GraphError):
+        enumerate_roots(a)
 
 
 def test_simple_reflections():
