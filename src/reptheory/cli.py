@@ -373,7 +373,7 @@ def cmd_quiver_indecomposables(args):
 
 def cmd_quiver_decompose(args):
     from . import quiverrep
-    rep = quiverrep.rep_from_json(_load_json(args.rep))
+    rep = quiverrep.rep_from_json(_load_json(_one_source(args, ("rep",))[1]))
     for root, mult in quiverrep.decompose(rep):
         print(f"(" + ",".join(str(c) for c in root) + f") x {mult}")
     return 0

@@ -7,12 +7,14 @@ leading principal minors in O(n^3), and its eliminated rows give the
 null root of a semidefinite form. A diagram is named by its invariants,
 not by its shape: a Dynkin diagram by its determinant, an affine one by
 the largest coordinate of its primitive null root delta. Positive roots
-are grown by height from the simple roots. Weyl groups are counted by
-orbits of fundamental weights along the parabolic chain W_1 < ... < W_n.
+are grown by height from the simple roots, and the order of the Weyl
+group is read off how many there are of each height.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
 from operator import add, mul, neg
 
 from .linalg import det, eliminated_null_vectors, gauss_jordan
@@ -310,32 +312,6 @@ def coxeter_element(a, labeling=None):
     return c, order, det([[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(c)])
 
 
-def _orbit(a, weight, limit):
-    """The size of the orbit of a dominant integer weight (fundamental-weight
-    coordinates) under the group generated by the simple reflections,
-    s_i(l)_j = l_j - l_i*a_ij; None as soon as the orbit has more than limit
-    points. Breadth first from the weight, stepping down by s_i wherever
-    l_i > 0, which reaches the whole orbit."""
-    n = len(a)
-    steps = [[(j, a[i][j]) for j in range(n) if a[i][j]] for i in range(n)]
-    points = [tuple(weight)]
-    seen = {points[0]}
-    for lam in points:
-        for i in range(n):
-            c = lam[i]
-            if c > 0:
-                mu = list(lam)
-                for j, aij in steps[i]:
-                    mu[j] -= c * aij
-                mu = tuple(mu)
-                if mu not in seen:
-                    if len(points) >= limit:
-                        return None
-                    seen.add(mu)
-                    points.append(mu)
-    return len(points)
-
-
 def _reflect_rows(a, i, m):
     """s_i * m: reflecting every column of m changes its row i alone."""
     row = m[i]
@@ -345,39 +321,21 @@ def _reflect_rows(a, i, m):
     return m[:i] + (row,) + m[i + 1:]
 
 
-def _chain_order(a):
-    """The vertices breadth first, component by component, so that each
-    leading block of the reordered matrix adds a vertex next to those
-    before it: the orbits along the chain then stay small whatever the
-    labeling (at most 17280 points for E8)."""
-    order = []
-    for root in range(len(a)):
-        if root not in order:
-            k = len(order)
-            order.append(root)
-            while k < len(order):
-                v = order[k]
-                order += [w for w in range(len(a)) if a[v][w] and w not in order]
-                k += 1
-    return order
-
-
-def weyl_count(a, max_elements=300000):
-    """Order of the Weyl group, or None if it exceeds max_elements. Along
-    the parabolic chain W_1 < ... < W_n of the leading k x k blocks (in the
-    order of _chain_order), W_k acts on the orbit of its fundamental weight
-    omega_k with stabilizer W_(k-1), so |W_k| = |W_k omega_k| * |W_(k-1)|;
-    the product stops as soon as it passes the bound, which also ends
-    infinite groups."""
-    order = _chain_order(a)
-    a = [[a[i][j] for j in order] for i in order]
-    count = 1
-    for k in range(1, len(a) + 1):
-        size = _orbit([row[:k] for row in a[:k]], (0,) * (k - 1) + (1,), max_elements // count)
-        if size is None:
-            return None
-        count *= size
-    return count
+def weyl_count(a):
+    """Order of the Weyl group of a positive definite Cartan matrix, read
+    off the heights of its positive roots; None for any other form, whose
+    group is infinite. A definite matrix that is not a Cartan matrix
+    raises GraphError, as in enumerate_roots. With k_h positive roots of
+    height h, the exponents m_1, ..., m_n are the dual partition of
+    (k_1, k_2, ...), m_j = #{h : k_h >= j}, and |W| = prod (m_j + 1)
+    (Kostant 1959; Humphreys, Reflection Groups and Coxeter Groups, ch. 3).
+    A reducible form needs no split: its height counts add over the
+    components, and the dual of a sum of partitions is their union, so the
+    product is that of the components' orders."""
+    if _definiteness(a)[0] <= 0:
+        return None
+    heights = Counter(map(sum, enumerate_roots(a)[0]))
+    return prod(1 + sum(k >= j for k in heights.values()) for j in range(1, len(a) + 1))
 
 
 # -- serialization ----------------------------------------------------------

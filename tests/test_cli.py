@@ -537,6 +537,7 @@ QUIVER_SOURCE_CASES = {
         "pass --type, --arrows or --rep, not --arrows and --rep",
     ("indecomposables", "--rep", "v.json", "--arrows", "0>1", "--type", "A2"):
         "pass --type, --arrows or --rep, not --type and --arrows",
+    ("decompose", "--rep", ""): "--rep names no file",
 }
 
 

@@ -245,6 +245,8 @@ def test_definite_forms_that_are_not_cartan_matrices_are_graph_errors(a):
     assert _definiteness(a)[0] == 1
     with pytest.raises(GraphError):
         enumerate_roots(a)
+    with pytest.raises(GraphError):
+        weyl_count(a)
 
 
 def test_simple_reflections():
@@ -330,7 +332,8 @@ def test_weyl_counts():
         assert weyl_count(cartan_matrix(path_graph(n))) == math.factorial(n + 1)
     assert weyl_count(cartan_matrix(dynkin_graph("D4"))) == 192
     assert weyl_count(cartan_matrix(dynkin_graph("D5"))) == 1920
-    assert weyl_count(cartan_matrix(dynkin_graph("A5")), max_elements=100) is None
+    # no bound on the group size; E7 and E8 are in the invariant-degree test
+    assert weyl_count(cartan_matrix(dynkin_graph("D7"))) == 322560
 
 
 def test_weyl_elements_act_on_roots():
@@ -346,7 +349,19 @@ def test_weyl_elements_act_on_roots():
 
 
 def test_weyl_e6():
-    assert weyl_count(cartan_matrix(dynkin_graph("E6")), max_elements=60000) == 51840
+    assert weyl_count(cartan_matrix(dynkin_graph("E6"))) == 51840
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_weyl_count_closed_forms_up_to_50(family):
+    # (n+1)! on A_n and 2^(n-1) n! on D_n, each within 1 s: no orbit is
+    # walked, not even that of the spin weight of D_n, with 2^(n-1) points
+    for n in range(1 if family == "A" else 4, 51):
+        a = cartan_matrix(dynkin_graph(f"{family}{n}"))
+        start = time.perf_counter()
+        want = math.factorial(n + 1) if family == "A" else 2 ** (n - 1) * math.factorial(n)
+        assert weyl_count(a) == want, n
+        assert time.perf_counter() - start < 1.0, n
 
 
 DOUBLE_EDGE = Graph.from_edges(3, [(0, 1, 2), (1, 2)])
@@ -360,27 +375,27 @@ def test_weyl_matches_matrix_closure(name):
     # group is infinite
     elements = reference_weyl_elements(a, 2000)
     assert (elements is None) == (name == "double edge")
-    # the bound is exact: a group of its size passes, one element more does not
-    bounds = (2000, 100) if elements is None else (2000, 100, len(elements), len(elements) - 1)
-    for bound in bounds:
-        want = reference_weyl_elements(a, bound)
-        assert weyl_count(a, bound) == (None if want is None else len(want))
+    assert weyl_count(a) == (None if elements is None else len(elements))
 
 
-@pytest.mark.parametrize("name", ["A3", "D4", "D5", "E6"])
-def test_weyl_bound_is_exact(name):
-    a = cartan_matrix(dynkin_graph(name))
-    order = weyl_count(a)
-    assert weyl_count(a, max_elements=order) == order
-    assert weyl_count(a, max_elements=order - 1) is None
-
-
-@pytest.mark.parametrize("name", ["A~2", "D~4"])
+@pytest.mark.parametrize("name", ["A~2", "D~4", "E~6", "E~8"])
 def test_affine_weyl_groups_pass_every_bound(name):
     a = cartan_matrix(affine_graph(name))
-    for bound in (1, 10, 1000, 50000):
-        assert weyl_count(a, bound) is None
-        assert reference_weyl_elements(a, min(bound, 1000)) is None
+    assert weyl_count(a) is None
+    assert reference_weyl_elements(a, 1000) is None
+
+
+@pytest.mark.parametrize("parts", [("A2", "A1"), ("A1", "A1", "A1"), ("D4", "E6"), ("E8", "A1", "D5")],
+                         ids="+".join)
+def test_weyl_count_of_block_sums_is_the_product(parts):
+    # the height counts add over the components, and the dual partition
+    # of their sum is the union of the components' exponents
+    a = cartan_matrix(dynkin_graph(parts[0]))
+    for name in parts[1:]:
+        a = _block_sum(a, cartan_matrix(dynkin_graph(name)))
+    assert weyl_count(a) == math.prod(weyl_count(cartan_matrix(dynkin_graph(name))) for name in parts)
+    if len(a) <= 3:
+        assert weyl_count(a) == len(reference_weyl_elements(a))
 
 
 @pytest.mark.parametrize("name,order", [("E6", 51840), ("E7", 2903040), ("E8", 696729600)])
@@ -389,13 +404,14 @@ def test_e_series_orders_are_invariant_degree_products(name, order):
                "E8": (2, 8, 12, 14, 18, 20, 24, 30)}[name]
     assert math.prod(degrees) == order
     start = time.perf_counter()
-    assert weyl_count(cartan_matrix(dynkin_graph(name)), max_elements=order) == order
+    assert weyl_count(cartan_matrix(dynkin_graph(name))) == order
     assert time.perf_counter() - start < 1.0
 
 
 def test_weyl_count_ignores_the_labeling():
-    # a chain of leading blocks in label order can pass through small
-    # disconnected subgroups (A2 x A1 x A4 leaves an orbit of 483840 in E8)
+    # the count reads only how many positive roots there are of each
+    # height, and relabeling the vertices permutes coordinates, which keeps
+    # every height
     graph = dynkin_graph("E8")
     rng = random.Random(8)
     start = time.perf_counter()
@@ -403,7 +419,7 @@ def test_weyl_count_ignores_the_labeling():
         perm = list(range(8))
         rng.shuffle(perm)
         relabeled = Graph.from_edges(8, [(perm[i], perm[j]) for i, j, _ in graph.edges()])
-        assert weyl_count(cartan_matrix(relabeled), max_elements=10 ** 9) == 696729600
+        assert weyl_count(cartan_matrix(relabeled)) == 696729600
     assert time.perf_counter() - start < 1.0
 
 
@@ -488,7 +504,7 @@ def test_coxeter_exponents_give_the_weyl_order_and_the_root_count(name):
         c, h, _ = coxeter_element(a, labeling)
         exponents = _coxeter_exponents(c, h)
         assert len(exponents) == len(a)
-        assert weyl_count(a, max_elements=10 ** 9) == math.prod(m + 1 for m in exponents)
+        assert weyl_count(a) == math.prod(m + 1 for m in exponents)
         assert len(enumerate_roots(a)[0]) * 2 == len(a) * h
 
 
