@@ -43,6 +43,7 @@ from math import lcm
 from .exact import (Cyclotomic, FieldKeys, GramRows, cyc, cyclotomic_from_json,
                     cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
                     zeta)
+from .linalg import InputError, fields
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -768,32 +769,24 @@ def _value_key(obj):
 
 
 def table_from_json(obj):
-    if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
-            and all(isinstance(c, dict) and type(c.get("size")) is int
-                    and isinstance(c.get("rep"), list) and all(type(x) is int for x in c["rep"])
-                    for c in obj["classes"])
-            and isinstance(obj.get("rows"), list)
-            and all(isinstance(r, dict) and isinstance(r.get("name"), str)
-                    and type(r.get("degree")) is int
-                    and isinstance(r.get("values"), list) and len(r["values"]) == len(obj["classes"])
-                    for r in obj["rows"])):
-        raise ValueError('a table is {"group": ..., "classes": [{"rep": [...], "size": s}, ...], '
-                         '"rows": [{"name": ..., "degree": d, "values": [one per class]}, ...]}')
-    if "group" not in obj:
-        raise ValueError('a table needs the field "group"')
-    group = group_from_json(obj["group"])
+    group, classes, rows = fields(obj, "table", {"group": None, "classes": list, "rows": list})
+    group = group_from_json(group)
     display = []
-    for c in obj["classes"]:
-        ci = group.class_index(c["rep"])
+    for c in classes:
+        rep, size = fields(c, "table class", {"rep": list[int], "size": int})
+        ci = group.class_index(rep)
         display.append(ci)
-        if group.classes[ci].size != c["size"]:
-            raise ValueError("class size mismatch in table file")
+        if group.classes[ci].size != size:
+            raise InputError("class size mismatch in table file")
     # each distinct value dict is read once; a dict of another shape is read
     # on its own, so that it raises as it would alone
     seen, file_rows = {}, []
-    for r in obj["rows"]:
+    for r in rows:
+        name, degree, values = fields(r, "table row", {"name": str, "degree": int, "values": list})
+        if len(values) != len(classes):
+            raise InputError(f"a table row needs {len(classes)} values, one per class, not {len(values)}")
         row = []
-        for v in r["values"]:
+        for v in values:
             key = _value_key(v)
             x = seen.get(key) if key is not None else None
             if x is None:
@@ -801,13 +794,9 @@ def table_from_json(obj):
                 if key is not None:
                     seen[key] = x
             row.append(x)
-        file_rows.append(row)
+        file_rows.append((name, degree, row))
     if sorted(display) != list(range(len(group.classes))):
-        raise ValueError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
-    rows = []
-    for r, file_row in zip(obj["rows"], file_rows):
-        row = [None] * len(group.classes)
-        for ci, x in zip(display, file_row):
-            row[ci] = x
-        rows.append(TableRow(r["name"], r["degree"], ClassFunction(group, row)))
-    return CharacterTable(group, rows, display_classes=display)
+        raise InputError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
+    listed = sorted(range(len(display)), key=display.__getitem__)  # the file's index of each class
+    return CharacterTable(group, [TableRow(name, degree, ClassFunction(group, [row[i] for i in listed]))
+                                  for name, degree, row in file_rows], display_classes=display)

@@ -115,7 +115,8 @@ def _get_table(name):
 
 def cmd_chartab_show(args):
     from . import chartab
-    table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
+    option, value = _one_source(args, ("name", "file"))
+    table = chartab.table_from_json(_load_json(value)) if option == "file" else _get_table(value)
     # a table built from a name writes that name; one read from a file, with
     # no name, writes its group
     return _print_table(args, table, lambda t: chartab.table_to_json(t, group_name=t.name))
@@ -123,7 +124,8 @@ def cmd_chartab_show(args):
 
 def cmd_chartab_verify(args):
     from . import chartab
-    table = chartab.table_from_json(_load_json(args.file)) if args.file else _get_table(args.name)
+    option, value = _one_source(args, ("name", "file"))
+    table = chartab.table_from_json(_load_json(value)) if option == "file" else _get_table(value)
     return _print_report(chartab.verify_table(table))
 
 
@@ -137,16 +139,15 @@ def cmd_chartab_tensor(args):
 
 def cmd_chartab_decompose(args):
     from . import chartab, exact
+    option, value = _one_source(args, ("values", "regular", "permutation"))
     table = _get_table(args.name)
     g = table.group
-    if args.regular:
+    if option == "regular":
         f = chartab.regular_character(g)
-    elif args.permutation:
+    elif option == "permutation":
         f = chartab.permutation_character(g)
-    elif args.values is None:
-        raise ValueError("pass --values, --regular or --permutation")
     else:
-        vals = [parse_rational(x) for x in args.values.split(",")]
+        vals = [parse_rational(x) for x in value.split(",")]
         if len(vals) != len(g.classes):
             raise ValueError(f"need {len(g.classes)} values (class order: "
                              f"{', '.join(table.class_labels)})")
@@ -214,7 +215,8 @@ def cmd_chartab_fs(args):
 
 def cmd_group_classes(args):
     from . import permgroup
-    group = permgroup.group_from_json(_load_json(args.file) if args.file else args.name)
+    option, value = _one_source(args, ("name", "file"))
+    group = permgroup.group_from_json(_load_json(value) if option == "file" else value)
     print(f"|G| = {group.order}, {len(group.classes)} classes, exponent {group.exponent}")
     for i, cl in enumerate(group.classes):
         print(f"{i}: rep {permgroup.cycle_notation(cl.representative)} "
@@ -282,20 +284,22 @@ def _named_graph(name):
 
 
 def _one_source(args, options):
-    """(option, value) of the one option of options that was passed: no
-    source, two sources and an empty value are each a typed error, so no
-    source is silently preferred to another."""
+    """(option, value) of the one of options passed, "name" the positional
+    group name: no source, two sources and an empty option are each a typed
+    error, so no source is silently preferred to another."""
     given = [o for o in options if getattr(args, o) is not None]
-    choices = ", ".join(f"--{o}" for o in options[:-1]) + f" or --{options[-1]}"
+    labels = {o: "a group name" if o == "name" else f"--{o}" for o in options}
+    choices = ", ".join(labels[o] for o in options[:-1]) + f" or {labels[options[-1]]}"
     if not given:
         raise ValueError(f"pass {choices}")
     if len(given) > 1:
-        raise ValueError(f"pass {choices}, not --{given[0]} and --{given[1]}")
+        raise ValueError(f"pass {choices}, not {labels[given[0]]} and {labels[given[1]]}")
     value = getattr(args, given[0])
-    if not value:
-        noun = {"type": "diagram", "arrows": "arrow"}.get(given[0], "file")
+    if not value and given[0] != "name":  # the name parser rejects an empty name
+        noun = {"type": "diagram", "arrows": "arrow", "values": "value"}.get(given[0], "file")
         raise ValueError(f"--{given[0]} names no {noun}")
     return given[0], value
+
 
 
 def _get_graph(args):
@@ -482,13 +486,13 @@ def build_parser():
     ct = sub.add_parser("chartab", help="character table operations").add_subparsers(
         dest="sub", required=True)
     s = ct.add_parser("show")
-    s.add_argument("name", nargs="?", default="")
+    s.add_argument("name", nargs="?")
     s.add_argument("--file")
     s.add_argument("--json", action="store_true")
     s.add_argument("--numeric", action="store_true")
     s.set_defaults(func=cmd_chartab_show)
     s = ct.add_parser("verify")
-    s.add_argument("name", nargs="?", default="")
+    s.add_argument("name", nargs="?")
     s.add_argument("--file")
     s.set_defaults(func=cmd_chartab_verify)
     s = ct.add_parser("tensor")
@@ -499,8 +503,8 @@ def build_parser():
     s = ct.add_parser("decompose")
     s.add_argument("name")
     s.add_argument("--values")
-    s.add_argument("--regular", action="store_true")
-    s.add_argument("--permutation", action="store_true")
+    s.add_argument("--regular", action="store_true", default=None)
+    s.add_argument("--permutation", action="store_true", default=None)
     s.set_defaults(func=cmd_chartab_decompose)
     s = ct.add_parser("induce")
     s.add_argument("name")
@@ -520,7 +524,7 @@ def build_parser():
     gr = sub.add_parser("group", help="permutation group data").add_subparsers(
         dest="sub", required=True)
     s = gr.add_parser("classes")
-    s.add_argument("name", nargs="?", default="")
+    s.add_argument("name", nargs="?")
     s.add_argument("--file")
     s.set_defaults(func=cmd_group_classes)
 

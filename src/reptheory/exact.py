@@ -45,9 +45,11 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .linalg import _parse_ratio, gauss_jordan
+from .linalg import InputError, _parse_ratio, fields, gauss_jordan
 
 Rational = Fraction
+# built once: cyclotomic_from_json runs once per value of a table file
+_CYCLOTOMIC_FIELDS = {"order": int, "coeffs": list}
 
 
 def _divisors(n):
@@ -844,21 +846,11 @@ def cyclotomic_to_json(a):
 def cyclotomic_from_json(obj):
     """The value of a dict {"order": n, "coeffs": [one "p/q" per coordinate]},
     parsed and brought to the canonical form of Cyclotomic in one pass."""
-    if not isinstance(obj, dict):
-        raise ValueError(f'a cyclotomic is {{"order": n, "coeffs": [...]}}, got {type(obj).__name__}')
-    for field in ("order", "coeffs"):
-        if field not in obj:
-            raise ValueError(f'a cyclotomic needs the field "{field}"')
-    order = obj["order"]
-    if type(order) is not int:
-        raise ValueError(f"order must be an integer, not {order!r}")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list):
-        raise ValueError("coeffs must be a list")
+    order, coeffs = fields(obj, "cyclotomic", _CYCLOTOMIC_FIELDS)
     # phi(n) >= sqrt(n/2), so no order above 2 * len(coeffs)^2 fits the
     # list; checking that first keeps euler_phi from trial-dividing a huge order
     if order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
-        raise ValueError("coefficient list has wrong length for the given order")
+        raise InputError("coefficient list has wrong length for the given order")
     # the zero coordinate as written, "0/1", needs no parsing
     terms, den = [], 1
     for i, s in enumerate(coeffs):

@@ -20,6 +20,10 @@ integers, and builds one Fraction per entry it returns. Cyclotomic rows
 run the same loop with true division. The reflection steps of quiverrep
 call it on int rows only, through integer_null_vectors, and build no
 Fraction.
+
+Every command loads this module, so it also holds what the *_from_json
+readers of the package share: fields, the one check of the fields of a
+JSON object and of their types, and InputError, which every reader raises.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
+from types import GenericAlias
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -303,6 +308,34 @@ def inverse(m):
 
 # -- serialization ----------------------------------------------------
 
+class InputError(ValueError):
+    """A JSON artifact of the wrong shape, or a value in it that does not parse."""
+
+
+_JSON_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object",
+               list[int]: "a list of integers", list[list]: "a list of lists"}
+
+
+def fields(obj, kind, spec):
+    """The values of the fields of obj, a JSON object, that spec names, in its
+    order. spec maps each field to its type: a type, which the value's type
+    must be exactly (so a bool is not an int), list[t] for a list of items of
+    type t, or None for any value. Anything else is an InputError."""
+    if type(obj) is not dict:
+        raise InputError(f"a {kind} is a JSON object with the fields {', '.join(spec)}")
+    values = []
+    for field in spec:
+        value, want = obj.get(field), spec[field]
+        if type(value) is not want and not (
+                want is None and field in obj
+                or type(want) is GenericAlias and type(value) is list
+                and all(type(x) is want.__args__[0] for x in value)):
+            wanted = f" to be {_JSON_NAMES[want]}" if field in obj else ""
+            raise InputError(f'a {kind} needs the field "{field}"{wanted}')
+        values.append(value)
+    return values
+
+
 # an optional sign and ASCII digits; int() alone also takes the digits of
 # other scripts and "_" separators, and int() on each side of a "/" takes
 # spaces inside a ratio
@@ -336,10 +369,10 @@ def _parse_ratio(s):
     read as parse_integer reads them."""
     m = _RATIO_TEXT.fullmatch(s) if isinstance(s, str) else None
     if m is None:
-        raise ValueError(f"a rational must be a string like \"-3/4\", not {s!r}")
+        raise InputError(f"a rational must be a string like \"-3/4\", not {s!r}")
     p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
-        raise ValueError(f"zero denominator in {s!r}")
+        raise InputError(f"zero denominator in {s!r}")
     return (p, q) if q > 0 else (-p, -q)
 
 
@@ -353,14 +386,5 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError('a matrix is {"rows": r, "cols": c, "entries": [[...], ...]}')
-    for field in ("rows", "cols", "entries"):
-        if field not in obj:
-            raise ValueError(f'a matrix needs the field "{field}"')
-    if not (type(obj["rows"]) is int and type(obj["cols"]) is int):
-        raise ValueError("rows and cols must be integers")
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(obj["entries"], list) and all(isinstance(row, list) for row in obj["entries"])):
-        raise ValueError("entries must be a list of rows")
-    return Matrix(rows, cols, [[rational_from_str(s) for s in row] for row in obj["entries"]])
+    rows, cols, entries = fields(obj, "matrix", {"rows": int, "cols": int, "entries": list[list]})
+    return Matrix(rows, cols, [[rational_from_str(s) for s in row] for row in entries])

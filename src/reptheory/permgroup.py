@@ -23,6 +23,8 @@ from collections import Counter
 from math import factorial, gcd, lcm
 from operator import itemgetter
 
+from .linalg import fields
+
 
 class EnumerationBound(ValueError):
     pass
@@ -573,8 +575,5 @@ def group_from_json(obj):
     name, which builtin_group resolves."""
     if isinstance(obj, str):
         return builtin_group(obj)
-    if not (isinstance(obj, dict) and type(obj.get("degree")) is int
-            and isinstance(obj.get("generators"), list)
-            and all(isinstance(p, list) for p in obj["generators"])):
-        raise ValueError('a group is a name or {"degree": n, "generators": [[images], ...]}')
-    return PermGroup(obj["degree"], [tuple(p) for p in obj["generators"]])
+    degree, generators = fields(obj, "group", {"degree": int, "generators": list[list]})
+    return PermGroup(degree, [tuple(p) for p in generators])

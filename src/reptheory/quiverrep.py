@@ -36,8 +36,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .linalg import Matrix
-from .rootsys import Graph, bilinear, cartan_matrix, classify, enumerate_roots, reflect
+from .linalg import Matrix, fields
+from .rootsys import Graph, _positive_roots, bilinear, cartan_matrix, classify, reflect
 
 
 class QuiverError(ValueError):
@@ -48,14 +48,15 @@ class Quiver:
     __slots__ = ("n", "arrows")
 
     def __init__(self, n, arrows):
-        arrows = tuple((int(s), int(t)) for s, t in arrows)
-        for s, t in arrows:
-            if not (0 <= s < n and 0 <= t < n):
-                raise QuiverError("arrow endpoint out of range")
-            if s == t:
+        arrows = tuple(arrows)
+        for arrow in arrows:
+            if not (isinstance(arrow, (list, tuple)) and len(arrow) == 2
+                    and all(type(v) is int and 0 <= v < n for v in arrow)):
+                raise QuiverError(f"arrow {arrow!r} is not a source and a target in 0..{n - 1}")
+            if arrow[0] == arrow[1]:
                 raise QuiverError("self-loops are outside the finite-type theory")
         self.n = n
-        self.arrows = arrows
+        self.arrows = tuple(map(tuple, arrows))
 
     def underlying_graph(self):
         return Graph.from_edges(self.n, [(s, t, 1) for s, t in self.arrows])
@@ -344,7 +345,7 @@ def _indecomposables(q, a, alphas):
 def enumerate_indecomposables(q):
     """One indecomposable representation per positive root (Gabriel)."""
     a = require_dynkin(q)
-    positive, _ = enumerate_roots(a)
+    positive = _positive_roots(a)
     return list(zip(positive, _indecomposables(q, a, positive)))
 
 
@@ -405,12 +406,7 @@ def quiver_to_json(q):
 
 
 def quiver_from_json(obj):
-    if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
-            and isinstance(obj.get("arrows"), list)
-            and all(isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x)
-                    for x in obj["arrows"])):
-        raise QuiverError('a quiver is {"vertices": n, "arrows": [[source, target], ...]}')
-    return Quiver(obj["vertices"], [tuple(x) for x in obj["arrows"]])
+    return Quiver(*fields(obj, "quiver", {"vertices": int, "arrows": list}))
 
 
 def rep_to_json(v):
@@ -419,15 +415,6 @@ def rep_to_json(v):
 
 
 def rep_from_json(obj):
-    if not isinstance(obj, dict):
-        raise QuiverError('a quiver representation is {"quiver": ..., "dims": [...], "maps": [...]}')
-    for field in ("quiver", "dims", "maps"):
-        if field not in obj:
-            raise QuiverError(f'a quiver representation needs the field "{field}"')
-    q = quiver_from_json(obj["quiver"])
-    if not (isinstance(obj["dims"], list) and all(type(d) is int for d in obj["dims"])
-            and isinstance(obj["maps"], list)):
-        raise QuiverError("dims must be a list of integers and maps a list of matrices")
-    dims = obj["dims"]
-    maps = [linalg.matrix_from_json(m) for m in obj["maps"]]
-    return QuiverRep(q, dims, maps)
+    quiver, dims, maps = fields(obj, "quiver representation",
+                                {"quiver": None, "dims": list[int], "maps": list})
+    return QuiverRep(quiver_from_json(quiver), dims, [linalg.matrix_from_json(m) for m in maps])

@@ -17,7 +17,7 @@ from collections import Counter
 from math import prod
 from operator import add, mul, neg
 
-from .linalg import det, eliminated_null_vectors, gauss_jordan
+from .linalg import det, eliminated_null_vectors, fields, gauss_jordan
 
 
 class GraphError(ValueError):
@@ -259,6 +259,12 @@ def enumerate_roots(a):
     step along alpha_i, so a root costs O(n), the check of its norm
     sum_j beta_j B(beta, alpha_j) = 2 included: O(|Phi+| n) in all."""
     _require_definite(a)
+    positive = _positive_roots(a)
+    return positive, [tuple(map(neg, v)) for v in positive]
+
+
+def _positive_roots(a):
+    """The positive roots of a form the caller has found positive definite."""
     n = len(a)
     if any(x != 2 if i == j else x > 0 for i, row in enumerate(a) for j, x in enumerate(row)):
         raise GraphError("a Cartan matrix has 2 on the diagonal and no positive entry off it")
@@ -277,7 +283,7 @@ def enumerate_roots(a):
                     if gamma not in nxt:
                         nxt[gamma] = tuple(map(add, pairing, a[i]))
         layer = nxt
-    return positive, [tuple(map(neg, v)) for v in positive]
+    return positive
 
 
 # -- Weyl groups and Coxeter elements --------------------------------------
@@ -334,7 +340,7 @@ def weyl_count(a):
     product is that of the components' orders."""
     if _definiteness(a)[0] <= 0:
         return None
-    heights = Counter(map(sum, enumerate_roots(a)[0]))
+    heights = Counter(map(sum, _positive_roots(a)))
     return prod(1 + sum(k >= j for k in heights.values()) for j in range(1, len(a) + 1))
 
 
@@ -345,7 +351,4 @@ def graph_to_json(graph):
 
 
 def graph_from_json(obj):
-    if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
-            and isinstance(obj.get("edges"), list)):
-        raise GraphError('a graph is {"vertices": n, "edges": [[i, j], [i, j, m], ...]}')
-    return Graph.from_edges(obj["vertices"], obj["edges"])
+    return Graph.from_edges(*fields(obj, "graph", {"vertices": int, "edges": list}))

@@ -378,13 +378,14 @@ def test_table_lists_each_class_once(capsys, tmp_path, kind, command):
 # each artifact with a boolean where an integer belongs, the command besides
 # roundtrip that reads it, and the error it ends in
 BOOLEAN_READERS = [
-    ("table row with a boolean degree", ["chartab", "verify", "--file"], 'error: a table is {"group": ...'),
+    ("table row with a boolean degree", ["chartab", "verify", "--file"],
+     'error: a table row needs the field "degree" to be an integer'),
     ("graph edge with boolean endpoints", ["quiver", "classify", "--graph"],
      "error: edge [False, True] is not two endpoints and an optional multiplicity"),
     ("generator with boolean images", ["group", "classes", "--file"],
      "error: not a permutation of 0..2: (True, False, 2)"),
     ("quiver representation with a boolean dim", ["quiver", "decompose", "--rep"],
-     "error: dims must be a list of integers and maps a list of matrices"),
+     'error: a quiver representation needs the field "dims" to be a list of integers'),
 ]
 
 
@@ -402,6 +403,62 @@ def test_group_degree_is_bounded(capsys, tmp_path):
     for command in (["roundtrip"], ["group", "classes", "--file"]):
         assert run_cli(capsys, *command, str(path)) == (
             1, "", f"error: a permutation group has degree 0 to {permgroup.MAX_DEGREE}, got 1000000000\n")
+
+
+# one valid artifact of each kind, and every command that reads a file
+VALID_ARTIFACTS = {
+    "table": _s3_table(),
+    "quiver representation": rep_to_json(indecomposable_for_root(Quiver(3, [(0, 1), (2, 1)]), (1, 1, 1))),
+    "graph": {"vertices": 3, "edges": [[0, 1], [1, 2, 1]]},
+    "group": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+    "cyclotomic": {"order": 3, "coeffs": ["1/2", "-3/4"]},
+    "matrix": {"rows": 2, "cols": 2, "entries": [["1/2", "0/1"], ["3", "-1/3"]]},
+}
+FILE_READERS = [["roundtrip"], ["chartab", "show", "--file"], ["chartab", "verify", "--file"],
+                ["group", "classes", "--file"], ["quiver", "classify", "--graph"],
+                ["quiver", "roots", "--graph"], ["quiver", "decompose", "--rep"],
+                ["quiver", "indecomposables", "--rep"]]
+# small values of every JSON type, for a value to be swapped with one of
+# another type; none of them sizes anything past a few points
+JSON_VALUES = [None, True, 0, 2, -1, 2.5, "", "1/2", "S3", [], [0, 1], {}, {"order": 1}]
+
+
+def _json_paths(obj, path=()):
+    """The path of keys and indices to every value in obj, obj's own () first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_artifact_fuzz(tmp_path_factory, data):
+    # one field dropped, one value swapped for another JSON type or one
+    # value nested a level deeper, in a valid or a bad artifact: every
+    # command that reads a file exits 0 or 1 and raises nothing (src has
+    # no assert, so python -O takes the same paths)
+    seeds = st.one_of(st.sampled_from(list(VALID_ARTIFACTS.values())),
+                      st.sampled_from(list(BAD_ARTIFACTS.values())))
+    holder = [json.loads(json.dumps(data.draw(seeds)))]
+    paths = list(_json_paths(holder))[1:]  # the artifact itself, (0,), first
+    mutation = data.draw(st.sampled_from(["drop", "swap", "nest"] if len(paths) > 1 else ["swap", "nest"]))
+    *parent_path, key = data.draw(st.sampled_from(paths[1:] if mutation == "drop" else paths))
+    parent = holder
+    for k in parent_path:
+        parent = parent[k]
+    value = parent[key]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "swap":
+        parent[key] = data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(value)]))
+    else:
+        parent[key] = [value]
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(holder[0]))
+    for argv in FILE_READERS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, str(path)]) in (0, 1), argv
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
@@ -549,6 +606,37 @@ def test_quiver_sources_are_checked(optimize):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
     for (args, message), got in zip(QUIVER_SOURCE_CASES.items(), json.loads(proc.stdout)):
+        assert got == [1, "", f"error: {message}\n"], args
+
+
+# the table and group commands take a group name or --file, and decompose
+# one of --values, --regular and --permutation, exactly one, as the quiver
+# commands take theirs (an empty group name is an unknown name, NAME_CASES)
+TABLE_SOURCE_CASES = {
+    ("chartab", "show", "A5", "--file", "s3.json"): "pass a group name or --file, not a group name and --file",
+    ("chartab", "verify", "A5", "--file", "s3.json"): "pass a group name or --file, not a group name and --file",
+    ("group", "classes", "S4", "--file", "g.json"): "pass a group name or --file, not a group name and --file",
+    ("chartab", "show"): "pass a group name or --file",
+    ("chartab", "verify"): "pass a group name or --file",
+    ("group", "classes"): "pass a group name or --file",
+    ("chartab", "show", "--file", ""): "--file names no file",
+    ("chartab", "verify", "--file="): "--file names no file",
+    ("group", "classes", "--file", ""): "--file names no file",
+    ("chartab", "decompose", "S3", "--values", "1,1,1", "--regular"):
+        "pass --values, --regular or --permutation, not --values and --regular",
+    ("chartab", "decompose", "S3", "--regular", "--permutation"):
+        "pass --values, --regular or --permutation, not --regular and --permutation",
+    ("chartab", "decompose", "S3", "--values", ""): "--values names no value",
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_table_and_group_sources_are_checked(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", CLI_CASES_SCRIPT, json.dumps(list(TABLE_SOURCE_CASES))],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    for (args, message), got in zip(TABLE_SOURCE_CASES.items(), json.loads(proc.stdout)):
         assert got == [1, "", f"error: {message}\n"], args
 
 

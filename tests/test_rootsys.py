@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from reptheory import linalg, rootsys
 from reptheory.exact import cyclotomic_polynomial
-from reptheory.linalg import Matrix, det
+from reptheory.linalg import InputError, Matrix, det
 from reptheory.rootsys import (MAX_VERTICES, Graph, GraphError, _definiteness, affine_graph,
                                bilinear, cartan_matrix, classify, coxeter_element,
                                cycle_graph, dynkin_graph, enumerate_roots,
@@ -398,6 +398,23 @@ def test_weyl_count_of_block_sums_is_the_product(parts):
         assert weyl_count(a) == len(reference_weyl_elements(a))
 
 
+@pytest.mark.parametrize("name", ["A5", "D4", "E8"])
+@pytest.mark.parametrize("call", ["enumerate_roots", "weyl_count", "enumerate_indecomposables"])
+def test_each_root_call_eliminates_the_form_once(monkeypatch, call, name):
+    # the roots are grown from a form found definite by the caller's own
+    # elimination, which is not run a second time
+    from reptheory import quiverrep
+    calls = []
+    definiteness = rootsys._definiteness
+    monkeypatch.setattr(rootsys, "_definiteness", lambda a: calls.append(a) or definiteness(a))
+    g = dynkin_graph(name)
+    if call == "enumerate_indecomposables":
+        quiverrep.enumerate_indecomposables(quiverrep.Quiver(g.n, [(i, j) for i, j, _ in g.edges()]))
+    else:
+        getattr(rootsys, call)(cartan_matrix(g))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name,order", [("E6", 51840), ("E7", 2903040), ("E8", 696729600)])
 def test_e_series_orders_are_invariant_degree_products(name, order):
     degrees = {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
@@ -662,7 +679,7 @@ def test_graph_serialization():
 @pytest.mark.parametrize("obj", [{"vertices": None, "edges": []}, {"vertices": "3", "edges": []},
                                  {"vertices": 3.0, "edges": []}, {"vertices": 3}, [3]])
 def test_graph_from_json_rejects_wrong_types(obj):
-    with pytest.raises(GraphError):
+    with pytest.raises(InputError):
         graph_from_json(obj)
 
 
