@@ -40,7 +40,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .exact import (Cyclotomic, FieldKeys, GramRows, cyc, cyclotomic_from_json,
+from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, cyc, cyclotomic_from_json,
                     cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
                     zeta)
 from .linalg import InputError, fields
@@ -60,6 +60,14 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.group = group
         self.values = values
+
+    @classmethod
+    def _of(cls, group, values):
+        """The class function of values, a tuple of Cyclotomics, one per
+        class, taken as it is."""
+        f = cls.__new__(cls)
+        f.group, f.values = group, values
+        return f
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
@@ -117,19 +125,51 @@ class TableRow:
 class CharacterTable:
     """A tuple of (purported) irreducible characters plus class metadata.
 
-    Every table is built here, from its rows, and its values are interned
-    once, by `exact.GramRows`: `gram_rows` is the rows as an operand of
-    `exact.hermitian_gram`, `pool` its distinct values and `index[i][c]`
-    the pool index of row i at class c. `gram_columns` is the columns over
-    the same pool. Both keep the rows they convert, so every product with
-    the table converts its values once. A builder that makes each distinct value once, as one object,
-    lets the interning find repeats by identity. `class_sizes` is the
-    weights of every product with the table, one tuple, so that a product
-    neither rebuilds nor copies them."""
+    A table holds its values once: `pool` is its distinct values, in the
+    order first met reading the rows row by row, and `index[i][c]` the pool
+    index of row i at class c. `gram_rows` is the rows as an operand of
+    `exact.hermitian_gram` on that pool and index, and `gram_columns` the
+    columns over the same pool. Both keep the rows they convert, so every
+    product with the table converts its values once.
+
+    There are two ways in. CharacterTable(group, rows) is the path for
+    builders that make values per entry: it interns the rows' values,
+    through `exact.GramRows`. A builder that already makes each distinct
+    value once calls CharacterTable.from_pool with its pool and index
+    instead, and nothing is interned again. `class_sizes` is the weights
+    of every product with the table, one tuple, so that a product neither
+    rebuilds, copies nor hashes them."""
 
     def __init__(self, group, rows, name="", display_classes=None, class_labels=None):
+        rows = tuple(rows)
+        self._hold(group, rows, GramRows(row.values for row in rows), name, display_classes,
+                   class_labels)
+
+    @classmethod
+    def from_pool(cls, group, names, degrees, pool, index, name="", display_classes=None,
+                  class_labels=None):
+        """The table whose row i is named names[i], of degree degrees[i],
+        and takes the value pool[index[i][c]] at class c. The pool holds
+        Cyclotomics, each distinct value once in the order the index first
+        meets it; each row's values are read off it, so rows and index
+        agree, and the pool's types are checked once, not per entry."""
+        if any(type(v) is not Cyclotomic for v in pool):
+            raise TypeError("a table's pool holds Cyclotomic values")
+        k, read = len(group.classes), pool.__getitem__
+        rows = []
+        for row_name, degree, indices in zip(names, degrees, index, strict=True):
+            if len(indices) != k:
+                raise ValueError("one value per conjugacy class required")
+            rows.append(TableRow(row_name, degree,
+                                 ClassFunction._of(group, tuple(map(read, indices)))))
+        table = cls.__new__(cls)
+        table._hold(group, tuple(rows), GramRows.over(pool, index), name, display_classes,
+                    class_labels)
+        return table
+
+    def _hold(self, group, rows, gram_rows, name, display_classes, class_labels):
         self.group = group
-        self.rows = tuple(rows)
+        self.rows = rows
         self.name = name
         k = len(group.classes)
         self.display_classes = tuple(display_classes) if display_classes else tuple(range(k))
@@ -141,9 +181,9 @@ class CharacterTable:
             if row.function.at_identity() != row.degree:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
         self.class_sizes = tuple(class_sizes(group))
-        self.gram_rows = GramRows(row.values for row in self.rows)
-        self.pool = self.gram_rows.pool
-        self.index = self.gram_rows.index
+        self.gram_rows = gram_rows
+        self.pool = gram_rows.pool
+        self.index = gram_rows.index
         self._gram_columns = None
         self._row_of = None
 
@@ -778,9 +818,12 @@ def table_from_json(obj):
         display.append(ci)
         if group.classes[ci].size != size:
             raise InputError("class size mismatch in table file")
+    listed = sorted(range(len(display)), key=display.__getitem__)  # the file's index of each class
     # each distinct value dict is read once; a dict of another shape is read
-    # on its own, so that it raises as it would alone
-    seen, file_rows = {}, []
+    # on its own, so that it raises as it would alone. Each row is interned
+    # in the group's class order, so the pool is in the order its values
+    # are first met there
+    pool, seen, names, degrees, index = ValuePool(), {}, [], [], []
     for r in rows:
         name, degree, values = fields(r, "table row", {"name": str, "degree": int, "values": list})
         if len(values) != len(classes):
@@ -794,9 +837,9 @@ def table_from_json(obj):
                 if key is not None:
                     seen[key] = x
             row.append(x)
-        file_rows.append((name, degree, row))
+        names.append(name)
+        degrees.append(degree)
+        index.append(pool.positions(map(row.__getitem__, listed)))
     if sorted(display) != list(range(len(group.classes))):
         raise InputError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
-    listed = sorted(range(len(display)), key=display.__getitem__)  # the file's index of each class
-    return CharacterTable(group, [TableRow(name, degree, ClassFunction(group, [row[i] for i in listed]))
-                                  for name, degree, row in file_rows], display_classes=display)
+    return CharacterTable.from_pool(group, names, degrees, pool.values, index, display_classes=display)

@@ -22,15 +22,18 @@ denominator directly; no arithmetic builds a Fraction.
 
 Sums over classes of products of values, the inner products and Gram
 matrices of character theory, go through hermitian_gram. Its operands are
-GramRows, the one place where values are interned: built from rows of
-values, a GramRows holds each distinct value once in a pool, keyed on the
-stored (order, numerators, denominator), and each row as indices into it.
-The kernel reads every operand, at every order, through one row store
-(GramRows.rows). An operand is one object: it converts each pool entry
-once, into integers or sparse roots of unity (one or two roots where
-that is shorter, by _short_roots, the floating-point search here, which
-tries _one_root first), and makes a row when a call first reads it and
-keeps it. FieldKeys.root reads _one_root alone. A table's
+GramRows: a pool that holds each distinct value once and each row as
+indices into it. ValuePool, the one place where values are interned,
+keys a value on its stored (order, numerators, denominator).
+GramRows(rows) interns rows of values through it; GramRows.over takes a
+pool and an index that a table builder made, with ValuePool.slots, one
+value per key of its own. The kernel reads every operand, at every
+order, through one row store (GramRows.rows). An operand is one object:
+it converts each pool entry once, into integers or sparse roots of unity
+(one or two roots where that is shorter, by _short_roots, the
+floating-point search here, which tries _one_root first), and makes a
+row when a call first reads it and keeps it. FieldKeys.root reads
+_one_root alone. A table's
 columns share only the pool and its rows' short forms, the one costly
 conversion. The kernel conjugates its right operand only, accumulates
 integer sums of roots of unity and reduces once per entry. An operand
@@ -558,20 +561,69 @@ def _root_terms(v, coords, n, right, den):
     return [(i * step % n - shift, c * (den // v.den)) for i, c in coords]
 
 
-class GramRows:
-    """Rows of Cyclotomics as hermitian_gram reads them, interned: `pool`
-    holds each distinct value once, in the order first met, and
-    `index[r][c]` is the pool index of row r at class c. This is the one
-    place where values are interned; `order` and `den` are the lcm of the
-    pool's orders and of its denominators.
+class ValuePool:
+    """Values interned once: `values` holds each distinct value once, in
+    the order first met, and positions(row) gives the index in it of each
+    value of a row. This is the one place where values are interned.
 
     A value is keyed on its stored form (order, numerators, denominator),
     which is one key per value at a fixed order and needs no reduced(). A
     value the pool holds is keyed on its identity too, so a row that
-    repeats one object, as a table builder's memo makes it, finds it by
-    id. Only the pool's values take that key: the pool keeps them alive,
-    so their ids are not reused, while any other value may be freed once
-    its row is read.
+    repeats one object finds it by id. Only the pool's values take that
+    key: the pool keeps them alive, so their ids are not reused, while any
+    other value may be freed once its row is read.
+
+    A builder that makes each distinct value once reads positions through
+    slots(make) instead, by its own key of the value, and interns only the
+    values it makes."""
+
+    __slots__ = ("values", "_where")
+
+    def __init__(self):
+        self.values, self._where = [], {}
+
+    def positions(self, row):
+        pool, where, indices = self.values, self._where, []
+        for v in row:
+            x = where.get(id(v))
+            if x is None:
+                key = (v.order, v.num, v.den)
+                x = where.get(key)
+                if x is None:
+                    x = where[key] = where[id(v)] = len(pool)
+                    pool.append(v)
+            indices.append(x)
+        return indices
+
+    def slots(self, make, twin=None):
+        """A dict from a builder's keys to pool positions, filled as keys
+        are first read: key's value is made by make(key) and interned, or,
+        where twin(key) names a key of the same value that was read
+        before, takes its position unmade."""
+        return _Slots(self, make, twin)
+
+
+class _Slots(dict):
+    __slots__ = ("_pool", "_make", "_twin")
+
+    def __init__(self, pool, make, twin):
+        self._pool, self._make, self._twin = pool, make, twin
+
+    def __missing__(self, key):
+        x = self.get(self._twin(key)) if self._twin else None
+        if x is None:
+            x = self._pool.positions((self._make(key),))[0]
+        self[key] = x
+        return x
+
+
+class GramRows:
+    """Rows of Cyclotomics as hermitian_gram reads them: a pool of distinct
+    values, `pool`, and `index[r][c]`, the pool index of row r at class c.
+    GramRows(rows) interns rows of values (ValuePool); GramRows.over(pool,
+    index) takes a pool and an index as they are, for a builder or table
+    that made them. `order` and `den` are the lcm of the pool's orders and
+    of its denominators.
 
     The kernel reads an operand's rows in one way (rows): integers over
     den when every order is 1, and otherwise root terms at the lcm N of
@@ -584,37 +636,35 @@ class GramRows:
     table's values are converted once however often it is used, and an
     operand made for one call is freed with it."""
 
-    __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms")
+    __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms",
+                 "_forms_by_id")
 
     def __init__(self, rows):
-        pool, where, index = [], {}, []
-        for row in rows:
-            indices = []
-            for v in row:
-                x = where.get(id(v))
-                if x is None:
-                    key = (v.order, v.num, v.den)
-                    x = where.get(key)
-                    if x is None:
-                        x = where[key] = where[id(v)] = len(pool)
-                        pool.append(v)
-                indices.append(x)
-            index.append(indices)
+        pool = ValuePool()
+        self._hold(pool.values, [pool.positions(row) for row in rows])
+
+    @classmethod
+    def over(cls, pool, index, sparse=None):
+        """An operand on pool and index, which are not copied; `sparse`, if
+        given, is the `_sparse` list of another operand on the same pool."""
+        operand = cls.__new__(cls)
+        operand._hold(pool, index, sparse)
+        return operand
+
+    def _hold(self, pool, index, sparse=None):
         self.pool, self.index = pool, index
         self.order = lcm(*{v.order for v in pool})
         self.den = lcm(*{v.den for v in pool})
-        self._ints, self._sparse, self._terms, self._forms = None, [None] * len(pool), {}, {}
+        self._ints, self._terms, self._forms, self._forms_by_id = None, {}, {}, {}
+        self._sparse = [None] * len(pool) if sparse is None else sparse
 
     def transposed(self, width):
         """The columns of these rows, `width` entries to a row: an operand
         over the same pool object that shares the rows' `_sparse` list, so
         that no entry's short form is searched for twice, and makes its
         own integers, terms and forms."""
-        columns = GramRows.__new__(GramRows)
-        columns.pool, columns.order, columns.den = self.pool, self.order, self.den
-        columns.index = tuple(zip(*self.index)) if self.index else ((),) * width
-        columns._ints, columns._sparse, columns._terms, columns._forms = None, self._sparse, {}, {}
-        return columns
+        return GramRows.over(self.pool, tuple(zip(*self.index)) if self.index else ((),) * width,
+                             self._sparse)
 
     def form(self, key, make):
         """make(), made once and kept under key, None too."""
@@ -633,8 +683,18 @@ class GramRows:
         is shorter than its nonzero coordinates (_short_roots, a search over
         the roots of its order), and mapped once to each (n, right). Only
         the rows asked for, by any iterable, are made, and kept under
-        (n, right, weights)."""
-        rows, weighted = self._forms.setdefault((n, right, weights), ({}, {}))
+        (n, right, weights).
+
+        A form is found by the identity of its weights first, so that a
+        table's class sizes, one tuple, are not hashed on each call; the
+        form keeps the weights it was made with, and only those take an id
+        key, so their ids are not reused while the operand lives."""
+        form = self._forms_by_id.get((n, right, id(weights)))
+        if form is None:
+            form = self._forms.setdefault((n, right, weights), ({}, {}, weights))
+            if form[2] is weights:
+                self._forms_by_id[n, right, id(weights)] = form
+        rows, weighted = form[0], form[1]
         missing = set(wanted).difference(rows) if len(rows) < len(self.index) else ()
         if not missing:
             return rows

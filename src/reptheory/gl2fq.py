@@ -19,9 +19,8 @@ its powers is both the logarithm table and its inverse.
 
 from __future__ import annotations
 
-from .chartab import (CharacterTable, ClassFunction, TableRow, VerifyReport,
-                      check_orthonormality)
-from .exact import cyc, cyclotomic_to_json, zero, zeta
+from .chartab import CharacterTable, VerifyReport, check_orthonormality
+from .exact import ValuePool, cyc, cyclotomic_to_json, zero, zeta
 
 
 def is_odd_prime(q):
@@ -190,88 +189,83 @@ def gl2_table(q):
     complementary rows of degree q-1.
 
     Every value is c * zeta_n^a or c * (zeta_n^a + zeta_n^b), n = q - 1 or
-    q^2 - 1, and is built once for each (n, c, {a, b} mod n) that occurs,
-    as one object that every entry with that key shares: the 28224 entries
-    of GL2(F_13) take 195 distinct values."""
+    q^2 - 1, with a and b sums of multiples of discrete logarithms. The
+    table is built straight into a value pool and an index
+    (CharacterTable.from_pool): each entry's pool position is looked up by
+    its exponent mod n, in one lazily filled table per (n, c), or by its
+    exponent pair, and each value is made and interned once, when its key
+    is first met: the 28224 entries of GL2(F_13) take 195 distinct values.
+    The rows are filled row by row, class by class, so the pool is in the
+    order its values are first met."""
     group = GL2Group(q)
-    classes = group.classes
-    n1 = q - 1
-    n2 = q * q - 1
-    memo = {}
+    n1, n2 = q - 1, q * q - 1
+    dlog, dlog2 = group.dlog_q, group.dlog_q2
+    pool = ValuePool()
 
-    def roots(n, c, a, b=None):
-        a %= n
-        if b is not None:
-            a, b = sorted((a, b % n))
-        key = (n, c, a, b)
-        x = memo.get(key)
-        if x is None:
-            x = memo[key] = c * (zeta(n, a) if b is None else zeta(n, a) + zeta(n, b))
-        return x
+    def roots(n, c):
+        return pool.slots(lambda e: c * zeta(n, e))
 
-    # the discrete logarithm of each class's determinant, and of its
-    # parameters: x (scalar, parabolic), x and y (hyperbolic), or the
-    # eigenvalue x + y sqrt(eps) in F_q(sqrt(eps)) (elliptic)
-    dets, logs = [], []
-    for cl in classes:
-        if cl.family in ("scalar", "parabolic"):
-            x = cl.params[0]
-            dets.append(group.dlog_q[x * x % q])
-            logs.append((group.dlog_q[x], group.dlog_q2[(x, 0)]))
-        elif cl.family == "hyperbolic":
-            x, y = cl.params
-            dets.append(group.dlog_q[x * y % q])
-            logs.append((group.dlog_q[x], group.dlog_q[y]))
-        else:
-            dets.append(group.dlog_q[group.norm(cl.params)])
-            logs.append((group.dlog_q2[cl.params],))
-    families = [cl.family for cl in classes]
+    one, minus, zeros = roots(n1, 1), roots(n1, -1), pool.slots(lambda _: zero())
+    # zeta_(q-1)^a + zeta_(q-1)^b by a * (q - 1) + b, made once for both orders
+    pairs = pool.slots(lambda key: zeta(n1, key // n1) + zeta(n1, key % n1),
+                       lambda key: key % n1 * n1 + key // n1)
+    # -(nu(u) + nu(u)^q) by the exponent a of nu(u) = zeta_(q^2-1)^a,
+    # made once for a and its Frobenius twin qa
+    frobenius = pool.slots(lambda a: -1 * (zeta(n2, a) + zeta(n2, a * q)), lambda a: a * q % n2)
+    # the classes come family by family (GL2Group); per family the
+    # discrete logarithms of each class's determinant and of its
+    # parameters: x in F_q* and in F_q(sqrt(eps))* (scalar, parabolic), x
+    # and y (hyperbolic), or the eigenvalue x + y sqrt(eps) (elliptic)
+    params = {}
+    for cl in group.classes:
+        params.setdefault(cl.family, []).append(cl.params)
+    scalar, parabolic = ([(dlog[x * x % q], dlog[x], dlog2[(x, 0)]) for (x,) in params[f]]
+                         for f in ("scalar", "parabolic"))
+    hyperbolic = [(dlog[x * y % q], dlog[x], dlog[y]) for x, y in params["hyperbolic"]]
+    elliptic = [(dlog[group.norm(u)], dlog2[u]) for u in params["elliptic"]]
+    dets = [cl[0] for family in (scalar, parabolic, hyperbolic, elliptic) for cl in family]
 
-    rows = []
+    names, degrees, index = [], [], []
 
-    def row(name, degree, xs):
-        rows.append(TableRow(name, degree, ClassFunction(group, xs)))
+    def row(name, degree, indices):
+        names.append(name)
+        degrees.append(degree)
+        index.append(indices)
 
     # one-dimensional series: xi(det g)
     for k in range(q - 1):
-        row(f"xi[{k}]", 1, [roots(n1, 1, k * d) for d in dets])
+        row(f"xi[{k}]", 1, [one[k * d % n1] for d in dets])
     # principal series, lambda1 != lambda2 up to swap
+    principal_scalar = roots(n1, q + 1)
     for k1 in range(q - 1):
         for k2 in range(k1 + 1, q - 1):
-            xs = []
-            for family, lg in zip(families, logs):
-                if family == "scalar":
-                    xs.append(roots(n1, q + 1, (k1 + k2) * lg[0]))
-                elif family == "parabolic":
-                    xs.append(roots(n1, 1, (k1 + k2) * lg[0]))
-                elif family == "hyperbolic":
-                    x, y = lg
-                    xs.append(roots(n1, 1, k1 * x + k2 * y, k1 * y + k2 * x))
-                else:
-                    xs.append(zero())
-            row(f"V[{k1},{k2}]", q + 1, xs)
-    # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det), the factor below
-    # times mu(det g)
-    w_factor = {"scalar": q, "parabolic": 0, "hyperbolic": 1, "elliptic": -1}
+            s = k1 + k2
+            row(f"V[{k1},{k2}]", q + 1,
+                [principal_scalar[s * x % n1] for _, x, _ in scalar]
+                + [one[s * x % n1] for _, x, _ in parabolic]
+                + [pairs[(k1 * x + k2 * y) % n1 * n1 + (k1 * y + k2 * x) % n1]
+                   for _, x, y in hyperbolic]
+                + [zeros[0]] * len(elliptic))
+    # degree-q series: W_mu = Ind_B(mu,mu) - (mu o det), that is q, 0, 1
+    # and -1 on the four families, times mu(det g)
+    w_scalar = roots(n1, q)
     for k in range(q - 1):
-        row(f"W[{k}]", q, [roots(n1, w_factor[family], k * d) if w_factor[family] else zero()
-                           for family, d in zip(families, dets)])
+        row(f"W[{k}]", q,
+            [w_scalar[k * d % n1] for d, _, _ in scalar]
+            + [zeros[0]] * len(parabolic)
+            + [one[k * d % n1] for d, _, _ in hyperbolic]
+            + [minus[k * d % n1] for d, _ in elliptic])
     # complementary series
+    x_scalar, x_parabolic = roots(n2, q - 1), roots(n2, -1)
     for t in _complementary_parameters(q):
-        xs = []
-        for family, lg in zip(families, logs):
-            if family == "scalar":
-                xs.append(roots(n2, q - 1, t * lg[1]))
-            elif family == "parabolic":
-                xs.append(roots(n2, -1, t * lg[1]))
-            elif family == "hyperbolic":
-                xs.append(zero())
-            else:
-                xs.append(roots(n2, -1, t * lg[0], t * q * lg[0]))
-        row(f"X[{t}]", q - 1, xs)
-    if len(rows) != q * q - 1:
-        raise AssertionError(f"GL2(F_{q}) table has {len(rows)} rows, not q^2 - 1")
-    return CharacterTable(group, rows, name=f"GL2(F_{q})")
+        row(f"X[{t}]", q - 1,
+            [x_scalar[t * x % n2] for _, _, x in scalar]
+            + [x_parabolic[t * x % n2] for _, _, x in parabolic]
+            + [zeros[0]] * len(hyperbolic)
+            + [frobenius[t * u % n2] for _, u in elliptic])
+    if len(index) != q * q - 1:
+        raise AssertionError(f"GL2(F_{q}) table has {len(index)} rows, not q^2 - 1")
+    return CharacterTable.from_pool(group, names, degrees, pool.values, index, name=f"GL2(F_{q})")
 
 
 def gl2_verify(table):

@@ -29,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .chartab import CharacterTable, ClassFunction, TableRow
-from .exact import cyc
+from .chartab import CharacterTable
+from .exact import ValuePool, cyc
 from .linalg import det
 # S_n's class data sits with the named groups in permgroup
 from .permgroup import MAX_TABLE_N, SymmetricGroup, partitions_of
@@ -223,7 +223,10 @@ def _columns(n):
 def sn_table(n):
     """Complete character table of S_n (1 <= n <= MAX_TABLE_N), rows
     indexed by partitions and columns by cycle types, over the class data
-    of SymmetricGroup(n)."""
+    of SymmetricGroup(n). The values are integers, read off the
+    Murnaghan-Nakayama columns; each distinct one becomes a Cyclotomic
+    once, in a pool that the table takes with its index as they are
+    (CharacterTable.from_pool)."""
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"supported range is 1 <= n <= {MAX_TABLE_N}")
     group = SymmetricGroup(n)
@@ -231,25 +234,17 @@ def sn_table(n):
     by_type = _columns(n)
     columns = [by_type[cl.cycle_type] for cl in group.classes]
     degrees = by_type[(1,) * n]  # chi_lambda(1), the identity class's column
-    # the values are integers: each distinct one becomes a Cyclotomic once
-    seen = {}
-    rows = []
-    for lam in parts:
-        # the beta-set of lam over n beads, its zero parts in bits 0..n - len(lam) - 1
-        beads = sum(1 << (p + n - 1 - i) for i, p in enumerate(lam)) | ((1 << (n - len(lam))) - 1)
-        row = []
-        for column in columns:
-            v = column.get(beads, 0)
-            x = seen.get(v)
-            if x is None:
-                x = seen[v] = cyc(v)
-            row.append(x)
-        name = "V[" + ",".join(str(p) for p in lam) + "]"
-        rows.append(TableRow(name, degrees[beads], ClassFunction(group, row)))
+    pool = ValuePool()
+    at = pool.slots(cyc)  # the pool position of each integer value
+    # the beta-set of each lam over n beads, its zero parts in bits 0..n - len(lam) - 1
+    beads = [sum(1 << (p + n - 1 - i) for i, p in enumerate(lam)) | ((1 << (n - len(lam))) - 1)
+             for lam in parts]
+    index = [[at[column.get(b, 0)] for column in columns] for b in beads]
+    names = ["V[" + ",".join(str(p) for p in lam) + "]" for lam in parts]
     display = [group.type_index[t] for t in parts]
     labels = ["[" + ",".join(str(m) for m in t) + "]" for t in parts]
-    return CharacterTable(group, rows, name=f"S{n}", display_classes=display,
-                          class_labels=labels)
+    return CharacterTable.from_pool(group, names, [degrees[b] for b in beads], pool.values, index,
+                                    name=f"S{n}", display_classes=display, class_labels=labels)
 
 
 # -- Schur polynomials ------------------------------------------------------

@@ -585,6 +585,109 @@ def test_pool_holds_each_table_value_once(name):
     assert table.gram_columns.index == tuple(zip(*index))
 
 
+def reference_intern(rows):
+    """The interning loop every table ran on its rows before builders
+    handed a table a pool and an index: each distinct stored form once, in
+    the order first met row by row, found by identity first."""
+    pool, where, index = [], {}, []
+    for row in rows:
+        indices = []
+        for v in row:
+            x = where.get(id(v))
+            if x is None:
+                key = (v.order, v.num, v.den)
+                x = where.get(key)
+                if x is None:
+                    x = where[key] = where[id(v)] = len(pool)
+                    pool.append(v)
+            indices.append(x)
+        index.append(indices)
+    return pool, index
+
+
+# table_to_json writes classes by permutation representatives, which the
+# GL2 class data lacks
+READ_BACK_BUILDERS = [name for name in POOL_BUILDERS if "GL2" not in name.upper()]
+
+
+@pytest.mark.parametrize("table", [pytest.param(lambda q=q: gl2_table(q), id=f"gl2_table {q}")
+                                   for q in (3, 5, 7, 11, 13)]
+                         + [pytest.param(lambda n=n: sn_table(n), id=f"sn_table {n}")
+                            for n in range(1, 11)]
+                         + [pytest.param(_read_back(POOL_BUILDERS[name]), id=f"read back {name}")
+                            for name in READ_BACK_BUILDERS])
+def test_a_built_pool_is_the_interned_pool(table):
+    # the builders that hand the table a pool and an index make the pool
+    # and the index that interning the table's rows makes, in its order
+    table = table()
+    pool, index = reference_intern(row.values for row in table.rows)
+    assert stored(table.pool) == stored(pool)
+    assert [list(indices) for indices in table.index] == index
+
+
+@pytest.mark.parametrize("name", READ_BACK_BUILDERS)
+def test_a_read_back_pool_is_the_written_tables_pool(name):
+    # a read-back table interns the file's rows in the group's class order,
+    # so it has the pool and the index of the table that was written
+    table = POOL_BUILDERS[name]()
+    back = _read_back(lambda: table)()
+    assert stored(back.pool) == stored(table.pool)
+    assert back.index == [list(indices) for indices in table.index]
+
+
+def test_a_pool_and_index_are_checked_once():
+    table = sn_table(4)
+    names, degrees = [r.name for r in table.rows], [r.degree for r in table.rows]
+    pool, index = list(table.pool), [list(indices) for indices in table.index]
+    built = CharacterTable.from_pool(table.group, names, degrees, pool, index)
+    assert [r.values for r in built.rows] == [r.values for r in table.rows]
+    assert built.pool is pool and built.index is index
+    with pytest.raises(TypeError):
+        CharacterTable.from_pool(table.group, names, degrees, pool[:-1] + [1], index)
+    with pytest.raises(ValueError, match="one value per conjugacy class"):
+        CharacterTable.from_pool(table.group, names, degrees, pool, index[:-1] + [index[-1][:-1]])
+    with pytest.raises(ValueError):
+        CharacterTable.from_pool(table.group, names, degrees, pool, index[:-1])
+    with pytest.raises(ValueError, match="identity value differs"):
+        CharacterTable.from_pool(table.group, names, degrees[1:] + degrees[:1], pool, index)
+
+
+class _CountedHash(tuple):
+    hashed = 0
+
+    def __hash__(self):
+        _CountedHash.hashed += 1
+        return super().__hash__()
+
+
+def test_a_form_is_found_by_the_identity_of_its_weights(monkeypatch):
+    # integer rows of a rational table and root terms of a cyclotomic one
+    for table in (sn_table(5), gl2_table(5)):
+        n, sizes = table.gram_rows.order, _CountedHash(table.class_sizes)
+        operand = GramRows(row.values for row in table.rows)
+        _CountedHash.hashed = 0
+        first = operand.rows(n, False, sizes, [0, 1])
+        assert _CountedHash.hashed == 1
+        assert operand.rows(n, False, sizes, [2]) is first
+        assert operand.rows(n, False, sizes, [0, 1, 2]) is first
+        assert _CountedHash.hashed == 1
+        # an equal tuple, another object, finds the same form by value
+        assert operand.rows(n, False, tuple(sizes), [3]) is first
+        assert _CountedHash.hashed == 1 and set(first) == {0, 1, 2, 3}
+    # a product with the table passes the table's own class sizes to the
+    # kernel, so every product after the first finds its form by identity
+    table, seen = gl2_table(5), []
+    rows = GramRows.rows
+
+    def recording(operand, n, right, weights, wanted):
+        seen.append(weights)
+        return rows(operand, n, right, weights, wanted)
+    monkeypatch.setattr(GramRows, "rows", recording)
+    for i, j in ((0, 1), (2, 2), (3, 7)):
+        table.inner_product(table.rows[i].values, table.rows[j].values)
+    assert len(seen) == 6 and all(w is table.class_sizes for w in seen[::2])
+
+
 @pytest.mark.parametrize("name", ["S7", "A5", "D8", "GL2(5)"])
 def test_a_table_converts_its_values_once(name, monkeypatch):
     table = GRAM_TABLES[name]()
