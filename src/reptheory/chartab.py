@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, cyc, cyclotomic_from_json,
                     cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
@@ -329,26 +330,26 @@ ORBIT_ROWS = 10
 KEY_COORDINATES = 1 << 22
 
 
-def _row_symmetries(operand):
-    """Maps m of the operand's rows into its rows, as lists of row indices,
+def _row_symmetries(table):
+    """Maps m of the table's rows into its rows, as lists of row indices,
     under which the Hermitian product of rows m[a] and m[b] is that of rows
-    a and b or its image under a field automorphism.
+    a and b, each checked exactly on the rows as tuples of FieldKeys ids,
+    so that none is assumed, on broken tables too.
 
-    A map comes from a generator j of the units mod n, for n the lcm of the
-    pool's orders, where sigma_j: zeta_n -> zeta_n^j takes every value to a
-    value and every row to a row, as <sigma a, sigma b> = sigma <a, b>.
-    One also comes from a twist by a row l whose values are roots of unity
-    up to sign (FieldKeys.root), as every linear character's are, and whose
-    product with every row is a row, as <l a, l b> = <a, b>; such rows are
-    tried in order until the twists found reach each one from the all-ones
-    row, or until the first one whose twist is no row map: on a complete
-    table of characters l chi is irreducible for every row chi, so only a
-    broken or incomplete table stops early. Rows are compared as tuples
-    of FieldKeys ids, so every map is checked exactly and none is
-    assumed."""
-    keys = FieldKeys(operand.pool)
-    ids = keys.ids
-    rows = [tuple(map(ids.__getitem__, row)) for row in operand.index]
+    A permutation p of the classes that keeps every class size keeps every
+    product, <a o p, b o p> = <a, b>, and the power map of j permutes the
+    rows of a character table, as chi(g^j) = sigma_j(chi(g)) for j prime to
+    |G| (Isaacs 1976, ch. 2). One is tried for each generator j of the
+    units mod N, the lcm of the pool's orders, lifted to the least j + tN
+    prime to |G|. A twist by a row l of roots of unity up to sign
+    (FieldKeys.root), as every linear character is, keeps every product
+    too, <l a, l b> = <a, b>. Such rows are tried in order until the twists
+    found reach each one from the all-ones row, or until the first whose
+    twist is no row map: l chi is irreducible for every row chi of a
+    complete table of characters, so only a broken or incomplete table
+    stops early."""
+    keys, sizes = FieldKeys(table.pool), table.class_sizes
+    rows = [tuple(map(keys.ids.__getitem__, row)) for row in table.index]
     where = {}
     for i, row in enumerate(rows):
         where.setdefault(row, i)
@@ -358,10 +359,14 @@ def _row_symmetries(operand):
         out = list(map(where.get, images))
         return None if None in out or out == identity else out
 
-    maps = []
+    maps, classes = [], list(range(len(sizes)))
     for j in unit_generators(keys.n):
-        values = keys.galois(j)
-        m = values and row_map(tuple(map(values.__getitem__, row)) for row in rows)
+        while gcd(j, table.group.order) > 1:
+            j += keys.n
+        p = table.group.power_class_map(j)
+        # on one class, moved gives no tuple and keeps no map
+        moved = itemgetter(*p)
+        m = sorted(p) == classes and moved(sizes) == sizes and row_map(map(moved, rows))
         if m:
             maps.append(m)
     one_id = keys.find(one())
@@ -371,7 +376,8 @@ def _row_symmetries(operand):
     columns = list(zip(*rows))
 
     def twisted_rows(lam):
-        return zip(*(map(keys.times(y, column).__getitem__, column)
+        # a column where l is 1 stays as it is
+        return zip(*(column if y == one_id else map(keys.times(y, column).__getitem__, column)
                      for y, column in zip(lam, columns)))
 
     reached, found = {trivial}, []
@@ -391,15 +397,15 @@ def _row_symmetries(operand):
     return maps + found
 
 
-def _pair_orbits(operand):
-    """The first pair of each orbit of the pairs i <= j of the operand's
-    rows under _row_symmetries, in the order (0, 0), (0, 1), ...; an orbit
-    holds diagonal pairs only or none, as maps need not be injective.
-    None where no symmetry is found."""
-    maps = _row_symmetries(operand)
+def _pair_orbits(table):
+    """The first pair of each orbit of the pairs i <= j of the table's rows
+    under _row_symmetries, in the order (0, 0), (0, 1), ...; an orbit holds
+    diagonal pairs only or none, as maps need not be injective. None where
+    no symmetry is found."""
+    maps = _row_symmetries(table)
     if not maps:
         return None
-    k = len(operand.index)
+    k = len(table.index)
     seen = bytearray(k * k)
     reps = []
     for i in range(k):
@@ -421,24 +427,25 @@ def _pair_orbits(operand):
     return reps
 
 
-def orbit_gram(operand, weights, scale):
-    """None when the Hermitian products sum_c w_c a_c conj(b_c) / scale of
-    the pairs i <= j of a GramRows operand's rows are proven to be 1 on
-    the diagonal and 0 off it; otherwise the products of all pairs, in the
-    order (0, 0), (0, 1), ..., (1, 1), ...
+def orbit_gram(table):
+    """None when the Hermitian products |G|^-1 sum_c |c| a_c conj(b_c) of
+    the pairs i <= j of the table's rows are proven to be 1 on the diagonal
+    and 0 off it; otherwise the products of all pairs, in the order
+    (0, 0), (0, 1), ..., (1, 1), ...
 
     Over irrational values one pair per orbit of _pair_orbits is computed.
-    A map sends a pair's product to its image under a field automorphism,
-    which fixes 1 and 0: so if the first pair of every orbit has its
-    wanted value, so has every pair. If one fails, the table is broken,
-    and every pair is computed, so a check reads the same values as from
-    the full Gram matrix. The operand keeps its orbits, or that it has
-    none, as it keeps its rows. Below ORBIT_ROWS rows, or past
-    KEY_COORDINATES, every pair is computed."""
+    Every map keeps every product exactly, and a pair (i, j) with i > j
+    has the conjugate product, which fixes 1 and 0: so if the first pair
+    of every orbit has its wanted value, so has every pair. If one fails,
+    the table is broken, and every pair is computed, so a check reads the
+    same values as from the full Gram matrix. The table's operand keeps
+    its orbits, or that it has none, as it keeps its rows. Below
+    ORBIT_ROWS rows, or past KEY_COORDINATES, every pair is computed."""
+    operand, weights, scale = table.gram_rows, table.class_sizes, table.group.order
     k = len(operand.index)
     if (operand.order > 1 and k >= ORBIT_ROWS
             and len(operand.pool) * euler_phi(operand.order) <= KEY_COORDINATES):
-        reps = operand.form("orbits", lambda: _pair_orbits(operand))
+        reps = operand.form("orbits", lambda: _pair_orbits(table))
         if reps is not None:
             on, off = one(), zero()
             products = hermitian_gram(operand, operand, reps, weights, scale)
@@ -448,12 +455,13 @@ def orbit_gram(operand, weights, scale):
                           weights, scale)
 
 
-def check_orthonormality(report, label, names, rows, sizes, order):
-    """One report entry per pair i <= j of rows (a GramRows): the Hermitian
-    product order^-1 sum_c sizes[c] a_c conj(b_c) must be 1 on the diagonal
-    and 0 off it. The products come from orbit_gram, which proves whole
-    orbits of pairs under Galois maps and twists by linear rows."""
-    products = iter(orbit_gram(rows, sizes, order) or ())
+def check_orthonormality(report, label, table):
+    """One report entry per pair i <= j of the table's rows: the Hermitian
+    product must be 1 on the diagonal and 0 off it. The products come from
+    orbit_gram, which proves whole orbits of pairs under power maps and
+    twists by linear rows."""
+    products = iter(orbit_gram(table) or ())
+    names = [row.name for row in table.rows]
     k = len(names)
     for i in range(k):
         for j in range(i, k):
@@ -474,8 +482,7 @@ def verify_table(table):
     rep = VerifyReport()
     g = table.group
     rows = table.rows
-    check_orthonormality(rep, "row orthonormality", [row.name for row in rows],
-                         table.gram_rows, table.class_sizes, g.order)
+    check_orthonormality(rep, "row orthonormality", table)
     k = len(g.classes)
     labels = [g.class_label(c) for c in range(k)]
     pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]

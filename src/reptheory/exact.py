@@ -242,6 +242,8 @@ class Cyclotomic:
     def coerce(x):
         if isinstance(x, Cyclotomic):
             return x
+        if type(x) is int:  # stored as is; a bool takes the Fraction path
+            return Cyclotomic(1, (x,), 1, _normalized=True)
         if isinstance(x, (int, Fraction)):
             return Cyclotomic.from_rational(x)
         raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
@@ -763,9 +765,10 @@ class FieldKeys:
     two orders (zeta_6, and zeta_48^8 at order 48) gets one key. `ids[x]`
     is the id of pool entry x and `values[i]` a pool value of id i; a
     table's rows read through `ids` are tuples that are equal exactly when
-    the rows are. The maps below are exact: each image is computed from
-    coordinates, by moving exponents of zeta_n, and looked up by its key,
-    and is None where the pool lacks it."""
+    the rows are, so rows with their classes permuted are compared with no
+    value computed. A twist (times) is exact: each product is computed
+    from coordinates, by moving exponents of zeta_n, and looked up by its
+    key, and is None where the pool lacks it."""
 
     __slots__ = ("n", "ids", "values", "_coords", "_where", "_products", "_roots", "_monomials")
 
@@ -787,47 +790,27 @@ class FieldKeys:
         """The id of value v, whose order divides n, or None."""
         return self._where.get((v.den, tuple(v._embed(self.n))))
 
-    def galois(self, j):
-        """For each id, the id of its value's image under zeta_n -> zeta_n^j,
-        j prime to n; None if some image is not a value of the pool."""
-        out = []
-        for x, v in enumerate(self.values):
-            # sigma_j is zeta_m -> zeta_m^(j mod m) on Q(zeta_m), m the order,
-            # so it fixes v where j = 1 mod m
-            image = self._where.get(self._moved(x, j, 0, 1)) if (j - 1) % v.order else x
-            if image is None:
-                return None
-            out.append(image)
-        return out
-
     def times(self, y, xs):
         """A dict that maps each id x in xs, among the ids met before, to the
         id of the product of the values of ids y and x, or to None; the
         value of y is a signed root s * zeta_n^e (root), so x's exponents
-        move by e and its sign by s (_moved). Each product is made once."""
+        move by e and its sign by s. Each product is made once, and each
+        power of zeta_n folded once and kept."""
         known = self._products.setdefault(y, {})
-        missing = set(xs).difference(known)
-        if missing:
-            s, e = self.root(y)
-            known.update((x, self._where.get(self._moved(x, 1, e, s))) for x in missing)
+        (s, e), n, monomials = self.root(y), self.n, self._monomials
+        for x in set(xs).difference(known):
+            acc = [0] * len(self._coords[x])
+            for i, c in enumerate(self._coords[x]):
+                if c:
+                    k = (i + e) % n
+                    terms = monomials.get(k)
+                    if terms is None:
+                        terms = monomials[k] = [(t, f) for t, f in enumerate(_root(n, k)) if f]
+                    for t, f in terms:
+                        acc[t] += c * f
+            key = self.values[x].den, tuple(acc) if s > 0 else tuple(-a for a in acc)
+            known[x] = self._where.get(key)
         return known
-
-    def _moved(self, x, step, shift, sign):
-        """The key of sign times the sum of c * zeta_n^(i * step + shift)
-        over the coordinates c_i of the value of id x: sigma_step of it, times
-        sign * zeta_n^shift. Each power of zeta_n is folded once, and kept."""
-        n, monomials = self.n, self._monomials
-        coords = self._coords[x]
-        acc = [0] * len(coords)
-        for i, c in enumerate(coords):
-            if c:
-                k = (i * step + shift) % n
-                terms = monomials.get(k)
-                if terms is None:
-                    terms = monomials[k] = [(t, f) for t, f in enumerate(_root(n, k)) if f]
-                for t, f in terms:
-                    acc[t] += c * f
-        return self.values[x].den, tuple(acc) if sign > 0 else tuple(-a for a in acc)
 
     def root(self, y):
         """(s, e) with the value of id y equal to s * zeta_n^e, s = 1 or -1

@@ -275,8 +275,7 @@ def gl2_verify(table):
     rep = VerifyReport()
     g = table.group
     rows = table.rows
-    check_orthonormality(rep, "orthonormality", [r.name for r in rows], table.gram_rows,
-                         table.class_sizes, g.order)
+    check_orthonormality(rep, "orthonormality", table)
     ssq = sum(r.degree ** 2 for r in rows)
     rep.add("sum of squares", ssq == g.order, f"{ssq} vs {g.order}")
     rep.add("row count equals class count",

@@ -1,8 +1,8 @@
 """Finite groups as permutation groups, with full class data.
 
-Groups in scope are small (largest routine case is S_8), so the whole
-element set is enumerated breadth-first and conjugacy classes are
-computed as conjugation orbits; no stabilizer-chain machinery.
+Enumerated groups are small (the largest named one is A7, of order
+2520), so the whole element set is enumerated breadth-first and classes
+are computed as conjugation orbits; no stabilizer-chain machinery.
 SymmetricGroup holds S_n up to S_15 as class data instead: one class per
 cycle type, with no element listed. A SubgroupView embeds an enumerated
 subgroup H in either kind of group through the group's `class_index`, so
@@ -239,15 +239,21 @@ class PermGroup:
         return self.inverse_index[i]
 
     def power_class_map(self, k):
-        """For each class, the index of the class containing rep^k."""
-        out = []
-        for cl in self.classes:
-            rep = cl.representative
-            y = p_identity(self.degree)
-            e = k % cl.element_order
-            for _ in range(e):
-                y = p_mul(y, rep)
-            out.append(self.class_of[self.index[y]])
+        """For each class, the index of the class of rep^k, by squaring on
+        bytes: p.translate(q.ljust(256)) is p_mul(q, p), as degree <= 200."""
+        out, identity = [], bytes(range(self.degree))
+        for c, cl in enumerate(self.classes):
+            y, e = identity, k % cl.element_order
+            if e == 1:  # rep^1 is rep
+                out.append(c)
+                continue
+            base = bytes(cl.representative)
+            while e:
+                table = base.ljust(256)
+                if e & 1:
+                    y = y.translate(table)
+                base, e = base.translate(table), e >> 1
+            out.append(self.class_of[self.index[tuple(y)]])
         return out
 
     def extend_hom(self, gen_images, mul, one):
@@ -422,10 +428,10 @@ def quaternion_group():
 # -- S_n as class data ------------------------------------------------
 
 # The largest n whose table `symgrp.sn_table` builds and whose name S<n>
-# resolves (S_15 has 176 classes). Measured end to end on a 2-vCPU machine
-# with Python 3.11, `sn table n` and `chartab verify Sn` take 1.5 s and
-# 2.1 s at n = 15, 2.2 s and 3.2 s at n = 16, and 3.4 s and 6.3 s at
-# n = 17; 15 keeps both under 5 s with room for a slower machine.
+# resolves (S_15 has 176 classes). End to end on a 2-vCPU Xeon VM with
+# Python 3.11.7, three fresh processes, `sn table n` / `chartab verify Sn`
+# take 0.19-0.26 / 0.46-0.51 s at n = 15, 0.22-0.31 / 0.92-0.93 s at 16
+# and 0.26-0.40 / 1.3-1.7 s at 17 (bound raised); 15 keeps both under 1 s.
 MAX_TABLE_N = 15
 
 

@@ -61,6 +61,27 @@ def test_mixed_order_embedding():
     assert v == w
 
 
+@pytest.mark.parametrize("x", [0, 1, -1, 2**64 + 3, -(7**40)])
+def test_an_int_is_stored_as_its_fraction(x):
+    # coerce stores an int with no Fraction; every form must be the one
+    # the Fraction path gives
+    def form(v):
+        return (v.order, v.num, v.den)
+    assert form(cyc(x)) == form(Cyclotomic.from_rational(Fraction(x)))
+    assert type(cyc(x).num[0]) is int
+    for v in (zeta(12, 5) + 3, zeta(7) / 2, cyc(Fraction(3, 4)), cyc(0)):
+        f = Cyclotomic.from_rational(Fraction(x))
+        assert form(x + v) == form(f + v) and form(v + x) == form(v + f)
+        assert form(x - v) == form(f - v) and form(v - x) == form(v - f)
+        assert form(x * v) == form(f * v) and form(v * x) == form(v * f)
+        if x:
+            assert form(v / x) == form(v / f)
+        if not v.is_zero:
+            assert form(x / v) == form(f / v)
+    # a bool takes the Fraction path, so no bool is stored
+    assert form(cyc(True)) == form(cyc(1)) and type(cyc(True).num[0]) is int
+
+
 def test_conjugation():
     assert zeta(5, 2).conjugate() == zeta(5, 3)
     assert cyc(Fraction(3, 7)).conjugate() == Fraction(3, 7)

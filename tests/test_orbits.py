@@ -1,4 +1,4 @@
-"""Verification by Galois and twist orbits against the full Gram matrix.
+"""Verification by power-map and twist orbits against the full Gram matrix.
 
 `orbit_gram` computes one Hermitian product per orbit of row pairs under
 the exact symmetries of a table. Every report it feeds must equal, entry
@@ -26,8 +26,8 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                class_sizes, dihedral_semidirect, heisenberg_semidirect,
                                orbit_gram, semidirect_table, verify_table)
 from reptheory.exact import FieldKeys, hermitian_gram, one, unit_generators, zero, zeta
-from reptheory.gl2fq import GL2Class, gl2_table, gl2_verify
-from reptheory.permgroup import cyclic_group
+from reptheory.gl2fq import GL2Class, GL2Group, gl2_table, gl2_verify
+from reptheory.permgroup import SymmetricGroup, cyclic_group
 
 
 def doubling_action(m, p):
@@ -74,7 +74,7 @@ def test_orbit_reports_equal_the_full_gram(name, monkeypatch):
     assert all(ok for entries in full for _, ok, _ in entries)
 
 
-# orbits of row pairs under Galois and twists; the row pairs number 36,
+# orbits of row pairs under power maps and twists; the row pairs number 36,
 # 300, 1176, 7260 and 14196
 GL2_ORBITS = {3: 19, 5: 55, 7: 95, 11: 188, 13: 260}
 
@@ -82,28 +82,26 @@ GL2_ORBITS = {3: 19, 5: 55, 7: 95, 11: 188, 13: 260}
 @pytest.mark.parametrize("q", sorted(GL2_ORBITS))
 def test_gl2_orbit_counts(q, monkeypatch, all_orbits):
     table = gl2_table(q)
-    g = table.group
     counted = []
 
     def counting(left, right, pairs, *args, **kwargs):
         counted.append(len(pairs))
         return hermitian_gram(left, right, pairs, *args, **kwargs)
     monkeypatch.setattr(chartab, "hermitian_gram", counting)
-    assert orbit_gram(table.gram_rows, class_sizes(g), g.order) is None
+    assert orbit_gram(table) is None
     assert counted == [GL2_ORBITS[q]]
-    # without twists (no value is read as a root of unity) the Galois
-    # orbits alone are more
+    # without twists (no value is read as a root of unity) the orbits of
+    # the power maps alone are more
     counted.clear()
     monkeypatch.setattr(FieldKeys, "root", lambda keys, y: None)
-    assert orbit_gram(gl2_table(q).gram_rows, class_sizes(g), g.order) is None
+    assert orbit_gram(gl2_table(q)) is None
     assert counted[0] > GL2_ORBITS[q]
 
 
 @pytest.mark.parametrize("name", list(TABLES))
 def test_a_passing_table_is_proven_without_its_products(name, all_orbits):
     table = TABLES[name]()
-    g = table.group
-    got = orbit_gram(table.gram_rows, class_sizes(g), g.order)
+    got = orbit_gram(table)
     if table.gram_rows.order > 1:
         assert got is None
     else:
@@ -124,7 +122,7 @@ def test_the_search_holds_a_bounded_number_of_coordinates(monkeypatch):
 def test_every_builtin_irrational_table_has_symmetries(all_orbits):
     for name in ("A4", "A5", "D5", "Z7", "heisenberg", "Z8 on Z17"):
         table = TABLES[name]()
-        assert chartab._row_symmetries(table.gram_rows), name
+        assert chartab._row_symmetries(table), name
 
 
 def test_the_sign_row_of_an_odd_dihedral_group_twists():
@@ -134,7 +132,7 @@ def test_the_sign_row_of_an_odd_dihedral_group_twists():
     values = [list(row.values) for row in table.rows]
     sign = next(v for v in values if v[0] == 1 and any(x == -1 for x in v))
     twist = [values.index([s * x for s, x in zip(sign, v)]) for v in values]
-    assert chartab._row_symmetries(table.gram_rows).count(twist) == 1
+    assert chartab._row_symmetries(table).count(twist) == 1
 
 
 # -- broken tables ------------------------------------------------------------
@@ -145,10 +143,12 @@ def _with_values(table, i, values):
     return CharacterTable(table.group, rows, table.name, table.display_classes, table.class_labels)
 
 
-def broken_gl2_5():
+def broken_gl2_5(c=13):
+    # class 13 is fixed by the power maps of 13 and 17, which keep the
+    # table's rows; class 17 is moved by every power map, so none is kept
     table = gl2_table(5)
     values = list(table.rows[9].values)
-    values[13] = values[13] + zeta(24, 7)
+    values[c] = values[c] + zeta(24, 7)
     return _with_values(table, 9, values)
 
 
@@ -193,18 +193,37 @@ def test_a_broken_table_reads_the_full_gram(name, all_orbits):
     k = len(table.rows)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     want = hermitian_gram(table.gram_rows, table.gram_rows, pairs, class_sizes(g), g.order)
-    got = orbit_gram(table.gram_rows, class_sizes(g), g.order)
+    got = orbit_gram(table)
     assert [(v.order, v.num, v.den) for v in got] == [(v.order, v.num, v.den) for v in want]
+
+
+def test_a_power_map_onto_a_class_of_another_size_is_refused(monkeypatch):
+    # the power map of 7 swaps classes 5 and 6 of GL2(F_5) and keeps the
+    # rows; with class 6 one larger, it keeps them still but moves class 6
+    # onto one of another size
+    p = gl2_table(5).group.power_class_map(7)
+    table = gl2_5_with_a_wrong_class_size()
+    assert p[6] == 5 and table.class_sizes[5] != table.class_sizes[6]
+    rows = {tuple(v.key() for v in row.values) for row in table.rows}
+    assert {tuple(key[c] for c in p) for key in rows} == rows
+    monkeypatch.setattr(GL2Group, "power_class_map", lambda group, k: p)
+    with monkeypatch.context() as no_twists:
+        no_twists.setattr(FieldKeys, "root", lambda keys, y: None)
+        assert chartab._row_symmetries(table) == []
+        assert chartab._row_symmetries(gl2_table(5))  # kept where the sizes are true
+    default, orbits, full = _reports(gl2_5_with_a_wrong_class_size, monkeypatch)
+    assert default == full and orbits == full
+    assert any(not ok for entries in full for _, ok, _ in entries)
 
 
 def test_a_wrong_class_size_fails_whole_orbits(all_orbits):
     table = gl2_5_with_a_wrong_class_size()
-    assert chartab._row_symmetries(table.gram_rows)
+    assert chartab._row_symmetries(table)
     assert len(gl2_verify(table).failures()) > GL2_ORBITS[5]
 
 
 def test_a_table_with_no_symmetry_searches_once(monkeypatch):
-    table = broken_gl2_5()
+    table = broken_gl2_5(17)
     searches = []
     search = chartab._row_symmetries
 
@@ -228,10 +247,14 @@ def test_the_orbit_search_keeps_no_field_keys():
 
 def test_swapped_a5_keeps_no_galois_symmetry(all_orbits, monkeypatch):
     table = swapped_a5()
-    keys = FieldKeys(table.gram_rows.pool)
-    assert keys.galois(2) is not None  # every value still has its image
+    # 2, the one generator of the units mod 5, lifts to 7, prime to 60: its
+    # power map swaps the two classes of 5-cycles and keeps their size,
+    # but takes row C3+ to no row
+    p = table.group.power_class_map(7)
+    assert sorted(p) == list(range(5)) and p != list(range(5))
+    assert [table.class_sizes[c] for c in p] == list(table.class_sizes)
     monkeypatch.setattr(FieldKeys, "root", lambda keys, y: None)  # no twists
-    assert chartab._row_symmetries(table.gram_rows) == []
+    assert chartab._row_symmetries(table) == []
 
 
 def _mutated(table, rng):
@@ -325,6 +348,55 @@ def test_galois_action_is_the_power_map(q):
             assert [image[x] for x in row] == [key[row[c]] for c in pmap], (q, j)
 
 
+def _lifted(j, n, order):
+    # the least j + tn prime to the group order
+    while gcd(j, order) > 1:
+        j += n
+    return j
+
+
+def test_lifted_power_maps_are_size_keeping_bijections():
+    # every unit j mod N, N the conductor of an irrational table (GL2(F_q)
+    # for q <= 13 among them) or the exponent of S_n for n <= 8
+    groups = [(table.group, table.gram_rows.order)
+              for table in (build() for build in TABLES.values()) if table.gram_rows.order > 1]
+    groups += [(SymmetricGroup(n), SymmetricGroup(n).exponent) for n in range(1, 9)]
+    assert len(groups) >= 40
+    for group, n in groups:
+        sizes = [cl.size for cl in group.classes]
+        for j in range(1, n + 1):
+            if gcd(j, n) == 1:
+                p = group.power_class_map(_lifted(j, n, group.order))
+                assert sorted(p) == list(range(len(sizes))), (group, j)
+                assert [sizes[c] for c in p] == sizes, (group, j)
+
+
+def _galois_row_maps(table):
+    """For each generator j of the units mod N, the row map of sigma_j:
+    zeta_N -> zeta_N^j, read off the values: row r goes to the first row
+    whose reduced keys are those of sigma_j of row r's values. Identity
+    maps are left out."""
+    pool, index = table.pool, table.index
+    key = [v.key() for v in pool]
+    where = {}
+    for i, row in enumerate(index):
+        where.setdefault(tuple(key[x] for x in row), i)
+    out = []
+    for j in unit_generators(table.gram_rows.order):
+        image = [v.galois(j).key() for v in pool]
+        m = [where[tuple(image[x] for x in row)] for row in index]
+        if m != list(range(len(index))):
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_power_map_row_maps_are_the_galois_row_maps(name, monkeypatch):
+    table = TABLES[name]()
+    monkeypatch.setattr(FieldKeys, "root", lambda keys, y: None)  # no twists
+    assert chartab._row_symmetries(table) == _galois_row_maps(table)
+
+
 def test_unit_generators_generate_the_units():
     for n in range(1, 1000):
         gens = unit_generators(n)
@@ -345,7 +417,6 @@ def test_field_keys_merge_one_value_stored_at_two_orders():
     keys = FieldKeys([a, b, zeta(48), one()])
     assert keys.n == 48 and keys.ids == [0, 0, 1, 2]
     assert keys.find(zeta(3, 1) * zeta(6, 1) * zeta(6, 1).conjugate() * zeta(2)) is None
-    assert keys.galois(5) is None  # zeta_48^5 is not in the pool
     assert [keys.root(x) for x in range(3)] == [(1, 8), (1, 1), (1, 0)]
     assert keys.times(1, [0, 1, 2]) == {0: None, 1: None, 2: 1}
     assert keys.times(1, [2]) == {0: None, 1: None, 2: 1}

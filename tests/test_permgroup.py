@@ -56,6 +56,20 @@ def test_power_class_map():
     assert g.power_class_map(1) == list(range(len(g.classes)))
 
 
+@pytest.mark.parametrize("name", ["S5", "A7", "Q8", "D15", "D100", "Z12", "heisenberg"])
+def test_power_class_map_by_squaring_is_the_repeated_product(name):
+    special = {"S5": lambda: symmetric_group(5), "heisenberg": lambda: heisenberg_semidirect().group}
+    g = special.get(name, lambda: builtin_group(name))()
+    for k in [0, 1, 2, 3, 7, 11, 13, g.exponent - 1, g.exponent + 5, 2 * g.exponent + 3]:
+        want = []
+        for cl in g.classes:
+            y = tuple(range(g.degree))
+            for _ in range(k % cl.element_order):
+                y = p_mul(y, cl.representative)
+            want.append(g.class_of[g.index[y]])
+        assert g.power_class_map(k) == want, (name, k)
+
+
 def test_subgroup_views():
     s3 = symmetric_group(3)
     z2 = s3.subgroup([from_cycles(3, [(0, 1)])])
