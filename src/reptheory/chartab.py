@@ -367,7 +367,8 @@ def _row_symmetries(table):
         # on one class, moved gives no tuple and keeps no map
         moved = itemgetter(*p)
         m = sorted(p) == classes and moved(sizes) == sizes and row_map(map(moved, rows))
-        if m:
+        # two generators can give one class permutation
+        if m and m not in maps:
             maps.append(m)
     one_id = keys.find(one())
     trivial = where.get((one_id,) * len(rows[0])) if rows and one_id is not None else None
@@ -805,16 +806,6 @@ def table_to_json(table, group_name=None):
             "classes": classes, "rows": rows}
 
 
-def _value_key(obj):
-    """(order, coeffs) of a value dict of the types cyclotomic_from_json
-    reads, as a hashable key, or None for any other object."""
-    if type(obj) is dict:
-        order, coeffs = obj.get("order"), obj.get("coeffs")
-        if type(order) is int and type(coeffs) is list and all(type(s) is str for s in coeffs):
-            return order, tuple(coeffs)
-    return None
-
-
 def table_from_json(obj):
     group, classes, rows = fields(obj, "table", {"group": None, "classes": list, "rows": list})
     group = group_from_json(group)
@@ -826,24 +817,15 @@ def table_from_json(obj):
         if group.classes[ci].size != size:
             raise InputError("class size mismatch in table file")
     listed = sorted(range(len(display)), key=display.__getitem__)  # the file's index of each class
-    # each distinct value dict is read once; a dict of another shape is read
-    # on its own, so that it raises as it would alone. Each row is interned
-    # in the group's class order, so the pool is in the order its values
-    # are first met there
-    pool, seen, names, degrees, index = ValuePool(), {}, [], [], []
+    # equal value dicts give one value (cyclotomic_from_json), which the
+    # pool finds by id. Each row is interned in the group's class order, so
+    # the pool is in the order its values are first met there
+    pool, names, degrees, index = ValuePool(), [], [], []
     for r in rows:
         name, degree, values = fields(r, "table row", {"name": str, "degree": int, "values": list})
         if len(values) != len(classes):
             raise InputError(f"a table row needs {len(classes)} values, one per class, not {len(values)}")
-        row = []
-        for v in values:
-            key = _value_key(v)
-            x = seen.get(key) if key is not None else None
-            if x is None:
-                x = cyclotomic_from_json(v)
-                if key is not None:
-                    seen[key] = x
-            row.append(x)
+        row = list(map(cyclotomic_from_json, values))
         names.append(name)
         degrees.append(degree)
         index.append(pool.positions(map(row.__getitem__, listed)))

@@ -18,7 +18,9 @@ integers too: it descends from Q(zeta_n) to Q(zeta_(n/p)) one prime p at
 a time, splitting the coordinates and folding the parts, for as long as
 the value lies in the smaller field.
 Printing and JSON conversion read the numerators and the shared
-denominator directly; no arithmetic builds a Fraction.
+denominator directly; no arithmetic builds a Fraction. cyclotomic_from_json
+parses each distinct value dict once: equal dicts give one shared value,
+from a memo of at most FROM_JSON_COEFFS coefficient strings.
 
 Sums over classes of products of values, the inner products and Gram
 matrices of character theory, go through hermitian_gram. Its operands are
@@ -51,7 +53,8 @@ from operator import itemgetter, mul
 from .linalg import InputError, _parse_ratio, fields, gauss_jordan
 
 Rational = Fraction
-# built once: cyclotomic_from_json runs once per value of a table file
+# built once: cyclotomic_from_json checks the fields of every entry of a
+# table file, also of those it has read before
 _CYCLOTOMIC_FIELDS = {"order": int, "coeffs": list}
 
 
@@ -886,10 +889,49 @@ def cyclotomic_to_json(a):
             "coeffs": [f"{c // g}/{den // g}" for c in a.num for g in (gcd(c, den),)]}
 
 
+# The values cyclotomic_from_json has parsed, keyed on (order, *coeffs) as
+# written, and the number of coefficient strings their keys hold
+_FROM_JSON = {}
+_from_json_coeffs = 0
+# the most coefficient strings _FROM_JSON holds; it is emptied, whole, when
+# a value would take it past this. GL2(F_31)'s 1032 values hold 140618
+FROM_JSON_COEFFS = 1 << 18
+
+
 def cyclotomic_from_json(obj):
     """The value of a dict {"order": n, "coeffs": [one "p/q" per coordinate]},
-    parsed and brought to the canonical form of Cyclotomic in one pass."""
+    parsed and brought to the canonical form of Cyclotomic in one pass.
+
+    A table file spells out every entry, but a table holds few distinct
+    values (GL2(F_13): 28224 entries, 195 values), so equal dicts give one
+    value: once its fields have the types they need, a dict is looked up by
+    (order, *coeffs) among the values parsed before, and parsed only if it
+    is not there. A value is kept only once parsed, so a key holds only
+    coefficients that parse; one that cannot be hashed goes to the parser,
+    which raises. The memo holds at most FROM_JSON_COEFFS coefficient
+    strings, so reading back any table this package writes fills it once.
+    Each costs about 70 bytes for the short ratios the writers print (the
+    string, its slot in the key and its numerator; 18 MB at the bound) and
+    about 1.5 bytes more per character of a longer string."""
+    global _from_json_coeffs
     order, coeffs = fields(obj, "cyclotomic", _CYCLOTOMIC_FIELDS)
+    key = (order, *coeffs)
+    try:
+        value = _FROM_JSON.get(key)
+    except TypeError:  # a coefficient that cannot be hashed is no ratio
+        return _parse_cyclotomic(order, coeffs)
+    if value is None:
+        value = _parse_cyclotomic(order, coeffs)
+        if _from_json_coeffs + len(coeffs) > FROM_JSON_COEFFS:
+            _FROM_JSON.clear()
+            _from_json_coeffs = 0
+        if len(coeffs) <= FROM_JSON_COEFFS:
+            _FROM_JSON[key] = value
+            _from_json_coeffs += len(coeffs)
+    return value
+
+
+def _parse_cyclotomic(order, coeffs):
     # phi(n) >= sqrt(n/2), so no order above 2 * len(coeffs)^2 fits the
     # list; checking that first keeps euler_phi from trial-dividing a huge order
     if order > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
-from reptheory import chartab, permgroup, selftest, symgrp
+from reptheory import chartab, exact, permgroup, selftest, symgrp
 from reptheory.cli import _get_table, build_parser, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
@@ -457,8 +457,21 @@ def test_artifact_fuzz(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(holder[0]))
     for argv in FILE_READERS:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main([*argv, str(path)]) in (0, 1), argv
+        # a second run reads the values the first one left in the memo of
+        # cyclotomic_from_json, and must end the same
+        with pytest.MonkeyPatch.context() as cold_memo:
+            cold_memo.setattr(exact, "_FROM_JSON", {})
+            cold_memo.setattr(exact, "_from_json_coeffs", 0)
+            cold, warm = _main_output(argv, path), _main_output(argv, path)
+        assert cold[0] in (0, 1), argv
+        assert warm == cold, argv
+
+
+def _main_output(argv, path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reptheory
+from reptheory import exact
 from reptheory.exact import (Cyclotomic, GramRows, _divisors, _fold, cyc, cyclotomic_from_json,
                              cyclotomic_to_json, cyclotomic_polynomial, euler_phi, zeta)
-from reptheory.linalg import gauss_jordan, matrix_from_json, parse_integer, rational_from_str
-from reptheory.gl2fq import gl2_table
+from reptheory.linalg import InputError, gauss_jordan, matrix_from_json, parse_integer, rational_from_str
+from reptheory.gl2fq import gl2_table, gl2_table_to_json
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -410,6 +411,61 @@ def test_order_bound_admits_every_phi():
     # phi(n) >= sqrt(n/2): the bound rejects no order that has the right length
     for n in range(1, 5000):
         assert n <= 2 * euler_phi(n) ** 2
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """cyclotomic_from_json with an empty memo of its own, put back after."""
+    monkeypatch.setattr(exact, "_FROM_JSON", {})
+    monkeypatch.setattr(exact, "_from_json_coeffs", 0)
+    return monkeypatch
+
+
+def test_equal_value_dicts_give_one_value(cold_memo):
+    v = zeta(12, 5) * cyc(Fraction(-3, 4)) + cyc(Fraction(1, 6))
+    first = cyclotomic_from_json(json.loads(json.dumps(cyclotomic_to_json(v))))
+    assert first == v
+    assert cyclotomic_from_json(json.loads(json.dumps(cyclotomic_to_json(v)))) is first
+    # a table file's values: 195 distinct among 28224 entries
+    obj = json.loads(json.dumps(gl2_table_to_json(gl2_table(13))))
+    values = [cyclotomic_from_json(v) for row in obj["rows"] for v in row["values"]]
+    assert len(values) == 28224 and len({id(v) for v in values}) == 195
+
+
+# (a good value read first, with the types and length the bad one lacks,
+# and the bad one)
+BAD_AFTER_GOOD = {
+    "boolean order": ({"order": 1, "coeffs": ["1/1"]}, {"order": True, "coeffs": ["1/1"]}),
+    "list coefficient": ({"order": 4, "coeffs": ["0/1", "1/1"]}, {"order": 4, "coeffs": ["0/1", ["1/1"]]}),
+    "int coefficient": ({"order": 4, "coeffs": ["0/1", "1/1"]}, {"order": 4, "coeffs": ["0/1", 1]}),
+    "zero denominator": ({"order": 4, "coeffs": ["0/1", "1/1"]}, {"order": 4, "coeffs": ["0/1", "1/0"]}),
+    "wrong length": ({"order": 4, "coeffs": ["0/1", "1/1"]}, {"order": 4, "coeffs": ["0/1", "1/1", "0/1"]}),
+    "not an object": ({"order": 1, "coeffs": ["1/1"]}, [["order", 1], ["coeffs", ["1/1"]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AFTER_GOOD))
+def test_bad_values_raise_alike_with_the_memo_cold_and_warm(case, cold_memo):
+    good, bad = BAD_AFTER_GOOD[case]
+    with pytest.raises(InputError) as cold:
+        cyclotomic_from_json(bad)
+    assert cyclotomic_from_json(good) is cyclotomic_from_json(dict(good))  # warm
+    with pytest.raises(InputError) as warm:
+        cyclotomic_from_json(bad)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_the_memo_holds_at_most_its_bound(cold_memo):
+    # every value GL2(F_31) holds fits the bound at once
+    assert sum(euler_phi(v.order) for v in gl2_table(31).pool) <= exact.FROM_JSON_COEFFS
+    cold_memo.setattr(exact, "FROM_JSON_COEFFS", 20)
+    objs = [cyclotomic_to_json(zeta(12, k) + Fraction(k, 7)) for k in range(12)]
+    before = [cyclotomic_from_json(obj) for obj in objs]  # 48 coefficients
+    after = [cyclotomic_from_json(obj) for obj in objs]
+    assert 0 < exact._from_json_coeffs <= 20
+    assert sum(len(key) - 1 for key in exact._FROM_JSON) == exact._from_json_coeffs
+    assert [fields(v) for v in after] == [fields(v) for v in before]
+    assert [fields(v) for v in before] == [fields(zeta(12, k) + Fraction(k, 7)) for k in range(12)]
 
 
 def test_value_pool_keeps_each_stored_value_once():

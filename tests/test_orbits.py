@@ -125,6 +125,13 @@ def test_every_builtin_irrational_table_has_symmetries(all_orbits):
         assert chartab._row_symmetries(table), name
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_every_row_map_is_kept_once(q):
+    # on GL2(F_5) the lifted unit generators 13 and 17 give one class permutation
+    maps = chartab._row_symmetries(gl2_table(q))
+    assert maps and len(set(map(tuple, maps))) == len(maps)
+
+
 def test_the_sign_row_of_an_odd_dihedral_group_twists():
     # D15: every value has order 15, so the sign row's -1 is no power of
     # zeta_15, and is read as -zeta_15^0
@@ -375,7 +382,7 @@ def _galois_row_maps(table):
     """For each generator j of the units mod N, the row map of sigma_j:
     zeta_N -> zeta_N^j, read off the values: row r goes to the first row
     whose reduced keys are those of sigma_j of row r's values. Identity
-    maps are left out."""
+    maps and repeats are left out."""
     pool, index = table.pool, table.index
     key = [v.key() for v in pool]
     where = {}
@@ -385,7 +392,7 @@ def _galois_row_maps(table):
     for j in unit_generators(table.gram_rows.order):
         image = [v.galois(j).key() for v in pool]
         m = [where[tuple(image[x] for x in row)] for row in index]
-        if m != list(range(len(index))):
+        if m != list(range(len(index))) and m not in out:
             out.append(m)
     return out
 
