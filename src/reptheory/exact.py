@@ -239,16 +239,16 @@ class Cyclotomic:
     @staticmethod
     def from_rational(x):
         f = Fraction(x)
-        return Cyclotomic(1, (f.numerator,), f.denominator)
+        return _rational(f.numerator, f.denominator)
 
     @staticmethod
     def coerce(x):
         if isinstance(x, Cyclotomic):
             return x
-        if type(x) is int:  # stored as is; a bool takes the Fraction path
+        if type(x) is int:  # stored as is
             return Cyclotomic(1, (x,), 1, _normalized=True)
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic.from_rational(x)
+        if isinstance(x, (int, Fraction)):  # a bool is stored as its int numerator
+            return _rational(x.numerator, x.denominator)
         raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
 
     # -- basic properties --------------------------------------------
@@ -293,10 +293,12 @@ class Cyclotomic:
             other = Cyclotomic.coerce(other)
         except TypeError:
             return NotImplemented
-        n, na, nb = Cyclotomic._common(self, other)
         da, db = self.den, other.den
         g = gcd(da, db)
         ma, mb = db // g, da // g
+        if self.order == 1 == other.order:
+            return _rational(self.num[0] * ma + other.num[0] * mb, da // g * db)
+        n, na, nb = Cyclotomic._common(self, other)
         return Cyclotomic(n, [x * ma + y * mb for x, y in zip(na, nb)], da // g * db)
 
     __radd__ = __add__
@@ -322,6 +324,8 @@ class Cyclotomic:
         if self.order == 1:
             if self.num[0] == 0:
                 return _ZERO
+            if other.order == 1:
+                return _rational(self.num[0] * other.num[0], self.den * other.den)
             return Cyclotomic(other.order, [self.num[0] * c for c in other.num],
                               self.den * other.den)
         if other.order == 1:
@@ -473,6 +477,16 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self})"
+
+
+def _rational(p, q):
+    """The order-1 value p/q, for q > 0: reduced by one gcd and stored
+    without _normalize, which a result known to be rational does not need."""
+    g = gcd(p, q)
+    if g != 1:
+        p //= g
+        q //= g
+    return Cyclotomic(1, (p,), q, _normalized=True)
 
 
 def _fmt_ratio(p, q):
@@ -861,7 +875,7 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1):
     d = left.den * right.den * scale
     if n == 1:
         sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
-        return [Cyclotomic(1, (s,), d) if s else _ZERO for s in sums]
+        return [_rational(s, d) if s else _ZERO for s in sums]
     out = []
     for i, j in pairs:
         (cs, ta, oa), (_, tb, ob) = a[i], b[j]

@@ -17,7 +17,11 @@ Delta(x) * prod_m H_m(x)^(i_m)), is kept in the test suite as the
 independent oracle. The permutation character of the Young module
 U_lambda is a coefficient extraction: the coefficient of x^lambda in
 prod_m H_m(x)^(i_m), with sparse polynomials kept small by discarding
-every monomial that exceeds x^lambda componentwise.
+every monomial that exceeds x^lambda componentwise. Its multiplicities,
+the Kostka numbers K_{mu,lambda} of Young's rule U_lambda = sum_mu
+K_{mu,lambda} V_mu, count semistandard tableaux backward over horizontal
+strips, on one memo per lambda, kept until another lambda is asked, and
+on an explicit stack, with no recursion.
 
 The tables need no list of group elements: `permgroup.SymmetricGroup(n)`
 holds the classes of S_n as cycle types, with sizes n!/z_t and power
@@ -27,7 +31,9 @@ maps read off the partitions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from operator import lt
 
 from .chartab import CharacterTable
 from .exact import ValuePool, cyc
@@ -40,7 +46,8 @@ from .permgroup import MAX_TABLE_N, SymmetricGroup, partitions_of
 
 def _check_partition(lam):
     lam = tuple(lam)
-    if any(a < b for a, b in zip(lam, lam[1:])) or any(p < 1 for p in lam):
+    # weakly decreasing, so the last part is the least
+    if lam and (any(map(lt, lam, lam[1:])) or lam[-1] < 1):
         raise ValueError(f"not a partition: {lam}")
     return lam
 
@@ -132,15 +139,42 @@ def _murnaghan_nakayama(lam, t):
 
 def _horizontal_strips(shape, r):
     """Every partition rho with shape / rho a horizontal strip of r cells,
-    that is shape[i + 1] <= rho[i] <= shape[i] and |shape| - |rho| = r."""
-    if not shape:
-        return [()] if r == 0 else []
-    below = shape[1] if len(shape) > 1 else 0
+    that is shape[i + 1] <= rho[i] <= shape[i] and |shape| - |rho| = r,
+    ordered by the cells taken from row 0, then from row 1, and so on.
+    Only a corner row, longer than the row below it, can give cells. The
+    corners are walked top down on a stack, and each gives at least what
+    the corners below it cannot, so every branch ends in a strip."""
+    corners, spare, below = [], 0, 0  # (row, cells it can give, cells the rows below can)
+    for i in range(len(shape) - 1, -1, -1):
+        if shape[i] > below:
+            corners.append((i, shape[i] - below, spare))
+            spare += shape[i] - below
+        below = shape[i]
+    if r > spare:
+        return []
+    corners.reverse()
     out = []
-    for take in range(min(r, shape[0] - below) + 1):
-        head = (shape[0] - take,) if shape[0] > take else ()
-        out += [head + rest for rest in _horizontal_strips(shape[1:], r - take)]
+    stack = [(shape, 0, r)]
+    while stack:
+        rho, j, left = stack.pop()
+        if j == len(corners):
+            out.append(rho[:-1] if rho and not rho[-1] else rho)
+            continue
+        i, room, rest = corners[j]
+        # pushed from the most cells down, so the fewest is popped first
+        for take in range(min(left, room), max(0, left - rest) - 1, -1):
+            stack.append((rho[:i] + (rho[i] - take,) + rho[i + 1:] if take else rho, j + 1, left - take))
     return out
+
+
+@lru_cache(maxsize=1)
+def _tableau_counts(lam):
+    """The memo of kostka for content lam: counts[k][shape] is the number
+    of semistandard tableaux of that shape with content lam[:k]. Only the
+    last lam asked is kept, so the calls of one column share it."""
+    counts = [{} for _ in range(len(lam) + 1)]
+    counts[0][()] = 1
+    return counts
 
 
 def kostka(mu, lam):
@@ -148,23 +182,34 @@ def kostka(mu, lam):
     semistandard tableaux of shape mu and content lambda. The cells
     holding the largest entry form a horizontal strip of lambda_last
     cells; removing it leaves a tableau of content lambda minus its last
-    part, so the count recurses over those strips, memoized on the shape."""
+    part, so the count runs backward over those strips, each shape counted
+    once. The counts are memoized per lambda and kept until another lambda
+    is asked, so the K_{mu,lambda} of one column share them; the walk keeps
+    its own stack, with no recursion, so a lambda of any length works."""
     mu, lam = _check_partition(mu), _check_partition(lam)
     if sum(mu) != sum(lam):
         raise ValueError("partitions of different sizes")
-    memo = {}
-
-    def count(shape, k):
-        # tableaux of this shape with content lam[:k]; at most k rows
-        if len(shape) > k:
-            return 0
-        if k == 0:
-            return 1
-        if (shape, k) not in memo:
-            memo[shape, k] = sum(count(rho, k - 1) for rho in _horizontal_strips(shape, lam[k - 1]))
-        return memo[shape, k]
-
-    return count(mu, len(lam))
+    if len(mu) > len(lam):
+        return 0
+    counts = _tableau_counts(lam)
+    # (shape, k, strips): strips is None until the shape's strips are
+    # listed, and then the entry waits under the strips not yet counted
+    stack = [(mu, len(lam), None)]
+    while stack:
+        shape, k, strips = stack.pop()
+        if shape in counts[k]:
+            continue
+        below = counts[k - 1]
+        if strips is None:
+            # a tableau with content lam[:k - 1] has at most k - 1 rows
+            strips = [rho for rho in _horizontal_strips(shape, lam[k - 1]) if len(rho) < k]
+            todo = [(rho, k - 1, None) for rho in strips if rho not in below]
+            if todo:
+                stack.append((shape, k, strips))
+                stack += todo
+                continue
+        counts[k][shape] = sum(map(below.__getitem__, strips))
+    return counts[len(lam)][mu]
 
 
 def specht_dim_determinant(lam):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,15 @@ def test_sn_dim_and_kostka(capsys):
     assert code == 0 and out.strip() == "6"
     code, out, _ = run_cli(capsys, "sn", "kostka", "--mu", "2,1", "--lambda", "1,1,1")
     assert code == 0 and out.strip() == "2"
+
+
+@pytest.mark.parametrize("mu, ones", [("1200", 1200), ("300,300", 600)])
+def test_sn_kostka_of_a_long_lambda(capsys, mu, ones):
+    # one part of lambda per level of the walk, past the recursion limit
+    code, out, err = run_cli(capsys, "sn", "kostka", "--mu", mu, "--lambda", ",".join(["1"] * ones))
+    want = symgrp.hook_dim(tuple(map(int, mu.split(","))))
+    assert (code, out, err) == (0, f"{want}\n", "")
+    assert want == (1 if ones == 1200 else comb(600, 300) // 301)
 
 
 def test_schur_cli(capsys):

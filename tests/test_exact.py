@@ -66,8 +66,6 @@ def test_mixed_order_embedding():
 def test_an_int_is_stored_as_its_fraction(x):
     # coerce stores an int with no Fraction; every form must be the one
     # the Fraction path gives
-    def form(v):
-        return (v.order, v.num, v.den)
     assert form(cyc(x)) == form(Cyclotomic.from_rational(Fraction(x)))
     assert type(cyc(x).num[0]) is int
     for v in (zeta(12, 5) + 3, zeta(7) / 2, cyc(Fraction(3, 4)), cyc(0)):
@@ -81,6 +79,44 @@ def test_an_int_is_stored_as_its_fraction(x):
             assert form(x / v) == form(f / v)
     # a bool takes the Fraction path, so no bool is stored
     assert form(cyc(True)) == form(cyc(1)) and type(cyc(True).num[0]) is int
+
+
+def form(v):
+    return (v.order, v.num, v.den)
+
+
+def test_rational_helper_stores_the_normalized_form():
+    # exact._rational reduces by one gcd and skips _normalize; its stored
+    # form must be the one _normalize gives
+    for p in range(-60, 61):
+        for q in range(1, 61):
+            assert form(exact._rational(p, q)) == form(Cyclotomic(1, (p,), q)), (p, q)
+    assert form(exact._rational(0, 1)) == form(exact._rational(0, 36)) == (1, (0,), 1)
+
+
+def as_form(f):
+    return (1, (f.numerator,), f.denominator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, rationals)
+def test_rational_sums_and_products_agree_with_fraction(x, y):
+    a, b = cyc(x), cyc(y)
+    assert form(a) == as_form(x) and form(Cyclotomic.coerce(x)) == as_form(x)
+    assert form(a + b) == as_form(x + y) and form(a - b) == as_form(x - y)
+    assert form(a * b) == as_form(x * y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals, st.integers(min_value=1, max_value=9)),
+                min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=24))
+def test_rational_gram_agrees_with_fraction(terms, scale):
+    left = [[cyc(x) for x, _, _ in terms]]
+    right = [[cyc(y) for _, y, _ in terms]]
+    weights = [w for _, _, w in terms]
+    got = exact.hermitian_gram(left, right, [(0, 0)], weights, scale)[0]
+    assert form(got) == as_form(sum(w * x * y for x, y, w in terms) / scale)
 
 
 def test_conjugation():

@@ -191,6 +191,92 @@ def test_kostka_matches_class_sum():
                 assert kostka(mu, lam) == kostka_reference(mu, lam), (mu, lam)
 
 
+def horizontal_strips_recursive(shape, r):
+    """symgrp._horizontal_strips as one frame per row, in the same order."""
+    if not shape:
+        return [()] if r == 0 else []
+    below = shape[1] if len(shape) > 1 else 0
+    out = []
+    for take in range(min(r, shape[0] - below) + 1):
+        head = (shape[0] - take,) if shape[0] > take else ()
+        out += [head + rest for rest in horizontal_strips_recursive(shape[1:], r - take)]
+    return out
+
+
+def kostka_recursive(mu, lam):
+    """K_{mu,lambda} by the backward strip recursion, one frame per part of
+    lambda, with a memo made for this call only: the oracle of kostka,
+    whose memo outlives the call."""
+    memo = {}
+
+    def count(shape, k):
+        if len(shape) > k:
+            return 0
+        if k == 0:
+            return 1
+        if (shape, k) not in memo:
+            memo[shape, k] = sum(count(rho, k - 1)
+                                 for rho in horizontal_strips_recursive(shape, lam[k - 1]))
+        return memo[shape, k]
+
+    return count(tuple(mu), len(lam))
+
+
+def test_horizontal_strips_match_recursion():
+    for n in range(9):
+        for shape in partitions_of(n):
+            for r in range(n + 2):
+                assert symgrp._horizontal_strips(shape, r) == horizontal_strips_recursive(shape, r)
+
+
+def test_kostka_matches_recursion_up_to_10():
+    for n in range(11):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                assert kostka(mu, lam) == kostka_recursive(mu, lam), (mu, lam)
+
+
+@st.composite
+def kostka_calls(draw):
+    """A sequence of (mu, lambda) calls, n <= 8, among at most three
+    lambdas, so that lambda repeats, switches and comes back."""
+    lams = draw(st.lists(st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.sampled_from(partitions_of(n))), min_size=1, max_size=3))
+    call = st.sampled_from(lams).flatmap(
+        lambda lam: st.tuples(st.sampled_from(partitions_of(sum(lam))), st.just(lam)))
+    return draw(st.lists(call, min_size=1, max_size=40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kostka_calls())
+def test_kept_memo_never_serves_another_lambda(calls):
+    for mu, lam in calls:
+        assert kostka(mu, lam) == kostka_recursive(mu, lam), (mu, lam)
+
+
+def test_one_memo_per_lambda():
+    counts = symgrp._tableau_counts
+    lam = (3, 2, 1, 1)
+    kostka((7,), (7,))
+    misses = counts.cache_info().misses
+    column = {mu: kostka(mu, lam) for mu in partitions_of(7)}
+    assert counts.cache_info().misses == misses + 1
+    assert counts.cache_info().currsize == 1
+    assert column == {mu: kostka_recursive(mu, lam) for mu in partitions_of(7)}
+    # a partition of 36 into six parts: the walk counts 43 shapes
+    assert kostka((12, 12, 12), (6,) * 6) == 280
+    assert sum(map(len, counts((6,) * 6))) == 43
+
+
+def test_kostka_of_a_long_lambda():
+    # far deeper than the recursion limit; K_{mu,(1^n)} is dim V_mu
+    assert kostka((1200,), (1,) * 1200) == 1
+    assert kostka((300, 300), (1,) * 600) == hook_dim((300, 300))
+    # shapes of up to 150 rows, each giving cells at its corners only
+    assert kostka((2,) * 150, (1,) * 300) == hook_dim((150, 150))
+
+
 def test_kostka_triangularity():
     for n in range(2, 7):
         parts = partitions_of(n)
