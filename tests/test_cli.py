@@ -347,6 +347,24 @@ def test_bad_artifact_is_a_typed_error(tmp_path, kind, optimize):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+# every command that reads a JSON file, followed by the file
+FILE_READERS = [["roundtrip"], ["chartab", "show", "--file"], ["chartab", "verify", "--file"],
+                ["group", "classes", "--file"], ["quiver", "classify", "--graph"],
+                ["quiver", "decompose", "--rep"]]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+@pytest.mark.parametrize("argv", FILE_READERS, ids=" ".join)
+def test_deeply_nested_json_is_a_typed_error(tmp_path, argv, optimize):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-m", "reptheory.cli", *argv, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", f"error: {path}: JSON nested too deeply\n")
+
+
 # the command besides roundtrip that reads each kind of artifact from a file
 READERS = {"table": ["chartab", "show", "--file"], "quiver": ["quiver", "decompose", "--rep"]}
 
