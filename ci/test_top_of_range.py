@@ -107,6 +107,19 @@ def test_gabriel_census_of_e8():
     assert out.split("\n")[0] == "120 indecomposable representations"
 
 
+def test_gabriel_enumeration_at_the_top_of_its_range():
+    # A58 and D46 are the largest A_n and D_n within
+    # quiverrep.MAX_WALK_STATES (n * |positive roots| <= 100000; about 5 s
+    # each on 2 vCPUs); A59, D47, A200 and D200 are refused before the walk
+    for name, count in (("A58", 58 * 59 // 2), ("D46", 46 * 45)):
+        out = text(cli("quiver", "indecomposables", "--type", name, timeout=60))
+        assert out.split("\n")[0] == f"{count} indecomposable representations", name
+    for name in ("A59", "D47", "A200", "D200"):
+        proc = cli("quiver", "indecomposables", "--type", name, timeout=5, code=1)
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, name
+        assert proc.stderr.startswith("error: Gabriel's enumeration walks n * |positive roots| states"), name
+
+
 def probe_quiver_modules():
     from reptheory.cli import main
     code = main(["quiver", "indecomposables", "--type", "E8"])

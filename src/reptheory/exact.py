@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .linalg import InputError, _parse_ratio, fields, gauss_jordan
+from .linalg import InputError, _parse_ratio, fields, gauss_jordan, short_repr
 
 Rational = Fraction
 # built once: cyclotomic_from_json checks the fields of every entry of a
@@ -84,7 +84,7 @@ def _prime_divisors(n):
 @lru_cache(maxsize=None)
 def euler_phi(n):
     if n < 1:
-        raise ValueError(f"cyclotomic order must be positive, got {n}")
+        raise ValueError(f"cyclotomic order must be positive, got {short_repr(n)}")
     result = n
     for p in _prime_divisors(n):
         result -= result // p

@@ -48,7 +48,7 @@ class Matrix:
         entries = tuple([tuple([x if type(x) is Fraction else Fraction(x) for x in row])
                          for row in entries])
         if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError(f"entries do not form a {rows}x{cols} matrix")
+            raise ValueError(f"entries do not form a {short_repr(rows)}x{short_repr(cols)} matrix")
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -312,6 +312,14 @@ class InputError(ValueError):
     """A JSON artifact of the wrong shape, or a value in it that does not parse."""
 
 
+def short_repr(value, limit=60):
+    """repr(value), or its first limit characters and "..." when it is
+    longer: an error message quotes a value read from a file, which may be
+    megabytes long, in one short line."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 _JSON_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object",
                list[int]: "a list of integers", list[list]: "a list of lists"}
 
@@ -349,7 +357,7 @@ def parse_integer(s):
     whitespace only around them; anything else is a ValueError."""
     m = _INTEGER_TEXT.fullmatch(s) if isinstance(s, str) else None
     if m is None:
-        raise ValueError(f"not an integer: {s!r}")
+        raise ValueError(f"not an integer: {short_repr(s)}")
     return int(m[1])
 
 
@@ -357,11 +365,11 @@ def parse_rational(s):
     """The rational written as s, as Fraction reads it ("2/3", "-1.5"), but
     from ASCII text only: Fraction itself reads any Unicode decimal digit."""
     if not s.isascii():
-        raise ValueError(f"not a rational: {s!r}")
+        raise ValueError(f"not a rational: {short_repr(s)}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {short_repr(s)}") from None
 
 
 def _parse_ratio(s):
@@ -369,10 +377,10 @@ def _parse_ratio(s):
     read as parse_integer reads them."""
     m = _RATIO_TEXT.fullmatch(s) if isinstance(s, str) else None
     if m is None:
-        raise InputError(f"a rational must be a string like \"-3/4\", not {s!r}")
+        raise InputError(f"a rational must be a string like \"-3/4\", not {short_repr(s)}")
     p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
-        raise InputError(f"zero denominator in {s!r}")
+        raise InputError(f"zero denominator in {short_repr(s)}")
     return (p, q) if q > 0 else (-p, -q)
 
 

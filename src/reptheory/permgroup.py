@@ -23,7 +23,7 @@ from collections import Counter
 from math import factorial, gcd, lcm
 from operator import itemgetter
 
-from .linalg import fields
+from .linalg import fields, short_repr
 
 
 class EnumerationBound(ValueError):
@@ -147,13 +147,13 @@ class PermGroup:
 
     def __init__(self, degree, generators):
         if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(f"a permutation group has degree 0 to {MAX_DEGREE}, got {degree}")
+            raise ValueError(f"a permutation group has degree 0 to {MAX_DEGREE}, got {short_repr(degree)}")
         self.degree = degree
         gens = []
         for g in generators:
             g = tuple(g)
             if not is_bijection(g) or len(g) != degree:
-                raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+                raise ValueError(f"not a permutation of 0..{degree - 1}: {short_repr(g)}")
             if g != p_identity(degree) and g not in gens:
                 gens.append(g)
         self.generators = tuple(gens)
@@ -288,7 +288,7 @@ class PermGroup:
         """The index of the class of an element given as a permutation."""
         i = self.index.get(tuple(perm))
         if i is None:
-            raise ValueError(f"not an element of the group: {list(perm)}")
+            raise ValueError(f"not an element of the group: {short_repr(list(perm))}")
         return self.class_of[i]
 
 
@@ -495,7 +495,7 @@ class SymmetricGroup:
     def class_index(self, perm):
         """The index of the class of a permutation of 0..n-1: its cycle type."""
         if len(perm) != self.degree or not is_bijection(perm):
-            raise ValueError(f"not a permutation of 0..{self.degree - 1}: {list(perm)}")
+            raise ValueError(f"not a permutation of 0..{self.degree - 1}: {short_repr(list(perm))}")
         return self.type_index[cycle_lengths(perm)]
 
     def power_class_map(self, k):
@@ -542,7 +542,7 @@ def parse_group_name(name):
     a name by."""
     m = _GROUP_NAME.fullmatch(name.strip())
     if m is None:
-        raise ValueError(f"unknown group name: {name!r}")
+        raise ValueError(f"unknown group name: {short_repr(name)}")
     family = (m[1] or m[3]).upper()
     return family, check_name_range(family, int(m[2] or m[4]))
 

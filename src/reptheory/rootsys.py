@@ -17,7 +17,7 @@ from collections import Counter
 from math import prod
 from operator import add, mul, neg
 
-from .linalg import det, eliminated_null_vectors, fields, gauss_jordan
+from .linalg import det, eliminated_null_vectors, fields, gauss_jordan, short_repr
 
 
 class GraphError(ValueError):
@@ -31,7 +31,7 @@ MAX_VERTICES = 200
 
 def _check_vertex_count(n):
     if not 1 <= n <= MAX_VERTICES:
-        raise GraphError(f"a graph has 1 to {MAX_VERTICES} vertices, got {n}")
+        raise GraphError(f"a graph has 1 to {MAX_VERTICES} vertices, got {short_repr(n)}")
 
 
 class Graph:
@@ -62,7 +62,7 @@ class Graph:
         for e in edges:
             if not (isinstance(e, (list, tuple)) and len(e) in (2, 3)
                     and all(type(x) is int for x in e)):
-                raise GraphError(f"edge {e!r} is not two endpoints and an optional multiplicity")
+                raise GraphError(f"edge {short_repr(e)} is not two endpoints and an optional multiplicity")
             i, j = e[0], e[1]
             m = e[2] if len(e) > 2 else 1
             if not (0 <= i < n and 0 <= j < n):

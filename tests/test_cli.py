@@ -433,6 +433,36 @@ def test_group_degree_is_bounded(capsys, tmp_path):
             1, "", f"error: a permutation group has degree 0 to {permgroup.MAX_DEGREE}, got 1000000000\n")
 
 
+# artifacts with one value far too long to quote in full, and the command
+# besides roundtrip that reads each
+LONG = list(range(10 ** 5))
+LONG_VALUES = {
+    "quiver arrow": ({"quiver": {"vertices": 2, "arrows": [LONG]}, "dims": [0, 0], "maps": []},
+                     ["quiver", "decompose", "--rep"]),
+    "group generator": ({"degree": 3, "generators": [LONG]}, ["group", "classes", "--file"]),
+    "table class rep": ({**_s3_table(), "classes": [{"rep": LONG, "size": 1}]},
+                        ["chartab", "show", "--file"]),
+    "table group name": ({**_s3_table(), "group": "S" * 10 ** 5}, ["chartab", "verify", "--file"]),
+    "graph edge": ({"vertices": 2, "edges": [LONG]}, ["quiver", "classify", "--graph"]),
+    "graph vertex count": ({"vertices": 10 ** 4000, "edges": []}, ["quiver", "roots", "--graph"]),
+    "matrix entry": ({"rows": 1, "cols": 1, "entries": [["1" * 10 ** 5 + "x"]]}, ["roundtrip"]),
+    "matrix row count": ({"rows": 10 ** 4000, "cols": 1, "entries": []}, ["roundtrip"]),
+    "cyclotomic order": ({"order": -10 ** 4000, "coeffs": []}, ["roundtrip"]),
+    "group degree": ({"degree": 10 ** 4000, "generators": []}, ["group", "classes", "--file"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_VALUES))
+def test_error_quotes_a_long_value_in_one_short_line(capsys, tmp_path, kind):
+    artifact, reader = LONG_VALUES[kind]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(artifact))
+    for command in (["roundtrip"], reader):
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert (code, out) == (1, "") and err.startswith("error: "), err[:200]
+        assert err.count("\n") == 1 and len(err) < 200 and "..." in err, (command, err[:200])
+
+
 # one valid artifact of each kind, and every command that reads a file
 VALID_ARTIFACTS = {
     "table": _s3_table(),

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import reptheory
 from reptheory.exact import Cyclotomic, cyc, zeta
 from reptheory.linalg import (Matrix, block_diag, det, gauss_jordan, integer_null_vectors,
-                              inverse, matrix_from_json, matrix_to_json, rank, rref)
-from reptheory.quiverrep import Quiver, QuiverRep, _source_step, reflect_source
+                              inverse, matrix_from_json, matrix_to_json, rank, rref,
+                              short_repr)
+from reptheory.quiverrep import Quiver, QuiverRep, _sink_step, reflect_source
 from reptheory.symgrp import frobenius_character, partitions_of, power_sum_value, schur_eval
 
 
@@ -64,6 +65,14 @@ def test_kernel_examples():
     assert integer_null_vectors([], 2) == [[1, 0], [0, 1]]
 
 
+def test_short_repr():
+    assert short_repr([0, 1, 2]) == "[0, 1, 2]"
+    assert short_repr("1/0") == "'1/0'"
+    assert short_repr("x" * 58) == "'" + "x" * 58 + "'"
+    assert short_repr("x" * 59) == "'" + "x" * 59 + "..."
+    assert short_repr(list(range(10 ** 5)), limit=10) == "[0, 1, 2, ..."
+
+
 def cokernel_projection(m):
     """The projection onto the cokernel of m that the source reflection
     builds at vertex 0 of the quiver 0 -> 1 with the map m."""
@@ -78,11 +87,13 @@ def test_cokernel_projection_examples():
     assert p == Matrix.from_rows([[-1, 1]]) and (p * m).is_zero()
     assert cokernel_projection(Matrix.zeros(2, 0)) == Matrix.identity(2)
     assert cokernel_projection(Matrix.zeros(0, 2)) == Matrix.zeros(0, 0)
-    # the source step itself, on int rows: psi^T = (-4, 2) has the rref null
-    # vector (1/2, 1), which integer_null_vectors gives as (1, 2)
-    dims, arrows, maps = [1, 2], [(0, 1)], [[[-4], [2]]]
-    _source_step(dims, arrows, maps, 0)
-    assert (dims, arrows, maps) == ([1, 2], [(1, 0)], [[[1, 2]]])
+    # the source step is the sink step of the dual, on int rows: psi^T =
+    # (-4, 2) has the rref null vector (1/2, 1), which integer_null_vectors
+    # gives as (1, 2); its transpose is the projection
+    dims, arrows, maps = [1, 2], [(1, 0)], [[[-4, 2]]]
+    _sink_step(dims, arrows, maps, 0)
+    assert (dims, arrows, maps) == ([1, 2], [(0, 1)], [[(1,), (2,)]])
+    assert cokernel_projection(Matrix.from_rows([[-4], [2]])) == Matrix.from_rows([[1, 2]])
 
 
 @given(matrices())

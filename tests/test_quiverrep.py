@@ -451,7 +451,8 @@ def reference_indecomposables(q, source_reflection):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_shared_chains_match_unshared_walk(name, monkeypatch):
-    real = quiverrep._source_step
+    # every walk state is one _sink_step on the dual representation
+    real = quiverrep._sink_step
     for q in _two_orientations(name):
         want = reference_indecomposables(q, reflect_source)
         calls = []
@@ -461,7 +462,7 @@ def test_shared_chains_match_unshared_walk(name, monkeypatch):
             return real(dims, arrows, maps, i)
 
         with monkeypatch.context() as patch:
-            patch.setattr(quiverrep, "_source_step", counted)
+            patch.setattr(quiverrep, "_sink_step", counted)
             got = enumerate_indecomposables(q)
         assert [root for root, _ in got] == [root for root, _ in want]
         for (root, rep), (_, ref) in zip(got, want):
@@ -556,6 +557,22 @@ def test_functors_on_non_tree_quivers(q):
     assert min(checked.values()) >= 10, checked
 
 
+REFLECTION_FUNCTORS = json.loads((Path(__file__).parent / "golden" / "reflection_functors.json").read_text())
+
+
+@pytest.mark.parametrize("case", REFLECTION_FUNCTORS,
+                         ids=[f"{c['quiver']}-{c['functor']}{c['vertex']}-{k}"
+                              for k, c in enumerate(REFLECTION_FUNCTORS)])
+def test_functors_match_golden(case):
+    # the exact maps of reflect_sink and reflect_source at every sink and
+    # source of the Kronecker, A~2 and D4 quivers, on eight representations
+    # each with maps p / q drawn as in _random_rational_rep (random.Random(31),
+    # dimensions 0 to 3), recorded before reflect_source ran on the dual
+    functor = {"sink": reflect_sink, "source": reflect_source}[case["functor"]]
+    got = functor(rep_from_json(case["input"]), case["vertex"])
+    assert rep_to_json(got) == case["output"]
+
+
 def test_rep_serialization():
     rep = indecomposable_for_root(D4, (1, 2, 1, 1))
     blob = json.dumps(rep_to_json(rep))
@@ -567,7 +584,7 @@ def test_rep_serialization():
 
 # Each sabotage breaks one of the four consistency checks of decompose and
 # _indecomposables; they must raise QuiverError also where `assert` is off.
-# The last leaves the source step of the Gabriel walk doing nothing.
+# The last leaves the reflection step of the Gabriel walk doing nothing.
 # The Gabriel walk takes its roots from rootsys.reflect; decompose carries
 # its Weyl word as a matrix built from the Cartan matrix of the quiver.
 SABOTAGED_REFLECTIONS = """
@@ -597,7 +614,7 @@ attempt("nonnegative", lambda: decompose(full))
 quiverrep.cartan_matrix = lambda g: [[0] * g.n for _ in range(g.n)]
 attempt("add up", lambda: decompose(full))
 quiverrep.cartan_matrix = real_cartan
-quiverrep._source_step = lambda dims, arrows, maps, i: None
+quiverrep._sink_step = lambda dims, arrows, maps, j: None
 attempt("functors", lambda: indecomposable_for_root(q, (1, 1, 1)))
 """
 
