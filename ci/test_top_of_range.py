@@ -107,13 +107,29 @@ def test_gabriel_census_of_e8():
     assert out.split("\n")[0] == "120 indecomposable representations"
 
 
+def probe_gabriel_enumeration(name):
+    """The exit code and first line of `quiver indecomposables --type name`,
+    and this process's peak RSS in MB after it."""
+    import contextlib
+    import io
+    import resource
+    from reptheory.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["quiver", "indecomposables", "--type", name])
+    return [code, out.getvalue().split("\n")[0], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+
+
 def test_gabriel_enumeration_at_the_top_of_its_range():
     # A58 and D46 are the largest A_n and D_n within
-    # quiverrep.MAX_WALK_STATES (n * |positive roots| <= 100000; about 5 s
-    # each on 2 vCPUs); A59, D47, A200 and D200 are refused before the walk
+    # quiverrep.MAX_WALK_STATES (n * |positive roots| <= 100000; about 2 s
+    # each on 2 vCPUs); A59, D47, A200 and D200 are refused before the walk.
+    # The walk keeps one state per chain, so the peak RSS stays under 80 MB
+    # (about 30 and 34 MB)
     for name, count in (("A58", 58 * 59 // 2), ("D46", 46 * 45)):
-        out = text(cli("quiver", "indecomposables", "--type", name, timeout=60))
-        assert out.split("\n")[0] == f"{count} indecomposable representations", name
+        code, first, rss_mb = probe("probe_gabriel_enumeration", name, timeout=60)
+        assert [code, first] == [0, f"{count} indecomposable representations"], name
+        assert rss_mb <= 80, (name, rss_mb)
     for name in ("A59", "D47", "A200", "D200"):
         proc = cli("quiver", "indecomposables", "--type", name, timeout=5, code=1)
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, name

@@ -362,14 +362,18 @@ def parse_integer(s):
 
 
 def parse_rational(s):
-    """The rational written as s, as Fraction reads it ("2/3", "-1.5"), but
-    from ASCII text only: Fraction itself reads any Unicode decimal digit."""
-    if not s.isascii():
+    """The rational written as s: an optional sign and ASCII digits, then
+    optionally "/" or "." and ASCII digits ("2/3", "-1.5"), with whitespace
+    only around them; anything else is a ValueError. Fraction alone also
+    reads other scripts' digits, "_" separators and exponents, and spends
+    minutes expanding one like 1e1000000."""
+    m = re.fullmatch(rf"\s*({_INTEGER})(?:/([0-9]+)|\.([0-9]+))?\s*", s, re.ASCII)
+    if m is None:
         raise ValueError(f"not a rational: {short_repr(s)}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {short_repr(s)}") from None
+    p, q = (int(m[1] + m[3]), 10 ** len(m[3])) if m[3] else (int(m[1]), int(m[2] or 1))
+    if q == 0:
+        raise ValueError(f"zero denominator in {short_repr(s)}")
+    return Fraction(p, q)
 
 
 def _parse_ratio(s):

@@ -25,12 +25,12 @@ Dynkin quiver is.
 
 Gabriel's enumeration pulls each simple back through source reflections.
 A full cycle of the admissible sequence flips every arrow twice, so the
-representation reached at walk state (position mod n, root) is the same
-for every root whose walk passes through it; one enumeration builds each
-state once, as a dimension vector and int maps of the dual, at most n *
-|positive roots| sink steps (924 on E8, where walking every root on its
-own takes 7140), and refuses a type with more than MAX_WALK_STATES. Only
-the representations returned are transposed back and become QuiverReps.
+quiver at walk position p is that at p mod n. A root's walk steps from
+state (p, beta) to (p + 1, s_j beta), j = seq[p mod n]; s_j is an
+involution, so the states form disjoint chains, one ending at the simple
+e_seq[r] at each position r < n, and the roots whose walks end there are
+the vectors at the multiples of n above it. Each chain is climbed once, in
+place, one sink step per state (924 on E8; walking each root alone: 7140).
 """
 
 from __future__ import annotations
@@ -271,91 +271,90 @@ def require_dynkin(q):
     return cls.name, cartan_matrix(graph)
 
 
+def _positive_root_count(name, n):
+    """|positive roots| of the Dynkin type with the name classify gives."""
+    return {"E6": 36, "E7": 63, "E8": 120}.get(name) or (
+        n * (n + 1) // 2 if name.startswith("A") else n * (n - 1))
+
+
+def _climb(q, seq, bottom, roots):
+    """The chain of walk states that ends at the simple e_seq[bottom] at
+    position bottom, climbed in place on one list of dims and int maps of
+    the dual: the state at p is that at p + 1 after one _sink_step at seq[p
+    mod n]. roots maps positions, multiples of n, to the dimension vectors
+    the walk found there; yields each and the representation of q there."""
+    n = q.n
+    opposite = Quiver(n, [(t, s) for s, t in q.arrows])
+    for j in seq[:bottom % n]:
+        opposite = opposite.reversed_at(j)
+    arrows = list(opposite.arrows)
+    dims = [int(v == seq[bottom % n]) for v in range(n)]
+    maps = [[[0] * dims[s] for _ in range(dims[t])] for s, t in arrows]
+    for p in range(bottom, min(roots) - 1, -1):
+        if p < bottom:
+            _sink_step(dims, arrows, maps, seq[p % n])
+        if p in roots:
+            if tuple(dims) != roots[p]:
+                raise QuiverError(f"reflection functors built dimension vector {tuple(dims)}, not {roots[p]}")
+            yield roots[p], _rep(q, dims, [_transpose(m, dims[t]) for m, (_, t) in zip(maps, q.arrows)])
+
+
 def indecomposable_for_root(q, alpha):
     """The unique indecomposable representation with dimension vector the
     given positive root. On a Dynkin form the positive roots are exactly
-    the integer vectors alpha >= 0 with B(alpha, alpha) = 2."""
-    _, a = require_dynkin(q)
+    the integer vectors alpha >= 0 with B(alpha, alpha) = 2. Its reflection
+    word is walked down to a simple root on dimension vectors alone, and
+    that simple's chain climbed back up to alpha."""
+    name, a = require_dynkin(q)
     alpha = tuple(alpha)
     if (len(alpha) != len(a) or not all(type(c) is int and c >= 0 for c in alpha)
             or bilinear(a, alpha, alpha) != 2):
         raise QuiverError(f"{alpha} is not a positive root of the underlying diagram")
-    return _indecomposables(q, a, [alpha])[0]
+    n, seq, states = q.n, _sink_sequence(q), q.n * _positive_root_count(name, q.n)
+    beta, p = alpha, 0
+    while max(nxt := reflect(a, seq[p % n], beta)) > 0:
+        beta, p = nxt, p + 1
+        if p > states:  # a state (p mod n, beta) came back
+            raise AssertionError("reflection walk failed to terminate")
+    if beta != tuple(int(v == seq[p % n]) for v in range(n)):
+        raise QuiverError(f"reflection walk of {alpha} ends at {beta}, not a simple root")
+    return next(_climb(q, seq, p, {0: alpha}))[1]
 
 
-def _indecomposables(q, a, alphas):
-    """The indecomposable for each positive root in alphas: walk its
-    reflection word down to a simple root, then pull the simple
-    representation back through the reverse chain of source reflections,
-    each a _sink_step on the dual representation. So the walk keeps duals
-    on the opposite quivers, and transposes only the representations it
-    returns.
-
-    A full cycle of the admissible sequence flips every arrow twice, so the
-    quiver at walk position p is that at p mod n, and the representation
-    reached at state (p mod n, beta) is the same for every root whose walk
-    passes through it. Each state is built once, by one _sink_step (or as
-    a simple), so there are at most n * |positive roots| of them, and a
-    walk that meets one of its own states again would never end. A state
-    is its dimension vector and int maps on the opposite quiver at its
-    position; only the representations returned become QuiverReps."""
-    n = len(a)
-    seq = _sink_sequence(q)
-    opposite = [Quiver(n, [(t, s) for s, t in q.arrows])]
-    for j in seq[:-1]:
-        opposite.append(opposite[-1].reversed_at(j))
-    built = {}
-    out = []
-    for alpha in alphas:
-        beta, p, path = alpha, 0, {}
-        while (p % n, beta) not in built:
-            j = seq[p % n]
-            nxt = reflect(a, j, beta)
-            if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
-                if beta != tuple(1 if v == j else 0 for v in range(n)):
-                    raise QuiverError(f"reflection walk of {alpha} ends at {beta}, not a simple root")
-                built[p % n, beta] = beta, [[[0] * beta[s] for _ in range(beta[t])]
-                                            for s, t in opposite[p % n].arrows]
-                break
-            if (p % n, beta) in path:
-                raise AssertionError("reflection walk failed to terminate")
-            path[p % n, beta] = None
-            beta = nxt
-            p += 1
-        dims, maps = built[p % n, beta]
-        for state in reversed(path):
-            dims, maps = list(dims), list(maps)
-            _sink_step(dims, list(opposite[(state[0] + 1) % n].arrows), maps, seq[state[0]])
-            built[state] = dims, maps
-        if tuple(dims) != alpha:
-            raise QuiverError(f"reflection functors built dimension vector {tuple(dims)}, not {alpha}")
-        out.append(_rep(q, dims, [_transpose(m, dims[t]) for m, (_, t) in zip(maps, q.arrows)]))
-    return out
-
-
-# The Gabriel walk keeps up to n * |positive roots| states, each with its
-# own list of n - 1 maps, so its time and memory grow as about n^4 on A_n
-# and D_n. Measured end to end (`quiver indecomposables --type`, Python
-# 3.11, 2 vCPUs, peak RSS from ru_maxrss): A40 1.0 s / 66 MB, A60 5.3 s /
-# 237 MB, D50 5.8 s / 258 MB, D60 12.0 s / 470 MB. The largest types this
-# bound takes, A58 (99238 states) and D46 (95220), take 4.3-5.3 s / 213 MB
-# and 4.0-4.4 s / 185 MB.
+# Gabriel's enumeration climbs its chains in place, so it keeps only the
+# representations it returns; this bounds its time. Measured end to end
+# (`quiver indecomposables --type`, Python 3.11, 2 vCPUs, ru_maxrss): A58
+# (99238 states) 2.0-3.4 s / 30 MB, D46 (95220) 2.0-2.6 s / 34 MB, the
+# largest taken; past it A60 2.4-3.1 s / 31 MB, D50 2.6-2.9 s / 41 MB.
 MAX_WALK_STATES = 100_000
 
 
 def enumerate_indecomposables(q):
     """One indecomposable representation per positive root (Gabriel), while
-    n * |positive roots| is at most MAX_WALK_STATES. The count is read off
-    the name of the type, n(n+1)/2 on A_n and n(n-1) on D_n, so a type
-    above the bound is refused before its roots are enumerated."""
+    n * |positive roots|, read off the name of the type, is at most
+    MAX_WALK_STATES. Each simple's chain is walked up on dimension vectors
+    while they stay positive, and climbed to the last root on the way."""
     name, a = require_dynkin(q)
-    count = {"E6": 36, "E7": 63, "E8": 120}.get(name) or (
-        q.n * (q.n + 1) // 2 if name.startswith("A") else q.n * (q.n - 1))
-    if q.n * count > MAX_WALK_STATES:
+    n, count = q.n, _positive_root_count(name, q.n)
+    if n * count > MAX_WALK_STATES:
         raise QuiverError(f"Gabriel's enumeration walks n * |positive roots| states, at most "
-                          f"{MAX_WALK_STATES} here; {name} has {q.n} * {count} = {q.n * count}")
-    positive = _positive_roots(a)
-    return list(zip(positive, _indecomposables(q, a, positive)))
+                          f"{MAX_WALK_STATES} here; {name} has {n} * {count} = {n * count}")
+    seq, found = _sink_sequence(q), []
+    for r in range(n):
+        beta, p, roots = tuple(int(v == seq[r]) for v in range(n)), r, {}
+        while max(beta) > 0:
+            if p % n == 0:
+                roots[p] = beta
+            p -= 1
+            beta = reflect(a, seq[p % n], beta)
+            if r - p > n * count:
+                raise AssertionError("reflection walk failed to terminate")
+        found += _climb(q, seq, r, roots)
+    positive, reps = _positive_roots(a), dict(found)
+    if len(found) != len(positive) or reps.keys() != set(positive):
+        raise QuiverError(f"the reflection chains reach {len(found)} roots, not each of the "
+                          f"{len(positive)} positive roots once")
+    return [(alpha, reps[alpha]) for alpha in positive]
 
 
 def _integer_map(m):

@@ -1158,6 +1158,12 @@ TYPED_INPUT_ERRORS = [
     (["schur", "eval", "--lambda", "1", "--points", "1/0"], "zero denominator in '1/0'"),
     (["schur", "dim", "--lambda", "1", "--vars", "2", "--z", "1/0"], "zero denominator in '1/0'"),
     (["chartab", "decompose", "S3", "--values", "1/0,1,1"], "zero denominator in '1/0'"),
+    # Fraction() reads exponents and "_" separators, and takes minutes on 1e1000000
+    (["schur", "dim", "--lambda", "1", "--vars", "2", "--z", "1e1000000"], "not a rational: '1e1000000'"),
+    (["schur", "eval", "--lambda", "1", "--points", "1e3000000,2"], "not a rational: '1e3000000'"),
+    (["schur", "dim", "--lambda", "1", "--vars", "2", "--z", "1e100000"], "not a rational: '1e100000'"),
+    (["schur", "eval", "--lambda", "1", "--points", "1_000"], "not a rational: '1_000'"),
+    (["chartab", "decompose", "S3", "--values", "2,.5,1."], "not a rational: '.5'"),
 ]
 
 

@@ -449,9 +449,33 @@ def reference_indecomposables(q, source_reflection):
     return out
 
 
+def walk_states(q):
+    """The distinct states (position mod n, beta) that the reflection walks
+    of all positive roots pass through before the simple root each ends at,
+    walked on dimension vectors alone."""
+    a = cartan_matrix(q.underlying_graph())
+    labels = admissible_labels(q)
+    seq = sorted(range(q.n), key=lambda x: -labels[x])
+    states = set()
+    for beta in enumerate_roots(a)[0]:
+        p = 0
+        while True:
+            nxt = reflect(a, seq[p % q.n], beta)
+            if all(c <= 0 for c in nxt) and any(c < 0 for c in nxt):
+                break
+            states.add((p % q.n, beta))
+            beta, p = nxt, p + 1
+    return states
+
+
+# the same in both orientations of each diagram
+WALK_STATE_COUNTS = {"A5": 60, "D6": 159, "E6": 195, "E7": 413, "E8": 924}
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_shared_chains_match_unshared_walk(name, monkeypatch):
-    # every walk state is one _sink_step on the dual representation
+    # every walk state is one _sink_step on the dual representation, and a
+    # chain climbed past its top root would take more
     real = quiverrep._sink_step
     for q in _two_orientations(name):
         want = reference_indecomposables(q, reflect_source)
@@ -468,7 +492,8 @@ def test_shared_chains_match_unshared_walk(name, monkeypatch):
         for (root, rep), (_, ref) in zip(got, want):
             assert rep.quiver == ref.quiver == q and rep.dims == ref.dims == root
             assert rep.maps == ref.maps, (q, root)
-        assert 0 < len(calls) <= q.n * len(want), (q, len(calls))
+        states = len(walk_states(q))
+        assert len(calls) == states == WALK_STATE_COUNTS.get(name, states), (q, len(calls))
 
 
 GABRIEL_MAPS = json.loads((Path(__file__).parent / "golden" / "gabriel_maps.json").read_text())
@@ -589,7 +614,8 @@ def test_rep_serialization():
 # its Weyl word as a matrix built from the Cartan matrix of the quiver.
 SABOTAGED_REFLECTIONS = """
 from reptheory import quiverrep, rootsys
-from reptheory.quiverrep import Quiver, QuiverError, decompose, indecomposable_for_root
+from reptheory.quiverrep import (Quiver, QuiverError, decompose, enumerate_indecomposables,
+                                 indecomposable_for_root)
 
 q = Quiver(3, [(0, 1), (1, 2)])
 full = indecomposable_for_root(q, (1, 1, 1))
@@ -614,6 +640,10 @@ attempt("nonnegative", lambda: decompose(full))
 quiverrep.cartan_matrix = lambda g: [[0] * g.n for _ in range(g.n)]
 attempt("add up", lambda: decompose(full))
 quiverrep.cartan_matrix = real_cartan
+real_positive = quiverrep._positive_roots
+quiverrep._positive_roots = lambda a: real_positive(a)[:-1]
+attempt("enumeration", lambda: enumerate_indecomposables(q))
+quiverrep._positive_roots = real_positive
 quiverrep._sink_step = lambda dims, arrows, maps, j: None
 attempt("functors", lambda: indecomposable_for_root(q, (1, 1, 1)))
 """
@@ -629,5 +659,6 @@ def test_consistency_checks_survive_optimize(optimize):
         "walk: reflection walk of (1, 1, 1) ends at (1, 1, 1), not a simple root",
         "nonnegative: summand root (1, -1, 1) is not nonnegative",
         "add up: summand dimension vectors do not add up",
+        "enumeration: the reflection chains reach 6 roots, not each of the 5 positive roots once",
         "functors: reflection functors built dimension vector (1, 0, 0), not (1, 1, 1)",
     ]
