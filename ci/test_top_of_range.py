@@ -355,6 +355,34 @@ def test_gl2_f13_values_read_once(tmp_path):
     assert probe("probe_values_read_once", path, timeout=60) == [True, 195, 195]
 
 
+def probe_read_back(*argv):
+    """The stdout of the CLI on argv, run in this process, with its wall
+    time in seconds and this process's peak RSS in MB after it."""
+    import contextlib
+    import io
+    import resource
+    import time
+    from reptheory.cli import main
+    out, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return [code, out.getvalue(), time.perf_counter() - start,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+
+
+def test_gl2_files_read_back(tmp_path):
+    # q = 19 is the top of the range the README documents for reading GL2
+    # files back (a 70 MB file): verify and roundtrip each take about 2.6 s
+    # and 340 MB on 2 vCPUs, most of it in json.load
+    path = tmp_path / "gl2-19.json"
+    cli_to_file(path, "gl2", "table", "--q", "19", "--json", timeout=60)
+    for argv, want in ((["chartab", "verify", "--file"], "ok: 130322 checks, 0 failures\n"),
+                       (["roundtrip"], "roundtrip ok\n")):
+        code, out, seconds, rss_mb = probe("probe_read_back", *argv, path, timeout=60)
+        assert [code, out] == [0, want], argv
+        assert seconds <= 15 and rss_mb <= 500, (argv, seconds, rss_mb)
+
+
 def test_s15_row_products():
     # the rational twin of the GL2(F_31) row products: the S15 table's
     # operand reads each row as integers

@@ -25,7 +25,8 @@ Permutation characters and the JSON format also read each class's
 Wherever an element is given as a permutation, its class comes from the
 group's `class_index(perm)`: in the JSON reader, the classical tables and
 the subgroup embedding `subgroup(generators)` that induction and
-restriction use. Only the subgroup is enumerated.
+restriction use. Only the subgroup is enumerated. A GL2 table file gives
+each class by a matrix, which `GL2Group.class_index` places.
 
 Abelian duals and semidirect tables work on characters of an abelian
 group as lists of integer exponents mod its exponent e, one per element,
@@ -44,7 +45,7 @@ from operator import itemgetter
 from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, cyc, cyclotomic_from_json,
                     cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
                     zeta)
-from .linalg import InputError, fields
+from .linalg import InputError, fields, short_repr
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
                         p_identity, p_mul, p_order, parse_group_name, quaternion_group,
@@ -456,11 +457,14 @@ def orbit_gram(table):
                           weights, scale)
 
 
-def check_orthonormality(report, label, table):
-    """One report entry per pair i <= j of the table's rows: the Hermitian
-    product must be 1 on the diagonal and 0 off it. The products come from
-    orbit_gram, which proves whole orbits of pairs under power maps and
-    twists by linear rows."""
+def verify_rows(table):
+    """The row half of verify_table, which gl2fq.gl2_verify is: one entry
+    per pair i <= j of the table's rows, whose Hermitian product must be 1
+    on the diagonal and 0 off it, then the sum-of-squares identity and the
+    row count. The products come from orbit_gram, which proves whole
+    orbits of pairs under power maps and twists by linear rows."""
+    rep = VerifyReport()
+    g = table.group
     products = iter(orbit_gram(table) or ())
     names = [row.name for row in table.rows]
     k = len(names)
@@ -469,25 +473,27 @@ def check_orthonormality(report, label, table):
             # None where the orbits proved every pair
             got = next(products, None)
             ok = got is None or got == (one() if i == j else zero())
-            report.add(f"{label} ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
+            rep.add(f"row orthonormality ({names[i]},{names[j]})", ok, "" if ok else f"got {got}")
+    ssq = sum(row.degree ** 2 for row in table.rows)
+    rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
+    rep.add("row count equals class count", k == len(g.classes), f"{k} vs {len(g.classes)}")
+    return rep
 
 
 def verify_table(table):
     """Full consistency check of a character table.
 
-    Verifies row orthonormality, column orthogonality against centralizer
-    orders, the sum-of-squares identity, degree divisibility, and the row
-    count; every failure names the offending pair. Column sums are read
-    off the rows where these pass on a complete table, else computed.
+    The row half (verify_rows) comes first; then column orthogonality
+    against centralizer orders and degree divisibility. Every failure
+    names the offending pair. Column sums are read off the rows where the
+    row half passes, which takes a complete table, else computed.
     """
-    rep = VerifyReport()
+    rep = verify_rows(table)
     g = table.group
-    rows = table.rows
-    check_orthonormality(rep, "row orthonormality", table)
     k = len(g.classes)
     labels = [g.class_label(c) for c in range(k)]
     pairs = [(c1, c2) for c1 in range(k) for c2 in range(c1, k)]
-    if rep.ok and len(rows) == k:
+    if rep.ok:
         # the k x k value matrix R has R W R* = I for W = diag(|c| / |G|),
         # so R is invertible and R* R = W^-1: columns c1, c2 give |G| / |c1| or 0
         totals = [cyc(Fraction(g.order, g.classes[c1].size)) if c1 == c2 else zero()
@@ -499,12 +505,9 @@ def verify_table(table):
         ok = total == want
         rep.add(f"column orthogonality ({labels[c1]},{labels[c2]})", ok,
                 "" if ok else f"got {total}, want {want}")
-    ssq = sum(row.degree ** 2 for row in rows)
-    rep.add("sum of squares", ssq == g.order, f"{ssq} vs |G|={g.order}")
-    for row in rows:
+    for row in table.rows:
         rep.add(f"degree divides |G| ({row.name})",
                 row.degree != 0 and g.order % row.degree == 0, f"degree {row.degree}")
-    rep.add("row count equals class count", len(rows) == k, f"{len(rows)} vs {k}")
     return rep
 
 
@@ -790,9 +793,14 @@ def render_table(table, numeric=False):
 
 
 def table_to_json(table, group_name=None):
+    """The table as JSON, in its display order: the group by group_name or
+    by its generators, each class by its representative, size and element
+    order, each row by name, degree and values. A GL2 table, whose classes
+    list no permutation, goes to gl2fq.gl2_table_to_json, which writes its
+    own form."""
     if not hasattr(table.classes[0], "representative"):
-        raise ValueError("table_to_json needs classes with permutation representatives; "
-                         "write a GL2 table with gl2fq.gl2_table_to_json")
+        from .gl2fq import gl2_table_to_json
+        return gl2_table_to_json(table)
     classes = []
     for c in table.display_classes:
         cl = table.group.classes[c]
@@ -807,14 +815,37 @@ def table_to_json(table, group_name=None):
 
 
 def table_from_json(obj):
-    group, classes, rows = fields(obj, "table", {"group": None, "classes": list, "rows": list})
-    group = group_from_json(group)
+    """The table table_to_json wrote, or, where obj has "q", the one
+    gl2fq.gl2_table_to_json wrote: GL2Group(q) of the stated order, each
+    class also by its family and parameters, which must be those of the
+    class its matrix lies in, and each row also by the series its name
+    gives."""
+    if type(obj) is dict and "q" in obj:
+        from .gl2fq import GL2Group, row_series
+        q, order, classes, rows = fields(obj, "GL2 table", {"q": int, "group_order": int,
+                                                            "classes": list, "rows": list})
+        group = GL2Group(q)
+        if order != group.order:
+            raise InputError(f"GL2(F_{q}) has order {group.order}, not {short_repr(order)}")
+        class_fields = {"rep": list[list], "size": int, "family": str, "params": list[int]}
+        row_fields = {"name": str, "degree": int, "values": list, "series": str}
+        table_name = f"GL2(F_{q})"
+    else:
+        group, classes, rows = fields(obj, "table", {"group": None, "classes": list, "rows": list})
+        group = group_from_json(group)
+        class_fields = {"rep": list[int], "size": int}
+        row_fields = {"name": str, "degree": int, "values": list}
+        table_name = ""
     display = []
     for c in classes:
-        rep, size = fields(c, "table class", {"rep": list[int], "size": int})
+        rep, size, *key = fields(c, "table class", class_fields)
         ci = group.class_index(rep)
         display.append(ci)
-        if group.classes[ci].size != size:
+        cl = group.classes[ci]
+        if key and key != [cl.family, list(cl.params)]:
+            raise InputError(f"the matrix {short_repr(rep)} lies in the class "
+                             f"{group.class_label(ci)}, not {short_repr(key)}")
+        if cl.size != size:
             raise InputError("class size mismatch in table file")
     listed = sorted(range(len(display)), key=display.__getitem__)  # the file's index of each class
     # equal value dicts give one value (cyclotomic_from_json), which the
@@ -822,7 +853,10 @@ def table_from_json(obj):
     # the pool is in the order its values are first met there
     pool, names, degrees, index = ValuePool(), [], [], []
     for r in rows:
-        name, degree, values = fields(r, "table row", {"name": str, "degree": int, "values": list})
+        name, degree, values, *series = fields(r, "table row", row_fields)
+        if series and series != [row_series(name)]:
+            raise InputError(f"a GL2 table has no row {short_repr(name)} of the series "
+                             f"{short_repr(series[0])}")
         if len(values) != len(classes):
             raise InputError(f"a table row needs {len(classes)} values, one per class, not {len(values)}")
         row = list(map(cyclotomic_from_json, values))
@@ -831,4 +865,5 @@ def table_from_json(obj):
         index.append(pool.positions(map(row.__getitem__, listed)))
     if sorted(display) != list(range(len(group.classes))):
         raise InputError(f"a table lists each of the {len(group.classes)} classes of its group exactly once")
-    return CharacterTable.from_pool(group, names, degrees, pool.values, index, display_classes=display)
+    return CharacterTable.from_pool(group, names, degrees, pool.values, index, name=table_name,
+                                    display_classes=display)

@@ -39,6 +39,13 @@ def _load_json(path):
         except RecursionError:
             # json recurses once per nesting level
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:
+            # json reads an integer by int(), which refuses more digits
+            # than sys.get_int_max_str_digits() in its own words
+            raise ValueError(f"{path}: a JSON integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _print_json(obj):
@@ -431,7 +438,7 @@ def cmd_roundtrip(args):
     obj = _load_json(args.file)
     if not isinstance(obj, dict):
         raise ValueError("an artifact is a JSON object")
-    if "rows" in obj and "classes" in obj and "q" not in obj:
+    if "rows" in obj and "classes" in obj:
         from . import chartab
         table = chartab.table_from_json(obj)
         again = chartab.table_to_json(table, group_name=obj.get("group")

@@ -19,8 +19,9 @@ its powers is both the logarithm table and its inverse.
 
 from __future__ import annotations
 
-from .chartab import CharacterTable, VerifyReport, check_orthonormality
+from .chartab import CharacterTable, verify_rows
 from .exact import ValuePool, cyc, cyclotomic_to_json, zero, zeta
+from .linalg import short_repr
 
 
 def is_odd_prime(q):
@@ -125,6 +126,38 @@ class GL2Group:
     def class_label(self, c):
         cl = self.classes[c]
         return f"{cl.family[:4]}({','.join(str(p) for p in cl.params)})"
+
+    def class_index(self, matrix):
+        """The index of the class of an invertible 2x2 matrix over F_q,
+        given as two rows of integers in 0..q-1, from its invariants: a
+        scalar matrix is its own class, and otherwise the discriminant
+        t^2 - 4d of its characteristic polynomial x^2 - tx + d is zero (the
+        eigenvalue t/2 twice: parabolic), a nonzero square s^2 (the
+        eigenvalues (t +- s)/2: hyperbolic) or eps s^2 (the eigenvalue
+        t/2 + (s/2) sqrt(eps): elliptic). Anything else is a ValueError."""
+        q = self.q
+        if (type(matrix) not in (list, tuple) or len(matrix) != 2
+                or any(type(row) not in (list, tuple) or len(row) != 2
+                       or any(type(x) is not int or not 0 <= x < q for x in row) for row in matrix)):
+            raise ValueError(f"not a 2x2 matrix over F_{q}: {short_repr(matrix)}")
+        (a, b), (c, d) = matrix
+        t, det = (a + d) % q, (a * d - b * c) % q
+        if det == 0:
+            raise ValueError(f"not an invertible matrix: {short_repr(matrix)}")
+        half, disc = (q + 1) // 2, (t * t - 4 * det) % q
+        if b == c == 0 and a == d:
+            key = ("scalar", (a,))
+        elif disc == 0:
+            key = ("parabolic", (t * half % q,))
+        elif self.dlog_q[disc] % 2 == 0:
+            s = pow(self.g, self.dlog_q[disc] // 2, q)
+            key = ("hyperbolic", tuple(sorted(((t + s) * half % q, (t - s) * half % q))))
+        else:
+            # disc = eps s^2, as eps is the other coset of the squares
+            s = pow(self.g, self.dlog_q[disc * pow(self.eps, -1, q) % q] // 2, q)
+            y = s * half % q
+            key = ("elliptic", (t * half % q, min(y, q - y)))
+        return self._class_index[key]
 
     def power_class_map(self, k):
         """For each class, the index of the class of its k-th powers, from
@@ -268,20 +301,9 @@ def gl2_table(q):
     return CharacterTable.from_pool(group, names, degrees, pool.values, index, name=f"GL2(F_{q})")
 
 
-def gl2_verify(table):
-    """Row orthonormality under the class-weighted Hermitian product, the
-    sum-of-squares count, and the row/class census: the row half of
-    `chartab.verify_table`, under its own entry names."""
-    rep = VerifyReport()
-    g = table.group
-    rows = table.rows
-    check_orthonormality(rep, "orthonormality", table)
-    ssq = sum(r.degree ** 2 for r in rows)
-    rep.add("sum of squares", ssq == g.order, f"{ssq} vs {g.order}")
-    rep.add("row count equals class count",
-            len(rows) == len(table.classes),
-            f"{len(rows)} vs {len(table.classes)}")
-    return rep
+# row orthonormality, the sum of squares and the row count: the row half
+# of chartab.verify_table
+gl2_verify = verify_rows
 
 
 def complementary_virtual_values(group, t):
@@ -321,17 +343,25 @@ def complementary_virtual_values(group, t):
 _SERIES = {"xi": "one-dimensional", "V": "principal", "W": "cuspidal-W", "X": "complementary"}
 
 
+def row_series(name):
+    """The series of the row of gl2_table named name, from its prefix, or
+    None for a name gl2_table gives no row."""
+    return _SERIES.get(name.split("[")[0])
+
+
 def gl2_table_to_json(table):
-    """The table with its class parameters and representatives; each row's
-    series is read from its name prefix. Each value of the pool is
-    converted once."""
+    """The table with its class parameters and representatives, in its
+    display order; each row's series is read from its name prefix. Each
+    value of the pool is converted once. chartab.table_from_json reads it
+    back."""
     values = [cyclotomic_to_json(v) for v in table.pool]
+    display = table.display_classes
     return {
         "q": table.group.q,
         "group_order": table.group.order,
         "classes": [{"family": c.family, "params": list(c.params), "size": c.size,
-                     "rep": [list(r) for r in c.rep]} for c in table.classes],
-        "rows": [{"name": r.name, "series": _SERIES[r.name.split("[")[0]], "degree": r.degree,
-                  "values": [values[x] for x in index]}
+                     "rep": [list(r) for r in c.rep]} for c in map(table.classes.__getitem__, display)],
+        "rows": [{"name": r.name, "series": row_series(r.name), "degree": r.degree,
+                  "values": [values[index[c]] for c in display]}
                  for r, index in zip(table.rows, table.index)],
     }

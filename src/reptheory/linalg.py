@@ -344,33 +344,56 @@ def fields(obj, kind, spec):
     return values
 
 
+# the most digits a number read from text may have: int() reads no more
+# than sys.get_int_max_str_digits(), 4300 by default, and says so in its
+# own words
+MAX_DIGITS = 4300
 # an optional sign and ASCII digits; int() alone also takes the digits of
 # other scripts and "_" separators, and int() on each side of a "/" takes
 # spaces inside a ratio
-_INTEGER = r"[+-]?[0-9]+"
+_DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"
+_INTEGER = rf"[+-]?{_DIGITS}"
 _INTEGER_TEXT = re.compile(rf"\s*({_INTEGER})\s*", re.ASCII)
 _RATIO_TEXT = re.compile(rf"\s*({_INTEGER})(?:/({_INTEGER}))?\s*", re.ASCII)
+_RATIONAL_TEXT = re.compile(rf"\s*({_INTEGER})(?:/({_DIGITS})|\.({_DIGITS}))?\s*", re.ASCII)
+_TOO_LONG = re.compile(rf"[0-9]{{{MAX_DIGITS + 1}}}", re.ASCII)
+
+
+def _unread(s, wanted, error=ValueError):
+    """The error for s, which is not what `wanted` says: a number too long
+    to read is named as such."""
+    if isinstance(s, str) and _TOO_LONG.search(s):
+        return error(f"a number has at most {MAX_DIGITS} digits here: {short_repr(s)}")
+    return error(f"{wanted}{short_repr(s)}")
 
 
 def parse_integer(s):
-    """The integer written as s: an optional sign, then ASCII digits, with
-    whitespace only around them; anything else is a ValueError."""
+    """The integer written as s: an optional sign, then at most MAX_DIGITS
+    ASCII digits, with whitespace only around them; anything else is a
+    ValueError."""
     m = _INTEGER_TEXT.fullmatch(s) if isinstance(s, str) else None
     if m is None:
-        raise ValueError(f"not an integer: {short_repr(s)}")
+        raise _unread(s, "not an integer: ")
     return int(m[1])
 
 
 def parse_rational(s):
     """The rational written as s: an optional sign and ASCII digits, then
-    optionally "/" or "." and ASCII digits ("2/3", "-1.5"), with whitespace
-    only around them; anything else is a ValueError. Fraction alone also
-    reads other scripts' digits, "_" separators and exponents, and spends
-    minutes expanding one like 1e1000000."""
-    m = re.fullmatch(rf"\s*({_INTEGER})(?:/([0-9]+)|\.([0-9]+))?\s*", s, re.ASCII)
+    optionally "/" or "." and ASCII digits ("2/3", "-1.5"), each run of
+    digits at most MAX_DIGITS long, with whitespace only around them;
+    anything else is a ValueError. Fraction alone also reads other
+    scripts' digits, "_" separators and exponents, and spends minutes
+    expanding one like 1e1000000."""
+    m = _RATIONAL_TEXT.fullmatch(s)
     if m is None:
-        raise ValueError(f"not a rational: {short_repr(s)}")
-    p, q = (int(m[1] + m[3]), 10 ** len(m[3])) if m[3] else (int(m[1]), int(m[2] or 1))
+        raise _unread(s, "not a rational: ")
+    if m[3]:
+        # the digits on either side of the point are read apart, so that
+        # each is within MAX_DIGITS
+        q, frac = 10 ** len(m[3]), int(m[3])
+        p = int(m[1]) * q + (-frac if m[1][0] == "-" else frac)
+    else:
+        p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
         raise ValueError(f"zero denominator in {short_repr(s)}")
     return Fraction(p, q)
@@ -381,7 +404,7 @@ def _parse_ratio(s):
     read as parse_integer reads them."""
     m = _RATIO_TEXT.fullmatch(s) if isinstance(s, str) else None
     if m is None:
-        raise InputError(f"a rational must be a string like \"-3/4\", not {short_repr(s)}")
+        raise _unread(s, 'a rational must be a string like "-3/4", not ', InputError)
     p, q = int(m[1]), int(m[2] or 1)
     if q == 0:
         raise InputError(f"zero denominator in {short_repr(s)}")

@@ -23,7 +23,7 @@ from collections import Counter
 from math import factorial, gcd, lcm
 from operator import itemgetter
 
-from .linalg import fields, short_repr
+from .linalg import fields, parse_integer, short_repr
 
 
 class EnumerationBound(ValueError):
@@ -544,7 +544,7 @@ def parse_group_name(name):
     if m is None:
         raise ValueError(f"unknown group name: {short_repr(name)}")
     family = (m[1] or m[3]).upper()
-    return family, check_name_range(family, int(m[2] or m[4]))
+    return family, check_name_range(family, parse_integer(m[2] or m[4]))
 
 
 def check_name_range(family, n):

@@ -17,7 +17,8 @@ from collections import Counter
 from math import prod
 from operator import add, mul, neg
 
-from .linalg import det, eliminated_null_vectors, fields, gauss_jordan, short_repr
+from .linalg import (det, eliminated_null_vectors, fields, gauss_jordan, parse_integer,
+                     short_repr)
 
 
 class GraphError(ValueError):
@@ -189,8 +190,8 @@ def _diagram_name(name, dropped):
         key = key.replace(ch, "")
     family, num = key[:1], key[1:]
     if not (family and num.isascii() and num.isdigit()):
-        raise GraphError(f"cannot parse diagram name {name!r}")
-    return family, int(num)
+        raise GraphError(f"cannot parse diagram name {short_repr(name)}")
+    return family, parse_integer(num)
 
 
 def dynkin_graph(name):

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial
 from operator import lt
 
 from .chartab import CharacterTable
@@ -177,6 +178,39 @@ def _tableau_counts(lam):
     return counts
 
 
+# kostka's walk memoizes at most one count per partition inside mu, and a
+# count costs about as much as 100 + len(mu) parts of tuple work: mu is
+# refused when its partitions inside, times (100 + len(mu)) / 100, are
+# more than this. K_{(300,300),1^600} (45451 partitions) takes 0.6 s on
+# 2 vCPUs and passes; K_{(2^400),1^800} (80601 of 400 parts) took 4.5 s
+# and is refused
+MAX_KOSTKA_SHAPES = 50000
+
+
+def _check_walk(mu):
+    """ValueError if kostka's walk for mu may hold more shapes than
+    MAX_KOSTKA_SHAPES allows. The rectangle around mu holds
+    comb(len(mu) + mu_1, len(mu)) partitions, which settles most mu at
+    once. Otherwise they are counted row by row, ways[v] those inside the
+    rows so far whose last part is v, until there are more than the cap:
+    the count after i rows is at least mu_1 + ... + mu_i, and row i costs
+    mu_(i-1) steps, so that takes about cap + len(mu) steps."""
+    cap = 100 * MAX_KOSTKA_SHAPES // (100 + len(mu))
+    if not mu or mu[0] < cap and comb(len(mu) + mu[0], len(mu)) <= cap:
+        return
+    total = mu[0] + 1
+    if total <= cap:
+        ways = [1] * total
+        for m in mu[1:]:
+            ways = list(accumulate(reversed(ways)))[::-1][:m + 1]
+            total = sum(ways)
+            if total > cap:
+                break
+    if total > cap:
+        raise ValueError(f"Kostka numbers take a mu with at most {cap} partitions inside it, "
+                         f"as len(mu) = {len(mu)}; this one has more")
+
+
 def kostka(mu, lam):
     """K_{mu,lambda} = multiplicity of V_mu in U_lambda, the number of
     semistandard tableaux of shape mu and content lambda. The cells
@@ -192,6 +226,8 @@ def kostka(mu, lam):
     if len(mu) > len(lam):
         return 0
     counts = _tableau_counts(lam)
+    if mu not in counts[-1]:
+        _check_walk(mu)
     # (shape, k, strips): strips is None until the shape's strips are
     # listed, and then the entry waits under the strips not yet counted
     stack = [(mu, len(lam), None)]

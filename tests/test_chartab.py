@@ -21,7 +21,8 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                integer_multiplicities, permutation_character,
                                regular_character, render_table, restrict,
                                semidirect_table, table_from_json, table_to_json,
-                               tensor_multiplicities, transfer_table, verify_table)
+                               tensor_multiplicities, transfer_table, verify_rows,
+                               verify_table)
 from reptheory.exact import (Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json, zeta,
                             zero)
 from reptheory.gl2fq import gl2_table, gl2_table_to_json
@@ -98,6 +99,47 @@ def test_verify_flags_a_perturbed_entry():
     report = verify_table(bad)
     assert not report.ok
     assert any("column orthogonality" in name for name, _ in report.failures())
+
+
+def test_gl2_verify_is_the_row_half_of_verify_table():
+    # one body: gl2fq binds the row half that verify_table runs first
+    from reptheory import gl2fq
+    assert reptheory.gl2_verify is gl2fq.gl2_verify is verify_rows
+
+
+ROW_HALF_TABLES = {
+    **{f"GL2(F_{q})": (lambda q=q: gl2_table(q)) for q in (3, 5, 7)},
+    **{name: (lambda name=name: builtin_table(name)) for name in BUILTIN_TABLE_NAMES},
+    "S6": lambda: sn_table(6),
+    "D10": lambda: semidirect_table(dihedral_semidirect(10)),
+    "Heisenberg": lambda: semidirect_table(heisenberg_semidirect()),
+}
+
+
+@pytest.mark.parametrize("name", ROW_HALF_TABLES)
+def test_the_row_half_leads_verify_table(name):
+    # k(k+1)/2 row pairs, the sum of squares and the row count, then
+    # k(k+1)/2 column pairs and k degrees
+    table = ROW_HALF_TABLES[name]()
+    k = len(table.rows)
+    rows, full = verify_rows(table), verify_table(table)
+    assert rows.ok and full.ok
+    assert len(rows.entries) == k * (k + 1) // 2 + 2
+    assert len(full.entries) == k * (k + 1) + k + 2
+    assert full.entries[:len(rows.entries)] == rows.entries
+
+
+def test_an_incomplete_table_fails_its_census_and_sums_its_columns():
+    # A5 without its last row: its rows are orthonormal, but the row half
+    # fails on the sum of squares and the row count, so the columns are
+    # summed, and the identity column comes short
+    t = builtin_table("A5")
+    table = CharacterTable(t.group, t.rows[:-1], display_classes=t.display_classes)
+    rows, full = verify_rows(table), verify_table(table)
+    assert rows.failures() == [("sum of squares", "35 vs |G|=60"),
+                               ("row count equals class count", "4 vs 5")]
+    assert full.entries[:len(rows.entries)] == rows.entries
+    assert ("column orthogonality (Id,Id)", "got 35, want 60") in full.failures()
 
 
 def test_decompose_examples():

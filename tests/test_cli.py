@@ -19,6 +19,8 @@ from reptheory import chartab, exact, permgroup, selftest, symgrp
 from reptheory.cli import _get_table, build_parser, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
+from reptheory.gl2fq import gl2_table, gl2_table_to_json
+from reptheory.linalg import MAX_DIGITS, short_repr
 from reptheory.permgroup import cycle_notation, group_from_json, parse_group_name
 from reptheory.quiverrep import indecomposable_for_root, Quiver, rep_to_json
 
@@ -196,6 +198,19 @@ def test_schur_cli(capsys):
 def test_gl2_verify_cli(capsys):
     code, out, _ = run_cli(capsys, "gl2", "verify", "--q", "3")
     assert code == 0 and out.strip().startswith("ok")
+
+
+def test_gl2_table_file_reads_back(capsys, tmp_path):
+    code, written, _ = run_cli(capsys, "gl2", "table", "--q", "5", "--json")
+    assert code == 0
+    path = tmp_path / "gl2-5.json"
+    path.write_text(written)
+    assert run_cli(capsys, "chartab", "verify", "--file", str(path)) == (0, "ok: 626 checks, 0 failures\n", "")
+    assert run_cli(capsys, "roundtrip", str(path)) == (0, "roundtrip ok\n", "")
+    assert run_cli(capsys, "chartab", "show", "--file", str(path), "--json") == (0, written, "")
+    # the file's table is named as gl2 table names it, so the text agrees
+    assert run_cli(capsys, "chartab", "show", "--file", str(path)) == \
+        run_cli(capsys, "gl2", "table", "--q", "5")
 
 
 def test_semidirect_cli(capsys):
@@ -471,6 +486,7 @@ VALID_ARTIFACTS = {
     "group": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
     "cyclotomic": {"order": 3, "coeffs": ["1/2", "-3/4"]},
     "matrix": {"rows": 2, "cols": 2, "entries": [["1/2", "0/1"], ["3", "-1/3"]]},
+    "GL2 table": json.loads(json.dumps(gl2_table_to_json(gl2_table(3)))),
 }
 FILE_READERS = [["roundtrip"], ["chartab", "show", "--file"], ["chartab", "verify", "--file"],
                 ["group", "classes", "--file"], ["quiver", "classify", "--graph"],
@@ -1164,6 +1180,16 @@ TYPED_INPUT_ERRORS = [
     (["schur", "dim", "--lambda", "1", "--vars", "2", "--z", "1e100000"], "not a rational: '1e100000'"),
     (["schur", "eval", "--lambda", "1", "--points", "1_000"], "not a rational: '1_000'"),
     (["chartab", "decompose", "S3", "--values", "2,.5,1."], "not a rational: '.5'"),
+    # int() reads at most 4300 digits, and says so in Python's words
+    (["sn", "table", "1" * 5000], f"a number has at most {MAX_DIGITS} digits here: {short_repr('1' * 5000)}"),
+    (["schur", "dim", "--lambda", "1", "--vars", "2", "--z", "1/" + "7" * 5000],
+     f"a number has at most {MAX_DIGITS} digits here: {short_repr('1/' + '7' * 5000)}"),
+    (["chartab", "show", "S" + "1" * 5000], f"a number has at most {MAX_DIGITS} digits here: {short_repr('1' * 5000)}"),
+    (["quiver", "roots", "--type", "A" + "1" * 5000],
+     f"a number has at most {MAX_DIGITS} digits here: {short_repr('1' * 5000)}"),
+    # a mu with more partitions inside it than kostka's walk may hold
+    (["sn", "kostka", "--mu", ",".join(["2"] * 400), "--lambda", ",".join(["1"] * 800)],
+     "Kostka numbers take a mu with at most 10000 partitions inside it, as len(mu) = 400; this one has more"),
 ]
 
 
@@ -1180,6 +1206,10 @@ def test_bad_input_is_a_typed_error(tmp_path, optimize):
         path.write_text(json.dumps(blob))
         files += [(["roundtrip", str(path)], "zero denominator in '1/0'"),
                   ([*command, str(path)], "zero denominator in '1/0'")]
+    path = tmp_path / "graph.json"
+    path.write_text('{"vertices": ' + "1" * 5000 + ', "edges": []}')
+    files += [(["quiver", "classify", "--graph", str(path)],
+               f"{path}: a JSON integer has more than {sys.get_int_max_str_digits()} digits")]
     cases = TYPED_INPUT_ERRORS + files
     src = str(Path(reptheory.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, *optimize, "-c", INTEGER_SCRIPT,

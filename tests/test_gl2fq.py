@@ -1,6 +1,10 @@
+import itertools
+import json
+
 import pytest
 
-from reptheory.chartab import CharacterTable, frobenius_schur, table_to_json, verify_table
+from reptheory.chartab import (CharacterTable, frobenius_schur, table_from_json, table_to_json,
+                               verify_table)
 from reptheory.exact import zeta, zero
 from reptheory.gl2fq import (GL2Group, complementary_virtual_values,
                              _complementary_parameters, gl2_classes, gl2_table,
@@ -243,6 +247,98 @@ def test_frobenius_schur_counts_involutions(q):
     assert total == q * q + q + 2
 
 
-def test_table_to_json_names_the_gl2_writer():
-    with pytest.raises(ValueError, match="gl2_table_to_json"):
-        table_to_json(gl2_table(3))
+def test_table_to_json_hands_a_gl2_table_to_its_writer():
+    table = gl2_table(3)
+    assert table_to_json(table) == table_to_json(table, group_name="GL2") == gl2_table_to_json(table)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_class_index_matches_the_matrix_oracle(q):
+    # every invertible matrix over F_q lands in the class _matrix_class
+    # reads off it, and each class holds as many matrices as its size
+    group = GL2Group(q)
+    keys = [(c.family, c.params) for c in group.classes]
+    held = [0] * len(keys)
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        if (a * d - b * c) % q:
+            i = group.class_index(((a, b), (c, d)))
+            assert keys[i] == _matrix_class(group, ((a, b), (c, d))), ((a, b), (c, d))
+            held[i] += 1
+    assert held == [c.size for c in group.classes]
+    assert [group.class_index([list(r) for r in c.rep]) for c in group.classes] == list(range(len(keys)))
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([[1, 2], [2, 4]], "not an invertible matrix"),
+    ([[0, 0], [0, 0]], "not an invertible matrix"),
+    ([[1, 0], [0, 5]], "not a 2x2 matrix over F_5"),
+    ([[1, 0], [0, -1]], "not a 2x2 matrix over F_5"),
+    ([[1, 0], [0, True]], "not a 2x2 matrix over F_5"),
+    ([[1, 0], [0, 1.0]], "not a 2x2 matrix over F_5"),
+    ([[1, 0, 0], [0, 1, 0]], "not a 2x2 matrix over F_5"),
+    ([[1, 0]], "not a 2x2 matrix over F_5"),
+    ([1, 0, 0, 1], "not a 2x2 matrix over F_5"),
+    ("[[1, 0], [0, 1]]", "not a 2x2 matrix over F_5"),
+])
+def test_class_index_refuses_what_is_no_element(matrix, error):
+    with pytest.raises(ValueError, match=error):
+        GL2Group(5).class_index(matrix)
+
+
+def _read_back(table):
+    return table_from_json(json.loads(json.dumps(gl2_table_to_json(table))))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_gl2_files_read_back(q):
+    table = gl2_table(q)
+    back = _read_back(table)
+    assert back.name == table.name and back.group.q == q
+    assert back.display_classes == table.display_classes
+    assert [(r.name, r.degree, r.values) for r in back.rows] == \
+        [(r.name, r.degree, r.values) for r in table.rows]
+    assert gl2_table_to_json(back) == gl2_table_to_json(table)
+    k = q * q - 1
+    report = verify_table(back)
+    assert report.ok and len(report.entries) == k * (k + 1) + k + 2
+    assert report.entries[:k * (k + 1) // 2 + 2] == gl2_verify(back).entries
+
+
+def test_a_gl2_file_keeps_its_class_order():
+    # a file may list the classes in any order, as a permutation table's
+    # file may; its rows follow, and it is written back in that order
+    blob = json.loads(json.dumps(gl2_table_to_json(gl2_table(3))))
+    order = [0, 5, 2, 3, 4, 1, 7, 6]
+    blob["classes"] = [blob["classes"][c] for c in order]
+    for row in blob["rows"]:
+        row["values"] = [row["values"][c] for c in order]
+    back = table_from_json(blob)
+    assert list(back.display_classes) == order
+    assert gl2_table_to_json(back) == blob
+    assert verify_table(back).ok
+
+
+def _broken_gl2_file(edit):
+    blob = json.loads(json.dumps(gl2_table_to_json(gl2_table(5))))
+    edit(blob)
+    return blob
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda b: b.update(group_order=48), "GL2\\(F_5\\) has order 480, not 48"),
+    (lambda b: b.update(q=9), "q must be an odd prime, got 9"),
+    (lambda b: b.update(q=37), "q is limited to 31"),
+    (lambda b: b.pop("group_order"), 'a GL2 table needs the field "group_order"'),
+    (lambda b: b["classes"][5].update(params=[3]), "lies in the class para\\(2\\), not \\['parabolic', \\[3\\]\\]"),
+    (lambda b: b["classes"][5].update(family="scalar"), "lies in the class para\\(2\\)"),
+    (lambda b: b["classes"][5].update(rep=[[2, 0], [0, 2]]), "lies in the class scal\\(2\\)"),
+    (lambda b: b["classes"][5].update(size=1), "class size mismatch"),
+    (lambda b: b["classes"][5].pop("family"), 'a table class needs the field "family"'),
+    (lambda b: b["classes"].__setitem__(5, b["classes"][4]), "each of the 24 classes of its group exactly once"),
+    (lambda b: b["rows"][3].update(series="principal"), "no row 'xi\\[3\\]' of the series 'principal'"),
+    (lambda b: b["rows"][3].update(name="chi"), "no row 'chi' of the series 'one-dimensional'"),
+    (lambda b: b["rows"][3].pop("series"), 'a table row needs the field "series"'),
+])
+def test_a_broken_gl2_file_is_an_input_error(edit, error):
+    with pytest.raises(ValueError, match=error):
+        table_from_json(_broken_gl2_file(edit))

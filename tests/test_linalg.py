@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import reptheory
 from reptheory.exact import Cyclotomic, cyc, zeta
-from reptheory.linalg import (Matrix, block_diag, det, gauss_jordan, integer_null_vectors,
-                              inverse, matrix_from_json, matrix_to_json, rank, rref,
+from reptheory.linalg import (MAX_DIGITS, InputError, Matrix, block_diag, det, gauss_jordan,
+                              integer_null_vectors, inverse, matrix_from_json, matrix_to_json,
+                              parse_integer, parse_rational, rank, rational_from_str, rref,
                               short_repr)
 from reptheory.quiverrep import Quiver, QuiverRep, _sink_step, reflect_source
 from reptheory.symgrp import frobenius_character, partitions_of, power_sum_value, schur_eval
@@ -530,3 +531,29 @@ def test_shape_mismatch_is_a_value_error(case, optimize):
     proc = subprocess.run([sys.executable, *optimize, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_numbers_of_up_to_max_digits_are_read():
+    # MAX_DIGITS is int()'s own default limit, so that every number the
+    # parsers take, int() reads; on each side of a point or a slash
+    digits = "7" * MAX_DIGITS
+    big = int(digits)
+    assert parse_integer(f" -{digits} ") == -big
+    assert parse_rational(f"{digits}/{digits}") == 1
+    assert parse_rational(f"-{digits}.{digits}") == -(big + Fraction(big, 10 ** MAX_DIGITS))
+    assert parse_rational("-0.5") == Fraction(-1, 2) and parse_rational("+0.25") == Fraction(1, 4)
+    assert rational_from_str(f"-{digits}/{digits}") == -1
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_integer, "1" * (MAX_DIGITS + 1)),
+    (parse_integer, "-" + "0" * (MAX_DIGITS + 1)),
+    (parse_rational, "1/" + "1" * (MAX_DIGITS + 1)),
+    (parse_rational, "1." + "1" * (MAX_DIGITS + 1)),
+    (rational_from_str, "1" * (MAX_DIGITS + 1) + "/1"),
+])
+def test_a_number_past_max_digits_is_named_as_such(parse, text):
+    error = InputError if parse is rational_from_str else ValueError
+    with pytest.raises(error) as info:
+        parse(text)
+    assert str(info.value) == f"a number has at most {MAX_DIGITS} digits here: {short_repr(text)}"

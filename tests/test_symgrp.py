@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -275,6 +276,37 @@ def test_kostka_of_a_long_lambda():
     assert kostka((300, 300), (1,) * 600) == hook_dim((300, 300))
     # shapes of up to 150 rows, each giving cells at its corners only
     assert kostka((2,) * 150, (1,) * 300) == hook_dim((150, 150))
+
+
+def _partitions_inside(mu):
+    """The partitions inside mu, each as a tuple of len(mu) parts, zero
+    parts included: every weakly decreasing tuple bounded by mu."""
+    return [rho for rho in itertools.product(*(range(m + 1) for m in mu))
+            if all(a >= b for a, b in zip(rho, rho[1:]))]
+
+
+def test_kostka_refuses_a_mu_with_too_many_partitions_inside():
+    # the count behind the bound against an enumeration, at the cap of
+    # each mu, one below it and one above it
+    for mu in [(3, 2, 1), (4, 4, 2, 1), (5, 3, 3, 1, 1), (6, 6, 6)]:
+        inside = len(_partitions_inside(mu))
+        for shapes in (inside - 1, inside, inside + 1):
+            limit = shapes * (100 + len(mu)) // 100 + 1
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(symgrp, "MAX_KOSTKA_SHAPES", limit)
+                cap = 100 * limit // (100 + len(mu))
+                if inside > cap:
+                    with pytest.raises(ValueError, match=f"at most {cap} partitions inside it"):
+                        symgrp._check_walk(mu)
+                else:
+                    symgrp._check_walk(mu)
+    # the walk of K_{(2^400),1^800}, 80601 shapes of 400 parts, took 4.5 s
+    # on 2 vCPUs; it is refused before any walk, as is one part of 10^9
+    for mu, lam in [((2,) * 400, (1,) * 800), ((10 ** 9,), (10 ** 9,))]:
+        symgrp._tableau_counts.cache_clear()
+        with pytest.raises(ValueError, match="partitions inside it"):
+            kostka(mu, lam)
+        assert symgrp._tableau_counts(lam) == [{(): 1}] + [{} for _ in lam]
 
 
 def test_kostka_triangularity():
