@@ -390,6 +390,54 @@ def test_s15_row_products():
     assert len(got) == 20 and all(ok for _, _, ok in got), got
 
 
+def _conjugate(lam):
+    return [sum(1 for p in lam if p > c) for c in range(lam[0])]
+
+
+def _row_name(lam):
+    return "V[" + ",".join(map(str, lam)) + "]"
+
+
+def probe_s15_tensors_by_trivial_and_sign():
+    """For every row V[lam] of the S15 table, whether V[15] (x) V[lam] is
+    V[lam] once and V[1^15] (x) V[lam] is V[lam'] once, lam' the conjugate
+    partition: the row count, the first rows that fail and the seconds the
+    products took."""
+    import time
+    from reptheory.chartab import tensor_multiplicities
+    from reptheory.symgrp import sn_table
+    table = sn_table(15)
+    names = [row.name for row in table.rows]
+    trivial, sign = names.index(_row_name([15])), names.index(_row_name([1] * 15))
+    start, bad = time.perf_counter(), []
+    for i, name in enumerate(names):
+        lam = list(map(int, name[2:-1].split(",")))
+        for row, want in ((trivial, lam), (sign, _conjugate(lam))):
+            if tensor_multiplicities(table, row, i) != [int(n == _row_name(want)) for n in names]:
+                bad.append([names[row], name])
+    return [len(names), bad[:5], time.perf_counter() - start]
+
+
+def probe_hook_dims(n):
+    from reptheory.symgrp import hook_dim, partitions_of
+    return [f"{_row_name(lam)}: {hook_dim(lam)}" for lam in partitions_of(int(n))]
+
+
+def test_s15_decompositions_by_known_identities():
+    # identities that do not depend on the kernel: the regular character
+    # holds each V[lam] dim V[lam] times, by the hook length formula;
+    # V[15] (x) V[lam] = V[lam] and V[1^15] (x) V[lam] = V[lam'], the
+    # conjugate partition, for every row in-process and for two by the CLI
+    want = probe("probe_hook_dims", 15, timeout=20)
+    assert text(cli("chartab", "decompose", "S15", "--regular", timeout=60)).split("\n") == want
+    rows, bad, seconds = probe("probe_s15_tensors_by_trivial_and_sign", timeout=60)
+    assert rows == 176 and bad == [] and seconds <= 15, (rows, bad, seconds)
+    for lam in ([5, 4, 3, 2, 1], [7, 3, 2, 2, 1]):
+        for other, want in (([15], lam), ([1] * 15, _conjugate(lam))):
+            out = text(cli("chartab", "tensor", "S15", _row_name(other), _row_name(lam), timeout=60))
+            assert out == f"{_row_name(other)} (x) {_row_name(lam)} = {_row_name(want)}"
+
+
 def probe_sn_entries():
     from reptheory.symgrp import frobenius_character, partitions_of, sn_table
     tables = {n: sn_table(n) for n in (13, 14, 15)}

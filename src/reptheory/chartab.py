@@ -40,11 +40,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, cyc, cyclotomic_from_json,
-                    cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
-                    zeta)
+from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, _rational, cyc,
+                    cyclotomic_from_json, cyclotomic_to_json, euler_phi, hermitian_gram, one,
+                    unit_generators, zero, zeta)
 from .linalg import InputError, fields, short_repr
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
@@ -261,14 +261,20 @@ def class_sizes(group):
 
 def decompose(f, table):
     """Multiplicities (f, chi_i) against every row of a complete table. The
-    reconstruction sum_i m_i chi_i = f is checked exactly, by the same
-    kernel on the table's columns; a table that fails it is not
-    orthonormal (ValueError)."""
-    if not table.complete:
-        raise ValueError("cannot decompose against an incomplete table")
+    reconstruction sum_i m_i chi_i = f is checked exactly; a table that
+    fails it is not orthonormal (ValueError).
+
+    Where the table's operand and every value of f are rational, both run
+    on ints (_rational_sums), and the multiplicities are made only as the
+    results, by exact._rational. Otherwise f is weighted against the
+    table's rows by exact.hermitian_gram, and the reconstruction is the
+    same kernel on the table's columns."""
+    _check_decomposable(table, f.group)
+    if table.gram_rows.order == 1 and all(v.order == 1 for v in f.values):
+        den = lcm(*{v.den for v in f.values})
+        sums, scale = _rational_sums(table, [v.num[0] * (den // v.den) for v in f.values], den)
+        return [_rational(s, scale) if s else zero() for s in sums]
     g = f.group
-    if g is not table.group:
-        raise ValueError("class functions live on different groups")
     a, i = table._operand(f.values)
     mults = hermitian_gram(a, table.gram_rows, [(i, k) for k in range(len(table.rows))],
                            table.class_sizes, g.order)
@@ -278,6 +284,37 @@ def decompose(f, table):
                       [(c, 0) for c in range(len(g.classes))]) != list(f.values):
         raise ValueError("reconstruction failed: table is not orthonormal")
     return mults
+
+
+def _check_decomposable(table, group):
+    if not table.complete:
+        raise ValueError("cannot decompose against an incomplete table")
+    if group is not table.group:
+        raise ValueError("class functions live on different groups")
+
+
+def _rational_sums(table, f, den):
+    """(sums, scale), ints in lowest terms with (f, chi_i) = sums[i] /
+    scale, for the class function of value f[c] / den at class c, f a list
+    of ints, and a complete table whose operand has order 1. Its rows and
+    columns are the int lists over their den D that its forms keep
+    (GramRows.rows; a rational row is its own conjugate), and f takes the
+    class sizes, so that rows and reduced sums stay small ints, which
+    multiply faster than big ones. The reconstruction
+    sum_i (sums[i] / scale) (column c)_i / D = f[c] / den is checked at
+    every class c with the denominators cleared (ValueError)."""
+    k, d = len(f), table.gram_rows.den
+    rows = table.gram_rows.rows(1, True, None, range(k))
+    weighted = list(map(mul, f, table.class_sizes))
+    sums = [sum(map(mul, weighted, rows[i])) for i in range(k)]
+    scale = den * d * table.group.order
+    g = gcd(scale, *sums)
+    scale, sums = scale // g, [s // g for s in sums]
+    columns = table.gram_columns.rows(1, False, None, range(k))
+    for c in range(k):
+        if den * sum(map(mul, sums, columns[c])) != f[c] * scale * d:
+            raise ValueError("reconstruction failed: table is not orthonormal")
+    return sums, scale
 
 
 def integer_multiplicities(mults):
@@ -293,10 +330,24 @@ def integer_multiplicities(mults):
 
 def tensor_multiplicities(table, i, j):
     """Decomposition of row_i (x) row_j; multiplicities are guaranteed
-    nonnegative integers for a genuine character table."""
-    prod = table.rows[i].function * table.rows[j].function
-    mults = decompose(prod, table)
-    ints = integer_multiplicities(mults)
+    nonnegative integers for a genuine character table (ValueError
+    otherwise, after decompose's own checks). On a table whose operand has
+    order 1 the product is made as ints, each entry the product of the two
+    rows' ints over D^2 (GramRows.rows), and decomposed by _rational_sums:
+    no value of it is made."""
+    rows = table.gram_rows
+    if rows.order == 1:
+        # an index out of range is an IndexError, as it is for the rows
+        k = len(table.rows)
+        i, j = range(k)[i], range(k)[j]
+        _check_decomposable(table, table.group)
+        read = rows.rows(1, True, None, range(k))
+        sums, scale = _rational_sums(table, list(map(mul, read[i], read[j])), rows.den * rows.den)
+        # in lowest terms, integers have scale 1
+        ints = sums if scale == 1 and min(sums) >= 0 else None
+    else:
+        ints = integer_multiplicities(decompose(table.rows[i].function * table.rows[j].function,
+                                                table))
     if ints is None:
         raise ValueError("tensor product decomposed with non-integer multiplicities")
     return ints

@@ -18,7 +18,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .linalg import parse_integer, parse_rational
+from .linalg import MAX_DIGITS, parse_integer, parse_rational
 
 
 def _parse_partition(s):
@@ -90,6 +90,17 @@ def _print_report(report):
     print(f"{'ok' if report.ok else 'FAILED'}: {len(report.entries)} checks, "
           f"{len(report.failures())} failures")
     return 0 if report.ok else 1
+
+
+def _print_number(x):
+    """print(x) for an int or a Fraction, whose numerator and denominator
+    may each have at most MAX_DIGITS digits, as a number the parsers read
+    may; a longer one is a ValueError in this program's terms, where str()
+    would refuse it in Python's."""
+    if any(abs(part) >= 10 ** MAX_DIGITS for part in (x.numerator, x.denominator)):
+        raise ValueError(f"a printed number has at most {MAX_DIGITS} digits here; the result has more")
+    print(x)
+    return 0
 
 
 def _print_sum(head, table, mults):
@@ -246,23 +257,20 @@ def cmd_sn_char(args):
     from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
     t = _parse_partition(args.cls)
-    print(symgrp.frobenius_character(lam, t))
-    return 0
+    return _print_number(symgrp.frobenius_character(lam, t))
 
 
 def cmd_sn_dim(args):
     from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
-    print(symgrp.hook_dim(lam))
-    return 0
+    return _print_number(symgrp.hook_dim(lam))
 
 
 def cmd_sn_kostka(args):
     from . import symgrp
     mu = _parse_partition(args.mu)
     lam = _parse_partition(getattr(args, "lambda"))
-    print(symgrp.kostka(mu, lam))
-    return 0
+    return _print_number(symgrp.kostka(mu, lam))
 
 
 # -- schur --------------------------------------------------------------------
@@ -271,8 +279,8 @@ def cmd_schur_eval(args):
     from . import symgrp
     lam = _parse_partition(getattr(args, "lambda"))
     points = [parse_rational(x) for x in args.points.split(",")]
-    print(symgrp.schur_eval(lam, points))
-    return 0
+    # rational points give a rational value, printed as its Fraction prints
+    return _print_number(symgrp.schur_eval(lam, points).as_fraction())
 
 
 def cmd_schur_dim(args):
@@ -280,10 +288,8 @@ def cmd_schur_dim(args):
     lam = _parse_partition(getattr(args, "lambda"))
     n = parse_integer(args.vars)
     if args.z is not None:
-        print(symgrp.schur_special(lam, n, z=parse_rational(args.z)))
-    else:
-        print(symgrp.schur_special(lam, n))
-    return 0
+        return _print_number(symgrp.schur_special(lam, n, z=parse_rational(args.z)))
+    return _print_number(symgrp.schur_special(lam, n))
 
 
 # -- quiver --------------------------------------------------------------------

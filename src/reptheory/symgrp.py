@@ -38,7 +38,7 @@ from operator import lt
 
 from .chartab import CharacterTable
 from .exact import ValuePool, cyc
-from .linalg import det
+from .linalg import det, short_repr
 # S_n's class data sits with the named groups in permgroup
 from .permgroup import MAX_TABLE_N, SymmetricGroup, partitions_of
 
@@ -49,7 +49,7 @@ def _check_partition(lam):
     lam = tuple(lam)
     # weakly decreasing, so the last part is the least
     if lam and (any(map(lt, lam, lam[1:])) or lam[-1] < 1):
-        raise ValueError(f"not a partition: {lam}")
+        raise ValueError(f"not a partition: {short_repr(lam)}")
     return lam
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import reptheory
 from reptheory import chartab, exact, permgroup, selftest, symgrp
-from reptheory.cli import _get_table, build_parser, main
+from reptheory.cli import _get_table, _print_number, build_parser, main
 from reptheory.chartab import builtin_table, table_to_json
 from reptheory.exact import cyclotomic_to_json, zero
 from reptheory.gl2fq import gl2_table, gl2_table_to_json
@@ -1187,6 +1188,14 @@ TYPED_INPUT_ERRORS = [
     (["chartab", "show", "S" + "1" * 5000], f"a number has at most {MAX_DIGITS} digits here: {short_repr('1' * 5000)}"),
     (["quiver", "roots", "--type", "A" + "1" * 5000],
      f"a number has at most {MAX_DIGITS} digits here: {short_repr('1' * 5000)}"),
+    # a partition of 20001 parts is quoted in one short line
+    (["sn", "dim", "--lambda", ",".join(["1"] + ["2"] * 20000)],
+     f"not a partition: {short_repr((1,) + (2,) * 20000)}"),
+    # a result too long to print: str() refuses it past 4300 digits, in Python's words
+    *[(argv, f"a printed number has at most {MAX_DIGITS} digits here; the result has more")
+      for argv in (["schur", "dim", "--lambda", "3", "--vars", "2", "--z", "1/" + "7" * 3000],
+                   ["schur", "eval", "--lambda", "3", "--points", "1/" + "7" * 3000 + ",1"],
+                   ["sn", "dim", "--lambda", ",".join(map(str, range(80, 0, -1)))])],
     # a mu with more partitions inside it than kostka's walk may hold
     (["sn", "kostka", "--mu", ",".join(["2"] * 400), "--lambda", ",".join(["1"] * 800)],
      "Kostka numbers take a mu with at most 10000 partitions inside it, as len(mu) = 400; this one has more"),
@@ -1218,6 +1227,18 @@ def test_bad_input_is_a_typed_error(tmp_path, optimize):
     assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
     for (argv, error), got in zip(cases, json.loads(proc.stdout)):
         assert got == [1, "", f"error: {error}\n"], argv
+
+
+def test_a_printed_number_has_at_most_max_digits(capsys):
+    # numerator and denominator are each bounded, as the parsers bound them
+    top = 10 ** MAX_DIGITS - 1
+    for x in (top, -top, Fraction(-top, top - 1)):
+        assert _print_number(x) == 0
+        assert capsys.readouterr().out == f"{x}\n"
+    for x in (top + 1, -top - 1, Fraction(1, top + 1)):
+        with pytest.raises(ValueError, match=f"at most {MAX_DIGITS} digits here"):
+            _print_number(x)
+    assert capsys.readouterr().out == ""
 
 
 # a --sub-name whose table is not of the subgroup, and a Schur polynomial

@@ -543,6 +543,126 @@ def test_every_tensor_product_matches_the_reference(name):
             assert tensor_multiplicities(table, i, j) == reference_tensor(table, i, j), (i, j)
 
 
+# -- rational tables decompose on ints ---------------------------------------------
+
+# the builtin and dihedral tables whose pool is rational, and S1-S10
+RATIONAL_TABLES = {
+    **{f"builtin {name}": SMALL_TABLE_BUILDERS[name] for name in ("S3", "S4", "Q8")},
+    **{f"D{n}": _dihedral(n) for n in (3, 4, 6)},
+    **{f"S{n}": (lambda n=n: sn_table(n)) for n in range(1, 11)},
+}
+
+
+def test_the_rational_tables_are_every_rational_builtin_and_dihedral_table():
+    builders = {**{f"builtin {name}": SMALL_TABLE_BUILDERS[name] for name in BUILTIN_TABLE_NAMES},
+                **{f"D{n}": _dihedral(n) for n in range(3, 31)}}
+    assert [name for name, build in builders.items() if build().gram_rows.order == 1] == \
+        [name for name in RATIONAL_TABLES if name in builders]
+
+
+def _rational_class_functions(table, rng):
+    """The regular and permutation characters, every row, and seeded
+    rational class functions: sums of rows, and virtual ones of fractions
+    with denominators up to 6."""
+    g, k = table.group, len(table.rows)
+    rows = [row.function for row in table.rows]
+    yield chartab.regular_character(g)
+    yield chartab.permutation_character(g)
+    yield from rows
+    for _ in range(4):
+        total = rows[0]
+        for _ in range(3):
+            total = total + rows[rng.randrange(k)]
+        yield total
+        yield ClassFunction(g, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                                for _ in range(k)])
+        yield rows[rng.randrange(k)] * Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+
+
+@pytest.mark.parametrize("name", list(RATIONAL_TABLES))
+def test_rational_class_functions_match_the_reference(name):
+    table = RATIONAL_TABLES[name]()
+    assert table.gram_rows.order == 1
+    rng = random.Random(f"rational:{name}")
+    for f in _rational_class_functions(table, rng):
+        want = stored(reference_decompose(f, table))
+        assert stored(decompose(f, table)) == want, [str(v) for v in f.values]
+
+
+def test_an_sn_table_interns_nothing_to_decompose(monkeypatch):
+    # a rational table's products and multiplicities stay ints: no value
+    # is interned, no operand made and no Cyclotomic product formed
+    table = sn_table(7)
+    f = chartab.regular_character(table.group)
+    want = [reference_tensor(table, i, j) for i, j in ((1, 2), (3, 3), (0, 14))]
+    want_f = decompose(f, table)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the int path")
+    monkeypatch.setattr(exact.ValuePool, "positions", forbidden)
+    monkeypatch.setattr(GramRows, "__init__", forbidden)
+    monkeypatch.setattr(ClassFunction, "__mul__", forbidden)
+    monkeypatch.setattr(chartab, "hermitian_gram", forbidden)
+    assert [tensor_multiplicities(table, i, j) for i, j in ((1, 2), (3, 3), (0, 14))] == want
+    assert decompose(f, table) == want_f
+    # rows are indexed as a tuple is: from the end, and never past it
+    k = len(table.rows)
+    assert tensor_multiplicities(table, -k + 1, -1) == tensor_multiplicities(table, 1, k - 1)
+    for i, j in ((k, 0), (0, -k - 1)):
+        with pytest.raises(IndexError):
+            tensor_multiplicities(table, i, j)
+
+
+# S5 with one value of row 3 raised by 1, and S4 with its trivial and sign
+# rows turned by the rational rotation (3/5, 4/5): the first fails the
+# reconstruction, the second passes it, being orthonormal, but its
+# multiplicities are fractions
+SABOTAGED_RATIONAL_TABLES = """
+from fractions import Fraction
+from reptheory.chartab import (CharacterTable, ClassFunction, TableRow, decompose,
+                               regular_character, tensor_multiplicities)
+from reptheory.symgrp import sn_table
+
+def with_rows(table, changes):
+    rows = list(table.rows)
+    for i, degree, values in changes:
+        rows[i] = TableRow(rows[i].name, degree, ClassFunction(table.group, values))
+    return CharacterTable(table.group, rows, table.name)
+
+s5 = sn_table(5)
+raised = list(s5.rows[3].values)
+raised[-1] = raised[-1] + 1
+perturbed = with_rows(s5, [(3, s5.rows[3].degree, raised)])
+s4 = sn_table(4)
+a, b = s4.rows[0].values, s4.rows[-1].values
+turned = with_rows(s4, [(0, Fraction(7, 5), [(3 * x + 4 * y) / 5 for x, y in zip(a, b)]),
+                        (4, Fraction(-1, 5), [(3 * y - 4 * x) / 5 for x, y in zip(a, b)])])
+for table, call in [(perturbed, lambda t: tensor_multiplicities(t, 1, 1)),
+                    (perturbed, lambda t: decompose(regular_character(t.group), t)),
+                    (turned, lambda t: tensor_multiplicities(t, 1, 1)),
+                    (turned, lambda t: [str(m) for m in decompose(regular_character(t.group), t)])]:
+    assert table.gram_rows.order == 1
+    try:
+        print(call(table))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
+def test_sabotaged_rational_tables_are_rejected(optimize):
+    src = str(Path(reptheory.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *optimize, "-c", SABOTAGED_RATIONAL_TABLES],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "reconstruction failed: table is not orthonormal",
+        "reconstruction failed: table is not orthonormal",
+        "tensor product decomposed with non-integer multiplicities",
+        "['7/5', '3', '2', '3', '-1/5']"]
+
+
 # -- interned tables -----------------------------------------------------------------
 
 def _transferred_s3():
