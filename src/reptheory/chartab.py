@@ -42,9 +42,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, _rational, cyc,
-                    cyclotomic_from_json, cyclotomic_to_json, euler_phi, hermitian_gram, one,
-                    unit_generators, zero, zeta)
+from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, cyc, cyclotomic_from_json,
+                    cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
+                    zeta)
 from .linalg import InputError, fields, short_repr
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
@@ -261,19 +261,10 @@ def class_sizes(group):
 
 def decompose(f, table):
     """Multiplicities (f, chi_i) against every row of a complete table. The
-    reconstruction sum_i m_i chi_i = f is checked exactly; a table that
-    fails it is not orthonormal (ValueError).
-
-    Where the table's operand and every value of f are rational, both run
-    on ints (_rational_sums), and the multiplicities are made only as the
-    results, by exact._rational. Otherwise f is weighted against the
-    table's rows by exact.hermitian_gram, and the reconstruction is the
-    same kernel on the table's columns."""
+    reconstruction sum_i m_i chi_i = f is checked exactly, by the same
+    kernel on the table's columns; a table that fails it is not
+    orthonormal (ValueError)."""
     _check_decomposable(table, f.group)
-    if table.gram_rows.order == 1 and all(v.order == 1 for v in f.values):
-        den = lcm(*{v.den for v in f.values})
-        sums, scale = _rational_sums(table, [v.num[0] * (den // v.den) for v in f.values], den)
-        return [_rational(s, scale) if s else zero() for s in sums]
     g = f.group
     a, i = table._operand(f.values)
     mults = hermitian_gram(a, table.gram_rows, [(i, k) for k in range(len(table.rows))],
@@ -302,7 +293,11 @@ def _rational_sums(table, f, den):
     class sizes, so that rows and reduced sums stay small ints, which
     multiply faster than big ones. The reconstruction
     sum_i (sums[i] / scale) (column c)_i / D = f[c] / den is checked at
-    every class c with the denominators cleared (ValueError)."""
+    every class c with the denominators cleared (ValueError).
+
+    This is an int dot product beside hermitian_gram's own n == 1 branch,
+    kept apart because hermitian_gram's operands are pools of Cyclotomics:
+    handing it the product would intern it again."""
     k, d = len(f), table.gram_rows.den
     rows = table.gram_rows.rows(1, True, None, range(k))
     weighted = list(map(mul, f, table.class_sizes))
