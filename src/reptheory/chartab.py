@@ -30,19 +30,19 @@ each class by a matrix, which `GL2Group.class_index` places.
 
 Abelian duals and semidirect tables work on characters of an abelian
 group as lists of integer exponents mod its exponent e, one per element,
-and turn them into zeta_e powers only as table values. The product
-itself, `SemidirectProduct`, and `dihedral_semidirect` live in permgroup
-beside the named groups; chartab names them too.
+and turn them into zeta_e powers only as table values, each made once
+for CharacterTable.from_pool. The product itself, `SemidirectProduct`,
+and `dihedral_semidirect` live in permgroup beside the named groups;
+chartab names them too.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
-from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, cyc, cyclotomic_from_json,
+from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, _fold, cyc, cyclotomic_from_json,
                     cyclotomic_to_json, euler_phi, hermitian_gram, one, unit_generators, zero,
                     zeta)
 from .linalg import InputError, fields, short_repr
@@ -134,13 +134,14 @@ class CharacterTable:
     columns over the same pool. Both keep the rows they convert, so every
     product with the table converts its values once.
 
-    There are two ways in. CharacterTable(group, rows) is the path for
-    builders that make values per entry: it interns the rows' values,
-    through `exact.GramRows`. A builder that already makes each distinct
-    value once calls CharacterTable.from_pool with its pool and index
-    instead, and nothing is interned again. `class_sizes` is the weights
-    of every product with the table, one tuple, so that a product neither
-    rebuilds, copies nor hashes them."""
+    There are two ways in. CharacterTable(group, rows), which builtin_table
+    and transfer_table take, interns the rows' values, made per entry,
+    through `exact.GramRows`. A builder that makes each distinct value
+    once (the abelian dual, semidirect, S_n, GL2 and JSON tables) calls
+    CharacterTable.from_pool with its pool and index instead, and nothing
+    is interned again. `class_sizes` is the weights of every product with
+    the table, one tuple, so that a product neither rebuilds, copies nor
+    hashes them."""
 
     def __init__(self, group, rows, name="", display_classes=None, class_labels=None):
         rows = tuple(rows)
@@ -624,21 +625,23 @@ def _abelian_characters(group):
     """(e, characters) for an abelian group of exponent e: its |G|
     homomorphisms into the e-th roots of unity, each as the list of
     exponents x[i], the character's value at element i being zeta_e^x[i].
-    They are enumerated by brute force over generator images, in
-    lexicographic order, and each is checked to be multiplicative; for Z_n
-    with its standard generator the k-th is m -> k*m."""
+    Candidate c, in lexicographic order, sends generator k, of order o_k,
+    to zeta_e^(c_k e / o_k); as extend_hom adds exponents along its tree,
+    it is sum_k c_k t_k, t_k generator k alone extended, checked to be
+    multiplicative. For Z_n's standard generator the k-th is m -> k*m."""
     if any(cl.size > 1 for cl in group.classes):
         raise ValueError("dual table requires an abelian group")
-    e, n = group.exponent, group.order
-    gen_orders = [p_order(p) for p in group.generators]
+    e, n, gens = group.exponent, group.order, group.generators
+    candidates = [([0] * n, [])]  # each with its generator exponents
+    for k, o in enumerate(map(p_order, gens)):
+        t = group.extend_hom([e // o if j == k else 0 for j in range(len(gens))], mul=add, one=0)
+        candidates = [([(v + c * s) % e for v, s in zip(x, t)], w + [c * e // o])
+                      for x, w in candidates for c in range(o)]
     # times[k][i]: the index of element i times generator k
-    times = [[group.mul(i, group.index[p]) for i in range(n)] for p in group.generators]
-    characters = []
-    for combo in itertools.product(*(range(o) for o in gen_orders)):
-        gen_exps = [c * (e // o) for c, o in zip(combo, gen_orders)]
-        x = group.extend_hom(gen_exps, mul=lambda a, b: (a + b) % e, one=0)
-        if all(x[t[i]] == (x[i] + k) % e for t, k in zip(times, gen_exps) for i in range(n)):
-            characters.append(x)
+    times = [[group.mul(i, group.index[p]) for i in range(n)] for p in gens]
+    characters = [x for x, w in candidates
+                  if all(list(map(x.__getitem__, t)) == [(v + k) % e for v in x]
+                         for t, k in zip(times, w))]
     if len(characters) != n:
         raise ValueError("abelian dual enumeration is incomplete")
     return e, characters
@@ -647,13 +650,14 @@ def _abelian_characters(group):
 def abelian_dual_table(group):
     """The character group of an abelian group, as a complete table: row
     chi<k> is the k-th character of `_abelian_characters`, so for Z_n with
-    its standard generator chi_k(m) = zeta_n^(k*m)."""
+    its standard generator chi_k(m) = zeta_n^(k*m). The pool is the roots
+    zeta_e^k the rows reach, the index their exponents at the classes."""
     e, characters = _abelian_characters(group)
-    roots = [zeta(e, k) for k in range(e)]
-    reps = [cl.members[0] for cl in group.classes]
-    rows = [TableRow(f"chi{k}", 1, ClassFunction(group, [roots[x[i]] for i in reps]))
-            for k, x in enumerate(characters)]
-    return CharacterTable(group, rows, name="dual")
+    where = {}  # the pool position of each exponent, in the order first met
+    index = [[where.setdefault(x[cl.members[0]], len(where)) for cl in group.classes]
+             for x in characters]
+    return CharacterTable.from_pool(group, [f"chi{k}" for k in range(len(index))], [1] * len(index),
+                                    [zeta(e, k) for k in where], index, name="dual")
 
 
 # -- semidirect products -------------------------------------------------
@@ -665,60 +669,75 @@ def semidirect_table(sd):
     chosen orbit representative x), with values from the Mackey-type
     formula chi(a, g) = |G_x|^-1 sum over h with h g h^-1 in G_x of
     x(h(a)) chi_U(h g h^-1). The trivial character's stabilizer is G, so
-    G must be abelian (ValueError otherwise), and then h g h^-1 = g. The
-    characters of A are exponent lists (`_abelian_characters`), on which
-    h acts by permuting entries. Orbits are ordered by their minimal
-    character index. The characters of G_x are the distinct restrictions
-    of those of G, each an exponent list over G_x's elements in G's order;
-    its rows follow their lexicographic order, which is the order in which
-    `_abelian_characters` lists them for G_x generated by all its elements.
+    G must be abelian (ValueError otherwise); then h g h^-1 = g, and
+    chi_U(g) leaves the sum (_orbit_value). Characters of A are exponent
+    lists (`_abelian_characters`), each found by its exponents at A's
+    generators. Orbits are ordered by their minimal character index. The
+    characters of G_x are the distinct restrictions of those of G, each an
+    exponent list over G_x's elements in G's order; its rows follow their
+    lexicographic order, which is the order in which `_abelian_characters`
+    lists them for G_x generated by all its elements.
     """
     g, a, act = sd.acting, sd.abelian, sd.act
     if not g.is_abelian():
         raise ValueError("no character table available for a non-abelian stabilizer")
     e, characters = _abelian_characters(a)
     e_g, g_characters = _abelian_characters(g)
-    element_orders = [p_order(p) for p in g.elements]
-    roots = [zeta(e, k) for k in range(e)]
-    number = {tuple(x): r for r, x in enumerate(characters)}
-    product = sd.group
-    pairs = [sd.pair_of[cl.members[0]] for cl in product.classes]
-    # a value is fixed by the orbit representative r, the class's a and the
-    # exponent of chi_u at its g: each is computed once, as below
-    memo = {}
-    done = set()
-    rows = []
+    gens = [a.index[p] for p in a.generators]
+    number = {tuple(x[s] for s in gens): r for r, x in enumerate(characters)}
+    pairs = [sd.pair_of[cl.members[0]] for cl in sd.group.classes]
+    pool = ValuePool()
+    # each value made once, by (e_u, |G_x|, chi_U(g), exponents of x(h(a))), or None
+    at = pool.slots(lambda key: zero() if key is None else _orbit_value(e, *key))
+    names, degrees, index, done = [], [], [], set()
     for r, x in enumerate(characters):
         if r in done:
             continue
         # the character x o h for each h of G: the orbit of x, as G is a group
-        moved = [number[tuple(x[b] for b in act_h)] for act_h in act]
+        moved = [number[tuple(x[act_h[s]] for s in gens)] for act_h in act]
         done.update(moved)
-        degree = len(set(moved))
         stab_indices = [h for h, s in enumerate(moved) if s == r]
         # on the stabilizer, of exponent e_u, a character of G takes e_u-th
         # roots of unity: its exponents there are multiples of e_g / e_u
-        e_u = lcm(*(element_orders[h] for h in stab_indices))
-        step = e_g // e_u
-        stab_characters = sorted({tuple(y[h] // step for h in stab_indices) for y in g_characters})
-        roots_u = [zeta(e_u, k) for k in range(e_u)]
+        e_u = lcm(*(p_order(g.elements[h]) for h in stab_indices))
+        stab_characters = sorted({tuple(y[h] * e_u // e_g for h in stab_indices)
+                                  for y in g_characters})
+        terms = {ai: tuple(x[act_h[ai]] for act_h in act) for ai, _ in pairs}
         for k, u in enumerate(stab_characters):
-            chi_u = [None] * g.order
-            for h, i in zip(stab_indices, u):
-                chi_u[h] = i
-            row = []
-            for ai, gi in pairs:
-                key = (r, ai, chi_u[gi])
-                at = memo.get(key)
-                if at is None:
-                    total = zero()
-                    if chi_u[gi] is not None:
-                        for act_h in act:
-                            total = total + roots[x[act_h[ai]]] * roots_u[chi_u[gi]]
-                    at = memo[key] = total / len(stab_indices)
-                row.append(at)
-            rows.append(TableRow(f"(O{r},chi{k})", degree, ClassFunction(product, row)))
-    return CharacterTable(product, rows, name="semidirect")
+            chi_u = dict(zip(stab_indices, u))
+            names.append(f"(O{r},chi{k})")
+            degrees.append(len(set(moved)))
+            index.append([at[(e_u, len(u), chi_u[gi], terms[ai]) if gi in chi_u else None]
+                          for ai, gi in pairs])
+    return CharacterTable.from_pool(sd.group, names, degrees, pool.values, index,
+                                    name="semidirect")
+
+
+def _orbit_value(e, e_u, size, c, ks):
+    """The sum of zeta_e^k zeta_(e_u)^c over k in ks, over size, stored as
+    the per-term Cyclotomic sum stores it: at the lcm m of the orders of
+    the terms after its last rational partial sum, a term's order being 1
+    for +-1, else the lcm of its irrational factors' orders. The exponents
+    are counted at n = lcm(e, e_u) and folded once, in Q(zeta_m)."""
+    n = lcm(e, e_u)
+    exps = [(k * (n // e) + c * (n // e_u)) % n for k in ks]
+    orders = [1 if 2 * y % n == 0 else lcm(e if 2 * k % e else 1, e_u if 2 * c % e_u else 1)
+              for k, y in zip(ks, exps)]
+    top, m, j, base = lcm(*orders), 1, len(ks), 0
+    while m != top:
+        j -= 1
+        m = lcm(m, orders[j])
+        if m != top and not any((prefix := _fold([exps[:j].count(y) for y in range(n)], n))[1:]):
+            base = prefix[0]
+            break
+    else:
+        j = 0
+    # the terms from j on are +-zeta_m^i, -zeta_m^i being zeta_n^(i n / m + n / 2)
+    step, acc = n // m, [base] + [0] * (m - 1)
+    for y in exps[j:]:
+        sign = -1 if y % step else 1
+        acc[(y - (sign < 0) * n // 2) % n // step] += sign
+    return Cyclotomic(m, _fold(acc, m), size)
 
 
 def heisenberg_semidirect():

@@ -53,8 +53,8 @@ from operator import itemgetter, mul
 from .linalg import InputError, _parse_ratio, fields, gauss_jordan, short_repr
 
 Rational = Fraction
-# built once: cyclotomic_from_json checks the fields of every entry of a
-# table file, also of those it has read before
+# the fields of a value dict: cyclotomic_from_json reads them inline and
+# calls fields only for the message of a dict of the wrong shape
 _CYCLOTOMIC_FIELDS = {"order": int, "coeffs": list}
 
 
@@ -717,6 +717,9 @@ class GramRows:
         missing = set(wanted).difference(rows) if len(rows) < len(self.index) else ()
         if not missing:
             return rows
+        if min(missing) < 0:
+            # a row is kept under its index, which counts toward a full form
+            raise IndexError(f"row index out of range: {min(missing)}")
         pool, index, den = self.pool, self.index, self.den
         if n == 1:
             if self._ints is None:
@@ -859,7 +862,8 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1):
     N, the lcm of both operands' orders, each value in its short form
     (one or two roots) where shorter and b conjugated by negating
     exponents. An entry then accumulates in Z[x]/(x^N - 1) and is reduced
-    once by _fold, mod Phi_M for M the lcm of the two rows' orders.
+    once by _fold, mod Phi_M for M the lcm of the two rows' orders. A row
+    index outside 0..k-1 is an IndexError.
     """
     if not isinstance(left, GramRows):
         left = GramRows(left)
@@ -873,22 +877,26 @@ def hermitian_gram(left, right, pairs, weights=None, scale=1):
     # modulo n, as Python's negative indices do
     b = right.rows(n, True, None, map(itemgetter(1), pairs))
     d = left.den * right.den * scale
-    if n == 1:
-        sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
-        return [_rational(s, d) if s else _ZERO for s in sums]
-    out = []
-    for i, j in pairs:
-        (cs, ta, oa), (_, tb, ob) = a[i], b[j]
-        acc = [0] * n
-        for c in cs:
-            sb = tb[c]
-            if sb:
-                for ea, ca in ta[c]:
-                    for eb, cb in sb:
-                        acc[ea + eb] += ca * cb
-        m = lcm(oa, ob)
-        num = _fold(acc[::n // m], m)
-        out.append(Cyclotomic(m, num, d) if any(num) else _ZERO)
+    try:
+        if n == 1:
+            sums = (sum(map(mul, a[i], b[j])) for i, j in pairs)
+            return [_rational(s, d) if s else _ZERO for s in sums]
+        out = []
+        for i, j in pairs:
+            (cs, ta, oa), (_, tb, ob) = a[i], b[j]
+            acc = [0] * n
+            for c in cs:
+                sb = tb[c]
+                if sb:
+                    for ea, ca in ta[c]:
+                        for eb, cb in sb:
+                            acc[ea + eb] += ca * cb
+            m = lcm(oa, ob)
+            num = _fold(acc[::n // m], m)
+            out.append(Cyclotomic(m, num, d) if any(num) else _ZERO)
+    except KeyError as exc:
+        # rows() looks up no index on a full form, which holds the rows 0..k-1
+        raise IndexError(f"row index out of range: {exc.args[0]}") from None
     return out
 
 
@@ -918,17 +926,20 @@ def cyclotomic_from_json(obj):
 
     A table file spells out every entry, but a table holds few distinct
     values (GL2(F_13): 28224 entries, 195 values), so equal dicts give one
-    value: once its fields have the types they need, a dict is looked up by
-    (order, *coeffs) among the values parsed before, and parsed only if it
-    is not there. A value is kept only once parsed, so a key holds only
-    coefficients that parse; one that cannot be hashed goes to the parser,
-    which raises. The memo holds at most FROM_JSON_COEFFS coefficient
-    strings, so reading back any table this package writes fills it once.
-    Each costs about 70 bytes for the short ratios the writers print (the
-    string, its slot in the key and its numerator; 18 MB at the bound) and
-    about 1.5 bytes more per character of a longer string."""
+    value: once its fields, read inline, have the types they need, a dict
+    is looked up once by (order, *coeffs) among the values parsed before,
+    and parsed only if it is not there. A value is kept only once parsed,
+    so a key holds only coefficients that parse; one that cannot be hashed
+    goes to the parser, which raises. The memo holds at most
+    FROM_JSON_COEFFS coefficient strings, so reading back any table this
+    package writes fills it once. Each costs about 70 bytes for the short
+    ratios the writers print (the string, its slot in the key and its
+    numerator; 18 MB at the bound) and about 1.5 bytes more per character
+    of a longer string."""
     global _from_json_coeffs
-    order, coeffs = fields(obj, "cyclotomic", _CYCLOTOMIC_FIELDS)
+    order, coeffs = (obj.get("order"), obj.get("coeffs")) if type(obj) is dict else (None, None)
+    if type(order) is not int or type(coeffs) is not list:
+        fields(obj, "cyclotomic", _CYCLOTOMIC_FIELDS)  # raises the InputError of its shape
     key = (order, *coeffs)
     try:
         value = _FROM_JSON.get(key)

@@ -520,12 +520,12 @@ def reference_semidirect_table(sd):
     return CharacterTable(product, rows, name="semidirect")
 
 
-SEMIDIRECT_CASES = {**{f"D{n}": (lambda n=n: dihedral_semidirect(n)) for n in range(1, 31)},
+SEMIDIRECT_CASES = {**{f"D{n}": (lambda n=n: dihedral_semidirect(n)) for n in (*range(1, 31), 100)},
                     "heisenberg": heisenberg_semidirect,
                     "frobenius 20": frobenius_group_20,
                     "proper stabilizer": proper_stabilizer_example,
                     "Z8 on Z17": lambda: doubling_action(8, 17)}
-DUAL_CASES = {**{f"Z{n}": (lambda n=n: cyclic_group(n)) for n in range(1, 31)},
+DUAL_CASES = {**{f"Z{n}": (lambda n=n: cyclic_group(n)) for n in (*range(1, 31), 100)},
               "klein": lambda: builtin_group("D2")}
 
 
@@ -567,6 +567,58 @@ def test_dual_and_semidirect_tables_make_no_reduction(monkeypatch):
     for group in groups:
         abelian_dual_table(group)
     assert calls == []
+
+
+def reference_orbit_value(e, e_u, size, c, ks):
+    """The per-term sum the previous release made for a semidirect value."""
+    total = zero()
+    for k in ks:
+        total = total + zeta(e, k) * zeta(e_u, c)
+    return total / size
+
+
+def test_orbit_values_are_stored_as_the_per_term_sum_stores_them():
+    # a rational partial sum resets the order of the running sum: with
+    # 1 + z3 + z3^2 = 0 first, z4 (1 + z3 + z3^2 + 1) is stored at order 4
+    cases = [(3, 4, 1, 1, (0, 1, 2, 0)), (3, 4, 2, 1, (1, 2, 0, 2)), (5, 4, 4, 0, (0,) * 4),
+             (4, 5, 1, 2, (2, 1, 3)), (6, 4, 2, 3, (3, 0, 2, 4, 0))]
+    rng = random.Random(46)
+    for _ in range(3000):
+        e, e_u = rng.randint(1, 12), rng.randint(1, 12)
+        cases.append((e, e_u, rng.randint(1, 6), rng.randrange(e_u),
+                      tuple(rng.choice([0, e // 2, rng.randrange(e)]) for _ in range(rng.randint(1, 8)))))
+    for case in cases:
+        got, want = chartab._orbit_value(*case), reference_orbit_value(*case)
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den), case
+
+
+POOL_BUILDERS = {
+    **{f"GL2(F_{q})": (lambda q=q: gl2_table(q)) for q in (3, 5, 7)},
+    **{f"S{n}": (lambda n=n: sn_table(n)) for n in range(1, 9)},
+    "GL2(F_5) read back": lambda: table_from_json(json.loads(json.dumps(gl2_table_to_json(gl2_table(5))))),
+    "D12 read back": lambda: table_from_json(json.loads(json.dumps(table_to_json(
+        semidirect_table(dihedral_semidirect(12)))))),
+    **{f"dual {name}": (lambda name=name: abelian_dual_table(DUAL_CASES[name]())) for name in DUAL_CASES},
+    **{f"semidirect {name}": (lambda name=name: semidirect_table(SEMIDIRECT_CASES[name]()))
+       for name in SEMIDIRECT_CASES},
+}
+
+
+@pytest.mark.parametrize("name", list(POOL_BUILDERS))
+def test_from_pool_builders_hand_over_distinct_stored_values(name, monkeypatch):
+    # from_pool takes the pool as it is: a stored form held twice would be
+    # two values to hermitian_gram's operands and FieldKeys
+    pools = []
+    original = CharacterTable.from_pool.__func__
+
+    def spy(cls, group, names, degrees, pool, *args, **kwargs):
+        pools.append(pool)
+        return original(cls, group, names, degrees, pool, *args, **kwargs)
+    monkeypatch.setattr(CharacterTable, "from_pool", classmethod(spy))
+    # a table read back is written from one that was built first
+    assert POOL_BUILDERS[name]().pool is pools[-1]
+    for pool in pools:
+        assert len({(v.order, v.num, v.den) for v in pool}) == len(pool)
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])

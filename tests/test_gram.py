@@ -612,6 +612,25 @@ def test_an_sn_table_interns_nothing_for_a_tensor_product(monkeypatch):
             tensor_multiplicities(table, i, j)
 
 
+def test_a_negative_row_index_is_refused_and_kept_nowhere():
+    # a row kept under -1 would count toward a full form, which looks up no
+    # index: a later row 6 of S5 was then missing from it
+    table = sn_table(5)
+    op, sizes, order = table.gram_rows, table.class_sizes, table.group.order
+    with pytest.raises(IndexError):
+        hermitian_gram(op, op, [(-1, 0)], sizes, order)
+    assert hermitian_gram(op, op, [(i, 0) for i in range(6)], sizes, order) == [1] + [0] * 5
+    assert hermitian_gram(op, op, [(6, 0)], sizes, order) == [0]
+    # on full forms, of int rows and of root terms, an index out of range
+    # is refused too
+    for table in (table, abelian_dual_table(cyclic_group(5))):
+        op, k, sizes, order = table.gram_rows, len(table.rows), table.class_sizes, table.group.order
+        assert hermitian_gram(op, op, [(i, i) for i in range(k)], sizes, order) == [1] * k
+        for pair in ((-1, 0), (0, -1), (k, 0), (0, k)):
+            with pytest.raises(IndexError):
+                hermitian_gram(op, op, [pair], sizes, order)
+
+
 # S5 with one value of row 3 raised by 1, and S4 with its trivial and sign
 # rows turned by the rational rotation (3/5, 4/5): the first fails the
 # reconstruction, the second passes it, being orthonormal, but its
