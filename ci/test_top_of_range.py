@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,11 +166,13 @@ def test_gabriel_maps_of_e8():
     assert probe("probe_gabriel_maps", path, timeout=20) == [c["indecomposables"] for c in cases]
 
 
-def probe_e8_sum(path):
-    """Writes to `path` a seeded sum of E8 indecomposables of total
-    dimension 242 (the largest vertex space 51), each vertex under a seeded
-    unimodular base change, and returns the roots it was built from, one
-    line each with its multiplicity, as `quiver decompose` prints them."""
+def probe_e8_sum(path, total="240", cap=None):
+    """Writes to `path` a seeded sum of E8 indecomposables, each vertex
+    under a seeded unimodular base change, and returns the roots it was
+    built from, one line each with its multiplicity, as `quiver decompose`
+    prints them. Roots are drawn until their total dimension reaches
+    `total`, a draw that would take it past `cap` skipped: 242 by default
+    (the largest vertex space 51)."""
     import random
     from functools import reduce
     from reptheory import Matrix, Quiver, enumerate_indecomposables
@@ -177,8 +180,10 @@ def probe_e8_sum(path):
     rng = random.Random(240)
     q = Quiver(8, [(0, 1), (1, 2), (2, 3), (2, 7), (3, 4), (4, 5), (5, 6)])
     found, chosen = enumerate_indecomposables(q), []
-    while sum(sum(root) for root, _ in chosen) < 240:
-        chosen.append(rng.choice(found))
+    while (dim := sum(sum(root) for root, _ in chosen)) < int(total):
+        pick = rng.choice(found)
+        if cap is None or dim + sum(pick[0]) <= int(cap):
+            chosen.append(pick)
     v = reduce(direct_sum, [rep for _, rep in chosen])
 
     def unimodular(d):
@@ -206,6 +211,42 @@ def test_large_e8_decomposition(tmp_path):
     want = probe("probe_e8_sum", path, timeout=60)
     assert len(want.split("\n")) > 1
     assert text(cli("quiver", "decompose", "--rep", path, timeout=30)) == want
+
+
+def probe_decompose(path):
+    """The exit code, stdout, seconds and this process's peak RSS in MB
+    of `quiver decompose --rep path`."""
+    import contextlib
+    import io
+    import resource
+    from reptheory.cli import main
+    out, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["quiver", "decompose", "--rep", str(path)])
+    return [code, out.getvalue().rstrip("\n"), time.perf_counter() - start,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+
+
+def test_decompose_at_the_top_of_its_range(tmp_path):
+    # quiverrep.MAX_DECOMPOSE_DIM = 500: a seeded base-changed E8 sum of
+    # total dimension 500 takes about 2 s and 20 MB on 2 vCPUs. Dims
+    # (501, 0) on 0 -> 1, a file of about 120 bytes whose first sink step
+    # would build the 501 x 501 identity, are refused before the walk
+    bound = 500
+    path = tmp_path / "e8-sum.json"
+    want = probe("probe_e8_sum", path, bound, bound, timeout=60)
+    assert sum(json.loads(path.read_text())["dims"]) == bound
+    code, out, seconds, rss_mb = probe("probe_decompose", path, timeout=120)
+    assert [code, out] == [0, want]
+    assert seconds <= 15 and rss_mb <= 60, (seconds, rss_mb)
+    n = bound + 1
+    path.write_text(json.dumps({"quiver": {"vertices": 2, "arrows": [[0, 1]]}, "dims": [n, 0],
+                                "maps": [{"rows": 0, "cols": n, "entries": []}]}))
+    start = time.perf_counter()
+    proc = cli("quiver", "decompose", "--rep", path, timeout=10, code=1)
+    assert time.perf_counter() - start < 1
+    assert proc.stdout == "" and proc.stderr.splitlines() == [
+        f"error: decompose takes a total dimension of at most {bound}, not {n}"]
 
 
 def test_gabriel_census_script():

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Q and Q(zeta_n).
 
-Matrices are immutable, stored row-major as Fractions. Empty shapes
-(0 x n and n x 0) are first-class: zero summand spaces occur all the
-time in quiver representations.
+A Matrix is immutable: int rows num over one positive den, the lcm of
+its entries' denominators, in lowest terms. Empty shapes (0 x n and
+n x 0) are first-class: zero summand spaces occur all the time in quiver
+representations.
 
 One elimination kernel, gauss_jordan, does every elimination in the
 package: rref, rank, inverse, det (and with it the alternants of
@@ -13,13 +14,12 @@ Gauss-Jordan elimination after Bareiss (1968): every intermediate entry
 is a minor of the input, so on integer rows each division is exact and
 no Fraction is built inside the loop. Rows are scaled lazily, so a
 pivot rebuilds only the rows with a nonzero entry in its column; the
-result is the eager elimination's, entry for entry. A rational caller
-scales each row by the lcm of its denominators (which changes neither
-the row space, nor the pivots, nor the rref), eliminates over the
-integers, and builds one Fraction per entry it returns. Cyclotomic rows
-run the same loop with true division. The reflection steps of quiverrep
-call it on int rows only, through integer_null_vectors, and build no
-Fraction.
+result is the eager elimination's, entry for entry. rref, rank, det and
+inverse hand it a Matrix's num (den scales every row alike, so it changes
+neither the row space, nor the pivots, nor the rref), and rref and
+inverse return its int rows over its last pivot. Cyclotomic rows run the
+same loop with true division. The reflection steps of quiverrep call it
+on int rows only, through integer_null_vectors, and build no Fraction.
 
 Every command loads this module, so it also holds what the *_from_json
 readers of the package share: fields, the one check of the fields of a
@@ -35,23 +35,38 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from types import GenericAlias
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "entries")
+    """rows x cols over Q as int rows num over den > 0 in lowest terms, so
+    == compares values; entries, row and m[i, j] build Fractions per call."""
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows, cols, entries):
-        # tuples made from lists are allocated once at their final size; from
-        # a generator they are grown and cut back, which raises peak memory
-        entries = tuple([tuple([x if type(x) is Fraction else Fraction(x) for x in row])
-                         for row in entries])
+        if rows < 0 or cols < 0:
+            raise ValueError(f"a matrix shape cannot be negative: {short_repr(rows)}x{short_repr(cols)}")
+        entries = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in entries]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entries do not form a {short_repr(rows)}x{short_repr(cols)} matrix")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        # no prime divides the lcm of reduced denominators and all of num.
+        # Tuples made from lists are allocated once at their final size;
+        # from a generator they are grown and cut back, raising peak memory
+        den = lcm(*[x.denominator for row in entries for x in row])
+        self.num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in entries])
+        self.rows, self.cols, self.den = rows, cols, den
+
+    @staticmethod
+    def _of(rows, cols, num, den=1):
+        """num / den in lowest terms, for int rows num of this shape and int den != 0; unchecked."""
+        g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+        if g != 1 or den < 0:
+            g = g if den > 0 else -g
+            num, den = [[x // g for x in row] for row in num], den // g
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m.num, m.den = rows, cols, tuple([tuple(row) for row in num]), den
+        return m
 
     @staticmethod
     def from_rows(rows_list):
@@ -67,32 +82,41 @@ class Matrix:
     def identity(n):
         return Matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @property
+    def entries(self):
+        return tuple([self.row(i) for i in range(self.rows)])
+
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        return (isinstance(other, Matrix) and self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {[[str(x) for x in r] for r in self.entries]})"
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i):
-        return self.entries[i]
+        return tuple([Fraction(x, self.den) for x in self.num[i]])
 
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of(self.cols, self.rows, transpose_rows(self.num, self.cols), self.den)
+
+    def _over(self, den):
+        """num scaled to den, a multiple of self.den."""
+        s = den // self.den
+        return self.num if s == 1 else [[x * s for x in row] for row in self.num]
 
     def _entrywise(self, other, op):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return Matrix(self.rows, self.cols,
-                      [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        den = lcm(self.den, other.den)
+        return Matrix._of(self.rows, self.cols, [list(map(op, ra, rb)) for ra, rb in
+                                                 zip(self._over(den), other._over(den))], den)
 
     def __add__(self, other):
         return self._entrywise(other, add)
@@ -101,47 +125,51 @@ class Matrix:
         return self._entrywise(other, sub)
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
+        return Matrix._of(self.rows, self.cols, [[-a for a in r] for r in self.num], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # each row of self and each column of other over its own lcm of
-        # denominators: one integer dot product and one Fraction per entry
-        left = [_integer_rows([row]) for row in self.entries]
-        right = [_integer_rows([col]) for col in other.transpose().entries]
-        return Matrix(self.rows, other.cols,
-                      [[Fraction(sum(map(mul, a, b)), s * t) for (b,), t in right] for (a,), s in left])
+        cols = transpose_rows(other.num, other.cols)
+        return Matrix._of(self.rows, other.cols, [[sum(map(mul, a, b)) for b in cols] for a in self.num],
+                          self.den * other.den)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError(f"cannot stack {self.rows} rows beside {other.rows}")
-        return Matrix(self.rows, self.cols + other.cols,
-                      [ra + rb for ra, rb in zip(self.entries, other.entries)])
+        den = lcm(self.den, other.den)
+        return Matrix._of(self.rows, self.cols + other.cols,
+                          [[*ra, *rb] for ra, rb in zip(self._over(den), other._over(den))], den)
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(chain.from_iterable(self.num))
+
+
+def transpose_rows(rows, ncols):
+    """The transpose of rows, a sequence of rows with ncols entries, as tuples."""
+    return list(zip(*rows)) if rows else [()] * ncols
 
 
 def block_diag(blocks):
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    den = lcm(*[b.den for b in blocks])
+    out = [[0] * cols for _ in range(rows)]
     r0 = c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            out[r0 + i][c0:c0 + b.cols] = b.entries[i]
+        for i, row in enumerate(b._over(den)):
+            out[r0 + i][c0:c0 + b.cols] = row
         r0 += b.rows
         c0 += b.cols
-    return Matrix(rows, cols, out)
+    return Matrix._of(rows, cols, out, den)
 
 
 def gauss_jordan(rows, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rows, a
-    list of equally long lists, in place on its first ncols columns; later
-    columns ride along.
+    list of equally long lists or tuples, in place on its first ncols
+    columns, which replaces each row it changes; later columns ride along.
 
     For each pivot column c with pivot row r, every other row i, above
     and below, becomes (p * row_i - row_i[c] * row_r) / prev, where p is
@@ -222,29 +250,16 @@ def _rescaled(row, integral, d, by):
     return [x * ratio for x in row]
 
 
-def _integer_rows(rows):
-    """Rows of rationals, each times the lcm of its denominators, as
-    lists of ints; and the product of those lcms."""
-    out, scale = [], 1
-    for row in rows:
-        s = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    return out, scale
-
-
 def rref(m):
     """Reduced row echelon form with exact pivots; returns (echelon, pivot columns)."""
-    rows = _integer_rows(m.entries)[0]
+    rows = list(m.num)
     pivots, minors, _ = gauss_jordan(rows, m.cols)
-    echelon = [[Fraction(x, minors[-1]) if x else _ZERO for x in row] for row in rows[:len(pivots)]]
-    echelon += [[_ZERO] * m.cols] * (m.rows - len(pivots))
-    return Matrix(m.rows, m.cols, echelon), tuple(pivots)
+    return Matrix._of(m.rows, m.cols, rows, minors[-1]), tuple(pivots)
 
 
 def rank(m):
-    """The number of pivots gauss_jordan finds in the integer rows of m."""
-    return len(gauss_jordan(_integer_rows(m.entries)[0], m.cols)[0])
+    """The number of pivots gauss_jordan finds in the int rows of m."""
+    return len(gauss_jordan(list(m.num), m.cols)[0])
 
 
 def integer_null_vectors(rows, ncols):
@@ -274,36 +289,36 @@ def eliminated_null_vectors(rows, ncols, pivots, d):
 
 def det(m):
     """Exact determinant of a square Matrix or a square sequence of rows of
-    Fractions or Cyclotomics: the last pivot of gauss_jordan, signed by
-    the row swaps. Rational rows are eliminated over the integers, so the
-    determinant is that pivot over the product of the row scalings."""
+    ints, Fractions or Cyclotomics: the last pivot of gauss_jordan, signed
+    by the row swaps. Rational rows are eliminated as int rows num over
+    den, so the determinant is that pivot over den ** n."""
     if isinstance(m, Matrix):
         if m.rows != m.cols:
             raise ValueError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
-        m = m.entries
-    if any(len(row) != len(m) for row in m):
+    elif any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
-    rational = all(isinstance(x, (int, Fraction)) for row in m for x in row)
-    rows, scale = _integer_rows(m) if rational else ([list(row) for row in m], 1)
-    pivots, minors, swaps = gauss_jordan(rows, len(m))
-    if len(pivots) < len(m):
-        return _ZERO
+    elif all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        m = Matrix(len(m), len(m), m)
+    rational = isinstance(m, Matrix)
+    rows = list(m.num) if rational else [list(row) for row in m]
+    pivots, minors, swaps = gauss_jordan(rows, len(rows))
+    if len(pivots) < len(rows):
+        return Fraction(0)
     d = -minors[-1] if swaps % 2 else minors[-1]
-    return Fraction(d, scale) if rational else d
+    return Fraction(d, m.den ** m.rows) if rational else d
 
 
 def inverse(m):
     """The inverse of a square m: the right half of the rref of [m | I],
-    read off one gauss_jordan on the integer rows of [m | I]."""
+    read off one gauss_jordan on the int rows [num | den I]."""
     if m.rows != m.cols:
         raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    rows, _ = _integer_rows([row + tuple(_ONE if c == r else _ZERO for c in range(n))
-                             for r, row in enumerate(m.entries)])
+    n, d = m.rows, m.den
+    rows = [[*row, *[d if c == r else 0 for c in range(n)]] for r, row in enumerate(m.num)]
     pivots, minors, _ = gauss_jordan(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return Matrix(n, n, [[Fraction(x, minors[-1]) for x in row[n:]] for row in rows])
+    return Matrix._of(n, n, [row[n:] for row in rows], minors[-1])
 
 
 # -- serialization ----------------------------------------------------
@@ -422,4 +437,8 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     rows, cols, entries = fields(obj, "matrix", {"rows": int, "cols": int, "entries": list[list]})
-    return Matrix(rows, cols, [[rational_from_str(s) for s in row] for row in entries])
+    entries = [[rational_from_str(s) for s in row] for row in entries]
+    try:
+        return Matrix(rows, cols, entries)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None

@@ -1215,6 +1215,10 @@ def test_bad_input_is_a_typed_error(tmp_path, optimize):
         path.write_text(json.dumps(blob))
         files += [(["roundtrip", str(path)], "zero denominator in '1/0'"),
                   ([*command, str(path)], "zero denominator in '1/0'")]
+    # a matrix of a negative shape, which no reader may accept
+    path = tmp_path / "matrix.json"
+    path.write_text('{"rows": 0, "cols": -5, "entries": []}')
+    files += [(["roundtrip", str(path)], "a matrix shape cannot be negative: 0x-5")]
     path = tmp_path / "graph.json"
     path.write_text('{"vertices": ' + "1" * 5000 + ', "edges": []}')
     files += [(["quiver", "classify", "--graph", str(path)],

@@ -203,14 +203,24 @@ def reference_matmul(a, b):
                                    for row in a.entries])
 
 
+# small and large ints and small fractions, mixed within one matrix
+ENTRIES = st.one_of(st.integers(min_value=-4, max_value=4),
+                    st.integers(min_value=-10**12, max_value=10**12),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=12))
+
+
 @st.composite
 def product_pairs(draw, max_dim=6):
     r, k, c = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
-    entry = st.one_of(st.integers(min_value=-4, max_value=4),
-                      st.integers(min_value=-10**12, max_value=10**12),
-                      st.fractions(min_value=-4, max_value=4, max_denominator=12))
-    return (Matrix(r, k, [[draw(entry) for _ in range(k)] for _ in range(r)]),
-            Matrix(k, c, [[draw(entry) for _ in range(c)] for _ in range(k)]))
+    return (Matrix(r, k, [[draw(ENTRIES) for _ in range(k)] for _ in range(r)]),
+            Matrix(k, c, [[draw(ENTRIES) for _ in range(c)] for _ in range(k)]))
+
+
+@st.composite
+def operand_triples(draw, max_dim=5):
+    """(a, b, c) for a product pair (a, b) and c of a's shape."""
+    a, b = draw(product_pairs(max_dim))
+    return a, b, Matrix(a.rows, a.cols, [[draw(ENTRIES) for _ in range(a.cols)] for _ in range(a.rows)])
 
 
 @given(product_pairs())
@@ -223,6 +233,52 @@ def product_pairs(draw, max_dim=6):
 def test_product_matches_the_fraction_loop(pair):
     a, b = pair
     assert a * b == reference_matmul(a, b)
+
+
+def assert_holds(m, cols, want):
+    """m has the Fraction rows want, with cols columns, as int rows over a
+    positive denominator in lowest terms, so it equals and hashes as the
+    matrix built from want."""
+    assert (m.rows, m.cols) == (len(want), cols) and m.entries == tuple(map(tuple, want))
+    assert all(type(x) is int for row in m.num for x in row) and type(m.den) is int
+    assert m.den > 0 and gcd(m.den, *itertools.chain.from_iterable(m.num)) == 1
+    built = Matrix(len(want), cols, want)
+    assert m == built and hash(m) == hash(built)
+
+
+@given(operand_triples())
+@settings(max_examples=150, deadline=None)
+@example((Matrix.zeros(0, 3), Matrix.zeros(3, 2), Matrix.zeros(0, 3)))
+@example((Matrix.zeros(2, 0), Matrix.zeros(0, 3), Matrix.zeros(2, 0)))
+@example((Matrix.from_rows([[Fraction(1, 2), 3]]), Matrix.from_rows([[4], [Fraction(-1, 6)]]),
+          Matrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)]])))
+def test_operations_match_the_fraction_reference(triple):
+    a, b, c = triple
+    ra, rb, rc = ([list(row) for row in m.entries] for m in triple)
+    assert_holds(a, a.cols, ra)
+    assert_holds(a + c, a.cols, [[x + y for x, y in zip(u, v)] for u, v in zip(ra, rc)])
+    assert_holds(a - c, a.cols, [[x - y for x, y in zip(u, v)] for u, v in zip(ra, rc)])
+    assert_holds(a * b, b.cols, reference_matmul(a, b).entries)
+    assert_holds(a.transpose(), a.rows, [list(col) for col in zip(*ra)] or [[]] * a.cols)
+    assert_holds(a.hstack(c), 2 * a.cols, [u + v for u, v in zip(ra, rc)])
+    assert_holds(block_diag([a, b]), a.cols + b.cols,
+                 [u + [Fraction(0)] * b.cols for u in ra] + [[Fraction(0)] * a.cols + v for v in rb])
+    echelon, pivots = reference_rref(a)
+    assert rref(a)[1] == pivots
+    assert_holds(rref(a)[0], a.cols, echelon.entries)
+    assert matrix_to_json(a)["entries"] == [[f"{x.numerator}/{x.denominator}" for x in u] for u in ra]
+    assert_holds(matrix_from_json(json.loads(json.dumps(matrix_to_json(a)))), a.cols, ra)
+    # the same values reached another way
+    for same in (a + c - c, -(-a), a.transpose().transpose(), a * Matrix.identity(a.cols),
+                 Matrix(a.rows, a.cols, [[Fraction(2 * x, 2) for x in u] for u in ra])):
+        assert same == a and hash(same) == hash(a)
+    if a.rows == a.cols <= 4:
+        assert det(a) == leibniz_det(ra) == det(ra)
+        if len(pivots) == a.rows:
+            n = a.rows
+            right = reference_rref(Matrix(n, 2 * n, [u + [Fraction(int(i == j)) for j in range(n)]
+                                                     for i, u in enumerate(ra)]))[0].entries
+            assert_holds(inverse(a), n, [u[n:] for u in right])
 
 
 # -- oracles for the elimination kernel -------------------------------------
@@ -517,6 +573,8 @@ BAD_SHAPES = {
     "sum of 2x2 and 3x2": "Matrix.zeros(2, 2) + Matrix.zeros(3, 2)",
     "difference of 2x2 and 3x2": "Matrix.zeros(2, 2) - Matrix.zeros(3, 2)",
     "sum of 2x2 and 2x3": "Matrix.zeros(2, 2) + Matrix.zeros(2, 3)",
+    "a 0x-5 matrix": "Matrix(0, -5, [])",
+    "a -1x0 matrix": "Matrix.zeros(-1, 0)",
 }
 
 

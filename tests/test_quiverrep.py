@@ -222,6 +222,34 @@ def test_decompose_additive():
             assert got == sorted(combined.items())
 
 
+def test_decompose_refuses_a_total_dimension_past_its_bound():
+    # dims (N, 0) on 0 -> 1: the first sink step would build the N x N
+    # identity, so past the bound decompose refuses before the walk
+    bound = quiverrep.MAX_DECOMPOSE_DIM
+    assert decompose(QuiverRep(A2, (bound, 0), [Matrix.zeros(0, bound)])) == [((1, 0), bound)]
+    with pytest.raises(QuiverError, match=f"at most {bound}, not {bound + 1}$"):
+        decompose(QuiverRep(A2, (bound + 1, 0), [Matrix.zeros(0, bound + 1)]))
+
+
+def test_the_walks_build_no_fraction(monkeypatch):
+    # maps are int rows over one denominator, so enumerate_indecomposables
+    # and decompose (of maps with denominators) run on ints alone
+    q = Quiver(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    want = enumerate_indecomposables(q)
+    v = _rational_base_changed(reduce(direct_sum, [rep for _, rep in want[::7]]), random.Random(5))
+    assert any(m.den > 1 for m in v.maps)
+    expected = decompose(v)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    got = enumerate_indecomposables(q)
+    assert decompose(v) == expected
+    monkeypatch.undo()
+    assert [(root, rep.maps) for root, rep in got] == [(root, rep.maps) for root, rep in want]
+
+
 def _random_invertible(n, rng):
     while True:
         m = Matrix(n, n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
