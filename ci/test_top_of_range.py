@@ -272,6 +272,64 @@ def test_gl2_top_of_range():
     cli("gl2", "verify", "--q", "31", timeout=120, stdout=subprocess.DEVNULL)
 
 
+def probe_class_index_sample(q, count):
+    """class_index at q on each class's representative conjugated by a
+    random matrix and on `count` random invertible matrices, seed q,
+    against the matrix oracle of tests/test_gl2fq.py: the matrices checked,
+    the families met and the matrices where the two differ."""
+    import random
+    sys.path.insert(0, str(ROOT / "tests"))
+    from reptheory.gl2fq import GL2Group
+    from test_gl2fq import _matrix_class, _matrix_product
+    q = int(q)
+    rng = random.Random(q)
+    group = GL2Group(q)
+    index = {(c.family, c.params): i for i, c in enumerate(group.classes)}
+
+    def invertible():
+        while True:
+            a, b, c, d = (rng.randrange(q) for _ in range(4))
+            if (a * d - b * c) % q:
+                return (a, b), (c, d)
+
+    def conjugate(m, p):
+        (a, b), (c, d) = p
+        det = pow(a * d - b * c, -1, q)
+        return _matrix_product(_matrix_product(p, m, q), ((d * det % q, -b * det % q),
+                                                          (-c * det % q, a * det % q)), q)
+
+    pairs = [(conjugate(cl.rep, invertible()), i) for i, cl in enumerate(group.classes)]
+    pairs += [(m, index[_matrix_class(group, m)]) for m in (invertible() for _ in range(int(count)))]
+    wrong = [m for m, i in pairs if group.class_index(m) != i]
+    return [len(pairs), sorted({group.classes[i].family for _, i in pairs}), wrong[:5]]
+
+
+def test_gl2_class_index_at_the_top_of_the_range():
+    # every class of GL2(F_31), each scalar and Jordan block included, and
+    # 20000 random matrices land where the oracle, which reads trace,
+    # determinant and a square root in F_31, puts them
+    assert probe("probe_class_index_sample", 31, 20000, timeout=60) == \
+        [960 + 20000, ["elliptic", "hyperbolic", "parabolic", "scalar"], []]
+
+
+def probe_mutants(name):
+    """The counts of tests/test_verify_mutants.py's corpus on a table of
+    its top of the range that differ from the record, and whether the
+    record's cap on Galois images is the module's."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_verify_mutants import RECORD, TOP_GALOIS_LIMIT, fallen, table_counts
+    want = json.loads(RECORD.read_text())["top_of_range"]
+    return [want["galois_limit"] == TOP_GALOIS_LIMIT,
+            fallen(table_counts(name, TOP_GALOIS_LIMIT), want["tables"][name])]
+
+
+def test_gl2_f13_mutant_kills():
+    # 25 swaps, 25 3-cycles and 5 Galois images of GL2(F_13), seed 47: no
+    # killed count falls below the record. About 12 s and 70 MB on 2 vCPUs,
+    # 1.3-1.7 s per Galois image
+    assert probe("probe_mutants", "GL2(F_13)", timeout=60) == [True, []]
+
+
 def probe_pools():
     from reptheory.gl2fq import gl2_table
     from reptheory.symgrp import sn_table

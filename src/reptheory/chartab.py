@@ -176,10 +176,7 @@ class CharacterTable:
         self.name = name
         k = len(group.classes)
         self.display_classes = tuple(display_classes) if display_classes else tuple(range(k))
-        if class_labels:
-            self.class_labels = tuple(class_labels)
-        else:
-            self.class_labels = tuple(group.class_label(c) for c in self.display_classes)
+        self._class_labels = tuple(class_labels) if class_labels else None
         for row in self.rows:
             if row.function.at_identity() != row.degree:
                 raise ValueError(f"row {row.name}: identity value differs from stated degree")
@@ -189,6 +186,14 @@ class CharacterTable:
         self.index = gram_rows.index
         self._gram_columns = None
         self._row_of = None
+
+    @property
+    def class_labels(self):
+        """The display classes' labels: the builder's, or else the group's,
+        formatted on first read."""
+        if self._class_labels is None:
+            self._class_labels = tuple(map(self.group.class_label, self.display_classes))
+        return self._class_labels
 
     @property
     def gram_columns(self):

@@ -88,7 +88,14 @@ class GL2Group:
 
     The classes come in a deterministic order: scalars, parabolics,
     hyperbolics, elliptics, each family ordered by its parameters. The
-    identity class comes first."""
+    identity class comes first.
+
+    A class is fixed by its two eigenvalues in F_q(sqrt(eps)) and by
+    whether it is a Jordan block: xI and [[x, 1], [0, x]] (x twice),
+    diag(x, y) (x and y) and [[x, eps y], [y, x]] (u = x + y sqrt(eps)
+    and its conjugate u^q). Its key is the sorted pair of the
+    eigenvalues' discrete logarithms to gen2, and the Jordan flag; both
+    class_index and power_class_map answer from it."""
 
     def __init__(self, q):
         _check_q(q)
@@ -121,7 +128,8 @@ class GL2Group:
                 add("elliptic", (x, y), q * q - q, ((x, self.eps * y % q), (y, x)))
         if len(self.classes) != q * q - 1 or sum(c.size for c in self.classes) != self.order:
             raise AssertionError(f"GL2(F_{q}) classes do not partition the group")
-        self._class_index = {(c.family, c.params): i for i, c in enumerate(self.classes)}
+        self._keys = [self._key(cl.rep) for cl in self.classes]
+        self._index = {key: i for i, key in enumerate(self._keys)}
 
     def class_label(self, c):
         cl = self.classes[c]
@@ -129,60 +137,41 @@ class GL2Group:
 
     def class_index(self, matrix):
         """The index of the class of an invertible 2x2 matrix over F_q,
-        given as two rows of integers in 0..q-1, from its invariants: a
-        scalar matrix is its own class, and otherwise the discriminant
-        t^2 - 4d of its characteristic polynomial x^2 - tx + d is zero (the
-        eigenvalue t/2 twice: parabolic), a nonzero square s^2 (the
-        eigenvalues (t +- s)/2: hyperbolic) or eps s^2 (the eigenvalue
-        t/2 + (s/2) sqrt(eps): elliptic). Anything else is a ValueError."""
+        given as two rows of integers in 0..q-1, from its eigenvalue key.
+        Anything else is a ValueError."""
         q = self.q
         if (type(matrix) not in (list, tuple) or len(matrix) != 2
                 or any(type(row) not in (list, tuple) or len(row) != 2
                        or any(type(x) is not int or not 0 <= x < q for x in row) for row in matrix)):
             raise ValueError(f"not a 2x2 matrix over F_{q}: {short_repr(matrix)}")
+        return self._index[self._key(matrix)]
+
+    def _key(self, matrix):
+        """The class key of a matrix of trace t and determinant d: the
+        sorted logarithms of its eigenvalues (t +- s)/2, where s^2 =
+        t^2 - 4d in F_q(sqrt(eps)) (every element of F_q is a square there,
+        and its logarithm, a multiple of q + 1, halves exactly), and
+        whether it is a Jordan block: not scalar, with the one eigenvalue
+        t/2."""
         (a, b), (c, d) = matrix
+        q, half = self.q, (self.q + 1) // 2
         t, det = (a + d) % q, (a * d - b * c) % q
         if det == 0:
             raise ValueError(f"not an invertible matrix: {short_repr(matrix)}")
-        half, disc = (q + 1) // 2, (t * t - 4 * det) % q
-        if b == c == 0 and a == d:
-            key = ("scalar", (a,))
-        elif disc == 0:
-            key = ("parabolic", (t * half % q,))
-        elif self.dlog_q[disc] % 2 == 0:
-            s = pow(self.g, self.dlog_q[disc] // 2, q)
-            key = ("hyperbolic", tuple(sorted(((t + s) * half % q, (t - s) * half % q))))
-        else:
-            # disc = eps s^2, as eps is the other coset of the squares
-            s = pow(self.g, self.dlog_q[disc * pow(self.eps, -1, q) % q] // 2, q)
-            y = s * half % q
-            key = ("elliptic", (t * half % q, min(y, q - y)))
-        return self._class_index[key]
+        disc = (t * t - 4 * det) % q
+        s, r = self.powers_q2[self.dlog_q2[disc, 0] // 2] if disc else (0, 0)
+        x = self.dlog_q2[(t + s) * half % q, r * half % q]
+        y = self.dlog_q2[(t - s) * half % q, -r * half % q]
+        return min(x, y), max(x, y), disc == 0 and not (b == c == 0 and a == d)
 
     def power_class_map(self, k):
-        """For each class, the index of the class of its k-th powers, from
-        the class parameters: the Jordan block [[x, 1], [0, x]]^k is
-        [[x^k, k x^(k-1)], [0, x^k]], scalar when q divides k; diag(x, y)^k
-        is scalar when x^k = y^k; an elliptic class is its eigenvalue
-        u = x + y sqrt(eps), up to the conjugation y -> -y, and u^k, read
-        off the power list of gen2, is scalar when its sqrt(eps) part
-        vanishes."""
-        q = self.q
-        out = []
-        for cl in self.classes:
-            if cl.family == "elliptic":
-                x, y = self.powers_q2[self.dlog_q2[cl.params] * k % (q * q - 1)]
-                key = ("elliptic", (x, min(y, q - y))) if y else ("scalar", (x,))
-            else:
-                powers = tuple(pow(x, k % (q - 1), q) for x in cl.params)
-                if cl.family == "parabolic" and k % q:
-                    key = ("parabolic", powers)
-                elif len(set(powers)) == 1:
-                    key = ("scalar", powers[:1])
-                else:
-                    key = ("hyperbolic", tuple(sorted(powers)))
-            out.append(self._class_index[key])
-        return out
+        """For each class, the index of the class of its k-th powers: the
+        eigenvalues' logarithms times k, and a Jordan block stays one
+        exactly when q does not divide k, as (x + N)^k = x^k + k x^(k-1) N
+        for N^2 = 0."""
+        n, stays = self.q * self.q - 1, k % self.q != 0
+        return [self._index[(*sorted((x * k % n, y * k % n)), jordan and stays)]
+                for x, y, jordan in self._keys]
 
     def ext_mul(self, u, v):
         a, b = u

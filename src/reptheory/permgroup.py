@@ -489,8 +489,8 @@ class SymmetricGroup:
         self.type_index = {cl.cycle_type: i for i, cl in enumerate(self.classes)}
         self.exponent = lcm(*range(1, n + 1))
 
-    def class_label(self, c):
-        return cycle_notation(self.classes[c].representative)
+    class_label = PermGroup.class_label
+    subgroup = PermGroup.subgroup
 
     def class_index(self, perm):
         """The index of the class of a permutation of 0..n-1: its cycle type."""
@@ -510,9 +510,6 @@ class SymmetricGroup:
                 t += [m // d] * d
             out.append(self.type_index[tuple(sorted(t, reverse=True))])
         return out
-
-    def subgroup(self, h_gens):
-        return SubgroupView(self, h_gens)
 
     def to_json(self):
         """The name S<n>, which group_from_json reads back as class data; the

@@ -569,6 +569,26 @@ def test_dual_and_semidirect_tables_make_no_reduction(monkeypatch):
     assert calls == []
 
 
+def test_class_labels_are_formatted_on_first_read(monkeypatch):
+    # building a table formats no label; verify_table names each class
+    # once, and the table's labels, read twice, are formatted once
+    sd, group = dihedral_semidirect(100), cyclic_group(100)
+    calls = []
+    original = PermGroup.class_label
+    monkeypatch.setattr(PermGroup, "class_label", lambda g, c: calls.append(c) or original(g, c))
+    tables = [semidirect_table(sd), abelian_dual_table(group)]
+    assert calls == []
+    for table in tables:
+        k = len(table.classes)
+        assert verify_table(table).ok and len(calls) == k
+        calls.clear()
+        labels = [original(table.group, c) for c in table.display_classes]
+        assert table.class_labels == tuple(labels) and table.class_labels is table.class_labels
+        assert len(calls) == k
+        assert render_table(table).splitlines()[0].split()[1:] == labels
+        calls.clear()
+
+
 def reference_orbit_value(e, e_u, size, c, ks):
     """The per-term sum the previous release made for a semidirect value."""
     total = zero()

@@ -221,20 +221,30 @@ def _matrix_class(group, m):
 
 def _matrix_power(m, k, q):
     out = ((1, 0), (0, 1))
-    for _ in range(k):
-        out = tuple(tuple(sum(out[i][j] * m[j][l] for j in range(2)) % q for l in range(2))
-                    for i in range(2))
+    while k:
+        if k % 2:
+            out = _matrix_product(out, m, q)
+        m, k = _matrix_product(m, m, q), k // 2
     return out
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+def _matrix_product(x, y, q):
+    return tuple(tuple(sum(x[i][j] * y[j][l] for j in range(2)) % q for l in range(2))
+                 for i in range(2))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 31])
 def test_power_class_map_matches_matrix_powers(q):
     group = GL2Group(q)
-    keys = [(c.family, c.params) for c in group.classes]
+    keys = {(c.family, c.params): i for i, c in enumerate(group.classes)}
     for c in group.classes:
         assert _matrix_class(group, c.rep) == (c.family, c.params)
-    for k in range(2 * q + 2):
-        want = [keys.index(_matrix_class(group, _matrix_power(c.rep, k, q))) for c in group.classes]
+    # every prime dividing |G| = q (q - 1)^2 (q + 1), and multiples of q,
+    # where a Jordan block turns scalar; below q = 31 every k up to 2q + 1
+    primes = {p for p in range(2, q + 1) if group.order % p == 0 and all(p % d for d in range(2, p))}
+    small = range(2 * q + 2) if q < 31 else ()
+    for k in sorted(primes.union(small, (q, 2 * q, q * (q - 1), group.order, group.order + 1))):
+        want = [keys[_matrix_class(group, _matrix_power(c.rep, k, q))] for c in group.classes]
         assert group.power_class_map(k) == want, k
 
 
@@ -252,7 +262,7 @@ def test_table_to_json_hands_a_gl2_table_to_its_writer():
     assert table_to_json(table) == table_to_json(table, group_name="GL2") == gl2_table_to_json(table)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_class_index_matches_the_matrix_oracle(q):
     # every invertible matrix over F_q lands in the class _matrix_class
     # reads off it, and each class holds as many matrices as its size
