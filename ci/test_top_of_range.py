@@ -325,7 +325,7 @@ def probe_mutants(name):
 
 def test_gl2_f13_mutant_kills():
     # 25 swaps, 25 3-cycles and 5 Galois images of GL2(F_13), seed 47: no
-    # killed count falls below the record. About 12 s and 70 MB on 2 vCPUs,
+    # killed count falls below the record. About 13 s and 27 MB on 2 vCPUs,
     # 1.3-1.7 s per Galois image
     assert probe("probe_mutants", "GL2(F_13)", timeout=60) == [True, []]
 
@@ -480,6 +480,34 @@ def test_gl2_files_read_back(tmp_path):
         code, out, seconds, rss_mb = probe("probe_read_back", *argv, path, timeout=60)
         assert [code, out] == [0, want], argv
         assert seconds <= 15 and rss_mb <= 500, (argv, seconds, rss_mb)
+
+
+def probe_group_classes(path):
+    """The exit code and the last line of stderr of `group classes --file
+    path`, run in this process, with its wall time in seconds and this
+    process's peak RSS in MB after it."""
+    import contextlib
+    import io
+    import resource
+    from reptheory.cli import main
+    err, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(["group", "classes", "--file", str(path)])
+    return [code, err.getvalue().splitlines()[-1:], time.perf_counter() - start,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+
+
+def test_enumeration_bound_at_the_top_of_the_degree_range(tmp_path):
+    # (0 1) and (0 1 ... 199) generate S_200 on permgroup.MAX_DEGREE = 200
+    # points; its enumeration stops at MAX_ELEMENTS = 200000 elements. Held
+    # as bytes they take about 0.4 s and 100 MB on 2 vCPUs (as tuples, 2 s
+    # and 360 MB), so the budget is 200 MB
+    n, path = 200, tmp_path / "s200.json"
+    path.write_text(json.dumps({"degree": n, "generators": [[1, 0, *range(2, n)],
+                                                            [*range(1, n), 0]]}) + "\n")
+    code, last, seconds, rss_mb = probe("probe_group_classes", path, timeout=60)
+    assert [code, last] == [1, ["error: group enumeration exceeded bound 200000"]]
+    assert seconds <= 15 and rss_mb <= 200, (seconds, rss_mb)
 
 
 def test_s15_row_products():

@@ -102,7 +102,6 @@ class GL2Group:
         self.q = q
         self.eps = smallest_nonresidue(q)
         powers_q = _cyclic_powers(range(2, q), lambda x, y: x * y % q, 1, q - 1)
-        self.g = powers_q[1]
         self.dlog_q = {x: k for k, x in enumerate(powers_q)}
         # the nonzero a + b sqrt(eps) of F_q(sqrt(eps)) as pairs (a, b), in
         # the order (0, 1), (0, 2), ..., (1, 0), (1, 1), ...

@@ -11,9 +11,10 @@ SemidirectProduct realizes G x| A (A abelian) on the pairs (a, g); D_n
 for n >= 3 is the one of Z_2 acting on Z_n by inversion, and its
 character table is built from it by `chartab.semidirect_table`.
 
-A permutation on m points is a plain tuple of 0-based images. The
-enumeration loops compose through `operator.itemgetter`, so each product
-is one C-level call instead of a Python generator over the points.
+A permutation on m points is a plain tuple of 0-based images. Inside
+PermGroup every element is also kept as `bytes`, and products run on those:
+q.translate(p.ljust(256)) is p_mul(p, q) in one C-level call, an inverse
+is one bytes.maketrans, and a conjugate is two translates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from math import factorial, gcd, lcm
-from operator import itemgetter
 
 from .linalg import fields, parse_integer, short_repr
 
@@ -39,13 +39,6 @@ def p_identity(degree):
 def p_mul(p, q):
     """Composition: apply q first, then p."""
     return tuple(p[x] for x in q)
-
-
-def _right_mul(q):
-    """The map p -> p_mul(p, q), as one C-level call."""
-    if len(q) < 2:  # itemgetter needs an index and returns a scalar for one
-        return lambda p: p_mul(p, q)
-    return itemgetter(*q)
 
 
 def p_inv(p):
@@ -129,9 +122,10 @@ class ConjugacyClass:
 
 
 # Every element of a PermGroup is a tuple of `degree` points, so the degree
-# is bounded before anything is allocated. The largest group the package
-# builds is D100, the regular action of dihedral_semidirect(100) on its 200
-# elements; no named group or table needs more points.
+# is bounded before anything is allocated. It stays below 256 so that an
+# element fits in `bytes`, on which PermGroup composes. The largest group
+# the package builds is D100, the regular action of dihedral_semidirect(100)
+# on its 200 elements; no named group or table needs more points.
 MAX_DEGREE = 200
 # the most elements a PermGroup enumerates before it stops (EnumerationBound)
 MAX_ELEMENTS = 200000
@@ -157,31 +151,30 @@ class PermGroup:
             if g != p_identity(degree) and g not in gens:
                 gens.append(g)
         self.generators = tuple(gens)
-        ident = p_identity(degree)
-        elements = [ident]
-        index = {ident: 0}
+        # products run on bytes: q.translate(p.ljust(256)) is p_mul(p, q)
+        ident = bytes(range(degree))
+        perms, by_perm, frontier = [ident], {ident: 0}, [ident]
         parent = [None]  # (parent element index, generator index)
-        frontier = [ident]
-        times = [_right_mul(g) for g in self.generators]
+        gen_perms = [bytes(g) for g in self.generators]
         while frontier:
             nxt = []
             for x in frontier:
-                xi = index[x]
-                for gi, times_g in enumerate(times):
-                    y = times_g(x)
-                    if y not in index:
-                        index[y] = len(elements)
-                        elements.append(y)
+                xi, table = by_perm[x], x.ljust(256)
+                for gi, g in enumerate(gen_perms):
+                    y = g.translate(table)
+                    if y not in by_perm:
+                        by_perm[y] = len(perms)
+                        perms.append(y)
                         parent.append((xi, gi))
                         nxt.append(y)
-                        if len(elements) > MAX_ELEMENTS:
+                        if len(perms) > MAX_ELEMENTS:
                             raise EnumerationBound(
                                 f"group enumeration exceeded bound {MAX_ELEMENTS}")
             frontier = nxt
-        self.elements = tuple(elements)
-        self.index = index
-        self._parent = parent
-        self.inverse_index = tuple(index[p_inv(x)] for x in elements)
+        self._perms, self._by_perm, self._parent = perms, by_perm, parent
+        self.elements = tuple(map(tuple, perms))
+        self.index = dict(zip(self.elements, range(len(perms))))
+        self.inverse_index = tuple(by_perm[bytes.maketrans(x, ident)[:degree]] for x in perms)
         self._build_classes()
         exp = 1
         for cl in self.classes:
@@ -193,23 +186,23 @@ class PermGroup:
         n = len(self.elements)
         assigned = [-1] * n
         raw_classes = []
-        # g x g^-1 = p_mul(p_mul(g, x), p_inv(g)): x applied to g, then g^-1
-        pairs = [(g, _right_mul(p_inv(g))) for g in self.generators]
+        perms, by_perm = self._perms, self._by_perm
+        # g x g^-1 = p_mul(g, p_mul(x, g^-1)): g^-1 through x's table, then g's
+        pairs = [(bytes(p_inv(g)), bytes(g).ljust(256)) for g in self.generators]
         for start in range(n):
             if assigned[start] != -1:
                 continue
             orbit = [start]
             assigned[start] = len(raw_classes)
-            queue = [self.elements[start]]
+            queue = [perms[start]]
             while queue:
-                times_x = _right_mul(queue.pop())
-                for g, times_g_inv in pairs:
-                    y = times_g_inv(times_x(g))
-                    yi = self.index[y]
+                table = queue.pop().ljust(256)
+                for g_inv, g_table in pairs:
+                    yi = by_perm[g_inv.translate(table).translate(g_table)]
                     if assigned[yi] == -1:
                         assigned[yi] = len(raw_classes)
                         orbit.append(yi)
-                        queue.append(self.elements[yi])
+                        queue.append(perms[yi])
             raw_classes.append(sorted(orbit))
         classes = []
         for members in raw_classes:
@@ -233,27 +226,27 @@ class PermGroup:
         return all(c.size == 1 for c in self.classes)
 
     def mul(self, i, j):
-        return self.index[p_mul(self.elements[i], self.elements[j])]
+        return self._by_perm[self._perms[j].translate(self._perms[i].ljust(256))]
 
     def inv(self, i):
         return self.inverse_index[i]
 
     def power_class_map(self, k):
         """For each class, the index of the class of rep^k, by squaring on
-        bytes: p.translate(q.ljust(256)) is p_mul(q, p), as degree <= 200."""
-        out, identity = [], bytes(range(self.degree))
+        the stored bytes."""
+        out, identity = [], self._perms[0]
         for c, cl in enumerate(self.classes):
             y, e = identity, k % cl.element_order
             if e == 1:  # rep^1 is rep
                 out.append(c)
                 continue
-            base = bytes(cl.representative)
+            base = self._perms[self.index[cl.representative]]
             while e:
                 table = base.ljust(256)
                 if e & 1:
                     y = y.translate(table)
                 base, e = base.translate(table), e >> 1
-            out.append(self.class_of[self.index[tuple(y)]])
+            out.append(self.class_of[self._by_perm[y]])
         return out
 
     def extend_hom(self, gen_images, mul, one):

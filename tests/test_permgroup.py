@@ -233,8 +233,8 @@ def test_group_serialization():
 
 
 def reference_enumeration(group):
-    """The p_mul-based enumeration and class building that PermGroup used
-    before its itemgetter kernels: BFS by y = x*g, classes as orbits of
+    """The p_mul-based enumeration and class building on tuples that
+    PermGroup's bytes products must match: BFS by y = x*g, classes as orbits of
     x -> g x g^-1, both on the group's own generators."""
     ident = tuple(range(group.degree))
     elements, index, parent, frontier = [ident], {ident: 0}, [None], [ident]
@@ -280,6 +280,13 @@ GOLDEN_GROUPS = {
     "D8 semidirect": lambda: dihedral_semidirect(8).group,
     "Heisenberg semidirect": lambda: heisenberg_semidirect().group,
     "degree 0": lambda: PermGroup(0, []),
+    # degree 200 = MAX_DEGREE: D100, and D3 on the points 0, 1, 2 and
+    # 197, 198, 199 read from a file's JSON (i -> 199 - i conjugates the
+    # 3-cycle to its inverse)
+    "D100 semidirect": lambda: dihedral_semidirect(100).group,
+    "degree 200 from JSON": lambda: group_from_json(json.loads(json.dumps({
+        "degree": 200, "generators": [list(range(199, -1, -1)),
+                                      from_cycles(200, [(0, 1, 2), (197, 198, 199)])]}))),
 }
 
 
@@ -291,3 +298,16 @@ def test_enumeration_matches_reference(name):
     assert g._parent == parent
     assert g.inverse_index == inverse_index
     assert [(c.representative, c.members, c.size) for c in g.classes] == classes
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8", "D8 semidirect", "Heisenberg semidirect"])
+def test_mul_is_the_product_of_the_elements(name):
+    g = GOLDEN_GROUPS[name]()
+    assert [[g.mul(i, j) for j in range(g.order)] for i in range(g.order)] == \
+        [[g.index[p_mul(x, y)] for y in g.elements] for x in g.elements]
+
+
+def test_max_degree_fits_in_bytes():
+    # PermGroup composes its elements as bytes, one byte per point, through
+    # 256-byte translate tables, so every point must be below 256
+    assert permgroup.MAX_DEGREE < 256

@@ -24,7 +24,7 @@ import itertools
 import json
 import random
 import sys
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from pathlib import Path
 
 from reptheory import chartab, gl2fq
@@ -49,9 +49,12 @@ def true_table(name):
 
 
 def candidates(table, kind):
-    """Every mutant of the given kind, as (label, column map) where the
+    """The number of mutants of the given kind and a map from a position in
+    their fixed order to the mutant, as (label, column map) where the
     column map sends each class to the class whose values it takes, or as
-    (label, (column, j)) for a Galois image."""
+    (label, (column, j)) for a Galois image. Swaps and 3-cycles run over
+    the classes of each size in turn, in the order of
+    itertools.combinations, and are made only at the positions asked for."""
     rows = [row.values for row in table.rows]
     k = len(table.classes)
     identity = next(c for c in range(k) if all(r[c] == row.degree for r, row in zip(rows, table.rows)))
@@ -59,20 +62,40 @@ def candidates(table, kind):
     for c in range(k):
         if c != identity:
             by_size.setdefault(table.classes[c].size, []).append(c)
-    out = []
     if kind == "galois":
+        out = []
         for c in range(k):
             order = lcm(*[r[c].order for r in rows])
             for j in range(2, order):
                 if gcd(j, order) == 1 and any(r[c].galois(j) != r[c] for r in rows):
                     out.append((f"column {c} under zeta -> zeta^{j}", (c, j)))
-        return out
+        return len(out), out.__getitem__
     size = 2 if kind == "swap" else 3
-    for cols in by_size.values():
-        for chosen in itertools.combinations(cols, size):
-            images = dict(zip(chosen, chosen[1:] + chosen[:1]))
-            out.append((f"columns {chosen} {'swapped' if size == 2 else 'cycled'}", images))
-    return out
+    blocks = [(cols, comb(len(cols), size)) for cols in by_size.values()]
+
+    def mutant(i):
+        for cols, count in blocks:
+            if i < count:
+                break
+            i -= count
+        chosen = combination_at(cols, size, i)
+        images = dict(zip(chosen, chosen[1:] + chosen[:1]))
+        return f"columns {chosen} {'swapped' if size == 2 else 'cycled'}", images
+    return sum(count for _, count in blocks), mutant
+
+
+def combination_at(items, size, i):
+    """The i-th tuple of itertools.combinations(items, size)."""
+    out, start = [], 0
+    while size:
+        for j in range(start, len(items)):
+            count = comb(len(items) - j - 1, size - 1)  # those that start at items[j]
+            if i < count:
+                out.append(items[j])
+                start, size = j + 1, size - 1
+                break
+            i -= count
+    return tuple(out)
 
 
 def mutant_rows(table, kind, change):
@@ -93,9 +116,10 @@ def table_counts(name, galois_limit=LIMIT):
     true_rows = {row.values for row in table.rows}
     counts = {}
     for kind in KINDS:
-        cands = candidates(table, kind)
+        count, mutant = candidates(table, kind)
         limit = galois_limit if kind == "galois" else LIMIT
-        chosen = random.Random(f"{SEED}:{name}:{kind}").sample(cands, min(limit, len(cands)))
+        positions = random.Random(f"{SEED}:{name}:{kind}").sample(range(count), min(limit, count))
+        chosen = [mutant(i) for i in positions]
         equivalent, killed = [], 0
         for label, change in sorted(chosen, key=lambda x: x[0]):
             rows = mutant_rows(table, kind, change)
@@ -126,6 +150,25 @@ def fallen(got, want):
     return [(kind, field) for kind, counts in want.items() for field in counts
             if (got[kind][field] < counts[field] if field == "killed"
                 else got[kind][field] != counts[field])]
+
+
+def test_positions_are_the_listed_candidates():
+    # the mutant at position i is the i-th of the list of every candidate,
+    # built per class size by itertools.combinations
+    for n, size in itertools.product(range(7), (2, 3)):
+        items = tuple(range(10, 10 + n))
+        assert [combination_at(items, size, i) for i in range(comb(n, size))] == \
+            list(itertools.combinations(items, size))
+    table = true_table("S8")
+    by_size = {}
+    for c in range(1, len(table.classes)):
+        by_size.setdefault(table.classes[c].size, []).append(c)
+    for kind, size in (("swap", 2), ("cycle", 3)):
+        listed = [chosen for cols in by_size.values() for chosen in itertools.combinations(cols, size)]
+        count, mutant = candidates(table, kind)
+        assert count == len(listed)
+        assert [mutant(i)[1] for i in range(count)] == \
+            [dict(zip(chosen, chosen[1:] + chosen[:1])) for chosen in listed]
 
 
 def test_no_killed_count_falls():
