@@ -378,6 +378,47 @@ def test_gl2_f31_row_products():
     assert len(got) == 20 and all(ok for _, _, ok in got), got
 
 
+def probe_gl2_f31_builder_forms():
+    """For GL2(F_31): the pool size, the number of long values (more than
+    two coordinates), whether every builder root form folds afresh to its
+    value's stored form, and the _short_roots searches that decompose of
+    the regular character, verify_table and 20 row products make."""
+    import random
+    from reptheory import chartab, exact
+    from reptheory.gl2fq import gl2_table
+    table = gl2_table(31)
+    forms, exact_forms = table.gram_rows._sparse, []
+    for v, form in zip(table.pool, forms):
+        if form is None:
+            exact_forms.append(v.order == 1)
+            continue
+        acc = [0] * v.order
+        for e, k in form:
+            acc[e] += k
+        exact_forms.append(len(form) <= 2 and tuple(exact._fold(acc, v.order)) == v.num
+                           and v.den == 1)
+    searched, original = [], exact._short_roots
+
+    def counting(v):
+        searched.append(v)
+        return original(v)
+    exact._short_roots = counting
+    rows, rng = table.rows, random.Random(31)
+    ok = chartab.decompose(chartab.regular_character(table.group), table) == \
+        [row.degree for row in rows] and chartab.verify_table(table).ok
+    for _ in range(20):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        ok = ok and table.inner_product(rows[i].values, rows[j].values) == int(i == j)
+    long = sum(sum(map(bool, v.num)) > 2 for v in table.pool)
+    return [len(table.pool), long, all(exact_forms), ok, len(searched)]
+
+
+def test_gl2_f31_builder_forms():
+    # gl2_table hands each value's roots to its operand: every form folds
+    # to its value, and no built value is searched for one
+    assert probe("probe_gl2_f31_builder_forms", timeout=60) == [1032, 646, True, True, 0]
+
+
 def probe_broken_gl2_f7():
     from reptheory import chartab
     from reptheory.chartab import CharacterTable, ClassFunction, TableRow

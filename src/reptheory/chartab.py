@@ -150,12 +150,18 @@ class CharacterTable:
 
     @classmethod
     def from_pool(cls, group, names, degrees, pool, index, name="", display_classes=None,
-                  class_labels=None):
+                  class_labels=None, sparse=None):
         """The table whose row i is named names[i], of degree degrees[i],
         and takes the value pool[index[i][c]] at class c. The pool holds
         Cyclotomics, each distinct value once in the order the index first
         meets it; each row's values are read off it, so rows and index
-        agree, and the pool's types are checked once, not per entry."""
+        agree, and the pool's types are checked once, not per entry.
+
+        A builder that made each value from roots of unity (GL2) passes
+        their forms as `sparse`, one entry per pool value: [(e, k), ...]
+        with the value the sum of k * zeta_m^e over its den at its order m,
+        or None. The table's operand reads a value's form from there and
+        searches (exact._short_roots) only values that come with none."""
         if any(type(v) is not Cyclotomic for v in pool):
             raise TypeError("a table's pool holds Cyclotomic values")
         k, read = len(group.classes), pool.__getitem__
@@ -166,8 +172,8 @@ class CharacterTable:
             rows.append(TableRow(row_name, degree,
                                  ClassFunction._of(group, tuple(map(read, indices)))))
         table = cls.__new__(cls)
-        table._hold(group, tuple(rows), GramRows.over(pool, index), name, display_classes,
-                    class_labels)
+        table._hold(group, tuple(rows), GramRows.over(pool, index, sparse), name,
+                    display_classes, class_labels)
         return table
 
     def _hold(self, group, rows, gram_rows, name, display_classes, class_labels):

@@ -32,12 +32,12 @@ pool and an index that a table builder made, with ValuePool.slots, one
 value per key of its own. The kernel reads every operand, at every
 order, through one row store (GramRows.rows). An operand is one object:
 it converts each pool entry once, into integers or sparse roots of unity
-(one or two roots where that is shorter, by _short_roots, the
+(one or two roots where that is shorter: the builder's form where the
+builder gave one, as gl2_table does, and otherwise by _short_roots, the
 floating-point search here, which tries _one_root first), and makes a
 row when a call first reads it and keeps it. FieldKeys.root reads
-_one_root alone. A table's
-columns share only the pool and its rows' short forms, the one costly
-conversion. The kernel conjugates its right operand only, accumulates
+_one_root alone. A table's columns share only the pool and its rows'
+short forms. The kernel conjugates its right operand only, accumulates
 integer sums of roots of unity and reduces once per entry. An operand
 made for one call is freed with it.
 """
@@ -165,6 +165,23 @@ def _root(n, k):
     acc = [0] * (k + 1)
     acc[k] = 1
     return _fold(acc, n)
+
+
+def root_powers(n):
+    """The coordinates of zeta_n^0, ..., zeta_n^(n-1), each a list of
+    phi(n) ints made from the one before by one step of _fold: the
+    coordinates move up by one and the top one folds back through
+    _phi_fold."""
+    phi, fold = euler_phi(n), _phi_fold(n)
+    x = [1] + [0] * (phi - 1)
+    out = [x]
+    for _ in range(n - 1):
+        top, x = x[-1], [0, *x[:-1]]
+        if top:
+            for k, f in fold:
+                x[phi + k] += top * f
+        out.append(x)
+    return out
 
 
 def _descend(num, n, p):
@@ -641,15 +658,17 @@ class GramRows:
     values, `pool`, and `index[r][c]`, the pool index of row r at class c.
     GramRows(rows) interns rows of values (ValuePool); GramRows.over(pool,
     index) takes a pool and an index as they are, for a builder or table
-    that made them. `order` and `den` are the lcm of the pool's orders and
-    of its denominators.
+    that made them, and with them, where the builder made its values
+    from roots of unity (gl2_table), their root forms. `order` and `den`
+    are the lcm of the pool's orders and of its denominators.
 
     The kernel reads an operand's rows in one way (rows): integers over
     den when every order is 1, and otherwise root terms at the lcm N of
     both operands' orders. An operand converts its pool itself, entry by
     entry as rows ask for them: `_ints`, the integers of a rational pool,
-    `_sparse`, per entry its short form (one or two roots) or its nonzero
-    coordinates, and `_terms`, per (n, right) the root terms of each
+    `_sparse`, per entry its short form (one or two roots: the builder's,
+    or else searched by _short_roots) or its nonzero coordinates, and
+    `_terms`, per (n, right) the root terms of each
     entry. Only the rows a call reads are made; an operand keeps each form
     it makes (`_forms`) and adds rows to it as later calls read them, so a
     table's values are converted once however often it is used, and an
@@ -665,7 +684,11 @@ class GramRows:
     @classmethod
     def over(cls, pool, index, sparse=None):
         """An operand on pool and index, which are not copied; `sparse`, if
-        given, is the `_sparse` list of another operand on the same pool."""
+        given, is the `_sparse` list of another operand on the same pool,
+        or a builder's root forms, one entry per pool value: [(e, k), ...]
+        with the value the sum of k * zeta_m^e over its den at its order
+        m, or None for an entry to convert here. A GL2 table brings one,
+        so none of its values is searched."""
         operand = cls.__new__(cls)
         operand._hold(pool, index, sparse)
         return operand
@@ -698,8 +721,9 @@ class GramRows:
         lcm of the row's orders): row r at class c is the sum of
         k * zeta_n^e over den for (e, k) in terms[c], conjugated on the
         right side as in _root_terms, each (value, weight) pair multiplied
-        out once. An entry is converted once, to its short form where that
-        is shorter than its nonzero coordinates (_short_roots, a search over
+        out once. An entry is converted once, to its builder's root form
+        where `_sparse` holds one, or else to its short form where that is
+        shorter than its nonzero coordinates (_short_roots, a search over
         the roots of its order), and mapped once to each (n, right). Only
         the rows asked for, by any iterable, are made, and kept under
         (n, right, weights).

@@ -20,7 +20,7 @@ its powers is both the logarithm table and its inverse.
 from __future__ import annotations
 
 from .chartab import CharacterTable, verify_rows
-from .exact import ValuePool, cyc, cyclotomic_to_json, zero, zeta
+from .exact import Cyclotomic, ValuePool, cyc, cyclotomic_to_json, root_powers, zero, zeta
 from .linalg import short_repr
 
 
@@ -216,23 +216,44 @@ def gl2_table(q):
     its exponent mod n, in one lazily filled table per (n, c), or by its
     exponent pair, and each value is made and interned once, when its key
     is first met: the 28224 entries of GL2(F_13) take 195 distinct values.
-    The rows are filled row by row, class by class, so the pool is in the
-    order its values are first met."""
+    A value is c times the sum of its roots' coordinates, read off one
+    table of the powers of zeta_n per order (exact.root_powers), and
+    normalised once. The rows are filled row by row, class by class, so
+    the pool is in the order its values are first met.
+
+    Each pool value at its order n also keeps the root form it was made
+    from, [(a, c)] or [(a, c), (b, c)], which the table's Gram operand
+    reads instead of searching the value's coordinates for it."""
     group = GL2Group(q)
     n1, n2 = q - 1, q * q - 1
     dlog, dlog2 = group.dlog_q, group.dlog_q2
     pool = ValuePool()
+    powers = {n1: root_powers(n1), n2: root_powers(n2)}
+    # (slots, n, the root form of a key's value at order n), per lookup table
+    formed = []
+
+    def root_slots(n, c, exponents, twin=None):
+        """Pool positions by a key whose value is c times the sum of
+        zeta_n^e over e in exponents(key)."""
+        p = powers[n]
+
+        def make(key):
+            a, *b = exponents(key)
+            coords = map(int.__add__, p[a], p[b[0]]) if b else p[a]
+            return Cyclotomic(n, [c * x for x in coords], 1)
+        table = pool.slots(make, twin)
+        formed.append((table, n, lambda key: [(e, c) for e in exponents(key)]))
+        return table
 
     def roots(n, c):
-        return pool.slots(lambda e: c * zeta(n, e))
+        return root_slots(n, c, lambda e: (e,))
 
     one, minus, zeros = roots(n1, 1), roots(n1, -1), pool.slots(lambda _: zero())
     # zeta_(q-1)^a + zeta_(q-1)^b by a * (q - 1) + b, made once for both orders
-    pairs = pool.slots(lambda key: zeta(n1, key // n1) + zeta(n1, key % n1),
-                       lambda key: key % n1 * n1 + key // n1)
+    pairs = root_slots(n1, 1, lambda key: divmod(key, n1), lambda key: key % n1 * n1 + key // n1)
     # -(nu(u) + nu(u)^q) by the exponent a of nu(u) = zeta_(q^2-1)^a,
     # made once for a and its Frobenius twin qa
-    frobenius = pool.slots(lambda a: -1 * (zeta(n2, a) + zeta(n2, a * q)), lambda a: a * q % n2)
+    frobenius = root_slots(n2, -1, lambda a: (a, a * q % n2), lambda a: a * q % n2)
     # the classes come family by family (GL2Group); per family the
     # discrete logarithms of each class's determinant and of its
     # parameters: x in F_q* and in F_q(sqrt(eps))* (scalar, parabolic), x
@@ -286,7 +307,14 @@ def gl2_table(q):
             + [frobenius[t * u % n2] for _, u in elliptic])
     if len(index) != q * q - 1:
         raise AssertionError(f"GL2(F_{q}) table has {len(index)} rows, not q^2 - 1")
-    return CharacterTable.from_pool(group, names, degrees, pool.values, index, name=f"GL2(F_{q})")
+    # a value that collapsed to a rational is read from its one coordinate
+    values, sparse = pool.values, [None] * len(pool.values)
+    for table, n, form in formed:
+        for key, x in table.items():
+            if sparse[x] is None and values[x].order == n:
+                sparse[x] = form(key)
+    return CharacterTable.from_pool(group, names, degrees, values, index, name=f"GL2(F_{q})",
+                                    sparse=sparse)
 
 
 # row orthonormality, the sum of squares and the row count: the row half

@@ -56,6 +56,9 @@ def p_order(p):
 
 
 def cycles(p):
+    """The cycles of p, each a tuple that opens at its least point, in the
+    order of those points: the points are scanned in ascending order and
+    each cycle is opened at the least point not yet seen."""
     seen = [False] * len(p)
     out = []
     for i in range(len(p)):
@@ -79,10 +82,7 @@ def cycle_notation(p):
     parts = []
     for c in cycles(p):
         if len(c) > 1:
-            m = min(c)
-            k = c.index(m)
-            rotated = c[k:] + c[:k]
-            parts.append("(" + "".join(str(x + 1) for x in rotated) + ")")
+            parts.append("(" + "".join(str(x + 1) for x in c) + ")")
     return "".join(parts) if parts else "Id"
 
 

@@ -147,6 +147,12 @@ def test_zeta_power_orders():
             assert zeta(n, k) ** n == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 24, 30, 120, 168, 960])
+def test_root_powers_are_the_folded_monomials(n):
+    # each power made from the one before against its monomial folded afresh
+    assert exact.root_powers(n) == [exact._root(n, k) for k in range(n)]
+
+
 @given(cyclotomics(), cyclotomics(), cyclotomics())
 @settings(max_examples=60, deadline=None)
 def test_field_axioms(a, b, c):

@@ -5,7 +5,7 @@ import pytest
 
 from reptheory.chartab import (CharacterTable, frobenius_schur, table_from_json, table_to_json,
                                verify_table)
-from reptheory.exact import zeta, zero
+from reptheory.exact import _fold, zeta, zero
 from reptheory.gl2fq import (GL2Group, complementary_virtual_values,
                              _complementary_parameters, gl2_classes, gl2_table,
                              gl2_table_to_json, gl2_verify, is_odd_prime,
@@ -205,6 +205,31 @@ def test_one_field_data_build_per_table(monkeypatch):
     table = gl2_table(5)
     assert built == [5]
     assert all(row.function.group is table.group for row in table.rows)
+
+
+def refolded(value, form):
+    """The stored form (order, numerators, denominator) of the sum of
+    k * zeta_m^e over (e, k) in form, over value's den at value's order m,
+    folded afresh."""
+    acc = [0] * value.order
+    for e, k in form:
+        acc[e] += k
+    return value.order, tuple(_fold(acc, value.order)), value.den
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_builder_root_forms_fold_to_their_values(q):
+    # every value gl2_table makes comes with the roots it was made from,
+    # one or two; only a value that collapsed to a rational has none
+    table = gl2_table(q)
+    forms = table.gram_rows._sparse
+    assert len(forms) == len(table.pool)
+    for v, form in zip(table.pool, forms):
+        if form is None:
+            assert v.order == 1, v
+        else:
+            assert len(form) in (1, 2) and refolded(v, form) == (v.order, v.num, v.den), (v, form)
+    assert table.gram_columns._sparse is forms
 
 
 def _matrix_class(group, m):

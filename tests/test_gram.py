@@ -33,7 +33,7 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
                                tensor_multiplicities, transfer_table, verify_table)
 from reptheory.exact import (Cyclotomic, GramRows, _fold, _short_roots, cyc, hermitian_gram,
                              one, zero, zeta)
-from reptheory.gl2fq import GL2Class, gl2_table, gl2_verify
+from reptheory.gl2fq import GL2Class, gl2_table, gl2_table_to_json, gl2_verify
 from reptheory.permgroup import builtin_group, cyclic_group, from_cycles
 from reptheory.symgrp import sn_table
 
@@ -860,7 +860,9 @@ def test_a_table_converts_its_values_once(name, monkeypatch):
 
 
 def test_columns_reuse_the_rows_two_root_forms(monkeypatch):
-    table = gl2_table(7)
+    # read back from JSON, the table carries no builder forms, so its
+    # operand searches its long values itself
+    table = table_from_json(json.loads(json.dumps(gl2_table_to_json(gl2_table(7)))))
     long = [v for v in table.pool if sum(map(bool, v.num)) > 2]
     assert len(long) == 10
     searched = []
@@ -881,6 +883,26 @@ def test_columns_reuse_the_rows_two_root_forms(monkeypatch):
     searched.clear()
     decompose(f, table)
     verify_table(table)
+    assert searched == []
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 13])
+def test_a_built_gl2_table_searches_no_value(q, monkeypatch):
+    # gl2_table hands its values' root forms to its operand, so neither the
+    # rows nor the columns search one
+    table = gl2_table(q)
+    searched = []
+
+    def counting(v):
+        searched.append(v)
+        return _short_roots(v)
+    monkeypatch.setattr(exact, "_short_roots", counting)
+    f = chartab.regular_character(table.group)
+    assert decompose(f, table) == [row.degree for row in table.rows]
+    assert verify_table(table).ok
+    rows = table.rows
+    for i, j in [(0, 0), (1, len(rows) - 1), (len(rows) - 1, len(rows) - 1), (2, 3)]:
+        assert table.inner_product(rows[i].values, rows[j].values) == int(i == j)
     assert searched == []
 
 

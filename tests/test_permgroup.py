@@ -182,6 +182,18 @@ def test_cycle_notation():
     assert cycle_notation((1, 0, 2)) == "(12)"
     assert cycle_notation((0, 1, 2)) == "Id"
     assert cycle_notation(from_cycles(4, [(0, 1), (2, 3)])) == "(12)(34)"
+    assert cycle_notation(from_cycles(5, [(4, 2, 3), (1, 0)])) == "(12)(345)"
+
+
+@given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.permutations(range(n))))
+@settings(max_examples=200, deadline=None)
+def test_cycles_open_at_their_least_point_in_ascending_order(p):
+    # cycle_notation prints each cycle as it comes, so its labels rest on this
+    cs = permgroup.cycles(tuple(p))
+    assert all(c[0] == min(c) for c in cs)
+    assert [c[0] for c in cs] == sorted(c[0] for c in cs)
+    assert sorted(x for c in cs for x in c) == list(range(len(p)))
+    assert all(p[a] == b for c in cs for a, b in zip(c, c[1:] + c[:1]))
 
 
 @given(st.permutations(list(range(5))))
