@@ -32,8 +32,8 @@ pool and an index that a table builder made, with ValuePool.slots, one
 value per key of its own. The kernel reads every operand, at every
 order, through one row store (GramRows.rows). An operand is one object:
 it converts each pool entry once, into integers or sparse roots of unity
-(one or two roots where that is shorter: the builder's form where the
-builder gave one, as gl2_table does, and otherwise by _short_roots, the
+(the builder's root form where the builder gave one, as gl2_table does;
+otherwise one or two roots where that is shorter, by _short_roots, the
 floating-point search here, which tries _one_root first), and makes a
 row when a call first reads it and keeps it. FieldKeys.root reads
 _one_root alone. A table's columns share only the pool and its rows'
@@ -666,13 +666,13 @@ class GramRows:
     den when every order is 1, and otherwise root terms at the lcm N of
     both operands' orders. An operand converts its pool itself, entry by
     entry as rows ask for them: `_ints`, the integers of a rational pool,
-    `_sparse`, per entry its short form (one or two roots: the builder's,
-    or else searched by _short_roots) or its nonzero coordinates, and
-    `_terms`, per (n, right) the root terms of each
-    entry. Only the rows a call reads are made; an operand keeps each form
-    it makes (`_forms`) and adds rows to it as later calls read them, so a
-    table's values are converted once however often it is used, and an
-    operand made for one call is freed with it."""
+    `_sparse`, per entry the builder's root form, or else its short form
+    (one or two roots, by _short_roots) or its nonzero coordinates, and
+    `_terms`, per (n, right) the root terms of each entry. Only the rows
+    a call reads are made; an operand keeps each form it makes (`_forms`)
+    and adds rows to it as later calls read them, so a table's values are
+    converted once however often it is used, and an operand made for one
+    call is freed with it."""
 
     __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms",
                  "_forms_by_id")
