@@ -754,6 +754,48 @@ def test_d100_top_of_range():
     assert "error: cyclic and dihedral groups only up to D100 here" in proc.stderr.splitlines()
 
 
+def probe_orders_and_reduced_forms():
+    """For D100 and Z100, the top of MAX_CYCLIC_DIHEDRAL_N: the classes whose
+    element order is not the lcm of its representative's cycle lengths,
+    and the values of the table whose reduced form or text is not that of
+    the prime-by-prime descent on the value's coordinates with no form
+    attached; with the number of classes and of values checked."""
+    from reptheory import exact, permgroup
+    from reptheory.chartab import abelian_dual_table, semidirect_table
+
+    def descent(v):
+        n, num = v.order, list(v.num)
+        for p in exact._prime_divisors(n):
+            while n % p == 0:
+                y = exact._descend(num, n, p)
+                if y is None:
+                    break
+                n, num = n // p, y
+        out = exact.Cyclotomic(n, num, v.den)
+        out._red = out
+        return out
+
+    def fields(v):
+        return v.order, v.num, v.den
+
+    sd, z = permgroup.dihedral_semidirect(100), permgroup.cyclic_group(100)
+    out = {}
+    for name, group, table in (("D100", sd.group, semidirect_table(sd)),
+                               ("Z100", z, abelian_dual_table(z))):
+        orders = sum(c.element_order != math.lcm(*permgroup.cycle_lengths(c.representative))
+                     for c in group.classes)
+        values = sum(fields(v.reduced()) != fields(w) or str(v) != str(w)
+                     for v in table.pool for w in [descent(exact.Cyclotomic(v.order, v.num, v.den))])
+        out[name] = [len(group.classes), orders, len(table.pool), values]
+    return out
+
+
+def test_orders_and_reduced_forms_at_the_top_of_the_name_range():
+    # [classes, wrong orders, values, wrong reduced forms]
+    assert probe("probe_orders_and_reduced_forms", timeout=30) == {"D100": [53, 0, 53, 0],
+                                                                   "Z100": [100, 0, 100, 0]}
+
+
 def test_table_scan():
     # exits 1 if a built-in table, an abelian dual or an S_n table fails
     run("scripts/show_tables.py", timeout=10)

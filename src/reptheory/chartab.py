@@ -48,7 +48,7 @@ from .exact import (Cyclotomic, FieldKeys, GramRows, ValuePool, _fold, cyc, cycl
 from .linalg import InputError, fields, short_repr
 from .permgroup import (PermGroup, SemidirectProduct, alternating_group, cyclic_group,
                         dihedral_semidirect, from_cycles, group_from_json, group_to_json,
-                        p_identity, p_mul, p_order, parse_group_name, quaternion_group,
+                        p_identity, p_mul, parse_group_name, quaternion_group,
                         symmetric_group)
 
 class ClassFunction:
@@ -642,14 +642,16 @@ def _abelian_characters(group):
     multiplicative. For Z_n's standard generator the k-th is m -> k*m."""
     if any(cl.size > 1 for cl in group.classes):
         raise ValueError("dual table requires an abelian group")
-    e, n, gens = group.exponent, group.order, group.generators
+    e, n, gens = group.exponent, group.order, range(1, len(group.generators) + 1)
+    # generator k is element k + 1, and each element its own class
+    orders = [group.classes[group.class_of[s]].element_order for s in gens]
     candidates = [([0] * n, [])]  # each with its generator exponents
-    for k, o in enumerate(map(p_order, gens)):
+    for k, o in enumerate(orders):
         t = group.extend_hom([e // o if j == k else 0 for j in range(len(gens))], mul=add, one=0)
         candidates = [([(v + c * s) % e for v, s in zip(x, t)], w + [c * e // o])
                       for x, w in candidates for c in range(o)]
     # times[k][i]: the index of element i times generator k
-    times = [[group.mul(i, group.index[p]) for i in range(n)] for p in gens]
+    times = [[group.mul(i, s) for i in range(n)] for s in gens]
     characters = [x for x, w in candidates
                   if all(list(map(x.__getitem__, t)) == [(v + k) % e for v in x]
                          for t, k in zip(times, w))]
@@ -694,7 +696,7 @@ def semidirect_table(sd):
         raise ValueError("no character table available for a non-abelian stabilizer")
     e, characters = _abelian_characters(a)
     e_g, g_characters = _abelian_characters(g)
-    gens = [a.index[p] for p in a.generators]
+    gens = range(1, len(a.generators) + 1)  # generator k is element k + 1
     number = {tuple(x[s] for s in gens): r for r, x in enumerate(characters)}
     pairs = [sd.pair_of[cl.members[0]] for cl in sd.group.classes]
     pool = ValuePool()
@@ -710,7 +712,7 @@ def semidirect_table(sd):
         stab_indices = [h for h, s in enumerate(moved) if s == r]
         # on the stabilizer, of exponent e_u, a character of G takes e_u-th
         # roots of unity: its exponents there are multiples of e_g / e_u
-        e_u = lcm(*(p_order(g.elements[h]) for h in stab_indices))
+        e_u = lcm(*(g.classes[g.class_of[h]].element_order for h in stab_indices))
         stab_characters = sorted({tuple(y[h] * e_u // e_g for h in stab_indices)
                                   for y in g_characters})
         terms = {ai: tuple(x[act_h[ai]] for act_h in act) for ai, _ in pairs}
@@ -759,7 +761,7 @@ def heisenberg_semidirect():
     def elem_of(b, c):  # the element with p[0] = b and p[3] = 3 + c
         return tuple([(i + b) % 3 for i in range(3)] + [3 + (i + c) % 3 for i in range(3)])
 
-    auto = [a.index[elem_of(p[0], p[0] + p[3] - 3)] for p in a.elements]
+    auto = [a.by_perm[bytes(elem_of(p[0], p[0] + p[3] - 3))] for p in a.perms]
     return SemidirectProduct(cyclic_group(3), a, [auto])
 
 

@@ -16,7 +16,9 @@ the integers, on linalg.gauss_jordan.
 Reduction to the smallest subfield Q(zeta_m), m | n, stays in those
 integers too: it descends from Q(zeta_n) to Q(zeta_(n/p)) one prime p at
 a time, splitting the coordinates and folding the parts, for as long as
-the value lies in the smaller field.
+the value lies in the smaller field. Two kinds of value need no descent:
+one of prime order, which is never rational, and a root made by zeta(),
+which carries its reduced form, read off its exponent.
 Printing and JSON conversion read the numerators and the shared
 denominator directly; no arithmetic builds a Fraction. cyclotomic_from_json
 parses each distinct value dict once: equal dicts give one shared value,
@@ -438,13 +440,19 @@ class Cyclotomic:
         The order descends one prime p at a time while _descend finds the
         value in Q(zeta_(order/p)). Q(zeta_a) and Q(zeta_b) meet in
         Q(zeta_gcd(a, b)), so every descent ends at the same m, and a prime
-        that fails once fails at every smaller order too.
+        that fails once fails at every smaller order too. A value made by
+        zeta() comes with its reduced form, read off its exponent.
         """
         if self.order == 1:
             return self
         if self._red is not None:
             return self._red
         n, num = self.order, self.num
+        if euler_phi(n) == n - 1:
+            # a prime order: a value stored there is not rational, so it
+            # lies in no smaller field
+            self._red = self
+            return self
         for p in _prime_divisors(n):
             while n % p == 0:
                 y = _descend(num, n, p)
@@ -530,13 +538,29 @@ def cyc(x):
 
 
 def zeta(n, k=1):
-    """The root of unity zeta_n^k, canonically reduced mod Phi_n."""
+    """The root of unity zeta_n^k, canonically reduced mod Phi_n, with its
+    reduced form: zeta_n^k is zeta_m^j, m = n/gcd(n, k), j = k/gcd(n, k),
+    which lies at order m unless m = 2 mod 4; then it lies at h = m/2 as
+    -zeta_h^(j(h + 1)/2), since zeta_h^((h + 1)/2) = -zeta_m."""
     if n < 1:
         raise ValueError("order must be a positive integer")
     k %= n
     if k == 0 or n == 1:
         return _ONE
-    return Cyclotomic(n, _root(n, k), 1)
+    value = Cyclotomic(n, _root(n, k), 1)
+    if value.order == 1:  # zeta_n^k = -1
+        return value
+    g = gcd(n, k)
+    m, j = n // g, k // g
+    if m % 4 == 2:
+        h = m // 2
+        red = Cyclotomic(h, [-c for c in _root(h, j * (h + 1) // 2 % h)], 1)
+    elif m != n:
+        red = Cyclotomic(m, _root(m, j), 1)
+    else:
+        red = value
+    value._red = red._red = red
+    return value
 
 
 # -- the Gram kernel --------------------------------------------------
@@ -674,8 +698,8 @@ class GramRows:
     converted once however often it is used, and an operand made for one
     call is freed with it."""
 
-    __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms",
-                 "_forms_by_id")
+    __slots__ = ("pool", "index", "order", "den", "_one_order", "_ints", "_sparse", "_terms",
+                 "_forms", "_forms_by_id")
 
     def __init__(self, rows):
         pool = ValuePool()
@@ -695,7 +719,9 @@ class GramRows:
 
     def _hold(self, pool, index, sparse=None):
         self.pool, self.index = pool, index
-        self.order = lcm(*{v.order for v in pool})
+        orders = {v.order for v in pool}
+        # every row's lcm of orders is `order` when the pool has one order
+        self.order, self._one_order = lcm(*orders), len(orders) == 1
         self.den = lcm(*{v.den for v in pool})
         self._ints, self._terms, self._forms, self._forms_by_id = None, {}, {}, {}
         self._sparse = [None] * len(pool) if sparse is None else sparse
@@ -775,7 +801,8 @@ class GramRows:
                             t = weighted[x, w] = [(e, k * w) for e, k in ts[c]]
                         ts[c] = t
             rows[r] = ([c for c, t in enumerate(ts) if t], ts,
-                       lcm(*{pool[x].order for x in index[r]}))
+                       self.order if self._one_order
+                       else lcm(*{pool[x].order for x in set(index[r])}))
         return rows
 
 

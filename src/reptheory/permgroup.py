@@ -12,15 +12,23 @@ for n >= 3 is the one of Z_2 acting on Z_n by inversion, and its
 character table is built from it by `chartab.semidirect_table`.
 
 A permutation on m points is a plain tuple of 0-based images. Inside
-PermGroup every element is also kept as `bytes`, and products run on those:
-q.translate(p.ljust(256)) is p_mul(p, q) in one C-level call, an inverse
-is one bytes.maketrans, and a conjugate is two translates.
+PermGroup every element is kept as `bytes` (`perms`, with the bytes-keyed
+`by_perm`), and products run on those: q.translate(p.ljust(256)) is
+p_mul(p, q) in one C-level call, an inverse is one bytes.maketrans, and a
+conjugate is two translates. A class's element order is the number of
+such products that bring its representative back to the identity, and
+its representative is its least member's bytes, as bytes order is tuple
+order for points below 256. The tuple forms `elements` and `index` are
+built from the bytes when something first reads them; the package's own
+readers (power maps, class indices, SemidirectProduct and the abelian and
+semidirect tables of chartab) read `perms` and `by_perm` instead.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import cached_property
 from math import factorial, gcd, lcm
 
 from .linalg import fields, parse_integer, short_repr
@@ -39,20 +47,6 @@ def p_identity(degree):
 def p_mul(p, q):
     """Composition: apply q first, then p."""
     return tuple(p[x] for x in q)
-
-
-def p_inv(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def p_order(p):
-    result = 1
-    for c in cycle_lengths(p):
-        result = result * c // gcd(result, c)
-    return result
 
 
 def cycles(p):
@@ -110,12 +104,12 @@ def class_order_key(cl):
 class ConjugacyClass:
     __slots__ = ("representative", "size", "members", "centralizer_order", "element_order")
 
-    def __init__(self, representative, members, group_order):
+    def __init__(self, representative, members, group_order, element_order):
         self.representative = representative
         self.members = tuple(members)
         self.size = len(members)
         self.centralizer_order = group_order // self.size
-        self.element_order = p_order(representative)
+        self.element_order = element_order
 
     def __repr__(self):
         return f"ConjugacyClass({cycle_notation(self.representative)}, size={self.size})"
@@ -135,8 +129,11 @@ class PermGroup:
     """A fully enumerated permutation group on 0 to MAX_DEGREE points.
 
     Element 0 is the identity; elements follow BFS order from the
-    generators. Classes are sorted by (element order, size, lexicographic
-    representative), so the identity class is always class 0.
+    generators, so generator k is element k + 1. `perms[i]` is element i
+    as bytes and `by_perm` maps those bytes back to i; `elements` and
+    `index` are the same as tuples, built on first read. Classes are
+    sorted by (element order, size, lexicographic representative), so the
+    identity class is always class 0.
     """
 
     def __init__(self, degree, generators):
@@ -171,24 +168,19 @@ class PermGroup:
                             raise EnumerationBound(
                                 f"group enumeration exceeded bound {MAX_ELEMENTS}")
             frontier = nxt
-        self._perms, self._by_perm, self._parent = perms, by_perm, parent
-        self.elements = tuple(map(tuple, perms))
-        self.index = dict(zip(self.elements, range(len(perms))))
+        self.perms, self.by_perm, self._parent = perms, by_perm, parent
         self.inverse_index = tuple(by_perm[bytes.maketrans(x, ident)[:degree]] for x in perms)
         self._build_classes()
-        exp = 1
-        for cl in self.classes:
-            o = cl.element_order
-            exp = exp * o // gcd(exp, o)
-        self.exponent = exp
+        self.exponent = lcm(*(cl.element_order for cl in self.classes))
 
     def _build_classes(self):
-        n = len(self.elements)
+        perms, by_perm = self.perms, self.by_perm
+        n, identity = len(perms), perms[0]
         assigned = [-1] * n
         raw_classes = []
-        perms, by_perm = self._perms, self._by_perm
         # g x g^-1 = p_mul(g, p_mul(x, g^-1)): g^-1 through x's table, then g's
-        pairs = [(bytes(p_inv(g)), bytes(g).ljust(256)) for g in self.generators]
+        pairs = [(perms[self.inverse_index[i]], perms[i].ljust(256))
+                 for i in range(1, len(self.generators) + 1)]
         for start in range(n):
             if assigned[start] != -1:
                 continue
@@ -206,8 +198,12 @@ class PermGroup:
             raw_classes.append(sorted(orbit))
         classes = []
         for members in raw_classes:
-            rep = min(self.elements[i] for i in members)
-            classes.append(ConjugacyClass(rep, members, n))
+            rep = min(map(perms.__getitem__, members))
+            # the element order: the products by rep that bring rep to the identity
+            table, y, order = rep.ljust(256), rep, 1
+            while y != identity:
+                y, order = y.translate(table), order + 1
+            classes.append(ConjugacyClass(tuple(rep), members, n, order))
         classes.sort(key=class_order_key)
         self.classes = tuple(classes)
         self.class_of = [0] * n
@@ -215,38 +211,48 @@ class PermGroup:
             for ei in cl.members:
                 self.class_of[ei] = ci
 
+    @cached_property
+    def elements(self):
+        """The elements as tuples, in index order."""
+        return tuple(map(tuple, self.perms))
+
+    @cached_property
+    def index(self):
+        """The index of each element, keyed by its tuple."""
+        return dict(zip(self.elements, range(len(self.perms))))
+
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.perms)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.perms)
 
     def is_abelian(self):
         return all(c.size == 1 for c in self.classes)
 
     def mul(self, i, j):
-        return self._by_perm[self._perms[j].translate(self._perms[i].ljust(256))]
+        return self.by_perm[self.perms[j].translate(self.perms[i].ljust(256))]
 
     def inv(self, i):
         return self.inverse_index[i]
 
     def power_class_map(self, k):
-        """For each class, the index of the class of rep^k, by squaring on
-        the stored bytes."""
-        out, identity = [], self._perms[0]
+        """For each class, the index of the class of the k-th power of a
+        member, by squaring on the member's bytes."""
+        out, identity = [], self.perms[0]
         for c, cl in enumerate(self.classes):
             y, e = identity, k % cl.element_order
-            if e == 1:  # rep^1 is rep
+            if e == 1:  # x^1 is x
                 out.append(c)
                 continue
-            base = self._perms[self.index[cl.representative]]
+            base = self.perms[cl.members[0]]
             while e:
                 table = base.ljust(256)
                 if e & 1:
                     y = y.translate(table)
                 base, e = base.translate(table), e >> 1
-            out.append(self.class_of[self._by_perm[y]])
+            out.append(self.class_of[self.by_perm[y]])
         return out
 
     def extend_hom(self, gen_images, mul, one):
@@ -257,9 +263,9 @@ class PermGroup:
         if len(gen_images) != len(self.generators):
             raise ValueError(f"need one image per generator: {len(self.generators)}, "
                              f"got {len(gen_images)}")
-        images = [None] * len(self.elements)
+        images = [None] * len(self.perms)
         images[0] = one
-        for i in range(1, len(self.elements)):
+        for i in range(1, len(self.perms)):
             pi, gi = self._parent[i]
             images[i] = mul(images[pi], gen_images[gi])
         return images
@@ -278,8 +284,15 @@ class PermGroup:
         return cycle_notation(self.classes[ci].representative)
 
     def class_index(self, perm):
-        """The index of the class of an element given as a permutation."""
-        i = self.index.get(tuple(perm))
+        """The index of the class of an element given as a permutation.
+        Its bytes are looked up; a sequence that bytes() refuses (an entry
+        that is no int, or one outside 0..255) is looked up by its tuple,
+        which finds entries equal to points, as 1.0 is to 1."""
+        perm = tuple(perm)
+        try:
+            i = self.by_perm.get(bytes(perm))
+        except (TypeError, ValueError):
+            i = self.index.get(perm)
         if i is None:
             raise ValueError(f"not an element of the group: {short_repr(list(perm))}")
         return self.class_of[i]
@@ -357,14 +370,17 @@ class SemidirectProduct:
         na, ng = a.order, g.order
 
         def left_mul(ai, gi):
-            return tuple(a.mul(ai, self.act[gi][b]) * ng + g.mul(gi, h)
-                         for b in range(na) for h in range(ng))
+            # (b, h) -> (ai act_gi(b), gi h), read off one row of A's products
+            # and one of G's
+            row_a, row_g = [a.mul(ai, b) for b in range(na)], [g.mul(gi, h) for h in range(ng)]
+            return tuple(row_a[x] * ng + y for x in self.act[gi] for y in row_g)
 
-        self.group = PermGroup(na * ng, [left_mul(a.index[p], 0) for p in a.generators]
-                               + [left_mul(0, g.index[p]) for p in g.generators])
+        # generator k of a group is its element k + 1
+        self.group = PermGroup(na * ng, [left_mul(k, 0) for k in range(1, len(a.generators) + 1)]
+                               + [left_mul(0, k) for k in range(1, len(g.generators) + 1)])
         if self.group.order != na * ng:
             raise ValueError("the generator actions do not define an action of the acting group")
-        self.pair_of = [divmod(perm[0], ng) for perm in self.group.elements]
+        self.pair_of = [divmod(perm[0], ng) for perm in self.group.perms]
 
 
 def _check_automorphism(a, auto):
@@ -373,7 +389,7 @@ def _check_automorphism(a, auto):
     along a word in the generators for y."""
     if sorted(auto) != list(range(a.order)):
         raise ValueError("action is not a bijection of the abelian group")
-    for s in (a.index[p] for p in a.generators):
+    for s in range(1, len(a.generators) + 1):  # generator k is element k + 1
         if any(auto[a.mul(x, s)] != a.mul(auto[x], auto[s]) for x in range(a.order)):
             raise ValueError("action is not an automorphism")
 

@@ -731,6 +731,48 @@ def test_descent_matches_the_divisor_scan(n):
                 assert fields(a.reduced()) == fields(reference_reduced(a))
 
 
+# -- reduced forms read off the exponent: zeta() attaches one, and a value
+# of prime order is its own; each must be what the prime-by-prime descent
+# finds on the same coordinates with no form attached --
+
+def descent_reduced(v):
+    """The descent of reduced() run on v's stored coordinates, as a fresh
+    value marked reduced, so that its str() prints these coordinates."""
+    n, num = v.order, list(v.num)
+    for p in exact._prime_divisors(n):
+        while n % p == 0:
+            y = exact._descend(num, n, p)
+            if y is None:
+                break
+            n, num = n // p, y
+    out = Cyclotomic(n, num, v.den)
+    out._red = out
+    return out
+
+
+def assert_reduced_as_descent(v):
+    want = descent_reduced(Cyclotomic(v.order, v.num, v.den))
+    assert fields(v.reduced()) == fields(want), v
+    assert str(v) == str(want)
+
+
+def test_zeta_reduced_forms_are_the_descent():
+    for n in range(1, 201):
+        for k in range(n):
+            assert_reduced_as_descent(zeta(n, k))
+
+
+def test_table_pool_reduced_forms_are_the_descent():
+    from reptheory.chartab import abelian_dual_table, semidirect_table
+    from reptheory.permgroup import cyclic_group, dihedral_group, dihedral_semidirect
+    tables = [abelian_dual_table(cyclic_group(n)) for n in range(1, 101)]
+    tables += [abelian_dual_table(dihedral_group(n)) for n in (1, 2)]
+    tables += [semidirect_table(dihedral_semidirect(n)) for n in range(3, 31)]
+    for table in tables:
+        for v in table.pool:
+            assert_reduced_as_descent(v)
+
+
 LARGE_ORDER_TEXTS = json.loads((Path(__file__).parent / "golden" / "large_order_texts.json")
                                .read_text())
 

@@ -1,5 +1,5 @@
 import json
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,24 @@ from reptheory.chartab import dihedral_semidirect, heisenberg_semidirect
 from reptheory.permgroup import (EnumerationBound, PermGroup, alternating_group,
                                  builtin_group, cycle_lengths, cycle_notation,
                                  cyclic_group, dihedral_group, from_cycles,
-                                 group_from_json, group_to_json, p_inv, p_mul,
-                                 p_order, parse_group_name, quaternion_group,
-                                 symmetric_group)
+                                 group_from_json, group_to_json, p_mul,
+                                 parse_group_name, quaternion_group, symmetric_group)
 from reptheory.symgrp import SymmetricGroup, partitions_of
+
+
+# tuple references for the bytes products of PermGroup
+
+
+def p_inv(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def p_order(p):
+    """The lcm of the cycle lengths of p."""
+    return lcm(1, *cycle_lengths(p))
 
 
 def test_s3_classes():
@@ -196,16 +210,21 @@ def test_cycles_open_at_their_least_point_in_ascending_order(p):
     assert all(p[a] == b for c in cs for a, b in zip(c, c[1:] + c[:1]))
 
 
+S5 = symmetric_group(5)
+
+
 @given(st.permutations(list(range(5))))
 @settings(max_examples=50, deadline=None)
 def test_inverse_and_order(p):
-    p = tuple(p)
-    assert p_mul(p, p_inv(p)) == (0, 1, 2, 3, 4)
-    k = p_order(p)
-    x = (0, 1, 2, 3, 4)
+    # the group's inverse and its class's element order, on products of the group
+    i = S5.by_perm[bytes(p)]
+    assert S5.mul(i, S5.inv(i)) == 0 and S5.inv(i) == S5.index[p_inv(tuple(p))]
+    k = S5.classes[S5.class_of[i]].element_order
+    x, powers = 0, []
     for _ in range(k):
-        x = p_mul(x, p)
-    assert x == (0, 1, 2, 3, 4)
+        x = S5.mul(x, i)
+        powers.append(x)
+    assert powers.index(0) == k - 1
 
 
 def test_class_index_matches_enumeration():
@@ -317,6 +336,82 @@ def test_mul_is_the_product_of_the_elements(name):
     g = GOLDEN_GROUPS[name]()
     assert [[g.mul(i, j) for j in range(g.order)] for i in range(g.order)] == \
         [[g.index[p_mul(x, y)] for y in g.elements] for x in g.elements]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GROUPS))
+def test_element_orders_from_bytes_are_the_cycle_lengths(name):
+    g = GOLDEN_GROUPS[name]()
+    assert [c.element_order for c in g.classes] == [p_order(c.representative) for c in g.classes]
+    assert all(p_order(g.elements[i]) == c.element_order for c in g.classes for i in c.members)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GROUPS))
+def test_tuple_forms_are_built_on_first_read_as_the_eager_ones(name):
+    g = GOLDEN_GROUPS[name]()
+    assert "elements" not in vars(g) and "index" not in vars(g)
+    elements = reference_enumeration(g)[0]
+    assert g.index == {x: i for i, x in enumerate(elements)}
+    assert g.elements == elements
+    assert g.elements is g.elements
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_tables_read_no_tuple_forms(n):
+    from reptheory.chartab import abelian_dual_table, semidirect_table
+    sd = dihedral_semidirect(n)
+    groups = [sd.acting, sd.abelian, sd.group]
+    semidirect_table(sd)
+    z = cyclic_group(n)
+    abelian_dual_table(z)
+    h = heisenberg_semidirect()
+    semidirect_table(h)
+    for g in groups + [z, h.acting, h.abelian, h.group]:
+        assert "elements" not in vars(g) and "index" not in vars(g)
+
+
+CLASS_INDEX_GROUPS = {name: GOLDEN_GROUPS[name]() for name in ("S4", "Z7", "Q8", "degree 0")}
+
+
+def reference_class_index(g, perm):
+    """The tuple lookup that class_index made before it read bytes."""
+    i = {x: i for i, x in enumerate(reference_enumeration(g)[0])}.get(tuple(perm))
+    if i is None:
+        raise ValueError(f"not an element of the group: {permgroup.short_repr(list(perm))}")
+    return g.class_of[i]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+ENTRIES = st.one_of(st.integers(min_value=-3, max_value=9), st.sampled_from([255, 256, -1, 2 ** 70]),
+                    st.floats(allow_nan=True), st.sampled_from([1.0, 2.0, 0.0]), st.booleans(),
+                    st.text(max_size=2), st.none(), st.lists(st.integers(0, 3), max_size=2))
+
+
+@given(st.sampled_from(sorted(CLASS_INDEX_GROUPS)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_class_index_of_any_list_is_the_tuple_lookup(name, data):
+    g = CLASS_INDEX_GROUPS[name]
+    perm = data.draw(st.one_of(
+        st.lists(ENTRIES, max_size=10),
+        st.sampled_from(g.elements).map(list),
+        st.sampled_from(g.elements).flatmap(lambda x: st.lists(ENTRIES, min_size=len(x),
+                                                               max_size=len(x)).map(
+            lambda junk: [j if k % 2 else p for k, (p, j) in enumerate(zip(x, junk))]))))
+    assert outcome(g.class_index, perm) == outcome(reference_class_index, g, perm)
+
+
+def test_class_index_refuses_what_bytes_refuses_as_no_element():
+    g = symmetric_group(3)
+    for perm in ([0, 1, 256], [0, 1, -1], [0, 1, "2"], [0.0, 1, 2.5], (0, 1, 2, 3), [],
+                 [0, 1, 2 ** 80]):
+        with pytest.raises(ValueError, match="^not an element of the group: "):
+            g.class_index(perm)
+    assert g.class_index([0.0, 1, 2]) == g.class_index(b"\x00\x01\x02") == 0
 
 
 def test_max_degree_fits_in_bytes():
