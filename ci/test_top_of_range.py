@@ -551,6 +551,38 @@ def test_enumeration_bound_at_the_top_of_the_degree_range(tmp_path):
     assert seconds <= 15 and rss_mb <= 200, (seconds, rss_mb)
 
 
+def probe_group_build(path):
+    """The order, class count and exponent of the group in the file at
+    path, the number of its classes whose element order is the exponent,
+    the seconds its construction took and this process's peak RSS in MB."""
+    import resource
+    from reptheory.permgroup import group_from_json
+    start = time.perf_counter()
+    g = group_from_json(json.loads(Path(path).read_text()))
+    seconds = time.perf_counter() - start
+    top = sum(c.element_order == g.exponent for c in g.classes)
+    return [g.order, len(g.classes), g.exponent, top, seconds,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
+
+
+def test_cyclic_file_group_near_the_element_bound(tmp_path):
+    # one generator with cycles of lengths 4, 9, 5, 7, 11 and 13 on 49
+    # points generates Z_180180, just under MAX_ELEMENTS = 200000, with one
+    # class per element and element orders far above the degree; phi(180180)
+    # = 34560 elements generate it. Its construction takes about 3 s and
+    # 225 MB on 2 vCPUs; with every order taken by repeated products it did
+    # not finish in 120 s
+    images, start = [], 0
+    for length in (4, 9, 5, 7, 11, 13):
+        images += [start + (i + 1) % length for i in range(length)]
+        start += length
+    path = tmp_path / "z180180.json"
+    path.write_text(json.dumps({"degree": 49, "generators": [images]}) + "\n")
+    *counts, seconds, rss_mb = probe("probe_group_build", path, timeout=120)
+    assert counts == [180180, 180180, 180180, 34560]
+    assert seconds <= 30 and rss_mb <= 400, (seconds, rss_mb)
+
+
 def test_s15_row_products():
     # the rational twin of the GL2(F_31) row products: the S15 table's
     # operand reads each row as integers

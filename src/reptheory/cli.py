@@ -461,7 +461,7 @@ def cmd_roundtrip(args):
     elif "degree" in obj:
         from . import permgroup
         g = permgroup.group_from_json(obj)
-        ok = permgroup.group_from_json(permgroup.group_to_json(g)).elements == g.elements
+        ok = permgroup.group_from_json(permgroup.group_to_json(g)).perms == g.perms
     elif "order" in obj and "coeffs" in obj:
         from . import exact
         v = exact.cyclotomic_from_json(obj)

@@ -698,8 +698,8 @@ class GramRows:
     converted once however often it is used, and an operand made for one
     call is freed with it."""
 
-    __slots__ = ("pool", "index", "order", "den", "_one_order", "_ints", "_sparse", "_terms",
-                 "_forms", "_forms_by_id")
+    __slots__ = ("pool", "index", "order", "den", "_ints", "_sparse", "_terms", "_forms",
+                 "_forms_by_id")
 
     def __init__(self, rows):
         pool = ValuePool()
@@ -719,9 +719,7 @@ class GramRows:
 
     def _hold(self, pool, index, sparse=None):
         self.pool, self.index = pool, index
-        orders = {v.order for v in pool}
-        # every row's lcm of orders is `order` when the pool has one order
-        self.order, self._one_order = lcm(*orders), len(orders) == 1
+        self.order = lcm(*{v.order for v in pool})
         self.den = lcm(*{v.den for v in pool})
         self._ints, self._terms, self._forms, self._forms_by_id = None, {}, {}, {}
         self._sparse = [None] * len(pool) if sparse is None else sparse
@@ -801,8 +799,7 @@ class GramRows:
                             t = weighted[x, w] = [(e, k * w) for e, k in ts[c]]
                         ts[c] = t
             rows[r] = ([c for c, t in enumerate(ts) if t], ts,
-                       self.order if self._one_order
-                       else lcm(*{pool[x].order for x in set(index[r])}))
+                       lcm(*{pool[x].order for x in set(index[r])}))
         return rows
 
 

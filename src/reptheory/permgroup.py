@@ -15,13 +15,15 @@ A permutation on m points is a plain tuple of 0-based images. Inside
 PermGroup every element is kept as `bytes` (`perms`, with the bytes-keyed
 `by_perm`), and products run on those: q.translate(p.ljust(256)) is
 p_mul(p, q) in one C-level call, an inverse is one bytes.maketrans, and a
-conjugate is two translates. A class's element order is the number of
-such products that bring its representative back to the identity, and
-its representative is its least member's bytes, as bytes order is tuple
-order for points below 256. The tuple forms `elements` and `index` are
-built from the bytes when something first reads them; the package's own
-readers (power maps, class indices, SemidirectProduct and the abelian and
-semidirect tables of chartab) read `perms` and `by_perm` instead.
+conjugate is two translates. A class's representative is its least
+member's bytes, as bytes order is tuple order for points below 256. Its
+element order is the number of such products that bring it back to the
+identity when the group is no larger than its degree, so that no order
+exceeds the degree, and the lcm of its cycle lengths otherwise. The
+tuple forms `elements` and `index` are built from the bytes when
+something first reads them; the package's own readers (power maps, class
+indices, SemidirectProduct, the abelian and semidirect tables of chartab
+and the roundtrip check) read `perms` and `by_perm` instead.
 """
 
 from __future__ import annotations
@@ -196,13 +198,20 @@ class PermGroup:
                         orbit.append(yi)
                         queue.append(perms[yi])
             raw_classes.append(sorted(orbit))
-        classes = []
+        # An element order is read off the powers of the representative when
+        # no order exceeds the degree (n <= degree, as in the regular actions
+        # of Z_n and D_n), so at most `degree` translates; otherwise it is the
+        # lcm of the cycle lengths, one walk over the points, as an order can
+        # be far above the degree (Z_180180 on 49 points)
+        classes, powers = [], n <= self.degree
         for members in raw_classes:
             rep = min(map(perms.__getitem__, members))
-            # the element order: the products by rep that bring rep to the identity
-            table, y, order = rep.ljust(256), rep, 1
-            while y != identity:
-                y, order = y.translate(table), order + 1
+            if powers:
+                table, y, order = rep.ljust(256), rep, 1
+                while y != identity:
+                    y, order = y.translate(table), order + 1
+            else:
+                order = lcm(*map(len, cycles(rep)))
             classes.append(ConjugacyClass(tuple(rep), members, n, order))
         classes.sort(key=class_order_key)
         self.classes = tuple(classes)
@@ -285,14 +294,13 @@ class PermGroup:
 
     def class_index(self, perm):
         """The index of the class of an element given as a permutation.
-        Its bytes are looked up; a sequence that bytes() refuses (an entry
-        that is no int, or one outside 0..255) is looked up by its tuple,
-        which finds entries equal to points, as 1.0 is to 1."""
+        Its bytes are looked up, so a sequence that bytes() refuses (an
+        entry that is no int, or one outside 0..255) is no element."""
         perm = tuple(perm)
         try:
             i = self.by_perm.get(bytes(perm))
         except (TypeError, ValueError):
-            i = self.index.get(perm)
+            i = None
         if i is None:
             raise ValueError(f"not an element of the group: {short_repr(list(perm))}")
         return self.class_of[i]

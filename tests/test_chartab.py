@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -27,21 +26,10 @@ from reptheory.chartab import (BUILTIN_TABLE_NAMES, CharacterTable, ClassFunctio
 from reptheory.exact import (Cyclotomic, cyc, cyclotomic_from_json, cyclotomic_to_json, zeta,
                             zero)
 from reptheory.gl2fq import gl2_table, gl2_table_to_json
-from reptheory.permgroup import (PermGroup, builtin_group, cyclic_group, cycle_lengths,
-                                 from_cycles, p_mul)
+from reptheory.permgroup import PermGroup, builtin_group, cyclic_group, from_cycles, p_mul
 from reptheory.symgrp import MAX_TABLE_N, sn_table
 
-
-def p_inv(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def p_order(p):
-    """The lcm of the cycle lengths of p."""
-    return lcm(1, *cycle_lengths(p))
+from conftest import p_inv, p_order
 
 
 def trivial_character(group):

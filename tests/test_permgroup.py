@@ -1,5 +1,5 @@
 import json
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,20 +14,7 @@ from reptheory.permgroup import (EnumerationBound, PermGroup, alternating_group,
                                  parse_group_name, quaternion_group, symmetric_group)
 from reptheory.symgrp import SymmetricGroup, partitions_of
 
-
-# tuple references for the bytes products of PermGroup
-
-
-def p_inv(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def p_order(p):
-    """The lcm of the cycle lengths of p."""
-    return lcm(1, *cycle_lengths(p))
+from conftest import p_inv, p_order
 
 
 def test_s3_classes():
@@ -311,6 +298,10 @@ GOLDEN_GROUPS = {
     "D8 semidirect": lambda: dihedral_semidirect(8).group,
     "Heisenberg semidirect": lambda: heisenberg_semidirect().group,
     "degree 0": lambda: PermGroup(0, []),
+    # Z60 on 12 points, cycles of lengths 3, 4 and 5: element orders up to
+    # five times the degree
+    "Z60 on 12 points": lambda: PermGroup(12, [from_cycles(12, [(0, 1, 2), (3, 4, 5, 6),
+                                                                (7, 8, 9, 10, 11)])]),
     # degree 200 = MAX_DEGREE: D100, and D3 on the points 0, 1, 2 and
     # 197, 198, 199 read from a file's JSON (i -> 199 - i conjugates the
     # 3-cycle to its inverse)
@@ -373,8 +364,11 @@ CLASS_INDEX_GROUPS = {name: GOLDEN_GROUPS[name]() for name in ("S4", "Z7", "Q8",
 
 
 def reference_class_index(g, perm):
-    """The tuple lookup that class_index made before it read bytes."""
-    i = {x: i for i, x in enumerate(reference_enumeration(g)[0])}.get(tuple(perm))
+    """The tuple lookup that class_index made before it read bytes, on a
+    list of ints; a list with any other entry is no element."""
+    i = None
+    if all(isinstance(x, int) for x in perm):
+        i = {x: i for i, x in enumerate(reference_enumeration(g)[0])}.get(tuple(perm))
     if i is None:
         raise ValueError(f"not an element of the group: {permgroup.short_repr(list(perm))}")
     return g.class_of[i]
@@ -407,11 +401,11 @@ def test_class_index_of_any_list_is_the_tuple_lookup(name, data):
 
 def test_class_index_refuses_what_bytes_refuses_as_no_element():
     g = symmetric_group(3)
-    for perm in ([0, 1, 256], [0, 1, -1], [0, 1, "2"], [0.0, 1, 2.5], (0, 1, 2, 3), [],
-                 [0, 1, 2 ** 80]):
+    for perm in ([0, 1, 256], [0, 1, -1], [0, 1, "2"], [0.0, 1, 2.5], [0.0, 1, 2],
+                 [[0], 1, 2], (0, 1, 2, 3), [], [0, 1, 2 ** 80]):
         with pytest.raises(ValueError, match="^not an element of the group: "):
             g.class_index(perm)
-    assert g.class_index([0.0, 1, 2]) == g.class_index(b"\x00\x01\x02") == 0
+    assert g.class_index([True, False, 2]) == g.class_index(b"\x01\x00\x02") == 1
 
 
 def test_max_degree_fits_in_bytes():
