@@ -19,10 +19,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,10 +62,22 @@ def text(proc):
     return proc.stdout.rstrip("\n")
 
 
+# an integer coefficient string, alone on its line of a --json output
+INTEGER_COEFF = re.compile(rb'^( *"-?[0-9]+)"', re.M)
+
+
+def old_spelling(lines):
+    """Whole lines of a --json output as files were written before integer
+    coefficients were written alone: every integer n as "n/1". The zeros,
+    most of the coefficients, go by bytes.replace, which is faster than the
+    pattern."""
+    return INTEGER_COEFF.sub(rb'\1/1"', lines.replace(b'"0"', b'"0/1"'))
+
+
 def sha256_of_stdout(*argv, timeout):
-    """The sha256 of the CLI's stdout, read in chunks: the GL2(F_31) JSON
-    is 1.2 GB, too much to hold."""
-    digest = hashlib.sha256()
+    """The sha256 of the CLI's stdout and that of its old_spelling, read in
+    chunks: the GL2(F_31) JSON is 1.1 GB, too much to hold."""
+    digest, old, rest = hashlib.sha256(), hashlib.sha256(), b""
     with subprocess.Popen([*PYTHON, "-m", "reptheory.cli", *argv], stdout=subprocess.PIPE,
                           cwd=ROOT, env=ENV) as proc:
         timer = threading.Timer(timeout, proc.kill)
@@ -71,10 +85,13 @@ def sha256_of_stdout(*argv, timeout):
         try:
             for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
                 digest.update(chunk)
+                lines, newline, rest = (rest + chunk).rpartition(b"\n")
+                old.update(old_spelling(lines + newline))
         finally:
             timer.cancel()
     assert proc.returncode == 0, f"exit {proc.returncode} (killed after {timeout} s if negative)"
-    return digest.hexdigest()
+    old.update(old_spelling(rest))
+    return digest.hexdigest(), old.hexdigest()
 
 
 def probe_inverse_at_order_360():
@@ -261,14 +278,16 @@ def test_gl2_scan():
 
 
 def test_gl2_top_of_range():
-    # q = 31 is the largest q the GL2 commands take. The text and the JSON
-    # must keep the sha256 they had when the table was interned from
-    # per-entry rows (04bd03f); verify exits 1 if any of its 461282 checks
-    # fails
-    assert sha256_of_stdout("gl2", "table", "--q", "31", timeout=120) == \
+    # q = 31 is the largest q the GL2 commands take. The text, and the JSON
+    # in its old spelling, must keep the sha256 they had when the table was
+    # interned from per-entry rows (04bd03f); the JSON itself has the one it
+    # has had since integer coefficients were written alone. verify exits 1
+    # if any of its 461282 checks fails
+    assert sha256_of_stdout("gl2", "table", "--q", "31", timeout=120)[0] == \
         "f79438082052d15b160a78e8a8329a29b11c5ac2d51a06fc1a5d54b3373ce495"
     assert sha256_of_stdout("gl2", "table", "--q", "31", "--json", timeout=120) == \
-        "f180f3c863973e6882cee2bf999c61144ef73f7e3210bc273ae07e481268a55d"
+        ("2adefe2741c6c36138f40e3e57561252831e238d2d0ea83d3d0f05e166580923",
+         "f180f3c863973e6882cee2bf999c61144ef73f7e3210bc273ae07e481268a55d")
     cli("gl2", "verify", "--q", "31", timeout=120, stdout=subprocess.DEVNULL)
 
 
@@ -511,12 +530,12 @@ def probe_read_back(*argv):
 
 
 def test_gl2_files_read_back(tmp_path):
-    # q = 19 is the top of the range the README documents for reading GL2
-    # files back (a 70 MB file): verify and roundtrip each take about 2.6 s
-    # and 340 MB on 2 vCPUs, most of it in json.load
-    path = tmp_path / "gl2-19.json"
-    cli_to_file(path, "gl2", "table", "--q", "19", "--json", timeout=60)
-    for argv, want in ((["chartab", "verify", "--file"], "ok: 130322 checks, 0 failures\n"),
+    # q = 23 is the top of the range the README documents for reading GL2
+    # files back: verify and roundtrip each take 2.7-3.8 s and 423 MB on
+    # 2 vCPUs, most of it in json.load
+    path = tmp_path / "gl2-23.json"
+    cli_to_file(path, "gl2", "table", "--q", "23", "--json", timeout=60)
+    for argv, want in ((["chartab", "verify", "--file"], "ok: 279842 checks, 0 failures\n"),
                        (["roundtrip"], "roundtrip ok\n")):
         code, out, seconds, rss_mb = probe("probe_read_back", *argv, path, timeout=60)
         assert [code, out] == [0, want], argv
@@ -685,8 +704,7 @@ def test_verify_by_rows(tmp_path):
     cli_to_file(path, "chartab", "show", "S6", "--json", timeout=60)
     table = json.loads(path.read_text())
     value = table["rows"][3]["values"][0]
-    p, q = map(int, value["coeffs"][0].split("/"))
-    value["coeffs"][0] = f"{p + q}/{q}"
+    value["coeffs"][0] = str(Fraction(value["coeffs"][0]) + 1)
     broken = tmp_path / "s6-broken.json"
     broken.write_text(json.dumps(table))
     out = text(cli("chartab", "verify", "--file", broken, timeout=60, code=1))

@@ -133,7 +133,8 @@ class PermGroup:
     Element 0 is the identity; elements follow BFS order from the
     generators, so generator k is element k + 1. `perms[i]` is element i
     as bytes and `by_perm` maps those bytes back to i; `elements` and
-    `index` are the same as tuples, built on first read. Classes are
+    `index` are the same as tuples, and `inverse_index` gives the index of
+    each inverse, all built on first read. Classes are
     sorted by (element order, size, lexicographic representative), so the
     identity class is always class 0.
     """
@@ -171,7 +172,6 @@ class PermGroup:
                                 f"group enumeration exceeded bound {MAX_ELEMENTS}")
             frontier = nxt
         self.perms, self.by_perm, self._parent = perms, by_perm, parent
-        self.inverse_index = tuple(by_perm[bytes.maketrans(x, ident)[:degree]] for x in perms)
         self._build_classes()
         self.exponent = lcm(*(cl.element_order for cl in self.classes))
 
@@ -181,8 +181,8 @@ class PermGroup:
         assigned = [-1] * n
         raw_classes = []
         # g x g^-1 = p_mul(g, p_mul(x, g^-1)): g^-1 through x's table, then g's
-        pairs = [(perms[self.inverse_index[i]], perms[i].ljust(256))
-                 for i in range(1, len(self.generators) + 1)]
+        pairs = [(bytes.maketrans(g, identity)[:self.degree], g.ljust(256))
+                 for g in perms[1:len(self.generators) + 1]]
         for start in range(n):
             if assigned[start] != -1:
                 continue
@@ -224,6 +224,12 @@ class PermGroup:
     def elements(self):
         """The elements as tuples, in index order."""
         return tuple(map(tuple, self.perms))
+
+    @cached_property
+    def inverse_index(self):
+        """The index of each element's inverse, in index order."""
+        ident, by_perm = self.perms[0], self.by_perm
+        return tuple(by_perm[bytes.maketrans(x, ident)[:self.degree]] for x in self.perms)
 
     @cached_property
     def index(self):

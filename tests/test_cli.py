@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -895,6 +896,26 @@ def test_selftest_fails_a_sabotaged_criterion(optimize):
     assert proc.stdout.startswith("[FAIL] criterion  5")
 
 
+# an integer coefficient string, alone on its line of a --json output
+INTEGER_COEFF = re.compile(r'^( *"-?[0-9]+)"', re.M)
+
+
+def old_spelling(text):
+    """A --json output as files were written before integer coefficients
+    were written alone: every integer n as "n/1"."""
+    return INTEGER_COEFF.sub(r'\1/1"', text)
+
+
+def assert_bytes_pinned(out, pin):
+    """A text output has one sha256 pin. A --json output has two: one of
+    the output, and one of its old spelling, which shows that only the
+    spelling of the coefficients changed."""
+    new, *old = [pin] if isinstance(pin, str) else pin
+    assert hashlib.sha256(out.encode()).hexdigest() == new
+    if old:
+        assert hashlib.sha256(old_spelling(out).encode()).hexdigest() == old[0]
+
+
 GL2_DIGESTS = json.loads((Path(__file__).parent / "golden" / "gl2_cli_digests.json").read_text())
 
 
@@ -902,7 +923,7 @@ GL2_DIGESTS = json.loads((Path(__file__).parent / "golden" / "gl2_cli_digests.js
 def test_gl2_cli_bytes_are_pinned(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GL2_DIGESTS[command]
+    assert_bytes_pinned(out, GL2_DIGESTS[command])
 
 
 SN_DIGESTS = json.loads((Path(__file__).parent / "golden" / "sn_cli_digests.json").read_text())
@@ -912,7 +933,23 @@ SN_DIGESTS = json.loads((Path(__file__).parent / "golden" / "sn_cli_digests.json
 def test_sn_cli_bytes_are_pinned(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SN_DIGESTS[command]
+    assert_bytes_pinned(out, SN_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", ["gl2 table --q 7 --json", "chartab show S6 --json"])
+def test_table_files_in_the_old_spelling_read_back(capsys, tmp_path, command):
+    # a file that spells every integer coefficient "n/1" reads back to the
+    # table of the file that spells it "n"
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0 and '"0"' in out and '"0/1"' in old_spelling(out)
+    new, old = chartab.table_from_json(json.loads(out)), chartab.table_from_json(json.loads(old_spelling(out)))
+    assert old.display_classes == new.display_classes
+    assert [(r.name, r.degree, r.values) for r in old.rows] == \
+        [(r.name, r.degree, r.values) for r in new.rows]
+    path = tmp_path / "old.json"
+    path.write_text(old_spelling(out))
+    assert run_cli(capsys, "roundtrip", str(path))[:2] == (0, "roundtrip ok\n")
+    assert run_cli(capsys, "chartab", "show", "--file", str(path), "--json") == (0, out, "")
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])

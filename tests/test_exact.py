@@ -314,8 +314,10 @@ def reference_rational_from_str(s):
 
 
 def reference_to_json(a):
+    # an integer coordinate alone, any other as "p/q" in lowest terms
     return {"order": a.order,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in a.coeffs]}
+            "coeffs": [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                       for c in a.coeffs]}
 
 
 def reference_from_json(obj):
@@ -424,17 +426,38 @@ def dense_from_json(obj):
     return Cyclotomic(obj["order"], [p * (den // q) for p, q in ratios], den)
 
 
-# valid coefficient strings that are not the canonical "0/1" and "p/q"
-ODD_COEFFS = ["0", "0/7", "-0/1", "4/6", "3/-4", "-2/-6", "5", "1/1", "-1/1", "7/3"]
+# valid coefficient strings other than the canonical "0": "0/1", "1/1" and
+# "-1/1" are how files written before integers were written alone spell them
+ODD_COEFFS = ["0/1", "0/7", "-0/1", "4/6", "3/-4", "-2/-6", "5", "1/1", "-1/1", "7/3"]
 
 
 @given(st.sampled_from([1, 2, 3, 4, 5, 8, 12, 15, 24, 168]), st.data())
 @settings(max_examples=150, deadline=None)
 def test_json_reader_matches_the_dense_reader(order, data):
-    coeffs = data.draw(st.lists(st.sampled_from(["0/1"] * 4 + ODD_COEFFS),
+    coeffs = data.draw(st.lists(st.sampled_from(["0"] * 4 + ODD_COEFFS),
                                 min_size=euler_phi(order), max_size=euler_phi(order)))
     obj = {"order": order, "coeffs": coeffs}
     assert fields(cyclotomic_from_json(obj)) == fields(dense_from_json(obj))
+
+
+@given(st.integers(min_value=1, max_value=168), st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_coordinates_are_written_alone(order, den, data):
+    phi = euler_phi(order)
+    num = data.draw(st.lists(st.one_of(st.just(0), st.integers(-24, 24)), min_size=phi, max_size=phi))
+    a = Cyclotomic(order, num, den)
+    obj = cyclotomic_to_json(a)
+    assert obj["order"] == a.order and len(obj["coeffs"]) == len(a.coeffs)
+    for s, c in zip(obj["coeffs"], a.coeffs):
+        assert not s.endswith("/1")
+        if c.denominator == 1:
+            assert s == str(c.numerator)
+        else:
+            p, q = map(int, s.split("/"))
+            assert q > 1 and gcd(p, q) == 1 and Fraction(p, q) == c
+    # files written before integers were written alone spell each one "n/1"
+    old = {"order": obj["order"], "coeffs": [s if "/" in s else s + "/1" for s in obj["coeffs"]]}
+    assert fields(cyclotomic_from_json(old)) == fields(cyclotomic_from_json(obj)) == fields(a)
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["python", "python -O"])
